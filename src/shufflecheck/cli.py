@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import decision, petri, representation, scalable, segments
 from .automata import (
@@ -19,7 +20,7 @@ from .automata import (
     word,
 )
 from .engine import ZERO, parse_transition, parse_vector, pre_shuffle_member, shuffle_member
-from .oracle import sp_falsify
+from .oracle import BudgetExceeded, sp_falsify
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -275,11 +276,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AutomatonError, decision.InvalidQuery, decision.MalformedCertificate) as exc:
+    except (
+        AutomatonError,
+        BudgetExceeded,
+        decision.InvalidQuery,
+        decision.MalformedCertificate,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 would read as "fails"
+        traceback.print_exc()
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

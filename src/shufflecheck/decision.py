@@ -8,8 +8,7 @@ produced it.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .automata import (
@@ -22,7 +21,7 @@ from .automata import (
     render_word,
 )
 from .engine import parse_transition, shuffle_member, validate_in_shuffle
-from .oracle import sp_falsify
+from .oracle import BudgetExceeded, sp_falsify
 from .petri import decide_alf_pre_finite, decide_alf_zero_finite, decide_sp_via_net
 from .representation import check_closure_prefix, check_closure_zero
 
@@ -45,25 +44,24 @@ class MalformedCertificate(Exception):
 @dataclass(frozen=True)
 class Budgets:
     falsifier_maxlen: int = 6
-    oracle_maxlen: int = 8
-    oracle_card_cap: int = 200_000
-    frontier_cap: int = 100_000
     km_node_cap: int = 200_000
     forward_cap: int = 500_000
 
     @staticmethod
     def profile(name: str) -> "Budgets":
         if name == "ci":
-            return Budgets(4, 6, 50_000, 20_000, 50_000, 100_000)
+            return Budgets(falsifier_maxlen=4, km_node_cap=50_000, forward_cap=100_000)
         if name == "default":
             return Budgets()
         if name == "deep":
-            return Budgets(8, 10, 1_000_000, 500_000, 1_000_000, 2_000_000)
+            return Budgets(
+                falsifier_maxlen=8, km_node_cap=1_000_000, forward_cap=2_000_000
+            )
         raise InvalidQuery(f"unknown budget profile {name!r}")
 
-    @staticmethod
-    def from_env() -> "Budgets":
-        return Budgets.profile(os.environ.get("SP_BUDGET_PROFILE", "default"))
+
+# Budgets that no stage read; older reports still list them.
+RETIRED_BUDGETS = ("oracle_maxlen", "oracle_card_cap", "frontier_cap")
 
 
 @dataclass(frozen=True)
@@ -105,6 +103,57 @@ def _delta_cert(delta) -> dict:
     return {"delta": tuple(sorted(t.tagged_str() for t in delta))}
 
 
+# Each stage maps (component language, V, budgets) to None when it cannot
+# settle the pair, or to (outcome, route, certificate, stats).  Stages call
+# the layer functions through this module's globals when they run.
+
+def _falsifier(comp: Dfa, V: Dfa, budgets: Budgets):
+    try:
+        cex = sp_falsify(comp, V, budgets.falsifier_maxlen)
+    except BudgetExceeded:
+        return None  # inconclusive; the exact stages still decide
+    if cex is None:
+        return None
+    stats = {"falsifier_maxlen": budgets.falsifier_maxlen}
+    return FAILS, "falsifier", _word_cert(*cex), stats
+
+
+def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
+    """Holds or Fails from a finite fragment and its exact closure check."""
+    if alf.status != "finite":
+        return None
+    out = check_closure(comp, V, alf.delta, coverage_established=True)
+    if out.holds:
+        return HOLDS, route, _delta_cert(alf.delta), dict(alf.stats)
+    return FAILS, route, _column_cert(out.witness), dict(alf.stats)
+
+
+def _prefix_fragment(comp: Dfa, V: Dfa, budgets: Budgets):
+    alf = decide_alf_pre_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
+    return _settle_fragment("prefix-fragment", comp, V, alf, check_closure_prefix)
+
+
+def _zero_fragment(comp: Dfa, V: Dfa, budgets: Budgets):
+    alf = decide_alf_zero_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
+    return _settle_fragment("zero-fragment", comp, V, alf, check_closure_zero)
+
+
+def _net(comp: Dfa, V: Dfa, budgets: Budgets):
+    """The last stage: always settles, with Unknown when a cap stops it."""
+    net = decide_sp_via_net(comp, V, budgets.km_node_cap, budgets.forward_cap)
+    cert = {}
+    if net.status == FAILS:
+        w = net.witness
+        cert = _word_cert(w["word"], w["remainder"], w["component"], w["positions"])
+    return net.status, net.route, cert, dict(net.stats)
+
+
+STAGES = {
+    PREFIX: (_falsifier, _prefix_fragment, _zero_fragment, _net),
+    GENERAL: (_falsifier, _zero_fragment, _net),
+}
+
+
 def decide_sp(
     P: Dfa, V: Dfa, mode: str = PREFIX, budgets: Optional[Budgets] = None
 ) -> Verdict:
@@ -112,78 +161,24 @@ def decide_sp(
 
     Prefix mode asks about interleavings of component prefixes inside a
     prefix-closed V; general mode about interleavings of complete
-    components.  Exact wherever a finiteness or boundedness argument
-    lands; otherwise the budgets bound the residual search and the
-    verdict degrades to unknown rather than guessing.
+    components.  The stages of STAGES[mode] run in order and the first
+    one that settles the pair gives the verdict.  Exact wherever a
+    finiteness or boundedness argument lands; otherwise the budgets bound
+    the residual search and the verdict degrades to unknown rather than
+    guessing.
     """
     if budgets is None:
-        budgets = Budgets.from_env()
+        budgets = Budgets()
     P = normalize(P)
     V = normalize(V)
     _check_query(P, V, mode)
     comp = grave(P) if mode == PREFIX else P
-
-    cex = sp_falsify(comp, V, budgets.falsifier_maxlen)
-    if cex is not None:
-        return Verdict(
-            FAILS, mode, "falsifier", _word_cert(*cex), budgets,
-            {"falsifier_maxlen": budgets.falsifier_maxlen},
-        )
-
-    if mode == PREFIX:
-        pre = decide_alf_pre_finite(comp, V, budgets.km_node_cap)
-        if pre.status == "finite":
-            out = check_closure_prefix(comp, V, pre.delta, coverage_established=True)
-            if out.holds:
-                return Verdict(
-                    HOLDS, mode, "prefix-fragment", _delta_cert(pre.delta),
-                    budgets, dict(pre.stats),
-                )
-            return Verdict(
-                FAILS, mode, "prefix-fragment", _column_cert(out.witness),
-                budgets, dict(pre.stats),
-            )
-        zero = decide_alf_zero_finite(
-            comp, V, budgets.km_node_cap, budgets.forward_cap
-        )
-        if zero.status == "finite":
-            out = check_closure_zero(comp, V, zero.delta, coverage_established=True)
-            if out.holds:
-                return Verdict(
-                    HOLDS, mode, "zero-fragment", _delta_cert(zero.delta),
-                    budgets, dict(zero.stats),
-                )
-            return Verdict(
-                FAILS, mode, "zero-fragment", _column_cert(out.witness),
-                budgets, dict(zero.stats),
-            )
-    else:
-        zero = decide_alf_zero_finite(
-            comp, V, budgets.km_node_cap, budgets.forward_cap
-        )
-        if zero.status == "finite":
-            out = check_closure_zero(comp, V, zero.delta, coverage_established=True)
-            if out.holds:
-                return Verdict(
-                    HOLDS, mode, "zero-fragment", _delta_cert(zero.delta),
-                    budgets, dict(zero.stats),
-                )
-            return Verdict(
-                FAILS, mode, "zero-fragment", _column_cert(out.witness),
-                budgets, dict(zero.stats),
-            )
-
-    net = decide_sp_via_net(comp, V, budgets.km_node_cap, budgets.forward_cap)
-    if net.status == FAILS:
-        w = net.witness
-        return Verdict(
-            FAILS, mode, net.route,
-            _word_cert(w["word"], w["remainder"], w["component"], w["positions"]),
-            budgets, dict(net.stats),
-        )
-    if net.status == HOLDS:
-        return Verdict(HOLDS, mode, net.route, {}, budgets, dict(net.stats))
-    return Verdict(UNKNOWN, mode, net.route, {}, budgets, dict(net.stats))
+    for stage in STAGES[mode]:
+        found = stage(comp, V, budgets)
+        if found is not None:
+            break
+    outcome, route, cert, stats = found
+    return Verdict(outcome, mode, route, cert, budgets, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +259,8 @@ def serialize_verdict(v: Verdict) -> str:
     for line in c.get("delta", ()):
         lines.append(f"delta: {line}")
     lines.append("BUDGETS:")
-    for name in (
-        "falsifier_maxlen",
-        "oracle_maxlen",
-        "oracle_card_cap",
-        "frontier_cap",
-        "km_node_cap",
-        "forward_cap",
-    ):
-        lines.append(f"{name}: {getattr(v.budgets, name)}")
+    for f in fields(Budgets):
+        lines.append(f"{f.name}: {getattr(v.budgets, f.name)}")
     if v.stats:
         lines.append("STATS:")
         for k in sorted(v.stats):
@@ -314,7 +302,12 @@ def parse_verdict(text: str) -> Verdict:
             else:
                 raise MalformedCertificate(f"unknown certificate field {key!r}")
         elif section == "BUDGETS":
-            budget_fields[key] = int(value)
+            if key in RETIRED_BUDGETS:
+                continue
+            try:
+                budget_fields[key] = int(value)
+            except ValueError as exc:
+                raise MalformedCertificate(f"bad budget value {line!r}") from exc
         elif section == "STATS":
             stats[key] = value
         else:

@@ -420,16 +420,6 @@ def elementary_vector_states(P: Dfa) -> frozenset:
     return frozenset(vectors)
 
 
-def is_elementary_step(P: Dfa, prev: CounterVector, t: ShuffleTransition) -> bool:
-    """May a single tracked component, currently at `prev`, take step t?"""
-    if t.source != prev:
-        return False
-    core = engine_for(P).core_elementary()
-    if prev.is_zero():
-        return t in core and t.kind in (START, START_END)
-    return t in core and t.kind in (INNER, END)
-
-
 def validate_in_shuffle(P: Dfa, t: ShuffleTransition) -> bool:
     """Exact membership of a tagged transition in the full transition set."""
     return t in engine_for(P).successors(t.source, t.letter)

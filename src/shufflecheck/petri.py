@@ -351,14 +351,22 @@ def build_npv(P: Dfa, V: Dfa) -> tuple:
     return net, iota
 
 
-def build_product(P: Dfa, V: Dfa, cap: int = DEFAULT_FORWARD_CAP) -> tuple:
-    """(states, edges, exhausted): BFS of the vector/V-state product."""
+def build_product(
+    P: Dfa, V: Dfa, cap: int = DEFAULT_FORWARD_CAP, keep=None
+) -> tuple:
+    """(states, edges, exhausted): BFS of the vector/V-state product.
+
+    With a predicate `keep`, the search stays inside the states it
+    accepts: it starts only if the start state is kept, and it records
+    only edges into kept states.
+    """
     eng = engine_for(P)
     start = (ZERO, V.initial)
+    if keep is not None and not keep(start):
+        return set(), [], True
     seen = {start}
     queue = deque([start])
     edges = []
-    exhausted = True
     while queue:
         f, r = queue.popleft()
         for a in P.alphabet:
@@ -367,13 +375,15 @@ def build_product(P: Dfa, V: Dfa, cap: int = DEFAULT_FORWARD_CAP) -> tuple:
                 continue
             for t in eng.successors(f, a):
                 nxt = (t.target, s)
+                if keep is not None and not keep(nxt):
+                    continue
                 edges.append(((f, r), t, nxt))
                 if nxt not in seen:
                     seen.add(nxt)
                     if len(seen) > cap:
                         return seen, edges, False
                     queue.append(nxt)
-    return seen, edges, exhausted
+    return seen, edges, True
 
 
 @dataclass(frozen=True)
@@ -386,32 +396,35 @@ class AlfResult:
 
 
 def decide_alf_pre_finite(
-    P: Dfa, V: Dfa, node_cap: int = DEFAULT_KM_NODE_CAP
+    P: Dfa,
+    V: Dfa,
+    node_cap: int = DEFAULT_KM_NODE_CAP,
+    forward_cap: int = DEFAULT_FORWARD_CAP,
 ) -> AlfResult:
     """Is the transition alphabet of all prefix-tracked interleavings finite?
 
     V must recognize a prefix-closed language (every state accepting).
-    Always conclusive: the net is bounded exactly when the product is
-    finite, and boundedness is decidable.
+    The net is bounded exactly when the product is finite, and
+    boundedness is decidable; the answer is Unknown only when node_cap or
+    forward_cap stops the search, and the stats name that cap.
     """
     net, iota = build_npv(P, V)
     m0 = iota((ZERO, V.initial))
     km = karp_miller(net, m0, node_cap)
     if km.capped:
-        return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
+        return AlfResult(
+            "unknown", stats={"km_nodes": len(km.nodes), "capped_by": "km_node_cap"}
+        )
     if not km.bounded:
         return AlfResult(
             "infinite", pump=km.pump, stats={"km_nodes": len(km.nodes)}
         )
-    states, edges, exhausted = build_product(P, V)
-    assert exhausted  # bounded net guarantees a finite product
+    states, edges, exhausted = build_product(P, V, forward_cap)
+    stats = {"km_nodes": len(km.nodes), "product_states": len(states)}
+    if not exhausted:
+        return AlfResult("unknown", stats={**stats, "capped_by": "forward_cap"})
     delta = frozenset(t for _src, t, _tgt in edges)
-    return AlfResult(
-        "finite",
-        delta=delta,
-        states=frozenset(states),
-        stats={"km_nodes": len(km.nodes), "product_states": len(states)},
-    )
+    return AlfResult("finite", delta=delta, states=frozenset(states), stats=stats)
 
 
 def decide_alf_zero_finite(
@@ -446,20 +459,21 @@ def decide_alf_zero_finite(
             break
         R |= set(seen)
     if backward_ok:
-        def in_breve(state):
-            return iota(state) in R
-
-        return _restricted_alf(P, V, in_breve, forward_cap)
+        states, edges, exhausted = build_product(
+            P, V, forward_cap, keep=lambda state: iota(state) in R
+        )
+        if not exhausted:
+            return AlfResult("unknown", stats={"states": len(states)})
+        delta = frozenset(t for _src, t, _tgt in edges)
+        return AlfResult("finite", delta=delta, states=frozenset(states))
     km = karp_miller(net, iota((ZERO, V.initial)), node_cap)
     if not km.capped and km.bounded:
         states, edges, exhausted = build_product(P, V, forward_cap)
         if exhausted:
+            # every state with an edge into `back` is itself in `back`
             back = _backward_states(states, edges, V)
-
-            def in_breve(state):
-                return state in back
-
-            return _restricted_alf(P, V, in_breve, forward_cap)
+            delta = frozenset(t for _src, t, tgt in edges if tgt in back)
+            return AlfResult("finite", delta=delta, states=frozenset(back))
     return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
 
 
@@ -477,33 +491,6 @@ def _backward_states(states, edges, V: Dfa) -> set:
                 seen.add(prev)
                 queue.append(prev)
     return seen
-
-
-def _restricted_alf(P: Dfa, V: Dfa, in_breve, cap: int) -> AlfResult:
-    eng = engine_for(P)
-    start = (ZERO, V.initial)
-    if not in_breve(start):
-        return AlfResult("finite", delta=frozenset(), states=frozenset())
-    seen = {start}
-    queue = deque([start])
-    delta = set()
-    while queue:
-        f, r = queue.popleft()
-        for a in P.alphabet:
-            s = V.delta.get((r, a))
-            if s is None:
-                continue
-            for t in eng.successors(f, a):
-                nxt = (t.target, s)
-                if not in_breve(nxt):
-                    continue
-                delta.add(t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > cap:
-                        return AlfResult("unknown", stats={"states": len(seen)})
-                    queue.append(nxt)
-    return AlfResult("finite", delta=frozenset(delta), states=frozenset(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,34 @@ def tracker4(two_start):
 def astar_b():
     # a*b: unboundedly many a's before the single accepting b
     return mk_dfa("ab", [("1", "a", "1"), ("1", "b", "2")], "1", ["2"])
+
+
+@pytest.fixture
+def single_a():
+    # the one-letter component language {a} over {a, b}
+    return mk_dfa("ab", [("I", "a", "II")], "I", ["II"])
+
+
+@pytest.fixture
+def b_chain():
+    # accepts the empty word, a and baaa: reading only a from the start
+    # reaches three states (with the sink), but five states reach F
+    # through a-steps
+    return mk_dfa(
+        "ab",
+        [("0", "a", "F"), ("0", "b", "y1"), ("y1", "a", "y2"),
+         ("y2", "a", "y3"), ("y3", "a", "F")],
+        "0",
+        ["0", "F"],
+    )
+
+
+@pytest.fixture
+def mod3_a():
+    # #a = 0 mod 3 over {a, b}
+    return mk_dfa(
+        "ab",
+        [(f"r{i}", x, f"r{(i + (x == 'a')) % 3}") for i in range(3) for x in "ab"],
+        "r0",
+        ["r0"],
+    )

@@ -1,5 +1,6 @@
 import pytest
 
+from shufflecheck import decision
 from shufflecheck.automata import serialize_automaton
 from shufflecheck.cli import main
 from conftest import mk_dfa
@@ -116,3 +117,28 @@ def test_error_exit_code(files, capsys):
     assert main(["decide", files["alt"], "/nonexistent.aut"]) == 3
     # alphabet mismatch
     assert main(["decide", files["alt"], files["ring3"]]) == 3
+
+
+def test_falsifier_overflow_exits_3(files, capsys):
+    code = main(["falsify", files["ring3"], files["ring9"], "--maxlen", "33"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_replay_bad_budget_value_exits_3(files, capsys):
+    main(["decide", files["ring3"], files["ring9"], "--mode", "general"])
+    report = files["dir"] / "report.txt"
+    report.write_text(
+        capsys.readouterr().out.replace("km_node_cap: 200000", "km_node_cap: lots")
+    )
+    assert main(["replay", files["ring3"], files["ring9"], str(report)]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_3(files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken stage")
+
+    monkeypatch.setattr(decision, "decide_sp", broken)
+    assert main(["decide", files["alt"], files["alt"]]) == 3
+    assert "error: unexpected RuntimeError: broken stage" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from shufflecheck.automata import grave, normalize, word
@@ -91,6 +93,28 @@ def test_report_roundtrip_holds_delta(two_start, tracker4):
     assert replay_certificate(two_start, V, back)
 
 
+def test_falsifier_overflow_leaves_the_exact_stages_to_decide(ring3, ring9):
+    # a falsifier bound of 33 overflows the oracle's length limit
+    v = decide_sp(ring3, ring9, "general", replace(SMALL, falsifier_maxlen=33))
+    assert v.outcome == "fails"
+    assert v.route != "falsifier"
+    assert replay_certificate(ring3, ring9, v)
+
+
+def test_parse_verdict_budget_lines(ring3, ring9):
+    text = serialize_verdict(decide_sp(ring3, ring9, "general", SMALL))
+    head, _, tail = text.partition("BUDGETS:\n")
+    # reports written before three unread budgets were retired still parse
+    old = head + "BUDGETS:\noracle_maxlen: 8\noracle_card_cap: 200000\n" + (
+        "frontier_cap: 100000\n" + tail
+    )
+    assert parse_verdict(old).budgets == SMALL
+    with pytest.raises(MalformedCertificate):
+        parse_verdict(head + "BUDGETS:\nkm_node_cap: lots\n" + tail)
+    with pytest.raises(MalformedCertificate):
+        parse_verdict(head + "BUDGETS:\nbogus_cap: 1\n" + tail)
+
+
 def test_parse_verdict_rejects_garbage():
     with pytest.raises(MalformedCertificate):
         parse_verdict("VERDICT: maybe\nMODE: prefix\nROUTE: x\n")
@@ -129,3 +153,31 @@ def test_random_pairs_consistent(rng):
         if v.outcome == "fails":
             assert replay_certificate(P, V, v)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "p, v, mode, budgets, outcome, route",
+    [
+        ("ring3", "ring9", "general", SMALL, "fails", "falsifier"),
+        ("single_ab", "alt", "prefix", SMALL, "holds", "prefix-fragment"),
+        ("single_ab", "alt", "general", SMALL, "holds", "zero-fragment"),
+        ("tracker4", "tracker4", "prefix", SMALL, "holds", "zero-fragment"),
+        ("single_abc", "ring9", "general", SMALL, "fails", "zero-fragment"),
+        ("alt", "alt", "prefix", SMALL, "holds", "net-uncoverable"),
+        ("alt", "alt", "general", SMALL, "holds", "net-uncoverable"),
+        # three components of ab first close a violation, at length 6,
+        # beyond the falsifier bound of SMALL
+        ("single_ab", "mod3_a", "general", SMALL, "fails", "net-reachability"),
+        # forward_cap 3 stops the backward search from F (five markings)
+        # but not the forward product (three states), so the zero route
+        # takes its forward branch
+        ("single_a", "b_chain", "general", replace(SMALL, forward_cap=3),
+         "holds", "zero-fragment"),
+    ],
+    ids=lambda x: f"forward_cap={x.forward_cap}" if isinstance(x, Budgets) else None,
+)
+def test_route_table(request, p, v, mode, budgets, outcome, route):
+    P, V = request.getfixturevalue(p), request.getfixturevalue(v)
+    verdict = decide_sp(P, V, mode, budgets)
+    assert (verdict.outcome, verdict.route) == (outcome, route)
+    assert replay_certificate(P, V, verdict)

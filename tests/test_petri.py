@@ -57,6 +57,14 @@ def test_pre_route_finite_golden(two_start, tracker4):
     )
 
 
+def test_pre_route_forward_cap_gives_unknown(two_start, tracker4):
+    # the product has four states, so a cap of one stops the search
+    res = decide_alf_pre_finite(two_start, tracker4, forward_cap=1)
+    assert res.status == "unknown"
+    assert res.delta is None
+    assert res.stats["capped_by"] == "forward_cap"
+
+
 def test_pre_route_infinite_with_replayable_pump(single_ab, astar_b):
     pre = mk_dfa(
         "ab",
@@ -81,6 +89,16 @@ def test_zero_route_finite_golden(single_ab, astar_b):
         "(II:1) a (II:1) [start_end]",
         "(II:1) b (0) [end]",
     )
+
+
+def test_zero_route_forward_branch_matches_backward(single_a, b_chain):
+    # forward_cap 3 stops the backward search from F (five markings) but
+    # not the forward product (three states)
+    backward = decide_alf_zero_finite(single_a, b_chain)
+    forward = decide_alf_zero_finite(single_a, b_chain, forward_cap=3)
+    assert backward.status == forward.status == "finite"
+    assert forward.delta == backward.delta == tset("(0) a (0) [start_end]")
+    assert forward.states == backward.states
 
 
 def test_km_bounded_on_finite_net(two_start, tracker4):
