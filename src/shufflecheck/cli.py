@@ -19,8 +19,15 @@ from .automata import (
     serialize_automaton,
     word,
 )
-from .engine import ZERO, parse_transition, parse_vector, pre_shuffle_member, shuffle_member
-from .oracle import BudgetExceeded, sp_falsify
+from .engine import (
+    ZERO,
+    BudgetExceeded,
+    parse_transition,
+    parse_vector,
+    pre_shuffle_member,
+    shuffle_member,
+    sp_falsify,
+)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1

@@ -20,8 +20,13 @@ from .automata import (
     parse_letter,
     render_word,
 )
-from .engine import parse_transition, shuffle_member, validate_in_shuffle
-from .oracle import BudgetExceeded, sp_falsify
+from .engine import (
+    BudgetExceeded,
+    parse_transition,
+    shuffle_member,
+    sp_falsify,
+    validate_in_shuffle,
+)
 from .petri import decide_alf_pre_finite, decide_alf_zero_finite, decide_sp_via_net
 from .representation import check_closure_prefix, check_closure_zero
 
@@ -103,15 +108,20 @@ def _delta_cert(delta) -> dict:
     return {"delta": tuple(sorted(t.tagged_str() for t in delta))}
 
 
-# Each stage maps (component language, V, budgets) to None when it cannot
-# settle the pair, or to (outcome, route, certificate, stats).  Stages call
-# the layer functions through this module's globals when they run.
+# Each stage maps (component language, V, budgets, notes) to None when it
+# cannot settle the pair, or to (outcome, route, certificate, stats).  A
+# stage that passes may write to notes, which join the verdict's stats.
+# Stages call the layer functions through this module's globals when they
+# run.
 
-def _falsifier(comp: Dfa, V: Dfa, budgets: Budgets):
+def _falsifier(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     try:
         cex = sp_falsify(comp, V, budgets.falsifier_maxlen)
     except BudgetExceeded:
-        return None  # inconclusive; the exact stages still decide
+        # inconclusive; the exact stages still decide, and the report says
+        # that the falsifier bound was not searched
+        notes["falsifier"] = "overflow"
+        return None
     if cex is None:
         return None
     stats = {"falsifier_maxlen": budgets.falsifier_maxlen}
@@ -128,17 +138,17 @@ def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
     return FAILS, route, _column_cert(out.witness), dict(alf.stats)
 
 
-def _prefix_fragment(comp: Dfa, V: Dfa, budgets: Budgets):
+def _prefix_fragment(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     alf = decide_alf_pre_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
     return _settle_fragment("prefix-fragment", comp, V, alf, check_closure_prefix)
 
 
-def _zero_fragment(comp: Dfa, V: Dfa, budgets: Budgets):
+def _zero_fragment(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     alf = decide_alf_zero_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
     return _settle_fragment("zero-fragment", comp, V, alf, check_closure_zero)
 
 
-def _net(comp: Dfa, V: Dfa, budgets: Budgets):
+def _net(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     """The last stage: always settles, with Unknown when a cap stops it."""
     net = decide_sp_via_net(comp, V, budgets.km_node_cap, budgets.forward_cap)
     cert = {}
@@ -173,12 +183,13 @@ def decide_sp(
     V = normalize(V)
     _check_query(P, V, mode)
     comp = grave(P) if mode == PREFIX else P
+    notes: dict = {}
     for stage in STAGES[mode]:
-        found = stage(comp, V, budgets)
+        found = stage(comp, V, budgets, notes)
         if found is not None:
             break
     outcome, route, cert, stats = found
-    return Verdict(outcome, mode, route, cert, budgets, stats)
+    return Verdict(outcome, mode, route, cert, budgets, {**notes, **stats})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Optional
 
-from .automata import Dfa, Letter, ParseError, Word, parse_letter
+from .automata import Dfa, Letter, ParseError, UnknownLetter, Word, parse_letter
 
 
 START = "start"
@@ -240,8 +240,6 @@ class ShuffleEngine:
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
         """All transitions (f, a, g), tagged by kind."""
         if a not in set(self.P.alphabet):
-            from .automata import UnknownLetter
-
             raise UnknownLetter(f"letter {a} not in the alphabet")
         P = self.P
         out = set()
@@ -342,7 +340,9 @@ class ShuffleEngine:
         return frozenset(frontier)
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived caller deciding many component languages
+# does not keep every engine alive.
+@lru_cache(maxsize=64)
 def _engine(P: Dfa) -> ShuffleEngine:
     return ShuffleEngine(P)
 
@@ -367,6 +367,122 @@ def pre_shuffle_member(P: Dfa, w: Word) -> bool:
 def shuffle_member(P: Dfa, w: Word) -> bool:
     """Is w an interleaving of complete component words?"""
     return ZERO in engine_for(P).member_final_vectors(w)
+
+
+MAX_FALSIFIER_LEN = 32
+
+
+class BudgetExceeded(Exception):
+    pass
+
+
+def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
+    """Bounded search for a closure violation.
+
+    Looks for w in the iterated shuffle of P intersected with V such that
+    deleting one whole component of w leaves a word outside V.  Returns the
+    shortest (w, u, e, positions) with ties broken by the alphabet
+    declaration order of P, or None when the bounded search is clean: the
+    result of the brute-force oracle.sp_falsify.  Raises BudgetExceeded
+    for a bound over MAX_FALSIFIER_LEN; no word count caps it.
+
+    A breadth-first search runs over the prefixes x of w in that order.
+    Each x carries its V-state and the set of configurations reached by
+    splitting x into a remainder u and a component e: (V-state of u, or
+    None once u has left V; counter vector of u; P-state of e; whether e
+    is nonempty).  w violates when it is in V and some configuration has u
+    outside V, u's vector zero and e nonempty and accepted; w then
+    interleaves u, a member of the iterated shuffle, with a component word.
+    A prefix whose V-state and configurations an earlier prefix already
+    had is dropped: each of its extensions accepts exactly when the same
+    extension of the earlier prefix does, and that word comes first.
+    """
+    if maxlen > MAX_FALSIFIER_LEN:
+        raise BudgetExceeded(f"falsifier length bound {maxlen} too large")
+    if maxlen < 0:
+        raise ValueError(f"negative falsifier length bound {maxlen}")
+    for a in P.alphabet:
+        if a not in V.alphabet:
+            raise UnknownLetter(f"letter {a} not in the constraint alphabet")
+    eng = engine_for(P)
+    moves: dict = {}
+
+    def targets(f: CounterVector, a: Letter) -> tuple:
+        out = moves.get((f, a))
+        if out is None:
+            out = moves[(f, a)] = tuple({t.target for t in eng.successors(f, a)})
+        return out
+
+    p_finals = P.effective_finals()
+    v_finals = V.effective_finals()
+    start = (V.initial, frozenset({(V.initial, ZERO, P.initial, False)}))
+    seen = {start}
+    level = [((), start)]
+    for n in range(1, maxlen + 1):
+        room = maxlen - n  # an open component needs one more letter to close
+        grown = []
+        for x, (qw, configs) in level:
+            for a in P.alphabet:
+                qw2 = V.delta.get((qw, a))
+                if qw2 is None:
+                    continue
+                out = set()
+                for qu, f, pe, nonempty in configs:
+                    pe2 = P.delta.get((pe, a))
+                    if pe2 is not None:
+                        out.add((qu, f, pe2, True))
+                    qu2 = None if qu is None else V.delta.get((qu, a))
+                    for g in targets(f, a):
+                        if g.norm <= room:
+                            out.add((qu2, g, pe, nonempty))
+                node = (qw2, frozenset(out))
+                if not out or node in seen:
+                    continue
+                seen.add(node)
+                w = x + (a,)
+                if qw2 in v_finals and any(
+                    nonempty and pe in p_finals and f.is_zero() and qu not in v_finals
+                    for qu, f, pe, nonempty in out
+                ):
+                    return (w,) + _least_removal(P, V, w, targets)
+                grown.append((w, node))
+        level = grown
+    return None
+
+
+def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
+    """The least (u, e, positions) splitting w into u, a member of the
+    iterated shuffle outside V, and a nonempty component word e at
+    positions, ordered by u, then e (length, then P's alphabet order),
+    then positions.  The search runs over the position subsets of w."""
+    rank = {a: i for i, a in enumerate(P.alphabet)}
+
+    def key(v: Word) -> tuple:
+        return (len(v), tuple(rank[a] for a in v))
+
+    p_finals = P.effective_finals()
+    v_finals = V.effective_finals()
+    found = []
+
+    def split(i: int, upos: tuple, epos: tuple, pe, vectors: frozenset):
+        if i == len(w):
+            if epos and pe in p_finals and ZERO in vectors:
+                u = tuple(w[j] for j in upos)
+                if V.run(u) not in v_finals:
+                    e = tuple(w[j] for j in epos)
+                    found.append(((key(u), key(e), epos), (u, e, epos)))
+            return
+        a = w[i]
+        pe2 = P.delta.get((pe, a))
+        if pe2 is not None:
+            split(i + 1, upos, epos + (i,), pe2, vectors)
+        room = len(w) - i - 1
+        moved = frozenset(g for f in vectors for g in targets(f, a) if g.norm <= room)
+        if moved:
+            split(i + 1, upos + (i,), epos, pe, moved)
+
+    split(0, (), (), P.initial, frozenset({ZERO}))
+    return min(found)[1]
 
 
 ELEM_INITIAL = "open"

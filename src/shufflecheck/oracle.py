@@ -2,8 +2,9 @@
 
 Everything here works definition-first on explicit finite word sets, with
 hard caps on length and cardinality.  The point is slow, obviously-correct
-code against which the counter-vector machinery is property tested, plus
-the bounded falsifier that produces replayable counterexamples.
+code against which the counter-vector machinery is property tested.  The
+decision pipeline does not use it: its falsifier is engine.sp_falsify,
+and sp_falsify here is the word-by-word reference it must match.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Optional
 
 from .automata import Dfa, Letter, Word, accepts, language_upto
 from .engine import (
+    BudgetExceeded,
     Computation,
     CounterVector,
     END,
@@ -30,10 +32,6 @@ from .engine import (
 
 DEFAULT_MAX_LEN = 8
 DEFAULT_MAX_CARD = 200_000
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 class InvalidStructuredWord(Exception):

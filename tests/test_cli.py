@@ -142,3 +142,9 @@ def test_unexpected_error_exits_3(files, capsys, monkeypatch):
     monkeypatch.setattr(decision, "decide_sp", broken)
     assert main(["decide", files["alt"], files["alt"]]) == 3
     assert "error: unexpected RuntimeError: broken stage" in capsys.readouterr().err
+
+
+def test_falsify_alphabet_mismatch_exits_3(files, capsys):
+    # ring3 reads c, which alt's alphabet lacks
+    assert main(["falsify", files["ring3"], files["alt"], "--mode", "general"]) == 3
+    assert "not in the constraint alphabet" in capsys.readouterr().err

@@ -181,3 +181,30 @@ def test_route_table(request, p, v, mode, budgets, outcome, route):
     verdict = decide_sp(P, V, mode, budgets)
     assert (verdict.outcome, verdict.route) == (outcome, route)
     assert replay_certificate(P, V, verdict)
+
+
+@pytest.mark.parametrize("maxlen, note", [(33, "overflow"), (6, None)])
+def test_falsifier_overflow_is_reported(ring3, ring9, maxlen, note):
+    v = decide_sp(ring3, ring9, "general", replace(SMALL, falsifier_maxlen=maxlen))
+    assert v.stats.get("falsifier") == note
+    assert parse_verdict(serialize_verdict(v)).stats == {
+        k: str(x) for k, x in v.stats.items()
+    }
+
+
+def test_falsifier_stage_calls_the_module_global(ring3, ring9, monkeypatch):
+    # the benchmark tracer wraps decision.sp_falsify; the stage must look
+    # that name up at call time
+    from shufflecheck import decision
+
+    calls = []
+    real = decision.sp_falsify
+
+    def spy(P, V, maxlen):
+        calls.append(maxlen)
+        return real(P, V, maxlen)
+
+    monkeypatch.setattr(decision, "sp_falsify", spy)
+    v = decide_sp(ring3, ring9, "general", SMALL)
+    assert calls == [SMALL.falsifier_maxlen]
+    assert v.route == "falsifier"
