@@ -6,13 +6,22 @@ finite tracker and decides whether the relevant transition alphabet is
 finite.  The second net runs the three-track deletion system with
 unbounded counters; its reachability questions answer the closure decision
 where the fragment-based route is unavailable.
+
+Markings take two forms.  At the API boundary (the `iota` encodings,
+`enabled_step`, `replay_pump` and `reachable_markings`) a marking is a
+CounterVector keyed by place name.  Inside the searches (`karp_miller`
+and `marking_bfs`) it is dense: a tuple of counts over the net's places in
+sorted order (`PetriNet.dense()`), where OMEGA marks a count that
+Karp–Miller found unbounded.  A search converts its root and targets on
+the way in; `reachable_markings` converts each marking it found once on
+the way out.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, ge
 from typing import Optional
 
 from .automata import Dfa, Letter, complete
@@ -31,6 +40,8 @@ from .engine import (
 DEFAULT_KM_NODE_CAP = 200_000
 DEFAULT_FORWARD_CAP = 500_000
 
+# A Karp–Miller count that no bound holds; absorbing under the addition of
+# a transition's effect, and not below any count.
 OMEGA = float("inf")
 
 
@@ -51,43 +62,13 @@ class PetriNet:
             self.order,
         )
 
-    def consumer_index(self) -> dict:
-        """Map each place to the transitions keyed on it.
-
-        Every transition with a nonempty precondition is keyed on exactly
-        one of its input places (the least-contended one), so iterating
-        the lists of the currently marked places visits every enabled
-        transition exactly once.  Transitions with empty preconditions are
-        listed under the empty key and must always be tried.
-        """
-        cached = getattr(self, "_consumer_index", None)
-        if cached is not None:
-            return cached
-        load = {}
-        for t in self.order:
-            for p, _ in self.pre[t].entries:
-                load[p] = load.get(p, 0) + 1
-        index: dict = {"": []}
-        for t in self.order:
-            entries = self.pre[t].entries
-            if not entries:
-                index[""].append(t)
-                continue
-            key = min((p for p, _ in entries), key=lambda p: (load[p], p))
-            index.setdefault(key, []).append(t)
-        index = {p: tuple(ts) for p, ts in index.items()}
-        object.__setattr__(self, "_consumer_index", index)
-        return index
-
-    def candidates(self, marked) -> list:
-        """Deterministic list of transitions possibly enabled at a marking
-        with the given set of marked places."""
-        index = self.consumer_index()
-        out = list(index[""])
-        for p in marked:
-            out.extend(index.get(p, ()))
-        out.sort()
-        return out
+    def dense(self) -> "DenseNet":
+        """The net by position, built on first use and kept on the net."""
+        cached = getattr(self, "_dense", None)
+        if cached is None:
+            cached = DenseNet.of(self)
+            object.__setattr__(self, "_dense", cached)
+        return cached
 
     def edges(self) -> frozenset:
         out = set()
@@ -99,6 +80,88 @@ class PetriNet:
         return frozenset(out)
 
 
+@dataclass(eq=False)
+class DenseNet:
+    """A net's places and transitions by position, for the searches.
+
+    Place i is the i-th place in sorted order, and a dense marking is the
+    tuple of counts by place; a support is the bitmask of a marking's
+    nonzero places.  Transition j is `net.order[j]`.
+    """
+
+    places: tuple  # place names, sorted
+    index: dict  # place name -> position
+    pre: tuple  # per transition: ((place position, count), ...)
+    effect: tuple  # per transition: post - pre, one count per place
+    pre_mask: tuple  # per transition: bitmask of its pre-set
+    post_mask: tuple  # per transition: bitmask of its post-set
+    heavy: dict  # transition -> its pre-set, if some count there exceeds 1
+    # support -> the transitions whose pre-set it covers, in net order
+    ready: dict = field(default_factory=dict)
+
+    @staticmethod
+    def of(net: PetriNet) -> "DenseNet":
+        places = tuple(sorted(net.places))
+        index = {p: i for i, p in enumerate(places)}
+        pre, effect, pre_mask, post_mask, heavy = [], [], [], [], {}
+        for j, t in enumerate(net.order):
+            entries = tuple([(index[p], n) for p, n in net.pre[t].entries])
+            eff = [0] * len(places)
+            into = out = 0
+            for i, n in entries:
+                eff[i] -= n
+                into |= 1 << i
+                if n > 1:
+                    heavy[j] = entries
+            for p, n in net.post[t].entries:
+                i = index[p]
+                eff[i] += n
+                out |= 1 << i
+            pre.append(entries)
+            effect.append(tuple(eff))
+            pre_mask.append(into)
+            post_mask.append(out)
+        return DenseNet(
+            places, index, tuple(pre), tuple(effect), tuple(pre_mask),
+            tuple(post_mask), heavy,
+        )
+
+    def marking(self, v: CounterVector) -> tuple:
+        out = [0] * len(self.places)
+        for p, n in v.entries:
+            out[self.index[p]] = n
+        return tuple(out)
+
+    def vector(self, m: tuple) -> CounterVector:
+        # places are sorted, so the entries are in CounterVector order
+        return CounterVector(tuple((p, n) for p, n in zip(self.places, m) if n))
+
+    def enabled(self, m: tuple, support: int) -> tuple:
+        """The transitions enabled at m, in net order; support is m's."""
+        ready = self.ready.get(support)
+        if ready is None:
+            absent = ~support
+            ready = tuple(
+                j for j, need in enumerate(self.pre_mask) if not need & absent
+            )
+            self.ready[support] = ready
+        if not self.heavy:
+            return ready
+        heavy = self.heavy
+        return tuple(
+            j for j in ready
+            if j not in heavy or all(m[i] >= n for i, n in heavy[j])
+        )
+
+
+def _support(m: tuple) -> int:
+    mask = 0
+    for i, n in enumerate(m):
+        if n:
+            mask |= 1 << i
+    return mask
+
+
 def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
     left = M.sub(net.pre[t])
     if left is None:
@@ -106,40 +169,17 @@ def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
     return left.add(net.post[t])
 
 
-def _omega_sub(m: dict, v: CounterVector) -> Optional[dict]:
-    out = dict(m)
-    for p, n in v.entries:
-        have = out.get(p, 0)
-        if have is OMEGA or have == OMEGA:
-            continue
-        if have < n:
-            return None
-        out[p] = have - n
-    return out
-
-
-def _omega_add(m: dict, v: CounterVector) -> dict:
-    out = dict(m)
-    for p, n in v.entries:
-        have = out.get(p, 0)
-        out[p] = have if have == OMEGA else have + n
-    return out
-
-
-def _freeze(m: dict) -> tuple:
-    return tuple(sorted((p, n) for p, n in m.items() if n))
-
-
-def _covers(m: dict, target: CounterVector) -> bool:
-    return all(m.get(p, 0) >= n for p, n in target.entries)
-
-
-@dataclass
+@dataclass(slots=True)
 class KMNode:
-    marking: dict
+    marking: tuple  # dense, with OMEGA where the count is unbounded
     parent: Optional["KMNode"]
     via: Optional[str]
     accelerated: bool = False
+    # bitmask of m0's support and of every place a transition on the path
+    # from the root reads or writes; acceleration against this node
+    # needs growth at one of these places
+    touched: int = 0
+    support: int = 0  # bitmask of the nonzero places of marking
 
 
 @dataclass
@@ -149,11 +189,9 @@ class KMResult:
     pump: Optional[tuple]  # (prefix transition ids, cycle transition ids)
     capped: bool = False
 
-    def markings(self):
-        return [n.marking for n in self.nodes]
-
-    def covers(self, target: CounterVector) -> bool:
-        return any(_covers(n.marking, target) for n in self.nodes)
+    def covers(self, target: tuple) -> bool:
+        """Does some node's marking cover the dense marking target?"""
+        return any(all(map(ge, n.marking, target)) for n in self.nodes)
 
 
 def karp_miller(
@@ -162,59 +200,66 @@ def karp_miller(
     """Coverability tree with acceleration on strictly dominated ancestors.
 
     Deterministic: children expand in the net's transition order; nodes
-    whose marking repeats an already-processed one become leaves.
+    whose marking repeats an already-processed one become leaves.  A child
+    m accelerates against an ancestor am when m >= am and m > am at a
+    finite place among the ancestor's `touched`; every place where m > am
+    and am is finite then becomes OMEGA.  The pump is the first acceleration whose
+    parent marking has no OMEGA.  Node markings are dense over
+    `net.dense().places`.
     """
-    root = KMNode(dict(m0.entries), None, None)
+    dense = net.dense()
+    order, pre, effect = net.order, dense.pre, dense.effect
+    pre_mask, post_mask = dense.pre_mask, dense.post_mask
+    start = dense.marking(m0)
+    mask = _support(start)
+    root = KMNode(start, None, None, touched=mask, support=mask)
     nodes = [root]
-    processed = {_freeze(root.marking)}
+    processed = {start}
     queue = deque([root])
     pump = None
     unbounded = False
     while queue:
         node = queue.popleft()
-        marked = [p for p, n in node.marking.items() if n]
-        for t in net.candidates(marked):
-            m = _omega_sub(node.marking, net.pre[t])
-            if m is None:
-                continue
-            m = _omega_add(m, net.post[t])
-            child = KMNode(m, node, t)
-            # acceleration against strictly dominated ancestors
+        nm = node.marking
+        for j in dense.enabled(nm, node.support):
+            m = tuple(map(add, nm, effect[j]))
+            support = node.support | post_mask[j]
+            for i, _ in pre[j]:  # only a pre-set place can empty
+                if not m[i]:
+                    support &= ~(1 << i)
+            accelerated = False
+            absent = ~support
             anc = node
-            accelerated_here = False
             while anc is not None:
                 am = anc.marking
-                if all(m.get(p, 0) >= n for p, n in am.items()) and any(
-                    m.get(p, 0) > n for p, n in am.items() if n != OMEGA
-                ) and all(m.get(p, 0) >= am.get(p, 0) for p in m):
+                if not anc.support & absent and m != am and all(map(ge, m, am)):
                     grew = [
-                        p
-                        for p in m
-                        if m.get(p, 0) > am.get(p, 0) and am.get(p, 0) != OMEGA
+                        i for i, (x, y) in enumerate(zip(m, am))
+                        if x != y and y != OMEGA
                     ]
-                    if grew:
-                        if pump is None and not _has_omega(node.marking):
-                            pump = _extract_pump(child, anc)
-                        for p in grew:
-                            m[p] = OMEGA
-                        accelerated_here = True
-                        unbounded = True
+                    if any(anc.touched >> i & 1 for i in grew):
+                        if pump is None and OMEGA not in nm:
+                            prefix = _path_to_root(anc)
+                            full = _path_to_root(node) + [order[j]]
+                            pump = (tuple(prefix), tuple(full[len(prefix):]))
+                        m = list(m)
+                        for i in grew:
+                            m[i] = OMEGA
+                        m = tuple(m)
+                        accelerated = unbounded = True
                 anc = anc.parent
-            child.marking = m
-            child.accelerated = accelerated_here
-            key = _freeze(m)
-            if key in processed:
+            if m in processed:
                 continue
-            processed.add(key)
+            processed.add(m)
+            child = KMNode(
+                m, node, order[j], accelerated,
+                node.touched | pre_mask[j] | post_mask[j], support,
+            )
             nodes.append(child)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)
             queue.append(child)
     return KMResult(not unbounded, nodes, pump)
-
-
-def _has_omega(m: dict) -> bool:
-    return any(n == OMEGA for n in m.values())
 
 
 def _path_to_root(node: KMNode) -> list:
@@ -224,12 +269,6 @@ def _path_to_root(node: KMNode) -> list:
         node = node.parent
     path.reverse()
     return path
-
-
-def _extract_pump(child: KMNode, ancestor: KMNode) -> tuple:
-    full = _path_to_root(child)
-    prefix = _path_to_root(ancestor)
-    return (tuple(prefix), tuple(full[len(prefix) :]))
 
 
 def replay_pump(net: PetriNet, m0: CounterVector, pump: tuple) -> bool:
@@ -248,6 +287,40 @@ def replay_pump(net: PetriNet, m0: CounterVector, pump: tuple) -> bool:
     return m.geq(base) and m != base
 
 
+def marking_bfs(
+    dense: DenseNet,
+    m0: tuple,
+    cap: int = DEFAULT_FORWARD_CAP,
+    stop_at: frozenset = frozenset(),
+) -> tuple:
+    """(dense marking -> (parent, transition position), exhausted).
+
+    Breadth-first in net order; stops early when a marking in stop_at is
+    reached, and then exhausted is False.  The root's entry is
+    (None, None).
+    """
+    seen = {m0: (None, None)}
+    if m0 in stop_at:
+        return seen, False
+    pre, effect, post_mask = dense.pre, dense.effect, dense.post_mask
+    queue = deque([(m0, _support(m0))])
+    while queue:
+        m, support = queue.popleft()
+        for j in dense.enabled(m, support):
+            m2 = tuple(map(add, m, effect[j]))
+            if m2 in seen:
+                continue
+            seen[m2] = (m, j)
+            if m2 in stop_at or len(seen) > cap:
+                return seen, False
+            support2 = support | post_mask[j]
+            for i, _ in pre[j]:  # only a pre-set place can empty
+                if not m2[i]:
+                    support2 &= ~(1 << i)
+            queue.append((m2, support2))
+    return seen, True
+
+
 def reachable_markings(
     net: PetriNet,
     m0: CounterVector,
@@ -257,35 +330,22 @@ def reachable_markings(
     """(markings-with-parents, exhausted): BFS with parent pointers.
 
     Stops early when any marking in stop_at is reached; exhausted is then
-    False unless the frontier also ran dry.
+    False.
     """
-    stop_at = frozenset(stop_at)
-    seen = {m0: (None, None)}
-    queue = deque([m0])
-    exhausted = True
-    if m0 in stop_at:
-        return seen, False
-    while queue:
-        m = queue.popleft()
-        for t in net.candidates(m.support()):
-            m2 = enabled_step(net, m, t)
-            if m2 is None or m2 in seen:
-                continue
-            seen[m2] = (m, t)
-            if m2 in stop_at:
-                return seen, False
-            if len(seen) > cap:
-                exhausted = False
-                queue.clear()
-                break
-            queue.append(m2)
-        else:
-            continue
-        break
-    return seen, exhausted
+    dense = net.dense()
+    seen, exhausted = marking_bfs(
+        dense, dense.marking(m0), cap, frozenset(map(dense.marking, stop_at))
+    )
+    vector = {m: dense.vector(m) for m in seen}
+    parents = {
+        vector[m]: (vector.get(prev), None if j is None else net.order[j])
+        for m, (prev, j) in seen.items()
+    }
+    return parents, exhausted
 
 
-def firing_path(parents: dict, m: CounterVector) -> list:
+def firing_path(parents: dict, m) -> list:
+    """The transitions from the root of a BFS's parent map to m."""
     path = []
     while parents[m][0] is not None:
         prev, t = parents[m]
@@ -446,6 +506,7 @@ def decide_alf_zero_finite(
     if not targets:
         return AlfResult("finite", delta=frozenset(), states=frozenset())
     rev = net.reversed()
+    dense = rev.dense()
     backward_ok = True
     R: set = set()
     for tm in targets:
@@ -453,14 +514,14 @@ def decide_alf_zero_finite(
         if km.capped or not km.bounded:
             backward_ok = False
             break
-        seen, exhausted = reachable_markings(rev, tm, forward_cap)
+        seen, exhausted = marking_bfs(dense, dense.marking(tm), forward_cap)
         if not exhausted:
             backward_ok = False
             break
-        R |= set(seen)
+        R |= seen.keys()
     if backward_ok:
         states, edges, exhausted = build_product(
-            P, V, forward_cap, keep=lambda state: iota(state) in R
+            P, V, forward_cap, keep=lambda state: dense.marking(iota(state)) in R
         )
         if not exhausted:
             return AlfResult("unknown", stats={"states": len(states)})
@@ -662,22 +723,27 @@ def decide_sp_via_net(
     net, iota = build_np_v_full(P, V)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO, ZERO)))
     nonfinals = sorted(set(V.states) - set(V.finals))
+    dense = net.dense()
     targets = [
-        iota((qf, qn, (ZERO, ZERO, "check")))
+        dense.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
         for qf in sorted(V.finals)
         for qn in nonfinals
     ]
     km = karp_miller(net, m0, node_cap)
     stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
-    if not km.capped and not any(km.covers(t) for t in targets):
+    uncoverable = not km.capped and not any(km.covers(t) for t in targets)
+    del km  # the tree is not needed past this point; free it before the BFS
+    if uncoverable:
         # coverability is decided exactly, so no counterexample marking
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
-    seen, exhausted = reachable_markings(net, m0, forward_cap, stop_at=targets)
+    seen, exhausted = marking_bfs(
+        dense, dense.marking(m0), forward_cap, frozenset(targets)
+    )
     stats["markings"] = len(seen)
     hit = next((t for t in targets if t in seen), None)
     if hit is not None:
-        path = firing_path(seen, hit)
+        path = [net.order[j] for j in firing_path(seen, hit)]
         return NetVerdict(
             "fails", "net-reachability", witness=decode_firing(net, path),
             stats=stats,

@@ -116,6 +116,104 @@ def test_km_acceleration_marks_unbounded(single_ab):
     assert any(n.accelerated for n in km.nodes)
 
 
+def _word(w):
+    states = [f"p{i}" for i in range(len(w) + 1)]
+    return mk_dfa(
+        "ab", [(states[i], a, states[i + 1]) for i, a in enumerate(w)],
+        states[0], [states[-1]],
+    )
+
+
+def _modular(k, step_a, step_b):
+    # counts #a * step_a + #b * step_b modulo k, accepting residue 0
+    states = [f"r{i}" for i in range(k)]
+    trans = []
+    for i in range(k):
+        trans.append((states[i], "a", states[(i + step_a) % k]))
+        trans.append((states[i], "b", states[(i + step_b) % k]))
+    return mk_dfa("ab", trans, states[0], [states[0]])
+
+
+def _full_km(P, V):
+    Vc = complete(V)
+    net, iota = build_np_v_full(P, Vc)
+    return karp_miller(net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))))
+
+
+def _km_shape(km):
+    return (len(km.nodes), km.bounded, km.capped, km.pump)
+
+
+def test_km_tree_golden(single_ab, ring3, ring9):
+    # node count, flags and pump pin the tree shape and the ω arithmetic
+    pre = mk_dfa("ab", [("1", "a", "1"), ("1", "b", "2")], "1", [], "semiautomaton")
+    net, iota = build_npv(single_ab, pre)
+    a_start = "start|(0) a (II:1)|1"
+    assert _km_shape(karp_miller(net, iota((ZERO, "1")))) == (
+        5, False, False, ((a_start,), (a_start,)),
+    )
+    assert _km_shape(_full_km(ring3, ring9)) == (
+        5610, False, False,
+        (
+            ("S|start_end|(0) a (0)|1,1", "S|start|(0) a (2:1)|2,2"),
+            ("S|start|(0) a (2:1)|_sink,_sink",),
+        ),
+    )
+    cycle = tuple(
+        f"S|start|(0) a (p1:1)|r{(i + 1) % 5},r{i}" for i in range(5)
+    )
+    pump = (("E|start|(0) a (p1:1)|r0",), cycle)
+    assert _km_shape(_full_km(_word("ab"), _modular(5, 1, 0))) == (
+        115, False, False, pump,
+    )
+    assert _km_shape(_full_km(_word("ab"), _modular(5, 1, -1))) == (
+        41, False, False, pump,
+    )
+
+
+def test_net_reachability_witness_golden():
+    # the witness pins the marking BFS's parent order
+    res = decide_sp_via_net(_word("ab"), _modular(5, 1, 0))
+    assert (res.status, res.route) == ("fails", "net-reachability")
+    assert res.stats == {"km_nodes": 115, "km_capped": False, "markings": 76}
+    assert "".join(a.symbol for a in res.witness["word"]) == "ababababab"
+    assert res.witness["positions"] == (0, 1)
+    a, b = "start|(0) a (p1:1)", "end|(p1:1) b (0)"
+    assert res.witness["firing"] == (
+        f"E|{a}|r0", f"E|{b}|r1",
+        f"S|{a}|r1,r0", f"S|{b}|r2,r1",
+        f"S|{a}|r2,r1", f"S|{b}|r3,r2",
+        f"S|{a}|r3,r2", f"S|{b}|r4,r3",
+        f"S|{a}|r4,r3", f"S|{b}|r0,r4",
+    )
+
+
+def test_searches_respect_arc_weights():
+    # the net builders only make weight-1 arcs; a hand-built net has more
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import PetriNet
+
+    vec = CounterVector.make
+    net = PetriNet(
+        frozenset({"p", "q"}),
+        {"t": vec({"p": 2}), "u": vec({"p": 2})},
+        {"t": vec({"q": 1}), "u": vec({"p": 3})},
+        {},
+        ("t", "u"),
+    )
+    seen, exhausted = reachable_markings(net, vec({"p": 2}), cap=3)
+    assert not exhausted
+    assert list(seen) == [
+        vec({"p": 2}), vec({"q": 1}), vec({"p": 3}), vec({"p": 1, "q": 1}),
+    ]
+    assert seen[vec({"p": 1, "q": 1})] == (vec({"p": 3}), "t")
+    km = karp_miller(net, vec({"p": 1}))
+    assert km.bounded and len(km.nodes) == 1
+    km = karp_miller(net, vec({"p": 2}))
+    assert not km.bounded and km.pump == ((), ("u",))
+    assert replay_pump(net, vec({"p": 2}), km.pump)
+
+
 def test_enabled_step_requires_tokens(two_start, tracker4):
     net, iota = build_npv(two_start, tracker4)
     m0 = iota((ZERO, "1"))
