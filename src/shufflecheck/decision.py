@@ -8,6 +8,7 @@ produced it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -22,6 +23,8 @@ from .automata import (
 )
 from .engine import (
     BudgetExceeded,
+    ZERO,
+    engine_for,
     parse_transition,
     shuffle_member,
     sp_falsify,
@@ -163,6 +166,12 @@ STAGES = {
     GENERAL: (_falsifier, _zero_fragment, _net),
 }
 
+# The fragment routes that the stages of each mode can settle a pair by.
+FRAGMENT_ROUTES = {
+    PREFIX: ("prefix-fragment", "zero-fragment"),
+    GENERAL: ("zero-fragment",),
+}
+
 
 def decide_sp(
     P: Dfa, V: Dfa, mode: str = PREFIX, budgets: Optional[Budgets] = None
@@ -200,12 +209,45 @@ def _delete_positions(w: tuple, positions: tuple) -> tuple:
     return tuple(a for i, a in enumerate(w) if i not in taken)
 
 
+def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
+    """Is delta closed in the product of comp's counter system with V?
+
+    The walk starts at (0, V's initial state) and follows only steps in
+    delta.  At every state (f, r) it reaches, each step of the counter
+    system from f on a letter that V reads at r must be in delta.  That
+    is the coverage the prefix route's closure search assumes.  Unlike
+    `build_product`, the walk never leaves delta, so it ends on any
+    certificate, even one whose product is infinite.
+    """
+    eng = engine_for(comp)
+    start = (ZERO, V.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        f, r = queue.popleft()
+        for a in comp.alphabet:
+            s = V.delta.get((r, a))
+            if s is None:
+                continue
+            for t in eng.successors(f, a):
+                if t not in delta:
+                    return False
+                nxt = (t.target, s)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return True
+
+
 def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    A failing certificate is checked word by word; a holding fragment
-    certificate is checked by re-running the exact closure search over the
-    recorded fragment; net-based holds re-run the net analysis.
+    A failing certificate is checked word by word.  A holding fragment
+    certificate must name a fragment route of its mode and list only
+    valid steps; a prefix-fragment one must also be closed in the
+    product with V (`_prefix_delta_closed`), and then the exact closure
+    search runs over the recorded fragment.  A zero-fragment one is not
+    yet checked for coverage.  Net-based holds re-run the net analysis.
     """
     P = normalize(P)
     V = normalize(V)
@@ -236,12 +278,16 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
         return accepts(V, w) and not accepts(V, u)
     if verdict.outcome == HOLDS:
         if "delta" in verdict.certificate:
+            if verdict.route not in FRAGMENT_ROUTES.get(verdict.mode, ()):
+                return False
             delta = frozenset(
                 parse_transition(line) for line in verdict.certificate["delta"]
             )
             if not all(validate_in_shuffle(comp, t) for t in delta):
                 return False
             if verdict.route == "prefix-fragment":
+                if not _prefix_delta_closed(comp, V, delta):
+                    return False
                 return check_closure_prefix(
                     comp, V, delta, coverage_established=True
                 ).holds

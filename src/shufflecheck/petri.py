@@ -70,15 +70,6 @@ class PetriNet:
             object.__setattr__(self, "_dense", cached)
         return cached
 
-    def edges(self) -> frozenset:
-        out = set()
-        for t in self.order:
-            for p, _ in self.pre[t].entries:
-                out.add((p, t))
-            for p, _ in self.post[t].entries:
-                out.add((t, p))
-        return frozenset(out)
-
 
 @dataclass(eq=False)
 class DenseNet:

@@ -209,20 +209,26 @@ class WDelta:
     automaton: Dfa  # semiautomaton over Letter(TrackLetter)
     system: DeltaSystem
     decode: dict  # state name -> (s1, s2, s3-or-sentinel)
+    out: dict  # state name -> ((column, target name), ...) in alphabet order
 
 
 def build_w_delta(P: Dfa, delta) -> WDelta:
     """Deterministic recognizer of the valid column sequences."""
     system = build_delta_paren(P, delta)
+    columns = sorted(system.columns, key=str)
+    # a column leaves only the states whose track 1 is its composite
+    # source; each bucket keeps the alphabet order
+    by_source: dict = {}
+    for col in columns:
+        by_source.setdefault(col.x1.source, []).append(col)
     initial = (ZERO, ZERO, ZERO)
     seen = {initial}
     queue = deque([initial])
-    transitions = {}
+    transitions = []
     while queue:
-        s1, s2, s3 = queue.popleft()
-        for col in system.columns:
-            if col.x1.source != s1:
-                continue
+        src = queue.popleft()
+        s1, s2, s3 = src
+        for col in by_source.get(s1, ()):
             if isinstance(col.x2, ShuffleTransition):
                 if col.x2.source != s2:
                     continue
@@ -244,27 +250,26 @@ def build_w_delta(P: Dfa, delta) -> WDelta:
                     continue
                 n3 = s3
             nxt = (col.x1.target, n2, n3)
-            transitions[((s1, s2, s3), col)] = nxt
+            transitions.append((src, col, nxt))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    alphabet = tuple(
-        Letter(c) for c in sorted(system.columns, key=str)
-    )
-    delta_map = {
-        (_state_name(*src), Letter(col)): _state_name(*tgt)
-        for (src, col), tgt in transitions.items()
-    }
+    names = {s: _state_name(*s) for s in seen}
+    delta_map = {}
+    out: dict = {name: [] for name in names.values()}
+    for src, col, tgt in transitions:
+        delta_map[(names[src], Letter(col))] = names[tgt]
+        out[names[src]].append((col, names[tgt]))
     dfa = Dfa(
-        alphabet=alphabet,
-        states=frozenset(_state_name(*s) for s in seen),
+        alphabet=tuple(Letter(c) for c in columns),
+        states=frozenset(names.values()),
         delta=delta_map,
-        initial=_state_name(*initial),
+        initial=names[initial],
         finals=frozenset(),
         kind="semiautomaton",
     )
-    decode = {_state_name(*s): s for s in seen}
-    return WDelta(dfa, system, decode)
+    decode = {name: s for s, name in names.items()}
+    return WDelta(dfa, system, decode, {q: tuple(m) for q, m in out.items()})
 
 
 def mu_nu_project(columns) -> tuple:
@@ -305,34 +310,49 @@ def _as_final_dfa(V: Dfa) -> Dfa:
     return Dfa(V.alphabet, V.states, dict(V.delta), V.initial, V.states, "dfa")
 
 
+def _witness(parent: dict, state) -> tuple:
+    """The column path of the search tree from the start to state."""
+    path = []
+    while parent[state] is not None:
+        state, col = parent[state]
+        path.append(col)
+    return tuple(reversed(path))
+
+
 def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
     V = complete(_as_final_dfa(V))
     finals = V.finals
     w = build_w_delta(P, delta)
+    step = {a: {q: V.delta[(q, a)] for q in V.states} for a in V.alphabet}
+    # per W-state: (column, W-target, V-step of track 1, V-step of track 2
+    # or None when track 2 rests), in the alphabet order of W
+    moves = {
+        ws: tuple(
+            (
+                col,
+                tgt,
+                step[col.x1.letter],
+                step[col.x2.letter] if isinstance(col.x2, ShuffleTransition) else None,
+            )
+            for col, tgt in edges
+        )
+        for ws, edges in w.out.items()
+    }
     start = (w.automaton.initial, V.initial, V.initial)
-    seen = {start}
-    queue = deque([(start, ())])
+    parent = {start: None}  # state -> (previous state, column)
+    queue = deque([start])
     while queue:
-        (ws, vmu, vnu), path = queue.popleft()
-        s1 = w.decode[ws][0]
+        state = queue.popleft()
+        ws, vmu, vnu = state
         if vmu in finals and vnu not in finals:
-            if not require_zero or s1 == ZERO:
-                return ClosureOutcome(False, path, len(seen))
-        for col_letter in w.automaton.alphabet:
-            nxt_ws = w.automaton.delta.get((ws, col_letter))
-            if nxt_ws is None:
-                continue
-            col = col_letter.symbol
-            nvmu = V.delta[(vmu, col.x1.letter)]
-            if isinstance(col.x2, ShuffleTransition):
-                nvnu = V.delta[(vnu, col.x2.letter)]
-            else:
-                nvnu = vnu
-            nxt = (nxt_ws, nvmu, nvnu)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path + (col,)))
-    return ClosureOutcome(True, None, len(seen))
+            if not require_zero or w.decode[ws][0] == ZERO:
+                return ClosureOutcome(False, _witness(parent, state), len(parent))
+        for col, nws, mu, nu in moves[ws]:
+            nxt = (nws, mu[vmu], vnu if nu is None else nu[vnu])
+            if nxt not in parent:
+                parent[nxt] = (state, col)
+                queue.append(nxt)
+    return ClosureOutcome(True, None, len(parent))
 
 
 def check_closure_prefix(

@@ -38,6 +38,18 @@ def random_dfa(rng, max_states=3, alpha="ab", p_edge=0.6):
     return Dfa(letters, frozenset(states), delta, states[0], finals, "dfa")
 
 
+def depth_chain(n):
+    """Prefix-closed depth counter 0..n over {a, b}: a goes one deeper,
+    b one shallower."""
+    return mk_dfa(
+        "ab",
+        [(f"d{i}", "a", f"d{i + 1}") for i in range(n)]
+        + [(f"d{i}", "b", f"d{i - 1}") for i in range(1, n + 1)],
+        "d0",
+        [f"d{i}" for i in range(n + 1)],
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

@@ -7,12 +7,13 @@ from shufflecheck.decision import (
     Budgets,
     InvalidQuery,
     MalformedCertificate,
+    Verdict,
     decide_sp,
     parse_verdict,
     replay_certificate,
     serialize_verdict,
 )
-from conftest import mk_dfa, random_dfa
+from conftest import depth_chain, mk_dfa, random_dfa
 
 
 SMALL = Budgets(falsifier_maxlen=5, km_node_cap=20_000, forward_cap=50_000)
@@ -208,3 +209,24 @@ def test_falsifier_stage_calls_the_module_global(ring3, ring9, monkeypatch):
     v = decide_sp(ring3, ring9, "general", SMALL)
     assert calls == [SMALL.falsifier_maxlen]
     assert v.route == "falsifier"
+
+
+@pytest.mark.parametrize("mode", ["prefix", "general"])
+def test_forged_prefix_fragment_rejected(ring3, ring9, mode):
+    # (ring3, ring9) fails at abaa; one start step is no closed fragment,
+    # and general mode never settles a pair by the prefix route
+    forged = Verdict(
+        "holds", mode, "prefix-fragment", {"delta": ("(0) a (2:1) [start]",)}
+    )
+    assert not replay_certificate(ring3, ring9, forged)
+
+
+def test_prefix_fragment_missing_a_step_rejected(single_ab):
+    V = depth_chain(4)
+    v = decide_sp(single_ab, V, "prefix", SMALL)
+    assert v.route == "prefix-fragment"
+    assert replay_certificate(single_ab, V, v)
+    lines = v.certificate["delta"]
+    for i in range(len(lines)):
+        cut = replace(v, certificate={"delta": lines[:i] + lines[i + 1:]})
+        assert not replay_certificate(single_ab, V, cut), lines[i]

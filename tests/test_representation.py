@@ -13,6 +13,7 @@ from shufflecheck.engine import (
     parse_transition,
 )
 from shufflecheck.oracle import srf1
+from shufflecheck.petri import decide_alf_pre_finite
 from shufflecheck.representation import (
     CHECK_ZERO,
     NotSubsetOfShuffle,
@@ -27,7 +28,7 @@ from shufflecheck.representation import (
     grave_transfer,
     mu_nu_project,
 )
-from conftest import mk_dfa, random_dfa
+from conftest import depth_chain, mk_dfa, random_dfa
 
 
 FRAGMENT = frozenset(
@@ -202,3 +203,34 @@ def test_grave_transfer_downward_closed(two_start):
             assert g in vectors
     # the grave automaton admits extra closings at every state
     assert len(moved) >= len(FRAGMENT)
+
+
+def test_closure_search_golden(single_ab, astar_b):
+    # the search's visiting order fixes the witness and the state count
+    eng = engine_for(single_ab)
+    delta = frozenset(
+        t
+        for f in eng.reachable_vectors(2)
+        for t in eng.all_successors(f)
+        if t.target.norm <= 2
+    )
+    out = check_closure_zero(
+        single_ab, astar_b, delta, coverage_established=True
+    )
+    assert tuple(str(c) for c in out.witness) == (
+        "[(0) a (II:1) | (0) | (0) ^a (II:1)]",
+        "[(II:1) b (0) | (0) | (II:1) ^b (0)]",
+    )
+    assert out.states_explored == 12
+
+
+def test_closure_prefix_depth_chain_golden(single_ab):
+    comp, V = grave(normalize(single_ab)), normalize(depth_chain(14))
+    alf = decide_alf_pre_finite(comp, V)
+    assert alf.status == "finite"
+    w = build_w_delta(comp, alf.delta)
+    assert len(w.automaton.states) == 44
+    assert len(w.automaton.delta) == 165
+    out = check_closure_prefix(comp, V, alf.delta, coverage_established=True)
+    assert out.holds
+    assert out.states_explored == 719
