@@ -215,6 +215,7 @@ class ShuffleEngine:
 
     def __init__(self, P: Dfa):
         self.P = P
+        self.letters = frozenset(P.alphabet)
         # states able to continue a component: at least one outgoing edge
         self.non_dead = frozenset(q for (q, _a), _p in P.delta.items())
         # states a component can actually occupy: entered by reading at
@@ -239,7 +240,7 @@ class ShuffleEngine:
 
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
         """All transitions (f, a, g), tagged by kind."""
-        if a not in set(self.P.alphabet):
+        if a not in self.letters:
             raise UnknownLetter(f"letter {a} not in the alphabet")
         P = self.P
         out = set()

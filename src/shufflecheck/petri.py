@@ -166,10 +166,6 @@ class KMNode:
     parent: Optional["KMNode"]
     via: Optional[str]
     accelerated: bool = False
-    # bitmask of m0's support and of every place a transition on the path
-    # from the root reads or writes; acceleration against this node
-    # needs growth at one of these places
-    touched: int = 0
     support: int = 0  # bitmask of the nonzero places of marking
 
 
@@ -188,22 +184,20 @@ class KMResult:
 def karp_miller(
     net: PetriNet, m0: CounterVector, node_cap: int = DEFAULT_KM_NODE_CAP
 ) -> KMResult:
-    """Coverability tree with acceleration on strictly dominated ancestors.
+    """Karp–Miller coverability tree (Karp & Miller, 1969).
 
     Deterministic: children expand in the net's transition order; nodes
     whose marking repeats an already-processed one become leaves.  A child
-    m accelerates against an ancestor am when m >= am and m > am at a
-    finite place among the ancestor's `touched`; every place where m > am
-    and am is finite then becomes OMEGA.  The pump is the first acceleration whose
-    parent marking has no OMEGA.  Node markings are dense over
-    `net.dense().places`.
+    m accelerates against every ancestor am it strictly dominates (m >= am
+    and m != am): each place where m > am becomes OMEGA.  The pump is the
+    first acceleration whose parent marking has no OMEGA.  Node markings
+    are dense over `net.dense().places`.
     """
     dense = net.dense()
     order, pre, effect = net.order, dense.pre, dense.effect
-    pre_mask, post_mask = dense.pre_mask, dense.post_mask
+    post_mask = dense.post_mask
     start = dense.marking(m0)
-    mask = _support(start)
-    root = KMNode(start, None, None, touched=mask, support=mask)
+    root = KMNode(start, None, None, support=_support(start))
     nodes = [root]
     processed = {start}
     queue = deque([root])
@@ -224,28 +218,17 @@ def karp_miller(
             while anc is not None:
                 am = anc.marking
                 if not anc.support & absent and m != am and all(map(ge, m, am)):
-                    grew = [
-                        i for i, (x, y) in enumerate(zip(m, am))
-                        if x != y and y != OMEGA
-                    ]
-                    if any(anc.touched >> i & 1 for i in grew):
-                        if pump is None and OMEGA not in nm:
-                            prefix = _path_to_root(anc)
-                            full = _path_to_root(node) + [order[j]]
-                            pump = (tuple(prefix), tuple(full[len(prefix):]))
-                        m = list(m)
-                        for i in grew:
-                            m[i] = OMEGA
-                        m = tuple(m)
-                        accelerated = unbounded = True
+                    if pump is None and OMEGA not in nm:
+                        prefix = _path_to_root(anc)
+                        full = _path_to_root(node) + [order[j]]
+                        pump = (tuple(prefix), tuple(full[len(prefix):]))
+                    m = tuple([OMEGA if x > y else x for x, y in zip(m, am)])
+                    accelerated = unbounded = True
                 anc = anc.parent
             if m in processed:
                 continue
             processed.add(m)
-            child = KMNode(
-                m, node, order[j], accelerated,
-                node.touched | pre_mask[j] | post_mask[j], support,
-            )
+            child = KMNode(m, node, order[j], accelerated, support)
             nodes.append(child)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)

@@ -94,6 +94,22 @@ def test_petri_km_and_emit(files, capsys):
     assert "<pnml>" in capsys.readouterr().out
 
 
+def test_petri_km_unbounded(files, capsys, single_ab):
+    # a on state 1 loops, so the npv net pumps the II:1 counter
+    pre = mk_dfa(
+        "ab", [("1", "a", "1"), ("1", "b", "2")], "1", [], "semiautomaton"
+    )
+    comp, tracker = files["dir"] / "single_ab.aut", files["dir"] / "pre.aut"
+    comp.write_text(serialize_automaton(single_ab))
+    tracker.write_text(serialize_automaton(pre))
+    assert main(["petri", str(comp), str(tracker), "--analyze", "km"]) == 0
+    out = capsys.readouterr().out
+    assert "km: unbounded" in out
+    assert "pump-prefix: \n" in out
+    assert "pump-cycle: start|(0) a (II:1)|1\n" in out
+    assert "pump-replays: true" in out
+
+
 def test_family_check(files, capsys):
     assert main(["family", files["alt"], files["alt"], "--size", "2", "--check"]) == 0
     assert "self-similar: true" in capsys.readouterr().out

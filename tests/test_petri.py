@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from shufflecheck.automata import complete, grave
+from shufflecheck.automata import EmptyLanguage, complete, grave, normalize
 from shufflecheck.engine import ZERO, parse_transition
 from shufflecheck.petri import (
     build_np_v_full,
@@ -12,13 +14,14 @@ from shufflecheck.petri import (
     decide_sp_via_net,
     enabled_step,
     karp_miller,
+    marking_bfs,
     one_token_groups,
     reachable_markings,
     replay_pump,
     to_dot,
     to_pnml,
 )
-from conftest import mk_dfa
+from conftest import mk_dfa, random_dfa
 
 
 def tset(*texts):
@@ -134,13 +137,16 @@ def _modular(k, step_a, step_b):
     return mk_dfa("ab", trans, states[0], [states[0]])
 
 
-def _full_km(P, V):
+def _full_net(P, V):
     Vc = complete(V)
     net, iota = build_np_v_full(P, Vc)
-    return karp_miller(net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))))
+    return net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
 
 
-def _km_shape(km):
+def _km_shape(net, m0):
+    km = karp_miller(net, m0)
+    # a pump must fire concretely from m0 and strictly grow
+    assert km.pump is None or replay_pump(net, m0, km.pump)
     return (len(km.nodes), km.bounded, km.capped, km.pump)
 
 
@@ -149,33 +155,75 @@ def test_km_tree_golden(single_ab, ring3, ring9):
     pre = mk_dfa("ab", [("1", "a", "1"), ("1", "b", "2")], "1", [], "semiautomaton")
     net, iota = build_npv(single_ab, pre)
     a_start = "start|(0) a (II:1)|1"
-    assert _km_shape(karp_miller(net, iota((ZERO, "1")))) == (
-        5, False, False, ((a_start,), (a_start,)),
+    assert _km_shape(net, iota((ZERO, "1"))) == (
+        3, False, False, ((), (a_start,)),
     )
-    assert _km_shape(_full_km(ring3, ring9)) == (
-        5610, False, False,
+    assert _km_shape(*_full_net(ring3, ring9)) == (
+        3348, False, False,
         (
-            ("S|start_end|(0) a (0)|1,1", "S|start|(0) a (2:1)|2,2"),
+            ("S|start_end|(0) a (0)|1,1", "S|start_end|(0) a (0)|2,2"),
             ("S|start|(0) a (2:1)|_sink,_sink",),
         ),
     )
-    cycle = tuple(
-        f"S|start|(0) a (p1:1)|r{(i + 1) % 5},r{i}" for i in range(5)
+    cycle = tuple(f"S|start|(0) a (p1:1)|r{i},r{i}" for i in range(5))
+    pump = ((), cycle)
+    assert _km_shape(*_full_net(_word("ab"), _modular(5, 1, 0))) == (
+        60, False, False, pump,
     )
-    pump = (("E|start|(0) a (p1:1)|r0",), cycle)
-    assert _km_shape(_full_km(_word("ab"), _modular(5, 1, 0))) == (
-        115, False, False, pump,
+    assert _km_shape(*_full_net(_word("ab"), _modular(5, 1, -1))) == (
+        30, False, False, pump,
     )
-    assert _km_shape(_full_km(_word("ab"), _modular(5, 1, -1))) == (
-        41, False, False, pump,
+
+
+def test_km_accelerates_on_strict_domination():
+    # t: p -> p + q; the first firing already strictly dominates the root
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import OMEGA, PetriNet
+
+    vec = CounterVector.make
+    net = PetriNet(
+        frozenset({"p", "q"}),
+        {"t": vec({"p": 1})},
+        {"t": vec({"p": 1, "q": 1})},
+        {},
+        ("t",),
     )
+    km = karp_miller(net, vec({"p": 1}))
+    assert [n.marking for n in km.nodes] == [(1, 0), (1, OMEGA)]
+    assert not km.bounded and km.pump == ((), ("t",))
+    assert replay_pump(net, vec({"p": 1}), km.pump)
+
+
+def test_km_agrees_with_marking_bfs_on_random_nets():
+    # the full deletion nets of the first 100 criterion-10 pairs
+    rng = random.Random(101010)
+    checked = 0
+    while checked < 100:
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        net, m0 = _full_net(P, V)
+        dense = net.dense()
+        seen, exhausted = marking_bfs(dense, dense.marking(m0), 2000)
+        km = karp_miller(net, m0, node_cap=20_000)
+        markings = {n.marking for n in km.nodes}
+        if exhausted:
+            assert km.bounded and not km.capped
+            assert markings == set(seen)
+        elif not km.bounded and not km.capped:
+            assert replay_pump(net, m0, km.pump)
+        assert all(m in markings or km.covers(m) for m in seen)
+        checked += 1
 
 
 def test_net_reachability_witness_golden():
     # the witness pins the marking BFS's parent order
     res = decide_sp_via_net(_word("ab"), _modular(5, 1, 0))
     assert (res.status, res.route) == ("fails", "net-reachability")
-    assert res.stats == {"km_nodes": 115, "km_capped": False, "markings": 76}
+    assert res.stats == {"km_nodes": 60, "km_capped": False, "markings": 76}
     assert "".join(a.symbol for a in res.witness["word"]) == "ababababab"
     assert res.witness["positions"] == (0, 1)
     a, b = "start|(0) a (p1:1)", "end|(p1:1) b (0)"
