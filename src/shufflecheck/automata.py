@@ -51,6 +51,17 @@ class Letter:
     index: Optional[int] = None
     mark: Optional[str] = None  # None | "checked"
 
+    def __post_init__(self):
+        # letters key every transition dict; hash the content once
+        object.__setattr__(self, "_hash", hash((self.symbol, self.index, self.mark)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never restore _hash
+        return (Letter, (self.symbol, self.index, self.mark))
+
     def __str__(self) -> str:
         text = str(self.symbol)
         if self.index is not None:

@@ -5,10 +5,17 @@ states; each counter says how many interleaved components currently sit at
 that state.  The full transition relation is infinite but determined by a
 finite core plus a uniform shift law, so membership queries and all
 downstream constructions only ever touch finitely many vectors.
+
+Counter vectors and transitions are interned (hash-consed): constructing
+one looks its fields up in a weak table, so equal values are one object
+while any of them is alive, and equality and hashing are by identity.
+Each is built and rendered once, however many sets and dicts hold it.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Optional
@@ -23,11 +30,42 @@ START_END = "start_end"
 KINDS = (START, INNER, END, START_END)
 
 
-@dataclass(frozen=True)
-class CounterVector:
-    """Sparse vector of non-negative counts keyed by component-automaton state."""
+# Interning tables: fields -> the one live object with those fields.  Weak,
+# so a vector or step lives only as long as some caller holds it.  Lookups
+# run without the lock; it only guards creation, so two threads never make
+# two objects for one value.
+_VECTORS = weakref.WeakValueDictionary()
+_STEPS = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
-    entries: tuple = ()  # sorted tuple of (state, positive count)
+
+@dataclass(frozen=True, eq=False, init=False)
+class CounterVector:
+    """Sparse vector of non-negative counts keyed by component-automaton state.
+
+    Interned: equal vectors are one object, compared and hashed by identity.
+    Build one with `make` (or directly from already sorted positive entries).
+    """
+
+    __slots__ = ("entries", "_text", "__weakref__")
+    entries: tuple  # sorted tuple of (state, positive count)
+
+    def __new__(cls, entries: tuple = ()):
+        self = _VECTORS.get(entries)
+        if self is None:
+            with _INTERN_LOCK:
+                self = _VECTORS.get(entries)
+                if self is None:
+                    self = object.__new__(cls)
+                    object.__setattr__(self, "entries", entries)
+                    object.__setattr__(self, "_text", None)
+                    _VECTORS[entries] = self
+        return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so they return the
+        # interned object instead of a second one
+        return (CounterVector, (self.entries,))
 
     @staticmethod
     def make(mapping) -> "CounterVector":
@@ -58,20 +96,30 @@ class CounterVector:
         return not self.entries
 
     def add(self, other: "CounterVector") -> "CounterVector":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         counts = dict(self.entries)
         for q, n in other.entries:
             counts[q] = counts.get(q, 0) + n
-        return CounterVector.make(counts)
+        return CounterVector(tuple(sorted(counts.items())))
 
     def sub(self, other: "CounterVector") -> Optional["CounterVector"]:
         """Componentwise difference, or None when it would go negative."""
+        if not other.entries:
+            return self
         counts = dict(self.entries)
         for q, n in other.entries:
             m = counts.get(q, 0) - n
             if m < 0:
                 return None
-            counts[q] = m
-        return CounterVector.make(counts)
+            # q is already a key, so the dict keeps its sorted order
+            if m:
+                counts[q] = m
+            else:
+                del counts[q]
+        return CounterVector(tuple(counts.items()))
 
     def geq(self, other: "CounterVector") -> bool:
         return self.sub(other) is not None
@@ -84,9 +132,14 @@ class CounterVector:
             yield self.sub(CounterVector.unit(q))
 
     def __str__(self) -> str:
-        if not self.entries:
-            return "(0)"
-        return "(" + " ".join(f"{q}:{n}" for q, n in self.entries) + ")"
+        text = self._text
+        if text is None:
+            if not self.entries:
+                text = "(0)"
+            else:
+                text = "(" + " ".join(f"{q}:{n}" for q, n in self.entries) + ")"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 ZERO = CounterVector()
@@ -110,16 +163,41 @@ def parse_vector(text: str) -> CounterVector:
     return CounterVector.make(counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ShuffleTransition:
+    """One step (source, letter, target) of the counter semiautomaton,
+    tagged by its kind.
+
+    Interned like CounterVector: equal steps are one object, compared and
+    hashed by identity.  The kind is checked when a step is first made.
+    """
+
+    __slots__ = ("source", "letter", "target", "kind", "_text", "__weakref__")
     source: CounterVector
     letter: Letter
     target: CounterVector
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __new__(cls, source: CounterVector, letter: Letter, target: CounterVector, kind: str):
+        key = (source, letter, target, kind)
+        self = _STEPS.get(key)
+        if self is None:
+            if kind not in KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
+            with _INTERN_LOCK:
+                self = _STEPS.get(key)
+                if self is None:
+                    self = object.__new__(cls)
+                    object.__setattr__(self, "source", source)
+                    object.__setattr__(self, "letter", letter)
+                    object.__setattr__(self, "target", target)
+                    object.__setattr__(self, "kind", kind)
+                    object.__setattr__(self, "_text", None)
+                    _STEPS[key] = self
+        return self
+
+    def __reduce__(self):
+        return (ShuffleTransition, (self.source, self.letter, self.target, self.kind))
 
     def triple(self) -> tuple:
         return (self.source, self.letter, self.target)
@@ -134,10 +212,14 @@ class ShuffleTransition:
         return ShuffleTransition(self.source, self.letter.unchecked(), self.target, self.kind)
 
     def __str__(self) -> str:
-        return f"{self.source} {self.letter} {self.target}"
+        text = self._text
+        if text is None:
+            text = f"{self.source} {self.letter} {self.target}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def tagged_str(self) -> str:
-        return f"{self.source} {self.letter} {self.target} [{self.kind}]"
+        return f"{self} [{self.kind}]"
 
 
 def parse_transition(text: str) -> ShuffleTransition:

@@ -84,6 +84,13 @@ class TrackLetter:
             or self.x3.kind != self.x1.kind
         ):
             raise ValueError("track-3 step disagrees with the composite")
+        object.__setattr__(self, "_hash", hash((self.x1, self.x2, self.x3)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (TrackLetter, (self.x1, self.x2, self.x3))
 
     @staticmethod
     def _vecs(x):
@@ -177,11 +184,17 @@ def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
     s1, s2, s3 = compute_s_sets(P, delta)
     d2 = _delta2_prime(P, delta, s2)
     d3 = _delta3_prime(P, delta, s3)
+    # each composite step meets only the steps of its letter and kind
+    by_event2: dict = {}
+    for x2 in d2:
+        by_event2.setdefault((x2.letter, x2.kind), []).append(x2)
+    by_event3: dict = {}
+    for x3 in d3:
+        by_event3.setdefault((x3.letter.unchecked(), x3.kind), []).append(x3)
     columns = set()
     for x1 in delta:
-        for x2 in d2:
-            if x2.letter != x1.letter or x2.kind != x1.kind:
-                continue
+        event = (x1.letter, x1.kind)
+        for x2 in by_event2.get(event, ()):
             v = x1.source.sub(x2.source)
             if v is None or x1.target.sub(x2.target) != v:
                 continue
@@ -189,9 +202,7 @@ def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
                 columns.add(TrackLetter(x1, x2, v))
             if v == ZERO:
                 columns.add(TrackLetter(x1, x2, CHECK_ZERO))
-        for x3 in d3:
-            if x3.letter.unchecked() != x1.letter or x3.kind != x1.kind:
-                continue
+        for x3 in by_event3.get(event, ()):
             v = x1.source.sub(x3.source)
             if v is None or x1.target.sub(x3.target) != v:
                 continue

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,56 @@ def test_prefix_fragment_missing_a_step_rejected(single_ab):
     for i in range(len(lines)):
         cut = replace(v, certificate={"delta": lines[:i] + lines[i + 1:]})
         assert not replay_certificate(single_ab, V, cut), lines[i]
+
+
+# Decides the first 150 criterion-10 draws in general mode and ab against
+# depth chains in prefix mode, in the order given by argv[1], and prints
+# every report in draw order.
+REPORTS = """
+import random
+import sys
+from shufflecheck.automata import EmptyLanguage, normalize
+from shufflecheck.decision import decide_sp, serialize_verdict
+from conftest import depth_chain, random_dfa, mk_dfa
+
+rng = random.Random(101010)
+pairs = []
+for _ in range(150):
+    P = random_dfa(rng, max_states=3, alpha="ab")
+    V = random_dfa(rng, max_states=3, alpha="ab")
+    try:
+        pairs.append((normalize(P), normalize(V), "general"))
+    except EmptyLanguage:
+        continue
+ab = mk_dfa("ab", [("I", "a", "II"), ("II", "b", "III")], "I", ["III"])
+pairs += [(ab, depth_chain(n), "prefix") for n in range(14, 19)]
+order = range(len(pairs))
+if sys.argv[1] == "backward":
+    order = reversed(order)
+reports = {i: serialize_verdict(decide_sp(*pairs[i])) for i in order}
+print("\\n".join(reports[i] for i in sorted(reports)))
+"""
+
+
+def test_reports_do_not_depend_on_hash_seed_or_addresses():
+    # vectors and steps hash by identity, so set order follows memory
+    # addresses; no report may depend on it or on string hashing, so two
+    # processes that differ in both must print the same reports
+    import shufflecheck
+
+    path = os.pathsep.join(
+        [str(Path(shufflecheck.__file__).parents[1]), str(Path(__file__).parent)]
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", REPORTS, order],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed, order in (("1", "forward"), ("2", "backward"))
+    ]
+    assert runs[0].count("VERDICT:") > 100
+    assert runs[0].count("ROUTE: prefix-fragment") >= 5
+    assert runs[0] == runs[1]

@@ -1,12 +1,20 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflecheck.automata import grave, word
+from shufflecheck.automata import Letter, grave, word
 from shufflecheck.engine import (
     Computation,
     CounterVector,
     NotAComputation,
+    ShuffleTransition,
     ZERO,
     elementary_automaton,
     elementary_vector_states,
@@ -43,6 +51,108 @@ def test_vector_sub_clips_to_none():
     f = CounterVector.make({"q": 1})
     assert f.sub(CounterVector.make({"q": 2})) is None
     assert f.sub(f) == ZERO
+
+
+counts = st.dictionaries(st.sampled_from("pqrs"), st.integers(0, 4), max_size=4)
+
+
+def _well_formed(f):
+    assert list(f.entries) == sorted(f.entries)
+    assert all(n > 0 for _, n in f.entries)
+
+
+@given(counts, counts)
+def test_vector_arithmetic_matches_dicts(m1, m2):
+    f, g = CounterVector.make(m1), CounterVector.make(m2)
+    assert dict(f.entries) == {q: n for q, n in m1.items() if n}
+    assert CounterVector.make(dict(m1)) is f
+    keys = set(m1) | set(m2)
+    total = f.add(g)
+    _well_formed(total)
+    assert dict(total.entries) == {
+        q: m1.get(q, 0) + m2.get(q, 0) for q in keys if m1.get(q, 0) + m2.get(q, 0)
+    }
+    assert total is g.add(f)
+    diff = {q: m1.get(q, 0) - m2.get(q, 0) for q in keys}
+    rest = f.sub(g)
+    if any(n < 0 for n in diff.values()):
+        assert rest is None
+        assert not f.geq(g)
+    else:
+        _well_formed(rest)
+        assert dict(rest.entries) == {q: n for q, n in diff.items() if n}
+        assert rest is CounterVector.make(diff)
+        assert f.geq(g)
+    with pytest.raises(ValueError):
+        CounterVector.make({**m1, "t": -1})
+
+
+def test_interned_values_survive_copy_and_pickle():
+    f = CounterVector.make({"q": 2})
+    t = ShuffleTransition(f, Letter("a"), f.add(CounterVector.unit("p")), "start")
+    for x in (ZERO, f, t, t.checked()):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(x, protocol)) is x
+    assert CounterVector() is ZERO
+    assert ZERO.entries == ()
+    assert f.entries == (("q", 2),)
+
+
+def test_equal_steps_are_one_object():
+    t = parse_transition("(II:1) c (0) [end]")
+    assert parse_transition("(II:1) c (0) [end]") is t
+    assert t.source is CounterVector.unit("II")
+    assert t.target is ZERO
+    assert t.shift(ZERO) is t
+    assert t.checked().unchecked() is t
+
+
+def test_interning_keeps_no_value_alive():
+    # the tables are weak: a long-lived process must not keep every vector
+    # and step it ever built
+    f = CounterVector.make({"transient": 3})
+    t = ShuffleTransition(f, Letter("a"), f.add(f), "start")
+    refs = [weakref.ref(f), weakref.ref(t)]
+    del f, t
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_threads_share_one_object_per_value():
+    # threads racing to make the same new vectors and steps must all get
+    # one object per value; a lost race would hand out two
+    a = Letter("a")
+    results = []
+
+    def make_many():
+        out = []
+        for n in range(1, 300):
+            f = CounterVector.make({"race": n, "other": n % 7})
+            out.append((f, ShuffleTransition(f, a, f.add(CounterVector.unit("race")), "start")))
+        results.append(out)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make_many) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6
+    for out in results[1:]:
+        assert all(x is y and s is u for (x, s), (y, u) in zip(out, results[0]))
+
+
+def test_step_kind_is_checked():
+    ShuffleTransition(ZERO, Letter("a"), ZERO, "start_end")
+    with pytest.raises(ValueError):
+        ShuffleTransition(ZERO, Letter("a"), ZERO, "sideways")
 
 
 def test_parse_vector_roundtrip():

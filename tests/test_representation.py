@@ -2,8 +2,10 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from shufflecheck.automata import EmptyLanguage, grave, normalize
+from shufflecheck.automata import EmptyLanguage, Letter, grave, normalize
 from shufflecheck.engine import (
     Computation,
     CounterVector,
@@ -76,6 +78,23 @@ def test_column_validation(two_start):
         TrackLetter(x1, x2, ZERO)  # counters no longer add up
     with pytest.raises(ValueError):
         TrackLetter(x1, vec(II=1), vec(II=1))  # no active decomposition
+
+
+counts = st.dictionaries(st.sampled_from("pqr"), st.integers(0, 3), max_size=3)
+
+
+@given(counts, counts)
+def test_column_counters_must_add_up(m2, m3):
+    # the composite is the remainder step shifted by the resting component
+    rest, comp = CounterVector.make(m2), CounterVector.make(m3)
+    x2 = ShuffleTransition(rest, Letter("a"), rest.add(vec(p=1)), "start")
+    x1 = x2.shift(comp)
+    assert TrackLetter(x1, x2, comp) == TrackLetter(x1, x2, comp)
+    with pytest.raises(ValueError):
+        TrackLetter(x1, x2, comp.add(vec(q=1)))
+    if not comp.is_zero():
+        with pytest.raises(ValueError):
+            TrackLetter(x1, x2, ZERO)
 
 
 def test_w_delta_golden(two_start):
