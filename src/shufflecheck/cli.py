@@ -164,7 +164,7 @@ def cmd_petri(args) -> int:
         print(f"km-nodes: {len(km.nodes)}")
         if km.pump is not None:
             prefix, cycle = km.pump
-            print("pump-prefix: " + " ; ".join(prefix))
+            print(f"pump-prefix: {' ; '.join(prefix)}".rstrip())
             print("pump-cycle: " + " ; ".join(cycle))
             ok = petri.replay_pump(net, m0, km.pump)
             print(f"pump-replays: {str(ok).lower()}")

@@ -7,13 +7,18 @@ finite.  The second net runs the three-track deletion system with
 unbounded counters; its reachability questions answer the closure decision
 where the fragment-based route is unavailable.
 
-Markings take two forms.  At the API boundary (the `iota` encodings,
+Markings take three forms.  At the API boundary (the `iota` encodings,
 `enabled_step`, `replay_pump` and `reachable_markings`) a marking is a
-CounterVector keyed by place name.  Inside the searches (`karp_miller`
-and `marking_bfs`) it is dense: a tuple of counts over the net's places in
-sorted order (`PetriNet.dense()`), where OMEGA marks a count that
-Karp–Miller found unbounded.  A search converts its root and targets on
-the way in; `reachable_markings` converts each marking it found once on
+CounterVector keyed by place name.  Inside the searches it is indexed by
+the net's places in sorted order (`PetriNet.dense()`):
+
+* `karp_miller` uses dense markings, tuples of counts where OMEGA marks a
+  count that it found unbounded;
+* `marking_bfs` uses packed markings, one int holding a FIELD-bit count
+  per place (`DenseNet.pack`), so firing a transition is one addition.
+
+A search converts its root and targets on the way in;
+`reachable_markings` unpacks and converts each marking it found once on
 the way out.
 """
 
@@ -43,6 +48,13 @@ DEFAULT_FORWARD_CAP = 500_000
 # A Karp–Miller count that no bound holds; absorbing under the addition of
 # a transition's effect, and not below any count.
 OMEGA = float("inf")
+
+# Bits per place in a packed marking.  A count that reaches TOP, the top
+# bit of its field, ends a marking BFS as the cap does; below TOP, adding
+# any effect (itself below TOP) cannot carry into the next field.
+FIELD = 32
+TOP = 1 << (FIELD - 1)
+FIELD_MASK = (1 << FIELD) - 1
 
 
 @dataclass(frozen=True)
@@ -75,28 +87,32 @@ class PetriNet:
 class DenseNet:
     """A net's places and transitions by position, for the searches.
 
-    Place i is the i-th place in sorted order, and a dense marking is the
-    tuple of counts by place; a support is the bitmask of a marking's
-    nonzero places.  Transition j is `net.order[j]`.
+    Place i is the i-th place in sorted order.  A dense marking is the
+    tuple of counts by place; a packed marking is one int with place i's
+    count in bits FIELD*i up to FIELD*(i+1).  A support is the bitmask of
+    a marking's nonzero places.  Transition j is `net.order[j]`.
     """
 
     places: tuple  # place names, sorted
     index: dict  # place name -> position
     pre: tuple  # per transition: ((place position, count), ...)
+    post: tuple  # per transition: its post-set, a CounterVector
     effect: tuple  # per transition: post - pre, one count per place
     pre_mask: tuple  # per transition: bitmask of its pre-set
     post_mask: tuple  # per transition: bitmask of its post-set
     heavy: dict  # transition -> its pre-set, if some count there exceeds 1
     # support -> the transitions whose pre-set it covers, in net order
     ready: dict = field(default_factory=dict)
+    packing: Optional["Packing"] = None  # built by the first marking BFS
 
     @staticmethod
     def of(net: PetriNet) -> "DenseNet":
         places = tuple(sorted(net.places))
         index = {p: i for i, p in enumerate(places)}
-        pre, effect, pre_mask, post_mask, heavy = [], [], [], [], {}
+        pre, post, effect, pre_mask, post_mask, heavy = [], [], [], [], [], {}
         for j, t in enumerate(net.order):
             entries = tuple([(index[p], n) for p, n in net.pre[t].entries])
+            outputs = net.post[t]
             eff = [0] * len(places)
             into = out = 0
             for i, n in entries:
@@ -104,17 +120,18 @@ class DenseNet:
                 into |= 1 << i
                 if n > 1:
                     heavy[j] = entries
-            for p, n in net.post[t].entries:
+            for p, n in outputs.entries:
                 i = index[p]
                 eff[i] += n
                 out |= 1 << i
             pre.append(entries)
+            post.append(outputs)
             effect.append(tuple(eff))
             pre_mask.append(into)
             post_mask.append(out)
         return DenseNet(
-            places, index, tuple(pre), tuple(effect), tuple(pre_mask),
-            tuple(post_mask), heavy,
+            places, index, tuple(pre), tuple(post), tuple(effect),
+            tuple(pre_mask), tuple(post_mask), heavy,
         )
 
     def marking(self, v: CounterVector) -> tuple:
@@ -127,15 +144,36 @@ class DenseNet:
         # places are sorted, so the entries are in CounterVector order
         return CounterVector(tuple((p, n) for p, n in zip(self.places, m) if n))
 
+    def pack(self, m: tuple) -> int:
+        """The dense marking m as one int; a count of TOP or more packs as
+        TOP, which no marking that `marking_bfs` keeps has."""
+        out = 0
+        for i, n in enumerate(m):
+            if n:
+                out |= (n if n < TOP else TOP) << (FIELD * i)
+        return out
+
+    def unpack(self, x: int) -> tuple:
+        """The dense marking of the packed marking x."""
+        return tuple(
+            [(x >> s) & FIELD_MASK for s in range(0, FIELD * len(self.places), FIELD)]
+        )
+
+    def ready_at(self, support: int) -> tuple:
+        """The transitions whose pre-set lies in support, in net order,
+        computed and kept in `ready`; callers look there first."""
+        absent = ~support
+        ready = tuple(
+            j for j, need in enumerate(self.pre_mask) if not need & absent
+        )
+        self.ready[support] = ready
+        return ready
+
     def enabled(self, m: tuple, support: int) -> tuple:
         """The transitions enabled at m, in net order; support is m's."""
         ready = self.ready.get(support)
         if ready is None:
-            absent = ~support
-            ready = tuple(
-                j for j, need in enumerate(self.pre_mask) if not need & absent
-            )
-            self.ready[support] = ready
+            ready = self.ready_at(support)
         if not self.heavy:
             return ready
         heavy = self.heavy
@@ -143,6 +181,47 @@ class DenseNet:
             j for j in ready
             if j not in heavy or all(m[i] >= n for i, n in heavy[j])
         )
+
+    def packed(self) -> "Packing":
+        """The net's transitions on packed markings, built on first use."""
+        if self.packing is None:
+            self.packing = Packing(self)
+        return self.packing
+
+
+class Packing:
+    """What `marking_bfs` needs to fire a net's transitions on packed
+    markings.  A transition's packed effect and empties are filled in
+    when it first fires, so a short search pays only for what it fires."""
+
+    def __init__(self, dense: DenseNet):
+        self.index, self.pre, self.post = dense.index, dense.pre, dense.post
+        count = len(dense.pre)
+        self.effect = [None] * count  # per transition: post - pre, packed
+        # per transition: ((field shift, support mask without the place), ...)
+        self.empties = [None] * count
+        # transition -> ((field shift, count), ...) of its pre-set
+        self.heavy = {
+            j: tuple([(FIELD * i, n) for i, n in entries])
+            for j, entries in dense.heavy.items()
+        }
+        # the TOP bit of every field: TOP times the sum of 1 << FIELD*i
+        self.top = TOP * ((1 << (FIELD * len(dense.places))) - 1) // FIELD_MASK
+
+    def fill(self, j: int) -> int:
+        """Fill in transition j and return its packed effect."""
+        index, entries = self.index, self.pre[j]
+        effect = 0
+        # an output of TOP or more overflows whenever it fires, so TOP
+        # stands in for it; a need of TOP or more is never met
+        for p, n in self.post[j].entries:
+            effect += (n if n < TOP else TOP) << (FIELD * index[p])
+        for i, n in entries:
+            effect -= n << (FIELD * i)
+        # effect[j] says that j is filled in, so it is stored last
+        self.empties[j] = tuple([(FIELD * i, ~(1 << i)) for i, _ in entries])
+        self.effect[j] = effect
+        return effect
 
 
 def _support(m: tuple) -> int:
@@ -171,10 +250,11 @@ class KMNode:
 
 @dataclass
 class KMResult:
-    bounded: bool
+    bounded: bool  # read it only when the tree is neither capped nor stopped
     nodes: list
     pump: Optional[tuple]  # (prefix transition ids, cycle transition ids)
     capped: bool = False
+    stopped: bool = False  # the last node covers a marking in stop_at
 
     def covers(self, target: tuple) -> bool:
         """Does some node's marking cover the dense marking target?"""
@@ -182,7 +262,10 @@ class KMResult:
 
 
 def karp_miller(
-    net: PetriNet, m0: CounterVector, node_cap: int = DEFAULT_KM_NODE_CAP
+    net: PetriNet,
+    m0: CounterVector,
+    node_cap: int = DEFAULT_KM_NODE_CAP,
+    stop_at=(),
 ) -> KMResult:
     """Karp–Miller coverability tree (Karp & Miller, 1969).
 
@@ -192,13 +275,26 @@ def karp_miller(
     and m != am): each place where m > am becomes OMEGA.  The pump is the
     first acceleration whose parent marking has no OMEGA.  Node markings
     are dense over `net.dense().places`.
+
+    The tree stops, `stopped` set, at the first node that covers a dense
+    marking in stop_at; that node is the last of `nodes`, which are then
+    the full tree's nodes up to it.  `bounded` says nothing about a tree
+    that stopped or was capped.  When no node covers one, the tree is the
+    one built without stop_at.
     """
     dense = net.dense()
     order, pre, effect = net.order, dense.pre, dense.effect
     post_mask = dense.post_mask
+    goals = [(t, _support(t)) for t in stop_at]
+    # a node lacking a place that every goal needs covers none of them
+    shared = -1
+    for _, need in goals:
+        shared &= need
     start = dense.marking(m0)
     root = KMNode(start, None, None, support=_support(start))
     nodes = [root]
+    if goals and _covers_any(start, root.support, goals):
+        return KMResult(False, nodes, None, stopped=True)
     processed = {start}
     queue = deque([root])
     pump = None
@@ -230,10 +326,22 @@ def karp_miller(
             processed.add(m)
             child = KMNode(m, node, order[j], accelerated, support)
             nodes.append(child)
+            if goals and not shared & absent and _covers_any(m, support, goals):
+                return KMResult(False, nodes, pump, stopped=True)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)
             queue.append(child)
     return KMResult(not unbounded, nodes, pump)
+
+
+def _covers_any(m: tuple, support: int, goals: list) -> bool:
+    """Does m, whose support is `support`, cover the marking of some
+    (marking, support) pair in goals?  A goal that needs a place outside
+    the support is skipped without reading its counts."""
+    absent = ~support
+    return any(
+        not need & absent and all(map(ge, m, t)) for t, need in goals
+    )
 
 
 def _path_to_root(node: KMNode) -> list:
@@ -267,31 +375,55 @@ def marking_bfs(
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
 ) -> tuple:
-    """(dense marking -> (parent, transition position), exhausted).
+    """(packed marking -> (packed parent, transition position), exhausted).
 
-    Breadth-first in net order; stops early when a marking in stop_at is
-    reached, and then exhausted is False.  The root's entry is
-    (None, None).
+    Breadth-first in net order from the dense marking m0, on packed
+    markings (`DenseNet.pack`); stop_at holds packed markings.  The search
+    stops early, with exhausted False, when it reaches a marking in
+    stop_at, when it holds more than cap markings, or when a count reaches
+    TOP; that last marking is not kept, so every kept marking unpacks to
+    its true counts.  The root's entry is (None, None); a root with a
+    count of TOP or more gives an empty map.
     """
-    seen = {m0: (None, None)}
-    if m0 in stop_at:
+    packing = dense.packed()
+    effect, empties, heavy, top = (
+        packing.effect, packing.empties, packing.heavy, packing.top,
+    )
+    ready, ready_at, post_mask = dense.ready, dense.ready_at, dense.post_mask
+    start = dense.pack(m0)
+    if start & top:
+        return {}, False
+    seen = {start: (None, None)}
+    if start in stop_at:
         return seen, False
-    pre, effect, post_mask = dense.pre, dense.effect, dense.post_mask
-    queue = deque([(m0, _support(m0))])
+    queue = deque([(start, _support(m0))])
+    popleft, append = queue.popleft, queue.append
     while queue:
-        m, support = queue.popleft()
-        for j in dense.enabled(m, support):
-            m2 = tuple(map(add, m, effect[j]))
+        m, support = popleft()
+        enabled = ready.get(support)
+        if enabled is None:
+            enabled = ready_at(support)
+        for j in enabled:
+            if heavy and j in heavy and not all(
+                (m >> s) & FIELD_MASK >= n for s, n in heavy[j]
+            ):
+                continue
+            e = effect[j]
+            if e is None:
+                e = packing.fill(j)
+            m2 = m + e
             if m2 in seen:
                 continue
+            if m2 & top:
+                return seen, False
             seen[m2] = (m, j)
             if m2 in stop_at or len(seen) > cap:
                 return seen, False
             support2 = support | post_mask[j]
-            for i, _ in pre[j]:  # only a pre-set place can empty
-                if not m2[i]:
-                    support2 &= ~(1 << i)
-            queue.append((m2, support2))
+            for s, keep in empties[j]:  # only a pre-set place can empty
+                if not (m2 >> s) & FIELD_MASK:
+                    support2 &= keep
+            append((m2, support2))
     return seen, True
 
 
@@ -308,9 +440,10 @@ def reachable_markings(
     """
     dense = net.dense()
     seen, exhausted = marking_bfs(
-        dense, dense.marking(m0), cap, frozenset(map(dense.marking, stop_at))
+        dense, dense.marking(m0), cap,
+        frozenset(dense.pack(dense.marking(t)) for t in stop_at),
     )
-    vector = {m: dense.vector(m) for m in seen}
+    vector = {m: dense.vector(dense.unpack(m)) for m in seen}
     parents = {
         vector[m]: (vector.get(prev), None if j is None else net.order[j])
         for m, (prev, j) in seen.items()
@@ -495,7 +628,8 @@ def decide_alf_zero_finite(
         R |= seen.keys()
     if backward_ok:
         states, edges, exhausted = build_product(
-            P, V, forward_cap, keep=lambda state: dense.marking(iota(state)) in R
+            P, V, forward_cap,
+            keep=lambda state: dense.pack(dense.marking(iota(state))) in R,
         )
         if not exhausted:
             return AlfResult("unknown", stats={"states": len(states)})
@@ -692,6 +826,11 @@ def decide_sp_via_net(
     with all counters closed, the deleted component is complete, and the
     remainder track is rejected.  Exact when the marking space is finite;
     otherwise Holds is still sound when no such marking is even coverable.
+
+    The Karp–Miller tree stops at its first node that covers a
+    counterexample marking, so `km_nodes` counts the nodes built until
+    then; a pair with none coverable builds the whole tree.  A marking BFS
+    on packed markings then looks for a reachable one.
     """
     V = complete(V)
     net, iota = build_np_v_full(P, V)
@@ -703,19 +842,20 @@ def decide_sp_via_net(
         for qf in sorted(V.finals)
         for qn in nonfinals
     ]
-    km = karp_miller(net, m0, node_cap)
+    km = karp_miller(net, m0, node_cap, stop_at=targets)
     stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
-    uncoverable = not km.capped and not any(km.covers(t) for t in targets)
+    uncoverable = not km.capped and not km.stopped
     del km  # the tree is not needed past this point; free it before the BFS
     if uncoverable:
         # coverability is decided exactly, so no counterexample marking
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
+    packed = [dense.pack(t) for t in targets]
     seen, exhausted = marking_bfs(
-        dense, dense.marking(m0), forward_cap, frozenset(targets)
+        dense, dense.marking(m0), forward_cap, frozenset(packed)
     )
     stats["markings"] = len(seen)
-    hit = next((t for t in targets if t in seen), None)
+    hit = next((t for t in packed if t in seen), None)
     if hit is not None:
         path = [net.order[j] for j in firing_path(seen, hit)]
         return NetVerdict(

@@ -105,7 +105,7 @@ def test_petri_km_unbounded(files, capsys, single_ab):
     assert main(["petri", str(comp), str(tracker), "--analyze", "km"]) == 0
     out = capsys.readouterr().out
     assert "km: unbounded" in out
-    assert "pump-prefix: \n" in out
+    assert "pump-prefix:\n" in out
     assert "pump-cycle: start|(0) a (II:1)|1\n" in out
     assert "pump-replays: true" in out
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -234,6 +235,20 @@ def test_prefix_fragment_missing_a_step_rejected(single_ab):
     for i in range(len(lines)):
         cut = replace(v, certificate={"delta": lines[:i] + lines[i + 1:]})
         assert not replay_certificate(single_ab, V, cut), lines[i]
+
+
+def test_draw_808_fails_by_net_reachability():
+    # the 808th criterion-10 draw fails beyond the falsifier's bound; the
+    # Karp–Miller tree stops at its first node covering a counterexample
+    # marking, and the marking BFS finds one
+    rng = random.Random(101010)
+    for _ in range(809):
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+    v = decide_sp(P, V, "general")
+    assert (v.outcome, v.route) == ("fails", "net-reachability")
+    assert v.stats == {"km_nodes": 30, "km_capped": False, "markings": 276}
+    assert replay_certificate(P, V, v)
 
 
 # Decides the first 150 criterion-10 draws in general mode and ab against

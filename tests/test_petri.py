@@ -1,4 +1,5 @@
 import random
+from operator import ge
 
 import pytest
 
@@ -207,7 +208,8 @@ def test_km_agrees_with_marking_bfs_on_random_nets():
             continue
         net, m0 = _full_net(P, V)
         dense = net.dense()
-        seen, exhausted = marking_bfs(dense, dense.marking(m0), 2000)
+        packed, exhausted = marking_bfs(dense, dense.marking(m0), 2000)
+        seen = [dense.unpack(m) for m in packed]
         km = karp_miller(net, m0, node_cap=20_000)
         markings = {n.marking for n in km.nodes}
         if exhausted:
@@ -219,11 +221,96 @@ def test_km_agrees_with_marking_bfs_on_random_nets():
         checked += 1
 
 
+def _criterion_10_full_nets(count):
+    # the full deletion nets of the first `count` criterion-10 pairs, with
+    # the counterexample markings that decide_sp_via_net looks for
+    rng = random.Random(101010)
+    while count:
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        Vc = complete(V)
+        net, iota = build_np_v_full(P, Vc)
+        dense = net.dense()
+        targets = [
+            dense.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+            for qf in sorted(Vc.finals)
+            for qn in sorted(set(Vc.states) - set(Vc.finals))
+        ]
+        yield net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))), targets
+        count -= 1
+
+
+def test_km_stops_at_the_first_covering_node():
+    stops = 0
+    for net, m0, targets in _criterion_10_full_nets(100):
+        full = karp_miller(net, m0, node_cap=20_000)
+        early = karp_miller(net, m0, node_cap=20_000, stop_at=targets)
+        first = next(
+            (
+                k for k, n in enumerate(full.nodes)
+                if any(all(map(ge, n.marking, t)) for t in targets)
+            ),
+            None,
+        )
+        shape = [(n.marking, n.via) for n in early.nodes]
+        if first is None:
+            assert not early.stopped
+            assert shape == [(n.marking, n.via) for n in full.nodes]
+            assert (early.bounded, early.capped, early.pump) == (
+                full.bounded, full.capped, full.pump,
+            )
+        else:
+            stops += 1
+            assert early.stopped and not early.capped
+            assert shape == [(n.marking, n.via) for n in full.nodes[: first + 1]]
+            assert any(early.covers(t) for t in targets)
+    assert 0 < stops < 100
+    # a root that covers a target is the whole tree
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import PetriNet
+
+    vec = CounterVector.make
+    net = PetriNet(
+        frozenset({"p", "q"}), {"t": vec({"p": 1})}, {"t": vec({"p": 1, "q": 1})},
+        {}, ("t",),
+    )
+    km = karp_miller(net, vec({"p": 1}), stop_at=[(1, 0)])
+    assert km.stopped and [n.marking for n in km.nodes] == [(1, 0)]
+
+
+def test_marking_bfs_stops_before_a_count_overflows():
+    # t: p -> 2p adds one token a firing; p's field lies below q's, so a
+    # count carried out of p's field would show up as a token on q
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import TOP, PetriNet
+
+    vec = CounterVector.make
+    net = PetriNet(
+        frozenset({"p", "q"}), {"t": vec({"p": 1})}, {"t": vec({"p": 2})}, {},
+        ("t",),
+    )
+    dense = net.dense()
+    seen, exhausted = marking_bfs(dense, dense.marking(vec({"p": 2**31 - 2})))
+    assert not exhausted
+    assert [dense.unpack(m) for m in seen] == [(2**31 - 2, 0), (2**31 - 1, 0)]
+    parents, exhausted = reachable_markings(net, vec({"p": 2**31 - 2}))
+    assert not exhausted
+    assert list(parents) == [vec({"p": 2**31 - 2}), vec({"p": 2**31 - 1})]
+    # a root at TOP is never packed into the search
+    assert marking_bfs(dense, (TOP, 0)) == ({}, False)
+    assert dense.unpack(dense.pack((5, 2**31 - 1))) == (5, 2**31 - 1)
+    assert dense.pack((2**40, 0)) == dense.pack((TOP, 0))
+
+
 def test_net_reachability_witness_golden():
     # the witness pins the marking BFS's parent order
     res = decide_sp_via_net(_word("ab"), _modular(5, 1, 0))
     assert (res.status, res.route) == ("fails", "net-reachability")
-    assert res.stats == {"km_nodes": 60, "km_capped": False, "markings": 76}
+    assert res.stats == {"km_nodes": 30, "km_capped": False, "markings": 76}
     assert "".join(a.symbol for a in res.witness["word"]) == "ababababab"
     assert res.witness["positions"] == (0, 1)
     a, b = "start|(0) a (p1:1)", "end|(p1:1) b (0)"
