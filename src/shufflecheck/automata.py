@@ -9,7 +9,7 @@ products) consumes the same two types: Letter and Dfa.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 

@@ -14,7 +14,6 @@ from . import decision, petri, representation, scalable, segments
 from .automata import (
     AutomatonError,
     Dfa,
-    accepts,
     parse_automaton,
     serialize_automaton,
     word,

@@ -19,7 +19,6 @@ from .automata import (
     is_prefix_closed,
     normalize,
     parse_letter,
-    render_word,
 )
 from .engine import (
     BudgetExceeded,

@@ -18,7 +18,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from .automata import Dfa, Letter, ParseError, UnknownLetter, Word, parse_letter
 
@@ -198,9 +198,6 @@ class ShuffleTransition:
 
     def __reduce__(self):
         return (ShuffleTransition, (self.source, self.letter, self.target, self.kind))
-
-    def triple(self) -> tuple:
-        return (self.source, self.letter, self.target)
 
     def shift(self, h: CounterVector) -> "ShuffleTransition":
         return ShuffleTransition(self.source.add(h), self.letter, self.target.add(h), self.kind)
@@ -583,11 +580,6 @@ def elementary_automaton(P: Dfa) -> Dfa:
     states = {ELEM_INITIAL, ELEM_CLOSED}
     delta = {}
     alphabet = []
-
-    def state_name(vec: CounterVector, kind_target: bool) -> str:
-        if vec.is_zero():
-            return ELEM_CLOSED if kind_target else ELEM_INITIAL
-        return str(vec)
 
     for t in sorted(transitions, key=lambda t: (str(t), t.kind)):
         a = Letter(t)

@@ -10,7 +10,7 @@ and sp_falsify here is the word-by-word reference it must match.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 

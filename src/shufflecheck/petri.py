@@ -7,15 +7,19 @@ finite.  The second net runs the three-track deletion system with
 unbounded counters; its reachability questions answer the closure decision
 where the fragment-based route is unavailable.
 
-Markings take three forms.  At the API boundary (the `iota` encodings,
-`enabled_step`, `replay_pump` and `reachable_markings`) a marking is a
-CounterVector keyed by place name.  Inside the searches it is indexed by
-the net's places in sorted order (`PetriNet.dense()`):
+A net is one `PetriNet`: its constructor takes the pre- and post-sets by
+place name and keeps them by position (place i is the i-th place in sorted
+order), together with what both searches read per transition.
 
-* `karp_miller` uses dense markings, tuples of counts where OMEGA marks a
-  count that it found unbounded;
+Markings take three forms:
+
+* at the API boundary (the `iota` encodings, `enabled_step`,
+  `replay_pump`, `reachable_markings` and the exports) a marking is a
+  CounterVector keyed by place name;
+* `karp_miller` uses dense markings, tuples of counts by place position
+  where OMEGA marks a count that it found unbounded (`PetriNet.marking`);
 * `marking_bfs` uses packed markings, one int holding a FIELD-bit count
-  per place (`DenseNet.pack`), so firing a transition is one addition.
+  per place (`PetriNet.pack`), so firing a transition is one addition.
 
 A search converts its root and targets on the way in;
 `reachable_markings` unpacks and converts each marking it found once on
@@ -29,14 +33,13 @@ from dataclasses import dataclass, field
 from operator import add, ge
 from typing import Optional
 
-from .automata import Dfa, Letter, complete
+from .automata import Dfa, complete
 from .engine import (
     CounterVector,
     END,
     INNER,
     START,
     START_END,
-    ShuffleTransition,
     ZERO,
     elementary_vector_states,
     engine_for,
@@ -57,82 +60,72 @@ TOP = 1 << (FIELD - 1)
 FIELD_MASK = (1 << FIELD) - 1
 
 
-@dataclass(frozen=True)
 class PetriNet:
-    places: frozenset
-    pre: dict  # transition id -> CounterVector over places
-    post: dict
-    meta: dict  # transition id -> decoding info
-    order: tuple  # deterministic transition order
+    """A place/transition net, held by position for the searches.
 
-    def reversed(self) -> "PetriNet":
-        return PetriNet(
-            self.places,
-            dict(self.post),
-            dict(self.pre),
-            self.meta,
-            self.order,
-        )
-
-    def dense(self) -> "DenseNet":
-        """The net by position, built on first use and kept on the net."""
-        cached = getattr(self, "_dense", None)
-        if cached is None:
-            cached = DenseNet.of(self)
-            object.__setattr__(self, "_dense", cached)
-        return cached
-
-
-@dataclass(eq=False)
-class DenseNet:
-    """A net's places and transitions by position, for the searches.
-
-    Place i is the i-th place in sorted order.  A dense marking is the
-    tuple of counts by place; a packed marking is one int with place i's
-    count in bits FIELD*i up to FIELD*(i+1).  A support is the bitmask of
-    a marking's nonzero places.  Transition j is `net.order[j]`.
+    Built from its places, its pre- and post-sets as
+    {transition: {place: positive count}}, `meta` (transition -> decoding
+    info) and `order`, the deterministic transition order.  Place i is the
+    i-th place in sorted order and transition j is `order[j]`.  A dense
+    marking is the tuple of counts by place; a packed marking is one int
+    with place i's count in bits FIELD*i up to FIELD*(i+1).  A support is
+    the bitmask of a marking's nonzero places.
     """
 
-    places: tuple  # place names, sorted
-    index: dict  # place name -> position
-    pre: tuple  # per transition: ((place position, count), ...)
-    post: tuple  # per transition: its post-set, a CounterVector
-    effect: tuple  # per transition: post - pre, one count per place
-    pre_mask: tuple  # per transition: bitmask of its pre-set
-    post_mask: tuple  # per transition: bitmask of its post-set
-    heavy: dict  # transition -> its pre-set, if some count there exceeds 1
-    # support -> the transitions whose pre-set it covers, in net order
-    ready: dict = field(default_factory=dict)
-    packing: Optional["Packing"] = None  # built by the first marking BFS
-
-    @staticmethod
-    def of(net: PetriNet) -> "DenseNet":
-        places = tuple(sorted(net.places))
-        index = {p: i for i, p in enumerate(places)}
-        pre, post, effect, pre_mask, post_mask, heavy = [], [], [], [], [], {}
-        for j, t in enumerate(net.order):
-            entries = tuple([(index[p], n) for p, n in net.pre[t].entries])
-            outputs = net.post[t]
-            eff = [0] * len(places)
-            into = out = 0
-            for i, n in entries:
-                eff[i] -= n
+    def __init__(self, places, pre: dict, post: dict, meta: dict, order: tuple):
+        self.places = places = tuple(sorted(places))
+        self.index = index = {p: i for i, p in enumerate(places)}
+        self.meta = meta  # transition -> decoding info
+        self.order = order
+        self.pre = []  # per transition: ((place position, count), ...)
+        self.post = []  # per transition: ((place position, count), ...)
+        self.effect = []  # per transition: post - pre, one count per place
+        self.packed_effect = []  # per transition: post - pre, packed
+        # per transition: ((field shift, support mask without the place), ...)
+        self.empties = []
+        self.pre_mask = []  # per transition: bitmask of its pre-set
+        self.post_mask = []  # per transition: bitmask of its post-set
+        self.heavy = {}  # transition -> its pre-set, if some count there exceeds 1
+        # support -> the transitions whose pre-set it covers, in net order
+        self.ready = {}
+        # the TOP bit of every field: TOP times the sum of 1 << FIELD*i
+        self.top = TOP * ((1 << (FIELD * len(places))) - 1) // FIELD_MASK
+        for j, t in enumerate(order):
+            inputs = tuple([(index[p], n) for p, n in pre[t].items()])
+            outputs = tuple([(index[p], n) for p, n in post[t].items()])
+            effect = [0] * len(places)
+            packed = into = out = 0
+            for i, n in inputs:
+                effect[i] -= n
+                packed -= n << (FIELD * i)
                 into |= 1 << i
                 if n > 1:
-                    heavy[j] = entries
-            for p, n in outputs.entries:
-                i = index[p]
-                eff[i] += n
+                    self.heavy[j] = inputs
+            # an output of TOP or more overflows whenever it fires, so TOP
+            # stands in for it in the packed effect; a need of TOP or more
+            # is never met
+            for i, n in outputs:
+                effect[i] += n
+                packed += (n if n < TOP else TOP) << (FIELD * i)
                 out |= 1 << i
-            pre.append(entries)
-            post.append(outputs)
-            effect.append(tuple(eff))
-            pre_mask.append(into)
-            post_mask.append(out)
-        return DenseNet(
-            places, index, tuple(pre), tuple(post), tuple(effect),
-            tuple(pre_mask), tuple(post_mask), heavy,
-        )
+            self.pre.append(inputs)
+            self.post.append(outputs)
+            self.effect.append(tuple(effect))
+            self.packed_effect.append(packed)
+            self.empties.append(tuple([(FIELD * i, ~(1 << i)) for i, _ in inputs]))
+            self.pre_mask.append(into)
+            self.post_mask.append(out)
+
+    def reversed(self) -> "PetriNet":
+        """The net with every transition's pre- and post-set swapped."""
+        places, order = self.places, self.order
+
+        def named(entries):
+            return {
+                t: {places[i]: n for i, n in entries[j]} for j, t in enumerate(order)
+            }
+
+        return PetriNet(places, named(self.post), named(self.pre), self.meta, order)
 
     def marking(self, v: CounterVector) -> tuple:
         out = [0] * len(self.places)
@@ -182,47 +175,6 @@ class DenseNet:
             if j not in heavy or all(m[i] >= n for i, n in heavy[j])
         )
 
-    def packed(self) -> "Packing":
-        """The net's transitions on packed markings, built on first use."""
-        if self.packing is None:
-            self.packing = Packing(self)
-        return self.packing
-
-
-class Packing:
-    """What `marking_bfs` needs to fire a net's transitions on packed
-    markings.  A transition's packed effect and empties are filled in
-    when it first fires, so a short search pays only for what it fires."""
-
-    def __init__(self, dense: DenseNet):
-        self.index, self.pre, self.post = dense.index, dense.pre, dense.post
-        count = len(dense.pre)
-        self.effect = [None] * count  # per transition: post - pre, packed
-        # per transition: ((field shift, support mask without the place), ...)
-        self.empties = [None] * count
-        # transition -> ((field shift, count), ...) of its pre-set
-        self.heavy = {
-            j: tuple([(FIELD * i, n) for i, n in entries])
-            for j, entries in dense.heavy.items()
-        }
-        # the TOP bit of every field: TOP times the sum of 1 << FIELD*i
-        self.top = TOP * ((1 << (FIELD * len(dense.places))) - 1) // FIELD_MASK
-
-    def fill(self, j: int) -> int:
-        """Fill in transition j and return its packed effect."""
-        index, entries = self.index, self.pre[j]
-        effect = 0
-        # an output of TOP or more overflows whenever it fires, so TOP
-        # stands in for it; a need of TOP or more is never met
-        for p, n in self.post[j].entries:
-            effect += (n if n < TOP else TOP) << (FIELD * index[p])
-        for i, n in entries:
-            effect -= n << (FIELD * i)
-        # effect[j] says that j is filled in, so it is stored last
-        self.empties[j] = tuple([(FIELD * i, ~(1 << i)) for i, _ in entries])
-        self.effect[j] = effect
-        return effect
-
 
 def _support(m: tuple) -> int:
     mask = 0
@@ -233,10 +185,12 @@ def _support(m: tuple) -> int:
 
 
 def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
-    left = M.sub(net.pre[t])
-    if left is None:
+    """The marking after firing t at M, or None when t is not enabled."""
+    j = net.order.index(t)
+    m = net.marking(M)
+    if any(m[i] < n for i, n in net.pre[j]):
         return None
-    return left.add(net.post[t])
+    return net.vector(tuple(map(add, m, net.effect[j])))
 
 
 @dataclass(slots=True)
@@ -256,10 +210,6 @@ class KMResult:
     capped: bool = False
     stopped: bool = False  # the last node covers a marking in stop_at
 
-    def covers(self, target: tuple) -> bool:
-        """Does some node's marking cover the dense marking target?"""
-        return any(all(map(ge, n.marking, target)) for n in self.nodes)
-
 
 def karp_miller(
     net: PetriNet,
@@ -274,7 +224,7 @@ def karp_miller(
     m accelerates against every ancestor am it strictly dominates (m >= am
     and m != am): each place where m > am becomes OMEGA.  The pump is the
     first acceleration whose parent marking has no OMEGA.  Node markings
-    are dense over `net.dense().places`.
+    are dense over `net.places`.
 
     The tree stops, `stopped` set, at the first node that covers a dense
     marking in stop_at; that node is the last of `nodes`, which are then
@@ -282,15 +232,13 @@ def karp_miller(
     that stopped or was capped.  When no node covers one, the tree is the
     one built without stop_at.
     """
-    dense = net.dense()
-    order, pre, effect = net.order, dense.pre, dense.effect
-    post_mask = dense.post_mask
+    order, pre, effect, post_mask = net.order, net.pre, net.effect, net.post_mask
     goals = [(t, _support(t)) for t in stop_at]
     # a node lacking a place that every goal needs covers none of them
     shared = -1
     for _, need in goals:
         shared &= need
-    start = dense.marking(m0)
+    start = net.marking(m0)
     root = KMNode(start, None, None, support=_support(start))
     nodes = [root]
     if goals and _covers_any(start, root.support, goals):
@@ -302,7 +250,7 @@ def karp_miller(
     while queue:
         node = queue.popleft()
         nm = node.marking
-        for j in dense.enabled(nm, node.support):
+        for j in net.enabled(nm, node.support):
             m = tuple(map(add, nm, effect[j]))
             support = node.support | post_mask[j]
             for i, _ in pre[j]:  # only a pre-set place can empty
@@ -370,7 +318,7 @@ def replay_pump(net: PetriNet, m0: CounterVector, pump: tuple) -> bool:
 
 
 def marking_bfs(
-    dense: DenseNet,
+    net: PetriNet,
     m0: tuple,
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
@@ -378,19 +326,16 @@ def marking_bfs(
     """(packed marking -> (packed parent, transition position), exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
-    markings (`DenseNet.pack`); stop_at holds packed markings.  The search
+    markings (`PetriNet.pack`); stop_at holds packed markings.  The search
     stops early, with exhausted False, when it reaches a marking in
     stop_at, when it holds more than cap markings, or when a count reaches
     TOP; that last marking is not kept, so every kept marking unpacks to
     its true counts.  The root's entry is (None, None); a root with a
     count of TOP or more gives an empty map.
     """
-    packing = dense.packed()
-    effect, empties, heavy, top = (
-        packing.effect, packing.empties, packing.heavy, packing.top,
-    )
-    ready, ready_at, post_mask = dense.ready, dense.ready_at, dense.post_mask
-    start = dense.pack(m0)
+    effect, empties, heavy, top = net.packed_effect, net.empties, net.heavy, net.top
+    ready, ready_at, post_mask = net.ready, net.ready_at, net.post_mask
+    start = net.pack(m0)
     if start & top:
         return {}, False
     seen = {start: (None, None)}
@@ -405,13 +350,10 @@ def marking_bfs(
             enabled = ready_at(support)
         for j in enabled:
             if heavy and j in heavy and not all(
-                (m >> s) & FIELD_MASK >= n for s, n in heavy[j]
+                (m >> (FIELD * i)) & FIELD_MASK >= n for i, n in heavy[j]
             ):
                 continue
-            e = effect[j]
-            if e is None:
-                e = packing.fill(j)
-            m2 = m + e
+            m2 = m + effect[j]
             if m2 in seen:
                 continue
             if m2 & top:
@@ -438,12 +380,11 @@ def reachable_markings(
     Stops early when any marking in stop_at is reached; exhausted is then
     False.
     """
-    dense = net.dense()
     seen, exhausted = marking_bfs(
-        dense, dense.marking(m0), cap,
-        frozenset(dense.pack(dense.marking(t)) for t in stop_at),
+        net, net.marking(m0), cap,
+        frozenset(net.pack(net.marking(t)) for t in stop_at),
     )
-    vector = {m: dense.vector(dense.unpack(m)) for m in seen}
+    vector = {m: net.vector(net.unpack(m)) for m in seen}
     parents = {
         vector[m]: (vector.get(prev), None if j is None else net.order[j])
         for m, (prev, j) in seen.items()
@@ -490,24 +431,22 @@ def build_npv(P: Dfa, V: Dfa) -> tuple:
             tid = f"{t.kind}|{t}|{r}"
             if t.kind == START:
                 (p,) = t.target.support()
-                pre[tid] = CounterVector.make({_vp(r): 1})
-                post[tid] = CounterVector.make({_pp(p): 1, _vp(s): 1})
+                pre[tid] = {_vp(r): 1}
+                post[tid] = {_pp(p): 1, _vp(s): 1}
             elif t.kind == INNER:
                 (q,) = t.source.support()
                 (p,) = t.target.support()
-                pre[tid] = CounterVector.make({_pp(q): 1, _vp(r): 1})
-                post[tid] = CounterVector.make({_pp(p): 1, _vp(s): 1})
+                pre[tid] = {_pp(q): 1, _vp(r): 1}
+                post[tid] = {_pp(p): 1, _vp(s): 1}
             elif t.kind == END:
                 (q,) = t.source.support()
-                pre[tid] = CounterVector.make({_pp(q): 1, _vp(r): 1})
-                post[tid] = CounterVector.make({_vp(s): 1})
+                pre[tid] = {_pp(q): 1, _vp(r): 1}
+                post[tid] = {_vp(s): 1}
             else:
-                pre[tid] = CounterVector.make({_vp(r): 1})
-                post[tid] = CounterVector.make({_vp(s): 1})
+                pre[tid] = {_vp(r): 1}
+                post[tid] = {_vp(s): 1}
             meta[tid] = {"core": t, "vfrom": r, "vto": s}
-    net = PetriNet(
-        frozenset(places), pre, post, meta, tuple(sorted(pre))
-    )
+    net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
         f, r = state
@@ -613,7 +552,6 @@ def decide_alf_zero_finite(
     if not targets:
         return AlfResult("finite", delta=frozenset(), states=frozenset())
     rev = net.reversed()
-    dense = rev.dense()
     backward_ok = True
     R: set = set()
     for tm in targets:
@@ -621,7 +559,7 @@ def decide_alf_zero_finite(
         if km.capped or not km.bounded:
             backward_ok = False
             break
-        seen, exhausted = marking_bfs(dense, dense.marking(tm), forward_cap)
+        seen, exhausted = marking_bfs(rev, rev.marking(tm), forward_cap)
         if not exhausted:
             backward_ok = False
             break
@@ -629,7 +567,7 @@ def decide_alf_zero_finite(
     if backward_ok:
         states, edges, exhausted = build_product(
             P, V, forward_cap,
-            keep=lambda state: dense.pack(dense.marking(iota(state))) in R,
+            keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
         )
         if not exhausted:
             return AlfResult("unknown", stats={"states": len(states)})
@@ -728,8 +666,8 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
                     (p,) = t.target.support()
                     pprod[_q1(p)] = pprod.get(_q1(p), 0) + 1
                     pprod[_q2(p)] = pprod.get(_q2(p), 0) + 1
-                pre[tid] = CounterVector.make(pcons)
-                post[tid] = CounterVector.make(pprod)
+                pre[tid] = pcons
+                post[tid] = pprod
                 meta[tid] = {"group": "S", "core": t, "v": (r1, r2)}
             # component step: only the composite track and the tracked
             # component move
@@ -748,10 +686,10 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
                 pprod[_q1(p)] = pprod.get(_q1(p), 0) + 1
             else:
                 pprod[CHECK_PLACE] = 1
-            pre[tid] = CounterVector.make(pcons)
-            post[tid] = CounterVector.make(pprod)
+            pre[tid] = pcons
+            post[tid] = pprod
             meta[tid] = {"group": "E", "core": t, "v": (r1,)}
-    net = PetriNet(frozenset(places), pre, post, meta, tuple(sorted(pre)))
+    net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
         q1, q2, (s1, s2, s3) = state
@@ -836,9 +774,8 @@ def decide_sp_via_net(
     net, iota = build_np_v_full(P, V)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO, ZERO)))
     nonfinals = sorted(set(V.states) - set(V.finals))
-    dense = net.dense()
     targets = [
-        dense.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+        net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
         for qf in sorted(V.finals)
         for qn in nonfinals
     ]
@@ -850,10 +787,8 @@ def decide_sp_via_net(
         # coverability is decided exactly, so no counterexample marking
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
-    packed = [dense.pack(t) for t in targets]
-    seen, exhausted = marking_bfs(
-        dense, dense.marking(m0), forward_cap, frozenset(packed)
-    )
+    packed = [net.pack(t) for t in targets]
+    seen, exhausted = marking_bfs(net, net.marking(m0), forward_cap, frozenset(packed))
     stats["markings"] = len(seen)
     hit = next((t for t in packed if t in seen), None)
     if hit is not None:
@@ -876,35 +811,25 @@ def to_pnml(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
     root = ET.Element("pnml")
     n = ET.SubElement(root, "net", id="net0", type="P/T net")
     page = ET.SubElement(n, "page", id="page0")
-    ids = {}
-    for i, p in enumerate(sorted(net.places)):
-        pid = f"p{i}"
-        ids[p] = pid
-        el = ET.SubElement(page, "place", id=pid)
+    for i, p in enumerate(net.places):
+        el = ET.SubElement(page, "place", id=f"p{i}")
         name = ET.SubElement(el, "name")
         ET.SubElement(name, "text").text = p
         if m0 is not None and m0.get(p):
             mk = ET.SubElement(el, "initialMarking")
             ET.SubElement(mk, "text").text = str(m0.get(p))
-    for i, t in enumerate(net.order):
-        tid = f"t{i}"
-        ids[t] = tid
-        el = ET.SubElement(page, "transition", id=tid)
+    for j, t in enumerate(net.order):
+        el = ET.SubElement(page, "transition", id=f"t{j}")
         name = ET.SubElement(el, "name")
         ET.SubElement(name, "text").text = t
     arc = 0
-    for i, t in enumerate(net.order):
-        for p, w in net.pre[t].entries:
+    for j in range(len(net.order)):
+        # arcs of one transition go in place order, inputs first
+        arcs = [(f"p{i}", f"t{j}", w) for i, w in sorted(net.pre[j])]
+        arcs += [(f"t{j}", f"p{i}", w) for i, w in sorted(net.post[j])]
+        for source, target, w in arcs:
             el = ET.SubElement(
-                page, "arc", id=f"a{arc}", source=ids[p], target=ids[t]
-            )
-            if w != 1:
-                ins = ET.SubElement(el, "inscription")
-                ET.SubElement(ins, "text").text = str(w)
-            arc += 1
-        for p, w in net.post[t].entries:
-            el = ET.SubElement(
-                page, "arc", id=f"a{arc}", source=ids[t], target=ids[p]
+                page, "arc", id=f"a{arc}", source=source, target=target
             )
             if w != 1:
                 ins = ET.SubElement(el, "inscription")
@@ -916,16 +841,17 @@ def to_pnml(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
 
 def to_dot(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
     lines = ["digraph net {", "  rankdir=LR;"]
-    for p in sorted(net.places):
+    places = net.places
+    for p in places:
         tokens = f"\\n{m0.get(p)}" if m0 is not None and m0.get(p) else ""
         lines.append(f'  "{p}" [shape=circle, label="{p}{tokens}"];')
-    for t in net.order:
+    for j, t in enumerate(net.order):
         lines.append(f'  "{t}" [shape=box];')
-        for p, w in net.pre[t].entries:
+        for i, w in sorted(net.pre[j]):
             label = f' [label="{w}"]' if w != 1 else ""
-            lines.append(f'  "{p}" -> "{t}"{label};')
-        for p, w in net.post[t].entries:
+            lines.append(f'  "{places[i]}" -> "{t}"{label};')
+        for i, w in sorted(net.post[j]):
             label = f' [label="{w}"]' if w != 1 else ""
-            lines.append(f'  "{t}" -> "{p}"{label};')
+            lines.append(f'  "{t}" -> "{places[i]}"{label};')
     lines.append("}")
     return "\n".join(lines)

@@ -18,8 +18,6 @@ from .automata import Dfa, Letter, complete, grave
 from .engine import (
     Computation,
     CounterVector,
-    END,
-    START_END,
     ShuffleTransition,
     ZERO,
     elementary_vector_states,

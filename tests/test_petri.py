@@ -1,5 +1,7 @@
 import random
+import xml.etree.ElementTree as ET
 from operator import ge
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,16 @@ from shufflecheck.petri import (
 from conftest import mk_dfa, random_dfa
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def tset(*texts):
     return frozenset(parse_transition(t) for t in texts)
+
+
+def _covered(km, target):
+    # does some node of the tree cover the dense marking target?
+    return any(all(map(ge, n.marking, target)) for n in km.nodes)
 
 
 def test_npv_structure(two_start, tracker4):
@@ -184,8 +194,8 @@ def test_km_accelerates_on_strict_domination():
     vec = CounterVector.make
     net = PetriNet(
         frozenset({"p", "q"}),
-        {"t": vec({"p": 1})},
-        {"t": vec({"p": 1, "q": 1})},
+        {"t": {"p": 1}},
+        {"t": {"p": 1, "q": 1}},
         {},
         ("t",),
     )
@@ -207,9 +217,8 @@ def test_km_agrees_with_marking_bfs_on_random_nets():
         except EmptyLanguage:
             continue
         net, m0 = _full_net(P, V)
-        dense = net.dense()
-        packed, exhausted = marking_bfs(dense, dense.marking(m0), 2000)
-        seen = [dense.unpack(m) for m in packed]
+        packed, exhausted = marking_bfs(net, net.marking(m0), 2000)
+        seen = [net.unpack(m) for m in packed]
         km = karp_miller(net, m0, node_cap=20_000)
         markings = {n.marking for n in km.nodes}
         if exhausted:
@@ -217,7 +226,7 @@ def test_km_agrees_with_marking_bfs_on_random_nets():
             assert markings == set(seen)
         elif not km.bounded and not km.capped:
             assert replay_pump(net, m0, km.pump)
-        assert all(m in markings or km.covers(m) for m in seen)
+        assert all(m in markings or _covered(km, m) for m in seen)
         checked += 1
 
 
@@ -234,9 +243,8 @@ def _criterion_10_full_nets(count):
             continue
         Vc = complete(V)
         net, iota = build_np_v_full(P, Vc)
-        dense = net.dense()
         targets = [
-            dense.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+            net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
             for qf in sorted(Vc.finals)
             for qn in sorted(set(Vc.states) - set(Vc.finals))
         ]
@@ -267,7 +275,7 @@ def test_km_stops_at_the_first_covering_node():
             stops += 1
             assert early.stopped and not early.capped
             assert shape == [(n.marking, n.via) for n in full.nodes[: first + 1]]
-            assert any(early.covers(t) for t in targets)
+            assert any(_covered(early, t) for t in targets)
     assert 0 < stops < 100
     # a root that covers a target is the whole tree
     from shufflecheck.engine import CounterVector
@@ -275,8 +283,7 @@ def test_km_stops_at_the_first_covering_node():
 
     vec = CounterVector.make
     net = PetriNet(
-        frozenset({"p", "q"}), {"t": vec({"p": 1})}, {"t": vec({"p": 1, "q": 1})},
-        {}, ("t",),
+        frozenset({"p", "q"}), {"t": {"p": 1}}, {"t": {"p": 1, "q": 1}}, {}, ("t",),
     )
     km = karp_miller(net, vec({"p": 1}), stop_at=[(1, 0)])
     assert km.stopped and [n.marking for n in km.nodes] == [(1, 0)]
@@ -290,20 +297,18 @@ def test_marking_bfs_stops_before_a_count_overflows():
 
     vec = CounterVector.make
     net = PetriNet(
-        frozenset({"p", "q"}), {"t": vec({"p": 1})}, {"t": vec({"p": 2})}, {},
-        ("t",),
+        frozenset({"p", "q"}), {"t": {"p": 1}}, {"t": {"p": 2}}, {}, ("t",),
     )
-    dense = net.dense()
-    seen, exhausted = marking_bfs(dense, dense.marking(vec({"p": 2**31 - 2})))
+    seen, exhausted = marking_bfs(net, net.marking(vec({"p": 2**31 - 2})))
     assert not exhausted
-    assert [dense.unpack(m) for m in seen] == [(2**31 - 2, 0), (2**31 - 1, 0)]
+    assert [net.unpack(m) for m in seen] == [(2**31 - 2, 0), (2**31 - 1, 0)]
     parents, exhausted = reachable_markings(net, vec({"p": 2**31 - 2}))
     assert not exhausted
     assert list(parents) == [vec({"p": 2**31 - 2}), vec({"p": 2**31 - 1})]
     # a root at TOP is never packed into the search
-    assert marking_bfs(dense, (TOP, 0)) == ({}, False)
-    assert dense.unpack(dense.pack((5, 2**31 - 1))) == (5, 2**31 - 1)
-    assert dense.pack((2**40, 0)) == dense.pack((TOP, 0))
+    assert marking_bfs(net, (TOP, 0)) == ({}, False)
+    assert net.unpack(net.pack((5, 2**31 - 1))) == (5, 2**31 - 1)
+    assert net.pack((2**40, 0)) == net.pack((TOP, 0))
 
 
 def test_net_reachability_witness_golden():
@@ -331,8 +336,8 @@ def test_searches_respect_arc_weights():
     vec = CounterVector.make
     net = PetriNet(
         frozenset({"p", "q"}),
-        {"t": vec({"p": 2}), "u": vec({"p": 2})},
-        {"t": vec({"q": 1}), "u": vec({"p": 3})},
+        {"t": {"p": 2}, "u": {"p": 2}},
+        {"t": {"q": 1}, "u": {"p": 3}},
         {},
         ("t", "u"),
     )
@@ -398,10 +403,30 @@ def test_net_decision_finds_counterexample(ring3, ring9):
     assert not accepts(ring9, w["remainder"])
 
 
-def test_exports_smoke(two_start, tracker4):
+def test_exports_golden(two_start, tracker4):
+    # place and transition ids, arc order and the initial marking
     net, iota = build_npv(two_start, tracker4)
     m0 = iota((ZERO, "1"))
-    pnml = to_pnml(net, m0)
-    assert pnml.startswith("<?xml") and "<place" in pnml and "<arc" in pnml
-    dot = to_dot(net, m0)
-    assert dot.startswith("digraph") and "->" in dot
+    stem = GOLDEN / "npv_two_start_tracker4"
+    assert to_pnml(net, m0) + "\n" == stem.with_suffix(".pnml").read_text()
+    assert to_dot(net, m0) + "\n" == stem.with_suffix(".dot").read_text()
+    # arc weights other than 1 are written out, and arcs go in place
+    # order whatever order the post-set was given in
+    from shufflecheck.petri import PetriNet
+
+    net = PetriNet({"p", "q"}, {"t": {"p": 2}}, {"t": {"q": 3, "p": 1}}, {}, ("t",))
+    assert to_dot(net) == "\n".join([
+        "digraph net {",
+        "  rankdir=LR;",
+        '  "p" [shape=circle, label="p"];',
+        '  "q" [shape=circle, label="q"];',
+        '  "t" [shape=box];',
+        '  "p" -> "t" [label="2"];',
+        '  "t" -> "p";',
+        '  "t" -> "q" [label="3"];',
+        "}",
+    ])
+    assert [
+        (a.get("source"), a.get("target"), a.findtext("inscription/text"))
+        for a in ET.fromstring(to_pnml(net)).iter("arc")
+    ] == [("p0", "t0", "2"), ("t0", "p0", None), ("t0", "p1", "3")]
