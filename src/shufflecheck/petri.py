@@ -11,26 +11,26 @@ A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
 order), together with what both searches read per transition.
 
-Markings take three forms:
+Markings take two forms:
 
 * at the API boundary (the `iota` encodings, `enabled_step`,
   `replay_pump`, `reachable_markings` and the exports) a marking is a
   CounterVector keyed by place name;
-* `karp_miller` uses dense markings, tuples of counts by place position
-  where OMEGA marks a count that it found unbounded (`PetriNet.marking`);
-* `marking_bfs` uses packed markings, one int holding a FIELD-bit count
-  per place (`PetriNet.pack`), so firing a transition is one addition.
+* both searches, `karp_miller` and `marking_bfs`, use packed markings,
+  one int holding a FIELD-bit count per place (`PetriNet.pack`), so
+  firing a transition is one addition.  In `karp_miller` the field value
+  OMEGA_FIELD stands for ω, a count found unbounded.
 
 A search converts its root and targets on the way in;
 `reachable_markings` unpacks and converts each marking it found once on
-the way out.
+the way out, and a `KMNode` decodes its marking to a tuple of counts by
+place position, with OMEGA for ω, only when it is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add, ge
 from typing import Optional
 
 from .automata import Dfa, complete
@@ -48,8 +48,9 @@ from .engine import (
 DEFAULT_KM_NODE_CAP = 200_000
 DEFAULT_FORWARD_CAP = 500_000
 
-# A Karp–Miller count that no bound holds; absorbing under the addition of
-# a transition's effect, and not below any count.
+# A Karp–Miller count that no bound holds, as a decoded `KMNode.marking`
+# shows it; absorbing under the addition of a transition's effect, and not
+# below any count.
 OMEGA = float("inf")
 
 # Bits per place in a packed marking.  A count that reaches TOP, the top
@@ -58,6 +59,10 @@ OMEGA = float("inf")
 FIELD = 32
 TOP = 1 << (FIELD - 1)
 FIELD_MASK = (1 << FIELD) - 1
+# ω in a packed Karp–Miller marking: the largest field value below TOP, so
+# it compares above every finite count with TOP as the guard bit.  A finite
+# count that would reach it caps the tree.
+OMEGA_FIELD = TOP - 1
 
 
 class PetriNet:
@@ -67,9 +72,9 @@ class PetriNet:
     {transition: {place: positive count}}, `meta` (transition -> decoding
     info) and `order`, the deterministic transition order.  Place i is the
     i-th place in sorted order and transition j is `order[j]`.  A dense
-    marking is the tuple of counts by place; a packed marking is one int
-    with place i's count in bits FIELD*i up to FIELD*(i+1).  A support is
-    the bitmask of a marking's nonzero places.
+    marking is the tuple of counts by place; the searches pack it into one
+    int with place i's count in bits FIELD*i up to FIELD*(i+1).  A support
+    is the bitmask of a marking's nonzero places.
     """
 
     def __init__(self, places, pre: dict, post: dict, meta: dict, order: tuple):
@@ -79,7 +84,6 @@ class PetriNet:
         self.order = order
         self.pre = []  # per transition: ((place position, count), ...)
         self.post = []  # per transition: ((place position, count), ...)
-        self.effect = []  # per transition: post - pre, one count per place
         self.packed_effect = []  # per transition: post - pre, packed
         # per transition: ((field shift, support mask without the place), ...)
         self.empties = []
@@ -93,39 +97,25 @@ class PetriNet:
         for j, t in enumerate(order):
             inputs = tuple([(index[p], n) for p, n in pre[t].items()])
             outputs = tuple([(index[p], n) for p, n in post[t].items()])
-            effect = [0] * len(places)
             packed = into = out = 0
+            # a need of TOP or more is met by no finite count, only by ω,
+            # so OMEGA_FIELD stands for it and ω minus it borrows nothing
             for i, n in inputs:
-                effect[i] -= n
-                packed -= n << (FIELD * i)
+                packed -= (n if n < TOP else OMEGA_FIELD) << (FIELD * i)
                 into |= 1 << i
                 if n > 1:
                     self.heavy[j] = inputs
             # an output of TOP or more overflows whenever it fires, so TOP
-            # stands in for it in the packed effect; a need of TOP or more
-            # is never met
+            # stands in for it in the packed effect
             for i, n in outputs:
-                effect[i] += n
                 packed += (n if n < TOP else TOP) << (FIELD * i)
                 out |= 1 << i
             self.pre.append(inputs)
             self.post.append(outputs)
-            self.effect.append(tuple(effect))
             self.packed_effect.append(packed)
             self.empties.append(tuple([(FIELD * i, ~(1 << i)) for i, _ in inputs]))
             self.pre_mask.append(into)
             self.post_mask.append(out)
-
-    def reversed(self) -> "PetriNet":
-        """The net with every transition's pre- and post-set swapped."""
-        places, order = self.places, self.order
-
-        def named(entries):
-            return {
-                t: {places[i]: n for i, n in entries[j]} for j, t in enumerate(order)
-            }
-
-        return PetriNet(places, named(self.post), named(self.pre), self.meta, order)
 
     def marking(self, v: CounterVector) -> tuple:
         out = [0] * len(self.places)
@@ -162,19 +152,6 @@ class PetriNet:
         self.ready[support] = ready
         return ready
 
-    def enabled(self, m: tuple, support: int) -> tuple:
-        """The transitions enabled at m, in net order; support is m's."""
-        ready = self.ready.get(support)
-        if ready is None:
-            ready = self.ready_at(support)
-        if not self.heavy:
-            return ready
-        heavy = self.heavy
-        return tuple(
-            j for j in ready
-            if j not in heavy or all(m[i] >= n for i, n in heavy[j])
-        )
-
 
 def _support(m: tuple) -> int:
     mask = 0
@@ -187,19 +164,37 @@ def _support(m: tuple) -> int:
 def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
     """The marking after firing t at M, or None when t is not enabled."""
     j = net.order.index(t)
-    m = net.marking(M)
-    if any(m[i] < n for i, n in net.pre[j]):
-        return None
-    return net.vector(tuple(map(add, m, net.effect[j])))
+    m = list(net.marking(M))
+    for i, n in net.pre[j]:
+        if m[i] < n:
+            return None
+        m[i] -= n
+    for i, n in net.post[j]:
+        m[i] += n
+    return net.vector(m)
 
 
 @dataclass(slots=True)
 class KMNode:
-    marking: tuple  # dense, with OMEGA where the count is unbounded
+    packed: int  # the marking, packed; a field holding OMEGA_FIELD is ω
     parent: Optional["KMNode"]
     via: Optional[str]
     accelerated: bool = False
-    support: int = 0  # bitmask of the nonzero places of marking
+    support: int = 0  # bitmask of the nonzero places of the marking
+    width: int = 0  # the number of places
+    # the decoded marking, once read; set from the start for a root whose
+    # counts do not fit below OMEGA_FIELD
+    _marking: Optional[tuple] = None
+
+    @property
+    def marking(self) -> tuple:
+        """The counts by place position, with OMEGA where unbounded."""
+        if self._marking is None:
+            x = self.packed
+            shifts = range(0, FIELD * self.width, FIELD)
+            counts = [(x >> s) & FIELD_MASK for s in shifts]
+            self._marking = tuple([OMEGA if n == OMEGA_FIELD else n for n in counts])
+        return self._marking
 
 
 @dataclass
@@ -222,9 +217,21 @@ def karp_miller(
     Deterministic: children expand in the net's transition order; nodes
     whose marking repeats an already-processed one become leaves.  A child
     m accelerates against every ancestor am it strictly dominates (m >= am
-    and m != am): each place where m > am becomes OMEGA.  The pump is the
-    first acceleration whose parent marking has no OMEGA.  Node markings
-    are dense over `net.places`.
+    and m != am): each place where m > am becomes ω.  The pump is the
+    first acceleration whose parent marking has no ω.
+
+    Markings are packed (`PetriNet.pack`) with OMEGA_FIELD in every ω
+    field, so a firing adds the transition's packed effect and writes
+    OMEGA_FIELD back into the parent's ω fields.  Every field stays below
+    TOP, whose bits serve as guard bits (Lamport, CACM 1975):
+    (m | top) - am keeps every guard bit exactly when m >= am, and
+    subtracting one more from each field leaves the guard bits of the
+    places where m > am.  A finite count that would reach OMEGA_FIELD stops
+    the tree, `capped` set, before that node is kept, as a count reaching
+    TOP stops `marking_bfs`; a root with such a count gives a capped tree
+    of the root alone.  A count grows by at most the largest output weight
+    per level, so with the builders' weights of at most 2 no net they make
+    reaches it under a node_cap below 2**29.
 
     The tree stops, `stopped` set, at the first node that covers a dense
     marking in stop_at; that node is the last of `nodes`, which are then
@@ -232,49 +239,85 @@ def karp_miller(
     that stopped or was capped.  When no node covers one, the tree is the
     one built without stop_at.
     """
-    order, pre, effect, post_mask = net.order, net.pre, net.effect, net.post_mask
-    goals = [(t, _support(t)) for t in stop_at]
+    order, effect, empties, post_mask = (
+        net.order, net.packed_effect, net.empties, net.post_mask
+    )
+    ready, ready_at, top = net.ready, net.ready_at, net.top
+    ones = top >> (FIELD - 1)  # a count of one in every field
+    # a need above OMEGA_FIELD is met by ω alone
+    heavy = {
+        j: tuple([(FIELD * i, min(n, OMEGA_FIELD)) for i, n in inputs])
+        for j, inputs in net.heavy.items()
+    }
+    width = len(net.places)
+    start = net.marking(m0)
+    if max(start, default=0) >= OMEGA_FIELD:
+        root = KMNode(
+            net.pack(start), None, None,
+            support=_support(start), width=width, _marking=start,
+        )
+        return KMResult(False, [root], None, capped=True)
+    goals = [
+        (sum(min(n, OMEGA_FIELD) << (FIELD * i) for i, n in enumerate(t)), _support(t))
+        for t in stop_at
+    ]
     # a node lacking a place that every goal needs covers none of them
     shared = -1
     for _, need in goals:
         shared &= need
-    start = net.marking(m0)
-    root = KMNode(start, None, None, support=_support(start))
+    root = KMNode(net.pack(start), None, None, support=_support(start), width=width)
     nodes = [root]
-    if goals and _covers_any(start, root.support, goals):
+    if goals and _covers_any(root.packed, root.support, goals, top):
         return KMResult(False, nodes, None, stopped=True)
-    processed = {start}
+    processed = {root.packed}
     queue = deque([root])
     pump = None
     unbounded = False
     while queue:
         node = queue.popleft()
-        nm = node.marking
-        for j in net.enabled(nm, node.support):
-            m = tuple(map(add, nm, effect[j]))
-            support = node.support | post_mask[j]
-            for i, _ in pre[j]:  # only a pre-set place can empty
-                if not m[i]:
-                    support &= ~(1 << i)
+        nm, nsupport = node.packed, node.support
+        guards = (nm + ones) & top  # the guard bits of nm's ω fields
+        omega = guards - (guards >> (FIELD - 1))  # nm's ω fields
+        keep = ~(omega | guards)
+        enabled = ready.get(nsupport)
+        if enabled is None:
+            enabled = ready_at(nsupport)
+        for j in enabled:
+            if heavy and j in heavy and not all(
+                (nm >> s) & FIELD_MASK >= n for s, n in heavy[j]
+            ):
+                continue
+            m = nm + effect[j]
+            if omega:
+                m = m & keep | omega
+            if (m + ones) & top != guards:  # a finite count reached OMEGA_FIELD
+                return KMResult(False, nodes, pump, capped=True)
+            support = nsupport | post_mask[j]
+            for s, bit in empties[j]:  # only a pre-set place can empty
+                if not (m >> s) & FIELD_MASK:
+                    support &= bit
             accelerated = False
             absent = ~support
             anc = node
             while anc is not None:
-                am = anc.marking
-                if not anc.support & absent and m != am and all(map(ge, m, am)):
-                    if pump is None and OMEGA not in nm:
-                        prefix = _path_to_root(anc)
-                        full = _path_to_root(node) + [order[j]]
-                        pump = (tuple(prefix), tuple(full[len(prefix):]))
-                    m = tuple([OMEGA if x > y else x for x, y in zip(m, am)])
-                    accelerated = unbounded = True
+                if not anc.support & absent:
+                    diff = (m | top) - anc.packed
+                    if diff & top == top:  # m >= am
+                        grew = (diff - ones) & top  # where m > am
+                        if grew:
+                            if pump is None and not omega:
+                                prefix = _path_to_root(anc)
+                                full = _path_to_root(node) + [order[j]]
+                                pump = (tuple(prefix), tuple(full[len(prefix):]))
+                            m |= grew - (grew >> (FIELD - 1))
+                            accelerated = unbounded = True
                 anc = anc.parent
             if m in processed:
                 continue
             processed.add(m)
-            child = KMNode(m, node, order[j], accelerated, support)
+            child = KMNode(m, node, order[j], accelerated, support, width)
             nodes.append(child)
-            if goals and not shared & absent and _covers_any(m, support, goals):
+            if goals and not shared & absent and _covers_any(m, support, goals, top):
                 return KMResult(False, nodes, pump, stopped=True)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)
@@ -282,13 +325,14 @@ def karp_miller(
     return KMResult(not unbounded, nodes, pump)
 
 
-def _covers_any(m: tuple, support: int, goals: list) -> bool:
-    """Does m, whose support is `support`, cover the marking of some
-    (marking, support) pair in goals?  A goal that needs a place outside
-    the support is skipped without reading its counts."""
+def _covers_any(m: int, support: int, goals: list, top: int) -> bool:
+    """Does the packed marking m, whose support is `support`, cover the
+    marking of some (packed marking, support) pair in goals?  A goal that
+    needs a place outside the support is skipped without reading its
+    counts; `top` holds the guard bits."""
     absent = ~support
     return any(
-        not need & absent and all(map(ge, m, t)) for t, need in goals
+        not need & absent and ((m | top) - t) & top == top for t, need in goals
     )
 
 
@@ -414,11 +458,12 @@ def _vp(q) -> str:
     return f"V::{q}"
 
 
-def build_npv(P: Dfa, V: Dfa) -> tuple:
+def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
     """Net simulating the product of the counter semiautomaton with V.
 
     Returns (net, iota) where iota maps a product state (vector, V-state)
-    to its marking.
+    to its marking.  With backward set, every transition's pre- and
+    post-set are swapped, so the net runs the product in reverse.
     """
     eng = engine_for(P)
     places = {_pp(q) for q in P.states} | {_vp(r) for r in V.states}
@@ -446,6 +491,8 @@ def build_npv(P: Dfa, V: Dfa) -> tuple:
                 pre[tid] = {_vp(r): 1}
                 post[tid] = {_vp(s): 1}
             meta[tid] = {"core": t, "vfrom": r, "vto": s}
+    if backward:
+        pre, post = post, pre
     net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
@@ -547,11 +594,10 @@ def decide_alf_zero_finite(
     finite; Unknown otherwise.
     """
     V = complete(V)
-    net, iota = build_npv(P, V)
+    rev, iota = build_npv(P, V, backward=True)
     targets = [iota((ZERO, qf)) for qf in sorted(V.finals)]
     if not targets:
         return AlfResult("finite", delta=frozenset(), states=frozenset())
-    rev = net.reversed()
     backward_ok = True
     R: set = set()
     for tm in targets:
@@ -573,6 +619,7 @@ def decide_alf_zero_finite(
             return AlfResult("unknown", stats={"states": len(states)})
         delta = frozenset(t for _src, t, _tgt in edges)
         return AlfResult("finite", delta=delta, states=frozenset(states))
+    net, _ = build_npv(P, V)
     km = karp_miller(net, iota((ZERO, V.initial)), node_cap)
     if not km.capped and km.bounded:
         states, edges, exhausted = build_product(P, V, forward_cap)

@@ -25,6 +25,7 @@ from shufflecheck.petri import (
     to_pnml,
 )
 from conftest import mk_dfa, random_dfa
+import km_reference
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,9 +231,8 @@ def test_km_agrees_with_marking_bfs_on_random_nets():
         checked += 1
 
 
-def _criterion_10_full_nets(count):
-    # the full deletion nets of the first `count` criterion-10 pairs, with
-    # the counterexample markings that decide_sp_via_net looks for
+def _criterion_10_pairs(count):
+    # the first `count` criterion-10 pairs, normalized, with V completed
     rng = random.Random(101010)
     while count:
         P = random_dfa(rng, max_states=3, alpha="ab")
@@ -241,7 +241,14 @@ def _criterion_10_full_nets(count):
             P, V = normalize(P), normalize(V)
         except EmptyLanguage:
             continue
-        Vc = complete(V)
+        yield P, complete(V)
+        count -= 1
+
+
+def _criterion_10_full_nets(count):
+    # the full deletion nets of the first `count` criterion-10 pairs, with
+    # the counterexample markings that decide_sp_via_net looks for
+    for P, Vc in _criterion_10_pairs(count):
         net, iota = build_np_v_full(P, Vc)
         targets = [
             net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
@@ -249,7 +256,6 @@ def _criterion_10_full_nets(count):
             for qn in sorted(set(Vc.states) - set(Vc.finals))
         ]
         yield net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))), targets
-        count -= 1
 
 
 def test_km_stops_at_the_first_covering_node():
@@ -287,6 +293,95 @@ def test_km_stops_at_the_first_covering_node():
     )
     km = karp_miller(net, vec({"p": 1}), stop_at=[(1, 0)])
     assert km.stopped and [n.marking for n in km.nodes] == [(1, 0)]
+
+
+def _km_tree(km):
+    # everything a tree holds, each node's parent given by its index
+    index = {id(n): k for k, n in enumerate(km.nodes)}
+    nodes = [
+        (
+            n.marking, n.via, n.accelerated, n.support,
+            None if n.parent is None else index[id(n.parent)],
+        )
+        for n in km.nodes
+    ]
+    return nodes, km.pump, km.bounded, km.capped, km.stopped
+
+
+def _assert_km_matches_reference(net, m0, stop_at=()):
+    packed = karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
+    dense = km_reference.karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
+    assert _km_tree(packed) == _km_tree(dense)
+
+
+def test_km_matches_the_dense_reference():
+    # the tree on packed markings equals the dense-tuple one node for node
+    for (net, m0, targets), (P, Vc) in zip(
+        _criterion_10_full_nets(100), _criterion_10_pairs(100)
+    ):
+        _assert_km_matches_reference(net, m0)
+        _assert_km_matches_reference(net, m0, targets)
+        forward, iota = build_npv(P, Vc)
+        _assert_km_matches_reference(forward, iota((ZERO, Vc.initial)))
+        # the backward net, which decide_alf_zero_finite searches from
+        # each accepting closure, is the forward one with arcs reversed
+        backward, _ = build_npv(P, Vc, backward=True)
+        assert (backward.places, backward.order) == (forward.places, forward.order)
+        assert (backward.pre, backward.post) == (forward.post, forward.pre)
+        for qf in sorted(Vc.finals):
+            _assert_km_matches_reference(backward, iota((ZERO, qf)))
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import PetriNet
+
+    vec = CounterVector.make
+    # the weighted net of test_searches_respect_arc_weights
+    net = PetriNet(
+        frozenset({"p", "q"}),
+        {"t": {"p": 2}, "u": {"p": 2}},
+        {"t": {"q": 1}, "u": {"p": 3}},
+        {},
+        ("t", "u"),
+    )
+    for m0 in (vec({"p": 1}), vec({"p": 2}), vec({"p": 3, "q": 1})):
+        _assert_km_matches_reference(net, m0)
+    # a need far above any finite count is met once p is ω
+    net = PetriNet(
+        frozenset({"p", "q"}),
+        {"t": {"p": 2**40}, "u": {"p": 1}},
+        {"t": {"q": 1}, "u": {"p": 2}},
+        {},
+        ("t", "u"),
+    )
+    _assert_km_matches_reference(net, vec({"p": 1}))
+    _assert_km_matches_reference(net, vec({"p": 1}), [(0, 2**40)])
+
+
+def test_km_stops_before_a_count_reaches_omega():
+    # t: p -> 2p adds one token a firing; p's field lies below q's, so a
+    # count carried out of p's field would show up as a token on q
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import OMEGA_FIELD, PetriNet
+
+    vec = CounterVector.make
+    net = PetriNet(
+        frozenset({"p", "q"}), {"t": {"p": 1}}, {"t": {"p": 2}}, {}, ("t",),
+    )
+    km = karp_miller(net, vec({"p": OMEGA_FIELD - 1}))
+    assert km.capped and [n.marking for n in km.nodes] == [(OMEGA_FIELD - 1, 0)]
+    # s: q -> 2p grows p without dominating an ancestor, so the tree
+    # keeps exact counts until p would reach OMEGA_FIELD
+    net = PetriNet(
+        frozenset({"p", "q"}), {"s": {"q": 1}}, {"s": {"p": 2}}, {}, ("s",),
+    )
+    km = karp_miller(net, vec({"p": OMEGA_FIELD - 4, "q": 2}))
+    assert km.capped
+    assert [n.marking for n in km.nodes] == [
+        (OMEGA_FIELD - 4, 2), (OMEGA_FIELD - 2, 1),
+    ]
+    # a root at or above OMEGA_FIELD is the whole, capped tree
+    for big in (OMEGA_FIELD, 2**40):
+        km = karp_miller(net, vec({"p": big, "q": 1}))
+        assert km.capped and [n.marking for n in km.nodes] == [(big, 1)]
 
 
 def test_marking_bfs_stops_before_a_count_overflows():
