@@ -106,16 +106,6 @@ def parse_letter(tok: str) -> Letter:
     return Letter(tok, index, mark)
 
 
-def render_word(w: Word) -> str:
-    """Human-readable rendering; concatenated when unambiguous."""
-    if not w:
-        return "ε"
-    parts = [str(a) for a in w]
-    if all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return " ".join(parts)
-
-
 @dataclass(frozen=True)
 class Dfa:
     """Deterministic automaton (finals nonempty) or semiautomaton.

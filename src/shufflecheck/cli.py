@@ -14,6 +14,9 @@ from . import decision, petri, representation, scalable, segments
 from .automata import (
     AutomatonError,
     Dfa,
+    complete,
+    grave,
+    normalize,
     parse_automaton,
     serialize_automaton,
     word,
@@ -59,8 +62,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    from .automata import grave, normalize
-
     P = normalize(_load(args.components))
     V = normalize(_load(args.constraint))
     comp = grave(P) if args.mode == "prefix" else P
@@ -149,8 +150,6 @@ def cmd_petri(args) -> int:
         net, iota = petri.build_npv(P, V)
         m0 = iota((ZERO, V.initial))
     else:
-        from .automata import complete
-
         Vc = complete(V)
         net, iota = petri.build_np_v_full(P, Vc)
         m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))

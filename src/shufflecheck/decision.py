@@ -29,8 +29,14 @@ from .engine import (
     sp_falsify,
     validate_in_shuffle,
 )
-from .petri import decide_alf_pre_finite, decide_alf_zero_finite, decide_sp_via_net
-from .representation import check_closure_prefix, check_closure_zero
+from .petri import (
+    DEFAULT_FORWARD_CAP,
+    DEFAULT_KM_NODE_CAP,
+    decide_alf_pre_finite,
+    decide_alf_zero_finite,
+    decide_sp_via_net,
+)
+from .representation import check_closure_prefix, check_closure_zero, decode_witness
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -51,8 +57,8 @@ class MalformedCertificate(Exception):
 @dataclass(frozen=True)
 class Budgets:
     falsifier_maxlen: int = 6
-    km_node_cap: int = 200_000
-    forward_cap: int = 500_000
+    km_node_cap: int = DEFAULT_KM_NODE_CAP
+    forward_cap: int = DEFAULT_FORWARD_CAP
 
     @staticmethod
     def profile(name: str) -> "Budgets":
@@ -100,8 +106,6 @@ def _word_cert(w, u, e, positions) -> dict:
 
 
 def _column_cert(columns) -> dict:
-    from .representation import decode_witness
-
     d = decode_witness(columns)
     return _word_cert(d["word"], d["remainder"], d["component"], d["positions"])
 

@@ -589,62 +589,34 @@ def decide_alf_zero_finite(
     """Finiteness of the transition alphabet restricted to interleavings
     that can still close all components inside V.
 
-    V must be a complete automaton with finals.  Exact when either the
-    backward (from the accepting closures) or forward marking space is
-    finite; Unknown otherwise.
+    V must be a complete automaton with finals.  The search runs backward:
+    R is the set of markings that reach an accepting closure (0, q_f), and
+    the forward product is walked inside R.  Exact when every backward
+    marking space is finite; Unknown when one is not, when node_cap stops
+    a backward tree, or when forward_cap stops the walk.
+
+    The forward marking space adds nothing once V is complete: a START
+    step is then enabled from every V-state, so the forward space is finite
+    only when P's core has no START step.  Every step is then a START_END
+    step, and each backward space, of at most |V| markings, is finite too.
     """
     V = complete(V)
     rev, iota = build_npv(P, V, backward=True)
-    targets = [iota((ZERO, qf)) for qf in sorted(V.finals)]
-    if not targets:
-        return AlfResult("finite", delta=frozenset(), states=frozenset())
-    backward_ok = True
     R: set = set()
-    for tm in targets:
-        km = karp_miller(rev, tm, node_cap)
+    for qf in sorted(V.finals):
+        km = karp_miller(rev, iota((ZERO, qf)), node_cap)
         if km.capped or not km.bounded:
-            backward_ok = False
-            break
-        seen, exhausted = marking_bfs(rev, rev.marking(tm), forward_cap)
-        if not exhausted:
-            backward_ok = False
-            break
-        R |= seen.keys()
-    if backward_ok:
-        states, edges, exhausted = build_product(
-            P, V, forward_cap,
-            keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
-        )
-        if not exhausted:
-            return AlfResult("unknown", stats={"states": len(states)})
-        delta = frozenset(t for _src, t, _tgt in edges)
-        return AlfResult("finite", delta=delta, states=frozenset(states))
-    net, _ = build_npv(P, V)
-    km = karp_miller(net, iota((ZERO, V.initial)), node_cap)
-    if not km.capped and km.bounded:
-        states, edges, exhausted = build_product(P, V, forward_cap)
-        if exhausted:
-            # every state with an edge into `back` is itself in `back`
-            back = _backward_states(states, edges, V)
-            delta = frozenset(t for _src, t, tgt in edges if tgt in back)
-            return AlfResult("finite", delta=delta, states=frozenset(back))
-    return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
-
-
-def _backward_states(states, edges, V: Dfa) -> set:
-    rev: dict = {}
-    for src, _t, tgt in edges:
-        rev.setdefault(tgt, set()).add(src)
-    goal = {s for s in states if s[0] == ZERO and s[1] in V.finals}
-    seen = set(goal)
-    queue = deque(goal)
-    while queue:
-        s = queue.popleft()
-        for prev in rev.get(s, ()):
-            if prev not in seen:
-                seen.add(prev)
-                queue.append(prev)
-    return seen
+            return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
+        # with no node accelerated, the tree holds every reachable marking
+        R.update(node.packed for node in km.nodes)
+    states, edges, exhausted = build_product(
+        P, V, forward_cap,
+        keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
+    )
+    if not exhausted:
+        return AlfResult("unknown", stats={"states": len(states)})
+    delta = frozenset(t for _src, t, _tgt in edges)
+    return AlfResult("finite", delta=delta, states=frozenset(states))
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,9 @@ def test_random_pairs_consistent(rng):
         # three components of ab first close a violation, at length 6,
         # beyond the falsifier bound of SMALL
         ("single_ab", "mod3_a", "general", SMALL, "fails", "net-reachability"),
-        # forward_cap 3 stops the backward search from F (five markings)
-        # but not the forward product (three states), so the zero route
-        # takes its forward branch
+        # forward_cap 3 bounds only the product walked inside the
+        # backward set (two states), not the backward search from F
+        # (five markings)
         ("single_a", "b_chain", "general", replace(SMALL, forward_cap=3),
          "holds", "zero-fragment"),
     ],

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import shufflecheck
@@ -52,3 +53,69 @@ def test_unused_import_check_sees_through_aliases_and_annotations():
         "    return ET",
     ])
     assert _unused_imports(source) == [(2, "os"), (4, "Any")]
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def _unreferenced_definitions() -> list:
+    """Module-level functions and classes of the package whose name no
+    line of src/, tests/ or perfbench/ outside their own definition
+    holds."""
+    lines = {
+        path: path.read_text().splitlines()
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = re.compile(rf"\b{re.escape(node.name)}\b")
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name.search(line)
+                for other, text in lines.items()
+                for i, line in enumerate(text, 1)
+                if not (other == path and i in own)
+            ):
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_every_definition_is_referenced():
+    assert _unreferenced_definitions() == []
+
+
+def _local_relative_imports(source: str) -> list:
+    """Lines of the relative imports made inside a function; lazy imports
+    from outside the package stay allowed."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.ImportFrom) and inner.level
+    })
+
+
+def test_no_function_local_relative_imports():
+    found = {
+        path.name: _local_relative_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_local_import_check_allows_lazy_stdlib_imports():
+    source = "\n".join([
+        "from .engine import ZERO",
+        "def f():",
+        "    import xml.etree.ElementTree as ET",
+        "    from collections import deque",
+        "    from .automata import grave",
+        "    def g():",
+        "        from . import petri",
+    ])
+    assert _local_relative_imports(source) == [5, 7]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from shufflecheck.automata import EmptyLanguage, complete, grave, normalize
-from shufflecheck.engine import ZERO, parse_transition
+from shufflecheck.engine import START, ZERO, engine_for, parse_transition
 from shufflecheck.petri import (
     build_np_v_full,
     build_npv,
@@ -106,14 +106,25 @@ def test_zero_route_finite_golden(single_ab, astar_b):
     )
 
 
-def test_zero_route_forward_branch_matches_backward(single_a, b_chain):
-    # forward_cap 3 stops the backward search from F (five markings) but
-    # not the forward product (three states)
-    backward = decide_alf_zero_finite(single_a, b_chain)
-    forward = decide_alf_zero_finite(single_a, b_chain, forward_cap=3)
-    assert backward.status == forward.status == "finite"
-    assert forward.delta == backward.delta == tset("(0) a (0) [start_end]")
-    assert forward.states == backward.states
+def test_zero_route_forward_cap_bounds_only_the_restricted_product(
+    single_a, b_chain
+):
+    # forward_cap bounds only the product walked inside the backward set
+    # (two states here), not the backward search from F (five markings)
+    uncapped = decide_alf_zero_finite(single_a, b_chain)
+    capped = decide_alf_zero_finite(single_a, b_chain, forward_cap=3)
+    assert uncapped.status == capped.status == "finite"
+    assert capped.delta == uncapped.delta == tset("(0) a (0) [start_end]")
+    assert capped.states == uncapped.states
+
+
+def test_zero_route_budgets(single_a, b_chain):
+    # node_cap bounds each backward tree: the one from F has five nodes
+    assert decide_alf_zero_finite(single_a, b_chain, node_cap=4).status == "unknown"
+    # the restricted product has two states, so a cap of two lets it finish
+    res = decide_alf_zero_finite(single_a, b_chain, forward_cap=2)
+    assert res.status == "finite"
+    assert res.delta == tset("(0) a (0) [start_end]")
 
 
 def test_km_bounded_on_finite_net(two_start, tracker4):
@@ -354,6 +365,24 @@ def test_km_matches_the_dense_reference():
     )
     _assert_km_matches_reference(net, vec({"p": 1}))
     _assert_km_matches_reference(net, vec({"p": 1}), [(0, 2**40)])
+
+
+def test_zero_route_needs_no_forward_search():
+    # With V complete, the forward tree is bounded exactly when the core
+    # has no START step; every backward tree then has at most |V| nodes,
+    # so the backward search settles every pair the forward one could.
+    for P, Vc in _criterion_10_pairs(300):
+        for comp in (P, grave(P)):
+            forward, iota = build_npv(comp, Vc)
+            km = karp_miller(forward, iota((ZERO, Vc.initial)))
+            bounded = not km.capped and km.bounded
+            no_start = all(t.kind != START for t in engine_for(comp).sigma_core())
+            assert bounded == no_start
+            if bounded:
+                backward, _ = build_npv(comp, Vc, backward=True)
+                for qf in Vc.finals:
+                    tree = karp_miller(backward, iota((ZERO, qf)))
+                    assert len(tree.nodes) <= len(Vc.states)
 
 
 def test_km_stops_before_a_count_reaches_omega():
