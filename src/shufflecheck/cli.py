@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the property holds (or the requested check passed), 1 it
-fails, 2 the bounded analysis was inconclusive, 3 usage or input error.
+fails, 2 the bounded analysis was inconclusive, 3 usage or input error,
+argparse's usage errors included; `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -210,6 +211,13 @@ def cmd_replay(args) -> int:
     return EXIT_HOLDS if ok else EXIT_ERROR
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflecheck",
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("components")
     p.add_argument("constraint")
     p.add_argument("--mode", choices=("prefix", "general"), default="prefix")
-    p.add_argument("--maxlen", type=int, default=6)
+    p.add_argument("--maxlen", type=_count, default=6)
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("wdelta", help="column system over a transition fragment")
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("components")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--segment", help="file with one vector per line, or 'K n'")
-    group.add_argument("--ball", type=int, help="norm ball bound n")
+    group.add_argument("--ball", type=_count, help="norm ball bound n")
     p.add_argument("--roles", action="store_true", help="print the letter-role split")
     p.add_argument("--emit", action="store_true", help="print the certified automaton")
     p.set_defaults(func=cmd_segments)
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base")
     p.add_argument("constraint")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--maxlen", type=int, default=8)
+    p.add_argument("--maxlen", type=_count, default=8)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_family)
 
@@ -278,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_ERROR if exc.code else 0
     try:
         return args.func(args)
     except (
@@ -286,6 +297,9 @@ def main(argv=None) -> int:
         BudgetExceeded,
         decision.InvalidQuery,
         decision.MalformedCertificate,
+        representation.NotSubsetOfShuffle,
+        scalable.NotASubset,
+        scalable.NotPrefixClosed,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,13 @@ that state.  The full transition relation is infinite but determined by a
 finite core plus a uniform shift law, so membership queries and all
 downstream constructions only ever touch finitely many vectors.
 
+`ShuffleEngine` is the one place that turns the component automaton's
+edges into steps.  It builds the core once, as two tables: `opening`, the
+steps from 0 that open a component on each letter, and `moving`, the
+steps that move one component out of a state on a letter.  Every step is
+a core step shifted by a vector (`successors`), and the Petri nets of
+`petri` take their arcs from the core steps' source and target vectors.
+
 Counter vectors and transitions are interned (hash-consed): constructing
 one looks its fields up in a weak table, so equal values are one object
 while any of them is alive, and equality and hashing are by identity.
@@ -289,8 +296,32 @@ class NotAComputation(Exception):
     pass
 
 
+def reached(steps) -> frozenset:
+    """The vectors reached from 0 along the finite step set."""
+    targets: dict = {}
+    for t in steps:
+        targets.setdefault(t.source, []).append(t.target)
+    reach = {ZERO}
+    frontier = [ZERO]
+    while frontier:
+        for g in targets.get(frontier.pop(), ()):
+            if g not in reach:
+                reach.add(g)
+                frontier.append(g)
+    return frozenset(reach)
+
+
 class ShuffleEngine:
-    """Per-component-automaton precomputation plus transition queries."""
+    """Per-component-automaton precomputation plus transition queries.
+
+    A step on letter a moves one component along P's a-edge from q (or
+    opens one at the initial state, from 0) to p: it leads the component
+    into p when p is non-dead (START from 0, INNER from q), closes it
+    when p is final (START_END, END), or both.  `opening` maps a letter,
+    and `moving` a (state, letter) pair with an edge, to those steps from
+    0 and from the unit vector of the state.  `core` holds the opening
+    steps and the moving steps out of `component_states`.
+    """
 
     def __init__(self, P: Dfa):
         self.P = P
@@ -315,29 +346,40 @@ class ShuffleEngine:
                         nxt.add(p)
             frontier = nxt
         self.component_states = frozenset(inner_reach & self.non_dead)
-        self._core = None
+        finals = P.effective_finals()
+
+        def steps(source: CounterVector, a: Letter, p) -> tuple:
+            out = []
+            if p in self.non_dead:
+                kind = START if source.is_zero() else INNER
+                out.append(ShuffleTransition(source, a, CounterVector.unit(p), kind))
+            if p in finals:
+                kind = START_END if source.is_zero() else END
+                out.append(ShuffleTransition(source, a, ZERO, kind))
+            return tuple(out)
+
+        self.opening = {
+            a: steps(ZERO, a, P.delta.get((P.initial, a))) for a in P.alphabet
+        }
+        self.moving = {
+            (q, a): steps(CounterVector.unit(q), a, p)
+            for (q, a), p in P.delta.items()
+        }
+        self.core = frozenset().union(
+            *self.opening.values(),
+            *(out for (q, _a), out in self.moving.items() if q in self.component_states),
+        )
 
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
-        """All transitions (f, a, g), tagged by kind."""
+        """All transitions (f, a, g), tagged by kind: the core steps on a
+        whose source f covers, shifted by f minus that source."""
         if a not in self.letters:
             raise UnknownLetter(f"letter {a} not in the alphabet")
-        P = self.P
-        out = set()
-        p0 = P.delta.get((P.initial, a))
-        if p0 is not None:
-            if p0 in self.non_dead:
-                out.add(ShuffleTransition(f, a, f.add(CounterVector.unit(p0)), START))
-            if p0 in P.effective_finals():
-                out.add(ShuffleTransition(f, a, f, START_END))
+        out = {ShuffleTransition(f, a, t.target.add(f), t.kind) for t in self.opening[a]}
+        moving = self.moving
         for q, _n in f.entries:
-            p = P.delta.get((q, a))
-            if p is None:
-                continue
-            base = f.sub(CounterVector.unit(q))
-            if p in self.non_dead:
-                out.add(ShuffleTransition(f, a, base.add(CounterVector.unit(p)), INNER))
-            if p in P.effective_finals():
-                out.add(ShuffleTransition(f, a, base, END))
+            for t in moving.get((q, a), ()):
+                out.add(ShuffleTransition(f, a, t.target.add(f.sub(t.source)), t.kind))
         return frozenset(out)
 
     def all_successors(self, f: CounterVector) -> frozenset:
@@ -353,44 +395,12 @@ class ShuffleEngine:
         so inner and end entries exist only for states that are entered by a
         nonempty word and can still continue.
         """
-        if self._core is not None:
-            return self._core
-        P = self.P
-        out = set()
-        finals = P.effective_finals()
-        for a in P.alphabet:
-            p0 = P.delta.get((P.initial, a))
-            if p0 is not None:
-                if p0 in self.non_dead:
-                    out.add(ShuffleTransition(ZERO, a, CounterVector.unit(p0), START))
-                if p0 in finals:
-                    out.add(ShuffleTransition(ZERO, a, ZERO, START_END))
-            for q in self.component_states:
-                p = P.delta.get((q, a))
-                if p is None:
-                    continue
-                if p in self.non_dead:
-                    out.add(
-                        ShuffleTransition(
-                            CounterVector.unit(q), a, CounterVector.unit(p), INNER
-                        )
-                    )
-                if p in finals:
-                    out.add(ShuffleTransition(CounterVector.unit(q), a, ZERO, END))
-        self._core = frozenset(out)
-        return self._core
+        return self.core
 
     def core_elementary(self) -> frozenset:
         """Core transitions reachable when tracking a single component."""
         core = self.sigma_core()
-        reach = {ZERO}
-        changed = True
-        while changed:
-            changed = False
-            for t in core:
-                if t.source in reach and t.target not in reach:
-                    reach.add(t.target)
-                    changed = True
+        reach = reached(core)
         return frozenset(t for t in core if t.source in reach)
 
     def reachable_vectors(self, max_norm: int) -> frozenset:

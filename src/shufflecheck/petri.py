@@ -7,6 +7,12 @@ finite.  The second net runs the three-track deletion system with
 unbounded counters; its reachability questions answer the closure decision
 where the fragment-based route is unavailable.
 
+Both simulations take their transitions from the engine's core steps, one
+per core step and control state, and their counter arcs from each core
+step's vectors: a transition consumes the step's source vector and
+produces its target vector on the counter places.  Neither looks at the
+kind of a step or at the component automaton's edges.
+
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
 order), together with what both searches read per transition.
@@ -34,16 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import Dfa, complete
-from .engine import (
-    CounterVector,
-    END,
-    INNER,
-    START,
-    START_END,
-    ZERO,
-    elementary_vector_states,
-    engine_for,
-)
+from .engine import CounterVector, ZERO, elementary_vector_states, engine_for
 
 DEFAULT_KM_NODE_CAP = 200_000
 DEFAULT_FORWARD_CAP = 500_000
@@ -458,6 +455,11 @@ def _vp(q) -> str:
     return f"V::{q}"
 
 
+def _arcs(place, v: CounterVector) -> dict:
+    """The counter arcs of the vector v, on the places named by `place`."""
+    return {place(q): n for q, n in v.entries}
+
+
 def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
     """Net simulating the product of the counter semiautomaton with V.
 
@@ -469,28 +471,15 @@ def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
     places = {_pp(q) for q in P.states} | {_vp(r) for r in V.states}
     pre, post, meta = {}, {}, {}
     for t in sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind)):
+        source, target = _arcs(_pp, t.source), _arcs(_pp, t.target)
         for r in sorted(V.states):
             s = V.delta.get((r, t.letter))
             if s is None:
                 continue
             tid = f"{t.kind}|{t}|{r}"
-            if t.kind == START:
-                (p,) = t.target.support()
-                pre[tid] = {_vp(r): 1}
-                post[tid] = {_pp(p): 1, _vp(s): 1}
-            elif t.kind == INNER:
-                (q,) = t.source.support()
-                (p,) = t.target.support()
-                pre[tid] = {_pp(q): 1, _vp(r): 1}
-                post[tid] = {_pp(p): 1, _vp(s): 1}
-            elif t.kind == END:
-                (q,) = t.source.support()
-                pre[tid] = {_pp(q): 1, _vp(r): 1}
-                post[tid] = {_vp(s): 1}
-            else:
-                pre[tid] = {_vp(r): 1}
-                post[tid] = {_vp(s): 1}
-            meta[tid] = {"core": t, "vfrom": r, "vto": s}
+            pre[tid] = {**source, _vp(r): 1}
+            post[tid] = {**target, _vp(s): 1}
+            meta[tid] = {"core": t}
     if backward:
         pre, post = post, pre
     net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
@@ -667,59 +656,34 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
     for t in core:
         a = t.letter
+        # a paired step moves the remainder's counters (Q2) as the
+        # composite's (Q1); a component step moves the composite's and the
+        # tracked component's (E), which closes on the check place
+        paired_pre = {**_arcs(_q1, t.source), **_arcs(_q2, t.source)}
+        paired_post = {**_arcs(_q1, t.target), **_arcs(_q2, t.target)}
+        component_pre = {_ep(t.source): 1, **_arcs(_q1, t.source)}
+        tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
+        component_post = {tracked: 1, **_arcs(_q1, t.target)}
         for r1 in sorted(V.states):
             s1 = V.delta[(r1, a)]
-            # paired step: remainder track follows the composite
             for r2 in sorted(V.states):
                 s2 = V.delta[(r2, a)]
                 tid = f"S|{t.kind}|{t}|{r1},{r2}"
-                pcons = {_v1(r1): 1}
-                pcons[_v2(r2)] = pcons.get(_v2(r2), 0) + 1
-                pprod = {_v1(s1): 1}
-                pprod[_v2(s2)] = pprod.get(_v2(s2), 0) + 1
-                if t.kind in (INNER, END):
-                    (q,) = t.source.support()
-                    pcons[_q1(q)] = 1
-                    pcons[_q2(q)] = 1
-                if t.kind in (START, INNER):
-                    (p,) = t.target.support()
-                    pprod[_q1(p)] = pprod.get(_q1(p), 0) + 1
-                    pprod[_q2(p)] = pprod.get(_q2(p), 0) + 1
-                pre[tid] = pcons
-                post[tid] = pprod
-                meta[tid] = {"group": "S", "core": t, "v": (r1, r2)}
-            # component step: only the composite track and the tracked
-            # component move
+                pre[tid] = {_v1(r1): 1, _v2(r2): 1, **paired_pre}
+                post[tid] = {_v1(s1): 1, _v2(s2): 1, **paired_post}
+                meta[tid] = {"group": "S", "core": t}
             tid = f"E|{t.kind}|{t}|{r1}"
-            pcons = {_v1(r1): 1}
-            pprod = {_v1(s1): 1}
-            if t.kind in (START, START_END):
-                pcons[_ep(ZERO)] = 1
-            else:
-                pcons[_ep(t.source)] = 1
-                (q,) = t.source.support()
-                pcons[_q1(q)] = pcons.get(_q1(q), 0) + 1
-            if t.kind in (START, INNER):
-                pprod[_ep(t.target)] = 1
-                (p,) = t.target.support()
-                pprod[_q1(p)] = pprod.get(_q1(p), 0) + 1
-            else:
-                pprod[CHECK_PLACE] = 1
-            pre[tid] = pcons
-            post[tid] = pprod
-            meta[tid] = {"group": "E", "core": t, "v": (r1,)}
+            pre[tid] = {_v1(r1): 1, **component_pre}
+            post[tid] = {_v1(s1): 1, **component_post}
+            meta[tid] = {"group": "E", "core": t}
     net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
         q1, q2, (s1, s2, s3) = state
-        counts = {_v1(q1): 1}
-        counts[_v2(q2)] = counts.get(_v2(q2), 0) + 1
-        for q, n in s1.entries:
-            counts[_q1(q)] = n
-        for q, n in s2.entries:
-            counts[_q2(q)] = n
-        key = CHECK_PLACE if s3 == "check" else _ep(s3)
-        counts[key] = counts.get(key, 0) + 1
+        check = CHECK_PLACE if s3 == "check" else _ep(s3)
+        counts = {_v1(q1): 1, _v2(q2): 1, check: 1}
+        counts.update(_arcs(_q1, s1))
+        counts.update(_arcs(_q2, s2))
         return CounterVector.make(counts)
 
     return net, iota

@@ -22,6 +22,7 @@ from .engine import (
     ZERO,
     elementary_vector_states,
     engine_for,
+    reached,
     validate_in_shuffle,
 )
 
@@ -113,14 +114,7 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
         if not validate_in_shuffle(P, t):
             raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
     # track 1: reachable from 0 along delta
-    s1 = {ZERO}
-    changed = True
-    while changed:
-        changed = False
-        for t in delta:
-            if t.source in s1 and t.target not in s1:
-                s1.add(t.target)
-                changed = True
+    s1 = reached(delta)
     # track 3: single-component vectors dominated by some track-1 vector
     s3 = {
         f
@@ -137,7 +131,7 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
     cap = max((f.norm for f in candidates), default=0)
     reachable = engine_for(P).reachable_vectors(cap)
     s2 = candidates & reachable
-    return frozenset(s1), frozenset(s2), frozenset(s3)
+    return s1, frozenset(s2), frozenset(s3)
 
 
 def _delta2_prime(P: Dfa, delta, s2) -> frozenset:

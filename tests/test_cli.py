@@ -164,3 +164,55 @@ def test_falsify_alphabet_mismatch_exits_3(files, capsys):
     # ring3 reads c, which alt's alphabet lacks
     assert main(["falsify", files["ring3"], files["alt"], "--mode", "general"]) == 3
     assert "not in the constraint alphabet" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_3(files, capsys):
+    # argparse's own usage exit is 2, which the CLI reserves for Unknown
+    assert main(["decide", files["alt"]]) == 3
+    assert main(["decide", files["alt"], files["alt"], "--mode", "both"]) == 3
+    assert main(["falsify", files["alt"], files["alt"], "--maxlen", "six"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+
+
+def test_negative_bounds_exit_3(files, capsys):
+    assert main(["falsify", files["ring3"], files["ring9"], "--maxlen", "-1"]) == 3
+    assert main(["segments", files["two_start"], "--ball", "-1"]) == 3
+    assert main(
+        ["family", files["alt"], files["alt"], "--size", "2", "--check",
+         "--maxlen", "-1"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "not a non-negative integer: '-1'" in err
+    assert "unexpected" not in err and "Traceback" not in err
+
+
+def _one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and "unexpected" not in err
+
+
+def test_wdelta_invalid_step_exits_3(files, capsys, tmp_path):
+    ab = mk_dfa("ab", [("1", "a", "2"), ("2", "b", "3")], "1", ["3"])
+    comp, delta = tmp_path / "ab.aut", tmp_path / "delta.txt"
+    comp.write_text(serialize_automaton(ab))
+    delta.write_text("(0) b (2:1) [start]\n")
+    assert main(["wdelta", str(comp), "--delta", str(delta)]) == 3
+    assert _one_error_line(capsys.readouterr().err)
+
+
+def test_family_bad_base_exits_3(files, capsys, single_ab, tmp_path):
+    # {ab} lacks the empty word
+    base = tmp_path / "base.aut"
+    base.write_text(serialize_automaton(single_ab))
+    assert main(["family", str(base), files["alt"], "--size", "2"]) == 3
+    assert _one_error_line(capsys.readouterr().err)
+    # a* is prefix closed but not inside {ε}
+    astar = mk_dfa("ab", [("1", "a", "1")], "1", ["1"])
+    eps = mk_dfa("ab", [], "1", ["1"])
+    constraint = tmp_path / "eps.aut"
+    base.write_text(serialize_automaton(astar))
+    constraint.write_text(serialize_automaton(eps))
+    assert main(["family", str(base), str(constraint), "--size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "not included" in err

@@ -1,9 +1,12 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import weakref
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,57 @@ def test_shift_law_reconstructs_successors(rng):
                     if h is not None:
                         expected.add(t.shift(h))
                 assert got == expected
+
+
+def _reference_successors(P, f, a):
+    # the definition of a step, case by case on the P-edge it follows: a
+    # component opens or moves into a non-dead state, or closes in a final one
+    non_dead = frozenset(q for (q, _a), _p in P.delta.items())
+    finals = P.effective_finals()
+    out = set()
+    p0 = P.delta.get((P.initial, a))
+    if p0 is not None:
+        if p0 in non_dead:
+            out.add(ShuffleTransition(f, a, f.add(CounterVector.unit(p0)), "start"))
+        if p0 in finals:
+            out.add(ShuffleTransition(f, a, f, "start_end"))
+    for q, _n in f.entries:
+        p = P.delta.get((q, a))
+        if p is None:
+            continue
+        base = f.sub(CounterVector.unit(q))
+        if p in non_dead:
+            out.add(ShuffleTransition(f, a, base.add(CounterVector.unit(p)), "inner"))
+        if p in finals:
+            out.add(ShuffleTransition(f, a, base, "end"))
+    return frozenset(out)
+
+
+def test_successors_and_core_match_the_step_definition():
+    # every vector of norm at most 3 over all of P's states, occupiable
+    # or not, on the first 100 criterion-10 draws and their prefix closures
+    rng = random.Random(101010)
+    for _ in range(100):
+        drawn = random_dfa(rng, max_states=3, alpha="ab")
+        random_dfa(rng, max_states=3, alpha="ab")  # the draw's V
+        for P in (drawn, grave(drawn)):
+            eng = engine_for(P)
+            states = sorted(P.states)
+            core = set()
+            for a in P.alphabet:
+                core |= _reference_successors(P, ZERO, a)
+                for q in eng.component_states:
+                    core |= {
+                        t
+                        for t in _reference_successors(P, CounterVector.unit(q), a)
+                        if t.kind in ("inner", "end")
+                    }
+            assert eng.sigma_core() == core
+            for n in range(4):
+                for combo in combinations_with_replacement(states, n):
+                    f = CounterVector.make(Counter(combo))
+                    for a in P.alphabet:
+                        assert eng.successors(f, a) == _reference_successors(P, f, a)
 
 
 def test_computation_validates_chaining():

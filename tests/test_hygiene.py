@@ -119,3 +119,37 @@ def test_local_import_check_allows_lazy_stdlib_imports():
         "        from . import petri",
     ])
     assert _local_relative_imports(source) == [5, 7]
+
+
+STEP_KINDS = {"START", "INNER", "END", "START_END"}
+
+
+def _step_kind_imports(source: str) -> list:
+    """The step kinds that a module imports by name."""
+    return sorted({
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in STEP_KINDS
+    })
+
+
+def test_only_the_engine_makes_steps():
+    # the engine turns P's edges into steps; the other modules read the
+    # steps' vectors, and oracle.py is the brute-force reference
+    found = {
+        path.name: _step_kind_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("engine.py", "oracle.py")
+    }
+    assert {name: kinds for name, kinds in found.items() if kinds} == {}
+
+
+def test_step_kind_check_sees_imports():
+    source = "\n".join([
+        "from .engine import CounterVector, END, START",
+        "from shufflecheck.engine import INNER as inner",
+        "KIND = 'start_end'",
+    ])
+    assert _step_kind_imports(source) == ["END", "INNER", "START"]

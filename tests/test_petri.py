@@ -527,6 +527,15 @@ def test_net_decision_finds_counterexample(ring3, ring9):
     assert not accepts(ring9, w["remainder"])
 
 
+def test_deletion_net_export_golden(two_start, tracker4):
+    # places, transition ids and arcs of the three-track deletion net
+    Vc = complete(tracker4)
+    net, iota = build_np_v_full(two_start, Vc)
+    m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+    golden = GOLDEN / "npv_full_two_start_tracker4.dot"
+    assert to_dot(net, m0) + "\n" == golden.read_text()
+
+
 def test_exports_golden(two_start, tracker4):
     # place and transition ids, arc order and the initial marking
     net, iota = build_npv(two_start, tracker4)
