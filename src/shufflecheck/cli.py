@@ -15,6 +15,7 @@ from . import decision, petri, representation, scalable, segments
 from .automata import (
     AutomatonError,
     Dfa,
+    ParseError,
     complete,
     grave,
     normalize,
@@ -111,7 +112,10 @@ def _load_segment(args) -> segments.InitialSegment:
         text = fh.read()
     stripped = text.strip()
     if stripped.startswith("K ") or stripped.startswith("K\t"):
-        return segments.InitialSegment.norm_ball(int(stripped.split()[1]))
+        bound = stripped.split()[1]
+        if not bound.isdecimal():
+            raise ParseError(f"segment bound is not a non-negative integer: {bound!r}")
+        return segments.InitialSegment.norm_ball(int(bound))
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
@@ -147,6 +151,7 @@ def cmd_segments(args) -> int:
 def cmd_petri(args) -> int:
     P = _load(args.components)
     V = _load(args.constraint)
+    decision.check_alphabets(P, V)
     if args.which == "npv":
         net, iota = petri.build_npv(P, V)
         m0 = iota((ZERO, V.initial))
@@ -218,6 +223,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A positive integer option value."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflecheck",
@@ -265,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="indexed family member and stability check")
     p.add_argument("base")
     p.add_argument("constraint")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_positive, required=True)
     p.add_argument("--maxlen", type=_count, default=8)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_family)

@@ -87,11 +87,16 @@ class Verdict:
     stats: dict = field(default_factory=dict)
 
 
+def check_alphabets(P: Dfa, V: Dfa):
+    """Raise InvalidQuery unless P and V read the same letters."""
+    if set(P.alphabet) != set(V.alphabet):
+        raise InvalidQuery("component and constraint alphabets differ")
+
+
 def _check_query(P: Dfa, V: Dfa, mode: str):
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
-    if set(P.alphabet) != set(V.alphabet):
-        raise InvalidQuery("component and constraint alphabets differ")
+    check_alphabets(P, V)
     if mode == PREFIX and not is_prefix_closed(V):
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
 

@@ -11,7 +11,12 @@ Both simulations take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
 step's vectors: a transition consumes the step's source vector and
 produces its target vector on the counter places.  Neither looks at the
-kind of a step or at the component automaton's edges.
+kind of a step or at the component automaton's edges.  The deletion net
+first searches its control states, the V1-state, V2-state and tracked
+place that hold one token each, from its initial marking with every
+counter place unbounded (`_live_controls`), and builds only the
+transitions whose control pre-set that search reaches; the rest could
+never fire from that marking.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -634,12 +639,58 @@ def _ep(vec: CounterVector) -> str:
     return f"E::{vec}"
 
 
+def _live_controls(V: Dfa, core) -> tuple:
+    """The control states of the deletion net that a run from
+    (V.initial, V.initial, E::0) can reach, as (pairs, tracked pairs).
+
+    A control state (r1, r2, e) holds the V1-state, the V2-state and the
+    tracked place, an E:: place or CHECK_PLACE; these are the one-token
+    groups of `one_token_groups`.  The search takes every counter place
+    as unbounded, so it reaches every control state the net can mark, and
+    maybe more.  A paired step on a letter a of the core maps (r1, r2, e)
+    to (δ(r1, a), δ(r2, a), e).  A component step on a core step t, with
+    letter a, maps (r1, r2, E::t.source) to (δ(r1, a), r2, e'), where e'
+    is CHECK_PLACE when t's target is 0 and E::t.target otherwise.  The
+    steps are indexed by letter and by tracked place, so the search costs
+    about |controls| × (letters + steps per place).  pairs holds the
+    (r1, r2) and tracked pairs the (r1, e) of the control states reached.
+    """
+    delta = V.delta
+    letters = {t.letter for t in core}
+    moves = {}  # tracked place -> {(letter, tracked place after the step)}
+    for t in core:
+        tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
+        moves.setdefault(_ep(t.source), set()).add((t.letter, tracked))
+    start = (V.initial, V.initial, _ep(ZERO))
+    seen = {start}
+    stack = [start]
+    while stack:
+        r1, r2, e = stack.pop()
+        successors = [(delta[(r1, a)], delta[(r2, a)], e) for a in letters]
+        successors += [(delta[(r1, a)], r2, e2) for a, e2 in moves.get(e, ())]
+        for control in successors:
+            if control not in seen:
+                seen.add(control)
+                stack.append(control)
+    return {(r1, r2) for r1, r2, _ in seen}, {(r1, e) for r1, _, e in seen}
+
+
 def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     """Net executing the three-track deletion system with free counters.
 
     Paired transitions advance the composite and remainder tracks in step;
     single-sided transitions advance the composite and the one tracked
     component.  Returns (net, iota).
+
+    The net holds every place, but only the transitions whose control
+    pre-set a run from (V.initial, V.initial, E::0) can mark: a paired
+    transition on V-states (r1, r2) needs (r1, r2) among `_live_controls`'
+    V-state pairs, and a component transition on r1 from E::f needs
+    (r1, E::f) among its tracked pairs.  The search over-approximates the
+    net, so a dropped transition is never enabled in a marking reachable
+    from there, and every search from that marking finds the markings and
+    firings it would find in the net with all of them.  The transitions
+    kept have the same names, arcs, meta and relative order.
     """
     V = complete(V)
     eng = engine_for(P)
@@ -654,6 +705,11 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     )
     pre, post, meta = {}, {}, {}
     core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
+    pairs, tracked_pairs = _live_controls(V, core)
+    partners = {}  # r1 -> the r2 of its live pairs, in sorted order
+    for r1, r2 in sorted(pairs):
+        partners.setdefault(r1, []).append(r2)
+    vstates = sorted(V.states)
     for t in core:
         a = t.letter
         # a paired step moves the remainder's counters (Q2) as the
@@ -661,17 +717,20 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
         # tracked component's (E), which closes on the check place
         paired_pre = {**_arcs(_q1, t.source), **_arcs(_q2, t.source)}
         paired_post = {**_arcs(_q1, t.target), **_arcs(_q2, t.target)}
-        component_pre = {_ep(t.source): 1, **_arcs(_q1, t.source)}
+        source = _ep(t.source)
+        component_pre = {source: 1, **_arcs(_q1, t.source)}
         tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
         component_post = {tracked: 1, **_arcs(_q1, t.target)}
-        for r1 in sorted(V.states):
+        for r1 in vstates:
             s1 = V.delta[(r1, a)]
-            for r2 in sorted(V.states):
+            for r2 in partners.get(r1, ()):
                 s2 = V.delta[(r2, a)]
                 tid = f"S|{t.kind}|{t}|{r1},{r2}"
                 pre[tid] = {_v1(r1): 1, _v2(r2): 1, **paired_pre}
                 post[tid] = {_v1(s1): 1, _v2(s2): 1, **paired_post}
                 meta[tid] = {"group": "S", "core": t}
+            if (r1, source) not in tracked_pairs:
+                continue
             tid = f"E|{t.kind}|{t}|{r1}"
             pre[tid] = {_v1(r1): 1, **component_pre}
             post[tid] = {_v1(s1): 1, **component_post}

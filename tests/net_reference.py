@@ -1,0 +1,73 @@
+"""The three-track deletion net with every transition, the reference for
+`petri.build_np_v_full`.
+
+`shufflecheck.petri.build_np_v_full` builds only the transitions whose
+control pre-set a run from the initial marking can mark; this builds one
+paired transition per core step and pair of V-states and one component
+transition per core step and V-state, so a test can require the two nets
+to agree on every transition the smaller one keeps and every search to
+see the same markings in both.
+"""
+
+from __future__ import annotations
+
+from shufflecheck.automata import Dfa, complete
+from shufflecheck.engine import CounterVector, elementary_vector_states, engine_for
+from shufflecheck.petri import (
+    CHECK_PLACE,
+    PetriNet,
+    _arcs,
+    _ep,
+    _q1,
+    _q2,
+    _v1,
+    _v2,
+)
+
+
+def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
+    """(net, iota) of the deletion net with every transition, in the
+    names, arcs, meta and order that `petri.build_np_v_full` uses."""
+    V = complete(V)
+    eng = engine_for(P)
+    evecs = sorted(elementary_vector_states(P), key=str)
+    places = (
+        {_v1(q) for q in V.states}
+        | {_v2(q) for q in V.states}
+        | {_q1(q) for q in P.states}
+        | {_q2(q) for q in P.states}
+        | {_ep(v) for v in evecs}
+        | {CHECK_PLACE}
+    )
+    pre, post, meta = {}, {}, {}
+    core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
+    for t in core:
+        a = t.letter
+        paired_pre = {**_arcs(_q1, t.source), **_arcs(_q2, t.source)}
+        paired_post = {**_arcs(_q1, t.target), **_arcs(_q2, t.target)}
+        component_pre = {_ep(t.source): 1, **_arcs(_q1, t.source)}
+        tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
+        component_post = {tracked: 1, **_arcs(_q1, t.target)}
+        for r1 in sorted(V.states):
+            s1 = V.delta[(r1, a)]
+            for r2 in sorted(V.states):
+                s2 = V.delta[(r2, a)]
+                tid = f"S|{t.kind}|{t}|{r1},{r2}"
+                pre[tid] = {_v1(r1): 1, _v2(r2): 1, **paired_pre}
+                post[tid] = {_v1(s1): 1, _v2(s2): 1, **paired_post}
+                meta[tid] = {"group": "S", "core": t}
+            tid = f"E|{t.kind}|{t}|{r1}"
+            pre[tid] = {_v1(r1): 1, **component_pre}
+            post[tid] = {_v1(s1): 1, **component_post}
+            meta[tid] = {"group": "E", "core": t}
+    net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
+
+    def iota(state) -> CounterVector:
+        q1, q2, (s1, s2, s3) = state
+        check = CHECK_PLACE if s3 == "check" else _ep(s3)
+        counts = {_v1(q1): 1, _v2(q2): 1, check: 1}
+        counts.update(_arcs(_q1, s1))
+        counts.update(_arcs(_q2, s2))
+        return CounterVector.make(counts)
+
+    return net, iota

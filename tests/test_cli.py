@@ -216,3 +216,34 @@ def test_family_bad_base_exits_3(files, capsys, single_ab, tmp_path):
     assert main(["family", str(base), str(constraint), "--size", "2"]) == 3
     err = capsys.readouterr().err
     assert _one_error_line(err) and "not included" in err
+
+
+def test_petri_alphabet_mismatch_exits_3(files, capsys, single_ab, tmp_path):
+    # {ab} reads b, which a constraint over {a} lacks
+    comp, constraint = tmp_path / "ab.aut", tmp_path / "a.aut"
+    comp.write_text(serialize_automaton(single_ab))
+    constraint.write_text(serialize_automaton(mk_dfa("a", [("1", "a", "1")], "1", ["1"])))
+    for which in ("npv", "npvfull"):
+        assert main(["petri", str(comp), str(constraint), "--which", which]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert _one_error_line(err) and "alphabets differ" in err
+
+
+def test_family_size_below_1_exits_3(files, capsys):
+    for size in ("-1", "0"):
+        code = main(["family", files["alt"], files["alt"], "--size", size, "--check"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"not a positive integer: '{size}'" in err
+        assert "unexpected" not in err and "Traceback" not in err
+
+
+def test_segment_bad_bound_exits_3(files, capsys, tmp_path):
+    seg = tmp_path / "seg.txt"
+    for bound in ("-1", "x"):
+        seg.write_text(f"K {bound}\n")
+        assert main(["segments", files["two_start"], "--segment", str(seg)]) == 3
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and repr(bound) in err

@@ -26,6 +26,7 @@ from shufflecheck.petri import (
 )
 from conftest import mk_dfa, random_dfa
 import km_reference
+import net_reference
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -256,16 +257,21 @@ def _criterion_10_pairs(count):
         count -= 1
 
 
+def _counterexample_targets(net, iota, Vc):
+    # the markings that decide_sp_via_net looks for
+    return [
+        net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+        for qf in sorted(Vc.finals)
+        for qn in sorted(set(Vc.states) - set(Vc.finals))
+    ]
+
+
 def _criterion_10_full_nets(count):
     # the full deletion nets of the first `count` criterion-10 pairs, with
     # the counterexample markings that decide_sp_via_net looks for
     for P, Vc in _criterion_10_pairs(count):
         net, iota = build_np_v_full(P, Vc)
-        targets = [
-            net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
-            for qf in sorted(Vc.finals)
-            for qn in sorted(set(Vc.states) - set(Vc.finals))
-        ]
+        targets = _counterexample_targets(net, iota, Vc)
         yield net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))), targets
 
 
@@ -365,6 +371,54 @@ def test_km_matches_the_dense_reference():
     )
     _assert_km_matches_reference(net, vec({"p": 1}))
     _assert_km_matches_reference(net, vec({"p": 1}), [(0, 2**40)])
+
+
+def _named_bfs(net, m0):
+    # marking_bfs's parent map, with each transition by name
+    seen, exhausted = marking_bfs(net, net.marking(m0), 2000)
+    named = [
+        (m, prev, None if j is None else net.order[j])
+        for m, (prev, j) in seen.items()
+    ]
+    return named, exhausted
+
+
+def test_deletion_net_keeps_every_transition_a_run_can_fire():
+    # the deletion net against the reference net with every transition:
+    # the first 100 criterion-10 pairs, P and grave(P) against complete V,
+    # and ab, aab, abb against a count of a mod 5
+    cases = [
+        (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
+    ]
+    cases += [(_word(w), complete(_modular(5, 1, 0))) for w in ("ab", "aab", "abb")]
+    kept = total = 0
+    for comp, Vc in cases:
+        net, iota = build_np_v_full(comp, Vc)
+        ref, _ = net_reference.build_np_v_full(comp, Vc)
+        assert net.places == ref.places
+        # an order-preserving subset of the reference's transitions, each
+        # with the reference's arcs and meta
+        position = {t: k for k, t in enumerate(ref.order)}
+        at = [position[t] for t in net.order]
+        assert at == sorted(at)
+        for j, k in enumerate(at):
+            assert (net.pre[j], net.post[j]) == (ref.pre[k], ref.post[k])
+            assert net.meta[net.order[j]] == ref.meta[ref.order[k]]
+        kept, total = kept + len(net.order), total + len(ref.order)
+        # every search from the initial marking sees the same markings
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+        for stop_at in ((), _counterexample_targets(net, iota, Vc)):
+            trees = [
+                karp_miller(n, m0, node_cap=20_000, stop_at=stop_at) for n in (net, ref)
+            ]
+            shape = [
+                ([(n.packed, n.via) for n in km.nodes], km.pump, km.bounded,
+                 km.capped, km.stopped)
+                for km in trees
+            ]
+            assert shape[0] == shape[1]
+        assert _named_bfs(net, m0) == _named_bfs(ref, m0)
+    assert kept < total
 
 
 def test_zero_route_needs_no_forward_search():
@@ -534,6 +588,19 @@ def test_deletion_net_export_golden(two_start, tracker4):
     m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
     golden = GOLDEN / "npv_full_two_start_tracker4.dot"
     assert to_dot(net, m0) + "\n" == golden.read_text()
+    # the transitions the net leaves out are the reference net's that its
+    # full Karp–Miller tree never fires
+    ref, _ = net_reference.build_np_v_full(two_start, Vc)
+    km = karp_miller(ref, m0)
+    assert not km.capped
+    fired = {
+        t
+        for n in km.nodes
+        for t, inputs in zip(ref.order, ref.pre)
+        if all(n.marking[i] >= w for i, w in inputs)
+    }
+    dropped = set(ref.order) - set(net.order)
+    assert dropped and not dropped & fired
 
 
 def test_exports_golden(two_start, tracker4):
