@@ -158,7 +158,7 @@ def cmd_petri(args) -> int:
     else:
         Vc = complete(V)
         net, iota = petri.build_np_v_full(P, Vc)
-        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
     print(f"places: {len(net.places)}")
     print(f"transitions: {len(net.order)}")
     if args.analyze == "km":
@@ -312,6 +312,7 @@ def main(argv=None) -> int:
         representation.NotSubsetOfShuffle,
         scalable.NotASubset,
         scalable.NotPrefixClosed,
+        segments.NotInitialSegment,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,7 +143,7 @@ def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
     """Holds or Fails from a finite fragment and its exact closure check."""
     if alf.status != "finite":
         return None
-    out = check_closure(comp, V, alf.delta, coverage_established=True)
+    out = check_closure(comp, V, alf.delta)
     if out.holds:
         return HOLDS, route, _delta_cert(alf.delta), dict(alf.stats)
     return FAILS, route, _column_cert(out.witness), dict(alf.stats)
@@ -256,9 +256,14 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     product with V (`_prefix_delta_closed`), and then the exact closure
     search runs over the recorded fragment.  A zero-fragment one is not
     yet checked for coverage.  Net-based holds re-run the net analysis.
+
+    A query that `decide_sp` would reject, such as a prefix-mode verdict
+    on a V that is not prefix closed or a pair whose alphabets differ,
+    raises InvalidQuery whatever its certificate.
     """
     P = normalize(P)
     V = normalize(V)
+    _check_query(P, V, verdict.mode)
     comp = grave(P) if verdict.mode == PREFIX else P
     if verdict.outcome == FAILS:
         c = verdict.certificate
@@ -296,12 +301,8 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
             if verdict.route == "prefix-fragment":
                 if not _prefix_delta_closed(comp, V, delta):
                     return False
-                return check_closure_prefix(
-                    comp, V, delta, coverage_established=True
-                ).holds
-            return check_closure_zero(
-                comp, V, delta, coverage_established=True
-            ).holds
+                return check_closure_prefix(comp, V, delta).holds
+            return check_closure_zero(comp, V, delta).holds
         rerun = decide_sp_via_net(
             comp, V, verdict.budgets.km_node_cap, verdict.budgets.forward_cap
         )

@@ -3,9 +3,12 @@ simulations driving the finiteness and counterexample decisions.
 
 The first net mirrors the product of the counter semiautomaton with a
 finite tracker and decides whether the relevant transition alphabet is
-finite.  The second net runs the three-track deletion system with
-unbounded counters; its reachability questions answer the closure decision
-where the fragment-based route is unavailable.
+finite.  The second, the deletion net, runs a composite word as a
+remainder and one tracked component with unbounded counters; its
+reachability questions answer the closure decision where the
+fragment-based route is unavailable.  The composite keeps only its
+V-state: its counters are always the remainder's plus the tracked
+component's vector, so they never decide whether a step can fire.
 
 Both simulations take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
@@ -614,7 +617,7 @@ def decide_alf_zero_finite(
 
 
 # ---------------------------------------------------------------------------
-# three-track deletion net
+# deletion net
 
 CHECK_PLACE = "E::0#"
 
@@ -625,10 +628,6 @@ def _v1(q) -> str:
 
 def _v2(q) -> str:
     return f"V2::{q}"
-
-
-def _q1(q) -> str:
-    return f"Q1::{q}"
 
 
 def _q2(q) -> str:
@@ -676,11 +675,24 @@ def _live_controls(V: Dfa, core) -> tuple:
 
 
 def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
-    """Net executing the three-track deletion system with free counters.
+    """Net executing the deletion system with free counters.
 
-    Paired transitions advance the composite and remainder tracks in step;
-    single-sided transitions advance the composite and the one tracked
-    component.  Returns (net, iota).
+    A run reads a composite word and splits it into a remainder and one
+    tracked component.  The V1 and V2 places hold the V-states of the
+    composite and the remainder, the Q2 places the remainder's counters,
+    and the tracked place (an E:: place or CHECK_PLACE once the component
+    has closed) the component's vector.  A paired transition advances both
+    V-states and the remainder's counters; a component transition
+    advances the composite's V-state and the tracked place.  Returns
+    (net, iota), where iota maps (V1-state, V2-state, (remainder vector,
+    tracked vector or "check")) to a marking.
+
+    The composite's counters need no places: in every marking reachable
+    from the initial one they equal the remainder's plus the tracked
+    component's vector (0 for E::0 and CHECK_PLACE).  Both kinds of step
+    add t.target - t.source to the composite, and a step that is enabled
+    on Q2 or on E::t.source already has t.source on that sum, so the
+    composite's counters would never disable one.
 
     The net holds every place, but only the transitions whose control
     pre-set a run from (V.initial, V.initial, E::0) can mark: a paired
@@ -698,7 +710,6 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     places = (
         {_v1(q) for q in V.states}
         | {_v2(q) for q in V.states}
-        | {_q1(q) for q in P.states}
         | {_q2(q) for q in P.states}
         | {_ep(v) for v in evecs}
         | {CHECK_PLACE}
@@ -712,15 +723,13 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     vstates = sorted(V.states)
     for t in core:
         a = t.letter
-        # a paired step moves the remainder's counters (Q2) as the
-        # composite's (Q1); a component step moves the composite's and the
-        # tracked component's (E), which closes on the check place
-        paired_pre = {**_arcs(_q1, t.source), **_arcs(_q2, t.source)}
-        paired_post = {**_arcs(_q1, t.target), **_arcs(_q2, t.target)}
+        # a paired step moves the remainder's counters (Q2); a component
+        # step moves the tracked component (E), which closes on the check
+        # place
+        paired_pre = _arcs(_q2, t.source)
+        paired_post = _arcs(_q2, t.target)
         source = _ep(t.source)
-        component_pre = {source: 1, **_arcs(_q1, t.source)}
         tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
-        component_post = {tracked: 1, **_arcs(_q1, t.target)}
         for r1 in vstates:
             s1 = V.delta[(r1, a)]
             for r2 in partners.get(r1, ()):
@@ -732,17 +741,16 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
             if (r1, source) not in tracked_pairs:
                 continue
             tid = f"E|{t.kind}|{t}|{r1}"
-            pre[tid] = {_v1(r1): 1, **component_pre}
-            post[tid] = {_v1(s1): 1, **component_post}
+            pre[tid] = {_v1(r1): 1, source: 1}
+            post[tid] = {_v1(s1): 1, tracked: 1}
             meta[tid] = {"group": "E", "core": t}
     net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
-        q1, q2, (s1, s2, s3) = state
-        check = CHECK_PLACE if s3 == "check" else _ep(s3)
+        q1, q2, (remainder, component) = state
+        check = CHECK_PLACE if component == "check" else _ep(component)
         counts = {_v1(q1): 1, _v2(q2): 1, check: 1}
-        counts.update(_arcs(_q1, s1))
-        counts.update(_arcs(_q2, s2))
+        counts.update(_arcs(_q2, remainder))
         return CounterVector.make(counts)
 
     return net, iota
@@ -802,9 +810,10 @@ def decide_sp_via_net(
 ) -> NetVerdict:
     """Closure decision through the deletion net.
 
-    A counterexample is a marking where the composite track is accepted
-    with all counters closed, the deleted component is complete, and the
-    remainder track is rejected.  Exact when the marking space is finite;
+    A counterexample is a marking where the composite's V-state accepts,
+    the remainder's counters are all closed, the deleted component is
+    complete (so the composite's counters are closed too), and the
+    remainder's V-state rejects.  Exact when the marking space is finite;
     otherwise Holds is still sound when no such marking is even coverable.
 
     The Karp–Miller tree stops at its first node that covers a
@@ -814,10 +823,10 @@ def decide_sp_via_net(
     """
     V = complete(V)
     net, iota = build_np_v_full(P, V)
-    m0 = iota((V.initial, V.initial, (ZERO, ZERO, ZERO)))
+    m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
     nonfinals = sorted(set(V.states) - set(V.finals))
     targets = [
-        net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+        net.marking(iota((qf, qn, (ZERO, "check"))))
         for qf in sorted(V.finals)
         for qn in nonfinals
     ]

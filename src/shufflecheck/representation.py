@@ -31,10 +31,6 @@ class NotSubsetOfShuffle(Exception):
     pass
 
 
-class PreconditionUnverified(Exception):
-    pass
-
-
 class _CheckZero:
     """Sentinel: the tracked component has been deleted completely."""
 
@@ -358,30 +354,22 @@ def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome
     return ClosureOutcome(True, None, len(parent))
 
 
-def check_closure_prefix(
-    P: Dfa, V: Dfa, delta, coverage_established: bool = False
-) -> ClosureOutcome:
+def check_closure_prefix(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     """Exact closure check for the prefix form.
 
     Sound only when every computation labeling a word of V stays inside
-    delta; the caller asserts that via coverage_established.
+    delta; the caller must have established that coverage.
     """
-    if not coverage_established:
-        raise PreconditionUnverified(
-            "delta must be known to cover all computations labeled in V"
-        )
     return _closure_search(P, V, delta, require_zero=False)
 
 
-def check_closure_zero(
-    P: Dfa, V: Dfa, delta, coverage_established: bool = False
-) -> ClosureOutcome:
+def check_closure_zero(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     """Exact closure check where the composite side must close all
-    components and end accepted by V."""
-    if not coverage_established:
-        raise PreconditionUnverified(
-            "delta must be known to cover all closing computations labeled in V"
-        )
+    components and end accepted by V.
+
+    Sound only when every closing computation labeling a word of V stays
+    inside delta; the caller must have established that coverage.
+    """
     return _closure_search(P, V, delta, require_zero=True)
 
 

@@ -23,6 +23,10 @@ class FrontierCapExceeded(Exception):
     pass
 
 
+class NotInitialSegment(ValueError):
+    """An explicit vector set that is empty or not downward closed."""
+
+
 DEFAULT_FRONTIER_CAP = 100_000
 
 
@@ -37,7 +41,9 @@ class InitialSegment:
     def explicit(vectors) -> "InitialSegment":
         vectors = frozenset(vectors)
         if not is_initial_segment(vectors):
-            raise ValueError("explicit segment is not downward closed")
+            raise NotInitialSegment(
+                "explicit segment is empty or not downward closed"
+            )
         return InitialSegment(vectors=vectors)
 
     @staticmethod

@@ -2,11 +2,14 @@
 `petri.build_np_v_full`.
 
 `shufflecheck.petri.build_np_v_full` builds only the transitions whose
-control pre-set a run from the initial marking can mark; this builds one
-paired transition per core step and pair of V-states and one component
-transition per core step and V-state, so a test can require the two nets
-to agree on every transition the smaller one keeps and every search to
-see the same markings in both.
+control pre-set a run from the initial marking can mark, and keeps no
+places for the composite's counters; this builds one paired transition
+per core step and pair of V-states and one component transition per core
+step and V-state, and runs the composite's counters on Q1:: places
+beside the remainder's Q2:: ones.  A test can then require the two nets
+to agree on every transition the smaller one keeps, up to the arcs on
+Q1:: places, and every search to see the same markings in both once the
+reference's are projected onto the smaller net's places.
 """
 
 from __future__ import annotations
@@ -18,16 +21,21 @@ from shufflecheck.petri import (
     PetriNet,
     _arcs,
     _ep,
-    _q1,
     _q2,
     _v1,
     _v2,
 )
 
 
+def _q1(q) -> str:
+    return f"Q1::{q}"
+
+
 def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
-    """(net, iota) of the deletion net with every transition, in the
-    names, arcs, meta and order that `petri.build_np_v_full` uses."""
+    """(net, iota) of the three-track deletion net with every transition,
+    in the names, meta and order that `petri.build_np_v_full` uses; iota
+    maps (V1-state, V2-state, (composite vector, remainder vector, tracked
+    vector or "check")) to a marking."""
     V = complete(V)
     eng = engine_for(P)
     evecs = sorted(elementary_vector_states(P), key=str)

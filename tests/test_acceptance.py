@@ -70,9 +70,7 @@ def test_criterion_02_fragment_route_golden(two_start, tracker4):
     w = build_w_delta(two_start, res.delta)
     assert len(w.system.columns) == 17
     assert len(w.automaton.delta) == 17
-    out = check_closure_prefix(
-        two_start, tracker4, res.delta, coverage_established=True
-    )
+    out = check_closure_prefix(two_start, tracker4, res.delta)
     assert out.holds
 
 
@@ -252,7 +250,7 @@ def test_criterion_09_net_simulation(two_start, tracker4, single_ab):
         assert {iota(s) for s in states} == set(seen)
         km = karp_miller(net, iota((ZERO, V.initial)))
         assert km.bounded
-    # every reachable marking of the three-track net keeps one token per
+    # every reachable marking of the deletion net keeps one token per
     # tracked group
     V = Dfa(
         tracker4.alphabet, tracker4.states, dict(tracker4.delta),
@@ -260,7 +258,7 @@ def test_criterion_09_net_simulation(two_start, tracker4, single_ab):
     )
     Vc = complete(V)
     full, iota2 = build_np_v_full(two_start, Vc)
-    m0 = iota2((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+    m0 = iota2((Vc.initial, Vc.initial, (ZERO, ZERO)))
     groups = one_token_groups(two_start, Vc)
     sample, _ = reachable_markings(full, m0, 10_000)
     assert all(check_one_token(groups, m) for m in sample)
@@ -288,7 +286,7 @@ def test_criterion_10_pipeline_never_contradicts():
             # unknown is only allowed when boundedness genuinely fails
             Vc = complete(V)
             net, iota = build_np_v_full(P, Vc)
-            m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+            m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
             km = karp_miller(net, m0, budgets.km_node_cap)
             assert km.capped or not km.bounded
         checked += 1

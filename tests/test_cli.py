@@ -247,3 +247,33 @@ def test_segment_bad_bound_exits_3(files, capsys, tmp_path):
         assert main(["segments", files["two_start"], "--segment", str(seg)]) == 3
         err = capsys.readouterr().err
         assert _one_error_line(err) and repr(bound) in err
+
+
+def test_replay_rejects_a_query_decide_rejects(files, capsys, tmp_path):
+    # {aa, ba} is not prefix closed: decide refuses it in prefix mode, and
+    # replay refuses a prefix-mode report on it
+    two = tmp_path / "two.aut"
+    two.write_text(serialize_automaton(
+        mk_dfa("ab", [("1", "a", "2"), ("1", "b", "2"), ("2", "a", "3")], "1", ["3"])
+    ))
+    assert main(["decide", str(two), str(two), "--mode", "prefix"]) == 3
+    assert "prefix-closed" in capsys.readouterr().err
+    report = tmp_path / "report.txt"
+    report.write_text("\n".join([
+        "VERDICT: fails", "MODE: prefix", "ROUTE: falsifier", "CERTIFICATE:",
+        "word: a a", "factor: a", "component: a", "positions: 1", "",
+    ]))
+    assert main(["replay", str(two), str(two), str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and "prefix-closed" in err
+
+
+@pytest.mark.parametrize("text", ["(II:1)\n", ""], ids=["no-zero", "empty"])
+def test_segment_not_downward_closed_exits_3(files, capsys, tmp_path, text):
+    seg = tmp_path / "seg.txt"
+    seg.write_text(text)
+    assert main(["segments", files["two_start"], "--segment", str(seg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and "downward closed" in err

@@ -46,6 +46,22 @@ def test_unknown_mode_rejected(alt):
         decide_sp(alt, alt, "sideways")
 
 
+def test_replay_rejects_a_query_decide_rejects(alt, ring3):
+    # {aa, ba} is not prefix closed, so decide refuses it in prefix mode
+    two = mk_dfa("ab", [("1", "a", "2"), ("1", "b", "2"), ("2", "a", "3")], "1", ["3"])
+    with pytest.raises(InvalidQuery):
+        decide_sp(two, two, "prefix")
+    cert = {
+        "word": word("aa"), "factor": word("a"), "component": word("a"),
+        "positions": (1,),
+    }
+    with pytest.raises(InvalidQuery):
+        replay_certificate(two, two, Verdict("fails", "prefix", "falsifier", cert))
+    # and a pair whose alphabets differ, whatever the verdict claims
+    with pytest.raises(InvalidQuery):
+        replay_certificate(alt, ring3, Verdict("unknown", "general", "net-budget"))
+
+
 def test_holds_pipeline_prefix(alt):
     v = decide_sp(alt, alt, "prefix")
     assert v.outcome == "holds"

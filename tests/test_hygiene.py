@@ -153,3 +153,25 @@ def test_step_kind_check_sees_imports():
         "KIND = 'start_end'",
     ])
     assert _step_kind_imports(source) == ["END", "INNER", "START"]
+
+
+
+def test_benchmark_wrapped_names_resolve():
+    # a traced benchmark run wraps these names on the imported package; a
+    # rename or removal would break it, so shufflecheck.oracle, for one,
+    # stays importable from the package
+    import importlib.util
+
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, _count in tracing.WRAPPED]
+    names += [tuple(label.split(".")) for label in tracing.ROOTS]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in names
+        if not hasattr(getattr(shufflecheck, module, None), attr)
+    ]
+    assert missing == []
+    assert callable(shufflecheck.engine.ShuffleEngine.successors)

@@ -6,8 +6,16 @@ from pathlib import Path
 import pytest
 
 from shufflecheck.automata import EmptyLanguage, complete, grave, normalize
-from shufflecheck.engine import START, ZERO, engine_for, parse_transition
+from shufflecheck.engine import (
+    START,
+    ZERO,
+    elementary_vector_states,
+    engine_for,
+    parse_transition,
+)
 from shufflecheck.petri import (
+    CHECK_PLACE,
+    _ep,
     build_np_v_full,
     build_npv,
     build_product,
@@ -164,7 +172,7 @@ def _modular(k, step_a, step_b):
 def _full_net(P, V):
     Vc = complete(V)
     net, iota = build_np_v_full(P, Vc)
-    return net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+    return net, iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
 
 
 def _km_shape(net, m0):
@@ -257,10 +265,11 @@ def _criterion_10_pairs(count):
         count -= 1
 
 
-def _counterexample_targets(net, iota, Vc):
-    # the markings that decide_sp_via_net looks for
+def _counterexample_targets(net, iota, Vc, counters=(ZERO, "check")):
+    # the markings that decide_sp_via_net looks for; counters gives the
+    # counter part of iota's state
     return [
-        net.marking(iota((qf, qn, (ZERO, ZERO, "check"))))
+        net.marking(iota((qf, qn, counters)))
         for qf in sorted(Vc.finals)
         for qn in sorted(set(Vc.states) - set(Vc.finals))
     ]
@@ -272,7 +281,7 @@ def _criterion_10_full_nets(count):
     for P, Vc in _criterion_10_pairs(count):
         net, iota = build_np_v_full(P, Vc)
         targets = _counterexample_targets(net, iota, Vc)
-        yield net, iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO))), targets
+        yield net, iota((Vc.initial, Vc.initial, (ZERO, ZERO))), targets
 
 
 def test_km_stops_at_the_first_covering_node():
@@ -373,20 +382,43 @@ def test_km_matches_the_dense_reference():
     _assert_km_matches_reference(net, vec({"p": 1}), [(0, 2**40)])
 
 
-def _named_bfs(net, m0):
-    # marking_bfs's parent map, with each transition by name
+def _named_bfs(net, m0, project=lambda m: m):
+    # marking_bfs's parent map, with each marking unpacked and projected
+    # and each transition by name
     seen, exhausted = marking_bfs(net, net.marking(m0), 2000)
     named = [
-        (m, prev, None if j is None else net.order[j])
+        (
+            project(net.unpack(m)),
+            None if prev is None else project(net.unpack(prev)),
+            None if j is None else net.order[j],
+        )
         for m, (prev, j) in seen.items()
     ]
     return named, exhausted
 
 
+def _named_arcs(net, arcs):
+    # one pre- or post-set by place name, less any arc on a Q1:: place
+    return {net.places[i]: n for i, n in arcs if not net.places[i].startswith("Q1::")}
+
+
+def _km_nodes(km, project=lambda m: m):
+    # each node's projected marking, transition, flag and parent index
+    index = {id(n): k for k, n in enumerate(km.nodes)}
+    nodes = [
+        (
+            project(n.marking), n.via, n.accelerated,
+            None if n.parent is None else index[id(n.parent)],
+        )
+        for n in km.nodes
+    ]
+    return nodes, km.pump, km.bounded, km.capped, km.stopped
+
+
 def test_deletion_net_keeps_every_transition_a_run_can_fire():
-    # the deletion net against the reference net with every transition:
-    # the first 100 criterion-10 pairs, P and grave(P) against complete V,
-    # and ab, aab, abb against a count of a mod 5
+    # the deletion net against the three-track reference net with every
+    # transition: the first 100 criterion-10 pairs, P and grave(P) against
+    # complete V, and ab, aab, abb against a count of a mod 5
     cases = [
         (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
     ]
@@ -394,30 +426,44 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
     kept = total = 0
     for comp, Vc in cases:
         net, iota = build_np_v_full(comp, Vc)
-        ref, _ = net_reference.build_np_v_full(comp, Vc)
-        assert net.places == ref.places
+        ref, ref_iota = net_reference.build_np_v_full(comp, Vc)
+        assert net.places == tuple(p for p in ref.places if not p.startswith("Q1::"))
         # an order-preserving subset of the reference's transitions, each
-        # with the reference's arcs and meta
+        # with the reference's meta and its arcs less those on Q1:: places
         position = {t: k for k, t in enumerate(ref.order)}
         at = [position[t] for t in net.order]
         assert at == sorted(at)
         for j, k in enumerate(at):
-            assert (net.pre[j], net.post[j]) == (ref.pre[k], ref.post[k])
+            for arcs, ref_arcs in ((net.pre, ref.pre), (net.post, ref.post)):
+                assert _named_arcs(net, arcs[j]) == _named_arcs(ref, ref_arcs[k])
             assert net.meta[net.order[j]] == ref.meta[ref.order[k]]
         kept, total = kept + len(net.order), total + len(ref.order)
-        # every search from the initial marking sees the same markings
-        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
-        for stop_at in ((), _counterexample_targets(net, iota, Vc)):
-            trees = [
-                karp_miller(n, m0, node_cap=20_000, stop_at=stop_at) for n in (net, ref)
-            ]
-            shape = [
-                ([(n.packed, n.via) for n in km.nodes], km.pump, km.bounded,
-                 km.capped, km.stopped)
-                for km in trees
-            ]
-            assert shape[0] == shape[1]
-        assert _named_bfs(net, m0) == _named_bfs(ref, m0)
+        # every search from the initial marking sees the same markings once
+        # the reference's are projected onto the net's places
+        keep = [ref.index[p] for p in net.places]
+
+        def project(m):
+            return tuple([m[i] for i in keep])
+
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        r0 = ref_iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+        targets = _counterexample_targets(net, iota, Vc)
+        ref_targets = _counterexample_targets(ref, ref_iota, Vc, (ZERO, ZERO, "check"))
+        for stop_at, ref_stop_at in (((), ()), (targets, ref_targets)):
+            km = karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
+            ref_km = karp_miller(ref, r0, node_cap=20_000, stop_at=ref_stop_at)
+            assert _km_nodes(km) == _km_nodes(ref_km, project)
+        assert _named_bfs(net, m0) == _named_bfs(ref, r0, project)
+        # the composite's counters are the remainder's plus the tracked
+        # component's vector in every marking the reference reaches
+        tracked = {CHECK_PLACE: ZERO}
+        tracked.update((_ep(v), v) for v in elementary_vector_states(comp))
+        seen, _ = marking_bfs(ref, ref.marking(r0), 2000)
+        for packed in seen:
+            m = dict(zip(ref.places, ref.unpack(packed)))
+            (f,) = [v for p, v in tracked.items() if m[p]]
+            for q in comp.states:
+                assert m[f"Q1::{q}"] == m[f"Q2::{q}"] + f.get(q)
     assert kept < total
 
 
@@ -550,7 +596,7 @@ def test_full_net_one_token_invariants(two_start, tracker4):
     )
     Vc = complete(V)
     net, iota = build_np_v_full(two_start, Vc)
-    m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+    m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
     groups = one_token_groups(two_start, Vc)
     assert check_one_token(groups, m0)
     seen, _ = reachable_markings(net, m0, 5000)
@@ -582,10 +628,10 @@ def test_net_decision_finds_counterexample(ring3, ring9):
 
 
 def test_deletion_net_export_golden(two_start, tracker4):
-    # places, transition ids and arcs of the three-track deletion net
+    # places, transition ids and arcs of the deletion net
     Vc = complete(tracker4)
     net, iota = build_np_v_full(two_start, Vc)
-    m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
+    m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
     golden = GOLDEN / "npv_full_two_start_tracker4.dot"
     assert to_dot(net, m0) + "\n" == golden.read_text()
     # the transitions the net leaves out are the reference net's that its

@@ -19,7 +19,6 @@ from shufflecheck.petri import decide_alf_pre_finite
 from shufflecheck.representation import (
     CHECK_ZERO,
     NotSubsetOfShuffle,
-    PreconditionUnverified,
     TrackLetter,
     build_delta_paren,
     build_w_delta,
@@ -182,17 +181,8 @@ def test_one_deletion_equality_on_fragment(two_start):
     assert count > 20
 
 
-def test_closure_checks_require_coverage_flag(two_start, tracker4):
-    with pytest.raises(PreconditionUnverified):
-        check_closure_prefix(two_start, tracker4, FRAGMENT)
-    with pytest.raises(PreconditionUnverified):
-        check_closure_zero(two_start, tracker4, FRAGMENT)
-
-
 def test_closure_prefix_golden(two_start, tracker4):
-    out = check_closure_prefix(
-        two_start, tracker4, FRAGMENT, coverage_established=True
-    )
+    out = check_closure_prefix(two_start, tracker4, FRAGMENT)
     assert out.holds
 
 
@@ -206,9 +196,7 @@ def test_closure_detects_violation(single_ab, astar_b):
         for t in eng.all_successors(f)
         if t.target.norm <= 2
     )
-    out = check_closure_zero(
-        single_ab, astar_b, delta, coverage_established=True
-    )
+    out = check_closure_zero(single_ab, astar_b, delta)
     assert not out.holds
     d = decode_witness(out.witness)
     assert len(d["component"]) > 0
@@ -233,9 +221,7 @@ def test_closure_search_golden(single_ab, astar_b):
         for t in eng.all_successors(f)
         if t.target.norm <= 2
     )
-    out = check_closure_zero(
-        single_ab, astar_b, delta, coverage_established=True
-    )
+    out = check_closure_zero(single_ab, astar_b, delta)
     assert tuple(str(c) for c in out.witness) == (
         "[(0) a (II:1) | (0) | (0) ^a (II:1)]",
         "[(II:1) b (0) | (0) | (II:1) ^b (0)]",
@@ -250,6 +236,6 @@ def test_closure_prefix_depth_chain_golden(single_ab):
     w = build_w_delta(comp, alf.delta)
     assert len(w.automaton.states) == 44
     assert len(w.automaton.delta) == 165
-    out = check_closure_prefix(comp, V, alf.delta, coverage_established=True)
+    out = check_closure_prefix(comp, V, alf.delta)
     assert out.holds
     assert out.states_explored == 719
