@@ -1,5 +1,9 @@
 """Finite deterministic automata and semiautomata.
 
+A semiautomaton is a Dfa whose finals are its states: it recognizes the
+prefix-closed language of the words it can read.  complete() turns one into
+a dfa whose added sink rejects.
+
 Alphabets may consist of plain symbols, indexed symbols (``a@1``), checked
 symbols (``^a``), or opaque composite objects such as counter transitions.
 Everything downstream (shuffle engines, powerset constructions, track
@@ -108,7 +112,12 @@ def parse_letter(tok: str) -> Letter:
 
 @dataclass(frozen=True)
 class Dfa:
-    """Deterministic automaton (finals nonempty) or semiautomaton.
+    """Deterministic automaton or semiautomaton.
+
+    A semiautomaton is a Dfa whose finals are its states: it is built
+    with empty finals and gets its states, so finals is the one notion of
+    acceptance for both kinds.  complete() turns it into a dfa whose sink
+    rejects.
 
     alphabet keeps declaration order; ties in counterexample searches are
     broken by that order.  delta is a partial function given as a dict keyed
@@ -123,6 +132,10 @@ class Dfa:
     kind: str = "dfa"  # "dfa" | "semiautomaton"
 
     def __post_init__(self):
+        if self.kind == "semiautomaton":
+            if self.finals and self.finals != self.states:
+                raise AutomatonError("a semiautomaton accepts in every state")
+            object.__setattr__(self, "finals", self.states)
         if self.initial not in self.states:
             raise AutomatonError(f"initial state {self.initial!r} not declared")
         if not self.finals <= self.states:
@@ -137,9 +150,6 @@ class Dfa:
     @property
     def is_semiautomaton(self) -> bool:
         return self.kind == "semiautomaton"
-
-    def effective_finals(self) -> frozenset:
-        return self.states if self.is_semiautomaton else self.finals
 
     def step(self, q, a):
         return self.delta.get((q, a))
@@ -273,12 +283,10 @@ def _coreachable(a: Dfa, targets: Iterable) -> set:
 def normalize(a: Dfa) -> Dfa:
     """Trim to states that lie on some accepting path.
 
-    For semiautomata only forward reachability applies.  Raises
-    EmptyLanguage when nothing survives.
+    Raises EmptyLanguage when nothing survives.
     """
     keep = _reachable(a)
-    if not a.is_semiautomaton:
-        keep &= _coreachable(a, a.finals & keep)
+    keep &= _coreachable(a, a.finals & keep)
     if a.initial not in keep:
         raise EmptyLanguage("automaton recognizes the empty language")
     delta = {
@@ -298,7 +306,9 @@ _SINK = "_sink"
 
 
 def complete(a: Dfa) -> Dfa:
-    """Make delta total, adding one fresh non-final sink if needed."""
+    """Make delta total, adding one fresh non-final sink if needed.
+
+    The sink rejects, so a completed semiautomaton becomes a dfa."""
     missing = [
         (q, x) for q in a.states for x in a.alphabet if (q, x) not in a.delta
     ]
@@ -318,7 +328,7 @@ def complete(a: Dfa) -> Dfa:
         delta=delta,
         initial=a.initial,
         finals=a.finals,
-        kind=a.kind,
+        kind="dfa",
     )
 
 
@@ -345,8 +355,6 @@ def _check_same_alphabet(a: Dfa, b: Dfa):
 def product(a: Dfa, b: Dfa) -> Dfa:
     """Intersection product on the reachable pair states."""
     _check_same_alphabet(a, b)
-    afin = a.effective_finals()
-    bfin = b.effective_finals()
 
     def name(p, q):
         return f"({p},{q})"
@@ -367,14 +375,14 @@ def product(a: Dfa, b: Dfa) -> Dfa:
                 seen.add((p2, q2))
                 queue.append((p2, q2))
     states = frozenset(name(p, q) for p, q in seen)
-    finals = frozenset(name(p, q) for p, q in seen if p in afin and q in bfin)
+    finals = frozenset(name(p, q) for p, q in seen if p in a.finals and q in b.finals)
     kind = "semiautomaton" if (a.is_semiautomaton and b.is_semiautomaton) else "dfa"
     return Dfa(
         alphabet=a.alphabet,
         states=states,
         delta=delta,
         initial=name(*start),
-        finals=frozenset() if kind == "semiautomaton" else finals,
+        finals=finals,
         kind=kind,
     )
 
@@ -388,14 +396,12 @@ def includes(sup: Dfa, sub: Dfa):
     _check_same_alphabet(sup, sub)
     sup_c = complete(sup)
     sub_c = complete(sub)
-    supfin = sup_c.effective_finals()
-    subfin = sub_c.effective_finals()
     start = (sup_c.initial, sub_c.initial)
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (p, q), w = queue.popleft()
-        if q in subfin and p not in supfin:
+        if q in sub_c.finals and p not in sup_c.finals:
             return w
         for x in sup.alphabet:
             nxt = (sup_c.delta[(p, x)], sub_c.delta[(q, x)])
@@ -411,8 +417,6 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 def is_prefix_closed(a: Dfa) -> bool:
     """True iff the recognized language contains all its prefixes."""
-    if a.is_semiautomaton:
-        return True
     try:
         trimmed = normalize(a)
     except EmptyLanguage:
@@ -426,14 +430,14 @@ def accepts(a: Dfa, w: Word) -> bool:
         if x not in alpha:
             raise UnknownLetter(f"letter {x} not in the alphabet")
     q = a.run(w)
-    return q is not None and q in a.effective_finals()
+    return q is not None and q in a.finals
 
 
 def language_upto(a: Dfa, n: int):
     """All accepted words of length <= n, in length-then-declaration order."""
     out = []
     frontier = [((), a.initial)]
-    finals = a.effective_finals()
+    finals = a.finals
     if a.initial in finals:
         out.append(())
     for _ in range(n):

@@ -66,6 +66,7 @@ def cmd_decide(args) -> int:
 def cmd_falsify(args) -> int:
     P = normalize(_load(args.components))
     V = normalize(_load(args.constraint))
+    decision.check_query(P, V, args.mode)
     comp = grave(P) if args.mode == "prefix" else P
     found = sp_falsify(comp, V, args.maxlen)
     if found is None:

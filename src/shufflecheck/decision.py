@@ -93,7 +93,8 @@ def check_alphabets(P: Dfa, V: Dfa):
         raise InvalidQuery("component and constraint alphabets differ")
 
 
-def _check_query(P: Dfa, V: Dfa, mode: str):
+def check_query(P: Dfa, V: Dfa, mode: str):
+    """Raise InvalidQuery unless decide_sp answers this query."""
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
     check_alphabets(P, V)
@@ -198,7 +199,7 @@ def decide_sp(
         budgets = Budgets()
     P = normalize(P)
     V = normalize(V)
-    _check_query(P, V, mode)
+    check_query(P, V, mode)
     comp = grave(P) if mode == PREFIX else P
     notes: dict = {}
     for stage in STAGES[mode]:
@@ -263,7 +264,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     """
     P = normalize(P)
     V = normalize(V)
-    _check_query(P, V, verdict.mode)
+    check_query(P, V, verdict.mode)
     comp = grave(P) if verdict.mode == PREFIX else P
     if verdict.outcome == FAILS:
         c = verdict.certificate

@@ -282,10 +282,6 @@ class Computation(tuple):
     def label(self) -> Word:
         return tuple(step.letter for step in self)
 
-    def prefixes(self):
-        for i in range(len(self) + 1):
-            yield Computation(self[:i])
-
     def __str__(self) -> str:
         if not self:
             return "ε"
@@ -346,7 +342,7 @@ class ShuffleEngine:
                         nxt.add(p)
             frontier = nxt
         self.component_states = frozenset(inner_reach & self.non_dead)
-        finals = P.effective_finals()
+        finals = P.finals
 
         def steps(source: CounterVector, a: Letter, p) -> tuple:
             out = []
@@ -503,8 +499,8 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
             out = moves[(f, a)] = tuple({t.target for t in eng.successors(f, a)})
         return out
 
-    p_finals = P.effective_finals()
-    v_finals = V.effective_finals()
+    p_finals = P.finals
+    v_finals = V.finals
     start = (V.initial, frozenset({(V.initial, ZERO, P.initial, False)}))
     seen = {start}
     level = [((), start)]
@@ -550,8 +546,8 @@ def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
     def key(v: Word) -> tuple:
         return (len(v), tuple(rank[a] for a in v))
 
-    p_finals = P.effective_finals()
-    v_finals = V.effective_finals()
+    p_finals = P.finals
+    v_finals = V.finals
     found = []
 
     def split(i: int, upos: tuple, epos: tuple, pe, vectors: frozenset):

@@ -242,7 +242,7 @@ def computation_of_structured(P: Dfa, x: Iterable) -> Computation:
                 f"component {idx} leaves the component language on {plain}"
             )
         if sl.bracket in (END, START_END):
-            if p not in P.effective_finals():
+            if p not in P.finals:
                 raise InvalidStructuredWord(
                     f"component {idx} ends at a non-final state"
                 )

@@ -303,12 +303,6 @@ class ClosureOutcome:
     states_explored: int = 0
 
 
-def _as_final_dfa(V: Dfa) -> Dfa:
-    if not V.is_semiautomaton:
-        return V
-    return Dfa(V.alphabet, V.states, dict(V.delta), V.initial, V.states, "dfa")
-
-
 def _witness(parent: dict, state) -> tuple:
     """The column path of the search tree from the start to state."""
     path = []
@@ -319,7 +313,7 @@ def _witness(parent: dict, state) -> tuple:
 
 
 def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
-    V = complete(_as_final_dfa(V))
+    V = complete(V)
     finals = V.finals
     w = build_w_delta(P, delta)
     step = {a: {q: V.delta[(q, a)] for q in V.states} for a in V.alphabet}

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Dfa, Letter
+from .automata import Dfa, Letter, grave
 from .engine import CounterVector, ZERO, engine_for
 
 
@@ -145,7 +145,7 @@ def check_phi_gamma_omega(P: Dfa) -> Optional[dict]:
     different classes defeats the split.  Returns {'phi':…, 'gamma':…,
     'omega':…} or None.
     """
-    finals = P.effective_finals()
+    finals = P.finals
     entered = {p for (_q, _a), p in P.delta.items()}
     demand: dict = {}
 
@@ -187,12 +187,4 @@ def l_of_segment(
             f"segment incompatible at state {result.witness[0]} "
             f"on letter {result.witness[1]}"
         )
-    a = result.automaton
-    return Dfa(
-        alphabet=a.alphabet,
-        states=a.states,
-        delta=dict(a.delta),
-        initial=a.initial,
-        finals=a.states,
-        kind="dfa",
-    )
+    return grave(result.automaton)

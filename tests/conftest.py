@@ -156,6 +156,26 @@ def single_a():
 
 
 @pytest.fixture
+def single_letter():
+    # the one-letter component words a and b
+    return mk_dfa("ab", [("I", "a", "II"), ("I", "b", "II")], "I", ["II"])
+
+
+@pytest.fixture
+def a7b_prefixes():
+    # semiautomaton reading the prefixes of aaaaaaab; deleting one a from
+    # aaaaaaab leaves aaaaaab, a violation longer than the default
+    # falsifier bound
+    return mk_dfa(
+        "ab",
+        [(str(i), "a", str(i + 1)) for i in range(7)] + [("7", "b", "8")],
+        "0",
+        [],
+        kind="semiautomaton",
+    )
+
+
+@pytest.fixture
 def b_chain():
     # accepts the empty word, a and baaa: reading only a from the start
     # reaches three states (with the sink), but five states reach F

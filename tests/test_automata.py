@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecheck.automata import (
+    AutomatonError,
     EmptyLanguage,
     Letter,
     accepts,
@@ -41,7 +42,7 @@ trans: 2 b 1
 """
     a = parse_automaton(text)
     assert a.is_semiautomaton
-    assert a.effective_finals() == a.states
+    assert a.finals == a.states
 
 
 def test_parse_letter_forms():
@@ -87,6 +88,23 @@ def test_complete_adds_sink(alt):
     c = complete(alt)
     assert all((q, a) in c.delta for q in c.states for a in c.alphabet)
     assert equivalent(normalize(c), alt)
+
+
+def test_semiautomaton_sink_rejects():
+    a_star = mk_dfa("ab", [("1", "a", "1")], "1", [], "semiautomaton")
+    all_words = mk_dfa("ab", [("1", "a", "1"), ("1", "b", "1")], "1", ["1"])
+    assert not equivalent(a_star, all_words)
+    eps_or_b = mk_dfa("ab", [("1", "b", "2")], "1", ["1", "2"])
+    assert includes(a_star, eps_or_b) == word("b")
+    c = complete(a_star)
+    assert c.kind == "dfa"
+    assert c.finals == {"1"} and len(c.states) == 2
+    assert equivalent(c, a_star)
+
+
+def test_semiautomaton_finals_are_its_states():
+    with pytest.raises(AutomatonError):
+        mk_dfa("ab", [("1", "a", "2")], "1", ["2"], "semiautomaton")
 
 
 @settings(max_examples=60, deadline=None)

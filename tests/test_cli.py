@@ -7,7 +7,7 @@ from conftest import mk_dfa
 
 
 @pytest.fixture
-def files(tmp_path, alt, ring3, ring9, two_start, tracker4):
+def files(tmp_path, alt, ring3, ring9, two_start, tracker4, single_letter, a7b_prefixes):
     paths = {}
     for name, a in [
         ("alt", alt),
@@ -15,6 +15,8 @@ def files(tmp_path, alt, ring3, ring9, two_start, tracker4):
         ("ring9", ring9),
         ("two_start", two_start),
         ("tracker4", tracker4),
+        ("single_letter", single_letter),
+        ("a7b_prefixes", a7b_prefixes),
     ]:
         p = tmp_path / f"{name}.aut"
         p.write_text(serialize_automaton(a))
@@ -47,6 +49,35 @@ def test_falsify(files, capsys):
     out = capsys.readouterr().out
     assert "word: a b a a" in out and "positions: 0 1" in out
     assert main(["falsify", files["alt"], files["alt"]]) == 2
+
+
+def test_decide_semiautomaton_violation_beyond_the_falsifier(files, capsys):
+    code = main(
+        ["decide", files["single_letter"], files["a7b_prefixes"], "--mode", "general"]
+    )
+    assert code == 1
+    assert "word: a a a a a a a b" in capsys.readouterr().out
+
+
+def test_falsify_rejects_a_constraint_decide_rejects(files, capsys, tmp_path):
+    # {aa, ba} is not prefix closed, so prefix mode has no question to ask
+    two = tmp_path / "two.aut"
+    two.write_text(serialize_automaton(
+        mk_dfa("ab", [("1", "a", "2"), ("1", "b", "2"), ("2", "a", "3")], "1", ["3"])
+    ))
+    assert main(["falsify", str(two), str(two), "--mode", "prefix"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and "prefix-closed" in err
+
+
+def test_falsify_rejects_a_narrower_component_alphabet(files, capsys, tmp_path):
+    only_a = tmp_path / "only_a.aut"
+    only_a.write_text(serialize_automaton(mk_dfa("a", [("1", "a", "2")], "1", ["2"])))
+    assert main(["falsify", str(only_a), files["alt"], "--mode", "general"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and "alphabets differ" in err
 
 
 def test_wdelta(files, capsys, tmp_path):
@@ -163,7 +194,7 @@ def test_unexpected_error_exits_3(files, capsys, monkeypatch):
 def test_falsify_alphabet_mismatch_exits_3(files, capsys):
     # ring3 reads c, which alt's alphabet lacks
     assert main(["falsify", files["ring3"], files["alt"], "--mode", "general"]) == 3
-    assert "not in the constraint alphabet" in capsys.readouterr().err
+    assert "component and constraint alphabets differ" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_3(files, capsys):

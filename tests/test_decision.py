@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from shufflecheck.automata import grave, normalize, word
+from shufflecheck.automata import (
+    Dfa,
+    EmptyLanguage,
+    grave,
+    is_prefix_closed,
+    normalize,
+    word,
+)
 from shufflecheck.decision import (
     Budgets,
     InvalidQuery,
@@ -183,7 +190,7 @@ def test_random_pairs_consistent(rng):
         ("ring3", "ring9", "general", SMALL, "fails", "falsifier"),
         ("single_ab", "alt", "prefix", SMALL, "holds", "prefix-fragment"),
         ("single_ab", "alt", "general", SMALL, "holds", "zero-fragment"),
-        ("tracker4", "tracker4", "prefix", SMALL, "holds", "zero-fragment"),
+        ("tracker4", "tracker4", "prefix", SMALL, "holds", "net-uncoverable"),
         ("single_abc", "ring9", "general", SMALL, "fails", "zero-fragment"),
         ("alt", "alt", "prefix", SMALL, "holds", "net-uncoverable"),
         ("alt", "alt", "general", SMALL, "holds", "net-uncoverable"),
@@ -265,6 +272,43 @@ def test_draw_808_fails_by_net_reachability():
     assert (v.outcome, v.route) == ("fails", "net-reachability")
     assert v.stats == {"km_nodes": 30, "km_capped": False, "markings": 276}
     assert replay_certificate(P, V, v)
+
+
+def test_semiautomaton_constraint_violation_beyond_the_falsifier(
+    single_letter, a7b_prefixes
+):
+    # every state of a semiautomaton accepts: the zero-fragment stage must
+    # root its backward search at all of them
+    v = decide_sp(single_letter, a7b_prefixes, "general")
+    assert (v.outcome, v.route) == ("fails", "zero-fragment")
+    assert v.certificate["word"] == word("aaaaaaab")
+    assert v.certificate["factor"] == word("aaaaaab")
+    assert replay_certificate(single_letter, a7b_prefixes, v)
+
+
+def test_semiautomaton_decides_as_its_all_final_dfa():
+    # a prefix-closed V decides the same whether it is written as a dfa
+    # with every state final or as a semiautomaton; without the falsifier
+    # the exact stages alone must agree
+    rng = random.Random(101010)
+    budgets = Budgets(falsifier_maxlen=0)
+    compared = 0
+    for _ in range(300):
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        if not is_prefix_closed(V):
+            continue
+        semi = Dfa(V.alphabet, V.states, dict(V.delta), V.initial, frozenset(),
+                   "semiautomaton")
+        for mode in ("prefix", "general"):
+            expected = decide_sp(P, V, mode, budgets).outcome
+            assert decide_sp(P, semi, mode, budgets).outcome == expected
+            compared += 1
+    assert compared == 302
 
 
 # Decides the first 150 criterion-10 draws in general mode and ab against

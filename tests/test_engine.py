@@ -216,7 +216,7 @@ def _reference_successors(P, f, a):
     # the definition of a step, case by case on the P-edge it follows: a
     # component opens or moves into a non-dead state, or closes in a final one
     non_dead = frozenset(q for (q, _a), _p in P.delta.items())
-    finals = P.effective_finals()
+    finals = P.finals
     out = set()
     p0 = P.delta.get((P.initial, a))
     if p0 is not None:

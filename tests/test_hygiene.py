@@ -88,6 +88,79 @@ def test_every_definition_is_referenced():
     assert _unreferenced_definitions() == []
 
 
+def _unread_methods(sources: dict, checked) -> list:
+    """Methods of the classes in the checked files, dunders aside, that no
+    node of sources reads, as an attribute or a name, outside the method's
+    own body.  sources maps a file name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads: dict = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((name, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((name, node.lineno))
+    found = []
+    for name in checked:
+        for cls in ast.walk(trees[name]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                own = range(fn.lineno, fn.end_lineno + 1)
+                if all(
+                    other == name and line in own
+                    for other, line in reads.get(fn.name, ())
+                ):
+                    found.append(f"{name}:{cls.name}.{fn.name}")
+    return sorted(found)
+
+
+def test_every_method_is_read():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    checked = [str(path.relative_to(ROOT)) for path in sorted(PACKAGE.glob("*.py"))]
+    assert _unread_methods(sources, checked) == []
+
+
+def test_unread_method_check_sees_only_reads():
+    sources = {
+        "pkg.py": "\n".join([
+            "class A:",
+            "    def used(self):",
+            "        return self.helper()",
+            "    def helper(self):",
+            "        return 1",
+            "    def recursive(self):",
+            "        return self.recursive()",
+            "    def documented(self):",
+            '        """Call self.documented() to document."""',
+            "    def assigned(self):",
+            "        pass",
+            "    def __repr__(self):",
+            "        return 'A'",
+            "    @property",
+            "    def size(self):",
+            "        return 0",
+        ]),
+        "use.py": "\n".join([
+            "# A().documented()",
+            "A().used()",
+            "a.assigned = None",
+            "n = a.size",
+        ]),
+    }
+    assert _unread_methods(sources, ["pkg.py"]) == [
+        "pkg.py:A.assigned", "pkg.py:A.documented", "pkg.py:A.recursive",
+    ]
+
+
 def _local_relative_imports(source: str) -> list:
     """Lines of the relative imports made inside a function; lazy imports
     from outside the package stay allowed."""

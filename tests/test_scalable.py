@@ -38,6 +38,14 @@ def test_family_requires_subset(alt, single_ab):
         build_family_member(alt, mk_dfa("ab", [("1", "a", "2")], "1", ["1", "2"]), {1})
 
 
+def test_family_base_inside_a_semiautomaton_constraint():
+    a_star = mk_dfa("ab", [("1", "a", "1")], "1", [], "semiautomaton")
+    eps_or_b = mk_dfa("ab", [("1", "b", "2")], "1", ["1", "2"])
+    with pytest.raises(NotASubset) as caught:
+        build_family_member(eps_or_b, a_star, {1})
+    assert str(caught.value).endswith(f"witness {word('b')}")
+
+
 def test_family_requires_prefix_closed(single_ab, alt):
     with pytest.raises(NotPrefixClosed):
         build_family_member(single_ab, alt, {1})
