@@ -16,7 +16,6 @@ from .automata import (
     Dfa,
     accepts,
     grave,
-    is_prefix_closed,
     normalize,
     parse_letter,
 )
@@ -94,11 +93,15 @@ def check_alphabets(P: Dfa, V: Dfa):
 
 
 def check_query(P: Dfa, V: Dfa, mode: str):
-    """Raise InvalidQuery unless decide_sp answers this query."""
+    """Raise InvalidQuery unless decide_sp answers this query.
+
+    P and V must be normalized (`normalize`): a trimmed V recognizes a
+    prefix-closed language exactly when every state is final.
+    """
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
     check_alphabets(P, V)
-    if mode == PREFIX and not is_prefix_closed(V):
+    if mode == PREFIX and V.finals != V.states:
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
 
 
@@ -256,7 +259,9 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     valid steps; a prefix-fragment one must also be closed in the
     product with V (`_prefix_delta_closed`), and then the exact closure
     search runs over the recorded fragment.  A zero-fragment one is not
-    yet checked for coverage.  Net-based holds re-run the net analysis.
+    yet checked for coverage.  Net-based holds re-run the net analysis,
+    which answers from the net's control states alone when none of them
+    is a counterexample's, as `decide_sp_via_net` does.
 
     A query that `decide_sp` would reject, such as a prefix-mode verdict
     on a V that is not prefix closed or a pair whose alphabets differ,

@@ -14,12 +14,14 @@ Both simulations take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
 step's vectors: a transition consumes the step's source vector and
 produces its target vector on the counter places.  Neither looks at the
-kind of a step or at the component automaton's edges.  The deletion net
-first searches its control states, the V1-state, V2-state and tracked
-place that hold one token each, from its initial marking with every
-counter place unbounded (`_live_controls`), and builds only the
-transitions whose control pre-set that search reaches; the rest could
-never fire from that marking.
+kind of a step or at the component automaton's edges.  The deletion-net
+route first searches the net's control states, the V1-state, V2-state
+and tracked place that hold one token each, from its initial marking with
+every counter place unbounded (`_live_controls`).  When no control state
+it finds is a counterexample's, the pair holds by `net-uncoverable` and
+the net is never built; otherwise the net holds only the transitions
+whose control pre-set that search reaches, since the rest could never
+fire from that marking.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -638,9 +640,9 @@ def _ep(vec: CounterVector) -> str:
     return f"E::{vec}"
 
 
-def _live_controls(V: Dfa, core) -> tuple:
+def _live_controls(V: Dfa, core) -> set:
     """The control states of the deletion net that a run from
-    (V.initial, V.initial, E::0) can reach, as (pairs, tracked pairs).
+    (V.initial, V.initial, E::0) can reach, as a set of triples.
 
     A control state (r1, r2, e) holds the V1-state, the V2-state and the
     tracked place, an E:: place or CHECK_PLACE; these are the one-token
@@ -651,8 +653,7 @@ def _live_controls(V: Dfa, core) -> tuple:
     letter a, maps (r1, r2, E::t.source) to (δ(r1, a), r2, e'), where e'
     is CHECK_PLACE when t's target is 0 and E::t.target otherwise.  The
     steps are indexed by letter and by tracked place, so the search costs
-    about |controls| × (letters + steps per place).  pairs holds the
-    (r1, r2) and tracked pairs the (r1, e) of the control states reached.
+    about |controls| × (letters + steps per place).  V must be complete.
     """
     delta = V.delta
     letters = {t.letter for t in core}
@@ -671,10 +672,23 @@ def _live_controls(V: Dfa, core) -> tuple:
             if control not in seen:
                 seen.add(control)
                 stack.append(control)
-    return {(r1, r2) for r1, r2, _ in seen}, {(r1, e) for r1, _, e in seen}
+    return seen
 
 
-def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
+def _live_target(V: Dfa, controls) -> bool:
+    """Does some control state in controls belong to a counterexample
+    marking: the composite's V-state final, the remainder's not, and the
+    tracked component closed on CHECK_PLACE?  Every counterexample marking
+    marks its control places, so a net whose live controls hold none has
+    no counterexample marking, reachable or coverable."""
+    finals = V.finals
+    return any(
+        e == CHECK_PLACE and r1 in finals and r2 not in finals
+        for r1, r2, e in controls
+    )
+
+
+def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     """Net executing the deletion system with free counters.
 
     A run reads a composite word and splits it into a remainder and one
@@ -696,13 +710,15 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
 
     The net holds every place, but only the transitions whose control
     pre-set a run from (V.initial, V.initial, E::0) can mark: a paired
-    transition on V-states (r1, r2) needs (r1, r2) among `_live_controls`'
-    V-state pairs, and a component transition on r1 from E::f needs
-    (r1, E::f) among its tracked pairs.  The search over-approximates the
-    net, so a dropped transition is never enabled in a marking reachable
-    from there, and every search from that marking finds the markings and
-    firings it would find in the net with all of them.  The transitions
-    kept have the same names, arcs, meta and relative order.
+    transition on V-states (r1, r2) needs some live control (r1, r2, e),
+    and a component transition on r1 from E::f some live control
+    (r1, r2, E::f), live meaning found by `_live_controls`.  The search
+    over-approximates the net, so a dropped transition is never enabled
+    in a marking reachable from there, and every search from that marking
+    finds the markings and firings it would find in the net with all of
+    them.  The transitions kept have the same names, arcs, meta and
+    relative order.  A caller that has already run the search passes its
+    result as controls, so it runs once.
     """
     V = complete(V)
     eng = engine_for(P)
@@ -716,9 +732,11 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     )
     pre, post, meta = {}, {}, {}
     core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
-    pairs, tracked_pairs = _live_controls(V, core)
+    if controls is None:
+        controls = _live_controls(V, core)
+    tracked_pairs = {(r1, e) for r1, _, e in controls}
     partners = {}  # r1 -> the r2 of its live pairs, in sorted order
-    for r1, r2 in sorted(pairs):
+    for r1, r2 in sorted({(r1, r2) for r1, r2, _ in controls}):
         partners.setdefault(r1, []).append(r2)
     vstates = sorted(V.states)
     for t in core:
@@ -816,13 +834,24 @@ def decide_sp_via_net(
     remainder's V-state rejects.  Exact when the marking space is finite;
     otherwise Holds is still sound when no such marking is even coverable.
 
-    The Karp–Miller tree stops at its first node that covers a
-    counterexample marking, so `km_nodes` counts the nodes built until
-    then; a pair with none coverable builds the whole tree.  A marking BFS
-    on packed markings then looks for a reachable one.
+    Every counterexample marking marks its control places, so the route
+    first searches the control states (`_live_controls`).  When none of
+    them is a counterexample's, the pair holds by `net-uncoverable`
+    before the net is built, and the stats give the number of control
+    states, `controls`, in place of `km_nodes`.  Otherwise the net is
+    built from those control states.  The Karp–Miller tree stops at its
+    first node that covers a counterexample marking, so `km_nodes` counts
+    the nodes built until then; a pair with none coverable builds the
+    whole tree.  A marking BFS on packed markings then looks for a
+    reachable one.
     """
     V = complete(V)
-    net, iota = build_np_v_full(P, V)
+    controls = _live_controls(V, engine_for(P).sigma_core())
+    if not _live_target(V, controls):
+        return NetVerdict(
+            "holds", "net-uncoverable", stats={"controls": len(controls)}
+        )
+    net, iota = build_np_v_full(P, V, controls)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
     nonfinals = sorted(set(V.states) - set(V.finals))
     targets = [

@@ -38,6 +38,18 @@ def random_dfa(rng, max_states=3, alpha="ab", p_edge=0.6):
     return Dfa(letters, frozenset(states), delta, states[0], finals, "dfa")
 
 
+def wide_draw(rng, max_states=3, alpha="abc", p_edge=0.6):
+    """One (P, V) pair of the wide draws: P a dfa, V a semiautomaton with
+    probability 0.3 and a dfa otherwise."""
+    P = random_dfa(rng, max_states, alpha, p_edge)
+    semi = rng.random() < 0.3
+    V = random_dfa(rng, max_states, alpha, p_edge)
+    if semi:
+        V = Dfa(V.alphabet, V.states, V.delta, V.initial, frozenset(),
+                "semiautomaton")
+    return P, V
+
+
 def depth_chain(n):
     """Prefix-closed depth counter 0..n over {a, b}: a goes one deeper,
     b one shallower."""

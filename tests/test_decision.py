@@ -260,18 +260,90 @@ def test_prefix_fragment_missing_a_step_rejected(single_ab):
         assert not replay_certificate(single_ab, V, cut), lines[i]
 
 
+def _criterion_10_draw(n):
+    # the n-th (0-based) pair of the criterion-10 draw sequence
+    rng = random.Random(101010)
+    for _ in range(n + 1):
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+    return P, V
+
+
 def test_draw_808_fails_by_net_reachability():
     # the 808th criterion-10 draw fails beyond the falsifier's bound; the
     # Karp–Miller tree stops at its first node covering a counterexample
     # marking, and the marking BFS finds one
-    rng = random.Random(101010)
-    for _ in range(809):
-        P = random_dfa(rng, max_states=3, alpha="ab")
-        V = random_dfa(rng, max_states=3, alpha="ab")
+    P, V = _criterion_10_draw(808)
     v = decide_sp(P, V, "general")
     assert (v.outcome, v.route) == ("fails", "net-reachability")
     assert v.stats == {"km_nodes": 30, "km_capped": False, "markings": 276}
     assert replay_certificate(P, V, v)
+
+
+def test_draw_169_holds_by_karp_miller():
+    # a counterexample's control state is live in draw 169's deletion net,
+    # so the control check does not settle it; the whole Karp–Miller tree
+    # covers no counterexample marking
+    P, V = _criterion_10_draw(169)
+    v = decide_sp(P, V, "general")
+    assert (v.outcome, v.route) == ("holds", "net-uncoverable")
+    assert v.stats == {"km_nodes": 45, "km_capped": False}
+    assert replay_certificate(P, V, v)
+
+
+def test_control_check_holds_without_building_the_net(monkeypatch):
+    # V reads every word, so the pair holds; no control state of its
+    # deletion net has a rejecting remainder.  A search of that net would
+    # run Karp–Miller to its node cap and the marking BFS to its forward
+    # cap, and answer Unknown.
+    from shufflecheck import decision, petri
+
+    P = mk_dfa(
+        "abc",
+        [("1", "a", "2"), ("1", "b", "3"), ("1", "c", "1"), ("2", "a", "2"),
+         ("2", "b", "3"), ("3", "a", "1"), ("3", "b", "2"), ("3", "c", "3")],
+        "1",
+        ["2"],
+    )
+    V = mk_dfa(
+        "abc",
+        [("1", "a", "2"), ("1", "b", "1"), ("1", "c", "1"),
+         ("2", "a", "1"), ("2", "b", "2"), ("2", "c", "1")],
+        "1",
+        [],
+        kind="semiautomaton",
+    )
+    # the zero-fragment stage runs Karp–Miller on its own net; only calls
+    # made by the net stage count
+    net_calls, searched = [], []
+    real_net = decision.decide_sp_via_net
+
+    def net_stage(*args):
+        net_calls.append(None)
+        searched.append(None)
+        try:
+            return real_net(*args)
+        finally:
+            searched.pop()
+
+    def spy(name):
+        real = getattr(petri, name)
+
+        def call(*args, **kwargs):
+            assert not searched, f"the net stage called {name}"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(petri, name, call)
+
+    for name in ("build_np_v_full", "karp_miller", "marking_bfs"):
+        spy(name)
+    monkeypatch.setattr(decision, "decide_sp_via_net", net_stage)
+    v = decide_sp(P, V, "general")
+    assert (v.outcome, v.route) == ("holds", "net-uncoverable")
+    assert v.certificate == {}
+    assert v.stats == {"controls": 18}
+    assert replay_certificate(P, V, v)
+    assert len(net_calls) == 2
 
 
 def test_semiautomaton_constraint_violation_beyond_the_falsifier(

@@ -12,10 +12,13 @@ from shufflecheck.engine import (
     elementary_vector_states,
     engine_for,
     parse_transition,
+    sp_falsify,
 )
 from shufflecheck.petri import (
     CHECK_PLACE,
     _ep,
+    _live_controls,
+    _live_target,
     build_np_v_full,
     build_npv,
     build_product,
@@ -32,7 +35,7 @@ from shufflecheck.petri import (
     to_dot,
     to_pnml,
 )
-from conftest import mk_dfa, random_dfa
+from conftest import mk_dfa, random_dfa, wide_draw
 import km_reference
 import net_reference
 
@@ -415,6 +418,12 @@ def _km_nodes(km, project=lambda m: m):
     return nodes, km.pump, km.bounded, km.capped, km.stopped
 
 
+def _control_check_settles(comp, Vc):
+    # does the deletion net's control search find no counterexample's
+    # control, so that decide_sp_via_net answers before building the net?
+    return not _live_target(Vc, _live_controls(Vc, engine_for(comp).sigma_core()))
+
+
 def test_deletion_net_keeps_every_transition_a_run_can_fire():
     # the deletion net against the three-track reference net with every
     # transition: the first 100 criterion-10 pairs, P and grave(P) against
@@ -423,7 +432,7 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
         (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
     ]
     cases += [(_word(w), complete(_modular(5, 1, 0))) for w in ("ab", "aab", "abb")]
-    kept = total = 0
+    kept = total = uncovered = 0
     for comp, Vc in cases:
         net, iota = build_np_v_full(comp, Vc)
         ref, ref_iota = net_reference.build_np_v_full(comp, Vc)
@@ -453,6 +462,11 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
             km = karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
             ref_km = karp_miller(ref, r0, node_cap=20_000, stop_at=ref_stop_at)
             assert _km_nodes(km) == _km_nodes(ref_km, project)
+        # a net whose control search finds no counterexample's control
+        # covers no counterexample marking
+        if _control_check_settles(comp, Vc):
+            uncovered += 1
+            assert not ref_km.stopped
         assert _named_bfs(net, m0) == _named_bfs(ref, r0, project)
         # the composite's counters are the remainder's plus the tracked
         # component's vector in every marking the reference reaches
@@ -465,6 +479,30 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
             for q in comp.states:
                 assert m[f"Q1::{q}"] == m[f"Q2::{q}"] + f.get(q)
     assert kept < total
+    assert uncovered
+
+
+def test_control_check_settles_only_pairs_without_a_violation():
+    # whenever the control search of the deletion net finds no
+    # counterexample's control, the bounded falsifier finds no violation
+    # either; wide draws, in both modes where V is prefix closed
+    rng = random.Random(16)
+    settled = decisions = 0
+    for _ in range(300):
+        P, V = wide_draw(rng)
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        modes = ("prefix", "general") if V.finals == V.states else ("general",)
+        Vc = complete(V)
+        for mode in modes:
+            comp = grave(P) if mode == "prefix" else P
+            decisions += 1
+            if _control_check_settles(comp, Vc):
+                settled += 1
+                assert sp_falsify(comp, V, 5) is None, (P, V, mode)
+    assert settled > decisions // 2
 
 
 def test_zero_route_needs_no_forward_search():
