@@ -54,8 +54,9 @@ class CounterVector:
     Build one with `make` (or directly from already sorted positive entries).
     """
 
-    __slots__ = ("entries", "_text", "__weakref__")
+    __slots__ = ("entries", "norm", "_text", "__weakref__")
     entries: tuple  # sorted tuple of (state, positive count)
+    norm: int  # sum of the counts, kept when the vector is interned
 
     def __new__(cls, entries: tuple = ()):
         self = _VECTORS.get(entries)
@@ -65,6 +66,7 @@ class CounterVector:
                 if self is None:
                     self = object.__new__(cls)
                     object.__setattr__(self, "entries", entries)
+                    object.__setattr__(self, "norm", sum(n for _, n in entries))
                     object.__setattr__(self, "_text", None)
                     _VECTORS[entries] = self
         return self
@@ -94,10 +96,6 @@ class CounterVector:
 
     def support(self) -> tuple:
         return tuple(q for q, _ in self.entries)
-
-    @property
-    def norm(self) -> int:
-        return sum(n for _, n in self.entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -378,10 +376,17 @@ class ShuffleEngine:
                 out.add(ShuffleTransition(f, a, t.target.add(f.sub(t.source)), t.kind))
         return frozenset(out)
 
-    def all_successors(self, f: CounterVector) -> frozenset:
-        out = set()
-        for a in self.P.alphabet:
-            out |= self.successors(f, a)
+    def targets(self, f: CounterVector, a: Letter) -> frozenset:
+        """The target vectors of `successors(f, a)`, without building steps."""
+        # the loop is successors' own: one generator for both made the
+        # hotter successors about a fifth slower
+        if a not in self.letters:
+            raise UnknownLetter(f"letter {a} not in the alphabet")
+        out = {t.target.add(f) for t in self.opening[a]}
+        moving = self.moving
+        for q, _n in f.entries:
+            for t in moving.get((q, a), ()):
+                out.add(t.target.add(f.sub(t.source)))
         return frozenset(out)
 
     def sigma_core(self) -> frozenset:
@@ -405,22 +410,18 @@ class ShuffleEngine:
         frontier = [ZERO]
         while frontier:
             f = frontier.pop()
-            for t in self.all_successors(f):
-                g = t.target
-                if g.norm <= max_norm and g not in seen:
-                    seen.add(g)
-                    frontier.append(g)
+            for a in self.P.alphabet:
+                for g in self.targets(f, a):
+                    if g.norm <= max_norm and g not in seen:
+                        seen.add(g)
+                        frontier.append(g)
         return frozenset(seen)
 
     def member_final_vectors(self, w: Word) -> frozenset:
         """All vectors reachable from 0 along paths labeled w."""
         frontier = {ZERO}
         for a in w:
-            nxt = set()
-            for f in frontier:
-                for t in self.successors(f, a):
-                    nxt.add(t.target)
-            frontier = nxt
+            frontier = {g for f in frontier for g in self.targets(f, a)}
             if not frontier:
                 break
         return frozenset(frontier)
@@ -472,16 +473,27 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     result of the brute-force oracle.sp_falsify.  Raises BudgetExceeded
     for a bound over MAX_FALSIFIER_LEN; no word count caps it.
 
-    A breadth-first search runs over the prefixes x of w in that order.
-    Each x carries its V-state and the set of configurations reached by
-    splitting x into a remainder u and a component e: (V-state of u, or
-    None once u has left V; counter vector of u; P-state of e; whether e
-    is nonempty).  w violates when it is in V and some configuration has u
-    outside V, u's vector zero and e nonempty and accepted; w then
-    interleaves u, a member of the iterated shuffle, with a component word.
-    A prefix whose V-state and configurations an earlier prefix already
-    had is dropped: each of its extensions accepts exactly when the same
-    extension of the earlier prefix does, and that word comes first.
+    A configuration splits a prefix x of w into a remainder u and a
+    component e: (V-state of u, or None once u has left V; counter vector
+    of u; P-state of e; whether e is nonempty).  w violates when it is in V
+    and reaches a configuration with u outside V, u's vector zero and e
+    nonempty and accepted; w then interleaves u, a member of the iterated
+    shuffle, with a component word.
+
+    A breadth-first search runs over the prefixes x in key order (length,
+    then P's alphabet order) and steps each x on every letter in that
+    order.  Each pair (V-state of x, configuration) is kept only at the
+    first prefix that reaches it, so it is expanded at most once.  This
+    still finds the key-least violating word w.  A configuration's future
+    depends only on itself and on the room left before the bound, and the
+    prefix that first reaches it is key-least, so no longer, and has at
+    least as much room.  If some configuration on w's path were first
+    reached by a prefix y less than w's own prefix x, then y followed by
+    the rest of w would violate and come before w.  So every configuration
+    on w's path is kept at w's own prefix, and the first new accepting
+    configuration the search meets is w's.  The search must step prefix
+    by prefix: stepping configuration by configuration would reach a pair
+    first from a prefix that is not the least one.
     """
     if maxlen > MAX_FALSIFIER_LEN:
         raise BudgetExceeded(f"falsifier length bound {maxlen} too large")
@@ -494,44 +506,52 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     moves: dict = {}
 
     def targets(f: CounterVector, a: Letter) -> tuple:
+        """(target, norm) of every step of f on a."""
         out = moves.get((f, a))
         if out is None:
-            out = moves[(f, a)] = tuple({t.target for t in eng.successors(f, a)})
+            out = moves[(f, a)] = tuple((g, g.norm) for g in eng.targets(f, a))
         return out
 
+    p_delta = P.delta
+    v_delta = V.delta
     p_finals = P.finals
     v_finals = V.finals
-    start = (V.initial, frozenset({(V.initial, ZERO, P.initial, False)}))
-    seen = {start}
-    level = [((), start)]
+    start = (V.initial, ZERO, P.initial, False)
+    seen = {V.initial: {start}}  # V-state of x -> configurations reached
+    level = [((), V.initial, (start,))]
     for n in range(1, maxlen + 1):
         room = maxlen - n  # an open component needs one more letter to close
         grown = []
-        for x, (qw, configs) in level:
+        for x, qw, configs in level:
             for a in P.alphabet:
-                qw2 = V.delta.get((qw, a))
+                qw2 = v_delta.get((qw, a))
                 if qw2 is None:
                     continue
-                out = set()
+                old = seen.setdefault(qw2, set())
+                new = []
                 for qu, f, pe, nonempty in configs:
-                    pe2 = P.delta.get((pe, a))
+                    pe2 = p_delta.get((pe, a))
                     if pe2 is not None:
-                        out.add((qu, f, pe2, True))
-                    qu2 = None if qu is None else V.delta.get((qu, a))
-                    for g in targets(f, a):
-                        if g.norm <= room:
-                            out.add((qu2, g, pe, nonempty))
-                node = (qw2, frozenset(out))
-                if not out or node in seen:
+                        c = (qu, f, pe2, True)
+                        if c not in old:
+                            old.add(c)
+                            new.append(c)
+                    qu2 = None if qu is None else v_delta.get((qu, a))
+                    for g, norm in targets(f, a):
+                        if norm <= room:
+                            c = (qu2, g, pe, nonempty)
+                            if c not in old:
+                                old.add(c)
+                                new.append(c)
+                if not new:
                     continue
-                seen.add(node)
                 w = x + (a,)
                 if qw2 in v_finals and any(
-                    nonempty and pe in p_finals and f.is_zero() and qu not in v_finals
-                    for qu, f, pe, nonempty in out
+                    nonempty and pe in p_finals and f is ZERO and qu not in v_finals
+                    for qu, f, pe, nonempty in new
                 ):
                     return (w,) + _least_removal(P, V, w, targets)
-                grown.append((w, node))
+                grown.append((w, qw2, new))
         level = grown
     return None
 
@@ -540,7 +560,8 @@ def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
     """The least (u, e, positions) splitting w into u, a member of the
     iterated shuffle outside V, and a nonempty component word e at
     positions, ordered by u, then e (length, then P's alphabet order),
-    then positions.  The search runs over the position subsets of w."""
+    then positions.  The search runs over the position subsets of w;
+    targets(f, a) gives the (target, norm) pairs of f's steps on a."""
     rank = {a: i for i, a in enumerate(P.alphabet)}
 
     def key(v: Word) -> tuple:
@@ -563,7 +584,9 @@ def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
         if pe2 is not None:
             split(i + 1, upos, epos + (i,), pe2, vectors)
         room = len(w) - i - 1
-        moved = frozenset(g for f in vectors for g in targets(f, a) if g.norm <= room)
+        moved = frozenset(
+            g for f in vectors for g, norm in targets(f, a) if norm <= room
+        )
         if moved:
             split(i + 1, upos + (i,), epos, pe, moved)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from shufflecheck import engine
 from shufflecheck.automata import (
     Dfa,
     EmptyLanguage,
@@ -25,7 +26,7 @@ from shufflecheck.decision import (
     replay_certificate,
     serialize_verdict,
 )
-from conftest import depth_chain, mk_dfa, random_dfa
+from conftest import depth_chain, mk_dfa, random_dfa, wide_draw
 
 
 SMALL = Budgets(falsifier_maxlen=5, km_node_cap=20_000, forward_cap=50_000)
@@ -381,6 +382,31 @@ def test_semiautomaton_decides_as_its_all_final_dfa():
             assert decide_sp(P, semi, mode, budgets).outcome == expected
             compared += 1
     assert compared == 302
+
+
+def test_exact_stages_against_the_falsifier_on_wide_draws():
+    # without the falsifier's cover, no Holds of the exact stages may meet
+    # a violation the bounded falsifier finds, and every Holds and Fails
+    # certificate replays; wide draws, in both modes where V is prefix
+    # closed
+    rng = random.Random(17)
+    budgets = Budgets(falsifier_maxlen=0)
+    outcomes = {"holds": 0, "fails": 0, "unknown": 0}
+    for _ in range(300):
+        P, V = wide_draw(rng)
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        for mode in ("prefix", "general") if V.finals == V.states else ("general",):
+            v = decide_sp(P, V, mode, budgets)
+            outcomes[v.outcome] += 1
+            if v.outcome == "holds":
+                comp = grave(P) if mode == "prefix" else P
+                assert engine.sp_falsify(comp, V, 6) is None, (P, V, mode)
+            if v.outcome != "unknown":
+                assert replay_certificate(P, V, v), (P, V, mode)
+    assert outcomes["holds"] > 200 and outcomes["fails"] > 50
 
 
 # Decides the first 150 criterion-10 draws in general mode and ab against

@@ -1,4 +1,5 @@
-"""The configuration-merging falsifier against the brute-force oracle."""
+"""The breadth-first falsifier, which expands each configuration once,
+against the brute-force oracle."""
 
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from shufflecheck import engine, oracle
 from shufflecheck.automata import EmptyLanguage, grave, normalize, word
 from shufflecheck.decision import decide_sp, replay_certificate
-from conftest import mk_dfa, random_dfa
+from conftest import mk_dfa, random_dfa, wide_draw
 
 
 def distinct_pairs(seed, alpha, count):
@@ -57,6 +58,43 @@ def test_matches_oracle_on_three_letters():
             assert engine.sp_falsify(comp, V, 5) == oracle.sp_falsify(comp, V, 5)
 
 
+def test_matches_oracle_on_wide_draws():
+    # three letters, semiautomaton constraints among the dfa ones, both
+    # modes and every bound up to 5; the oracle's answer is the least
+    # violating word within its bound, so its answer at a smaller bound is
+    # the one at 5 when that is short enough and None otherwise
+    rng = random.Random(17)
+    semi = found = 0
+    for _ in range(40):
+        P, V = wide_draw(rng)
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        semi += V.kind == "semiautomaton"
+        for comp in (P, grave(P)):
+            at5 = oracle.sp_falsify(comp, V, 5)
+            found += at5 is not None
+            for bound in range(6):
+                expected = at5 if at5 is not None and len(at5[0]) <= bound else None
+                assert engine.sp_falsify(comp, V, bound) == expected, (P, V, bound)
+    assert semi >= 5 and found >= 10
+
+
+def test_the_first_prefix_to_reach_a_configuration_is_the_least():
+    # ba violates: deleting the component a at position 1 leaves b, which
+    # V rejects.  bb violates too.  Stepping configuration by configuration
+    # instead of prefix by prefix first reaches the violating configuration
+    # from b followed by b and answers bb.
+    P = mk_dfa("ab", [("1", "a", "2"), ("1", "b", "2"), ("2", "a", "1"),
+                      ("2", "b", "2")], "1", ["1", "2"])
+    V = mk_dfa("ab", [("1", "a", "1"), ("1", "b", "2"), ("2", "a", "1"),
+                      ("2", "b", "1")], "1", ["1"])
+    expected = (word("ba"), word("b"), word("a"), (1,))
+    assert oracle.sp_falsify(P, V, 6) == expected
+    assert engine.sp_falsify(P, V, 6) == expected
+
+
 def test_length_guard():
     assert oracle.BudgetExceeded is engine.BudgetExceeded
     S = sigma_star("ab")
@@ -70,7 +108,7 @@ def test_length_guard():
 @pytest.mark.parametrize("alpha", ["abc", "abcde"])
 def test_trivial_pair_decides_via_the_net(alpha):
     # the brute force took ~22 s on {a,b,c}* and did not finish on five
-    # letters; merged configurations leave one prefix per length
+    # letters; each configuration is expanded once
     S = sigma_star(alpha)
     v = decide_sp(S, S, "general")
     assert (v.outcome, v.route) == ("holds", "net-uncoverable")
