@@ -26,7 +26,6 @@ from .engine import (
     parse_transition,
     shuffle_member,
     sp_falsify,
-    validate_in_shuffle,
 )
 from .petri import (
     DEFAULT_FORWARD_CAP,
@@ -35,7 +34,12 @@ from .petri import (
     decide_alf_zero_finite,
     decide_sp_via_net,
 )
-from .representation import check_closure_prefix, check_closure_zero, decode_witness
+from .representation import (
+    NotSubsetOfShuffle,
+    check_closure_prefix,
+    check_closure_zero,
+    decode_witness,
+)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -255,10 +259,10 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
     A failing certificate is checked word by word.  A holding fragment
-    certificate must name a fragment route of its mode and list only
-    valid steps; a prefix-fragment one must also be closed in the
-    product with V (`_prefix_delta_closed`), and then the exact closure
-    search runs over the recorded fragment.  A zero-fragment one is not
+    certificate must name a fragment route of its mode; a prefix-fragment
+    one must also be closed in the product with V (`_prefix_delta_closed`),
+    and then the exact closure search runs over the recorded fragment,
+    which rejects it unless every step is valid.  A zero-fragment one is not
     yet checked for coverage.  Net-based holds re-run the net analysis,
     which answers from the net's control states alone when none of them
     is a counterexample's, as `decide_sp_via_net` does.
@@ -302,13 +306,15 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
             delta = frozenset(
                 parse_transition(line) for line in verdict.certificate["delta"]
             )
-            if not all(validate_in_shuffle(comp, t) for t in delta):
-                return False
+            check_closure = check_closure_zero
             if verdict.route == "prefix-fragment":
                 if not _prefix_delta_closed(comp, V, delta):
                     return False
-                return check_closure_prefix(comp, V, delta).holds
-            return check_closure_zero(comp, V, delta).holds
+                check_closure = check_closure_prefix
+            try:
+                return check_closure(comp, V, delta).holds
+            except NotSubsetOfShuffle:
+                return False
         rerun = decide_sp_via_net(
             comp, V, verdict.budgets.km_node_cap, verdict.budgets.forward_cap
         )

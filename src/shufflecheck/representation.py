@@ -6,6 +6,11 @@ deleting one tracked component, track 3 that component itself (checked
 letters).  Exactly one of tracks 2/3 moves per column and the counter
 vectors add up, so projecting a recognized word to tracks 1 and 2 realizes
 the deletion relation exactly on the covered fragment.
+
+The recognizer W_delta has one definition of a move, `w_delta_moves`.  The
+closure search asks it for a state's columns when the search first reaches
+that state and never builds W_delta; `build_w_delta` builds the whole
+automaton by walking the same moves, for the `wdelta` command and tests.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .engine import (
     elementary_vector_states,
     engine_for,
     reached,
-    validate_in_shuffle,
 )
 
 
@@ -106,8 +110,9 @@ class TrackLetter:
 def compute_s_sets(P: Dfa, delta) -> tuple:
     """Vector ranges of the three tracks over the fragment delta."""
     delta = frozenset(delta)
+    eng = engine_for(P)
     for t in delta:
-        if not validate_in_shuffle(P, t):
+        if t not in eng.successors(t.source, t.letter):
             raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
     # track 1: reachable from 0 along delta
     s1 = reached(delta)
@@ -125,7 +130,7 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
             if f is not None:
                 candidates.add(f)
     cap = max((f.norm for f in candidates), default=0)
-    reachable = engine_for(P).reachable_vectors(cap)
+    reachable = eng.reachable_vectors(cap)
     s2 = candidates & reachable
     return s1, frozenset(s2), frozenset(s3)
 
@@ -199,6 +204,54 @@ def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
     return DeltaSystem(delta, s1, s2, s3, d2, d3, frozenset(columns))
 
 
+def w_delta_moves(P: Dfa, delta):
+    """The move function of W_delta, made once per fragment.
+
+    The returned function maps a W-state (s1, s2, s3) to its moves, each a
+    (column, next state) pair, sorted by the column's text.  A state's
+    columns are the columns of `build_delta_paren` that it can read: the
+    composite step starts at s1 and the active track at s2 or s3 while the
+    other track rests.  Every state reached from (0, 0, 0) has s1 = s2 + s3
+    (the deleted sentinel counting as 0), with s2 in S2 and s3 in S3, and
+    each column keeps that, so a move needs only the step indexes below:
+    delta's steps by source, the remainder and component steps by (source,
+    letter, kind).  No state pays for the columns of another.  An invalid
+    step in delta raises NotSubsetOfShuffle here, before any move is made.
+    """
+    delta = frozenset(delta)
+    _s1, s2_set, s3_set = compute_s_sets(P, delta)
+    from_source: dict = {}
+    for x1 in delta:
+        from_source.setdefault(x1.source, []).append(x1)
+    by_event2: dict = {}
+    for x2 in _delta2_prime(P, delta, s2_set):
+        by_event2.setdefault((x2.source, x2.letter, x2.kind), []).append(x2)
+    by_event3: dict = {}
+    for x3 in _delta3_prime(P, delta, s3_set):
+        key = (x3.source, x3.letter.unchecked(), x3.kind)
+        by_event3.setdefault(key, []).append(x3)
+
+    def moves(state) -> tuple:
+        s1, s2, s3 = state
+        rest = ZERO if s3 is CHECK_ZERO else s3
+        out = []
+        for x1 in from_source.get(s1, ()):
+            # track 2 moves while track 3 rests
+            for x2 in by_event2.get((s2, x1.letter, x1.kind), ()):
+                if x2.target.add(rest) == x1.target:
+                    out.append((TrackLetter(x1, x2, s3), (x1.target, x2.target, s3)))
+            # track 3 moves while track 2 rests; no component step leaves
+            # the sentinel
+            for x3 in by_event3.get((s3, x1.letter, x1.kind), ()):
+                if x3.target.add(s2) == x1.target:
+                    n3 = CHECK_ZERO if x3.target == ZERO else x3.target
+                    out.append((TrackLetter(x1, s2, x3), (x1.target, s2, n3)))
+        out.sort(key=lambda move: str(move[0]))
+        return tuple(out)
+
+    return moves
+
+
 def _state_name(s1, s2, s3) -> str:
     return f"{s1}|{s2}|{s3}"
 
@@ -208,59 +261,30 @@ class WDelta:
     automaton: Dfa  # semiautomaton over Letter(TrackLetter)
     system: DeltaSystem
     decode: dict  # state name -> (s1, s2, s3-or-sentinel)
-    out: dict  # state name -> ((column, target name), ...) in alphabet order
 
 
 def build_w_delta(P: Dfa, delta) -> WDelta:
-    """Deterministic recognizer of the valid column sequences."""
+    """Deterministic recognizer of the valid column sequences.
+
+    Its states are those reached from (0, 0, 0) by `w_delta_moves`, and its
+    alphabet is every column of `build_delta_paren`.  The closure search
+    never builds it; it serves the `wdelta` command and the tests.
+    """
     system = build_delta_paren(P, delta)
-    columns = sorted(system.columns, key=str)
-    # a column leaves only the states whose track 1 is its composite
-    # source; each bucket keeps the alphabet order
-    by_source: dict = {}
-    for col in columns:
-        by_source.setdefault(col.x1.source, []).append(col)
+    moves = w_delta_moves(P, system.delta)
     initial = (ZERO, ZERO, ZERO)
-    seen = {initial}
+    names = {initial: _state_name(*initial)}
     queue = deque([initial])
-    transitions = []
+    delta_map = {}
     while queue:
         src = queue.popleft()
-        s1, s2, s3 = src
-        for col in by_source.get(s1, ()):
-            if isinstance(col.x2, ShuffleTransition):
-                if col.x2.source != s2:
-                    continue
-                n2 = col.x2.target
-            else:
-                if col.x2 != s2:
-                    continue
-                n2 = s2
-            if isinstance(col.x3, ShuffleTransition):
-                if s3 is CHECK_ZERO or col.x3.source != s3:
-                    continue
-                n3 = CHECK_ZERO if col.x3.target == ZERO else col.x3.target
-            elif col.x3 is CHECK_ZERO:
-                if s3 is not CHECK_ZERO:
-                    continue
-                n3 = CHECK_ZERO
-            else:
-                if col.x3 != s3:
-                    continue
-                n3 = s3
-            nxt = (col.x1.target, n2, n3)
-            transitions.append((src, col, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
+        for col, nxt in moves(src):
+            if nxt not in names:
+                names[nxt] = _state_name(*nxt)
                 queue.append(nxt)
-    names = {s: _state_name(*s) for s in seen}
-    delta_map = {}
-    out: dict = {name: [] for name in names.values()}
-    for src, col, tgt in transitions:
-        delta_map[(names[src], Letter(col))] = names[tgt]
-        out[names[src]].append((col, names[tgt]))
+            delta_map[(names[src], Letter(col))] = names[nxt]
     dfa = Dfa(
-        alphabet=tuple(Letter(c) for c in columns),
+        alphabet=tuple(Letter(c) for c in sorted(system.columns, key=str)),
         states=frozenset(names.values()),
         delta=delta_map,
         initial=names[initial],
@@ -268,7 +292,7 @@ def build_w_delta(P: Dfa, delta) -> WDelta:
         kind="semiautomaton",
     )
     decode = {name: s for s, name in names.items()}
-    return WDelta(dfa, system, decode, {q: tuple(m) for q, m in out.items()})
+    return WDelta(dfa, system, decode)
 
 
 def mu_nu_project(columns) -> tuple:
@@ -313,34 +337,43 @@ def _witness(parent: dict, state) -> tuple:
 
 
 def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
+    """Breadth-first search of W_delta x V x V for an accepted composite
+    whose remainder V rejects.
+
+    W_delta is never built: a W-state's moves are made by `w_delta_moves`
+    when the search first reaches the state, and kept for the next visit.
+    They come in column-text order, as W's alphabet lists them, so the
+    search visits states, and finds its witness, in a fixed order.
+    """
     V = complete(V)
     finals = V.finals
-    w = build_w_delta(P, delta)
+    w_moves = w_delta_moves(P, delta)
     step = {a: {q: V.delta[(q, a)] for q in V.states} for a in V.alphabet}
     # per W-state: (column, W-target, V-step of track 1, V-step of track 2
-    # or None when track 2 rests), in the alphabet order of W
-    moves = {
-        ws: tuple(
-            (
-                col,
-                tgt,
-                step[col.x1.letter],
-                step[col.x2.letter] if isinstance(col.x2, ShuffleTransition) else None,
-            )
-            for col, tgt in edges
-        )
-        for ws, edges in w.out.items()
-    }
-    start = (w.automaton.initial, V.initial, V.initial)
+    # or None when track 2 rests)
+    moves: dict = {}
+    initial = (ZERO, ZERO, ZERO)
+    start = (initial, V.initial, V.initial)
     parent = {start: None}  # state -> (previous state, column)
     queue = deque([start])
     while queue:
         state = queue.popleft()
         ws, vmu, vnu = state
         if vmu in finals and vnu not in finals:
-            if not require_zero or w.decode[ws][0] == ZERO:
+            if not require_zero or ws[0] == ZERO:
                 return ClosureOutcome(False, _witness(parent, state), len(parent))
-        for col, nws, mu, nu in moves[ws]:
+        out = moves.get(ws)
+        if out is None:
+            out = moves[ws] = tuple(
+                (
+                    col,
+                    nws,
+                    step[col.x1.letter],
+                    step[col.x2.letter] if isinstance(col.x2, ShuffleTransition) else None,
+                )
+                for col, nws in w_moves(ws)
+            )
+        for col, nws, mu, nu in out:
             nxt = (nws, mu[vmu], vnu if nu is None else nu[vnu])
             if nxt not in parent:
                 parent[nxt] = (state, col)

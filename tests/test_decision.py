@@ -261,6 +261,19 @@ def test_prefix_fragment_missing_a_step_rejected(single_ab):
         assert not replay_certificate(single_ab, V, cut), lines[i]
 
 
+@pytest.mark.parametrize(
+    "mode, route", [("prefix", "prefix-fragment"), ("general", "zero-fragment")]
+)
+def test_fragment_with_an_invalid_step_rejected(single_ab, alt, mode, route):
+    # {ab} never opens a component on b; the genuine certificate replays,
+    # and the same one with that step added does not
+    v = decide_sp(single_ab, alt, mode, SMALL)
+    assert v.route == route
+    assert replay_certificate(single_ab, alt, v)
+    forged = v.certificate["delta"] + ("(0) b (II:1) [start]",)
+    assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
+
+
 def _criterion_10_draw(n):
     # the n-th (0-based) pair of the criterion-10 draw sequence
     rng = random.Random(101010)

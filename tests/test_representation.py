@@ -14,8 +14,10 @@ from shufflecheck.engine import (
     engine_for,
     parse_transition,
 )
+from shufflecheck import representation
+from shufflecheck.decision import InvalidQuery, check_query
 from shufflecheck.oracle import srf1
-from shufflecheck.petri import decide_alf_pre_finite
+from shufflecheck.petri import decide_alf_pre_finite, decide_alf_zero_finite
 from shufflecheck.representation import (
     CHECK_ZERO,
     NotSubsetOfShuffle,
@@ -28,6 +30,7 @@ from shufflecheck.representation import (
     decode_witness,
     grave_transfer,
     mu_nu_project,
+    w_delta_moves,
 )
 from conftest import depth_chain, mk_dfa, random_dfa
 
@@ -244,3 +247,92 @@ def test_closure_prefix_depth_chain_golden(single_ab):
     out = check_closure_prefix(comp, V, alf.delta)
     assert out.holds
     assert out.states_explored == 719
+
+
+def _reference_moves(columns, state) -> list:
+    """W's moves out of state by their definition: the columns of
+    `build_delta_paren` whose tracks start where the state stands, each
+    with the state it leads to, in column-text order."""
+    s1, s2, s3 = state
+    out = []
+    for col in sorted(columns, key=str):
+        if col.x1.source != s1:
+            continue
+        # a resting track must hold the state's own value
+        if isinstance(col.x2, ShuffleTransition):
+            if col.x2.source != s2:
+                continue
+            n2 = col.x2.target
+        elif col.x2 != s2:
+            continue
+        else:
+            n2 = s2
+        if col.track3_active:
+            if col.x3.source != s3:
+                continue
+            n3 = CHECK_ZERO if col.x3.target == ZERO else col.x3.target
+        elif col.x3 != s3:
+            continue
+        else:
+            n3 = s3
+        out.append((col, (col.x1.target, n2, n3)))
+    return out
+
+
+def _fragments_of_draws(n):
+    """(composite, fragment) for every finite prefix and zero fragment of
+    the first n criterion-10 draws."""
+    rng = random.Random(101010)
+    for _ in range(n):
+        P, V = random_dfa(rng), random_dfa(rng)
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        for mode, comp, fragment in (
+            ("prefix", grave(P), decide_alf_pre_finite),
+            ("general", P, decide_alf_zero_finite),
+        ):
+            try:
+                check_query(P, V, mode)
+            except InvalidQuery:
+                continue
+            alf = fragment(comp, V)
+            if alf.status == "finite":
+                yield comp, alf.delta
+
+
+def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
+    # on every W-state: the moves made on demand are the recognizer's
+    # transitions, in its order, and the columns of the definition
+    comp = grave(normalize(single_ab))
+    chain = decide_alf_pre_finite(comp, normalize(depth_chain(14))).delta
+    # most of the draws' fragments are empty; 600 draws give 33 that are not
+    cases = [(two_start, FRAGMENT), (comp, chain), *_fragments_of_draws(600)]
+    transitions = 0
+    for P, delta in cases:
+        w = build_w_delta(P, delta)
+        moves = w_delta_moves(P, delta)
+        edges = defaultdict(list)
+        for (src, a), tgt in w.automaton.delta.items():
+            edges[src].append((a.symbol, w.decode[tgt]))
+        for name, state in w.decode.items():
+            got = list(moves(state))
+            assert got == edges[name]
+            ref = _reference_moves(w.system.columns, state)
+            assert [str(c) for c, _ in got] == [str(c) for c, _ in ref]
+            assert set(got) == set(ref)
+        transitions += len(w.automaton.delta)
+    assert sum(1 for _, delta in cases if delta) > 30 and transitions > 300
+
+
+def test_closure_checks_build_neither_columns_nor_recognizer(
+    two_start, tracker4, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("the closure search built the column set")
+
+    monkeypatch.setattr(representation, "build_delta_paren", refuse)
+    monkeypatch.setattr(representation, "build_w_delta", refuse)
+    assert check_closure_prefix(two_start, tracker4, FRAGMENT).holds
+    assert check_closure_zero(two_start, tracker4, FRAGMENT).holds
