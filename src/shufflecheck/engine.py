@@ -404,19 +404,6 @@ class ShuffleEngine:
         reach = reached(core)
         return frozenset(t for t in core if t.source in reach)
 
-    def reachable_vectors(self, max_norm: int) -> frozenset:
-        """Vectors reachable from 0 without exceeding the given norm."""
-        seen = {ZERO}
-        frontier = [ZERO]
-        while frontier:
-            f = frontier.pop()
-            for a in self.P.alphabet:
-                for g in self.targets(f, a):
-                    if g.norm <= max_norm and g not in seen:
-                        seen.add(g)
-                        frontier.append(g)
-        return frozenset(seen)
-
     def member_final_vectors(self, w: Word) -> frozenset:
         """All vectors reachable from 0 along paths labeled w."""
         frontier = {ZERO}
@@ -638,8 +625,3 @@ def elementary_vector_states(P: Dfa) -> frozenset:
         vectors.add(t.source)
         vectors.add(t.target)
     return frozenset(vectors)
-
-
-def validate_in_shuffle(P: Dfa, t: ShuffleTransition) -> bool:
-    """Exact membership of a tagged transition in the full transition set."""
-    return t in engine_for(P).successors(t.source, t.letter)

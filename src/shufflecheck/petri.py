@@ -506,19 +506,20 @@ def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
 def build_product(
     P: Dfa, V: Dfa, cap: int = DEFAULT_FORWARD_CAP, keep=None
 ) -> tuple:
-    """(states, edges, exhausted): BFS of the vector/V-state product.
+    """(states, fragment, exhausted): BFS of the vector/V-state product
+    and the set of steps on the edges it follows.
 
     With a predicate `keep`, the search stays inside the states it
-    accepts: it starts only if the start state is kept, and it records
+    accepts: it starts only if the start state is kept, and it follows
     only edges into kept states.
     """
     eng = engine_for(P)
     start = (ZERO, V.initial)
     if keep is not None and not keep(start):
-        return set(), [], True
+        return set(), frozenset(), True
     seen = {start}
     queue = deque([start])
-    edges = []
+    fragment = set()
     while queue:
         f, r = queue.popleft()
         for a in P.alphabet:
@@ -529,13 +530,13 @@ def build_product(
                 nxt = (t.target, s)
                 if keep is not None and not keep(nxt):
                     continue
-                edges.append(((f, r), t, nxt))
+                fragment.add(t)
                 if nxt not in seen:
                     seen.add(nxt)
                     if len(seen) > cap:
-                        return seen, edges, False
+                        return seen, frozenset(fragment), False
                     queue.append(nxt)
-    return seen, edges, True
+    return seen, frozenset(fragment), True
 
 
 @dataclass(frozen=True)
@@ -571,11 +572,10 @@ def decide_alf_pre_finite(
         return AlfResult(
             "infinite", pump=km.pump, stats={"km_nodes": len(km.nodes)}
         )
-    states, edges, exhausted = build_product(P, V, forward_cap)
+    states, delta, exhausted = build_product(P, V, forward_cap)
     stats = {"km_nodes": len(km.nodes), "product_states": len(states)}
     if not exhausted:
         return AlfResult("unknown", stats={**stats, "capped_by": "forward_cap"})
-    delta = frozenset(t for _src, t, _tgt in edges)
     return AlfResult("finite", delta=delta, states=frozenset(states), stats=stats)
 
 
@@ -608,13 +608,12 @@ def decide_alf_zero_finite(
             return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
         # with no node accelerated, the tree holds every reachable marking
         R.update(node.packed for node in km.nodes)
-    states, edges, exhausted = build_product(
+    states, delta, exhausted = build_product(
         P, V, forward_cap,
         keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
     )
     if not exhausted:
         return AlfResult("unknown", stats={"states": len(states)})
-    delta = frozenset(t for _src, t, _tgt in edges)
     return AlfResult("finite", delta=delta, states=frozenset(states))
 
 
@@ -645,8 +644,8 @@ def _live_controls(V: Dfa, core) -> set:
     (V.initial, V.initial, E::0) can reach, as a set of triples.
 
     A control state (r1, r2, e) holds the V1-state, the V2-state and the
-    tracked place, an E:: place or CHECK_PLACE; these are the one-token
-    groups of `one_token_groups`.  The search takes every counter place
+    tracked place, an E:: place or CHECK_PLACE, each group holding one
+    token in every reachable marking.  The search takes every counter place
     as unbounded, so it reaches every control state the net can mark, and
     maybe more.  A paired step on a letter a of the core maps (r1, r2, e)
     to (δ(r1, a), δ(r2, a), e).  A component step on a core step t, with
@@ -772,23 +771,6 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
         return CounterVector.make(counts)
 
     return net, iota
-
-
-def one_token_groups(P: Dfa, V: Dfa) -> tuple:
-    V = complete(V)
-    evecs = elementary_vector_states(P)
-    return (
-        frozenset(_v1(q) for q in V.states),
-        frozenset(_v2(q) for q in V.states),
-        frozenset({_ep(v) for v in evecs} | {CHECK_PLACE}),
-    )
-
-
-def check_one_token(groups, M: CounterVector) -> bool:
-    counts = dict(M.entries)
-    return all(
-        sum(counts.get(p, 0) for p in group) == 1 for group in groups
-    )
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,19 @@ letters).  Exactly one of tracks 2/3 moves per column and the counter
 vectors add up, so projecting a recognized word to tracks 1 and 2 realizes
 the deletion relation exactly on the covered fragment.
 
-The recognizer W_delta has one definition of a move, `w_delta_moves`.  The
-closure search asks it for a state's columns when the search first reaches
-that state and never builds W_delta; `build_w_delta` builds the whole
-automaton by walking the same moves, for the `wdelta` command and tests.
+The recognizer W_delta has one definition of a move, and so of a column,
+`w_delta_moves`.  The closure search asks it for a state's columns when the
+search first reaches that state and never builds W_delta; `build_w_delta`
+walks the same moves, for the `wdelta` command and tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
-from .automata import Dfa, Letter, complete, grave
+from .automata import Dfa, Letter, complete
 from .engine import (
     Computation,
     CounterVector,
@@ -108,30 +108,27 @@ class TrackLetter:
 
 
 def compute_s_sets(P: Dfa, delta) -> tuple:
-    """Vector ranges of the three tracks over the fragment delta."""
+    """Vector ranges of the three tracks over the fragment delta.
+
+    S1 holds the vectors reached from 0 along delta, S3 the one-component
+    vectors below an S1 vector, and S2 every difference of the two.  Each
+    difference is reachable: below a reached vector, its support lies in
+    the states a component can occupy, and opening one component per unit
+    and driving it there reaches any vector over them.  An invalid step
+    raises NotSubsetOfShuffle.
+    """
     delta = frozenset(delta)
     eng = engine_for(P)
     for t in delta:
         if t not in eng.successors(t.source, t.letter):
             raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
-    # track 1: reachable from 0 along delta
     s1 = reached(delta)
-    # track 3: single-component vectors dominated by some track-1 vector
     s3 = {
         f
         for f in elementary_vector_states(P)
         if any(f.leq(g) for g in s1)
     }
-    # track 2: differences that the full system can actually reach
-    candidates = set()
-    for g in s1:
-        for h in s3:
-            f = g.sub(h)
-            if f is not None:
-                candidates.add(f)
-    cap = max((f.norm for f in candidates), default=0)
-    reachable = eng.reachable_vectors(cap)
-    s2 = candidates & reachable
+    s2 = {g.sub(h) for g in s1 for h in s3} - {None}
     return s1, frozenset(s2), frozenset(s3)
 
 
@@ -160,74 +157,26 @@ def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DeltaSystem:
-    delta: frozenset
-    s1: frozenset
-    s2: frozenset
-    s3: frozenset
-    delta2: frozenset
-    delta3: frozenset
-    columns: frozenset
+def _column_order(col: TrackLetter) -> tuple:
+    """A column's place in W's alphabet and in a state's moves: its text,
+    then its kind, which the text leaves out."""
+    return str(col), col.x1.kind
 
 
-def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
-    """All consistent columns over the fragment delta."""
-    delta = frozenset(delta)
-    s1, s2, s3 = compute_s_sets(P, delta)
-    d2 = _delta2_prime(P, delta, s2)
-    d3 = _delta3_prime(P, delta, s3)
-    # each composite step meets only the steps of its letter and kind
-    by_event2: dict = {}
-    for x2 in d2:
-        by_event2.setdefault((x2.letter, x2.kind), []).append(x2)
-    by_event3: dict = {}
-    for x3 in d3:
-        by_event3.setdefault((x3.letter.unchecked(), x3.kind), []).append(x3)
-    columns = set()
-    for x1 in delta:
-        event = (x1.letter, x1.kind)
-        for x2 in by_event2.get(event, ()):
-            v = x1.source.sub(x2.source)
-            if v is None or x1.target.sub(x2.target) != v:
-                continue
-            if v in s3:
-                columns.add(TrackLetter(x1, x2, v))
-            if v == ZERO:
-                columns.add(TrackLetter(x1, x2, CHECK_ZERO))
-        for x3 in by_event3.get(event, ()):
-            v = x1.source.sub(x3.source)
-            if v is None or x1.target.sub(x3.target) != v:
-                continue
-            if v in s2:
-                columns.add(TrackLetter(x1, v, x3))
-    return DeltaSystem(delta, s1, s2, s3, d2, d3, frozenset(columns))
-
-
-def w_delta_moves(P: Dfa, delta):
-    """The move function of W_delta, made once per fragment.
-
-    The returned function maps a W-state (s1, s2, s3) to its moves, each a
-    (column, next state) pair, sorted by the column's text.  A state's
-    columns are the columns of `build_delta_paren` that it can read: the
-    composite step starts at s1 and the active track at s2 or s3 while the
-    other track rests.  Every state reached from (0, 0, 0) has s1 = s2 + s3
-    (the deleted sentinel counting as 0), with s2 in S2 and s3 in S3, and
-    each column keeps that, so a move needs only the step indexes below:
-    delta's steps by source, the remainder and component steps by (source,
-    letter, kind).  No state pays for the columns of another.  An invalid
-    step in delta raises NotSubsetOfShuffle here, before any move is made.
-    """
-    delta = frozenset(delta)
-    _s1, s2_set, s3_set = compute_s_sets(P, delta)
+def _tracks(P: Dfa, delta: frozenset) -> tuple:
+    """(S1, S2, S3, delta2', delta3', moves) of the fragment delta, where
+    moves is the move function of W_delta described at `w_delta_moves`."""
+    s1, s2_set, s3_set = compute_s_sets(P, delta)
+    d2 = _delta2_prime(P, delta, s2_set)
+    d3 = _delta3_prime(P, delta, s3_set)
     from_source: dict = {}
     for x1 in delta:
         from_source.setdefault(x1.source, []).append(x1)
     by_event2: dict = {}
-    for x2 in _delta2_prime(P, delta, s2_set):
+    for x2 in d2:
         by_event2.setdefault((x2.source, x2.letter, x2.kind), []).append(x2)
     by_event3: dict = {}
-    for x3 in _delta3_prime(P, delta, s3_set):
+    for x3 in d3:
         key = (x3.source, x3.letter.unchecked(), x3.kind)
         by_event3.setdefault(key, []).append(x3)
 
@@ -246,10 +195,55 @@ def w_delta_moves(P: Dfa, delta):
                 if x3.target.add(s2) == x1.target:
                     n3 = CHECK_ZERO if x3.target == ZERO else x3.target
                     out.append((TrackLetter(x1, s2, x3), (x1.target, s2, n3)))
-        out.sort(key=lambda move: str(move[0]))
+        out.sort(key=lambda move: _column_order(move[0]))
         return tuple(out)
 
-    return moves
+    return s1, s2_set, s3_set, d2, d3, moves
+
+
+def w_delta_moves(P: Dfa, delta):
+    """The move function of W_delta, made once per fragment.
+
+    The returned function maps a W-state (s1, s2, s3) to its moves, each a
+    (column, next state) pair, in column order (`_column_order`).  A
+    column starts where the state stands: its composite step at s1, its
+    active track at s2 or s3 while the other track rests.  Every state
+    reached from (0, 0, 0) has s1 = s2 + s3 (the deleted sentinel counting
+    as 0), with s2 in S2 and s3 in S3, and each column keeps that, so a move
+    needs only the step indexes below: delta's steps by source, the
+    remainder and component steps by (source, letter, kind).  No state
+    pays for the columns of another.  An invalid step in delta raises
+    NotSubsetOfShuffle here, before any move is made.
+    """
+    return _tracks(P, frozenset(delta))[-1]
+
+
+@dataclass(frozen=True)
+class DeltaSystem:
+    delta: frozenset
+    s1: frozenset
+    s2: frozenset
+    s3: frozenset
+    delta2: frozenset
+    delta3: frozenset
+    columns: frozenset
+    moves: Callable = field(compare=False, repr=False)
+
+
+def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
+    """All consistent columns over delta, with the ranges, steps and moves
+    they come from: the moves of every state that could read one, s1 the
+    source of a step in delta, s3 in S3 or the sentinel (counting as 0) and
+    s2 = s1 - s3 in S2."""
+    delta = frozenset(delta)
+    s1, s2, s3, d2, d3, moves = _tracks(P, delta)
+    columns = set()
+    for f in {t.source for t in delta}:
+        for h in (*s3, CHECK_ZERO):
+            rest = f.sub(ZERO if h is CHECK_ZERO else h)
+            if rest in s2:
+                columns.update(col for col, _next in moves((f, rest, h)))
+    return DeltaSystem(delta, s1, s2, s3, d2, d3, frozenset(columns), moves)
 
 
 def _state_name(s1, s2, s3) -> str:
@@ -266,25 +260,24 @@ class WDelta:
 def build_w_delta(P: Dfa, delta) -> WDelta:
     """Deterministic recognizer of the valid column sequences.
 
-    Its states are those reached from (0, 0, 0) by `w_delta_moves`, and its
-    alphabet is every column of `build_delta_paren`.  The closure search
-    never builds it; it serves the `wdelta` command and the tests.
+    Its states are those reached from (0, 0, 0) by the moves of
+    `build_delta_paren`, and its alphabet is every column there.  The
+    closure search never builds it; it serves `wdelta` and the tests.
     """
     system = build_delta_paren(P, delta)
-    moves = w_delta_moves(P, system.delta)
     initial = (ZERO, ZERO, ZERO)
     names = {initial: _state_name(*initial)}
     queue = deque([initial])
     delta_map = {}
     while queue:
         src = queue.popleft()
-        for col, nxt in moves(src):
+        for col, nxt in system.moves(src):
             if nxt not in names:
                 names[nxt] = _state_name(*nxt)
                 queue.append(nxt)
             delta_map[(names[src], Letter(col))] = names[nxt]
     dfa = Dfa(
-        alphabet=tuple(Letter(c) for c in sorted(system.columns, key=str)),
+        alphabet=tuple(Letter(c) for c in sorted(system.columns, key=_column_order)),
         states=frozenset(names.values()),
         delta=delta_map,
         initial=names[initial],
@@ -398,30 +391,3 @@ def check_closure_zero(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     inside delta; the caller must have established that coverage.
     """
     return _closure_search(P, V, delta, require_zero=True)
-
-
-def grave_transfer(P: Dfa, delta) -> frozenset:
-    """Move a fragment to the all-states-final automaton: the downward
-    closure of its vectors, with every valid step between them."""
-    g = grave(P)
-    eng = engine_for(g)
-    vectors = set()
-    for t in delta:
-        vectors.add(t.source)
-        vectors.add(t.target)
-    closure = set(vectors)
-    queue = deque(vectors)
-    while queue:
-        f = queue.popleft()
-        for d in f.decrements():
-            if d not in closure:
-                closure.add(d)
-                queue.append(d)
-    letters = {t.letter for t in delta}
-    out = set()
-    for f in closure:
-        for a in letters:
-            for t in eng.successors(f, a):
-                if t.target in closure:
-                    out.add(t)
-    return frozenset(out)

@@ -34,16 +34,6 @@ class NotPrefixClosed(Exception):
     pass
 
 
-def tau(i: int, w: Word) -> Word:
-    """Stamp every letter with the copy index i."""
-    return tuple(Letter(a.symbol, i, a.mark) for a in w)
-
-
-def theta(w: Word) -> Word:
-    """Erase copy indices."""
-    return tuple(Letter(a.symbol, None, a.mark) for a in w)
-
-
 def pi(I: Iterable, w: Word) -> Word:
     """Keep only the letters whose index lies in I."""
     I = frozenset(I)

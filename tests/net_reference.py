@@ -10,6 +10,10 @@ beside the remainder's Q2:: ones.  A test can then require the two nets
 to agree on every transition the smaller one keeps, up to the arcs on
 Q1:: places, and every search to see the same markings in both once the
 reference's are projected onto the smaller net's places.
+
+`one_token_groups` and `check_one_token` state the invariant both nets
+keep: the V1 places, the V2 places and the tracked places each hold one
+token in every reachable marking.
 """
 
 from __future__ import annotations
@@ -79,3 +83,23 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
         return CounterVector.make(counts)
 
     return net, iota
+
+
+def one_token_groups(P: Dfa, V: Dfa) -> tuple:
+    """The V1 places, the V2 places and the tracked places of the
+    deletion net over (P, V)."""
+    V = complete(V)
+    evecs = elementary_vector_states(P)
+    return (
+        frozenset(_v1(q) for q in V.states),
+        frozenset(_v2(q) for q in V.states),
+        frozenset({_ep(v) for v in evecs} | {CHECK_PLACE}),
+    )
+
+
+def check_one_token(groups, M: CounterVector) -> bool:
+    """Does the marking M put exactly one token in each group?"""
+    counts = dict(M.entries)
+    return all(
+        sum(counts.get(p, 0) for p in group) == 1 for group in groups
+    )

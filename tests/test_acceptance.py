@@ -30,11 +30,9 @@ from shufflecheck.petri import (
     build_np_v_full,
     build_npv,
     build_product,
-    check_one_token,
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     karp_miller,
-    one_token_groups,
     reachable_markings,
     replay_pump,
 )
@@ -42,6 +40,7 @@ from shufflecheck.representation import build_w_delta, check_closure_prefix, mu_
 from shufflecheck.scalable import build_family_member, check_self_similarity
 from shufflecheck.segments import InitialSegment, l_of_segment, partial_powerset
 from conftest import mk_dfa, random_dfa
+from net_reference import check_one_token, one_token_groups
 
 
 def tset(*texts):
@@ -243,7 +242,7 @@ def test_criterion_09_net_simulation(two_start, tracker4, single_ab):
         (single_ab, l_of_segment(single_ab, InitialSegment.norm_ball(2))),
     ]:
         net, iota = build_npv(P, V)
-        states, edges, exhausted = build_product(P, V)
+        states, _fragment, exhausted = build_product(P, V)
         assert exhausted
         seen, ex2 = reachable_markings(net, iota((ZERO, V.initial)))
         assert ex2

@@ -58,18 +58,24 @@ def test_unused_import_check_sees_through_aliases_and_annotations():
 ROOT = PACKAGE.parent.parent
 
 
-def _unreferenced_definitions() -> list:
-    """Module-level functions and classes of the package whose name no
-    line of src/, tests/ or perfbench/ outside their own definition
-    holds."""
-    lines = {
-        path: path.read_text().splitlines()
-        for top in ("src", "tests", "perfbench")
+def _sources(*tops) -> dict:
+    """Path relative to the repository -> text, for every Python file
+    under the given top-level directories."""
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in tops
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+
+
+def _unreferenced_definitions(sources: dict, checked) -> list:
+    """Module-level functions and classes of the checked files whose name
+    no line of sources outside their own definition holds.  sources maps
+    a file name to its text."""
+    lines = {name: text.splitlines() for name, text in sources.items()}
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path in checked:
+        for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = re.compile(rf"\b{re.escape(node.name)}\b")
@@ -80,12 +86,56 @@ def _unreferenced_definitions() -> list:
                 for i, line in enumerate(text, 1)
                 if not (other == path and i in own)
             ):
-                found.append(f"{path.name}:{node.name}")
+                found.append(f"{Path(path).name}:{node.name}")
     return found
 
 
+def _package_files(*skip) -> list:
+    return [
+        str(path.relative_to(ROOT))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in skip
+    ]
+
+
 def test_every_definition_is_referenced():
-    assert _unreferenced_definitions() == []
+    sources = _sources("src", "tests", "perfbench")
+    assert _unreferenced_definitions(sources, _package_files()) == []
+
+
+def test_no_definition_is_read_only_by_tests():
+    # code that only tests read belongs with them; oracle.py, the
+    # brute-force reference, stays in the package while the benchmark
+    # wraps it
+    sources = _sources("src", "perfbench")
+    checked = _package_files("oracle.py")
+    assert _unreferenced_definitions(sources, checked) == []
+
+
+def test_unreferenced_definition_check_sees_other_lines_only():
+    sources = {
+        "pkg.py": "\n".join([
+            "def used():",
+            "    return helper()",
+            "def helper():",
+            "    return 1",
+            "def recursive():",
+            "    return recursive()",
+            "class Lonely:",
+            "    pass",
+        ]),
+        "bench.py": "from pkg import used  # times used()",
+        "test_pkg.py": "from pkg import Lonely",
+    }
+    assert _unreferenced_definitions(sources, ["pkg.py"]) == ["pkg.py:recursive"]
+    del sources["test_pkg.py"]
+    assert _unreferenced_definitions(sources, ["pkg.py"]) == [
+        "pkg.py:recursive", "pkg.py:Lonely",
+    ]
+    del sources["bench.py"]
+    assert _unreferenced_definitions(sources, ["pkg.py"]) == [
+        "pkg.py:used", "pkg.py:recursive", "pkg.py:Lonely",
+    ]
 
 
 def _unread_methods(sources: dict, checked) -> list:
@@ -120,13 +170,8 @@ def _unread_methods(sources: dict, checked) -> list:
 
 
 def test_every_method_is_read():
-    sources = {
-        str(path.relative_to(ROOT)): path.read_text()
-        for top in ("src", "tests", "perfbench")
-        for path in sorted((ROOT / top).rglob("*.py"))
-    }
-    checked = [str(path.relative_to(ROOT)) for path in sorted(PACKAGE.glob("*.py"))]
-    assert _unread_methods(sources, checked) == []
+    sources = _sources("src", "tests", "perfbench")
+    assert _unread_methods(sources, _package_files()) == []
 
 
 def test_unread_method_check_sees_only_reads():

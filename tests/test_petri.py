@@ -22,14 +22,12 @@ from shufflecheck.petri import (
     build_np_v_full,
     build_npv,
     build_product,
-    check_one_token,
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     decide_sp_via_net,
     enabled_step,
     karp_miller,
     marking_bfs,
-    one_token_groups,
     reachable_markings,
     replay_pump,
     to_dot,
@@ -38,6 +36,7 @@ from shufflecheck.petri import (
 from conftest import mk_dfa, random_dfa, wide_draw
 import km_reference
 import net_reference
+from net_reference import check_one_token, one_token_groups
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,7 +63,7 @@ def test_npv_structure(two_start, tracker4):
 def test_npv_simulation_equality(two_start, tracker4):
     # markings reachable in the net are exactly the encoded product states
     net, iota = build_npv(two_start, tracker4)
-    states, edges, exhausted = build_product(two_start, tracker4)
+    states, _fragment, exhausted = build_product(two_start, tracker4)
     assert exhausted
     seen, ex2 = reachable_markings(net, iota((ZERO, "1")))
     assert ex2

@@ -1,5 +1,6 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict, deque
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -28,7 +29,6 @@ from shufflecheck.representation import (
     check_closure_zero,
     compute_s_sets,
     decode_witness,
-    grave_transfer,
     mu_nu_project,
     w_delta_moves,
 )
@@ -56,6 +56,24 @@ def test_s_sets_golden(two_start):
     assert s1 == frozenset([ZERO, vec(II=1), vec(II=2)])
     assert s2 == frozenset([ZERO, vec(II=1), vec(II=2)])
     assert s3 == frozenset([ZERO, vec(II=1)])
+
+
+def test_s2_holds_remainders_that_delta_never_reaches(single_abc):
+    # two components open, then one moves on: deleting the one that moved
+    # leaves II:1, deleting the other leaves III:1, which delta never
+    # reaches
+    fragment = frozenset(
+        parse_transition(t)
+        for t in [
+            "(0) a (II:1) [start]",
+            "(II:1) a (II:2) [start]",
+            "(II:2) b (II:1 III:1) [inner]",
+        ]
+    )
+    s1, s2, s3 = compute_s_sets(single_abc, fragment)
+    assert s1 == frozenset([ZERO, vec(II=1), vec(II=2), vec(II=1, III=1)])
+    assert s3 == frozenset([ZERO, vec(II=1), vec(III=1)])
+    assert s2 == s1 | {vec(III=1)}
 
 
 def test_s_sets_reject_invalid_fragment(two_start):
@@ -194,13 +212,28 @@ def all_successors(eng, f) -> frozenset:
     return frozenset().union(*(eng.successors(f, a) for a in eng.P.alphabet))
 
 
+def reachable_vectors(eng, max_norm: int) -> frozenset:
+    """Vectors reachable from 0 without exceeding the given norm, by
+    exhaustive search: the reference for the rule that keeps S2."""
+    seen = {ZERO}
+    frontier = [ZERO]
+    while frontier:
+        f = frontier.pop()
+        for a in eng.P.alphabet:
+            for g in eng.targets(f, a):
+                if g.norm <= max_norm and g not in seen:
+                    seen.add(g)
+                    frontier.append(g)
+    return frozenset(seen)
+
+
 def test_closure_detects_violation(single_ab, astar_b):
     # composite aab is accepted, the remainder b after deleting the
     # component is not
     eng = engine_for(single_ab)
     delta = frozenset(
         t
-        for f in eng.reachable_vectors(2)
+        for f in reachable_vectors(eng, 2)
         for t in all_successors(eng, f)
         if t.target.norm <= 2
     )
@@ -208,6 +241,32 @@ def test_closure_detects_violation(single_ab, astar_b):
     assert not out.holds
     d = decode_witness(out.witness)
     assert len(d["component"]) > 0
+
+
+def grave_transfer(P, delta) -> frozenset:
+    """Move a fragment to the all-states-final automaton: the downward
+    closure of its vectors, with every valid step between them."""
+    eng = engine_for(grave(P))
+    vectors = set()
+    for t in delta:
+        vectors.add(t.source)
+        vectors.add(t.target)
+    closure = set(vectors)
+    queue = deque(vectors)
+    while queue:
+        f = queue.popleft()
+        for d in f.decrements():
+            if d not in closure:
+                closure.add(d)
+                queue.append(d)
+    letters = {t.letter for t in delta}
+    out = set()
+    for f in closure:
+        for a in letters:
+            for t in eng.successors(f, a):
+                if t.target in closure:
+                    out.add(t)
+    return frozenset(out)
 
 
 def test_grave_transfer_downward_closed(two_start):
@@ -225,7 +284,7 @@ def test_closure_search_golden(single_ab, astar_b):
     eng = engine_for(single_ab)
     delta = frozenset(
         t
-        for f in eng.reachable_vectors(2)
+        for f in reachable_vectors(eng, 2)
         for t in all_successors(eng, f)
         if t.target.norm <= 2
     )
@@ -249,13 +308,48 @@ def test_closure_prefix_depth_chain_golden(single_ab):
     assert out.states_explored == 719
 
 
+def _column_key(col) -> tuple:
+    return str(col), col.x1.kind
+
+
+def _reference_columns(system) -> frozenset:
+    """Every consistent column over the fragment by its definition: each
+    step of the fragment with each remainder step (delta2') or component
+    step (delta3') of its letter and kind whose counters, with the resting
+    track's, add up to it."""
+    by_event2: dict = {}
+    for x2 in system.delta2:
+        by_event2.setdefault((x2.letter, x2.kind), []).append(x2)
+    by_event3: dict = {}
+    for x3 in system.delta3:
+        by_event3.setdefault((x3.letter.unchecked(), x3.kind), []).append(x3)
+    columns = set()
+    for x1 in system.delta:
+        event = (x1.letter, x1.kind)
+        for x2 in by_event2.get(event, ()):
+            v = x1.source.sub(x2.source)
+            if v is None or x1.target.sub(x2.target) != v:
+                continue
+            if v in system.s3:
+                columns.add(TrackLetter(x1, x2, v))
+            if v == ZERO:
+                columns.add(TrackLetter(x1, x2, CHECK_ZERO))
+        for x3 in by_event3.get(event, ()):
+            v = x1.source.sub(x3.source)
+            if v is None or x1.target.sub(x3.target) != v:
+                continue
+            if v in system.s2:
+                columns.add(TrackLetter(x1, v, x3))
+    return frozenset(columns)
+
+
 def _reference_moves(columns, state) -> list:
     """W's moves out of state by their definition: the columns of
-    `build_delta_paren` whose tracks start where the state stands, each
-    with the state it leads to, in column-text order."""
+    `_reference_columns` whose tracks start where the state stands, each
+    with the state it leads to, in column order (text, then kind)."""
     s1, s2, s3 = state
     out = []
-    for col in sorted(columns, key=str):
+    for col in sorted(columns, key=_column_key):
         if col.x1.source != s1:
             continue
         # a resting track must hold the state's own value
@@ -303,8 +397,9 @@ def _fragments_of_draws(n):
 
 
 def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
-    # on every W-state: the moves made on demand are the recognizer's
-    # transitions, in its order, and the columns of the definition
+    # the column set is the definition's, and on every W-state the moves
+    # made on demand are the recognizer's transitions, in its order, and
+    # the definition's columns that the state can read
     comp = grave(normalize(single_ab))
     chain = decide_alf_pre_finite(comp, normalize(depth_chain(14))).delta
     # most of the draws' fragments are empty; 600 draws give 33 that are not
@@ -312,6 +407,9 @@ def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
     transitions = 0
     for P, delta in cases:
         w = build_w_delta(P, delta)
+        columns = _reference_columns(w.system)
+        assert build_delta_paren(P, delta).columns == columns
+        assert w.system.columns == columns
         moves = w_delta_moves(P, delta)
         edges = defaultdict(list)
         for (src, a), tgt in w.automaton.delta.items():
@@ -319,9 +417,7 @@ def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
         for name, state in w.decode.items():
             got = list(moves(state))
             assert got == edges[name]
-            ref = _reference_moves(w.system.columns, state)
-            assert [str(c) for c, _ in got] == [str(c) for c, _ in ref]
-            assert set(got) == set(ref)
+            assert got == _reference_moves(columns, state)
         transitions += len(w.automaton.delta)
     assert sum(1 for _, delta in cases if delta) > 30 and transitions > 300
 
@@ -336,3 +432,72 @@ def test_closure_checks_build_neither_columns_nor_recognizer(
     monkeypatch.setattr(representation, "build_w_delta", refuse)
     assert check_closure_prefix(two_start, tracker4, FRAGMENT).holds
     assert check_closure_zero(two_start, tracker4, FRAGMENT).holds
+
+
+def _vectors_over(states, max_norm: int) -> set:
+    """Every counter vector over states of norm at most max_norm."""
+    return {
+        CounterVector.make(Counter(combo))
+        for n in range(max_norm + 1)
+        for combo in combinations_with_replacement(sorted(states), n)
+    }
+
+
+def test_s2_support_rule_matches_the_reachable_vectors(single_ab):
+    # a vector is reachable exactly when its support lies in the states a
+    # component can occupy; by that rule every difference of an S1 and an
+    # S3 vector is reachable, so compute_s_sets keeps them all in S2
+    rng = random.Random(19)
+    compared = 0
+    for i in range(300):
+        P = random_dfa(rng, 4, "ab" if i % 2 else "abc")
+        variants = [P, grave(P)]
+        try:
+            variants.append(normalize(P))
+        except EmptyLanguage:
+            pass
+        for comp in variants:
+            eng = engine_for(comp)
+            for n in range(4):
+                assert reachable_vectors(eng, n) == _vectors_over(
+                    eng.component_states, n
+                )
+                compared += 1
+    assert compared > 3000
+    # and S2 is the set of differences that the reference reaches, on the
+    # depth chains and the draws' fragments: all of them
+    comp = grave(normalize(single_ab))
+    cases = [
+        (comp, decide_alf_pre_finite(comp, normalize(depth_chain(m))).delta)
+        for m in (1, 4, 14)
+    ]
+    for P, delta in [*cases, *_fragments_of_draws(200)]:
+        s1, s2, s3 = compute_s_sets(P, delta)
+        differences = {g.sub(h) for g in s1 for h in s3} - {None}
+        cap = max(f.norm for f in differences)
+        assert s2 == differences & reachable_vectors(engine_for(P), cap)
+
+
+def test_tied_columns_ordered_by_kind():
+    # P = a*: a start_end and an inner step with equal ends print alike,
+    # so the moves and W's alphabet order them by text, then kind
+    P = mk_dfa("a", [("1", "a", "1")], "1", ["1"])
+    eng = engine_for(P)
+    delta = frozenset(
+        t
+        for f in reachable_vectors(eng, 2)
+        for t in all_successors(eng, f)
+        if t.target.norm <= 2
+    )
+    w = build_w_delta(P, delta)
+    columns = w.system.columns
+    assert (len(columns), len({str(c) for c in columns})) == (32, 27)
+    alphabet = [a.symbol for a in w.automaton.alphabet]
+    assert alphabet == sorted(columns, key=_column_key)
+    moves = w_delta_moves(P, delta)
+    tied = 0
+    for state in w.decode.values():
+        keys = [_column_key(col) for col, _ in moves(state)]
+        assert keys == sorted(keys)
+        tied += len({text for text, _ in keys}) < len(keys)
+    assert (len(w.decode), tied) == (8, 5)

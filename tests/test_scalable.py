@@ -7,8 +7,6 @@ from shufflecheck.scalable import (
     build_family_member,
     check_self_similarity,
     pi,
-    tau,
-    theta,
 )
 from conftest import mk_dfa
 
@@ -18,6 +16,16 @@ def idx_word(text):
     return tuple(
         Letter(tok[0], int(tok[1:])) for tok in text.split()
     )
+
+
+def tau(i, w):
+    """Stamp every letter with the copy index i."""
+    return tuple(Letter(a.symbol, i, a.mark) for a in w)
+
+
+def theta(w):
+    """Erase copy indices."""
+    return tuple(Letter(a.symbol, None, a.mark) for a in w)
 
 
 def test_tau_theta_inverse():
