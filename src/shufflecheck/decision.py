@@ -233,9 +233,10 @@ def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
     system from f on a letter that V reads at r must be in delta.  That
     is the coverage the prefix route's closure search assumes.  Unlike
     `build_product`, the walk never leaves delta, so it ends on any
-    certificate, even one whose product is infinite.
+    certificate, even one whose product is infinite.  Like it, the walk
+    builds each (vector, letter) pair's steps once, in its step table.
     """
-    eng = engine_for(comp)
+    steps = engine_for(comp).step_table()
     start = (ZERO, V.initial)
     seen = {start}
     queue = deque([start])
@@ -245,7 +246,7 @@ def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
             s = V.delta.get((r, a))
             if s is None:
                 continue
-            for t in eng.successors(f, a):
+            for t in steps(f, a):
                 if t not in delta:
                     return False
                 nxt = (t.target, s)

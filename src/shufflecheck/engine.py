@@ -376,6 +376,27 @@ class ShuffleEngine:
                 out.add(ShuffleTransition(f, a, t.target.add(f.sub(t.source)), t.kind))
         return frozenset(out)
 
+    def step_table(self):
+        """A fresh memo of `successors` for one walk: steps(f, a) builds
+        the steps of f on a the first time the walk asks, and returns the
+        same set after that.
+
+        The table is the walk's own and dies with it; the engine keeps no
+        steps.  A walk over the vector x V-state product asks for f's steps
+        once per V-state that f meets, so without the table it would build
+        them that many times.  A miss calls `successors`, so each build is
+        still a call of that method.
+        """
+        table: dict = {}
+
+        def steps(f: CounterVector, a: Letter) -> frozenset:
+            out = table.get((f, a))
+            if out is None:
+                out = table[(f, a)] = self.successors(f, a)
+            return out
+
+        return steps
+
     def targets(self, f: CounterVector, a: Letter) -> frozenset:
         """The target vectors of `successors(f, a)`, without building steps."""
         # the loop is successors' own: one generator for both made the

@@ -511,9 +511,11 @@ def build_product(
 
     With a predicate `keep`, the search stays inside the states it
     accepts: it starts only if the start state is kept, and it follows
-    only edges into kept states.
+    only edges into kept states.  The steps of a vector on a letter come
+    from the walk's step table (`ShuffleEngine.step_table`), so they are
+    built once however many V-states the vector meets.
     """
-    eng = engine_for(P)
+    steps = engine_for(P).step_table()
     start = (ZERO, V.initial)
     if keep is not None and not keep(start):
         return set(), frozenset(), True
@@ -526,7 +528,7 @@ def build_product(
             s = V.delta.get((r, a))
             if s is None:
                 continue
-            for t in eng.successors(f, a):
+            for t in steps(f, a):
                 nxt = (t.target, s)
                 if keep is not None and not keep(nxt):
                     continue

@@ -10,7 +10,10 @@ the deletion relation exactly on the covered fragment.
 The recognizer W_delta has one definition of a move, and so of a column,
 `w_delta_moves`.  The closure search asks it for a state's columns when the
 search first reaches that state and never builds W_delta; `build_w_delta`
-walks the same moves, for the `wdelta` command and tests.
+walks the same moves, for the `wdelta` command and tests.  The move function
+checks a state's counters once, and its step indexes fix everything else a
+column must satisfy, so it builds columns without re-checking each one; a
+column built by hand with `TrackLetter(...)` is checked in full.
 """
 
 from __future__ import annotations
@@ -57,11 +60,27 @@ CHECK_ZERO = _CheckZero()
 
 @dataclass(frozen=True)
 class TrackLetter:
-    """One column: a composite step plus its two-way decomposition."""
+    """One column: a composite step plus its two-way decomposition.
+
+    The constructor checks that exactly one of tracks 2/3 moves, that the
+    active track carries the composite's letter and kind, and that the
+    counters add up, and raises ValueError otherwise.  The move function of
+    `w_delta_moves` makes its columns with `_unchecked`, which skips that
+    check: it checks the counters once per W-state, and its step indexes
+    fix the rest (see `w_delta_moves`).
+    """
 
     x1: ShuffleTransition
     x2: Union[ShuffleTransition, CounterVector]
     x3: Union[ShuffleTransition, CounterVector, _CheckZero]
+
+    @classmethod
+    def _unchecked(cls, x1, x2, x3) -> "TrackLetter":
+        """The column (x1, x2, x3), built without `__post_init__`; the
+        caller vouches that it passes the constructor's check."""
+        col = object.__new__(cls)
+        col.__dict__.update(x1=x1, x2=x2, x3=x3, _hash=hash((x1, x2, x3)))
+        return col
 
     def __post_init__(self):
         active2 = isinstance(self.x2, ShuffleTransition)
@@ -115,12 +134,13 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
     difference is reachable: below a reached vector, its support lies in
     the states a component can occupy, and opening one component per unit
     and driving it there reaches any vector over them.  An invalid step
-    raises NotSubsetOfShuffle.
+    raises NotSubsetOfShuffle, as does a step on a letter P does not read.
     """
     delta = frozenset(delta)
     eng = engine_for(P)
+    steps = eng.step_table()
     for t in delta:
-        if t not in eng.successors(t.source, t.letter):
+        if t.letter not in eng.letters or t not in steps(t.source, t.letter):
             raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
     s1 = reached(delta)
     s3 = {
@@ -180,21 +200,25 @@ def _tracks(P: Dfa, delta: frozenset) -> tuple:
         key = (x3.source, x3.letter.unchecked(), x3.kind)
         by_event3.setdefault(key, []).append(x3)
 
+    column = TrackLetter._unchecked
+
     def moves(state) -> tuple:
         s1, s2, s3 = state
         rest = ZERO if s3 is CHECK_ZERO else s3
+        if s2.add(rest) != s1:
+            raise ValueError("column counters do not add up")
         out = []
         for x1 in from_source.get(s1, ()):
             # track 2 moves while track 3 rests
             for x2 in by_event2.get((s2, x1.letter, x1.kind), ()):
                 if x2.target.add(rest) == x1.target:
-                    out.append((TrackLetter(x1, x2, s3), (x1.target, x2.target, s3)))
+                    out.append((column(x1, x2, s3), (x1.target, x2.target, s3)))
             # track 3 moves while track 2 rests; no component step leaves
             # the sentinel
             for x3 in by_event3.get((s3, x1.letter, x1.kind), ()):
                 if x3.target.add(s2) == x1.target:
                     n3 = CHECK_ZERO if x3.target == ZERO else x3.target
-                    out.append((TrackLetter(x1, s2, x3), (x1.target, s2, n3)))
+                    out.append((column(x1, s2, x3), (x1.target, s2, n3)))
         out.sort(key=lambda move: _column_order(move[0]))
         return tuple(out)
 
@@ -214,6 +238,19 @@ def w_delta_moves(P: Dfa, delta):
     remainder and component steps by (source, letter, kind).  No state
     pays for the columns of another.  An invalid step in delta raises
     NotSubsetOfShuffle here, before any move is made.
+
+    The function checks s1 = s2 + s3 once per state, raising ValueError
+    when it fails, and then builds the state's columns without the
+    `TrackLetter` constructor's check, which they would all pass:
+    - exactly one of tracks 2/3 moves: the active one is a step of an
+      index, the resting one the state's vector or the sentinel;
+    - letter and kind: the index key (source, letter, kind) of the active
+      step is (its track's vector, x1's letter, x1's kind), with the
+      component step's letter unchecked;
+    - sources add up: x1's source is s1 and the active step's source is
+      its track's vector, so this is the state's own check;
+    - targets add up: each move keeps only the active steps whose target
+      plus the resting vector is x1's target.
     """
     return _tracks(P, frozenset(delta))[-1]
 

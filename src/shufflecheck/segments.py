@@ -96,7 +96,7 @@ def partial_powerset(
     targets.  A successor set straddling the border of I breaks
     compatibility; a successor set entirely outside I is simply dropped.
     """
-    eng = engine_for(P)
+    steps = engine_for(P).step_table()
     start = frozenset({ZERO})
     seen = {start}
     queue = deque([start])
@@ -107,7 +107,7 @@ def partial_powerset(
         for a in P.alphabet:
             succ = set()
             for f in M:
-                for t in eng.successors(f, a):
+                for t in steps(f, a):
                     succ.add(t.target)
             if not succ:
                 continue

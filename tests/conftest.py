@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from shufflecheck.automata import Dfa, Letter
+from shufflecheck.automata import Dfa, EmptyLanguage, Letter, complete, grave, normalize
+from shufflecheck.engine import ShuffleEngine
 
 
 def mk_dfa(alpha, transitions, initial, finals, kind="dfa"):
@@ -60,6 +62,37 @@ def depth_chain(n):
         "d0",
         [f"d{i}" for i in range(n + 1)],
     )
+
+
+def product_pairs(count):
+    """(composite, V) of the first `count` criterion-10 pairs in both
+    modes: the graved component with V for prefix, P with V completed for
+    general."""
+    rng = random.Random(101010)
+    while count:
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        yield grave(P), V
+        yield P, complete(V)
+        count -= 1
+
+
+@pytest.fixture
+def successor_calls(monkeypatch):
+    """Counts the calls of ShuffleEngine.successors by (vector, letter)."""
+    calls = Counter()
+    real = ShuffleEngine.successors
+
+    def spy(self, f, a):
+        calls[(f, a)] += 1
+        return real(self, f, a)
+
+    monkeypatch.setattr(ShuffleEngine, "successors", spy)
+    return calls
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 from shufflecheck import decision
 from shufflecheck.automata import serialize_automaton
 from shufflecheck.cli import main
-from conftest import mk_dfa
+from conftest import depth_chain, mk_dfa
 
 
 @pytest.fixture
@@ -230,6 +230,26 @@ def test_wdelta_invalid_step_exits_3(files, capsys, tmp_path):
     delta.write_text("(0) b (2:1) [start]\n")
     assert main(["wdelta", str(comp), "--delta", str(delta)]) == 3
     assert _one_error_line(capsys.readouterr().err)
+
+
+def test_foreign_letter_step_is_not_a_valid_step(single_ab, capsys, tmp_path):
+    # ab never reads zz, so a fragment holding a zz step is no certificate
+    comp, chain, delta = (tmp_path / n for n in ("ab.aut", "chain.aut", "delta.txt"))
+    comp.write_text(serialize_automaton(single_ab))
+    chain.write_text(serialize_automaton(depth_chain(3)))
+    delta.write_text("(0) zz (0) [start_end]\n")
+    assert main(["wdelta", str(comp), "--delta", str(delta)]) == 3
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and err.endswith("is not a valid step\n")
+    for mode in ("prefix", "general"):
+        forged = decision.Verdict(
+            "holds", mode, "zero-fragment", {"delta": ("(0) zz (0) [start_end]",)}
+        )
+        report = tmp_path / f"{mode}.txt"
+        report.write_text(decision.serialize_verdict(forged))
+        assert main(["replay", str(comp), str(chain), str(report)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("replay: mismatch\n", "")
 
 
 def test_family_bad_base_exits_3(files, capsys, single_ab, tmp_path):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,12 +22,14 @@ from shufflecheck.decision import (
     InvalidQuery,
     MalformedCertificate,
     Verdict,
+    _prefix_delta_closed,
     decide_sp,
     parse_verdict,
     replay_certificate,
     serialize_verdict,
 )
-from conftest import depth_chain, mk_dfa, random_dfa, wide_draw
+from shufflecheck.petri import build_product, decide_alf_pre_finite
+from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
 
 
 SMALL = Budgets(falsifier_maxlen=5, km_node_cap=20_000, forward_cap=50_000)
@@ -272,6 +275,68 @@ def test_fragment_with_an_invalid_step_rejected(single_ab, alt, mode, route):
     assert replay_certificate(single_ab, alt, v)
     forged = v.certificate["delta"] + ("(0) b (II:1) [start]",)
     assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
+
+
+@pytest.mark.parametrize("mode", ["prefix", "general"])
+def test_fragment_with_a_foreign_letter_rejected(single_ab, mode):
+    # {ab} never reads zz: the step is invalid, not an error
+    forged = Verdict(
+        "holds", mode, "zero-fragment", {"delta": ("(0) zz (0) [start_end]",)}
+    )
+    assert replay_certificate(single_ab, depth_chain(3), forged) is False
+
+
+def _reference_delta_closed(comp, V, delta) -> bool:
+    """_prefix_delta_closed without a step table: the engine builds a
+    vector's steps again for every V-state the vector meets."""
+    eng = engine.engine_for(comp)
+    start = (engine.ZERO, V.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        f, r = queue.popleft()
+        for a in comp.alphabet:
+            s = V.delta.get((r, a))
+            if s is None:
+                continue
+            for t in eng.successors(f, a):
+                if t not in delta:
+                    return False
+                nxt = (t.target, s)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return True
+
+
+def _without_least_step(delta) -> frozenset:
+    return delta - {min(delta, key=lambda t: (str(t), t.kind), default=None)}
+
+
+def test_delta_closure_walk_builds_each_step_set_once(single_ab, successor_calls):
+    # ab's vectors on the depth-14 chain meet up to 15 V-states each
+    comp, V = grave(normalize(single_ab)), normalize(depth_chain(14))
+    delta = decide_alf_pre_finite(comp, V).delta
+    successor_calls.clear()
+    assert _reference_delta_closed(comp, V, delta)
+    rebuilt = sum(successor_calls.values())
+    successor_calls.clear()
+    assert _prefix_delta_closed(comp, V, delta)
+    assert max(successor_calls.values()) == 1
+    assert 3 * sum(successor_calls.values()) < rebuilt
+
+
+def test_delta_closure_walk_matches_the_table_free_walk():
+    # on the first 300 criterion-10 pairs in both modes, the fragment of
+    # each product walk cut at 60 states, and that fragment less a step
+    outcomes = []
+    for comp, V in product_pairs(300):
+        delta = build_product(comp, V, 60)[1]
+        for fragment in (delta, _without_least_step(delta)):
+            closed = _prefix_delta_closed(comp, V, fragment)
+            assert closed is _reference_delta_closed(comp, V, fragment)
+            outcomes.append(closed)
+    assert len(outcomes) == 1200 and 100 < sum(outcomes) < 1100
 
 
 def _criterion_10_draw(n):

@@ -273,6 +273,43 @@ def test_step_kind_check_sees_imports():
     assert _step_kind_imports(source) == ["END", "INNER", "START"]
 
 
+def _direct_successors_calls(source: str) -> list:
+    """Lines that call a `successors` method directly."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "successors"
+    })
+
+
+def test_walks_build_steps_through_the_step_table():
+    # a walk over the vector x V-state product asks for a vector's steps
+    # once per V-state; the engine's step table builds them once per walk,
+    # so no other module calls successors directly (oracle.py, the
+    # brute-force reference, checks steps one at a time)
+    found = {
+        path.name: _direct_successors_calls(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("engine.py", "oracle.py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_successors_check_sees_calls_only():
+    source = "\n".join([
+        "steps = eng.step_table()",
+        "for t in eng.successors(f, a):",
+        "    pass",
+        "ok = t in engine_for(P).successors(t.source, t.letter)",
+        "method = eng.successors",
+        "# eng.successors(f, a) in a comment",
+        "out = successors(P, f, a)",
+        "out = steps(f, a)",
+    ])
+    assert _direct_successors_calls(source) == [2, 4]
+
 
 def test_benchmark_wrapped_names_resolve():
     # a traced benchmark run wraps these names on the imported package; a

@@ -1,5 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
+from collections import deque
 from operator import ge
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from shufflecheck.petri import (
     to_dot,
     to_pnml,
 )
-from conftest import mk_dfa, random_dfa, wide_draw
+from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
 import km_reference
 import net_reference
 from net_reference import check_one_token, one_token_groups
@@ -89,6 +90,68 @@ def test_pre_route_forward_cap_gives_unknown(two_start, tracker4):
     assert res.status == "unknown"
     assert res.delta is None
     assert res.stats["capped_by"] == "forward_cap"
+
+
+def _reference_product(P, V, cap, keep=None):
+    """build_product without a step table: the engine builds a vector's
+    steps again for every V-state the vector meets."""
+    eng = engine_for(P)
+    start = (ZERO, V.initial)
+    if keep is not None and not keep(start):
+        return set(), frozenset(), True
+    seen = {start}
+    queue = deque([start])
+    fragment = set()
+    while queue:
+        f, r = queue.popleft()
+        for a in P.alphabet:
+            s = V.delta.get((r, a))
+            if s is None:
+                continue
+            for t in eng.successors(f, a):
+                nxt = (t.target, s)
+                if keep is not None and not keep(nxt):
+                    continue
+                fragment.add(t)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if len(seen) > cap:
+                        return seen, frozenset(fragment), False
+                    queue.append(nxt)
+    return seen, frozenset(fragment), True
+
+
+def test_build_product_builds_each_step_set_once(single_ab, successor_calls):
+    # ab's vectors on the depth-14 chain meet up to 15 V-states each
+    comp, V = grave(normalize(single_ab)), normalize(depth_chain(14))
+    expected = _reference_product(comp, V, 500_000)
+    rebuilt = sum(successor_calls.values())
+    successor_calls.clear()
+    assert build_product(comp, V) == expected
+    assert max(successor_calls.values()) == 1
+    assert 3 * sum(successor_calls.values()) < rebuilt
+
+
+def _small(state) -> bool:
+    return state[0].norm <= 2
+
+
+def test_build_product_matches_the_table_free_walk():
+    # kept to norm 2, every walk ends; unkept, a cap of 60 states cuts the
+    # infinite products.  A cut walk stops inside a step set, whose order
+    # follows the addresses of the steps it has just made, so only its size
+    # is fixed.
+    exhausted = 0
+    for comp, V in product_pairs(300):
+        got = build_product(comp, V, 60, _small)
+        assert got[2] and got == _reference_product(comp, V, 60, _small)
+        got, expected = build_product(comp, V, 60), _reference_product(comp, V, 60)
+        if got[2]:
+            assert got == expected
+            exhausted += 1
+        else:
+            assert (len(got[0]), expected[2]) == (61, False)
+    assert 150 < exhausted < 300
 
 
 def test_pre_route_infinite_with_replayable_pump(single_ab, astar_b):

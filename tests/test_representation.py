@@ -422,6 +422,26 @@ def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
     assert sum(1 for _, delta in cases if delta) > 30 and transitions > 300
 
 
+def test_moves_make_the_columns_the_checked_constructor_makes(two_start, single_ab):
+    # the move function checks each state's counters once and builds its
+    # columns unchecked; each equals, hash and all, the checked column
+    comp = grave(normalize(single_ab))
+    chain = decide_alf_pre_finite(comp, normalize(depth_chain(14))).delta
+    cases = [(two_start, FRAGMENT), (comp, chain), *_fragments_of_draws(600)]
+    columns = 0
+    for P, delta in cases:
+        moves = w_delta_moves(P, delta)
+        for state in build_w_delta(P, delta).decode.values():
+            for col, _next in moves(state):
+                checked = TrackLetter(col.x1, col.x2, col.x3)
+                assert col == checked and hash(col) == hash(checked)
+                columns += 1
+    assert columns > 300
+    # (II:1, 0, 0) breaks s1 = s2 + s3
+    with pytest.raises(ValueError, match="column counters do not add up"):
+        w_delta_moves(two_start, FRAGMENT)((vec(II=1), ZERO, ZERO))
+
+
 def test_closure_checks_build_neither_columns_nor_recognizer(
     two_start, tracker4, monkeypatch
 ):
