@@ -1,19 +1,18 @@
-"""Three-track column alphabet and the local language recognizing
-one-component deletions over a finite transition fragment.
+"""Three-track column alphabet over a finite transition fragment, and the
+exact closure checks that search one-component deletions over it.
 
 Track 1 carries a composite computation, track 2 the remainder after
 deleting one tracked component, track 3 that component itself (checked
 letters).  Exactly one of tracks 2/3 moves per column and the counter
-vectors add up, so projecting a recognized word to tracks 1 and 2 realizes
-the deletion relation exactly on the covered fragment.
+vectors add up, so projecting a column word to tracks 1 and 2 realizes the
+deletion relation exactly on the covered fragment.
 
-The recognizer W_delta has one definition of a move, and so of a column,
-`w_delta_moves`.  The closure search asks it for a state's columns when the
-search first reaches that state and never builds W_delta; `build_w_delta`
-walks the same moves, for the `wdelta` command and tests.  The move function
-checks a state's counters once, and its step indexes fix everything else a
-column must satisfy, so it builds columns without re-checking each one; a
-column built by hand with `TrackLetter(...)` is checked in full.
+Track 1 is the sum of the other two, so the deletion system's state is the
+remainder vector and the tracked component, and `_deletion_moves` is the
+one definition of a move, and so of a column.  The closure search runs on
+those states.  The recognizer W_delta adds the composite vector to each
+state; it, the track ranges S1/S2/S3 and the steps delta2'/delta3' serve
+the `wdelta` command and the tests.
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ class TrackLetter:
 
     The constructor checks that exactly one of tracks 2/3 moves, that the
     active track carries the composite's letter and kind, and that the
-    counters add up, and raises ValueError otherwise.  The move function of
-    `w_delta_moves` makes its columns with `_unchecked`, which skips that
-    check: it checks the counters once per W-state, and its step indexes
-    fix the rest (see `w_delta_moves`).
+    counters add up, and raises ValueError otherwise.  `_deletion_moves`
+    makes its columns with `_unchecked`, which skips that check: a column's
+    composite step there is its active step shifted by the resting track,
+    so they agree by construction.
     """
 
     x1: ShuffleTransition
@@ -126,6 +125,17 @@ class TrackLetter:
         return f"[{self.x1} | {self.x2} | {self.x3}]"
 
 
+def _checked_step_table(eng, delta: frozenset):
+    """A fresh step table of eng (`ShuffleEngine.step_table`), once every
+    step of delta is found in it.  An invalid step raises
+    NotSubsetOfShuffle, as does a step on a letter P does not read."""
+    steps = eng.step_table()
+    for t in delta:
+        if t.letter not in eng.letters or t not in steps(t.source, t.letter):
+            raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
+    return steps
+
+
 def compute_s_sets(P: Dfa, delta) -> tuple:
     """Vector ranges of the three tracks over the fragment delta.
 
@@ -134,38 +144,23 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
     difference is reachable: below a reached vector, its support lies in
     the states a component can occupy, and opening one component per unit
     and driving it there reaches any vector over them.  An invalid step
-    raises NotSubsetOfShuffle, as does a step on a letter P does not read.
+    raises NotSubsetOfShuffle.
     """
     delta = frozenset(delta)
-    eng = engine_for(P)
-    steps = eng.step_table()
-    for t in delta:
-        if t.letter not in eng.letters or t not in steps(t.source, t.letter):
-            raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
+    _checked_step_table(engine_for(P), delta)
     s1 = reached(delta)
-    s3 = {
-        f
-        for f in elementary_vector_states(P)
-        if any(f.leq(g) for g in s1)
-    }
+    s3 = {f for f in elementary_vector_states(P) if any(f.leq(g) for g in s1)}
     s2 = {g.sub(h) for g in s1 for h in s3} - {None}
     return s1, frozenset(s2), frozenset(s3)
 
 
 def _delta2_prime(P: Dfa, delta, s2) -> frozenset:
+    """The remainder steps on delta's letters from and to S2 vectors."""
+    steps = engine_for(P).step_table()
     letters = {t.letter for t in delta}
-    out = set()
-    for core in engine_for(P).sigma_core():
-        if core.letter not in letters:
-            continue
-        for s in s2:
-            h = s.sub(core.source)
-            if h is None:
-                continue
-            shifted = core.shift(h)
-            if shifted.target in s2:
-                out.add(shifted)
-    return frozenset(out)
+    return frozenset(
+        t for f in s2 for a in letters for t in steps(f, a) if t.target in s2
+    )
 
 
 def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
@@ -183,76 +178,69 @@ def _column_order(col: TrackLetter) -> tuple:
     return str(col), col.x1.kind
 
 
-def _tracks(P: Dfa, delta: frozenset) -> tuple:
-    """(S1, S2, S3, delta2', delta3', moves) of the fragment delta, where
-    moves is the move function of W_delta described at `w_delta_moves`."""
-    s1, s2_set, s3_set = compute_s_sets(P, delta)
-    d2 = _delta2_prime(P, delta, s2_set)
-    d3 = _delta3_prime(P, delta, s3_set)
-    from_source: dict = {}
-    for x1 in delta:
-        from_source.setdefault(x1.source, []).append(x1)
-    by_event2: dict = {}
-    for x2 in d2:
-        by_event2.setdefault((x2.source, x2.letter, x2.kind), []).append(x2)
-    by_event3: dict = {}
-    for x3 in d3:
-        key = (x3.source, x3.letter.unchecked(), x3.kind)
-        by_event3.setdefault(key, []).append(x3)
+def _deletion_moves(P: Dfa, delta):
+    """The move function of the deletion system over the fragment delta.
 
+    A state (s2, s3) is the remainder vector and the tracked component, or
+    CHECK_ZERO once that component has closed.  A remainder move takes a
+    step x2 of s2 whose shift by the resting component is in delta, a
+    component move an elementary step x3 of s3 whose shift by s2 is; that
+    shift is the column's composite step x1, so the column's counters,
+    letter and kind agree by construction.  The returned function maps a
+    state to its (column, next state) pairs in column order
+    (`_column_order`).  An invalid step in delta raises NotSubsetOfShuffle
+    here, before any move is made.
+
+    On every state reached from (0, 0) these are W_delta's moves, for any
+    delta, a forged certificate's included: x1 in delta from a reached
+    s1 = s2 + s3 ends in S1, so x2's target x1.target - s3 lies in S2, and
+    x3's target, an elementary vector below x1.target, lies in S3.
+    """
+    delta = frozenset(delta)
+    eng = engine_for(P)
+    steps = _checked_step_table(eng, delta)
+    letters = {t.letter for t in delta}
+    elementary: dict = {}
+    for x3 in eng.core_elementary():
+        if x3.letter in letters:
+            elementary.setdefault(x3.source, []).append(x3)
     column = TrackLetter._unchecked
 
     def moves(state) -> tuple:
-        s1, s2, s3 = state
+        s2, s3 = state
         rest = ZERO if s3 is CHECK_ZERO else s3
-        if s2.add(rest) != s1:
-            raise ValueError("column counters do not add up")
         out = []
-        for x1 in from_source.get(s1, ()):
-            # track 2 moves while track 3 rests
-            for x2 in by_event2.get((s2, x1.letter, x1.kind), ()):
-                if x2.target.add(rest) == x1.target:
-                    out.append((column(x1, x2, s3), (x1.target, x2.target, s3)))
-            # track 3 moves while track 2 rests; no component step leaves
-            # the sentinel
-            for x3 in by_event3.get((s3, x1.letter, x1.kind), ()):
-                if x3.target.add(s2) == x1.target:
-                    n3 = CHECK_ZERO if x3.target == ZERO else x3.target
-                    out.append((column(x1, s2, x3), (x1.target, s2, n3)))
+        for a in letters:
+            for x2 in steps(s2, a):
+                x1 = x2.shift(rest)
+                if x1 in delta:
+                    out.append((column(x1, x2, s3), (x2.target, s3)))
+        # no component step leaves the sentinel
+        for x3 in elementary.get(s3, ()):
+            x1 = x3.shift(s2)
+            if x1 in delta:
+                n3 = CHECK_ZERO if x3.target == ZERO else x3.target
+                out.append((column(x1, s2, x3.checked()), (s2, n3)))
         out.sort(key=lambda move: _column_order(move[0]))
         return tuple(out)
 
-    return s1, s2_set, s3_set, d2, d3, moves
+    return moves
 
 
 def w_delta_moves(P: Dfa, delta):
-    """The move function of W_delta, made once per fragment.
+    """The move function of W_delta: `_deletion_moves` on a W-state
+    (s1, s2, s3), each next state led by its column's composite target.
+    A state with s1 != s2 + s3 (the sentinel counting as 0) raises
+    ValueError."""
+    moves = _deletion_moves(P, delta)
 
-    The returned function maps a W-state (s1, s2, s3) to its moves, each a
-    (column, next state) pair, in column order (`_column_order`).  A
-    column starts where the state stands: its composite step at s1, its
-    active track at s2 or s3 while the other track rests.  Every state
-    reached from (0, 0, 0) has s1 = s2 + s3 (the deleted sentinel counting
-    as 0), with s2 in S2 and s3 in S3, and each column keeps that, so a move
-    needs only the step indexes below: delta's steps by source, the
-    remainder and component steps by (source, letter, kind).  No state
-    pays for the columns of another.  An invalid step in delta raises
-    NotSubsetOfShuffle here, before any move is made.
+    def w_moves(state) -> tuple:
+        s1, s2, s3 = state
+        if s2.add(ZERO if s3 is CHECK_ZERO else s3) != s1:
+            raise ValueError("column counters do not add up")
+        return tuple((col, (col.x1.target, *nxt)) for col, nxt in moves((s2, s3)))
 
-    The function checks s1 = s2 + s3 once per state, raising ValueError
-    when it fails, and then builds the state's columns without the
-    `TrackLetter` constructor's check, which they would all pass:
-    - exactly one of tracks 2/3 moves: the active one is a step of an
-      index, the resting one the state's vector or the sentinel;
-    - letter and kind: the index key (source, letter, kind) of the active
-      step is (its track's vector, x1's letter, x1's kind), with the
-      component step's letter unchecked;
-    - sources add up: x1's source is s1 and the active step's source is
-      its track's vector, so this is the state's own check;
-    - targets add up: each move keeps only the active steps whose target
-      plus the resting vector is x1's target.
-    """
-    return _tracks(P, frozenset(delta))[-1]
+    return w_moves
 
 
 @dataclass(frozen=True)
@@ -268,23 +256,27 @@ class DeltaSystem:
 
 
 def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
-    """All consistent columns over delta, with the ranges, steps and moves
-    they come from: the moves of every state that could read one, s1 the
-    source of a step in delta, s3 in S3 or the sentinel (counting as 0) and
-    s2 = s1 - s3 in S2."""
+    """All consistent columns over delta, with the ranges, steps and W's
+    moves they come from.  A column is a move of a state that could read
+    one (s1 the source of a step in delta, s3 in S3 or the sentinel,
+    counting as 0, and s2 = s1 - s3 in S2) that ends in S2 and in S3 or at
+    the sentinel, as the steps delta2'/delta3' do.  From a state reached
+    from 0 every move does (`_deletion_moves`)."""
     delta = frozenset(delta)
-    s1, s2, s3, d2, d3, moves = _tracks(P, delta)
+    s1, s2, s3 = compute_s_sets(P, delta)
+    moves = w_delta_moves(P, delta)
     columns = set()
     for f in {t.source for t in delta}:
         for h in (*s3, CHECK_ZERO):
             rest = f.sub(ZERO if h is CHECK_ZERO else h)
             if rest in s2:
-                columns.update(col for col, _next in moves((f, rest, h)))
+                columns.update(
+                    col
+                    for col, (_n1, n2, n3) in moves((f, rest, h))
+                    if n2 in s2 and (n3 is CHECK_ZERO or n3 in s3)
+                )
+    d2, d3 = _delta2_prime(P, delta, s2), _delta3_prime(P, delta, s3)
     return DeltaSystem(delta, s1, s2, s3, d2, d3, frozenset(columns), moves)
-
-
-def _state_name(s1, s2, s3) -> str:
-    return f"{s1}|{s2}|{s3}"
 
 
 @dataclass(frozen=True)
@@ -297,20 +289,20 @@ class WDelta:
 def build_w_delta(P: Dfa, delta) -> WDelta:
     """Deterministic recognizer of the valid column sequences.
 
-    Its states are those reached from (0, 0, 0) by the moves of
-    `build_delta_paren`, and its alphabet is every column there.  The
-    closure search never builds it; it serves `wdelta` and the tests.
+    Its states are those reached from (0, 0, 0) by `w_delta_moves`, and
+    its alphabet is every column of `build_delta_paren`.  The closure
+    search never builds it; it serves `wdelta` and the tests.
     """
     system = build_delta_paren(P, delta)
     initial = (ZERO, ZERO, ZERO)
-    names = {initial: _state_name(*initial)}
+    names = {initial: "|".join(map(str, initial))}
     queue = deque([initial])
     delta_map = {}
     while queue:
         src = queue.popleft()
         for col, nxt in system.moves(src):
             if nxt not in names:
-                names[nxt] = _state_name(*nxt)
+                names[nxt] = "|".join(map(str, nxt))
                 queue.append(nxt)
             delta_map[(names[src], Letter(col))] = names[nxt]
     dfa = Dfa(
@@ -354,7 +346,7 @@ def decode_witness(columns) -> dict:
 class ClosureOutcome:
     holds: bool
     witness: Optional[tuple]  # column sequence on failure
-    states_explored: int = 0
+    states_explored: int
 
 
 def _witness(parent: dict, state) -> tuple:
@@ -367,44 +359,46 @@ def _witness(parent: dict, state) -> tuple:
 
 
 def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
-    """Breadth-first search of W_delta x V x V for an accepted composite
-    whose remainder V rejects.
+    """Breadth-first search of the deletion system x V x V for an accepted
+    composite whose remainder V rejects.
 
-    W_delta is never built: a W-state's moves are made by `w_delta_moves`
-    when the search first reaches the state, and kept for the next visit.
-    They come in column-text order, as W's alphabet lists them, so the
-    search visits states, and finds its witness, in a fixed order.
+    A state is (deletion-system state, V-state of the composite, V-state of
+    the remainder), and with require_zero only a closed composite, s2 = 0
+    and s3 in {0, CHECK_ZERO}, may witness.  A deletion-system state's moves
+    are made by `_deletion_moves` when the search first reaches it, and
+    kept for the next visit.  They come in column order, as W_delta's
+    alphabet lists them, so the search visits states, and finds its
+    witness, in a fixed order: that of the same search over W_delta.
     """
     V = complete(V)
     finals = V.finals
-    w_moves = w_delta_moves(P, delta)
+    deletion_moves = _deletion_moves(P, delta)
     step = {a: {q: V.delta[(q, a)] for q in V.states} for a in V.alphabet}
-    # per W-state: (column, W-target, V-step of track 1, V-step of track 2
-    # or None when track 2 rests)
+    # per deletion-system state: (column, next state, V-step of track 1,
+    # V-step of track 2 or None when track 2 rests)
     moves: dict = {}
-    initial = (ZERO, ZERO, ZERO)
-    start = (initial, V.initial, V.initial)
+    start = ((ZERO, ZERO), V.initial, V.initial)
     parent = {start: None}  # state -> (previous state, column)
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        ws, vmu, vnu = state
+        ds, vmu, vnu = state
         if vmu in finals and vnu not in finals:
-            if not require_zero or ws[0] == ZERO:
+            if not require_zero or (ds[0] == ZERO and ds[1] in (ZERO, CHECK_ZERO)):
                 return ClosureOutcome(False, _witness(parent, state), len(parent))
-        out = moves.get(ws)
+        out = moves.get(ds)
         if out is None:
-            out = moves[ws] = tuple(
+            out = moves[ds] = tuple(
                 (
                     col,
-                    nws,
+                    nds,
                     step[col.x1.letter],
                     step[col.x2.letter] if isinstance(col.x2, ShuffleTransition) else None,
                 )
-                for col, nws in w_moves(ws)
+                for col, nds in deletion_moves(ds)
             )
-        for col, nws, mu, nu in out:
-            nxt = (nws, mu[vmu], vnu if nu is None else nu[vnu])
+        for col, nds, mu, nu in out:
+            nxt = (nds, mu[vmu], vnu if nu is None else nu[vnu])
             if nxt not in parent:
                 parent[nxt] = (state, col)
                 queue.append(nxt)

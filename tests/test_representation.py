@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shufflecheck.automata import EmptyLanguage, Letter, grave, normalize
+from shufflecheck.automata import EmptyLanguage, Letter, complete, grave, normalize
 from shufflecheck.engine import (
     Computation,
     CounterVector,
@@ -396,6 +396,46 @@ def _fragments_of_draws(n):
                 yield comp, alf.delta
 
 
+def _arbitrary_fragments(n):
+    """(composite, V, fragment) for n seeded random pairs: P and V over
+    {a, b} or {a, b, c}, each fragment a random set of the valid steps up
+    to norm 3, in P and in grave(P).  Most are not closed and many are not
+    reached from 0, as a forged certificate's need not be.  The steps are
+    sorted before sampling, since their sets' order follows the hash
+    seed."""
+    rng = random.Random(2121)
+    for i in range(n):
+        alpha = "ab" if i % 2 else "abc"
+        P, V = random_dfa(rng, 3, alpha), random_dfa(rng, 3, alpha)
+        for comp in (P, grave(P)):
+            eng = engine_for(comp)
+            valid = sorted(
+                (
+                    t
+                    for f in reachable_vectors(eng, 3)
+                    for t in all_successors(eng, f)
+                    if t.target.norm <= 3
+                ),
+                key=ShuffleTransition.tagged_str,
+            )
+            if valid:
+                k = rng.randint(1, min(len(valid), 40))
+                yield comp, V, frozenset(rng.sample(valid, k))
+
+
+def _candidate_states(system) -> list:
+    """The W-states `build_delta_paren` reads its columns from: s1 the
+    source of a step of the fragment, s3 in S3 or the sentinel, and
+    s2 = s1 - s3 in S2."""
+    out = []
+    for f in {t.source for t in system.delta}:
+        for h in (*system.s3, CHECK_ZERO):
+            rest = f.sub(ZERO if h is CHECK_ZERO else h)
+            if rest in system.s2:
+                out.append((f, rest, h))
+    return out
+
+
 def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
     # the column set is the definition's, and on every W-state the moves
     # made on demand are the recognizer's transitions, in its order, and
@@ -403,8 +443,13 @@ def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
     comp = grave(normalize(single_ab))
     chain = decide_alf_pre_finite(comp, normalize(depth_chain(14))).delta
     # most of the draws' fragments are empty; 600 draws give 33 that are not
-    cases = [(two_start, FRAGMENT), (comp, chain), *_fragments_of_draws(600)]
-    transitions = 0
+    cases = [
+        (two_start, FRAGMENT),
+        (comp, chain),
+        *_fragments_of_draws(600),
+        *((P, delta) for P, _V, delta in _arbitrary_fragments(150)),
+    ]
+    transitions = leaving = 0
     for P, delta in cases:
         w = build_w_delta(P, delta)
         columns = _reference_columns(w.system)
@@ -419,7 +464,15 @@ def test_w_moves_match_the_recognizer_and_the_columns(two_start, single_ab):
             assert got == edges[name]
             assert got == _reference_moves(columns, state)
         transitions += len(w.automaton.delta)
+        # a state that no walk from 0 reaches may have moves whose
+        # remainder leaves S2; they are not columns of W
+        leaving += any(
+            n2 not in w.system.s2
+            for state in _candidate_states(w.system)
+            for _col, (_n1, n2, _n3) in moves(state)
+        )
     assert sum(1 for _, delta in cases if delta) > 30 and transitions > 300
+    assert leaving > 0
 
 
 def test_moves_make_the_columns_the_checked_constructor_makes(two_start, single_ab):
@@ -445,13 +498,73 @@ def test_moves_make_the_columns_the_checked_constructor_makes(two_start, single_
 def test_closure_checks_build_neither_columns_nor_recognizer(
     two_start, tracker4, monkeypatch
 ):
+    # nor the track ranges or the steps delta2'/delta3' of W
     def refuse(*args):
-        raise AssertionError("the closure search built the column set")
+        raise AssertionError("the closure search built part of W")
 
-    monkeypatch.setattr(representation, "build_delta_paren", refuse)
-    monkeypatch.setattr(representation, "build_w_delta", refuse)
+    for name in (
+        "build_delta_paren",
+        "build_w_delta",
+        "compute_s_sets",
+        "_delta2_prime",
+        "_delta3_prime",
+    ):
+        monkeypatch.setattr(representation, name, refuse)
     assert check_closure_prefix(two_start, tracker4, FRAGMENT).holds
     assert check_closure_zero(two_start, tracker4, FRAGMENT).holds
+
+
+def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
+    """(holds, witness, states explored) of the closure search by its
+    definition: breadth first over W_delta x V x V, each state's columns
+    tried in the order of W's alphabet."""
+    w = build_w_delta(P, delta)
+    W, V = w.automaton, complete(V)
+    start = (W.initial, V.initial, V.initial)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        ws, vmu, vnu = state
+        if vmu in V.finals and vnu not in V.finals:
+            if not require_zero or w.decode[ws][0] == ZERO:
+                witness = []
+                while parent[state] is not None:
+                    state, col = parent[state]
+                    witness.append(col)
+                return False, tuple(reversed(witness)), len(parent)
+        for a in W.alphabet:
+            nws = W.delta.get((ws, a))
+            if nws is None:
+                continue
+            col = a.symbol
+            if not col.track3_active:
+                vnu_next = V.delta[(vnu, col.x2.letter)]
+            else:
+                vnu_next = vnu
+            nxt = (nws, V.delta[(vmu, col.x1.letter)], vnu_next)
+            if nxt not in parent:
+                parent[nxt] = (state, col)
+                queue.append(nxt)
+    return True, None, len(parent)
+
+
+def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments():
+    # the search over (remainder, tracked component) finds what the search
+    # over W_delta finds, in the same order, on fragments that are neither
+    # closed nor reached from 0, as a forged certificate's need not be
+    searches = fails = 0
+    for P, V, delta in _arbitrary_fragments(150):
+        for check, require_zero in (
+            (check_closure_prefix, False),
+            (check_closure_zero, True),
+        ):
+            out = check(P, V, delta)
+            got = (out.holds, out.witness, out.states_explored)
+            assert got == _reference_closure(P, V, delta, require_zero)
+            searches += 1
+            fails += not out.holds
+    assert searches >= 200 and fails >= 20
 
 
 def _vectors_over(states, max_norm: int) -> set:
