@@ -352,41 +352,6 @@ def _check_same_alphabet(a: Dfa, b: Dfa):
         )
 
 
-def product(a: Dfa, b: Dfa) -> Dfa:
-    """Intersection product on the reachable pair states."""
-    _check_same_alphabet(a, b)
-
-    def name(p, q):
-        return f"({p},{q})"
-
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    delta = {}
-    while queue:
-        p, q = queue.popleft()
-        for x in a.alphabet:
-            p2 = a.delta.get((p, x))
-            q2 = b.delta.get((q, x))
-            if p2 is None or q2 is None:
-                continue
-            delta[(name(p, q), x)] = name(p2, q2)
-            if (p2, q2) not in seen:
-                seen.add((p2, q2))
-                queue.append((p2, q2))
-    states = frozenset(name(p, q) for p, q in seen)
-    finals = frozenset(name(p, q) for p, q in seen if p in a.finals and q in b.finals)
-    kind = "semiautomaton" if (a.is_semiautomaton and b.is_semiautomaton) else "dfa"
-    return Dfa(
-        alphabet=a.alphabet,
-        states=states,
-        delta=delta,
-        initial=name(*start),
-        finals=finals,
-        kind=kind,
-    )
-
-
 def includes(sup: Dfa, sub: Dfa):
     """L(sub) <= L(sup)?  Returns True or a shortest witness in L(sub)\\L(sup).
 

@@ -313,6 +313,7 @@ def main(argv=None) -> int:
         representation.NotSubsetOfShuffle,
         scalable.NotASubset,
         scalable.NotPrefixClosed,
+        segments.FrontierCapExceeded,
         segments.NotInitialSegment,
         OSError,
     ) as exc:

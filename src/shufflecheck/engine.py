@@ -446,10 +446,6 @@ def engine_for(P: Dfa) -> ShuffleEngine:
     return _engine(P)
 
 
-def successors(P: Dfa, f: CounterVector, a: Letter) -> frozenset:
-    return engine_for(P).successors(f, a)
-
-
 def sigma_core(P: Dfa) -> frozenset:
     return engine_for(P).sigma_core()
 

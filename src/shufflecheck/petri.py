@@ -13,15 +13,16 @@ component's vector, so they never decide whether a step can fire.
 Both simulations take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
 step's vectors: a transition consumes the step's source vector and
-produces its target vector on the counter places.  Neither looks at the
-kind of a step or at the component automaton's edges.  The deletion-net
-route first searches the net's control states, the V1-state, V2-state
-and tracked place that hold one token each, from its initial marking with
-every counter place unbounded (`_live_controls`).  When no control state
-it finds is a counterexample's, the pair holds by `net-uncoverable` and
-the net is never built; otherwise the net holds only the transitions
-whose control pre-set that search reaches, since the rest could never
-fire from that marking.
+produces its target vector on the counter places.  A core step moves one
+component, so every arc has weight 1: each net is ordinary (Murata, Proc.
+IEEE 1989).  Neither looks at the kind of a step or at the component
+automaton's edges.  The deletion-net route first searches the net's
+control states, the V1-state, V2-state and tracked place that hold one
+token each, from its initial marking with every counter place unbounded
+(`_live_controls`).  When no control state it finds is a
+counterexample's, the pair holds by `net-uncoverable` and the net is
+never built; otherwise the net holds only the transitions whose control
+pre-set that search reaches, since the rest could never fire from it.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -62,7 +63,7 @@ OMEGA = float("inf")
 
 # Bits per place in a packed marking.  A count that reaches TOP, the top
 # bit of its field, ends a marking BFS as the cap does; below TOP, adding
-# any effect (itself below TOP) cannot carry into the next field.
+# a firing's effect, one at most, cannot carry into the next field.
 FIELD = 32
 TOP = 1 << (FIELD - 1)
 FIELD_MASK = (1 << FIELD) - 1
@@ -73,54 +74,47 @@ OMEGA_FIELD = TOP - 1
 
 
 class PetriNet:
-    """A place/transition net, held by position for the searches.
+    """An ordinary place/transition net, held by position for the searches.
 
     Built from its places, its pre- and post-sets as
-    {transition: {place: positive count}}, `meta` (transition -> decoding
-    info) and `order`, the deterministic transition order.  Place i is the
-    i-th place in sorted order and transition j is `order[j]`.  A dense
-    marking is the tuple of counts by place; the searches pack it into one
-    int with place i's count in bits FIELD*i up to FIELD*(i+1).  A support
-    is the bitmask of a marking's nonzero places.
+    {transition: {place: 1}}, `meta` (transition -> decoding info) and
+    `order`, the deterministic transition order; any other arc weight
+    raises ValueError, so a transition is enabled exactly where its pre-set
+    is marked.  Place i is the i-th place in sorted order and transition j
+    is `order[j]`.  A dense marking is the tuple of counts by place; the
+    searches pack it into one int with place i's count in bits FIELD*i up
+    to FIELD*(i+1).  A support is the bitmask of a marking's nonzero places.
     """
 
     def __init__(self, places, pre: dict, post: dict, meta: dict, order: tuple):
+        if {n for arcs in (pre, post) for t in order for n in arcs[t].values()} - {1}:
+            raise ValueError("every arc of a net must have weight 1")
         self.places = places = tuple(sorted(places))
         self.index = index = {p: i for i, p in enumerate(places)}
         self.meta = meta  # transition -> decoding info
         self.order = order
-        self.pre = []  # per transition: ((place position, count), ...)
-        self.post = []  # per transition: ((place position, count), ...)
+        # per transition: the place positions of its pre- and post-set, sorted
+        self.pre = [tuple(sorted(map(index.__getitem__, pre[t]))) for t in order]
+        self.post = [tuple(sorted(map(index.__getitem__, post[t]))) for t in order]
         self.packed_effect = []  # per transition: post - pre, packed
         # per transition: ((field shift, support mask without the place), ...)
         self.empties = []
         self.pre_mask = []  # per transition: bitmask of its pre-set
         self.post_mask = []  # per transition: bitmask of its post-set
-        self.heavy = {}  # transition -> its pre-set, if some count there exceeds 1
         # support -> the transitions whose pre-set it covers, in net order
         self.ready = {}
         # the TOP bit of every field: TOP times the sum of 1 << FIELD*i
         self.top = TOP * ((1 << (FIELD * len(places))) - 1) // FIELD_MASK
-        for j, t in enumerate(order):
-            inputs = tuple([(index[p], n) for p, n in pre[t].items()])
-            outputs = tuple([(index[p], n) for p, n in post[t].items()])
+        for inputs, outputs in zip(self.pre, self.post):
             packed = into = out = 0
-            # a need of TOP or more is met by no finite count, only by ω,
-            # so OMEGA_FIELD stands for it and ω minus it borrows nothing
-            for i, n in inputs:
-                packed -= (n if n < TOP else OMEGA_FIELD) << (FIELD * i)
+            for i in inputs:
+                packed -= 1 << (FIELD * i)
                 into |= 1 << i
-                if n > 1:
-                    self.heavy[j] = inputs
-            # an output of TOP or more overflows whenever it fires, so TOP
-            # stands in for it in the packed effect
-            for i, n in outputs:
-                packed += (n if n < TOP else TOP) << (FIELD * i)
+            for i in outputs:
+                packed += 1 << (FIELD * i)
                 out |= 1 << i
-            self.pre.append(inputs)
-            self.post.append(outputs)
             self.packed_effect.append(packed)
-            self.empties.append(tuple([(FIELD * i, ~(1 << i)) for i, _ in inputs]))
+            self.empties.append(tuple([(FIELD * i, ~(1 << i)) for i in inputs]))
             self.pre_mask.append(into)
             self.post_mask.append(out)
 
@@ -169,15 +163,16 @@ def _support(m: tuple) -> int:
 
 
 def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
-    """The marking after firing t at M, or None when t is not enabled."""
+    """The marking after firing t at M, or None when a place of t's
+    pre-set is empty: every arc moves one token, the net being ordinary."""
     j = net.order.index(t)
     m = list(net.marking(M))
-    for i, n in net.pre[j]:
-        if m[i] < n:
+    for i in net.pre[j]:
+        if not m[i]:
             return None
-        m[i] -= n
-    for i, n in net.post[j]:
-        m[i] += n
+        m[i] -= 1
+    for i in net.post[j]:
+        m[i] += 1
     return net.vector(m)
 
 
@@ -236,9 +231,9 @@ def karp_miller(
     places where m > am.  A finite count that would reach OMEGA_FIELD stops
     the tree, `capped` set, before that node is kept, as a count reaching
     TOP stops `marking_bfs`; a root with such a count gives a capped tree
-    of the root alone.  A count grows by at most the largest output weight
-    per level, so with the builders' weights of at most 2 no net they make
-    reaches it under a node_cap below 2**29.
+    of the root alone.  The net is ordinary, so a count grows by at most
+    one per level: from counts of at most 1, as in the builders' roots, no
+    tree reaches it under a node_cap below 2**30.
 
     The tree stops, `stopped` set, at the first node that covers a dense
     marking in stop_at; that node is the last of `nodes`, which are then
@@ -251,11 +246,6 @@ def karp_miller(
     )
     ready, ready_at, top = net.ready, net.ready_at, net.top
     ones = top >> (FIELD - 1)  # a count of one in every field
-    # a need above OMEGA_FIELD is met by ω alone
-    heavy = {
-        j: tuple([(FIELD * i, min(n, OMEGA_FIELD)) for i, n in inputs])
-        for j, inputs in net.heavy.items()
-    }
     width = len(net.places)
     start = net.marking(m0)
     if max(start, default=0) >= OMEGA_FIELD:
@@ -290,10 +280,6 @@ def karp_miller(
         if enabled is None:
             enabled = ready_at(nsupport)
         for j in enabled:
-            if heavy and j in heavy and not all(
-                (nm >> s) & FIELD_MASK >= n for s, n in heavy[j]
-            ):
-                continue
             m = nm + effect[j]
             if omega:
                 m = m & keep | omega
@@ -377,14 +363,15 @@ def marking_bfs(
     """(packed marking -> (packed parent, transition position), exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
-    markings (`PetriNet.pack`); stop_at holds packed markings.  The search
-    stops early, with exhausted False, when it reaches a marking in
+    markings (`PetriNet.pack`); stop_at holds packed markings.  The net is
+    ordinary, so a marking's support decides which transitions fire.  The
+    search stops early, with exhausted False, when it reaches a marking in
     stop_at, when it holds more than cap markings, or when a count reaches
     TOP; that last marking is not kept, so every kept marking unpacks to
-    its true counts.  The root's entry is (None, None); a root with a
-    count of TOP or more gives an empty map.
+    its true counts.  The root's entry is (None, None); a root with a count
+    of TOP or more gives an empty map.
     """
-    effect, empties, heavy, top = net.packed_effect, net.empties, net.heavy, net.top
+    effect, empties, top = net.packed_effect, net.empties, net.top
     ready, ready_at, post_mask = net.ready, net.ready_at, net.post_mask
     start = net.pack(m0)
     if start & top:
@@ -400,10 +387,6 @@ def marking_bfs(
         if enabled is None:
             enabled = ready_at(support)
         for j in enabled:
-            if heavy and j in heavy and not all(
-                (m >> (FIELD * i)) & FIELD_MASK >= n for i, n in heavy[j]
-            ):
-                continue
             m2 = m + effect[j]
             if m2 in seen:
                 continue
@@ -886,19 +869,13 @@ def to_pnml(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
         el = ET.SubElement(page, "transition", id=f"t{j}")
         name = ET.SubElement(el, "name")
         ET.SubElement(name, "text").text = t
-    arc = 0
-    for j in range(len(net.order)):
-        # arcs of one transition go in place order, inputs first
-        arcs = [(f"p{i}", f"t{j}", w) for i, w in sorted(net.pre[j])]
-        arcs += [(f"t{j}", f"p{i}", w) for i, w in sorted(net.post[j])]
-        for source, target, w in arcs:
-            el = ET.SubElement(
-                page, "arc", id=f"a{arc}", source=source, target=target
-            )
-            if w != 1:
-                ins = ET.SubElement(el, "inscription")
-                ET.SubElement(ins, "text").text = str(w)
-            arc += 1
+    # each transition's arcs in place order, inputs first; weight 1, PNML's default
+    arcs = []
+    for j, (inputs, outputs) in enumerate(zip(net.pre, net.post)):
+        arcs += [(f"p{i}", f"t{j}") for i in inputs]
+        arcs += [(f"t{j}", f"p{i}") for i in outputs]
+    for k, (source, target) in enumerate(arcs):
+        ET.SubElement(page, "arc", id=f"a{k}", source=source, target=target)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
@@ -911,11 +888,9 @@ def to_dot(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
         lines.append(f'  "{p}" [shape=circle, label="{p}{tokens}"];')
     for j, t in enumerate(net.order):
         lines.append(f'  "{t}" [shape=box];')
-        for i, w in sorted(net.pre[j]):
-            label = f' [label="{w}"]' if w != 1 else ""
-            lines.append(f'  "{places[i]}" -> "{t}"{label};')
-        for i, w in sorted(net.post[j]):
-            label = f' [label="{w}"]' if w != 1 else ""
-            lines.append(f'  "{t}" -> "{places[i]}"{label};')
+        for i in net.pre[j]:
+            lines.append(f'  "{places[i]}" -> "{t}";')
+        for i in net.post[j]:
+            lines.append(f'  "{t}" -> "{places[i]}";')
     lines.append("}")
     return "\n".join(lines)

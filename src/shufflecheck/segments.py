@@ -27,7 +27,9 @@ class NotInitialSegment(ValueError):
     """An explicit vector set that is empty or not downward closed."""
 
 
-DEFAULT_FRONTIER_CAP = 100_000
+# The most vector sets `partial_powerset` reaches before it raises
+# FrontierCapExceeded.
+FRONTIER_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,13 @@ class PowersetResult:
     state_sets: dict  # state name -> frozenset of CounterVector
 
 
-def partial_powerset(
-    P: Dfa, I: InitialSegment, frontier_cap: int = DEFAULT_FRONTIER_CAP
-) -> PowersetResult:
+def partial_powerset(P: Dfa, I: InitialSegment) -> PowersetResult:
     """Subset construction over the counter semiautomaton, clipped to I.
 
     From {0}, a letter moves a vector set to the set of all one-step
     targets.  A successor set straddling the border of I breaks
     compatibility; a successor set entirely outside I is simply dropped.
+    More than FRONTIER_CAP reachable vector sets raise FrontierCapExceeded.
     """
     steps = engine_for(P).step_table()
     start = frozenset({ZERO})
@@ -120,9 +121,9 @@ def partial_powerset(
             delta[(_set_name(M), a)] = _set_name(inside)
             if inside not in seen:
                 seen.add(inside)
-                if len(seen) > frontier_cap:
+                if len(seen) > FRONTIER_CAP:
                     raise FrontierCapExceeded(
-                        f"more than {frontier_cap} reachable vector sets"
+                        f"more than {FRONTIER_CAP} reachable vector sets"
                     )
                 queue.append(inside)
     state_sets = {_set_name(M): M for M in seen}
@@ -177,11 +178,9 @@ def check_phi_gamma_omega(P: Dfa) -> Optional[dict]:
     return {"phi": frozenset(phi), "gamma": frozenset(gamma), "omega": frozenset(omega)}
 
 
-def l_of_segment(
-    P: Dfa, I: InitialSegment, frontier_cap: int = DEFAULT_FRONTIER_CAP
-) -> Dfa:
+def l_of_segment(P: Dfa, I: InitialSegment) -> Dfa:
     """The prefix-closed language certified by a compatible segment."""
-    result = partial_powerset(P, I, frontier_cap)
+    result = partial_powerset(P, I)
     if not result.compatible:
         raise NotCompatible(
             f"segment incompatible at state {result.witness[0]} "

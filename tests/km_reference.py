@@ -3,8 +3,8 @@
 `shufflecheck.petri.karp_miller` runs on packed int markings; this is the
 same tree built the textbook way, one tuple of counts per marking with
 OMEGA for an unbounded count, so a test can require the two trees to agree
-node for node.  It reads only the net's positional pre- and post-sets and
-has no overflow rule: its counts are exact.
+node for node.  It reads only the net's positional pre- and post-sets,
+each arc of weight 1, and has no overflow rule: its counts are exact.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMR
     effect = []
     for inputs, outputs in zip(net.pre, net.post):
         e = [0] * width
-        for i, n in inputs:
-            e[i] -= n
-        for i, n in outputs:
-            e[i] += n
+        for i in inputs:
+            e[i] -= 1
+        for i in outputs:
+            e[i] += 1
         effect.append(tuple(e))
 
     def covers_any(m):
@@ -69,7 +69,7 @@ def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMR
         node = queue.popleft()
         nm = node.marking
         for j, t in enumerate(net.order):
-            if not all(nm[i] >= n for i, n in net.pre[j]):
+            if not all(nm[i] >= 1 for i in net.pre[j]):
                 continue
             m = tuple(map(add, nm, effect[j]))
             support = _support(m)

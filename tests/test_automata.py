@@ -16,7 +16,6 @@ from shufflecheck.automata import (
     normalize,
     parse_automaton,
     parse_letter,
-    product,
     serialize_automaton,
     word,
 )
@@ -77,11 +76,6 @@ def test_prefix_closed(alt, single_ab):
     assert is_prefix_closed(alt)
     assert not is_prefix_closed(single_ab)
     assert is_prefix_closed(grave(single_ab))
-
-
-def test_product_intersects(ring3, ring9):
-    p = product(ring3, ring9)
-    assert equivalent(p, ring3)
 
 
 def test_complete_adds_sink(alt):

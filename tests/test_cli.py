@@ -328,3 +328,14 @@ def test_segment_not_downward_closed_exits_3(files, capsys, tmp_path, text):
     out, err = capsys.readouterr()
     assert out == ""
     assert _one_error_line(err) and "downward closed" in err
+
+
+def test_segment_frontier_cap_exits_3(files, capsys, monkeypatch):
+    # a search past its frontier cap is a budget error, not a crash
+    from shufflecheck import segments
+
+    monkeypatch.setattr(segments, "FRONTIER_CAP", 1)
+    assert main(["segments", files["alt"], "--ball", "3"]) == 3
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "Traceback" not in err
+    assert "more than 1 reachable vector sets" in err
