@@ -57,6 +57,11 @@ class MalformedCertificate(Exception):
     pass
 
 
+# km_node_cap bounds, in states kept, the prefix route's walk and the zero
+# route's backward walk, and in nodes the net route's Karp–Miller tree.
+# forward_cap bounds the product walks (the prefix route's walk, which both
+# caps bound, and the zero route's forward walk) and the net route's
+# marking BFS.
 @dataclass(frozen=True)
 class Budgets:
     falsifier_maxlen: int = 6

@@ -363,6 +363,10 @@ class ShuffleEngine:
             *self.opening.values(),
             *(out for (q, _a), out in self.moving.items() if q in self.component_states),
         )
+        # letter -> the core steps on it, which `sources` runs backward
+        self.core_on = {a: [] for a in P.alphabet}
+        for t in self.core:
+            self.core_on[t.letter].append(t)
 
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
         """All transitions (f, a, g), tagged by kind: the core steps on a
@@ -408,6 +412,19 @@ class ShuffleEngine:
         for q, _n in f.entries:
             for t in moving.get((q, a), ()):
                 out.add(t.target.add(f.sub(t.source)))
+        return frozenset(out)
+
+    def sources(self, g: CounterVector, a: Letter) -> frozenset:
+        """The vectors f with g in `targets(f, a)`, for g whose support lies
+        in `component_states`, as every reachable vector's does: for each
+        core step t on a whose target g covers, g - t.target + t.source."""
+        if a not in self.letters:
+            raise UnknownLetter(f"letter {a} not in the alphabet")
+        out = set()
+        for t in self.core_on[a]:
+            rest = g.sub(t.target)
+            if rest is not None:
+                out.add(rest.add(t.source))
         return frozenset(out)
 
     def sigma_core(self) -> frozenset:

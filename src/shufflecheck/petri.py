@@ -1,16 +1,22 @@
-"""Place/transition nets, coverability analysis, and the two net
-simulations driving the finiteness and counterexample decisions.
+"""Place/transition nets, coverability analysis, the fragment routes'
+finiteness walks, and the deletion net that decides closure where no
+fragment route does.
 
-The first net mirrors the product of the counter semiautomaton with a
-finite tracker and decides whether the relevant transition alphabet is
-finite.  The second, the deletion net, runs a composite word as a
-remainder and one tracked component with unbounded counters; its
-reachability questions answer the closure decision where the
-fragment-based route is unavailable.  The composite keeps only its
-V-state: its counters are always the remainder's plus the tracked
-component's vector, so they never decide whether a step can fire.
+The fragment routes ask whether the product of the counter semiautomaton
+with V is finite: forward from (0, V.initial) on the prefix route, and
+backward from the accepting closures (0, q_f) on the zero route.  They
+walk the product states themselves; a walk ends unless it meets a state
+that strictly covers a tree ancestor with the same V-state, a pump
+(`decide_alf_pre_finite` gives the argument).  The product net, `build_npv`,
+has one reachable marking per product state, so Karp–Miller on it gives
+the same answer; it serves the `petri` command and the tests.  The
+deletion net runs a composite word as a remainder and one tracked
+component with unbounded counters; its reachability questions answer the
+closure decision where the fragment routes do not.  The composite keeps
+only its V-state: its counters are always the remainder's plus the
+tracked component's vector, so they never decide whether a step can fire.
 
-Both simulations take their transitions from the engine's core steps, one
+Both nets take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
 step's vectors: a transition consumes the step's source vector and
 produces its target vector on the counter places.  A core step moves one
@@ -438,7 +444,7 @@ def firing_path(parents: dict, m) -> list:
 
 
 # ---------------------------------------------------------------------------
-# product-tracking net
+# product-tracking net and the fragment routes
 
 def _pp(q) -> str:
     return f"P::{q}"
@@ -453,12 +459,20 @@ def _arcs(place, v: CounterVector) -> dict:
     return {place(q): n for q, n in v.entries}
 
 
+def _npv_name(t, r) -> str:
+    """The `build_npv` transition that fires the core step t at V-state r."""
+    return f"{t.kind}|{t}|{r}"
+
+
 def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
     """Net simulating the product of the counter semiautomaton with V.
 
     Returns (net, iota) where iota maps a product state (vector, V-state)
     to its marking.  With backward set, every transition's pre- and
-    post-set are swapped, so the net runs the product in reverse.
+    post-set are swapped, so the net runs the product in reverse.  The
+    fragment routes walk the product itself; the net serves
+    `shufflecheck petri --which npv` and the tests, which replay a prefix
+    route's pump on it.
     """
     eng = engine_for(P)
     places = {_pp(q) for q in P.states} | {_vp(r) for r in V.states}
@@ -469,7 +483,7 @@ def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
             s = V.delta.get((r, t.letter))
             if s is None:
                 continue
-            tid = f"{t.kind}|{t}|{r}"
+            tid = _npv_name(t, r)
             pre[tid] = {**source, _vp(r): 1}
             post[tid] = {**target, _vp(s): 1}
             meta[tid] = {"core": t}
@@ -533,6 +547,43 @@ class AlfResult:
     stats: dict = field(default_factory=dict)
 
 
+def _covered_ancestor(tree: dict, state, new):
+    """The first of `state` and its ancestors in tree (state -> parent)
+    that the product state new strictly covers with the same V-state, or
+    None.  A strict cover has the larger norm, so `geq` runs only then."""
+    g, s = new
+    norm = g.norm
+    while state is not None:
+        f, r = state
+        if r == s and f.norm < norm and g.geq(f):
+            return state
+        state = tree[state]
+    return None
+
+
+def _pump(P: Dfa, V: Dfa, tree: dict, state, new, base) -> tuple:
+    """(prefix, cycle): the tree path from the walk's start to base, then
+    on through state to new, as `build_npv` transition names.  Each step
+    is named by the first core step, in the order `build_npv` takes them,
+    whose firing gives the next state."""
+    path = [new]
+    while state is not None:
+        path.append(state)
+        state = tree[state]
+    path.reverse()
+    core = sorted(engine_for(P).sigma_core(), key=lambda t: (str(t), t.kind))
+    names = [
+        next(
+            _npv_name(t, r) for t in core
+            if V.delta.get((r, t.letter)) == s
+            and f.geq(t.source) and f.sub(t.source).add(t.target) == g
+        )
+        for (f, r), (g, s) in zip(path, path[1:])
+    ]
+    k = path.index(base)
+    return tuple(names[:k]), tuple(names[k:])
+
+
 def decide_alf_pre_finite(
     P: Dfa,
     V: Dfa,
@@ -541,27 +592,66 @@ def decide_alf_pre_finite(
 ) -> AlfResult:
     """Is the transition alphabet of all prefix-tracked interleavings finite?
 
-    V must recognize a prefix-closed language (every state accepting).
-    The net is bounded exactly when the product is finite, and
-    boundedness is decidable; the answer is Unknown only when node_cap or
-    forward_cap stops the search, and the stats name that cap.
+    V must recognize a prefix-closed language (every state accepting).  The
+    alphabet is finite exactly when the product of the counter system with
+    V is, and is then the set of steps on the product's edges.  One
+    breadth-first walk from (0, V.initial) answers, with the steps of the
+    engine's step table; each new state keeps its parent in the walk's
+    tree.  Before the walk keeps a new state, it walks that state's
+    ancestors (`_covered_ancestor`).  A new state that strictly covers an
+    ancestor with the same V-state is a pump: the counter system is
+    monotone, so the path from the ancestor fires again from the new state,
+    and again, each time growing the vector, and the product is infinite.
+    Conversely an infinite product gives the walk an infinite, finitely
+    branching tree, so an infinite branch (König); on it some state covers
+    an earlier one with the same V-state (Dickson's lemma), strictly, since
+    the tree holds no state twice, and the walk checks that pair when it
+    keeps the later one.  A state the walk already holds needs no check:
+    the argument reads only the tree.  So a walk without a pump ends, with
+    the product's states and the steps on its edges.  This is the answer
+    Karp–Miller gives on `build_npv`'s net, whose markings are the product
+    states (Karp & Miller, 1969), without building the net.  The pump is
+    (prefix, cycle) in that net's transition names, which `replay_pump`
+    fires; which pump the walk meets first may follow the order of a step
+    set.
+
+    The walk keeps at most node_cap states and at most forward_cap states.
+    When it would keep more, the answer is Unknown and the stats name the
+    cap, km_node_cap when both are passed.
     """
-    net, iota = build_npv(P, V)
-    m0 = iota((ZERO, V.initial))
-    km = karp_miller(net, m0, node_cap)
-    if km.capped:
-        return AlfResult(
-            "unknown", stats={"km_nodes": len(km.nodes), "capped_by": "km_node_cap"}
-        )
-    if not km.bounded:
-        return AlfResult(
-            "infinite", pump=km.pump, stats={"km_nodes": len(km.nodes)}
-        )
-    states, delta, exhausted = build_product(P, V, forward_cap)
-    stats = {"km_nodes": len(km.nodes), "product_states": len(states)}
-    if not exhausted:
-        return AlfResult("unknown", stats={**stats, "capped_by": "forward_cap"})
-    return AlfResult("finite", delta=delta, states=frozenset(states), stats=stats)
+    steps = engine_for(P).step_table()
+    start = (ZERO, V.initial)
+    tree = {start: None}
+    fragment = set()
+    queue = deque([start])
+    cap = min(node_cap, forward_cap)
+    while queue:
+        state = queue.popleft()
+        f, r = state
+        for a in P.alphabet:
+            s = V.delta.get((r, a))
+            if s is None:
+                continue
+            for t in steps(f, a):
+                fragment.add(t)
+                new = (t.target, s)
+                if new in tree:
+                    continue
+                base = _covered_ancestor(tree, state, new)
+                if base is not None:
+                    pump = _pump(P, V, tree, state, new, base)
+                    stats = {"product_states": len(tree)}
+                    return AlfResult("infinite", pump=pump, stats=stats)
+                tree[new] = state
+                if len(tree) > cap:
+                    capped_by = "km_node_cap" if len(tree) > node_cap else "forward_cap"
+                    stats = {"product_states": len(tree), "capped_by": capped_by}
+                    return AlfResult("unknown", stats=stats)
+                queue.append(new)
+    return AlfResult(
+        "finite", delta=frozenset(fragment), states=frozenset(tree),
+        stats={"product_states": len(tree)},
+    )
 
 
 def decide_alf_zero_finite(
@@ -573,32 +663,55 @@ def decide_alf_zero_finite(
     """Finiteness of the transition alphabet restricted to interleavings
     that can still close all components inside V.
 
-    V must be a complete automaton with finals.  The search runs backward:
-    R is the set of markings that reach an accepting closure (0, q_f), and
-    the forward product is walked inside R.  Exact when every backward
-    marking space is finite; Unknown when one is not, when node_cap stops
-    a backward tree, or when forward_cap stops the walk.
+    V must be a complete automaton with finals.  R is the set of product
+    states that reach an accepting closure (0, q_f), and the forward
+    product is walked inside R.  One breadth-first walk backward from
+    every (0, q_f), with the predecessors of `ShuffleEngine.sources`, gives
+    R, and keeps no state that strictly covers a tree ancestor with the
+    same V-state.  The counter system run backward is monotone too, so
+    `decide_alf_pre_finite`'s argument holds: such a state is a pump, R is
+    infinite and the answer is Unknown; otherwise the walk ends with R
+    whole.  R is then the union of the backward `build_npv` net's
+    reachable markings from each (0, q_f), found without the net, and a
+    `build_product` walk kept inside R gives the fragment.
 
-    The forward marking space adds nothing once V is complete: a START
-    step is then enabled from every V-state, so the forward space is finite
-    only when P's core has no START step.  Every step is then a START_END
-    step, and each backward space, of at most |V| markings, is finite too.
+    node_cap bounds R as a whole, in states kept, not each (0, q_f)'s part
+    of it; forward_cap bounds the forward walk.  Either cap gives Unknown.
+
+    The forward product adds nothing once V is complete: a START step is
+    then enabled from every V-state, so the forward product is finite only
+    when P's core has no START step.  Every step is then a START_END step,
+    and R, of at most |V| states, is finite too.
     """
     V = complete(V)
-    rev, iota = build_npv(P, V, backward=True)
-    R: set = set()
-    for qf in sorted(V.finals):
-        km = karp_miller(rev, iota((ZERO, qf)), node_cap)
-        if km.capped or not km.bounded:
-            return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
-        # with no node accelerated, the tree holds every reachable marking
-        R.update(node.packed for node in km.nodes)
-    states, delta, exhausted = build_product(
-        P, V, forward_cap,
-        keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
-    )
+    eng = engine_for(P)
+    into: dict = {}  # (V-state, letter) -> the V-states the letter leads into it
+    for (r, a), s in V.delta.items():
+        into.setdefault((s, a), []).append(r)
+    roots = [(ZERO, qf) for qf in V.finals]
+    R = dict.fromkeys(roots)  # the walk's tree: state -> parent
+    queue = deque(roots)
+    while queue:
+        state = queue.popleft()
+        g, s = state
+        for a in P.alphabet:
+            before = into.get((s, a))
+            if before is None:
+                continue
+            for f in eng.sources(g, a):
+                for r in before:
+                    new = (f, r)
+                    if new in R:
+                        continue
+                    if _covered_ancestor(R, state, new) is not None:
+                        return AlfResult("unknown")
+                    R[new] = state
+                    if len(R) > node_cap:
+                        return AlfResult("unknown")
+                    queue.append(new)
+    states, delta, exhausted = build_product(P, V, forward_cap, keep=R.__contains__)
     if not exhausted:
-        return AlfResult("unknown", stats={"states": len(states)})
+        return AlfResult("unknown")
     return AlfResult("finite", delta=delta, states=frozenset(states))
 
 

@@ -1,5 +1,7 @@
-"""The three-track deletion net with every transition, the reference for
-`petri.build_np_v_full`.
+"""Net-based references: the three-track deletion net with every
+transition, the reference for `petri.build_np_v_full`, and the fragment
+routes decided on the product net, the reference for
+`petri.decide_alf_pre_finite` and `petri.decide_alf_zero_finite`.
 
 `shufflecheck.petri.build_np_v_full` builds only the transitions whose
 control pre-set a run from the initial marking can mark, and keeps no
@@ -14,20 +16,33 @@ reference's are projected onto the smaller net's places.
 `one_token_groups` and `check_one_token` state the invariant both nets
 keep: the V1 places, the V2 places and the tracked places each hold one
 token in every reachable marking.
+
+The two routes here answer each finiteness question with Karp–Miller on
+`petri.build_npv`'s net, forward from (0, V.initial) and backward from
+each accepting closure (0, q_f); the package's routes walk the product
+states instead.  The prefix route then walks the product a second time
+with `build_product`, and the zero route keeps its forward walk inside
+the backward trees' markings.
 """
 
 from __future__ import annotations
 
 from shufflecheck.automata import Dfa, complete
-from shufflecheck.engine import CounterVector, elementary_vector_states, engine_for
+from shufflecheck.engine import ZERO, CounterVector, elementary_vector_states, engine_for
 from shufflecheck.petri import (
     CHECK_PLACE,
+    DEFAULT_FORWARD_CAP,
+    DEFAULT_KM_NODE_CAP,
+    AlfResult,
     PetriNet,
     _arcs,
     _ep,
     _q2,
     _v1,
     _v2,
+    build_npv,
+    build_product,
+    karp_miller,
 )
 
 
@@ -103,3 +118,56 @@ def check_one_token(groups, M: CounterVector) -> bool:
     return all(
         sum(counts.get(p, 0) for p in group) == 1 for group in groups
     )
+
+
+def decide_alf_pre_finite(
+    P: Dfa,
+    V: Dfa,
+    node_cap: int = DEFAULT_KM_NODE_CAP,
+    forward_cap: int = DEFAULT_FORWARD_CAP,
+) -> AlfResult:
+    """The prefix route on the product net: the net is bounded exactly
+    when the product is finite, and then `build_product` walks it."""
+    net, iota = build_npv(P, V)
+    m0 = iota((ZERO, V.initial))
+    km = karp_miller(net, m0, node_cap)
+    if km.capped:
+        return AlfResult(
+            "unknown", stats={"km_nodes": len(km.nodes), "capped_by": "km_node_cap"}
+        )
+    if not km.bounded:
+        return AlfResult(
+            "infinite", pump=km.pump, stats={"km_nodes": len(km.nodes)}
+        )
+    states, delta, exhausted = build_product(P, V, forward_cap)
+    stats = {"km_nodes": len(km.nodes), "product_states": len(states)}
+    if not exhausted:
+        return AlfResult("unknown", stats={**stats, "capped_by": "forward_cap"})
+    return AlfResult("finite", delta=delta, states=frozenset(states), stats=stats)
+
+
+def decide_alf_zero_finite(
+    P: Dfa,
+    V: Dfa,
+    node_cap: int = DEFAULT_KM_NODE_CAP,
+    forward_cap: int = DEFAULT_FORWARD_CAP,
+) -> AlfResult:
+    """The zero route on the backward product net: R is the set of packed
+    markings of the Karp–Miller trees from each (0, q_f), each tree bounded
+    by node_cap, and the forward product is walked inside R."""
+    V = complete(V)
+    rev, iota = build_npv(P, V, backward=True)
+    R: set = set()
+    for qf in sorted(V.finals):
+        km = karp_miller(rev, iota((ZERO, qf)), node_cap)
+        if km.capped or not km.bounded:
+            return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
+        # with no node accelerated, the tree holds every reachable marking
+        R.update(node.packed for node in km.nodes)
+    states, delta, exhausted = build_product(
+        P, V, forward_cap,
+        keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
+    )
+    if not exhausted:
+        return AlfResult("unknown", stats={"states": len(states)})
+    return AlfResult("finite", delta=delta, states=frozenset(states))

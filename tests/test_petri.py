@@ -15,6 +15,7 @@ from shufflecheck.engine import (
     parse_transition,
     sp_falsify,
 )
+from shufflecheck import petri
 from shufflecheck.petri import (
     CHECK_PLACE,
     _ep,
@@ -193,12 +194,79 @@ def test_zero_route_forward_cap_bounds_only_the_restricted_product(
 
 
 def test_zero_route_budgets(single_a, b_chain):
-    # node_cap bounds each backward tree: the one from F has five nodes
+    # node_cap bounds the backward set as a whole, in states kept: the part
+    # of it that reaches F alone has five states
     assert decide_alf_zero_finite(single_a, b_chain, node_cap=4).status == "unknown"
     # the restricted product has two states, so a cap of two lets it finish
     res = decide_alf_zero_finite(single_a, b_chain, forward_cap=2)
     assert res.status == "finite"
     assert res.delta == tset("(0) a (0) [start_end]")
+
+
+def test_pre_route_node_cap_bounds_the_walk(two_start, tracker4):
+    # the walk keeps the product's four states, so a cap of two stops it
+    res = decide_alf_pre_finite(two_start, tracker4, node_cap=2)
+    assert res.status == "unknown"
+    assert res.stats["capped_by"] == "km_node_cap"
+
+
+def _route_cases():
+    # (composite, V) of the first 300 criterion-10 pairs in both modes, and
+    # of the wide draws with seeds 7 and 13 in both modes where V is prefix
+    # closed
+    yield from product_pairs(300)
+    for seed, n, alpha in ((7, 3, "abc"), (13, 4, "ab")):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            P, V = wide_draw(rng, n, alpha)
+            try:
+                P, V = normalize(P), normalize(V)
+            except EmptyLanguage:
+                continue
+            if V.finals == V.states:
+                yield grave(P), V
+            yield P, V
+
+
+def test_fragment_routes_match_the_net_reference():
+    # each route answers as Karp–Miller on the product net does, with the
+    # same fragment and states; an infinite prefix answer's pump fires on
+    # that net, and a finite one's walk keeps as many states as the tree
+    # had nodes
+    answers = set()
+    for comp, V in _route_cases():
+        got = decide_alf_pre_finite(comp, V)
+        ref = net_reference.decide_alf_pre_finite(comp, V)
+        assert got.status == ref.status, (comp, V)
+        assert (got.delta, got.states) == (ref.delta, ref.states)
+        if got.status == "finite":
+            assert got.stats == {"product_states": ref.stats["km_nodes"]}
+            assert ref.stats["km_nodes"] == ref.stats["product_states"]
+        if got.status == "infinite":
+            net, iota = build_npv(comp, V)
+            assert replay_pump(net, iota((ZERO, V.initial)), got.pump)
+        answers.add(("pre", got.status))
+        got = decide_alf_zero_finite(comp, V)
+        ref = net_reference.decide_alf_zero_finite(comp, V)
+        assert got.status == ref.status, (comp, V)
+        assert (got.delta, got.states) == (ref.delta, ref.states)
+        answers.add(("zero", got.status))
+    assert answers == {
+        ("pre", "finite"), ("pre", "infinite"), ("zero", "finite"), ("zero", "unknown"),
+    }
+
+
+def test_fragment_routes_build_no_net(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fragment route built a net or a tree")
+
+    for name in ("build_npv", "karp_miller", "PetriNet"):
+        monkeypatch.setattr(petri, name, refuse)
+    statuses = set()
+    for comp, V in product_pairs(300):
+        statuses.add(decide_alf_pre_finite(comp, V).status)
+        statuses.add(decide_alf_zero_finite(comp, V).status)
+    assert statuses == {"finite", "infinite", "unknown"}
 
 
 def test_km_bounded_on_finite_net(two_start, tracker4):
