@@ -12,8 +12,11 @@ products) consumes the same two types: Letter and Dfa.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 
@@ -41,7 +44,14 @@ class UnknownLetter(AutomatonError):
     pass
 
 
-@dataclass(frozen=True)
+# Interning table: (symbol, index, mark) -> the one live letter with those
+# fields.  Weak, so a letter lives only as long as some caller holds it.
+# Lookups run without the lock; it only guards creation.
+_LETTERS = weakref.WeakValueDictionary()
+_LETTER_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Letter:
     """A single alphabet symbol.
 
@@ -49,21 +59,34 @@ class Letter:
     alphabets use counter transitions as symbols).  index carries the copy
     number of an indexed alphabet; mark distinguishes the disjoint checked
     copy of an alphabet.
+
+    Interned: equal letters are one object, compared and hashed by
+    identity, so the (state, letter) keys of every transition dict hash
+    without a Python call.
     """
 
+    __slots__ = ("symbol", "index", "mark", "__weakref__")
     symbol: Any
-    index: Optional[int] = None
-    mark: Optional[str] = None  # None | "checked"
+    index: Optional[int]
+    mark: Optional[str]  # None | "checked"
 
-    def __post_init__(self):
-        # letters key every transition dict; hash the content once
-        object.__setattr__(self, "_hash", hash((self.symbol, self.index, self.mark)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, symbol: Any, index: Optional[int] = None, mark: Optional[str] = None):
+        key = (symbol, index, mark)
+        self = _LETTERS.get(key)
+        if self is None:
+            with _LETTER_LOCK:
+                self = _LETTERS.get(key)
+                if self is None:
+                    self = object.__new__(cls)
+                    object.__setattr__(self, "symbol", symbol)
+                    object.__setattr__(self, "index", index)
+                    object.__setattr__(self, "mark", mark)
+                    _LETTERS[key] = self
+        return self
 
     def __reduce__(self):
-        # string hashes differ between processes: rebuild, never restore _hash
+        # copy and pickle rebuild through __new__, so they return the
+        # interned letter instead of a second one
         return (Letter, (self.symbol, self.index, self.mark))
 
     def __str__(self) -> str:
@@ -122,6 +145,10 @@ class Dfa:
     alphabet keeps declaration order; ties in counterexample searches are
     broken by that order.  delta is a partial function given as a dict keyed
     by (state, letter).
+
+    A Dfa is never changed after it is built, delta included.  Its hash and
+    its normal, complete and grave forms are therefore each computed at most
+    once and kept on the object.
     """
 
     alphabet: tuple
@@ -147,6 +174,42 @@ class Dfa:
             if a not in alpha:
                 raise AutomatonError(f"transition on undeclared letter {a}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields and never carry the memo:
+        # string hashes, and so _hash, differ between processes
+        return (
+            Dfa,
+            (self.alphabet, self.states, self.delta, self.initial, self.finals, self.kind),
+        )
+
+    # The memo.  cached_property writes to the instance __dict__, which a
+    # frozen dataclass allows.  A form is None when the Dfa is that form
+    # itself: a flag, not a reference to itself, so reference counting
+    # still frees it.
+
+    @cached_property
+    def _hash(self) -> int:
+        # delta is a dict, so the generated frozen-dataclass hash would fail
+        return hash(
+            (self.alphabet, self.states, frozenset(self.delta.items()),
+             self.initial, self.finals, self.kind)
+        )
+
+    @cached_property
+    def _normal(self) -> Optional["Dfa"]:
+        return _own_form(_trimmed(self), "_normal")
+
+    @cached_property
+    def _complete(self) -> Optional["Dfa"]:
+        return _own_form(_completed(self), "_complete")
+
+    @cached_property
+    def _grave(self) -> Optional["Dfa"]:
+        return _own_form(_graved(self), "_grave")
+
     @property
     def is_semiautomaton(self) -> bool:
         return self.kind == "semiautomaton"
@@ -163,14 +226,12 @@ class Dfa:
         return q
 
 
-def _dfa_hash(a: Dfa) -> int:
-    return hash(
-        (a.alphabet, a.states, frozenset(a.delta.items()), a.initial, a.finals, a.kind)
-    )
-
-
-# delta is a dict, so the generated frozen-dataclass hash would fail
-Dfa.__hash__ = _dfa_hash
+def _own_form(derived: Optional[Dfa], form: str) -> Optional[Dfa]:
+    """Flag a freshly derived Dfa as its own form, so that deriving that
+    form from it returns it; None (nothing derived) passes through."""
+    if derived is not None:
+        derived.__dict__[form] = None
+    return derived
 
 
 def parse_automaton(text: str) -> Dfa:
@@ -283,12 +344,20 @@ def _coreachable(a: Dfa, targets: Iterable) -> set:
 def normalize(a: Dfa) -> Dfa:
     """Trim to states that lie on some accepting path.
 
-    Raises EmptyLanguage when nothing survives.
+    Raises EmptyLanguage when nothing survives.  The result is its own
+    normal form: normalize(normalize(a)) is normalize(a).
     """
+    return a._normal or a
+
+
+def _trimmed(a: Dfa) -> Optional[Dfa]:
+    """a trimmed, or None when every state of a survives."""
     keep = _reachable(a)
     keep &= _coreachable(a, a.finals & keep)
     if a.initial not in keep:
         raise EmptyLanguage("automaton recognizes the empty language")
+    if len(keep) == len(a.states):
+        return None
     delta = {
         (q, x): p for (q, x), p in a.delta.items() if q in keep and p in keep
     }
@@ -308,12 +377,18 @@ _SINK = "_sink"
 def complete(a: Dfa) -> Dfa:
     """Make delta total, adding one fresh non-final sink if needed.
 
-    The sink rejects, so a completed semiautomaton becomes a dfa."""
+    The sink rejects, so a completed semiautomaton becomes a dfa.  The
+    result is its own completion: complete(complete(a)) is complete(a)."""
+    return a._complete or a
+
+
+def _completed(a: Dfa) -> Optional[Dfa]:
+    """a with a sink added, or None when delta is already total."""
     missing = [
         (q, x) for q in a.states for x in a.alphabet if (q, x) not in a.delta
     ]
     if not missing:
-        return a
+        return None
     sink = _SINK
     while sink in a.states:
         sink += "_"
@@ -333,11 +408,20 @@ def complete(a: Dfa) -> Dfa:
 
 
 def grave(a: Dfa) -> Dfa:
-    """The prefix recognizer: same automaton with every state accepting."""
+    """The prefix recognizer: same automaton with every state accepting.
+
+    The result is its own prefix recognizer: grave(grave(a)) is grave(a)."""
+    return a._grave or a
+
+
+def _graved(a: Dfa) -> Optional[Dfa]:
+    """a with every state accepting, or None when a is such a dfa."""
+    if a.kind == "dfa" and a.finals == a.states:
+        return None
     return Dfa(
         alphabet=a.alphabet,
         states=a.states,
-        delta=dict(a.delta),
+        delta=a.delta,
         initial=a.initial,
         finals=a.states,
         kind="dfa",

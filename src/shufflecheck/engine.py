@@ -17,6 +17,7 @@ Counter vectors and transitions are interned (hash-consed): constructing
 one looks its fields up in a weak table, so equal values are one object
 while any of them is alive, and equality and hashing are by identity.
 Each is built and rendered once, however many sets and dicts hold it.
+Letters are interned the same way, in `automata`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
+import copy
+import gc
+import pickle
+import weakref
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecheck.automata import (
     AutomatonError,
+    Dfa,
     EmptyLanguage,
     Letter,
     accepts,
@@ -49,6 +56,8 @@ def test_parse_letter_forms():
     assert parse_letter("a@2") == Letter("a", 2)
     assert parse_letter("^c") == Letter("c", None, "checked")
     assert str(parse_letter("^b@3")) == "^b@3"
+    assert parse_letter("^b@2") is Letter("b", 2, "checked")
+    assert Letter("a").checked().unchecked() is Letter("a")
 
 
 def test_normalize_trims_dead_states():
@@ -62,6 +71,68 @@ def test_normalize_empty_language_raises():
     a = mk_dfa("ab", [], "1", ["2"])
     with pytest.raises(EmptyLanguage):
         normalize(a)
+
+
+def test_normalize_still_trims_a_hand_built_dfa():
+    # 3 is unreachable and 4 is dead; the memo must not take a Dfa that
+    # normalize did not make for a normal one
+    a = mk_dfa(
+        "ab", [("1", "a", "2"), ("3", "a", "2"), ("1", "b", "4")], "1", ["2"]
+    )
+    n = normalize(a)
+    assert n.states == {"1", "2"}
+    assert n.delta == {("1", Letter("a")): "2"}
+    assert normalize(a) is n
+    empty = mk_dfa("ab", [("1", "a", "2")], "1", [])
+    for _ in range(2):
+        with pytest.raises(EmptyLanguage):
+            normalize(empty)
+
+
+def test_forms_are_idempotent_by_identity(single_ab, alt):
+    a_star = mk_dfa("ab", [("1", "a", "1")], "1", [], "semiautomaton")
+    for a in (single_ab, alt, a_star):
+        for form in (normalize, complete, grave):
+            once = form(a)
+            assert form(a) is once
+            assert form(once) is once
+    # a Dfa already in a form is its own form
+    n = normalize(single_ab)
+    assert normalize(n) is n and grave(grave(n)) is grave(n)
+    assert complete(complete(a_star)) is complete(a_star)
+
+
+def test_a_dfa_and_its_forms_are_freed_without_the_collector():
+    # a form that is the Dfa itself is a flag, not a reference cycle
+    gc.disable()
+    try:
+        a = mk_dfa("ab", [("1", "a", "2"), ("1", "b", "3")], "1", ["2"])
+        forms = [a, normalize(a), complete(a), grave(a), grave(normalize(a))]
+        for b in forms[1:]:
+            normalize(b), complete(b), grave(b)
+        refs = [weakref.ref(b) for b in forms]
+        del a, b, forms
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_memo_crosses_no_pickle_or_copy(single_ab):
+    # string hashes depend on the process's hash seed, so a copy or a
+    # pickle must rebuild the Dfa from its fields and compute afresh
+    a = mk_dfa("ab", [("1", "a", "2"), ("1", "b", "3")], "1", ["2"])
+    for b in (a, single_ab, grave(single_ab)):
+        h = hash(b)
+        normalize(b), complete(b), grave(b)
+        assert len(vars(b)) > len(fields(Dfa))
+        copies = [copy.copy(b), copy.deepcopy(b)] + [
+            pickle.loads(pickle.dumps(b, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for c in copies:
+            assert c is not b and c == b
+            assert set(vars(c)) == {f.name for f in fields(Dfa)}
+            assert hash(c) == h
 
 
 def test_includes_shortest_witness_by_declaration_order(ring3, ring9):

@@ -370,6 +370,38 @@ def test_draw_169_holds_by_karp_miller():
     assert replay_certificate(P, V, v)
 
 
+def test_replay_builds_no_automaton_after_decide(monkeypatch):
+    # the first 100 criterion-10 pairs, normalized once as the benchmark's
+    # set-up does, in both modes where V is prefix closed: decide_sp keeps
+    # the forms it derives on P and V, so replaying its verdict on the same
+    # objects builds no Dfa
+    built = []
+    real = Dfa.__post_init__
+
+    def spy(self):
+        built.append(self.kind)
+        real(self)
+
+    monkeypatch.setattr(Dfa, "__post_init__", spy)
+    rng = random.Random(101010)
+    modes = []
+    for _ in range(100):
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        for mode in ("prefix", "general") if is_prefix_closed(V) else ("general",):
+            v = decide_sp(P, V, mode)
+            built.clear()
+            assert replay_certificate(P, V, v)
+            assert built == []
+            modes.append((mode, v.outcome))
+    assert {"prefix", "general"} <= {mode for mode, _ in modes}
+    assert {"holds", "fails"} <= {outcome for _, outcome in modes}
+
+
 def test_control_check_holds_without_building_the_net(monkeypatch):
     # V reads every word, so the pair holds; no control state of its
     # deletion net has a rejecting remainder.  A search of that net would

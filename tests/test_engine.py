@@ -89,10 +89,13 @@ def test_vector_arithmetic_matches_dicts(m1, m2):
         CounterVector.make({**m1, "t": -1})
 
 
-def test_interned_values_survive_copy_and_pickle():
+def test_interned_values_survive_copy_and_pickle(single_ab):
     f = CounterVector.make({"q": 2})
     t = ShuffleTransition(f, Letter("a"), f.add(CounterVector.unit("p")), "start")
-    for x in (ZERO, f, t, t.checked()):
+    step_letter = elementary_automaton(single_ab).alphabet[0]
+    assert isinstance(step_letter.symbol, ShuffleTransition)
+    letters = (Letter("a"), Letter("b", 2), Letter("a").checked(), step_letter)
+    for x in (ZERO, f, t, t.checked()) + letters:
         assert copy.copy(x) is x
         assert copy.deepcopy(x) is x
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -123,8 +126,8 @@ def test_interning_keeps_no_value_alive():
 
 
 def test_threads_share_one_object_per_value():
-    # threads racing to make the same new vectors and steps must all get
-    # one object per value; a lost race would hand out two
+    # threads racing to make the same new vectors, steps and letters must
+    # all get one object per value; a lost race would hand out two
     a = Letter("a")
     results = []
 
@@ -132,7 +135,8 @@ def test_threads_share_one_object_per_value():
         out = []
         for n in range(1, 300):
             f = CounterVector.make({"race": n, "other": n % 7})
-            out.append((f, ShuffleTransition(f, a, f.add(CounterVector.unit("race")), "start")))
+            t = ShuffleTransition(f, a, f.add(CounterVector.unit("race")), "start")
+            out.append((f, t, Letter(f"r{n}")))
         results.append(out)
 
     old = sys.getswitchinterval()
@@ -148,7 +152,10 @@ def test_threads_share_one_object_per_value():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 6
     for out in results[1:]:
-        assert all(x is y and s is u for (x, s), (y, u) in zip(out, results[0]))
+        assert all(
+            x is y and s is u and b is c
+            for (x, s, b), (y, u, c) in zip(out, results[0])
+        )
 
 
 def test_step_kind_is_checked():

@@ -1,5 +1,4 @@
 import ast
-import re
 from pathlib import Path
 
 import shufflecheck
@@ -69,22 +68,45 @@ def _sources(*tops) -> dict:
 
 
 def _unreferenced_definitions(sources: dict, checked) -> list:
-    """Module-level functions and classes of the checked files whose name
-    no line of sources outside their own definition holds.  sources maps
-    a file name to its text."""
-    lines = {name: text.splitlines() for name, text in sources.items()}
+    """Module-level functions and classes of the checked files that no node
+    of sources reads outside their own definition.  A read is a loaded
+    name, a name in an import, an attribute of a checked module's name
+    (`petri.karp_miller`, `sc.decision.decide_sp`) or a string that is the
+    bare name, as the benchmark's tracer gives the names it wraps.  A method
+    call or a comment that shares the name reads nothing.  sources maps a
+    file name to its text."""
+    modules = {Path(path).stem for path in checked}
+    reads: dict = {}  # name or (module, name) -> [(file, line)]
+    for other, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                key = node.id
+            elif isinstance(node, ast.alias):
+                key = node.name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                base = node.value
+                module = getattr(base, "id", None) or getattr(base, "attr", None)
+                if module not in modules:
+                    continue
+                key = (module, node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if not node.value.isidentifier():
+                    continue
+                key = node.value
+            else:
+                continue
+            reads.setdefault(key, []).append((other, node.lineno))
     found = []
     for path in checked:
+        module = Path(path).stem
         for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            name = re.compile(rf"\b{re.escape(node.name)}\b")
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                name.search(line)
-                for other, text in lines.items()
-                for i, line in enumerate(text, 1)
-                if not (other == path and i in own)
+            if all(
+                other == path and line in own
+                for key in (node.name, (module, node.name))
+                for other, line in reads.get(key, ())
             ):
                 found.append(f"{Path(path).name}:{node.name}")
     return found
@@ -135,6 +157,34 @@ def test_unreferenced_definition_check_sees_other_lines_only():
     del sources["bench.py"]
     assert _unreferenced_definitions(sources, ["pkg.py"]) == [
         "pkg.py:used", "pkg.py:recursive", "pkg.py:Lonely",
+    ]
+    # only a name, an import, an attribute of the module or a bare-name
+    # string reads a definition; a method call or a comment does not
+    sources = {
+        "pkg.py": "\n".join([
+            "def moves():",
+            "    return 1",
+            "def noted():",
+            "    return 2",
+            "def loaded():",
+            "    return 3",
+            "def wrapped():",
+            "    return 4",
+            "def aliased():",
+            "    return 5",
+        ]),
+        "use.py": "\n".join([
+            "import pkg",
+            "from pkg import aliased as other",
+            "system.moves(0)",
+            "# noted() in a comment",
+            "text = 'noted() in a string'",
+            "n = pkg.loaded()",
+            "WRAPPED = (('pkg', 'wrapped'),)",
+        ]),
+    }
+    assert _unreferenced_definitions(sources, ["pkg.py"]) == [
+        "pkg.py:moves", "pkg.py:noted",
     ]
 
 
