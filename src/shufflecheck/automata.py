@@ -44,11 +44,31 @@ class UnknownLetter(AutomatonError):
     pass
 
 
-# Interning table: (symbol, index, mark) -> the one live letter with those
-# fields.  Weak, so a letter lives only as long as some caller holds it.
-# Lookups run without the lock; it only guards creation.
-_LETTERS = weakref.WeakValueDictionary()
-_LETTER_LOCK = threading.Lock()
+# Interning (hash-consing).  An interned class keeps a weak table from its
+# fields to the one live object with those fields, so equal values are one
+# object while any of them is alive, compared and hashed by identity, and a
+# value lives only as long as some caller holds it.  Its __new__ looks the
+# key up in the table without a lock and calls `intern` only on a miss; the
+# one lock guards creation, so two threads never make two objects for one
+# value.  Its __reduce__ rebuilds through __new__, so copy and pickle return
+# the interned object instead of a second one.
+_INTERN_LOCK = threading.Lock()
+
+
+def intern(table, key, cls, **fields):
+    """The object that table holds for key, made with fields and stored
+    there if it is still missing once the lock is held."""
+    with _INTERN_LOCK:
+        self = table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(self, name, value)
+            table[key] = self
+        return self
+
+
+_LETTERS = weakref.WeakValueDictionary()  # (symbol, index, mark) -> Letter
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -60,9 +80,8 @@ class Letter:
     number of an indexed alphabet; mark distinguishes the disjoint checked
     copy of an alphabet.
 
-    Interned: equal letters are one object, compared and hashed by
-    identity, so the (state, letter) keys of every transition dict hash
-    without a Python call.
+    Interned (`intern`), so the (state, letter) keys of every transition
+    dict hash without a Python call.
     """
 
     __slots__ = ("symbol", "index", "mark", "__weakref__")
@@ -74,19 +93,10 @@ class Letter:
         key = (symbol, index, mark)
         self = _LETTERS.get(key)
         if self is None:
-            with _LETTER_LOCK:
-                self = _LETTERS.get(key)
-                if self is None:
-                    self = object.__new__(cls)
-                    object.__setattr__(self, "symbol", symbol)
-                    object.__setattr__(self, "index", index)
-                    object.__setattr__(self, "mark", mark)
-                    _LETTERS[key] = self
+            self = intern(_LETTERS, key, cls, symbol=symbol, index=index, mark=mark)
         return self
 
     def __reduce__(self):
-        # copy and pickle rebuild through __new__, so they return the
-        # interned letter instead of a second one
         return (Letter, (self.symbol, self.index, self.mark))
 
     def __str__(self) -> str:
@@ -214,9 +224,6 @@ class Dfa:
     def is_semiautomaton(self) -> bool:
         return self.kind == "semiautomaton"
 
-    def step(self, q, a):
-        return self.delta.get((q, a))
-
     def run(self, w: Word):
         q = self.initial
         for a in w:
@@ -313,7 +320,8 @@ def serialize_automaton(a: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reachable(a: Dfa) -> set:
+def reachable(a: Dfa) -> set:
+    """The states reached from the initial state."""
     seen = {a.initial}
     queue = deque([a.initial])
     while queue:
@@ -352,7 +360,7 @@ def normalize(a: Dfa) -> Dfa:
 
 def _trimmed(a: Dfa) -> Optional[Dfa]:
     """a trimmed, or None when every state of a survives."""
-    keep = _reachable(a)
+    keep = reachable(a)
     keep &= _coreachable(a, a.finals & keep)
     if a.initial not in keep:
         raise EmptyLanguage("automaton recognizes the empty language")

@@ -17,8 +17,6 @@ from .automata import (
     Dfa,
     ParseError,
     complete,
-    grave,
-    normalize,
     parse_automaton,
     serialize_automaton,
     word,
@@ -64,10 +62,9 @@ def cmd_decide(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    P = normalize(_load(args.components))
-    V = normalize(_load(args.constraint))
-    decision.check_query(P, V, args.mode)
-    comp = grave(P) if args.mode == "prefix" else P
+    comp, V = decision.prepare_query(
+        _load(args.components), _load(args.constraint), args.mode
+    )
     found = sp_falsify(comp, V, args.maxlen)
     if found is None:
         print(f"no counterexample up to length {args.maxlen}")

@@ -114,6 +114,17 @@ def check_query(P: Dfa, V: Dfa, mode: str):
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
 
 
+def prepare_query(P: Dfa, V: Dfa, mode: str) -> tuple:
+    """(comp, V) for a query that decide_sp answers: P and V normalized
+    and checked by `check_query`, and comp the automaton whose
+    interleavings the mode asks about, P's prefix recognizer in prefix
+    mode and P itself in general mode.  Raises InvalidQuery otherwise."""
+    P = normalize(P)
+    V = normalize(V)
+    check_query(P, V, mode)
+    return (grave(P) if mode == PREFIX else P), V
+
+
 def _word_cert(w, u, e, positions) -> dict:
     return {
         "word": tuple(w),
@@ -209,10 +220,7 @@ def decide_sp(
     """
     if budgets is None:
         budgets = Budgets()
-    P = normalize(P)
-    V = normalize(V)
-    check_query(P, V, mode)
-    comp = grave(P) if mode == PREFIX else P
+    comp, V = prepare_query(P, V, mode)
     notes: dict = {}
     for stage in STAGES[mode]:
         found = stage(comp, V, budgets, notes)
@@ -277,10 +285,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     on a V that is not prefix closed or a pair whose alphabets differ,
     raises InvalidQuery whatever its certificate.
     """
-    P = normalize(P)
-    V = normalize(V)
-    check_query(P, V, verdict.mode)
-    comp = grave(P) if verdict.mode == PREFIX else P
+    comp, V = prepare_query(P, V, verdict.mode)
     if verdict.outcome == FAILS:
         c = verdict.certificate
         try:

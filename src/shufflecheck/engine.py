@@ -9,26 +9,35 @@ downstream constructions only ever touch finitely many vectors.
 `ShuffleEngine` is the one place that turns the component automaton's
 edges into steps.  It builds the core once, as two tables: `opening`, the
 steps from 0 that open a component on each letter, and `moving`, the
-steps that move one component out of a state on a letter.  Every step is
-a core step shifted by a vector (`successors`), and the Petri nets of
-`petri` take their arcs from the core steps' source and target vectors.
+steps that move one component out of a state on a letter.  The core is
+the one step basis: every step is a core step shifted by a vector
+(`successors`), a single tracked component runs on core steps alone, the
+Petri nets of `petri` take their arcs from the core steps' source and
+target vectors, and every module that lists the core in a fixed order
+reads the engine's `ordered_core`.
 
-Counter vectors and transitions are interned (hash-consed): constructing
-one looks its fields up in a weak table, so equal values are one object
-while any of them is alive, and equality and hashing are by identity.
-Each is built and rendered once, however many sets and dicts hold it.
-Letters are interned the same way, in `automata`.
+Counter vectors and transitions are interned through `automata.intern`,
+as letters are, so each is built and rendered once, however many sets
+and dicts hold it.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .automata import Dfa, Letter, ParseError, UnknownLetter, Word, parse_letter
+from .automata import (
+    Dfa,
+    Letter,
+    ParseError,
+    UnknownLetter,
+    Word,
+    intern,
+    parse_letter,
+    reachable,
+)
 
 
 START = "start"
@@ -38,21 +47,16 @@ START_END = "start_end"
 KINDS = (START, INNER, END, START_END)
 
 
-# Interning tables: fields -> the one live object with those fields.  Weak,
-# so a vector or step lives only as long as some caller holds it.  Lookups
-# run without the lock; it only guards creation, so two threads never make
-# two objects for one value.
-_VECTORS = weakref.WeakValueDictionary()
-_STEPS = weakref.WeakValueDictionary()
-_INTERN_LOCK = threading.Lock()
+_VECTORS = weakref.WeakValueDictionary()  # entries -> CounterVector
+_STEPS = weakref.WeakValueDictionary()  # (source, letter, target, kind) -> step
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class CounterVector:
     """Sparse vector of non-negative counts keyed by component-automaton state.
 
-    Interned: equal vectors are one object, compared and hashed by identity.
-    Build one with `make` (or directly from already sorted positive entries).
+    Interned (`automata.intern`).  Build one with `make` (or directly from
+    already sorted positive entries).
     """
 
     __slots__ = ("entries", "norm", "_text", "__weakref__")
@@ -62,19 +66,13 @@ class CounterVector:
     def __new__(cls, entries: tuple = ()):
         self = _VECTORS.get(entries)
         if self is None:
-            with _INTERN_LOCK:
-                self = _VECTORS.get(entries)
-                if self is None:
-                    self = object.__new__(cls)
-                    object.__setattr__(self, "entries", entries)
-                    object.__setattr__(self, "norm", sum(n for _, n in entries))
-                    object.__setattr__(self, "_text", None)
-                    _VECTORS[entries] = self
+            self = intern(
+                _VECTORS, entries, cls,
+                entries=entries, norm=sum(n for _, n in entries), _text=None,
+            )
         return self
 
     def __reduce__(self):
-        # copy and pickle rebuild through __new__, so they return the
-        # interned object instead of a second one
         return (CounterVector, (self.entries,))
 
     @staticmethod
@@ -174,8 +172,8 @@ class ShuffleTransition:
     """One step (source, letter, target) of the counter semiautomaton,
     tagged by its kind.
 
-    Interned like CounterVector: equal steps are one object, compared and
-    hashed by identity.  The kind is checked when a step is first made.
+    Interned (`automata.intern`).  The kind is checked when a step is
+    first made.
     """
 
     __slots__ = ("source", "letter", "target", "kind", "_text", "__weakref__")
@@ -190,16 +188,10 @@ class ShuffleTransition:
         if self is None:
             if kind not in KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
-            with _INTERN_LOCK:
-                self = _STEPS.get(key)
-                if self is None:
-                    self = object.__new__(cls)
-                    object.__setattr__(self, "source", source)
-                    object.__setattr__(self, "letter", letter)
-                    object.__setattr__(self, "target", target)
-                    object.__setattr__(self, "kind", kind)
-                    object.__setattr__(self, "_text", None)
-                    _STEPS[key] = self
+            self = intern(
+                _STEPS, key, cls,
+                source=source, letter=letter, target=target, kind=kind, _text=None,
+            )
         return self
 
     def __reduce__(self):
@@ -314,8 +306,14 @@ class ShuffleEngine:
     into p when p is non-dead (START from 0, INNER from q), closes it
     when p is final (START_END, END), or both.  `opening` maps a letter,
     and `moving` a (state, letter) pair with an edge, to those steps from
-    0 and from the unit vector of the state.  `core` holds the opening
-    steps and the moving steps out of `component_states`.
+    0 and from the unit vector of the state.
+
+    `core` holds the opening steps and the moving steps out of
+    `component_states`: the one step basis (`sigma_core`).  Its sources
+    are 0 and the unit vectors of the component states, each reached from
+    0 along core steps (a component state is entered by a nonempty word
+    whose states can all continue), so a single tracked component takes
+    every core step.  `ordered_core` lists the core by text, then kind.
     """
 
     def __init__(self, P: Dfa):
@@ -325,22 +323,10 @@ class ShuffleEngine:
         self.non_dead = frozenset(q for (q, _a), _p in P.delta.items())
         # states a component can actually occupy: entered by reading at
         # least one letter and still able to continue
-        inner_reach = set()
-        frontier = {P.initial}
-        seen = {P.initial}
-        while frontier:
-            nxt = set()
-            for q in frontier:
-                for a in P.alphabet:
-                    p = P.delta.get((q, a))
-                    if p is None:
-                        continue
-                    inner_reach.add(p)
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.add(p)
-            frontier = nxt
-        self.component_states = frozenset(inner_reach & self.non_dead)
+        reach = reachable(P)
+        self.component_states = frozenset(
+            p for (q, _a), p in P.delta.items() if q in reach and p in self.non_dead
+        )
         finals = P.finals
 
         def steps(source: CounterVector, a: Letter, p) -> tuple:
@@ -368,6 +354,11 @@ class ShuffleEngine:
         self.core_on = {a: [] for a in P.alphabet}
         for t in self.core:
             self.core_on[t.letter].append(t)
+
+    @cached_property
+    def ordered_core(self) -> tuple:
+        """The core sorted by text, then kind, which the text leaves out."""
+        return tuple(sorted(self.core, key=lambda t: (str(t), t.kind)))
 
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
         """All transitions (f, a, g), tagged by kind: the core steps on a
@@ -428,21 +419,6 @@ class ShuffleEngine:
                 out.add(rest.add(t.source))
         return frozenset(out)
 
-    def sigma_core(self) -> frozenset:
-        """The finite base set: every transition is a non-negative shift of it.
-
-        Sources are restricted to vectors a running interleaving can occupy,
-        so inner and end entries exist only for states that are entered by a
-        nonempty word and can still continue.
-        """
-        return self.core
-
-    def core_elementary(self) -> frozenset:
-        """Core transitions reachable when tracking a single component."""
-        core = self.sigma_core()
-        reach = reached(core)
-        return frozenset(t for t in core if t.source in reach)
-
     def member_final_vectors(self, w: Word) -> frozenset:
         """All vectors reachable from 0 along paths labeled w."""
         frontier = {ZERO}
@@ -465,7 +441,13 @@ def engine_for(P: Dfa) -> ShuffleEngine:
 
 
 def sigma_core(P: Dfa) -> frozenset:
-    return engine_for(P).sigma_core()
+    """The finite base set: every transition is a non-negative shift of it.
+
+    Sources are restricted to vectors a running interleaving can occupy,
+    so inner and end entries exist only for states that are entered by a
+    nonempty word and can still continue.
+    """
+    return engine_for(P).core
 
 
 def pre_shuffle_member(P: Dfa, w: Word) -> bool:
@@ -626,13 +608,11 @@ def elementary_automaton(P: Dfa) -> Dfa:
     Letters are the core transitions; state names are the vector strings,
     with a separate closed state so a finished component cannot restart.
     """
-    eng = engine_for(P)
-    transitions = eng.core_elementary()
     states = {ELEM_INITIAL, ELEM_CLOSED}
     delta = {}
     alphabet = []
 
-    for t in sorted(transitions, key=lambda t: (str(t), t.kind)):
+    for t in engine_for(P).ordered_core:
         a = Letter(t)
         alphabet.append(a)
         src = ELEM_INITIAL if t.source.is_zero() else str(t.source)
@@ -654,9 +634,7 @@ def elementary_automaton(P: Dfa) -> Dfa:
 
 
 def elementary_vector_states(P: Dfa) -> frozenset:
-    """All counter vectors a single tracked component passes through."""
-    vectors = {ZERO}
-    for t in engine_for(P).core_elementary():
-        vectors.add(t.source)
-        vectors.add(t.target)
-    return frozenset(vectors)
+    """All counter vectors a single tracked component passes through: 0 and
+    the unit vector of each component state."""
+    units = (CounterVector.unit(q) for q in engine_for(P).component_states)
+    return frozenset((ZERO, *units))

@@ -294,8 +294,7 @@ def _elementary_fragment(P: Dfa, steps) -> bool:
     """Is this rebased step sequence a single-component run from 0?"""
     current = ZERO
     closed = False
-    eng = engine_for(P)
-    core = eng.core_elementary()
+    core = engine_for(P).core
     for t in steps:
         if closed:
             return False
@@ -364,13 +363,3 @@ def srf1(P: Dfa, c: Computation) -> frozenset:
             except NotAComputation:
                 continue
     return frozenset(out)
-
-
-def apply_hom(phi, w: Word) -> Word:
-    """Letterwise homomorphic image; None values erase the letter."""
-    out = []
-    for a in w:
-        b = phi(a)
-        if b is not None:
-            out.append(b)
-    return tuple(out)

@@ -464,20 +464,18 @@ def _npv_name(t, r) -> str:
     return f"{t.kind}|{t}|{r}"
 
 
-def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
+def build_npv(P: Dfa, V: Dfa) -> tuple:
     """Net simulating the product of the counter semiautomaton with V.
 
     Returns (net, iota) where iota maps a product state (vector, V-state)
-    to its marking.  With backward set, every transition's pre- and
-    post-set are swapped, so the net runs the product in reverse.  The
-    fragment routes walk the product itself; the net serves
-    `shufflecheck petri --which npv` and the tests, which replay a prefix
-    route's pump on it.
+    to its marking.  The fragment routes walk the product itself; the net
+    serves `shufflecheck petri --which npv` and the tests, which replay a
+    prefix route's pump on it.
     """
     eng = engine_for(P)
     places = {_pp(q) for q in P.states} | {_vp(r) for r in V.states}
     pre, post, meta = {}, {}, {}
-    for t in sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind)):
+    for t in eng.ordered_core:
         source, target = _arcs(_pp, t.source), _arcs(_pp, t.target)
         for r in sorted(V.states):
             s = V.delta.get((r, t.letter))
@@ -487,8 +485,6 @@ def build_npv(P: Dfa, V: Dfa, backward: bool = False) -> tuple:
             pre[tid] = {**source, _vp(r): 1}
             post[tid] = {**target, _vp(s): 1}
             meta[tid] = {"core": t}
-    if backward:
-        pre, post = post, pre
     net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
 
     def iota(state) -> CounterVector:
@@ -571,7 +567,7 @@ def _pump(P: Dfa, V: Dfa, tree: dict, state, new, base) -> tuple:
         path.append(state)
         state = tree[state]
     path.reverse()
-    core = sorted(engine_for(P).sigma_core(), key=lambda t: (str(t), t.kind))
+    core = engine_for(P).ordered_core
     names = [
         next(
             _npv_name(t, r) for t in core
@@ -671,9 +667,10 @@ def decide_alf_zero_finite(
     same V-state.  The counter system run backward is monotone too, so
     `decide_alf_pre_finite`'s argument holds: such a state is a pump, R is
     infinite and the answer is Unknown; otherwise the walk ends with R
-    whole.  R is then the union of the backward `build_npv` net's
-    reachable markings from each (0, q_f), found without the net, and a
-    `build_product` walk kept inside R gives the fragment.
+    whole.  R is then the union of the markings reachable from each
+    (0, q_f) in `build_npv`'s net with every pre- and post-set swapped,
+    found without the net, and a `build_product` walk kept inside R gives
+    the fragment.
 
     node_cap bounds R as a whole, in states kept, not each (0, q_f)'s part
     of it; forward_cap bounds the forward walk.  Either cap gives Unknown.
@@ -828,7 +825,7 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
         | {CHECK_PLACE}
     )
     pre, post, meta = {}, {}, {}
-    core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
+    core = eng.ordered_core
     if controls is None:
         controls = _live_controls(V, core)
     tracked_pairs = {(r1, e) for r1, _, e in controls}
@@ -926,7 +923,7 @@ def decide_sp_via_net(
     reachable one.
     """
     V = complete(V)
-    controls = _live_controls(V, engine_for(P).sigma_core())
+    controls = _live_controls(V, engine_for(P).core)
     if not _live_target(V, controls):
         return NetVerdict(
             "holds", "net-uncoverable", stats={"controls": len(controls)}

@@ -166,7 +166,7 @@ def _delta2_prime(P: Dfa, delta, s2) -> frozenset:
 def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
     letters = {t.letter for t in delta}
     out = set()
-    for t in engine_for(P).core_elementary():
+    for t in engine_for(P).core:
         if t.letter in letters and t.source in s3 and t.target in s3:
             out.add(t.checked())
     return frozenset(out)
@@ -201,7 +201,7 @@ def _deletion_moves(P: Dfa, delta):
     steps = _checked_step_table(eng, delta)
     letters = {t.letter for t in delta}
     elementary: dict = {}
-    for x3 in eng.core_elementary():
+    for x3 in eng.core:
         if x3.letter in letters:
             elementary.setdefault(x3.source, []).append(x3)
     column = TrackLetter._unchecked

@@ -23,7 +23,6 @@ from .automata import (
     language_upto,
     normalize,
 )
-from .oracle import apply_hom
 
 
 class NotASubset(Exception):
@@ -37,7 +36,7 @@ class NotPrefixClosed(Exception):
 def pi(I: Iterable, w: Word) -> Word:
     """Keep only the letters whose index lies in I."""
     I = frozenset(I)
-    return apply_hom(lambda a: a if a.index in I else None, w)
+    return tuple(a for a in w if a.index in I)
 
 
 def _validate_base(L: Dfa, V: Dfa) -> tuple:

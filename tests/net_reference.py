@@ -18,11 +18,11 @@ keep: the V1 places, the V2 places and the tracked places each hold one
 token in every reachable marking.
 
 The two routes here answer each finiteness question with Karp–Miller on
-`petri.build_npv`'s net, forward from (0, V.initial) and backward from
-each accepting closure (0, q_f); the package's routes walk the product
-states instead.  The prefix route then walks the product a second time
-with `build_product`, and the zero route keeps its forward walk inside
-the backward trees' markings.
+`petri.build_npv`'s net, forward from (0, V.initial), and on its
+`reversed_net` from each accepting closure (0, q_f); the package's
+routes walk the product states instead.  The prefix route then walks the
+product a second time with `build_product`, and the zero route keeps its
+forward walk inside the backward trees' markings.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
         | {CHECK_PLACE}
     )
     pre, post, meta = {}, {}, {}
-    core = sorted(eng.sigma_core(), key=lambda t: (str(t), t.kind))
-    for t in core:
+    for t in eng.ordered_core:
         a = t.letter
         paired_pre = {**_arcs(_q1, t.source), **_arcs(_q2, t.source)}
         paired_post = {**_arcs(_q1, t.target), **_arcs(_q2, t.target)}
@@ -98,6 +97,16 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
         return CounterVector.make(counts)
 
     return net, iota
+
+
+def reversed_net(net: PetriNet) -> PetriNet:
+    """net with every transition's pre- and post-set swapped, so that it
+    runs backward; places, meta and transition order stay."""
+
+    def arcs(sets) -> dict:
+        return {t: {net.places[i]: 1 for i in sets[j]} for j, t in enumerate(net.order)}
+
+    return PetriNet(net.places, arcs(net.post), arcs(net.pre), net.meta, net.order)
 
 
 def one_token_groups(P: Dfa, V: Dfa) -> tuple:
@@ -156,7 +165,8 @@ def decide_alf_zero_finite(
     markings of the Karp–Miller trees from each (0, q_f), each tree bounded
     by node_cap, and the forward product is walked inside R."""
     V = complete(V)
-    rev, iota = build_npv(P, V, backward=True)
+    net, iota = build_npv(P, V)
+    rev = reversed_net(net)
     R: set = set()
     for qf in sorted(V.finals):
         km = karp_miller(rev, iota((ZERO, qf)), node_cap)

@@ -174,7 +174,7 @@ def test_criterion_07_engine_matches_oracle():
             f = CounterVector.make({q: rng.randint(0, 2) for q in comp})
             for a in P.alphabet:
                 expected = set()
-                for t in eng.sigma_core():
+                for t in eng.core:
                     if t.letter != a:
                         continue
                     h = f.sub(t.source)
@@ -194,7 +194,7 @@ def test_criterion_08_one_deletion_fibers():
         except EmptyLanguage:
             continue
         eng = engine_for(P)
-        core = sorted(eng.sigma_core(), key=str)
+        core = sorted(eng.core, key=str)
         if not core:
             continue
         comp = sorted(eng.component_states)

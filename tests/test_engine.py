@@ -25,6 +25,7 @@ from shufflecheck.engine import (
     parse_transition,
     parse_vector,
     pre_shuffle_member,
+    reached,
     shuffle_member,
     sigma_core,
 )
@@ -192,7 +193,7 @@ def test_core_ring3(ring3):
 
 def test_core_sources_are_occupiable(single_abc):
     eng = engine_for(single_abc)
-    for t in eng.sigma_core():
+    for t in eng.core:
         assert set(t.source.support()) <= set(eng.component_states)
 
 
@@ -209,7 +210,7 @@ def test_shift_law_reconstructs_successors(rng):
             for a in P.alphabet:
                 got = eng.successors(f, a)
                 expected = set()
-                for t in eng.sigma_core():
+                for t in eng.core:
                     if t.letter != a:
                         continue
                     h = f.sub(t.source)
@@ -261,7 +262,7 @@ def test_successors_and_core_match_the_step_definition():
                         for t in _reference_successors(P, CounterVector.unit(q), a)
                         if t.kind in ("inner", "end")
                     }
-            assert eng.sigma_core() == core
+            assert eng.core == core
             for n in range(4):
                 for combo in combinations_with_replacement(states, n):
                     f = CounterVector.make(Counter(combo))
@@ -326,10 +327,21 @@ def test_elementary_automaton_shape(single_ab):
     )
 
 
-def test_elementary_matches_core(two_start):
-    eng = engine_for(two_start)
-    # all core entries are reachable while tracking one component here
-    assert eng.core_elementary() == eng.sigma_core()
+def test_core_is_the_single_component_step_basis():
+    # on raw automata, unreachable and dead states kept: a single tracked
+    # component reaches every core step's source from 0, so the core is
+    # its whole step set, and it passes through 0 and the unit vector of
+    # each component state
+    rng = random.Random(2525)
+    for _ in range(500):
+        P = random_dfa(rng, max_states=5, alpha="abc")
+        eng = engine_for(P)
+        units = {CounterVector.unit(q) for q in eng.component_states}
+        assert reached(eng.core) == {ZERO} | units
+        assert elementary_vector_states(P) == {ZERO} | units
+        assert eng.ordered_core == tuple(
+            sorted(eng.core, key=lambda t: (str(t), t.kind))
+        )
 
 
 def validate_in_shuffle(P, t: ShuffleTransition) -> bool:

@@ -190,16 +190,15 @@ def test_unreferenced_definition_check_sees_other_lines_only():
 
 def _unread_methods(sources: dict, checked) -> list:
     """Methods of the classes in the checked files, dunders aside, that no
-    node of sources reads, as an attribute or a name, outside the method's
-    own body.  sources maps a file name to its text."""
+    node of sources reads as an attribute outside the method's own body.
+    A bare name that shares a method's name, such as a local variable,
+    reads nothing.  sources maps a file name to its text."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads: dict = {}
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.setdefault(node.attr, []).append((name, node.lineno))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, []).append((name, node.lineno))
     found = []
     for name in checked:
         for cls in ast.walk(trees[name]):
@@ -243,16 +242,21 @@ def test_unread_method_check_sees_only_reads():
             "    @property",
             "    def size(self):",
             "        return 0",
+            "    def step(self):",
+            "        return 1",
         ]),
         "use.py": "\n".join([
             "# A().documented()",
             "A().used()",
             "a.assigned = None",
             "n = a.size",
+            "def walk(step):",
+            "    return step(0)",
         ]),
     }
     assert _unread_methods(sources, ["pkg.py"]) == [
         "pkg.py:A.assigned", "pkg.py:A.documented", "pkg.py:A.recursive",
+        "pkg.py:A.step",
     ]
 
 

@@ -38,7 +38,7 @@ from shufflecheck.petri import (
 from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
 import km_reference
 import net_reference
-from net_reference import check_one_token, one_token_groups
+from net_reference import check_one_token, one_token_groups, reversed_net
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -484,7 +484,7 @@ def test_km_matches_the_dense_reference():
         _assert_km_matches_reference(forward, iota((ZERO, Vc.initial)))
         # the backward net, which decide_alf_zero_finite searches from
         # each accepting closure, is the forward one with arcs reversed
-        backward, _ = build_npv(P, Vc, backward=True)
+        backward = reversed_net(forward)
         assert (backward.places, backward.order) == (forward.places, forward.order)
         assert (backward.pre, backward.post) == (forward.post, forward.pre)
         for qf in sorted(Vc.finals):
@@ -527,7 +527,7 @@ def _km_nodes(km, project=lambda m: m):
 def _control_check_settles(comp, Vc):
     # does the deletion net's control search find no counterexample's
     # control, so that decide_sp_via_net answers before building the net?
-    return not _live_target(Vc, _live_controls(Vc, engine_for(comp).sigma_core()))
+    return not _live_target(Vc, _live_controls(Vc, engine_for(comp).core))
 
 
 def test_deletion_net_keeps_every_transition_a_run_can_fire():
@@ -620,10 +620,10 @@ def test_zero_route_needs_no_forward_search():
             forward, iota = build_npv(comp, Vc)
             km = karp_miller(forward, iota((ZERO, Vc.initial)))
             bounded = not km.capped and km.bounded
-            no_start = all(t.kind != START for t in engine_for(comp).sigma_core())
+            no_start = all(t.kind != START for t in engine_for(comp).core)
             assert bounded == no_start
             if bounded:
-                backward, _ = build_npv(comp, Vc, backward=True)
+                backward = reversed_net(forward)
                 for qf in Vc.finals:
                     tree = karp_miller(backward, iota((ZERO, qf)))
                     assert len(tree.nodes) <= len(Vc.states)
