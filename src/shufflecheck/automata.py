@@ -481,6 +481,39 @@ def is_prefix_closed(a: Dfa) -> bool:
     return trimmed.finals == trimmed.states
 
 
+def subword_closed(a: Dfa) -> bool:
+    """True iff the recognized language holds every scattered subword of
+    each word it accepts: it is downward closed in the subword order.
+
+    Walks the pairs (state of w, state of u, or None once u has left a)
+    from (initial, initial).  Each letter moves w and is either kept by u
+    or deleted from it, so the pairs reached are those of the words w that
+    a reads and their subwords u.  The language is closed exactly when no
+    pair reached has w accepted and u rejected; a shortest witness is at
+    most |states|·(|states| + 1) letters long.  The start pair, where u is
+    w, is never such a pair, so each pair is tested as it is first reached.
+    """
+    delta = a.delta
+    finals = a.finals
+    start = (a.initial, a.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        qw, qu = stack.pop()
+        for x in a.alphabet:
+            pw = delta.get((qw, x))
+            if pw is None:
+                continue
+            for pu in (qu, None if qu is None else delta.get((qu, x))):
+                pair = (pw, pu)
+                if pair not in seen:
+                    if pw in finals and pu not in finals:
+                        return False
+                    seen.add(pair)
+                    stack.append(pair)
+    return True
+
+
 def accepts(a: Dfa, w: Word) -> bool:
     alpha = set(a.alphabet)
     for x in w:

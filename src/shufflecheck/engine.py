@@ -37,6 +37,7 @@ from .automata import (
     intern,
     parse_letter,
     reachable,
+    subword_closed,
 )
 
 
@@ -477,6 +478,10 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     result of the brute-force oracle.sp_falsify.  Raises BudgetExceeded
     for a bound over MAX_FALSIFIER_LEN; no word count caps it.
 
+    When V is closed under taking scattered subwords (`subword_closed`),
+    the answer is None without a search, once the arguments are checked:
+    deleting a component of w leaves a subword of w, so it never leaves V.
+
     A configuration splits a prefix x of w into a remainder u and a
     component e: (V-state of u, or None once u has left V; counter vector
     of u; P-state of e; whether e is nonempty).  w violates when it is in V
@@ -506,6 +511,8 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     for a in P.alphabet:
         if a not in V.alphabet:
             raise UnknownLetter(f"letter {a} not in the constraint alphabet")
+    if subword_closed(V):
+        return None
     eng = engine_for(P)
     moves: dict = {}
 

@@ -25,6 +25,18 @@ def mk_dfa(alpha, transitions, initial, finals, kind="dfa"):
     )
 
 
+def sigma_star(alpha):
+    return mk_dfa(alpha, [("1", x, "1") for x in alpha], "1", ["1"])
+
+
+def even_length(alpha):
+    # the words of even length
+    return mk_dfa(
+        alpha, [(q, x, "1" if q == "0" else "0") for q in "01" for x in alpha],
+        "0", ["0"],
+    )
+
+
 def random_dfa(rng, max_states=3, alpha="ab", p_edge=0.6):
     n = rng.randint(1, max_states)
     states = [str(i) for i in range(1, n + 1)]
@@ -192,6 +204,14 @@ def tracker4(two_start):
 def astar_b():
     # a*b: unboundedly many a's before the single accepting b
     return mk_dfa("ab", [("1", "a", "1"), ("1", "b", "2")], "1", ["2"])
+
+
+@pytest.fixture
+def a_star_b_star():
+    # every a before every b: closed under deleting letters
+    return mk_dfa(
+        "ab", [("1", "a", "1"), ("1", "b", "2"), ("2", "b", "2")], "1", ["1", "2"]
+    )
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 import copy
 import gc
 import pickle
+import random
 import weakref
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -24,9 +26,10 @@ from shufflecheck.automata import (
     parse_automaton,
     parse_letter,
     serialize_automaton,
+    subword_closed,
     word,
 )
-from conftest import mk_dfa
+from conftest import depth_chain, even_length, mk_dfa, random_dfa, sigma_star
 
 
 def test_parse_serialize_roundtrip(single_ab):
@@ -185,3 +188,54 @@ def test_language_upto_order(ring3):
     lengths = [len(w) for w in ws]
     assert lengths == sorted(lengths)
     assert ws[0] == ()
+
+
+def subword_closed_upto(a, bound):
+    """Brute force: is every scattered subword of every word of length at
+    most bound that a accepts accepted too?  The scattered subwords of w
+    are w itself and those of its one-letter deletions."""
+    closed = {}
+
+    def down(w):
+        if w not in closed:
+            closed[w] = accepts(a, w) and all(
+                down(w[:i] + w[i + 1:]) for i in range(len(w))
+            )
+        return closed[w]
+
+    return all(down(w) for w in language_upto(a, bound))
+
+
+@pytest.mark.parametrize("alpha", ["ab", "abc"])
+def test_subword_closed_matches_brute_force(alpha):
+    # raw automata, unreachable and dead states kept, dfa and semiautomaton;
+    # a shortest witness is at most n(n + 1) letters long for n states, so
+    # the brute force is exact at that bound, used wherever it is cheap
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(300):
+        a = random_dfa(rng, max_states=3, alpha=alpha)
+        if rng.random() < 0.3:
+            a = Dfa(a.alphabet, a.states, a.delta, a.initial, frozenset(),
+                    "semiautomaton")
+        n = len(a.states)
+        exact = n * (n + 1)
+        bound = exact if len(alpha) ** exact <= 4096 else 7
+        closed = subword_closed(a)
+        brute = subword_closed_upto(a, bound)
+        if bound == exact:
+            assert closed == brute, a
+        else:
+            assert brute or not closed, a
+        seen[closed, a.kind, bound == exact] += 1
+    for kind in ("dfa", "semiautomaton"):
+        assert seen[True, kind, True] >= 5 and seen[False, kind, True] >= 5, seen
+
+
+def test_subword_closed_named_cases(ring3, ring9, a_star_b_star):
+    for a in (sigma_star("ab"), a_star_b_star):
+        assert subword_closed(a)
+        assert subword_closed(complete(a))
+    for a in (ring3, ring9, depth_chain(4), even_length("ab")):
+        assert not subword_closed(a)
+        assert not subword_closed_upto(a, 3)

@@ -6,9 +6,16 @@ import random
 import pytest
 
 from shufflecheck import engine, oracle
-from shufflecheck.automata import EmptyLanguage, grave, normalize, word
+from shufflecheck.automata import (
+    EmptyLanguage,
+    UnknownLetter,
+    grave,
+    normalize,
+    subword_closed,
+    word,
+)
 from shufflecheck.decision import decide_sp, replay_certificate
-from conftest import mk_dfa, random_dfa, wide_draw
+from conftest import even_length, mk_dfa, random_dfa, sigma_star, wide_draw
 
 
 def distinct_pairs(seed, alpha, count):
@@ -27,10 +34,6 @@ def distinct_pairs(seed, alpha, count):
     return seen
 
 
-def sigma_star(alpha):
-    return mk_dfa(alpha, [("1", x, "1") for x in alpha], "1", ["1"])
-
-
 def test_falsifier_golden(ring3, ring9):
     w, u, e, positions = engine.sp_falsify(ring3, ring9, 4)
     assert w == word("abaa")
@@ -41,7 +44,12 @@ def test_falsifier_golden(ring3, ring9):
 
 @pytest.mark.parametrize("mode", ["general", "prefix"])
 def test_matches_oracle_on_random_pairs(mode):
-    for P, V in distinct_pairs(101010, "ab", 200):
+    pairs = distinct_pairs(101010, "ab", 200)
+    # both branches of the falsifier meet the oracle: the answer without a
+    # search for a subword-closed V, and the search for the others
+    closed = sum(subword_closed(V) for _, V in pairs)
+    assert 0 < closed < len(pairs)
+    for P, V in pairs:
         comp = grave(P) if mode == "prefix" else P
         expected = oracle.sp_falsify(comp, V, 6)
         assert engine.sp_falsify(comp, V, 6) == expected
@@ -118,3 +126,40 @@ def test_trivial_pair_decides_via_the_net(alpha):
 def test_five_letter_sigma_star_is_clean_at_length_8():
     S = sigma_star("abcde")
     assert engine.sp_falsify(S, S, 8) is None
+
+
+def test_five_letter_even_lengths_are_clean_at_length_8():
+    # components of even length against even-length words: deleting a
+    # component keeps the length even, yet deleting a letter does not, so
+    # V is not subword closed and the falsifier searches
+    E = even_length("abcde")
+    assert not subword_closed(E)
+    assert engine.sp_falsify(E, E, 8) is None
+    v = decide_sp(E, E, "general")
+    assert v.outcome == "holds"
+    assert replay_certificate(E, E, v)
+
+
+def test_subword_closed_constraint_builds_no_engine(
+    monkeypatch, ring3, ring9, a_star_b_star
+):
+    def no_engine(P):
+        raise AssertionError("the falsifier built an engine")
+
+    monkeypatch.setattr(engine, "engine_for", no_engine)
+    S = sigma_star("ab")
+    for P in (S, a_star_b_star, even_length("ab")):
+        for V in (S, a_star_b_star):
+            assert engine.sp_falsify(P, V, 8) is None
+    # a V that is not subword closed still reaches the search
+    with pytest.raises(AssertionError):
+        engine.sp_falsify(ring3, ring9, 4)
+    # the argument checks come first
+    with pytest.raises(engine.BudgetExceeded):
+        engine.sp_falsify(S, S, 33)
+    with pytest.raises(ValueError):
+        engine.sp_falsify(S, S, -1)
+    a_star = mk_dfa("a", [("1", "a", "1")], "1", ["1"])
+    assert subword_closed(a_star)
+    with pytest.raises(UnknownLetter):
+        engine.sp_falsify(S, a_star, 6)
