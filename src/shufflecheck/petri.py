@@ -40,14 +40,21 @@ Markings take two forms:
   `replay_pump`, `reachable_markings` and the exports) a marking is a
   CounterVector keyed by place name;
 * both searches, `karp_miller` and `marking_bfs`, use packed markings,
-  one int holding a FIELD-bit count per place (`PetriNet.pack`), so
-  firing a transition is one addition.  In `karp_miller` the field value
-  OMEGA_FIELD stands for ω, a count found unbounded.
+  one int (`PetriNet.pack`), so firing a transition is one addition.
+  Each counter place has a FIELD-bit count.  A net may also name
+  one-token groups, sets of places that hold one token between them in
+  every reachable marking, as the deletion net's V1, V2 and tracked
+  places do; each group is one field of a few bits holding the index of
+  its marked place.  The constructor checks that every transition keeps
+  a group's token count, so the invariant holds by construction.  In
+  `karp_miller` the counter field value OMEGA_FIELD stands for ω, a
+  count found unbounded; a group field is never ω.
 
 A search converts its root and targets on the way in;
 `reachable_markings` unpacks and converts each marking it found once on
 the way out, and a `KMNode` decodes its marking to a tuple of counts by
-place position, with OMEGA for ω, only when it is read.
+place position, with OMEGA for ω, only when it is read.  Either way the
+dense marking is the same as on a net without groups.
 """
 
 from __future__ import annotations
@@ -83,16 +90,38 @@ class PetriNet:
     """An ordinary place/transition net, held by position for the searches.
 
     Built from its places, its pre- and post-sets as
-    {transition: {place: 1}}, `meta` (transition -> decoding info) and
-    `order`, the deterministic transition order; any other arc weight
-    raises ValueError, so a transition is enabled exactly where its pre-set
-    is marked.  Place i is the i-th place in sorted order and transition j
-    is `order[j]`.  A dense marking is the tuple of counts by place; the
-    searches pack it into one int with place i's count in bits FIELD*i up
-    to FIELD*(i+1).  A support is the bitmask of a marking's nonzero places.
+    {transition: {place: 1}}, `meta` (transition -> decoding info),
+    `order`, the deterministic transition order, and `groups`, the net's
+    one-token groups: disjoint sets of places that each hold at most one
+    token in every marking the searches pack.  Any arc weight but 1 raises
+    ValueError, so a transition is enabled exactly where its pre-set is
+    marked.  So does a transition that touches a group without taking
+    exactly one token from it and putting exactly one back: the token
+    count of each group is then a place invariant (Murata, Proc. IEEE
+    1989), and a group that starts with one token keeps one.  Place i is
+    the i-th place in sorted order and transition j is `order[j]`.  A dense
+    marking is the tuple of counts by place.
+
+    The searches pack a dense marking into one int (`pack`).  Each place
+    outside every group is a counter: it has a FIELD-bit field, in place
+    order from bit 0, whose TOP bit is its guard bit.  Above them each
+    group, in the order given, has one field of `len(group).bit_length()`
+    bits holding 0 for no token or 1 plus the marked place's rank in the
+    group, so a state machine's places cost a few bits between them
+    (Pastor & Cortadella, DATE 1998).  A net without groups packs exactly
+    as one field per place.  Since a transition touches each group in one
+    fixed way, its effect on a packed marking is one constant int.
+
+    A packed marking's ready key is its group fields together with the
+    guard bits of its nonzero counters (`key`): the transitions enabled at
+    a marking depend on that key alone.  `ready_at` lists them, per key,
+    from the candidates of the key's group fields, which are listed once
+    per group value.
     """
 
-    def __init__(self, places, pre: dict, post: dict, meta: dict, order: tuple):
+    def __init__(
+        self, places, pre: dict, post: dict, meta: dict, order: tuple, groups=()
+    ):
         if {n for arcs in (pre, post) for t in order for n in arcs[t].values()} - {1}:
             raise ValueError("every arc of a net must have weight 1")
         self.places = places = tuple(sorted(places))
@@ -102,27 +131,68 @@ class PetriNet:
         # per transition: the place positions of its pre- and post-set, sorted
         self.pre = [tuple(sorted(map(index.__getitem__, pre[t]))) for t in order]
         self.post = [tuple(sorted(map(index.__getitem__, post[t]))) for t in order]
+        members = [tuple(sorted(map(index.__getitem__, g))) for g in groups]
+        grouped = [i for g in members for i in g]
+        if len(grouped) != len(set(grouped)) or not all(members):
+            raise ValueError("the groups of a net must be nonempty and disjoint")
+        # (place position, field shift) of every counter place
+        self.counters = [
+            (i, FIELD * k)
+            for k, i in enumerate(sorted(set(range(len(places))) - set(grouped)))
+        ]
+        width = FIELD * len(self.counters)
+        # the TOP bit of every counter field, and a count of one in each
+        self.top = TOP * ((1 << width) - 1) // FIELD_MASK
+        self.ones = self.top >> (FIELD - 1)
+        self.groups = []  # per group: (field shift, field mask, place positions)
+        # per place position: its token as a packed marking, its ready-key
+        # bit or bits, and its group's field mask (0 for a counter)
+        token, flag, field_of = [0] * len(places), [0] * len(places), [0] * len(places)
+        for i, s in self.counters:
+            token[i], flag[i] = 1 << s, TOP << s
+        for g in members:
+            bits = len(g).bit_length()
+            mask = ((1 << bits) - 1) << width
+            self.groups.append((width, mask, g))
+            for k, i in enumerate(g):
+                token[i] = flag[i] = (k + 1) << width
+                field_of[i] = mask
+            width += bits
+        self.group_mask = sum(mask for _, mask, _ in self.groups)
+        self.key_mask = self.top | self.group_mask
         self.packed_effect = []  # per transition: post - pre, packed
-        # per transition: ((field shift, support mask without the place), ...)
-        self.empties = []
-        self.pre_mask = []  # per transition: bitmask of its pre-set
-        self.post_mask = []  # per transition: bitmask of its post-set
-        # support -> the transitions whose pre-set it covers, in net order
-        self.ready = {}
-        # the TOP bit of every field: TOP times the sum of 1 << FIELD*i
-        self.top = TOP * ((1 << (FIELD * len(places))) - 1) // FIELD_MASK
-        for inputs, outputs in zip(self.pre, self.post):
-            packed = into = out = 0
+        # A transition is enabled at a marking whose ready key agrees with
+        # the transition's key on its key mask: the fields of the groups it
+        # touches and the guard bits of its counter pre-places.  by_touch
+        # maps the touched group fields, then the values the transition
+        # needs there, to its (position, key mask, key), in net order.
+        self.by_touch = {}
+        for j, (inputs, outputs) in enumerate(zip(self.pre, self.post)):
+            effect = need = taken = put = twice = 0
             for i in inputs:
-                packed -= 1 << (FIELD * i)
-                into |= 1 << i
+                f = field_of[i]
+                twice |= taken & f
+                taken |= f
+                effect -= token[i]
+                need |= flag[i]
             for i in outputs:
-                packed += 1 << (FIELD * i)
-                out |= 1 << i
-            self.packed_effect.append(packed)
-            self.empties.append(tuple([(FIELD * i, ~(1 << i)) for i in inputs]))
-            self.pre_mask.append(into)
-            self.post_mask.append(out)
+                f = field_of[i]
+                twice |= put & f
+                put |= f
+                effect += token[i]
+            if twice or taken != put:
+                raise ValueError(
+                    "a transition that touches a group must take one token "
+                    "from it and put one back"
+                )
+            self.packed_effect.append(effect)
+            self.by_touch.setdefault(taken, {}).setdefault(
+                need & taken, []
+            ).append((j, need | taken, need))
+        # group value -> the by_touch entries it enables, in net order
+        self.candidates = {}
+        # ready key -> the transitions enabled there, in net order
+        self.ready = {}
 
     def marking(self, v: CounterVector) -> tuple:
         out = [0] * len(self.places)
@@ -136,36 +206,53 @@ class PetriNet:
 
     def pack(self, m: tuple) -> int:
         """The dense marking m as one int; a count of TOP or more packs as
-        TOP, which no marking that `marking_bfs` keeps has."""
+        TOP, which no marking that `marking_bfs` keeps has.  Raises
+        ValueError when m holds more than one token in a group."""
         out = 0
-        for i, n in enumerate(m):
+        for i, s in self.counters:
+            n = m[i]
             if n:
-                out |= (n if n < TOP else TOP) << (FIELD * i)
+                out |= (n if n < TOP else TOP) << s
+        for s, _, g in self.groups:
+            marked = [k for k, i in enumerate(g) if m[i]]
+            if marked:
+                if len(marked) > 1 or m[g[marked[0]]] > 1:
+                    raise ValueError("a group of the net holds more than one token")
+                out |= (marked[0] + 1) << s
         return out
 
     def unpack(self, x: int) -> tuple:
         """The dense marking of the packed marking x."""
-        return tuple(
-            [(x >> s) & FIELD_MASK for s in range(0, FIELD * len(self.places), FIELD)]
-        )
+        out = [0] * len(self.places)
+        for i, s in self.counters:
+            out[i] = (x >> s) & FIELD_MASK
+        for s, mask, g in self.groups:
+            v = (x & mask) >> s
+            if v:
+                out[g[v - 1]] = 1
+        return tuple(out)
 
-    def ready_at(self, support: int) -> tuple:
-        """The transitions whose pre-set lies in support, in net order,
-        computed and kept in `ready`; callers look there first."""
-        absent = ~support
-        ready = tuple(
-            j for j, need in enumerate(self.pre_mask) if not need & absent
-        )
-        self.ready[support] = ready
+    def key(self, x: int) -> int:
+        """The ready key of the packed marking x: its group fields and the
+        guard bits of its nonzero counters.  Subtracting one from each
+        counter field with its guard bit set keeps that bit exactly where
+        the count is nonzero, and borrows from no other field."""
+        return ((x | self.top) - self.ones) & self.key_mask
+
+    def ready_at(self, key: int) -> tuple:
+        """The transitions enabled at a marking of ready key `key`, in net
+        order, computed and kept in `ready`; callers look there first."""
+        value = key & self.group_mask
+        candidates = self.candidates.get(value)
+        if candidates is None:
+            candidates = self.candidates[value] = sorted(
+                entry
+                for touched, by_value in self.by_touch.items()
+                for entry in by_value.get(value & touched, ())
+            )
+        ready = tuple([j for j, mask, need in candidates if key & mask == need])
+        self.ready[key] = ready
         return ready
-
-
-def _support(m: tuple) -> int:
-    mask = 0
-    for i, n in enumerate(m):
-        if n:
-            mask |= 1 << i
-    return mask
 
 
 def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
@@ -184,12 +271,12 @@ def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
 
 @dataclass(slots=True)
 class KMNode:
-    packed: int  # the marking, packed; a field holding OMEGA_FIELD is ω
+    packed: int  # the marking, packed; a counter field holding OMEGA_FIELD is ω
     parent: Optional["KMNode"]
     via: Optional[str]
     accelerated: bool = False
-    support: int = 0  # bitmask of the nonzero places of the marking
-    width: int = 0  # the number of places
+    key: int = 0  # the ready key of the marking (`PetriNet.key`)
+    net: Optional[PetriNet] = None  # the net whose layout packed follows
     # the decoded marking, once read; set from the start for a root whose
     # counts do not fit below OMEGA_FIELD
     _marking: Optional[tuple] = None
@@ -198,11 +285,14 @@ class KMNode:
     def marking(self) -> tuple:
         """The counts by place position, with OMEGA where unbounded."""
         if self._marking is None:
-            x = self.packed
-            shifts = range(0, FIELD * self.width, FIELD)
-            counts = [(x >> s) & FIELD_MASK for s in shifts]
+            counts = self.net.unpack(self.packed)
             self._marking = tuple([OMEGA if n == OMEGA_FIELD else n for n in counts])
         return self._marking
+
+    @property
+    def support(self) -> int:
+        """The bitmask of the nonzero places of the marking."""
+        return sum(1 << i for i, n in enumerate(self.marking) if n)
 
 
 @dataclass
@@ -230,16 +320,23 @@ def karp_miller(
 
     Markings are packed (`PetriNet.pack`) with OMEGA_FIELD in every ω
     field, so a firing adds the transition's packed effect and writes
-    OMEGA_FIELD back into the parent's ω fields.  Every field stays below
-    TOP, whose bits serve as guard bits (Lamport, CACM 1975):
-    (m | top) - am keeps every guard bit exactly when m >= am, and
-    subtracting one more from each field leaves the guard bits of the
-    places where m > am.  A finite count that would reach OMEGA_FIELD stops
-    the tree, `capped` set, before that node is kept, as a count reaching
-    TOP stops `marking_bfs`; a root with such a count gives a capped tree
-    of the root alone.  The net is ordinary, so a count grows by at most
-    one per level: from counts of at most 1, as in the builders' roots, no
-    tree reaches it under a node_cap below 2**30.
+    OMEGA_FIELD back into the parent's ω fields.  Every counter field stays
+    below TOP, whose bits serve as guard bits (Lamport, CACM 1975):
+    (m | top) - am keeps every guard bit exactly when m >= am on the
+    counters, and subtracting one more from each counter field leaves the
+    guard bits of the counters where m > am.  A group holds the same
+    number of tokens, at most one, in every node, so m >= am holds on a
+    group exactly when the two group fields are equal: the test is field
+    equality, then the subtraction, the same relation as on one field per
+    place, and ω only ever stands in a counter field.  An ancestor whose
+    ready key (`PetriNet.key`) has other group fields, or a nonzero
+    counter that m lacks, is passed over without the subtraction.  A
+    finite count that would reach OMEGA_FIELD stops the tree, `capped`
+    set, before that node is kept, as a count reaching TOP stops
+    `marking_bfs`; a root with such a count gives a capped tree of the
+    root alone.  The net is ordinary, so a count grows by at most one per
+    level: from counts of at most 1, as in the builders' roots, no tree
+    reaches it under a node_cap below 2**30.
 
     The tree stops, `stopped` set, at the first node that covers a dense
     marking in stop_at; that node is the last of `nodes`, which are then
@@ -247,30 +344,28 @@ def karp_miller(
     that stopped or was capped.  When no node covers one, the tree is the
     one built without stop_at.
     """
-    order, effect, empties, post_mask = (
-        net.order, net.packed_effect, net.empties, net.post_mask
+    order, effect, ready, ready_at = (
+        net.order, net.packed_effect, net.ready, net.ready_at
     )
-    ready, ready_at, top = net.ready, net.ready_at, net.top
-    ones = top >> (FIELD - 1)  # a count of one in every field
-    width = len(net.places)
+    top, ones, key_mask = net.top, net.ones, net.key_mask
     start = net.marking(m0)
     if max(start, default=0) >= OMEGA_FIELD:
-        root = KMNode(
-            net.pack(start), None, None,
-            support=_support(start), width=width, _marking=start,
-        )
+        root = KMNode(net.pack(start), None, None, net=net, _marking=start)
         return KMResult(False, [root], None, capped=True)
-    goals = [
-        (sum(min(n, OMEGA_FIELD) << (FIELD * i) for i, n in enumerate(t)), _support(t))
-        for t in stop_at
-    ]
-    # a node lacking a place that every goal needs covers none of them
-    shared = -1
-    for _, need in goals:
-        shared &= need
-    root = KMNode(net.pack(start), None, None, support=_support(start), width=width)
+    goals = [_goal(net, t) for t in stop_at]
+    # the key bits on which every goal asks the same of a node's key: a
+    # node whose key differs there covers none of them
+    shared, every, some = -1, -1, 0
+    for _, mask, want in goals:
+        shared &= mask
+        every &= want
+        some |= want
+    shared &= ~(every ^ some)
+    every &= shared
+    packed = net.pack(start)
+    root = KMNode(packed, None, None, key=net.key(packed), net=net)
     nodes = [root]
-    if goals and _covers_any(root.packed, root.support, goals, top):
+    if goals and _covers_any(root.packed, root.key, goals, top):
         return KMResult(False, nodes, None, stopped=True)
     processed = {root.packed}
     queue = deque([root])
@@ -278,28 +373,27 @@ def karp_miller(
     unbounded = False
     while queue:
         node = queue.popleft()
-        nm, nsupport = node.packed, node.support
+        nm = node.packed
         guards = (nm + ones) & top  # the guard bits of nm's ω fields
         omega = guards - (guards >> (FIELD - 1))  # nm's ω fields
         keep = ~(omega | guards)
-        enabled = ready.get(nsupport)
+        enabled = ready.get(node.key)
         if enabled is None:
-            enabled = ready_at(nsupport)
+            enabled = ready_at(node.key)
         for j in enabled:
             m = nm + effect[j]
             if omega:
                 m = m & keep | omega
             if (m + ones) & top != guards:  # a finite count reached OMEGA_FIELD
                 return KMResult(False, nodes, pump, capped=True)
-            support = nsupport | post_mask[j]
-            for s, bit in empties[j]:  # only a pre-set place can empty
-                if not (m >> s) & FIELD_MASK:
-                    support &= bit
+            key = ((m | top) - ones) & key_mask
+            # the key bits where an ancestor that m dominates agrees with
+            # m's key: the group fields, and the counters that m lacks
+            agree = key_mask ^ key & top
             accelerated = False
-            absent = ~support
             anc = node
             while anc is not None:
-                if not anc.support & absent:
+                if not (anc.key ^ key) & agree:
                     diff = (m | top) - anc.packed
                     if diff & top == top:  # m >= am
                         grew = (diff - ones) & top  # where m > am
@@ -314,9 +408,9 @@ def karp_miller(
             if m in processed:
                 continue
             processed.add(m)
-            child = KMNode(m, node, order[j], accelerated, support, width)
+            child = KMNode(m, node, order[j], accelerated, key, net)
             nodes.append(child)
-            if goals and not shared & absent and _covers_any(m, support, goals, top):
+            if goals and key & shared == every and _covers_any(m, key, goals, top):
                 return KMResult(False, nodes, pump, stopped=True)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)
@@ -324,14 +418,28 @@ def karp_miller(
     return KMResult(not unbounded, nodes, pump)
 
 
-def _covers_any(m: int, support: int, goals: list, top: int) -> bool:
-    """Does the packed marking m, whose support is `support`, cover the
-    marking of some (packed marking, support) pair in goals?  A goal that
-    needs a place outside the support is skipped without reading its
-    counts; `top` holds the guard bits."""
-    absent = ~support
+def _goal(net: PetriNet, t: tuple) -> tuple:
+    """(counters, key mask, key) of the dense marking t as a Karp–Miller
+    goal: its packed counters, each at most OMEGA_FIELD so that ω covers
+    it, and the ready-key bits a node must share to cover it, the fields
+    of the groups t marks and the guard bits of its nonzero counters."""
+    packed = net.pack(tuple([min(n, OMEGA_FIELD) for n in t]))
+    key = net.key(packed)
+    mask = key & net.top
+    for _, field_mask, _ in net.groups:
+        if key & field_mask:
+            mask |= field_mask
+    return packed & ~net.group_mask, mask, key & mask
+
+
+def _covers_any(m: int, key: int, goals: list, top: int) -> bool:
+    """Does the packed marking m, of ready key `key`, cover a goal of
+    goals (`_goal`)?  A goal whose group fields or nonzero counters the
+    key does not match is skipped without reading its counts; `top` holds
+    the guard bits."""
     return any(
-        not need & absent and ((m | top) - t) & top == top for t, need in goals
+        key & mask == need and ((m | top) - t) & top == top
+        for t, mask, need in goals
     )
 
 
@@ -370,28 +478,31 @@ def marking_bfs(
 
     Breadth-first in net order from the dense marking m0, on packed
     markings (`PetriNet.pack`); stop_at holds packed markings.  The net is
-    ordinary, so a marking's support decides which transitions fire.  The
-    search stops early, with exhausted False, when it reaches a marking in
+    ordinary, so a marking's ready key (`PetriNet.key`), its group fields
+    and which counters are nonzero, decides which transitions fire; the
+    key is taken from each marking as it leaves the queue.  The search
+    stops early, with exhausted False, when it reaches a marking in
     stop_at, when it holds more than cap markings, or when a count reaches
     TOP; that last marking is not kept, so every kept marking unpacks to
     its true counts.  The root's entry is (None, None); a root with a count
     of TOP or more gives an empty map.
     """
-    effect, empties, top = net.packed_effect, net.empties, net.top
-    ready, ready_at, post_mask = net.ready, net.ready_at, net.post_mask
+    effect, top, ones, key_mask = net.packed_effect, net.top, net.ones, net.key_mask
+    ready, ready_at = net.ready, net.ready_at
     start = net.pack(m0)
     if start & top:
         return {}, False
     seen = {start: (None, None)}
     if start in stop_at:
         return seen, False
-    queue = deque([(start, _support(m0))])
+    queue = deque([start])
     popleft, append = queue.popleft, queue.append
     while queue:
-        m, support = popleft()
-        enabled = ready.get(support)
+        m = popleft()
+        key = ((m | top) - ones) & key_mask
+        enabled = ready.get(key)
         if enabled is None:
-            enabled = ready_at(support)
+            enabled = ready_at(key)
         for j in enabled:
             m2 = m + effect[j]
             if m2 in seen:
@@ -401,11 +512,7 @@ def marking_bfs(
             seen[m2] = (m, j)
             if m2 in stop_at or len(seen) > cap:
                 return seen, False
-            support2 = support | post_mask[j]
-            for s, keep in empties[j]:  # only a pre-set place can empty
-                if not (m2 >> s) & FIELD_MASK:
-                    support2 &= keep
-            append((m2, support2))
+            append(m2)
     return seen, True
 
 
@@ -813,6 +920,17 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     them.  The transitions kept have the same names, arcs, meta and
     relative order.  A caller that has already run the search passes its
     result as controls, so it runs once.
+
+    The net has three one-token groups (`PetriNet`): the V1 places, the
+    V2 places, and the tracked places with CHECK_PLACE.  iota marks one
+    place of each.  A paired transition moves the token of V1 and of V2
+    from r1 to δ(r1, a) and from r2 to δ(r2, a), and touches no tracked
+    place; a component transition moves V1's token and the tracked token
+    from E::t.source to E::t.target or CHECK_PLACE, and touches no V2
+    place.  Each transition that touches a group takes one token from it
+    and puts one back, which the constructor checks, so each group holds
+    exactly one token in every marking reachable from iota's, and the
+    searches keep each group as one small field.
     """
     V = complete(V)
     eng = engine_for(P)
@@ -856,7 +974,12 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
             pre[tid] = {_v1(r1): 1, source: 1}
             post[tid] = {_v1(s1): 1, tracked: 1}
             meta[tid] = {"group": "E", "core": t}
-    net = PetriNet(places, pre, post, meta, tuple(sorted(pre)))
+    groups = (
+        [_v1(q) for q in V.states],
+        [_v2(q) for q in V.states],
+        [_ep(v) for v in evecs] + [CHECK_PLACE],
+    )
+    net = PetriNet(places, pre, post, meta, tuple(sorted(pre)), groups)
 
     def iota(state) -> CounterVector:
         q1, q2, (remainder, component) = state

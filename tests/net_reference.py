@@ -15,7 +15,9 @@ reference's are projected onto the smaller net's places.
 
 `one_token_groups` and `check_one_token` state the invariant both nets
 keep: the V1 places, the V2 places and the tracked places each hold one
-token in every reachable marking.
+token in every reachable marking.  `petri.build_np_v_full` packs each of
+those groups as one small field; `ungrouped` rebuilds a net with one
+field per place, so a test can require both layouts to search alike.
 
 The two routes here answer each finiteness question with Karp–Miller on
 `petri.build_npv`'s net, forward from (0, V.initial), and on its
@@ -99,14 +101,28 @@ def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
     return net, iota
 
 
+def _named_arcs(net: PetriNet, sets) -> dict:
+    """net's positional pre- or post-sets as {transition: {place: 1}}."""
+    return {t: {net.places[i]: 1 for i in sets[j]} for j, t in enumerate(net.order)}
+
+
 def reversed_net(net: PetriNet) -> PetriNet:
     """net with every transition's pre- and post-set swapped, so that it
     runs backward; places, meta and transition order stay."""
+    return PetriNet(
+        net.places, _named_arcs(net, net.post), _named_arcs(net, net.pre),
+        net.meta, net.order,
+    )
 
-    def arcs(sets) -> dict:
-        return {t: {net.places[i]: 1 for i in sets[j]} for j, t in enumerate(net.order)}
 
-    return PetriNet(net.places, arcs(net.post), arcs(net.pre), net.meta, net.order)
+def ungrouped(net: PetriNet) -> PetriNet:
+    """net rebuilt without its one-token groups: the same places, arcs,
+    meta and transition order, with one FIELD-bit field per place in its
+    packed markings."""
+    return PetriNet(
+        net.places, _named_arcs(net, net.pre), _named_arcs(net, net.post),
+        net.meta, net.order,
+    )
 
 
 def one_token_groups(P: Dfa, V: Dfa) -> tuple:

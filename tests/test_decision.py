@@ -2,8 +2,9 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -517,6 +518,86 @@ def test_exact_stages_against_the_falsifier_on_wide_draws():
             if v.outcome != "unknown":
                 assert replay_certificate(P, V, v), (P, V, mode)
     assert outcomes["holds"] > 200 and outcomes["fails"] > 50
+
+
+# The exact routes, by the decision stage that runs each.
+EXACT_ROUTES = {
+    "prefix-fragment": "_prefix_fragment",
+    "zero-fragment": "_zero_fragment",
+    "net": "_net",
+}
+
+
+def _cross_route_check(draws: int) -> tuple:
+    """(disagreements, unreplayed, settled together) over the first
+    `draws` of seed 7's wide draws: every exact route that applies runs on
+    each decision, in general mode and, where V is prefix closed, in
+    prefix mode, where the prefix route applies too.  A route settles a
+    decision when it answers Holds or Fails.  Each settled answer is
+    replayed as a verdict of its own."""
+    from shufflecheck import decision
+    from shufflecheck.decision import prepare_query
+
+    rng = random.Random(7)
+    disagree, unreplayed, together = [], [], Counter()
+    for i in range(draws):
+        P, V = wide_draw(rng)
+        try:
+            P, V = normalize(P), normalize(V)
+        except EmptyLanguage:
+            continue
+        for mode in ("prefix", "general") if V.finals == V.states else ("general",):
+            comp, Vn = prepare_query(P, V, mode)
+            settled = {}
+            for route, stage in EXACT_ROUTES.items():
+                if route == "prefix-fragment" and mode != "prefix":
+                    continue
+                found = getattr(decision, stage)(comp, Vn, SMALL, {})
+                if found is not None and found[0] != "unknown":
+                    settled[route] = found
+            if len({found[0] for found in settled.values()}) > 1:
+                disagree.append((i, mode, {r: f[0] for r, f in settled.items()}))
+            for route, (outcome, name, cert, stats) in settled.items():
+                verdict = Verdict(outcome, mode, name, cert, SMALL, stats)
+                try:
+                    ok = replay_certificate(P, V, verdict)
+                except MalformedCertificate:
+                    ok = False
+                if not ok:
+                    unreplayed.append((i, mode, route))
+            together.update(combinations(sorted(settled), 2))
+    return disagree, unreplayed, together
+
+
+def test_exact_routes_agree_on_wide_draws():
+    # the pipeline stops at the first route that settles, so a wrong
+    # answer from a later route would show only where the earlier ones
+    # leave the pair open; here every route runs on every decision
+    disagree, unreplayed, together = _cross_route_check(600)
+    assert disagree == [] and unreplayed == []
+    assert set(together) == {
+        ("net", "prefix-fragment"),
+        ("net", "zero-fragment"),
+        ("prefix-fragment", "zero-fragment"),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(EXACT_ROUTES))
+def test_cross_route_check_sees_a_flipped_route(monkeypatch, route):
+    from shufflecheck import decision
+
+    real = getattr(decision, EXACT_ROUTES[route])
+
+    def flipped(*args):
+        found = real(*args)
+        if found is None or found[0] == "unknown":
+            return found
+        outcome, name, cert, stats = found
+        return ("fails" if outcome == "holds" else "holds"), name, cert, stats
+
+    monkeypatch.setattr(decision, EXACT_ROUTES[route], flipped)
+    disagree, unreplayed, _ = _cross_route_check(100)
+    assert disagree and unreplayed
 
 
 # Decides the first 150 criterion-10 draws in general mode and ab against

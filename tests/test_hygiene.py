@@ -260,6 +260,67 @@ def test_unread_method_check_sees_only_reads():
     ]
 
 
+def _unread_attributes(sources: dict, checked) -> list:
+    """Attributes that a method of the checked files sets on `self` and
+    that no node of sources reads: every `self.<name> = ...` needs an
+    attribute load of `<name>` somewhere, on any object.  A store, such
+    as the assignment itself, reads nothing.  sources maps a file name to
+    its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = set()
+    for name in checked:
+        for node in ast.walk(trees[name]):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr not in reads
+            ):
+                found.add(f"{name}:{node.attr}")
+    return sorted(found)
+
+
+def test_every_attribute_is_read():
+    sources = _sources("src", "tests", "perfbench")
+    assert _unread_attributes(sources, _package_files()) == []
+
+
+def test_unread_attribute_check_sees_only_loads():
+    sources = {
+        "pkg.py": "\n".join([
+            "class A:",
+            "    def __init__(self, n):",
+            "        self.size = n",
+            "        self.cache = {}",
+            "        self.left = self.right = None",
+            "        self.pair, self.spare = n, n",
+            "        self.total: int = 0",
+            "        self.total += n",
+            "        other.stray = n",
+            "    def get(self, k):",
+            "        self.cache[k] = self.size",
+            "        return self.pair",
+        ]),
+        "use.py": "\n".join([
+            "# a.left in a comment",
+            "text = 'a.spare in a string'",
+            "n = A(1).right",
+        ]),
+    }
+    assert _unread_attributes(sources, ["pkg.py"]) == [
+        "pkg.py:left", "pkg.py:spare", "pkg.py:total",
+    ]
+    sources["use.py"] += "\nprint(a.total, a.left)"
+    assert _unread_attributes(sources, ["pkg.py"]) == ["pkg.py:spare"]
+
+
 def _local_relative_imports(source: str) -> list:
     """Lines of the relative imports made inside a function; lazy imports
     from outside the package stay allowed."""

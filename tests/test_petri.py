@@ -506,6 +506,119 @@ def _named_bfs(net, m0, project=lambda m: m):
     return named, exhausted
 
 
+def _grouped_cases():
+    # (comp, complete V, BFS cap): the first 100 criterion-10 pairs, P and
+    # grave(P), and ab, aab and abb against a count of a and of b mod 5, 9
+    # and 14, whose BFS reaches a counterexample within 20,000 markings
+    cases = [
+        (comp, Vc, 1000)
+        for P, Vc in _criterion_10_pairs(100)
+        for comp in (P, grave(P))
+    ]
+    cases += [
+        (_word(w), complete(_modular(k, step_a, 1 - step_a)), 20_000)
+        for w in ("ab", "aab", "abb")
+        for k in (5, 9, 14)
+        for step_a in (1, 0)
+    ]
+    return cases
+
+
+def _bfs_form(net, seen, exhausted):
+    # a marking_bfs result with each marking unpacked, each transition by
+    # position and by name
+    return [
+        (
+            net.unpack(m),
+            None if prev is None else net.unpack(prev),
+            j,
+            None if j is None else net.order[j],
+        )
+        for m, (prev, j) in seen.items()
+    ], exhausted
+
+
+def test_grouped_net_searches_as_one_field_per_place():
+    # the deletion net packs its V1, V2 and tracked groups as one small
+    # field each; rebuilt with one field per place it must give the same
+    # Karp–Miller trees node for node, with and without the
+    # counterexample markings as stop_at, and the same marking BFS towards
+    # them
+    stopped = reached = exhausted = 0
+    for comp, Vc, cap in _grouped_cases():
+        net, iota = build_np_v_full(comp, Vc)
+        flat = net_reference.ungrouped(net)
+        assert len(net.groups) == 3 and not flat.groups
+        assert (flat.places, flat.order, flat.pre, flat.post) == (
+            net.places, net.order, net.pre, net.post,
+        )
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        targets = _counterexample_targets(net, iota, Vc)
+        for stop_at in ((), targets):
+            km = karp_miller(net, m0, node_cap=3000, stop_at=stop_at)
+            assert _km_tree(km) == _km_tree(
+                karp_miller(flat, m0, node_cap=3000, stop_at=stop_at)
+            )
+            stopped += km.stopped
+        found = [
+            _bfs_form(n, *marking_bfs(
+                n, n.marking(m0), cap, frozenset(n.pack(t) for t in targets)
+            ))
+            for n in (net, flat)
+        ]
+        assert found[0] == found[1]
+        goals = {tuple(t) for t in targets}
+        reached += any(m in goals for m, *_ in found[0][0])
+        exhausted += found[0][1]
+    assert stopped and reached and exhausted
+    # the decision on the largest of them, pinned
+    from shufflecheck.decision import decide_sp
+
+    v = decide_sp(_word("abb"), _modular(14, 1, 0), "general")
+    assert (v.outcome, v.route) == ("fails", "net-reachability")
+    assert v.stats == {"km_nodes": 567, "km_capped": False, "markings": 8835}
+
+
+def test_petri_net_checks_its_groups():
+    from shufflecheck.petri import FIELD, PetriNet
+
+    places, groups = {"c", "p", "q"}, [("p", "q")]
+    # a transition that puts a token into the group without taking one,
+    # one that takes two, and one that takes one and puts none back
+    for pre, post in (
+        ({"c": 1}, {"p": 1}),
+        ({"p": 1, "q": 1}, {"p": 1}),
+        ({"p": 1}, {"c": 1}),
+    ):
+        with pytest.raises(ValueError, match="take one token"):
+            PetriNet(places, {"t": pre}, {"t": post}, {}, ("t",), groups)
+    for bad in ([("p", "q"), ("q",)], [()]):
+        with pytest.raises(ValueError, match="disjoint"):
+            PetriNet(places, {"t": {}}, {"t": {}}, {}, ("t",), bad)
+    # t moves the group's token from p to q and adds one to the counter c
+    net = PetriNet(
+        places, {"t": {"p": 1}}, {"t": {"q": 1, "c": 1}}, {}, ("t",), groups
+    )
+    # places in sorted order are c, p, q: c's field is bits 0 to FIELD, and
+    # the group's two-bit field above it holds 1 for p and 2 for q
+    assert net.pack((3, 1, 0)) == 3 | 1 << FIELD
+    assert net.pack((3, 0, 1)) == 3 | 2 << FIELD
+    for m in ((0, 0, 0), (3, 1, 0), (7, 0, 1)):
+        assert net.unpack(net.pack(m)) == m
+    for m in ((0, 1, 1), (0, 2, 0)):
+        with pytest.raises(ValueError, match="more than one token"):
+            net.pack(m)
+    seen, exhausted = marking_bfs(net, (0, 1, 0))
+    assert exhausted and [net.unpack(m) for m in seen] == [(0, 1, 0), (1, 0, 1)]
+    # without groups every place keeps a FIELD-bit count, in place order
+    flat = PetriNet(places, {"t": {"p": 1}}, {"t": {"q": 1, "c": 1}}, {}, ("t",))
+    rng = random.Random(5)
+    for _ in range(50):
+        m = tuple(rng.choice((0, 1, 2, 2**31 - 1)) for _ in range(3))
+        packed = sum(n << (FIELD * i) for i, n in enumerate(m))
+        assert flat.pack(m) == packed and flat.unpack(packed) == m
+
+
 def _named_arcs(net, arcs):
     # one pre- or post-set by place name, less any arc on a Q1:: place
     return {net.places[i] for i in arcs if not net.places[i].startswith("Q1::")}
