@@ -384,7 +384,10 @@ def parse_verdict(text: str) -> Verdict:
             if key in ("word", "factor", "component"):
                 cert[key] = tuple(parse_letter(t) for t in value.split())
             elif key == "positions":
-                cert[key] = tuple(int(t) for t in value.split())
+                try:
+                    cert[key] = tuple(int(t) for t in value.split())
+                except ValueError as exc:
+                    raise MalformedCertificate(f"bad position in {line!r}") from exc
             elif key == "delta":
                 cert.setdefault("delta", ())
                 cert["delta"] = cert["delta"] + (value,)

@@ -199,6 +199,8 @@ class ShuffleTransition:
         return (ShuffleTransition, (self.source, self.letter, self.target, self.kind))
 
     def shift(self, h: CounterVector) -> "ShuffleTransition":
+        if not h.entries:
+            return self
         return ShuffleTransition(self.source.add(h), self.letter, self.target.add(h), self.kind)
 
     def checked(self) -> "ShuffleTransition":

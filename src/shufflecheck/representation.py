@@ -9,15 +9,15 @@ deletion relation exactly on the covered fragment.
 
 Track 1 is the sum of the other two, so the deletion system's state is the
 remainder vector and the tracked component, and `_deletion_moves` is the
-one definition of a move, and so of a column.  The closure search runs on
-those states.  The recognizer W_delta adds the composite vector to each
-state; it, the track ranges S1/S2/S3 and the steps delta2'/delta3' serve
-the `wdelta` command and the tests.
+one definition of a move, and so of a column: a move is a column's three
+tracks, and only W_delta and a closure search's witness make the column.
+The closure search runs on those states, numbered.  The recognizer W_delta
+adds the composite vector to each state; it, the track ranges S1/S2/S3 and
+the steps delta2'/delta3' serve the `wdelta` command and the tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -63,10 +63,10 @@ class TrackLetter:
 
     The constructor checks that exactly one of tracks 2/3 moves, that the
     active track carries the composite's letter and kind, and that the
-    counters add up, and raises ValueError otherwise.  `_deletion_moves`
-    makes its columns with `_unchecked`, which skips that check: a column's
-    composite step there is its active step shifted by the resting track,
-    so they agree by construction.
+    counters add up, and raises ValueError otherwise.  Columns made from
+    `_deletion_moves` use `_unchecked`, which skips that check: a move's
+    composite step is its active step shifted by the resting track, so
+    they agree by construction.
     """
 
     x1: ShuffleTransition
@@ -173,9 +173,15 @@ def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
 
 
 def _column_order(col: TrackLetter) -> tuple:
-    """A column's place in W's alphabet and in a state's moves: its text,
-    then its kind, which the text leaves out."""
+    """A column's place in W's alphabet: its text, then its kind, which
+    the text leaves out."""
     return str(col), col.x1.kind
+
+
+def _move_order(move: tuple) -> tuple:
+    """`_column_order` of a move's column, from its tracks' cached texts."""
+    x1, x2, x3, _next = move
+    return f"[{x1} | {x2} | {x3}]", x1.kind
 
 
 def _deletion_moves(P: Dfa, delta):
@@ -187,9 +193,9 @@ def _deletion_moves(P: Dfa, delta):
     component move an elementary step x3 of s3 whose shift by s2 is; that
     shift is the column's composite step x1, so the column's counters,
     letter and kind agree by construction.  The returned function maps a
-    state to its (column, next state) pairs in column order
-    (`_column_order`).  An invalid step in delta raises NotSubsetOfShuffle
-    here, before any move is made.
+    state to its moves (x1, x2, x3, next state), a column's tracks each,
+    sorted in column order (`_move_order`).  An invalid step in delta
+    raises NotSubsetOfShuffle here, before any move is made.
 
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
@@ -204,7 +210,7 @@ def _deletion_moves(P: Dfa, delta):
     for x3 in eng.core:
         if x3.letter in letters:
             elementary.setdefault(x3.source, []).append(x3)
-    column = TrackLetter._unchecked
+    checked: dict = {}  # elementary step -> its checked copy, made once
 
     def moves(state) -> tuple:
         s2, s3 = state
@@ -214,14 +220,17 @@ def _deletion_moves(P: Dfa, delta):
             for x2 in steps(s2, a):
                 x1 = x2.shift(rest)
                 if x1 in delta:
-                    out.append((column(x1, x2, s3), (x2.target, s3)))
+                    out.append((x1, x2, s3, (x2.target, s3)))
         # no component step leaves the sentinel
         for x3 in elementary.get(s3, ()):
             x1 = x3.shift(s2)
             if x1 in delta:
+                c3 = checked.get(x3)
+                if c3 is None:
+                    c3 = checked[x3] = x3.checked()
                 n3 = CHECK_ZERO if x3.target == ZERO else x3.target
-                out.append((column(x1, s2, x3.checked()), (s2, n3)))
-        out.sort(key=lambda move: _column_order(move[0]))
+                out.append((x1, s2, c3, (s2, n3)))
+        out.sort(key=_move_order)
         return tuple(out)
 
     return moves
@@ -229,16 +238,20 @@ def _deletion_moves(P: Dfa, delta):
 
 def w_delta_moves(P: Dfa, delta):
     """The move function of W_delta: `_deletion_moves` on a W-state
-    (s1, s2, s3), each next state led by its column's composite target.
-    A state with s1 != s2 + s3 (the sentinel counting as 0) raises
-    ValueError."""
+    (s1, s2, s3), each move made a column and its next state led by the
+    composite's target.  A state with s1 != s2 + s3 (the sentinel counting
+    as 0) raises ValueError."""
     moves = _deletion_moves(P, delta)
+    column = TrackLetter._unchecked
 
     def w_moves(state) -> tuple:
         s1, s2, s3 = state
         if s2.add(ZERO if s3 is CHECK_ZERO else s3) != s1:
             raise ValueError("column counters do not add up")
-        return tuple((col, (col.x1.target, *nxt)) for col, nxt in moves((s2, s3)))
+        return tuple(
+            (column(x1, x2, x3), (x1.target, *nxt))
+            for x1, x2, x3, nxt in moves((s2, s3))
+        )
 
     return w_moves
 
@@ -296,10 +309,9 @@ def build_w_delta(P: Dfa, delta) -> WDelta:
     system = build_delta_paren(P, delta)
     initial = (ZERO, ZERO, ZERO)
     names = {initial: "|".join(map(str, initial))}
-    queue = deque([initial])
+    queue = [initial]  # the loop reads what it appends
     delta_map = {}
-    while queue:
-        src = queue.popleft()
+    for src in queue:
         for col, nxt in system.moves(src):
             if nxt not in names:
                 names[nxt] = "|".join(map(str, nxt))
@@ -349,60 +361,77 @@ class ClosureOutcome:
     states_explored: int
 
 
-def _witness(parent: dict, state) -> tuple:
-    """The column path of the search tree from the start to state."""
-    path = []
-    while parent[state] is not None:
-        state, col = parent[state]
-        path.append(col)
-    return tuple(reversed(path))
-
-
 def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
     """Breadth-first search of the deletion system x V x V for an accepted
     composite whose remainder V rejects.
 
     A state is (deletion-system state, V-state of the composite, V-state of
     the remainder), and with require_zero only a closed composite, s2 = 0
-    and s3 in {0, CHECK_ZERO}, may witness.  A deletion-system state's moves
-    are made by `_deletion_moves` when the search first reaches it, and
-    kept for the next visit.  They come in column order, as W_delta's
-    alphabet lists them, so the search visits states, and finds its
-    witness, in a fixed order: that of the same search over W_delta.
+    and s3 in {0, CHECK_ZERO}, may witness.  It is searched as the number
+    (d * n + v1) * n + v2: d the deletion-system state's id, given when a
+    move first leads there, v1 and v2 places in V.states.  A deletion-system
+    state's moves are made by `_deletion_moves` when the search first
+    reaches it and kept by id, each with its target's id times n * n and
+    its step of the V-pair v1 * n + v2.  They come in column order, as
+    W_delta's alphabet lists them, so for any numbering the search visits
+    states, and finds its witness, in the order of the same search over
+    W_delta.  Only the witness's columns are made (`_witness`).
     """
     V = complete(V)
-    finals = V.finals
+    index = {q: i for i, q in enumerate(V.states)}
+    n = len(index)
+    nn = n * n
+    final = [q in V.finals for q in index]
+    witnessing = [f1 and not f2 for f1 in final for f2 in final]
+    pair_steps: dict = {}  # (letter, track 2 moves) -> V-pair -> V-pair
     deletion_moves = _deletion_moves(P, delta)
-    step = {a: {q: V.delta[(q, a)] for q in V.states} for a in V.alphabet}
-    # per deletion-system state: (column, next state, V-step of track 1,
-    # V-step of track 2 or None when track 2 rests)
-    moves: dict = {}
-    start = ((ZERO, ZERO), V.initial, V.initial)
-    parent = {start: None}  # state -> (previous state, column)
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        ds, vmu, vnu = state
-        if vmu in finals and vnu not in finals:
-            if not require_zero or (ds[0] == ZERO and ds[1] in (ZERO, CHECK_ZERO)):
-                return ClosureOutcome(False, _witness(parent, state), len(parent))
-        out = moves.get(ds)
+    ids = {(ZERO, ZERO): 0}
+    found = [(ZERO, ZERO)]  # id -> deletion-system state
+    moves = [None]  # id -> [(next id * n * n, V-pair step, move)]
+    start = index[V.initial] * (n + 1)  # (0, 0), V.initial twice
+    parent = {start: None}  # state -> the state it was reached from
+    queue = [start]  # in visiting order; the loop reads what it appends
+    for state in queue:
+        d, v = divmod(state, nn)
+        if witnessing[v]:
+            s2, s3 = found[d]
+            if not require_zero or (s2 == ZERO and s3 in (ZERO, CHECK_ZERO)):
+                return ClosureOutcome(False, _witness(parent, state, nn, moves), len(parent))
+        out = moves[d]
         if out is None:
-            out = moves[ds] = tuple(
-                (
-                    col,
-                    nds,
-                    step[col.x1.letter],
-                    step[col.x2.letter] if isinstance(col.x2, ShuffleTransition) else None,
-                )
-                for col, nds in deletion_moves(ds)
-            )
-        for col, nds, mu, nu in out:
-            nxt = (nds, mu[vmu], vnu if nu is None else nu[vnu])
+            out = moves[d] = []
+            for move in deletion_moves(found[d]):
+                x1, x2, _x3, nds = move
+                nd = ids.setdefault(nds, len(found))
+                if nd == len(found):
+                    found.append(nds)
+                    moves.append(None)
+                key = (x1.letter, isinstance(x2, ShuffleTransition))
+                step = pair_steps.get(key)
+                if step is None:
+                    to = [index[V.delta[(q, x1.letter)]] for q in index]
+                    rest = to if key[1] else range(n)
+                    step = pair_steps[key] = [t1 * n + t2 for t1 in to for t2 in rest]
+                out.append((nd * nn, step, move))
+        for base, step, _move in out:
+            nxt = base + step[v]
             if nxt not in parent:
-                parent[nxt] = (state, col)
+                parent[nxt] = state
                 queue.append(nxt)
     return ClosureOutcome(True, None, len(parent))
+
+
+def _witness(parent: dict, state: int, nn: int, moves: list) -> tuple:
+    """The columns on the search tree's path from the start to state: into
+    each state, the first of its parent's moves that leads there."""
+    path = []
+    while parent[state] is not None:
+        prev = parent[state]
+        d, v = divmod(prev, nn)
+        x1, x2, x3, _ = next(m for base, step, m in moves[d] if base + step[v] == state)
+        path.append(TrackLetter._unchecked(x1, x2, x3))
+        state = prev
+    return tuple(reversed(path))
 
 
 def check_closure_prefix(P: Dfa, V: Dfa, delta) -> ClosureOutcome:

@@ -182,6 +182,19 @@ def test_replay_bad_budget_value_exits_3(files, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_replay_bad_position_exits_3_without_traceback(files, capsys):
+    main(["decide", files["ring3"], files["ring9"], "--mode", "general"])
+    out = capsys.readouterr().out
+    head, _, tail = out.partition("positions: ")
+    assert tail, out
+    report = files["dir"] / "report.txt"
+    report.write_text(head + "positions: one\n" + tail.partition("\n")[2])
+    assert main(["replay", files["ring3"], files["ring9"], str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_unexpected_error_exits_3(files, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken stage")

@@ -149,6 +149,14 @@ def test_parse_verdict_budget_lines(ring3, ring9):
         parse_verdict(head + "BUDGETS:\nbogus_cap: 1\n" + tail)
 
 
+def test_parse_verdict_rejects_a_bad_position(ring3, ring9):
+    text = serialize_verdict(decide_sp(ring3, ring9, "general", SMALL))
+    assert "\npositions: " in text
+    head, _, tail = text.partition("positions: ")
+    with pytest.raises(MalformedCertificate, match="bad position"):
+        parse_verdict(head + "positions: 1 x\n" + tail.partition("\n")[2])
+
+
 def test_parse_verdict_rejects_garbage():
     with pytest.raises(MalformedCertificate):
         parse_verdict("VERDICT: maybe\nMODE: prefix\nROUTE: x\n")

@@ -212,6 +212,18 @@ def all_successors(eng, f) -> frozenset:
     return frozenset().union(*(eng.successors(f, a) for a in eng.P.alphabet))
 
 
+def steps_to_norm_2(P) -> frozenset:
+    """Every step of P's engine out of a vector reached within norm 2 that
+    ends within norm 2."""
+    eng = engine_for(P)
+    return frozenset(
+        t
+        for f in reachable_vectors(eng, 2)
+        for t in all_successors(eng, f)
+        if t.target.norm <= 2
+    )
+
+
 def reachable_vectors(eng, max_norm: int) -> frozenset:
     """Vectors reachable from 0 without exceeding the given norm, by
     exhaustive search: the reference for the rule that keeps S2."""
@@ -230,13 +242,7 @@ def reachable_vectors(eng, max_norm: int) -> frozenset:
 def test_closure_detects_violation(single_ab, astar_b):
     # composite aab is accepted, the remainder b after deleting the
     # component is not
-    eng = engine_for(single_ab)
-    delta = frozenset(
-        t
-        for f in reachable_vectors(eng, 2)
-        for t in all_successors(eng, f)
-        if t.target.norm <= 2
-    )
+    delta = steps_to_norm_2(single_ab)
     out = check_closure_zero(single_ab, astar_b, delta)
     assert not out.holds
     d = decode_witness(out.witness)
@@ -281,13 +287,7 @@ def test_grave_transfer_downward_closed(two_start):
 
 def test_closure_search_golden(single_ab, astar_b):
     # the search's visiting order fixes the witness and the state count
-    eng = engine_for(single_ab)
-    delta = frozenset(
-        t
-        for f in reachable_vectors(eng, 2)
-        for t in all_successors(eng, f)
-        if t.target.norm <= 2
-    )
+    delta = steps_to_norm_2(single_ab)
     out = check_closure_zero(single_ab, astar_b, delta)
     assert tuple(str(c) for c in out.witness) == (
         "[(0) a (II:1) | (0) | (0) ^a (II:1)]",
@@ -376,6 +376,12 @@ def _reference_moves(columns, state) -> list:
 def _fragments_of_draws(n):
     """(composite, fragment) for every finite prefix and zero fragment of
     the first n criterion-10 draws."""
+    return ((comp, delta) for _mode, comp, _V, delta in _draws_with_fragments(n))
+
+
+def _draws_with_fragments(n):
+    """(mode, composite, V, fragment) for every finite prefix and zero
+    fragment of the first n criterion-10 draws."""
     rng = random.Random(101010)
     for _ in range(n):
         P, V = random_dfa(rng), random_dfa(rng)
@@ -393,7 +399,7 @@ def _fragments_of_draws(n):
                 continue
             alf = fragment(comp, V)
             if alf.status == "finite":
-                yield comp, alf.delta
+                yield mode, comp, V, alf.delta
 
 
 def _arbitrary_fragments(n):
@@ -496,7 +502,7 @@ def test_moves_make_the_columns_the_checked_constructor_makes(two_start, single_
 
 
 def test_closure_checks_build_neither_columns_nor_recognizer(
-    two_start, tracker4, monkeypatch
+    two_start, tracker4, single_ab, astar_b, monkeypatch
 ):
     # nor the track ranges or the steps delta2'/delta3' of W
     def refuse(*args):
@@ -510,8 +516,29 @@ def test_closure_checks_build_neither_columns_nor_recognizer(
         "_delta3_prime",
     ):
         monkeypatch.setattr(representation, name, refuse)
+    # columns, checked or not, are counted as they are made
+    made = []
+    unchecked = TrackLetter._unchecked.__func__
+    post_init = TrackLetter.__post_init__
+
+    def count_unchecked(cls, *tracks):
+        made.append(tracks)
+        return unchecked(cls, *tracks)
+
+    def count_checked(self):
+        made.append((self.x1, self.x2, self.x3))
+        post_init(self)
+
+    monkeypatch.setattr(TrackLetter, "_unchecked", classmethod(count_unchecked))
+    monkeypatch.setattr(TrackLetter, "__post_init__", count_checked)
     assert check_closure_prefix(two_start, tracker4, FRAGMENT).holds
     assert check_closure_zero(two_start, tracker4, FRAGMENT).holds
+    assert made == []
+    # a Fails search makes its witness's columns and no other
+    delta = steps_to_norm_2(single_ab)
+    out = check_closure_zero(single_ab, astar_b, delta)
+    assert not out.holds and len(out.witness) == 2
+    assert made == [(c.x1, c.x2, c.x3) for c in reversed(out.witness)]
 
 
 def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
@@ -549,12 +576,26 @@ def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
     return True, None, len(parent)
 
 
-def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments():
+def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments(
+    single_ab,
+):
     # the search over (remainder, tracked component) finds what the search
     # over W_delta finds, in the same order, on fragments that are neither
-    # closed nor reached from 0, as a forged certificate's need not be
-    searches = fails = 0
-    for P, V, delta in _arbitrary_fragments(150):
+    # closed nor reached from 0, as a forged certificate's need not be, and
+    # on the large ones the routes find: the depth chains' prefix fragments
+    # and the draws' zero fragments, each with its own V
+    comp = grave(normalize(single_ab))
+    chains = [
+        (comp, V, decide_alf_pre_finite(comp, V).delta)
+        for V in (normalize(depth_chain(14)), normalize(depth_chain(18)))
+    ]
+    zero = [
+        (P, V, delta)
+        for mode, P, V, delta in _draws_with_fragments(600)
+        if mode == "general"
+    ]
+    searches = fails = largest = 0
+    for P, V, delta in [*_arbitrary_fragments(150), *chains, *zero]:
         for check, require_zero in (
             (check_closure_prefix, False),
             (check_closure_zero, True),
@@ -564,7 +605,9 @@ def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments():
             assert got == _reference_closure(P, V, delta, require_zero)
             searches += 1
             fails += not out.holds
-    assert searches >= 200 and fails >= 20
+            largest = max(largest, out.states_explored)
+    assert searches >= 200 and fails >= 20 and len(zero) > 10
+    assert largest > 1000
 
 
 def _vectors_over(states, max_norm: int) -> set:
@@ -615,13 +658,7 @@ def test_tied_columns_ordered_by_kind():
     # P = a*: a start_end and an inner step with equal ends print alike,
     # so the moves and W's alphabet order them by text, then kind
     P = mk_dfa("a", [("1", "a", "1")], "1", ["1"])
-    eng = engine_for(P)
-    delta = frozenset(
-        t
-        for f in reachable_vectors(eng, 2)
-        for t in all_successors(eng, f)
-        if t.target.norm <= 2
-    )
+    delta = steps_to_norm_2(P)
     w = build_w_delta(P, delta)
     columns = w.system.columns
     assert (len(columns), len({str(c) for c in columns})) == (32, 27)
