@@ -20,7 +20,12 @@ from functools import cached_property
 from typing import Any, Iterable, Optional
 
 
-class AutomatonError(Exception):
+class ShufflecheckError(Exception):
+    """The base of every error the package raises for invalid input or a
+    spent budget; a ValueError is left for misuse of the API."""
+
+
+class AutomatonError(ShufflecheckError):
     pass
 
 
@@ -135,7 +140,7 @@ def parse_letter(tok: str) -> Letter:
     index = None
     if "@" in tok:
         sym, _, idx = tok.rpartition("@")
-        if not idx.isdigit():
+        if not idx.isdecimal():
             raise ParseError(f"bad letter index in {tok!r}")
         tok, index = sym, int(idx)
     if not tok:

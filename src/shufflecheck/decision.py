@@ -14,6 +14,8 @@ from typing import Optional
 
 from .automata import (
     Dfa,
+    ParseError,
+    ShufflecheckError,
     accepts,
     grave,
     normalize,
@@ -49,11 +51,11 @@ PREFIX = "prefix"
 GENERAL = "general"
 
 
-class InvalidQuery(Exception):
+class InvalidQuery(ShufflecheckError):
     pass
 
 
-class MalformedCertificate(Exception):
+class MalformedCertificate(ShufflecheckError):
     pass
 
 
@@ -314,9 +316,10 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
         if "delta" in verdict.certificate:
             if verdict.route not in FRAGMENT_ROUTES.get(verdict.mode, ()):
                 return False
-            delta = frozenset(
-                parse_transition(line) for line in verdict.certificate["delta"]
-            )
+            try:
+                delta = frozenset(map(parse_transition, verdict.certificate["delta"]))
+            except ParseError as exc:
+                raise MalformedCertificate(str(exc)) from exc
             check_closure = check_closure_zero
             if verdict.route == "prefix-fragment":
                 if not _prefix_delta_closed(comp, V, delta):
@@ -336,18 +339,19 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
 # ---------------------------------------------------------------------------
 # report format
 
+def certificate_lines(cert: dict) -> list:
+    """The CERTIFICATE section's lines for cert's fields, in report order."""
+    lines = [
+        f"{key}: " + " ".join(str(x) for x in cert[key])
+        for key in ("word", "factor", "component", "positions")
+        if key in cert
+    ]
+    return lines + [f"delta: {line}" for line in cert.get("delta", ())]
+
+
 def serialize_verdict(v: Verdict) -> str:
     lines = [f"VERDICT: {v.outcome}", f"MODE: {v.mode}", f"ROUTE: {v.route}"]
-    lines.append("CERTIFICATE:")
-    c = v.certificate
-    for key in ("word", "factor", "component"):
-        if key in c:
-            lines.append(f"{key}: " + " ".join(str(a) for a in c[key]))
-    if "positions" in c:
-        lines.append("positions: " + " ".join(str(i) for i in c["positions"]))
-    for line in c.get("delta", ()):
-        lines.append(f"delta: {line}")
-    lines.append("BUDGETS:")
+    lines += ["CERTIFICATE:", *certificate_lines(v.certificate), "BUDGETS:"]
     for f in fields(Budgets):
         lines.append(f"{f.name}: {getattr(v.budgets, f.name)}")
     if v.stats:

@@ -23,6 +23,7 @@ and dicts hold it.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -32,6 +33,7 @@ from .automata import (
     Dfa,
     Letter,
     ParseError,
+    ShufflecheckError,
     UnknownLetter,
     Word,
     intern,
@@ -162,7 +164,7 @@ def parse_vector(text: str) -> CounterVector:
         if ":" not in tok:
             raise ParseError(f"bad vector entry {tok!r}")
         q, _, n = tok.rpartition(":")
-        if not n.isdigit():
+        if not n.isdecimal():
             raise ParseError(f"bad count in {tok!r}")
         counts[q] = counts.get(q, 0) + int(n)
     return CounterVector.make(counts)
@@ -220,26 +222,21 @@ class ShuffleTransition:
         return f"{self} [{self.kind}]"
 
 
+# '(f) a (g)' with an optional '[kind]' tag, and nothing around them
+_TRANSITION = re.compile(
+    r"\s*\(([^()]*)\)\s*([^\s()]+)\s*\(([^()]*)\)\s*(?:\[\s*(%s)\s*\])?\s*"
+    % "|".join(KINDS)
+)
+
+
 def parse_transition(text: str) -> ShuffleTransition:
     """Parse '(f) a (g)' with an optional trailing '[kind]' tag."""
-    body = text.strip()
-    kind = None
-    if body.endswith("]") and "[" in body:
-        body, _, tag = body.rpartition("[")
-        kind = tag[:-1].strip()
-        body = body.strip()
-    if body.count("(") != 2 or body.count(")") != 2:
+    m = _TRANSITION.fullmatch(text)
+    if m is None:
         raise ParseError(f"bad transition {text!r}")
-    open1 = body.index("(")
-    close1 = body.index(")")
-    open2 = body.index("(", close1)
-    close2 = body.rindex(")")
-    src = parse_vector(body[open1 : close1 + 1])
-    tgt = parse_vector(body[open2 : close2 + 1])
-    letter = parse_letter(body[close1 + 1 : open2].strip())
-    if kind is None:
-        kind = infer_kind(src, letter, tgt)
-    return ShuffleTransition(src, letter, tgt, kind)
+    src, tgt = parse_vector(m[1]), parse_vector(m[3])
+    letter = parse_letter(m[2])
+    return ShuffleTransition(src, letter, tgt, m[4] or infer_kind(src, letter, tgt))
 
 
 def infer_kind(src: CounterVector, letter: Letter, tgt: CounterVector) -> str:
@@ -282,7 +279,7 @@ class Computation(tuple):
         return " ; ".join(str(s) for s in self)
 
 
-class NotAComputation(Exception):
+class NotAComputation(ShufflecheckError):
     pass
 
 
@@ -466,7 +463,7 @@ def shuffle_member(P: Dfa, w: Word) -> bool:
 MAX_FALSIFIER_LEN = 32
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ShufflecheckError):
     pass
 
 

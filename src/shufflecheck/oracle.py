@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .automata import Dfa, Letter, Word, accepts, language_upto
+from .automata import Dfa, Letter, ShufflecheckError, Word, accepts, language_upto
 from .engine import (
     BudgetExceeded,
     Computation,
@@ -34,7 +34,7 @@ DEFAULT_MAX_LEN = 8
 DEFAULT_MAX_CARD = 200_000
 
 
-class InvalidStructuredWord(Exception):
+class InvalidStructuredWord(ShufflecheckError):
     pass
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .automata import Dfa, Letter, complete
+from .automata import Dfa, Letter, ShufflecheckError, complete
 from .engine import (
     Computation,
     CounterVector,
@@ -33,7 +33,7 @@ from .engine import (
 )
 
 
-class NotSubsetOfShuffle(Exception):
+class NotSubsetOfShuffle(ShufflecheckError):
     pass
 
 

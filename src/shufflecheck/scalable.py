@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from .automata import (
     Dfa,
     Letter,
+    ShufflecheckError,
     Word,
     accepts,
     includes,
@@ -25,11 +26,11 @@ from .automata import (
 )
 
 
-class NotASubset(Exception):
+class NotASubset(ShufflecheckError):
     pass
 
 
-class NotPrefixClosed(Exception):
+class NotPrefixClosed(ShufflecheckError):
     pass
 
 

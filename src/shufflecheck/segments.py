@@ -11,19 +11,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Dfa, Letter, grave
+from .automata import Dfa, Letter, ShufflecheckError, grave
 from .engine import CounterVector, ZERO, engine_for
 
 
-class NotCompatible(Exception):
+class NotCompatible(ShufflecheckError):
     pass
 
 
-class FrontierCapExceeded(Exception):
+class FrontierCapExceeded(ShufflecheckError):
     pass
 
 
-class NotInitialSegment(ValueError):
+class NotInitialSegment(ShufflecheckError, ValueError):
     """An explicit vector set that is empty or not downward closed."""
 
 

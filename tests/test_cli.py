@@ -352,3 +352,24 @@ def test_segment_frontier_cap_exits_3(files, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert _one_error_line(err) and "Traceback" not in err
     assert "more than 1 reachable vector sets" in err
+
+
+def test_unreadable_text_exits_3_without_traceback(files, capsys, tmp_path):
+    # a bad kind or a count that str.isdigit takes but int refuses is an
+    # input error, in a report, a delta file and a segment file alike
+    report, delta, seg = (tmp_path / n for n in ("report.txt", "delta.txt", "seg.txt"))
+    forged = decision.Verdict(
+        "holds", "general", "zero-fragment", {"delta": ("(0) a (1:1) [bogus]",)}
+    )
+    report.write_text(decision.serialize_verdict(forged))
+    delta.write_text("(0) a (1:²)\n")
+    seg.write_text("(0)\n(1:²)\n")
+    for argv in (
+        ["replay", files["ring3"], files["ring9"], str(report)],
+        ["wdelta", files["ring3"], "--delta", str(delta)],
+        ["segments", files["two_start"], "--segment", str(seg)],
+    ):
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err), (argv, err)
+        assert "Traceback" not in err

@@ -262,6 +262,28 @@ def test_forged_prefix_fragment_rejected(ring3, ring9, mode):
     assert not replay_certificate(ring3, ring9, forged)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="B4: replay does not yet check that a zero-fragment delta covers "
+    "the pair (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("delta", [(), ("(0) a (2:1) [start]",)], ids=["empty", "one-step"])
+@pytest.mark.parametrize("mode", ["prefix", "general"])
+def test_forged_zero_fragment_rejected(ring3, ring9, mode, delta):
+    # (ring3, ring9) fails at abaa, so no zero-fragment Holds may replay
+    forged = Verdict("holds", mode, "zero-fragment", {"delta": delta})
+    assert not replay_certificate(ring3, ring9, forged)
+
+
+@pytest.mark.parametrize(
+    "line", ["(0) a (1:1) [bogus]", "(0) a (1:\u00b2)", "x (0) a (1:1)"]
+)
+def test_replay_rejects_an_unreadable_delta_line(single_ab, line):
+    forged = Verdict("holds", "general", "zero-fragment", {"delta": (line,)})
+    with pytest.raises(MalformedCertificate, match="bad"):
+        replay_certificate(single_ab, depth_chain(3), forged)
+
+
 def test_prefix_fragment_missing_a_step_rejected(single_ab):
     V = depth_chain(4)
     v = decide_sp(single_ab, V, "prefix", SMALL)

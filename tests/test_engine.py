@@ -9,10 +9,19 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from shufflecheck.automata import Letter, grave, word
+from shufflecheck.automata import (
+    Letter,
+    ParseError,
+    ShufflecheckError,
+    grave,
+    parse_automaton,
+    parse_letter,
+    word,
+)
+from shufflecheck.decision import parse_verdict
 from shufflecheck.engine import (
     Computation,
     CounterVector,
@@ -168,6 +177,65 @@ def test_step_kind_is_checked():
 def test_parse_vector_roundtrip():
     for text in ["(0)", "(II:1)", "(II:2 III:1)"]:
         assert str(parse_vector(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "I)qre_1bns)(tx(",
+        "(a#2'4():ed)",
+        "x (0) a (1:1)",
+        "(0) a (1:1) junk",
+        "(0) a b (1:1)",
+        "(0) a (1:1) [bogus]",
+        "(0) a (1:1) []",
+        "(0) a (1:\u00b2)",
+    ],
+)
+def test_parse_transition_rejects_anything_but_one_step(text):
+    with pytest.raises(ParseError):
+        parse_transition(text)
+
+
+def test_parse_transition_reads_spacing_and_an_optional_kind():
+    t = parse_transition("(II:1) c (0) [end]")
+    assert parse_transition(" ( II:1 )c(0)[ end ] ") is t
+    assert parse_transition("(II:1) c (0)") is t
+    assert parse_transition("(0) a (0) [inner]").kind == "inner"
+
+
+# Pieces of every text format, so that random texts come near valid ones.
+TEXT_PIECES = [
+    "(", ")", "[", "]", ":", "@", "^", "#", " ", "\n", "0", "1", "12", "\u00b2",
+    "a", "b", "q", "II", "start", "end", "inner", "start_end", "kind: ", "dfa",
+    "semiautomaton", "alphabet: ", "states: ", "initial: ", "finals: ", "trans: ",
+    "VERDICT: ", "holds", "fails", "MODE: ", "general", "prefix", "ROUTE: ",
+    "CERTIFICATE:", "BUDGETS:", "STATS:", "word: ", "positions: ", "delta: ",
+    "km_node_cap: ",
+]
+pieces = st.lists(st.sampled_from(TEXT_PIECES), max_size=24).map("".join)
+few_pieces = st.lists(st.sampled_from(TEXT_PIECES), max_size=3).map("".join)
+texts = st.one_of(
+    st.text(max_size=30),
+    pieces,
+    # '(f) a (g) [kind]' with random parts
+    st.tuples(few_pieces, few_pieces, few_pieces, few_pieces).map(
+        lambda parts: "({}) {} ({}) [{}]".format(*parts)
+    ),
+)
+
+
+@seed(30)
+@settings(max_examples=1000, deadline=None)
+@given(texts)
+def test_text_readers_raise_only_package_errors(text):
+    # whatever the text, a reader returns or raises a ShufflecheckError,
+    # which the CLI reports as one error line
+    for read in (parse_letter, parse_vector, parse_transition, parse_automaton, parse_verdict):
+        try:
+            read(text)
+        except ShufflecheckError:
+            pass
 
 
 # --- core and shift law ------------------------------------------------

@@ -426,6 +426,51 @@ def test_successors_check_sees_calls_only():
     assert _direct_successors_calls(source) == [2, 4]
 
 
+def _stray_exceptions(module, base) -> list:
+    """Exception classes that module defines and that do not derive from
+    base; classes it imports are its source module's business."""
+    return sorted(
+        name
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+        and not issubclass(obj, base)
+    )
+
+
+def test_every_package_exception_derives_from_the_base():
+    # the CLI reports a ShufflecheckError as one error line and any other
+    # exception as a bug, with its traceback
+    import importlib
+
+    found = {
+        path.stem: _stray_exceptions(
+            importlib.import_module(f"shufflecheck.{path.stem}"),
+            shufflecheck.ShufflecheckError,
+        )
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: stray for name, stray in found.items() if stray} == {}
+
+
+def test_exception_base_check_sees_classes_defined_in_the_module():
+    import types
+
+    module = types.ModuleType("synthetic")
+    exec("\n".join([
+        "from json import JSONDecodeError",
+        "class Base(Exception): pass",
+        "class Derived(Base): pass",
+        "class Both(Base, ValueError): pass",
+        "class Stray(ValueError): pass",
+        "class Plain: pass",
+    ]), vars(module))
+    assert _stray_exceptions(module, module.Base) == ["Stray"]
+    assert _stray_exceptions(module, Exception) == []
+
+
 def test_benchmark_wrapped_names_resolve():
     # a traced benchmark run wraps these names on the imported package; a
     # rename or removal would break it, so shufflecheck.oracle, for one,
