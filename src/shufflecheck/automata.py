@@ -142,7 +142,10 @@ def parse_letter(tok: str) -> Letter:
         sym, _, idx = tok.rpartition("@")
         if not idx.isdecimal():
             raise ParseError(f"bad letter index in {tok!r}")
-        tok, index = sym, int(idx)
+        try:
+            tok, index = sym, int(idx)
+        except ValueError:  # more digits than int converts
+            raise ParseError(f"letter index of {len(idx)} digits is too long") from None
     if not tok:
         raise ParseError("empty letter")
     return Letter(tok, index, mark)

@@ -8,7 +8,6 @@ produced it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -23,8 +22,6 @@ from .automata import (
 )
 from .engine import (
     BudgetExceeded,
-    ZERO,
-    engine_for,
     parse_transition,
     shuffle_member,
     sp_falsify,
@@ -32,6 +29,7 @@ from .engine import (
 from .petri import (
     DEFAULT_FORWARD_CAP,
     DEFAULT_KM_NODE_CAP,
+    build_product,
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     decide_sp_via_net,
@@ -243,32 +241,17 @@ def _delete_positions(w: tuple, positions: tuple) -> tuple:
 def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
     """Is delta closed in the product of comp's counter system with V?
 
-    The walk starts at (0, V's initial state) and follows only steps in
-    delta.  At every state (f, r) it reaches, each step of the counter
-    system from f on a letter that V reads at r must be in delta.  That
-    is the coverage the prefix route's closure search assumes.  Unlike
-    `build_product`, the walk never leaves delta, so it ends on any
-    certificate, even one whose product is infinite.  Like it, the walk
-    builds each (vector, letter) pair's steps once, in its step table.
+    Closed means that at every product state (f, r) reached from
+    (0, V's initial state), each step of the counter system from f on a
+    letter that V reads at r is in delta: the coverage the prefix route's
+    closure search assumes.  A closed delta keeps the forward product
+    (`build_product`) to vectors that are 0 or a target of delta, so the
+    walk ends within (targets + 1) * |V| states with its fragment inside
+    delta; any other delta takes a step outside it or passes that cap.
     """
-    steps = engine_for(comp).step_table()
-    start = (ZERO, V.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        f, r = queue.popleft()
-        for a in comp.alphabet:
-            s = V.delta.get((r, a))
-            if s is None:
-                continue
-            for t in steps(f, a):
-                if t not in delta:
-                    return False
-                nxt = (t.target, s)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return True
+    cap = (len({t.target for t in delta}) + 1) * len(V.states)
+    _, fragment, exhausted = build_product(comp, V, cap)
+    return exhausted and fragment <= delta
 
 
 def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:

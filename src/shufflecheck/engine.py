@@ -166,7 +166,10 @@ def parse_vector(text: str) -> CounterVector:
         q, _, n = tok.rpartition(":")
         if not n.isdecimal():
             raise ParseError(f"bad count in {tok!r}")
-        counts[q] = counts.get(q, 0) + int(n)
+        try:
+            counts[q] = counts.get(q, 0) + int(n)
+        except ValueError:  # more digits than int converts
+            raise ParseError(f"count of {len(n)} digits is too long") from None
     return CounterVector.make(counts)
 
 

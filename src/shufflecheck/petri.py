@@ -7,7 +7,7 @@ with V is finite: forward from (0, V.initial) on the prefix route, and
 backward from the accepting closures (0, q_f) on the zero route.  They
 walk the product states themselves; a walk ends unless it meets a state
 that strictly covers a tree ancestor with the same V-state, a pump
-(`decide_alf_pre_finite` gives the argument).  The product net, `build_npv`,
+(`_pump_walk` gives the argument).  The product net, `build_npv`,
 has one reachable marking per product state, so Karp–Miller on it gives
 the same answer; it serves the `petri` command and the tests.  The
 deletion net runs a composite word as a remainder and one tracked
@@ -687,6 +687,44 @@ def _pump(P: Dfa, V: Dfa, tree: dict, state, new, base) -> tuple:
     return tuple(names[:k]), tuple(names[k:])
 
 
+def _pump_walk(roots, edges, cap: int) -> tuple:
+    """(tree, pump, exhausted): breadth-first walk of product states
+    (vector, V-state) from roots; edges(state) gives the states one step on.
+
+    tree maps each kept state to its parent, None for a root.  Before the
+    walk keeps a new state it looks for a pump, an ancestor that the state
+    strictly covers with the same V-state (`_covered_ancestor`), and stops
+    at the first, with pump = (state, new, base).  It stops with exhausted
+    False past cap states, and True when no state is left.
+
+    On a monotone counter system, forward or backward, a pump means the
+    product is infinite: the path from base fires again from new, and
+    again, each time growing the vector.  Conversely an infinite product
+    gives the walk an infinite, finitely branching tree, so an infinite
+    branch (König); on it some state covers an earlier one with the same
+    V-state (Dickson's lemma), strictly, since the tree holds no state
+    twice, and the walk checks that pair when it keeps the later one.  A
+    state already held needs no check: the argument reads only the tree.
+    This is Karp–Miller's answer on `build_npv`'s net, whose markings are
+    the product states (Karp & Miller, 1969), without building the net.
+    """
+    tree = dict.fromkeys(roots)
+    queue = deque(tree)
+    while queue:
+        state = queue.popleft()
+        for new in edges(state):
+            if new in tree:
+                continue
+            base = _covered_ancestor(tree, state, new)
+            if base is not None:
+                return tree, (state, new, base), False
+            tree[new] = state
+            if len(tree) > cap:
+                return tree, None, False
+            queue.append(new)
+    return tree, None, True
+
+
 def decide_alf_pre_finite(
     P: Dfa,
     V: Dfa,
@@ -698,38 +736,19 @@ def decide_alf_pre_finite(
     V must recognize a prefix-closed language (every state accepting).  The
     alphabet is finite exactly when the product of the counter system with
     V is, and is then the set of steps on the product's edges.  One
-    breadth-first walk from (0, V.initial) answers, with the steps of the
-    engine's step table; each new state keeps its parent in the walk's
-    tree.  Before the walk keeps a new state, it walks that state's
-    ancestors (`_covered_ancestor`).  A new state that strictly covers an
-    ancestor with the same V-state is a pump: the counter system is
-    monotone, so the path from the ancestor fires again from the new state,
-    and again, each time growing the vector, and the product is infinite.
-    Conversely an infinite product gives the walk an infinite, finitely
-    branching tree, so an infinite branch (König); on it some state covers
-    an earlier one with the same V-state (Dickson's lemma), strictly, since
-    the tree holds no state twice, and the walk checks that pair when it
-    keeps the later one.  A state the walk already holds needs no check:
-    the argument reads only the tree.  So a walk without a pump ends, with
-    the product's states and the steps on its edges.  This is the answer
-    Karp–Miller gives on `build_npv`'s net, whose markings are the product
-    states (Karp & Miller, 1969), without building the net.  The pump is
-    (prefix, cycle) in that net's transition names, which `replay_pump`
-    fires; which pump the walk meets first may follow the order of a step
-    set.
+    `_pump_walk` forward from (0, V.initial), with the steps of the
+    engine's step table, answers.  The pump is (prefix, cycle) in
+    `build_npv`'s transition names, which `replay_pump` fires; which pump
+    the walk meets first may follow the order of a step set.
 
     The walk keeps at most node_cap states and at most forward_cap states.
     When it would keep more, the answer is Unknown and the stats name the
     cap, km_node_cap when both are passed.
     """
     steps = engine_for(P).step_table()
-    start = (ZERO, V.initial)
-    tree = {start: None}
     fragment = set()
-    queue = deque([start])
-    cap = min(node_cap, forward_cap)
-    while queue:
-        state = queue.popleft()
+
+    def forward(state):
         f, r = state
         for a in P.alphabet:
             s = V.delta.get((r, a))
@@ -737,23 +756,19 @@ def decide_alf_pre_finite(
                 continue
             for t in steps(f, a):
                 fragment.add(t)
-                new = (t.target, s)
-                if new in tree:
-                    continue
-                base = _covered_ancestor(tree, state, new)
-                if base is not None:
-                    pump = _pump(P, V, tree, state, new, base)
-                    stats = {"product_states": len(tree)}
-                    return AlfResult("infinite", pump=pump, stats=stats)
-                tree[new] = state
-                if len(tree) > cap:
-                    capped_by = "km_node_cap" if len(tree) > node_cap else "forward_cap"
-                    stats = {"product_states": len(tree), "capped_by": capped_by}
-                    return AlfResult("unknown", stats=stats)
-                queue.append(new)
+                yield t.target, s
+
+    tree, pump, exhausted = _pump_walk(
+        [(ZERO, V.initial)], forward, min(node_cap, forward_cap)
+    )
+    stats = {"product_states": len(tree)}
+    if pump is not None:
+        return AlfResult("infinite", pump=_pump(P, V, tree, *pump), stats=stats)
+    if not exhausted:
+        stats["capped_by"] = "km_node_cap" if len(tree) > node_cap else "forward_cap"
+        return AlfResult("unknown", stats=stats)
     return AlfResult(
-        "finite", delta=frozenset(fragment), states=frozenset(tree),
-        stats={"product_states": len(tree)},
+        "finite", delta=frozenset(fragment), states=frozenset(tree), stats=stats
     )
 
 
@@ -768,16 +783,13 @@ def decide_alf_zero_finite(
 
     V must be a complete automaton with finals.  R is the set of product
     states that reach an accepting closure (0, q_f), and the forward
-    product is walked inside R.  One breadth-first walk backward from
-    every (0, q_f), with the predecessors of `ShuffleEngine.sources`, gives
-    R, and keeps no state that strictly covers a tree ancestor with the
-    same V-state.  The counter system run backward is monotone too, so
-    `decide_alf_pre_finite`'s argument holds: such a state is a pump, R is
-    infinite and the answer is Unknown; otherwise the walk ends with R
-    whole.  R is then the union of the markings reachable from each
-    (0, q_f) in `build_npv`'s net with every pre- and post-set swapped,
-    found without the net, and a `build_product` walk kept inside R gives
-    the fragment.
+    product is walked inside R.  One `_pump_walk` backward from every
+    (0, q_f), with the predecessors of `ShuffleEngine.sources`, gives R,
+    or a pump, which makes R infinite and the answer Unknown.  R is the
+    union of the markings reachable from each (0, q_f) in `build_npv`'s
+    net with every pre- and post-set swapped, found without the net.  A
+    `build_product` walk kept inside R gives the fragment; it has no pump
+    check, since a strict cover inside R does not make R infinite.
 
     node_cap bounds R as a whole, in states kept, not each (0, q_f)'s part
     of it; forward_cap bounds the forward walk.  Either cap gives Unknown.
@@ -792,11 +804,8 @@ def decide_alf_zero_finite(
     into: dict = {}  # (V-state, letter) -> the V-states the letter leads into it
     for (r, a), s in V.delta.items():
         into.setdefault((s, a), []).append(r)
-    roots = [(ZERO, qf) for qf in V.finals]
-    R = dict.fromkeys(roots)  # the walk's tree: state -> parent
-    queue = deque(roots)
-    while queue:
-        state = queue.popleft()
+
+    def backward(state):
         g, s = state
         for a in P.alphabet:
             before = into.get((s, a))
@@ -804,15 +813,11 @@ def decide_alf_zero_finite(
                 continue
             for f in eng.sources(g, a):
                 for r in before:
-                    new = (f, r)
-                    if new in R:
-                        continue
-                    if _covered_ancestor(R, state, new) is not None:
-                        return AlfResult("unknown")
-                    R[new] = state
-                    if len(R) > node_cap:
-                        return AlfResult("unknown")
-                    queue.append(new)
+                    yield f, r
+
+    R, _, exhausted = _pump_walk([(ZERO, qf) for qf in V.finals], backward, node_cap)
+    if not exhausted:
+        return AlfResult("unknown")
     states, delta, exhausted = build_product(P, V, forward_cap, keep=R.__contains__)
     if not exhausted:
         return AlfResult("unknown")
@@ -1031,8 +1036,14 @@ def decide_sp_via_net(
     A counterexample is a marking where the composite's V-state accepts,
     the remainder's counters are all closed, the deleted component is
     complete (so the composite's counters are closed too), and the
-    remainder's V-state rejects.  Exact when the marking space is finite;
-    otherwise Holds is still sound when no such marking is even coverable.
+    remainder's V-state rejects.  Holds is sound when no such marking is
+    even coverable.  Otherwise the marking BFS looks for a reachable one, a
+    Fails witness; it cannot exhaust the markings without one.  The net
+    runs on `complete(V)`, so if P has a word of two or more letters, a
+    paired START step fires again and again and the reachable markings are
+    infinite.  If every word of P has one letter, no counter ever holds a
+    token, so the control search is exact: a live target is a reachable
+    one, which the BFS reaches, and no live target gives `net-uncoverable`.
 
     Every counterexample marking marks its control places, so the route
     first searches the control states (`_live_controls`).  When none of
@@ -1068,7 +1079,7 @@ def decide_sp_via_net(
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
     packed = [net.pack(t) for t in targets]
-    seen, exhausted = marking_bfs(net, net.marking(m0), forward_cap, frozenset(packed))
+    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, frozenset(packed))
     stats["markings"] = len(seen)
     hit = next((t for t in packed if t in seen), None)
     if hit is not None:
@@ -1077,8 +1088,6 @@ def decide_sp_via_net(
             "fails", "net-reachability", witness=decode_firing(net, path),
             stats=stats,
         )
-    if exhausted:
-        return NetVerdict("holds", "net-exhaustive", stats=stats)
     return NetVerdict("unknown", "net-budget", stats=stats)
 
 

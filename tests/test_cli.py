@@ -355,19 +355,30 @@ def test_segment_frontier_cap_exits_3(files, capsys, monkeypatch):
 
 
 def test_unreadable_text_exits_3_without_traceback(files, capsys, tmp_path):
-    # a bad kind or a count that str.isdigit takes but int refuses is an
-    # input error, in a report, a delta file and a segment file alike
-    report, delta, seg = (tmp_path / n for n in ("report.txt", "delta.txt", "seg.txt"))
+    # a bad kind, a count that str.isdigit takes but int refuses, or a
+    # number of more digits than int converts (4,300) is an input error, in
+    # a report, a delta file, a segment file and an automaton file alike
+    report, delta, seg, long_delta, long_aut = (
+        tmp_path / n
+        for n in ("report.txt", "delta.txt", "seg.txt", "long.txt", "long.aut")
+    )
     forged = decision.Verdict(
         "holds", "general", "zero-fragment", {"delta": ("(0) a (1:1) [bogus]",)}
     )
     report.write_text(decision.serialize_verdict(forged))
     delta.write_text("(0) a (1:²)\n")
     seg.write_text("(0)\n(1:²)\n")
+    digits = "1" * 5000
+    long_delta.write_text(f"(0) a (a:{digits})\n")
+    long_aut.write_text(
+        f"kind: dfa\nalphabet: a@{digits}\nstates: 1\ninitial: 1\nfinals: 1\n"
+    )
     for argv in (
         ["replay", files["ring3"], files["ring9"], str(report)],
         ["wdelta", files["ring3"], "--delta", str(delta)],
         ["segments", files["two_start"], "--segment", str(seg)],
+        ["wdelta", files["ring3"], "--delta", str(long_delta)],
+        ["decide", str(long_aut), files["ring3"]],
     ):
         assert main(argv) == 3, argv
         out, err = capsys.readouterr()

@@ -238,6 +238,15 @@ def test_text_readers_raise_only_package_errors(text):
             pass
 
 
+def test_numbers_int_refuses_are_parse_errors():
+    # isdecimal takes any number of digits; int refuses more than 4,300
+    digits = "1" * 5000
+    with pytest.raises(ParseError):
+        parse_vector(f"(a:{digits})")
+    with pytest.raises(ParseError):
+        parse_letter(f"a@{digits}")
+
+
 # --- core and shift law ------------------------------------------------
 
 def test_core_two_start(two_start):

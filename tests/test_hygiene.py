@@ -490,3 +490,37 @@ def test_benchmark_wrapped_names_resolve():
     ]
     assert missing == []
     assert callable(shufflecheck.engine.ShuffleEngine.successors)
+
+
+# Wrapped by the benchmark's tracer although neither decide nor replay
+# calls them (ROADMAP's B9); the list goes once the tracer stops wrapping
+# them.
+UNCALLED_WRAPPED = {
+    "oracle.iterated_shuffle_upto",
+    "oracle.one_factor_removals",
+    "petri.reachable_markings",
+    "representation.build_w_delta",
+}
+
+
+def test_benchmark_wrapped_names_are_called(tmp_path):
+    # a wrapped name that the pipeline stopped calling, or that it calls
+    # through another module's global than the wrapped one, reads 0 on
+    # every workload; a traced pass of each workload must call it
+    import json
+    import subprocess
+    import sys
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        argv = [
+            sys.executable, str(ROOT / "perfbench" / "worker.py"),
+            "--workload", workload, "--seed", "1", "--count", "2000",
+            "--trace-dir", str(tmp_path / workload),
+        ]
+        out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+        for labels in json.loads(out)["layers"].values():
+            for label, stats in labels.items():
+                calls[label] = calls.get(label, 0) + stats["calls"]
+    assert {label for label, n in calls.items() if n == 0} == UNCALLED_WRAPPED

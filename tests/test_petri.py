@@ -850,6 +850,33 @@ def test_net_decision_holds_uncoverable(alt):
     assert res.route == "net-uncoverable"
 
 
+def test_net_route_on_one_letter_words_is_exact_without_exhausting():
+    # every word of P has one letter, so no counter ever holds a token:
+    # where Karp–Miller stops, its last node is a target itself, which the
+    # marking BFS reaches.  Called directly, since decide_sp settles these
+    # pairs earlier by a fragment route.
+    P = normalize(mk_dfa("ab", [("1", "a", "2"), ("1", "b", "2")], "1", ["2"]))
+    rng = random.Random(7)
+    routes = {}
+    for _ in range(400):
+        _, V = wide_draw(rng, 3, "ab")
+        try:
+            V = normalize(V)
+        except EmptyLanguage:
+            continue
+        route = decide_sp_via_net(P, V).route
+        routes[route] = routes.get(route, 0) + 1
+        Vc = complete(V)
+        net, iota = build_np_v_full(P, Vc)
+        targets = _counterexample_targets(net, iota, Vc)
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        km = karp_miller(net, m0, stop_at=targets)
+        assert km.stopped == (route == "net-reachability"), V
+        if km.stopped:
+            assert km.nodes[-1].marking in targets
+    assert routes == {"net-uncoverable": 268, "net-reachability": 90}
+
+
 def test_net_decision_finds_counterexample(ring3, ring9):
     res = decide_sp_via_net(ring3, ring9, forward_cap=100_000)
     assert res.status == "fails"
