@@ -16,6 +16,12 @@ Petri nets of `petri` take their arcs from the core steps' source and
 target vectors, and every module that lists the core in a fixed order
 reads the engine's `ordered_core`.
 
+Word membership (`shuffle_member`, `pre_shuffle_member`) runs the counter
+system on packed vectors instead: one int with a field per component
+state, and per letter a tuple of (guard, effect) pairs, one per core
+step on it (`ShuffleEngine.packed_steps`), so a step is one test and one
+addition and the walk makes no `CounterVector`.
+
 Counter vectors and transitions are interned through `automata.intern`,
 as letters are, so each is built and rendered once, however many sets
 and dicts hold it.
@@ -48,6 +54,13 @@ INNER = "inner"
 END = "end"
 START_END = "start_end"
 KINDS = (START, INNER, END, START_END)
+
+
+# Bits per component state in a packed vector of the word walk
+# (`ShuffleEngine.member_frontier`).  A word of n letters opens at most n
+# components, so its counts fit in n.bit_length() bits, and one table of
+# this width serves every word under 2**16 letters.
+WORD_FIELD = 16
 
 
 _VECTORS = weakref.WeakValueDictionary()  # entries -> CounterVector
@@ -354,6 +367,7 @@ class ShuffleEngine:
             *(out for (q, _a), out in self.moving.items() if q in self.component_states),
         )
         # letter -> the core steps on it, which `sources` runs backward
+        # and `packed_steps` packs
         self.core_on = {a: [] for a in P.alphabet}
         for t in self.core:
             self.core_on[t.letter].append(t)
@@ -422,14 +436,66 @@ class ShuffleEngine:
                 out.add(rest.add(t.source))
         return frozenset(out)
 
-    def member_final_vectors(self, w: Word) -> frozenset:
-        """All vectors reachable from 0 along paths labeled w."""
-        frontier = {ZERO}
+    @cached_property
+    def word_steps(self) -> dict:
+        """`packed_steps` for WORD_FIELD-bit fields, built once."""
+        return self.packed_steps(WORD_FIELD)
+
+    def packed_steps(self, width: int) -> dict:
+        """letter -> the core steps on it (`core_on`), on packed vectors:
+        ints holding one `width`-bit count per component state, in sorted
+        state order.
+
+        A step is a pair (guard, effect), and it takes f to f + effect
+        when the guard is 0 or f & guard is nonzero.  An opening step has
+        guard 0; a step moving a component out of q has q's field as its
+        guard.  A core step's source and target are 0 or unit vectors, so
+        its effect, target less source, is two shifts.  The core is every
+        step's basis: no reachable vector counts a state outside
+        `component_states`, so a shifted core step is every step there is.
+        """
+        shift = {q: width * i for i, q in enumerate(sorted(self.component_states))}
+        field = (1 << width) - 1
+        table = {}
+        for a, core in self.core_on.items():
+            steps = []
+            for t in core:
+                target = t.target.entries
+                effect = 1 << shift[target[0][0]] if target else 0
+                source = t.source.entries
+                if source:
+                    k = shift[source[0][0]]
+                    steps.append((field << k, effect - (1 << k)))
+                else:
+                    steps.append((0, effect))
+            table[a] = tuple(steps)
+        return table
+
+    def member_frontier(self, w: Word) -> set:
+        """All vectors reachable from 0 along paths labeled w, packed
+        (`packed_steps`) in fields wide enough for any count w reaches.
+
+        A letter P does not read raises UnknownLetter once the walk
+        reaches it, unless no vector is left by then.
+        """
+        if len(w) < 1 << WORD_FIELD:
+            table = self.word_steps
+        else:
+            table = self.packed_steps(len(w).bit_length())
+        frontier = {0}
         for a in w:
-            frontier = {g for f in frontier for g in self.targets(f, a)}
+            steps = table.get(a)
+            if steps is None:
+                raise UnknownLetter(f"letter {a} not in the alphabet")
+            frontier = {
+                f + effect
+                for f in frontier
+                for guard, effect in steps
+                if not guard or f & guard
+            }
             if not frontier:
                 break
-        return frozenset(frontier)
+        return frontier
 
 
 # Bounded so that a long-lived caller deciding many component languages
@@ -455,12 +521,12 @@ def sigma_core(P: Dfa) -> frozenset:
 
 def pre_shuffle_member(P: Dfa, w: Word) -> bool:
     """Is w a label of some interleaving of component prefixes?"""
-    return bool(engine_for(P).member_final_vectors(w))
+    return bool(engine_for(P).member_frontier(w))
 
 
 def shuffle_member(P: Dfa, w: Word) -> bool:
     """Is w an interleaving of complete component words?"""
-    return ZERO in engine_for(P).member_final_vectors(w)
+    return 0 in engine_for(P).member_frontier(w)
 
 
 MAX_FALSIFIER_LEN = 32

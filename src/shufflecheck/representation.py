@@ -184,7 +184,7 @@ def _move_order(move: tuple) -> tuple:
     return f"[{x1} | {x2} | {x3}]", x1.kind
 
 
-def _deletion_moves(P: Dfa, delta):
+def _deletion_moves(P: Dfa, delta, trusted: bool = False):
     """The move function of the deletion system over the fragment delta.
 
     A state (s2, s3) is the remainder vector and the tracked component, or
@@ -195,7 +195,8 @@ def _deletion_moves(P: Dfa, delta):
     letter and kind agree by construction.  The returned function maps a
     state to its moves (x1, x2, x3, next state), a column's tracks each,
     sorted in column order (`_move_order`).  An invalid step in delta
-    raises NotSubsetOfShuffle here, before any move is made.
+    raises NotSubsetOfShuffle here, before any move is made, unless
+    trusted says that delta holds only the engine's own steps.
 
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
@@ -204,7 +205,7 @@ def _deletion_moves(P: Dfa, delta):
     """
     delta = frozenset(delta)
     eng = engine_for(P)
-    steps = _checked_step_table(eng, delta)
+    steps = eng.step_table() if trusted else _checked_step_table(eng, delta)
     letters = {t.letter for t in delta}
     elementary: dict = {}
     for x3 in eng.core:
@@ -361,7 +362,9 @@ class ClosureOutcome:
     states_explored: int
 
 
-def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
+def _closure_search(
+    P: Dfa, V: Dfa, delta, require_zero: bool, trusted: bool
+) -> ClosureOutcome:
     """Breadth-first search of the deletion system x V x V for an accepted
     composite whose remainder V rejects.
 
@@ -384,7 +387,7 @@ def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome
     final = [q in V.finals for q in index]
     witnessing = [f1 and not f2 for f1 in final for f2 in final]
     pair_steps: dict = {}  # (letter, track 2 moves) -> V-pair -> V-pair
-    deletion_moves = _deletion_moves(P, delta)
+    deletion_moves = _deletion_moves(P, delta, trusted)
     ids = {(ZERO, ZERO): 0}
     found = [(ZERO, ZERO)]  # id -> deletion-system state
     moves = [None]  # id -> [(next id * n * n, V-pair step, move)]
@@ -434,20 +437,28 @@ def _witness(parent: dict, state: int, nn: int, moves: list) -> tuple:
     return tuple(reversed(path))
 
 
-def check_closure_prefix(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
+def check_closure_prefix(
+    P: Dfa, V: Dfa, delta, trusted: bool = False
+) -> ClosureOutcome:
     """Exact closure check for the prefix form.
 
     Sound only when every computation labeling a word of V stays inside
-    delta; the caller must have established that coverage.
+    delta; the caller must have established that coverage.  An invalid
+    step in delta raises NotSubsetOfShuffle; a caller that built delta
+    from the engine's own steps passes trusted=True, which skips that
+    check.
     """
-    return _closure_search(P, V, delta, require_zero=False)
+    return _closure_search(P, V, delta, require_zero=False, trusted=trusted)
 
 
-def check_closure_zero(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
+def check_closure_zero(
+    P: Dfa, V: Dfa, delta, trusted: bool = False
+) -> ClosureOutcome:
     """Exact closure check where the composite side must close all
     components and end accepted by V.
 
     Sound only when every closing computation labeling a word of V stays
-    inside delta; the caller must have established that coverage.
+    inside delta; the caller must have established that coverage.  The
+    step check and trusted are `check_closure_prefix`'s.
     """
-    return _closure_search(P, V, delta, require_zero=True)
+    return _closure_search(P, V, delta, require_zero=True, trusted=trusted)

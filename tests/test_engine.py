@@ -6,17 +6,20 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from shufflecheck.automata import (
+    EmptyLanguage,
     Letter,
     ParseError,
     ShufflecheckError,
+    UnknownLetter,
     grave,
+    normalize,
     parse_automaton,
     parse_letter,
     word,
@@ -39,7 +42,7 @@ from shufflecheck.engine import (
     sigma_core,
 )
 from shufflecheck.oracle import iterated_shuffle_upto
-from conftest import mk_dfa, random_dfa
+from conftest import mk_dfa, random_dfa, wide_draw
 
 
 def tset(*texts):
@@ -391,6 +394,106 @@ def test_membership_matches_oracle(rng):
                 assert shuffle_member(P, w) == (w in members)
                 assert pre_shuffle_member(P, w) == (w in pre_members)
         done += 1
+
+
+def _vector_frontier(P, w) -> frozenset:
+    """The vectors reached from 0 along paths labeled w, walked on
+    `CounterVector`s: the reference for the packed walk of
+    `shuffle_member` and `pre_shuffle_member`."""
+    eng = engine_for(P)
+    frontier = {ZERO}
+    for a in w:
+        frontier = {g for f in frontier for g in eng.targets(f, a)}
+        if not frontier:
+            break
+    return frozenset(frontier)
+
+
+def _word_dfa(text):
+    # the component language {text}
+    n = len(text)
+    return mk_dfa(
+        "ab", [(str(i), x, str(i + 1)) for i, x in enumerate(text)], "0", [str(n)]
+    )
+
+
+def _agrees_with_the_vector_walk(P, w):
+    frontier = _vector_frontier(P, w)
+    assert len(engine_for(P).member_frontier(w)) == len(frontier), (P, w)
+    assert shuffle_member(P, w) == (ZERO in frontier), (P, w)
+    assert pre_shuffle_member(P, w) == bool(frontier), (P, w)
+
+
+@pytest.mark.parametrize("draw_seed", [7, 11, 13])
+def test_packed_membership_matches_the_vector_walk_on_wide_draws(draw_seed):
+    # every word up to length 6, for P and its prefix recognizer
+    rng = random.Random(draw_seed)
+    words = [
+        tuple(map(Letter, chars))
+        for n in range(7)
+        for chars in product("abc", repeat=n)
+    ]
+    done = 0
+    while done < 10:
+        P, _V = wide_draw(rng)
+        try:
+            P = normalize(P)
+        except EmptyLanguage:
+            continue
+        for comp in (P, grave(P)):
+            for w in words:
+                _agrees_with_the_vector_walk(comp, w)
+        done += 1
+
+
+def test_packed_membership_matches_the_vector_walk_on_modular_witnesses():
+    # a net-reachability witness against "#a = 0 mod k" is k copies of
+    # P's word, and its remainder k - 1 copies; sorted, the same words
+    # hold every component open at once
+    for text in ("ab", "aab", "abb"):
+        P = _word_dfa(text)
+        for k in range(4, 15):
+            for copies in (k, k - 1):
+                w = word(text * copies)
+                for v in (w, tuple(sorted(w, key=str))):
+                    _agrees_with_the_vector_walk(P, v)
+                    assert shuffle_member(P, v)
+                _agrees_with_the_vector_walk(P, w[:-1])
+                assert not shuffle_member(P, w[:-1])
+
+
+def test_packed_membership_past_the_16_bit_field(single_abc):
+    # n = 70,000 components sit at II at once, more than a 16-bit field
+    # holds; II's field lies just below III's
+    n = 70_000
+    a, b, c = word("abc")
+    w = (a,) * n + (b,) * n + (c,) * n
+    assert shuffle_member(single_abc, w)
+    assert not shuffle_member(single_abc, w[:-1])
+    assert pre_shuffle_member(single_abc, w[:-1])
+    assert not pre_shuffle_member(single_abc, w[: 2 * n] + (b,))
+    assert len(engine_for(single_abc).member_frontier(w[: 2 * n])) == 1
+
+
+def test_packed_membership_on_a_letter_p_does_not_read(single_ab):
+    # a letter outside P's alphabet raises while some vector is left, and
+    # a word whose walk has died before it is no member
+    z = Letter("z")
+    for w in ((z,), word("a") + (z,), word("ab") + (z,)):
+        with pytest.raises(UnknownLetter):
+            shuffle_member(single_ab, w)
+        with pytest.raises(UnknownLetter):
+            pre_shuffle_member(single_ab, w)
+    for w in (word("b") + (z,), word("abb") + (z,)):
+        assert not shuffle_member(single_ab, w)
+        assert not pre_shuffle_member(single_ab, w)
+
+
+def test_packed_membership_of_the_empty_word(single_ab, single_letter):
+    for P in (single_ab, single_letter, grave(single_ab)):
+        assert shuffle_member(P, ())
+        assert pre_shuffle_member(P, ())
+        assert engine_for(P).member_frontier(()) == {0}
 
 
 # --- single-component tracker ------------------------------------------
