@@ -389,10 +389,12 @@ class ShuffleEngine:
                 out.add(ShuffleTransition(f, a, t.target.add(f.sub(t.source)), t.kind))
         return frozenset(out)
 
-    def step_table(self):
+    def step_table(self, key=None):
         """A fresh memo of `successors` for one walk: steps(f, a) builds
         the steps of f on a the first time the walk asks, and returns the
-        same set after that.
+        same set after that.  With a sort key it returns them as a list
+        sorted by that key, sorted once: a set of steps iterates in an
+        order that follows memory addresses.
 
         The table is the walk's own and dies with it; the engine keeps no
         steps.  A walk over the vector x V-state product asks for f's steps
@@ -405,7 +407,10 @@ class ShuffleEngine:
         def steps(f: CounterVector, a: Letter) -> frozenset:
             out = table.get((f, a))
             if out is None:
-                out = table[(f, a)] = self.successors(f, a)
+                out = self.successors(f, a)
+                if key is not None:
+                    out = sorted(out, key=key)
+                table[(f, a)] = out
             return out
 
         return steps

@@ -50,11 +50,13 @@ Markings take two forms:
   `karp_miller` the counter field value OMEGA_FIELD stands for ω, a
   count found unbounded; a group field is never ω.
 
-A search converts its root and targets on the way in;
+A search converts its root on the way in and takes its targets packed;
 `reachable_markings` unpacks and converts each marking it found once on
 the way out, and a `KMNode` decodes its marking to a tuple of counts by
 place position, with OMEGA for ω, only when it is read.  Either way the
-dense marking is the same as on a net without groups.
+dense marking is the same as on a net without groups.  The marking BFS
+keeps one parent per marking and no transition: `fired` finds it again
+in the parent's ready list when a path is read.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class PetriNet:
     guard bits of its nonzero counters (`key`): the transitions enabled at
     a marking depend on that key alone.  `ready_at` lists them, per key,
     from the candidates of the key's group fields, which are listed once
-    per group value.
+    per group value.  `token` gives each place's token as a packed
+    marking, so a marking of one-token places packs as their sum.
     """
 
     def __init__(
@@ -147,7 +150,8 @@ class PetriNet:
         self.groups = []  # per group: (field shift, field mask, place positions)
         # per place position: its token as a packed marking, its ready-key
         # bit or bits, and its group's field mask (0 for a counter)
-        token, flag, field_of = [0] * len(places), [0] * len(places), [0] * len(places)
+        self.token = token = [0] * len(places)
+        flag, field_of = [0] * len(places), [0] * len(places)
         for i, s in self.counters:
             token[i], flag[i] = 1 << s, TOP << s
         for g in members:
@@ -277,6 +281,9 @@ class KMNode:
     accelerated: bool = False
     key: int = 0  # the ready key of the marking (`PetriNet.key`)
     net: Optional[PetriNet] = None  # the net whose layout packed follows
+    # the bits of the group values of the node and its ancestors, one bit
+    # per value, shared past PATH_BITS values
+    path_mask: int = 0
     # the decoded marking, once read; set from the start for a root whose
     # counts do not fit below OMEGA_FIELD
     _marking: Optional[tuple] = None
@@ -293,6 +300,11 @@ class KMNode:
     def support(self) -> int:
         """The bitmask of the nonzero places of the marking."""
         return sum(1 << i for i, n in enumerate(self.marking) if n)
+
+
+# Distinct bits in a Karp–Miller path mask: the group values a tree meets
+# take them in turn, and past PATH_BITS values a bit stands for several.
+PATH_BITS = 64
 
 
 @dataclass
@@ -330,24 +342,35 @@ def karp_miller(
     equality, then the subtraction, the same relation as on one field per
     place, and ω only ever stands in a counter field.  An ancestor whose
     ready key (`PetriNet.key`) has other group fields, or a nonzero
-    counter that m lacks, is passed over without the subtraction.  A
-    finite count that would reach OMEGA_FIELD stops the tree, `capped`
+    counter that m lacks, is passed over without the subtraction.
+
+    So only an ancestor with m's group fields, its group value, can be
+    dominated.  Each node keeps a path mask (`KMNode.path_mask`): one bit
+    for the group value of each node on its root path, itself included,
+    the tree's values taking the bits of a PATH_BITS-bit int in the order
+    it meets them.  A child whose group value's bit is not in its parent's
+    mask has no such ancestor, so it skips the walk up the tree; a bit
+    that stands for several values only sends a child on the walk, which
+    then finds what it finds without the mask.
+
+    A finite count that would reach OMEGA_FIELD stops the tree, `capped`
     set, before that node is kept, as a count reaching TOP stops
     `marking_bfs`; a root with such a count gives a capped tree of the
     root alone.  The net is ordinary, so a count grows by at most one per
     level: from counts of at most 1, as in the builders' roots, no tree
     reaches it under a node_cap below 2**30.
 
-    The tree stops, `stopped` set, at the first node that covers a dense
-    marking in stop_at; that node is the last of `nodes`, which are then
-    the full tree's nodes up to it.  `bounded` says nothing about a tree
-    that stopped or was capped.  When no node covers one, the tree is the
-    one built without stop_at.
+    stop_at holds packed markings (`PetriNet.pack`), a count packed as TOP
+    standing for one that only ω covers.  The tree stops, `stopped` set,
+    at the first node that covers one; that node is the last of `nodes`,
+    which are then the full tree's nodes up to it.  `bounded` says nothing
+    about a tree that stopped or was capped.  When no node covers one, the
+    tree is the one built without stop_at.
     """
     order, effect, ready, ready_at = (
         net.order, net.packed_effect, net.ready, net.ready_at
     )
-    top, ones, key_mask = net.top, net.ones, net.key_mask
+    top, ones, key_mask, group_mask = net.top, net.ones, net.key_mask, net.group_mask
     start = net.marking(m0)
     if max(start, default=0) >= OMEGA_FIELD:
         root = KMNode(net.pack(start), None, None, net=net, _marking=start)
@@ -363,7 +386,8 @@ def karp_miller(
     shared &= ~(every ^ some)
     every &= shared
     packed = net.pack(start)
-    root = KMNode(packed, None, None, key=net.key(packed), net=net)
+    bits = {packed & group_mask: 1}  # group value -> its path-mask bit
+    root = KMNode(packed, None, None, key=net.key(packed), net=net, path_mask=1)
     nodes = [root]
     if goals and _covers_any(root.packed, root.key, goals, top):
         return KMResult(False, nodes, None, stopped=True)
@@ -373,7 +397,7 @@ def karp_miller(
     unbounded = False
     while queue:
         node = queue.popleft()
-        nm = node.packed
+        nm, path = node.packed, node.path_mask
         guards = (nm + ones) & top  # the guard bits of nm's ω fields
         omega = guards - (guards >> (FIELD - 1))  # nm's ω fields
         keep = ~(omega | guards)
@@ -387,11 +411,17 @@ def karp_miller(
             if (m + ones) & top != guards:  # a finite count reached OMEGA_FIELD
                 return KMResult(False, nodes, pump, capped=True)
             key = ((m | top) - ones) & key_mask
+            value = key & group_mask
+            bit = bits.get(value)
+            if bit is None:
+                bit = bits[value] = 1 << len(bits) % PATH_BITS
+            accelerated = False
+            # with no bit for m's group value on the path, no ancestor has
+            # it, so none can be dominated and the walk is skipped
+            anc = node if path & bit else None
             # the key bits where an ancestor that m dominates agrees with
             # m's key: the group fields, and the counters that m lacks
             agree = key_mask ^ key & top
-            accelerated = False
-            anc = node
             while anc is not None:
                 if not (anc.key ^ key) & agree:
                     diff = (m | top) - anc.packed
@@ -408,7 +438,7 @@ def karp_miller(
             if m in processed:
                 continue
             processed.add(m)
-            child = KMNode(m, node, order[j], accelerated, key, net)
+            child = KMNode(m, node, order[j], accelerated, key, net, path | bit)
             nodes.append(child)
             if goals and key & shared == every and _covers_any(m, key, goals, top):
                 return KMResult(False, nodes, pump, stopped=True)
@@ -418,18 +448,18 @@ def karp_miller(
     return KMResult(not unbounded, nodes, pump)
 
 
-def _goal(net: PetriNet, t: tuple) -> tuple:
-    """(counters, key mask, key) of the dense marking t as a Karp–Miller
-    goal: its packed counters, each at most OMEGA_FIELD so that ω covers
-    it, and the ready-key bits a node must share to cover it, the fields
-    of the groups t marks and the guard bits of its nonzero counters."""
-    packed = net.pack(tuple([min(n, OMEGA_FIELD) for n in t]))
-    key = net.key(packed)
+def _goal(net: PetriNet, t: int) -> tuple:
+    """(counters, key mask, key) of the packed marking t as a Karp–Miller
+    goal: its counters, each at most OMEGA_FIELD so that ω covers it, and
+    the ready-key bits a node must share to cover it, the fields of the
+    groups t marks and the guard bits of its nonzero counters."""
+    t -= (t & net.top) >> (FIELD - 1)  # a count of TOP as OMEGA_FIELD
+    key = net.key(t)
     mask = key & net.top
     for _, field_mask, _ in net.groups:
         if key & field_mask:
             mask |= field_mask
-    return packed & ~net.group_mask, mask, key & mask
+    return t & ~net.group_mask, mask, key & mask
 
 
 def _covers_any(m: int, key: int, goals: list, top: int) -> bool:
@@ -474,31 +504,35 @@ def marking_bfs(
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
 ) -> tuple:
-    """(packed marking -> (packed parent, transition position), exhausted).
+    """(packed marking -> packed parent, exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
     markings (`PetriNet.pack`); stop_at holds packed markings.  The net is
     ordinary, so a marking's ready key (`PetriNet.key`), its group fields
     and which counters are nonzero, decides which transitions fire; the
-    key is taken from each marking as it leaves the queue.  The search
-    stops early, with exhausted False, when it reaches a marking in
-    stop_at, when it holds more than cap markings, or when a count reaches
-    TOP; that last marking is not kept, so every kept marking unpacks to
-    its true counts.  The root's entry is (None, None); a root with a count
-    of TOP or more gives an empty map.
+    key is taken from each marking as the search reaches it in its queue,
+    a list read while it grows.  The search stops early, with exhausted
+    False, when it reaches a marking in stop_at, when it holds more than
+    cap markings, or when a count reaches TOP; that last marking is not
+    kept, so every kept marking unpacks to its true counts.  The root's
+    parent is None; a root with a count of TOP or more gives an empty map.
+
+    The map keeps each marking's parent only, the marking it was first
+    reached from.  `fired` and `firing_path` recover the transitions when
+    a path is read.
     """
     effect, top, ones, key_mask = net.packed_effect, net.top, net.ones, net.key_mask
     ready, ready_at = net.ready, net.ready_at
     start = net.pack(m0)
     if start & top:
         return {}, False
-    seen = {start: (None, None)}
+    seen = {start: None}
     if start in stop_at:
         return seen, False
-    queue = deque([start])
-    popleft, append = queue.popleft, queue.append
-    while queue:
-        m = popleft()
+    queue = [start]
+    append = queue.append
+    left = max(cap, 1)  # markings past the root the search may still keep
+    for m in queue:
         key = ((m | top) - ones) & key_mask
         enabled = ready.get(key)
         if enabled is None:
@@ -509,11 +543,38 @@ def marking_bfs(
                 continue
             if m2 & top:
                 return seen, False
-            seen[m2] = (m, j)
-            if m2 in stop_at or len(seen) > cap:
+            seen[m2] = m
+            left -= 1
+            if not left or m2 in stop_at:
                 return seen, False
             append(m2)
     return seen, True
+
+
+def fired(net: PetriNet, prev: int, m: int) -> int:
+    """The position of the transition that `marking_bfs` fired at the
+    packed marking prev to keep m, m's parent being prev.  The search fires
+    prev's ready list in net order and keeps m at the first firing that
+    reaches it, so that is the first transition of the list whose effect
+    is m - prev."""
+    key = net.key(prev)
+    enabled = net.ready.get(key)
+    if enabled is None:
+        enabled = net.ready_at(key)
+    step, effect = m - prev, net.packed_effect
+    return next(j for j in enabled if effect[j] == step)
+
+
+def firing_path(net: PetriNet, seen: dict, m: int) -> list:
+    """The positions of the transitions from the root of `marking_bfs`'s
+    map seen to its packed marking m, each recovered by `fired`."""
+    path = []
+    prev = seen[m]
+    while prev is not None:
+        path.append(fired(net, prev, m))
+        m, prev = prev, seen[prev]
+    path.reverse()
+    return path
 
 
 def reachable_markings(
@@ -522,7 +583,8 @@ def reachable_markings(
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at=(),
 ) -> tuple:
-    """(markings-with-parents, exhausted): BFS with parent pointers.
+    """(marking -> parent marking, exhausted): `marking_bfs` with every
+    marking a CounterVector, the root's parent None.
 
     Stops early when any marking in stop_at is reached; exhausted is then
     False.
@@ -532,22 +594,7 @@ def reachable_markings(
         frozenset(net.pack(net.marking(t)) for t in stop_at),
     )
     vector = {m: net.vector(net.unpack(m)) for m in seen}
-    parents = {
-        vector[m]: (vector.get(prev), None if j is None else net.order[j])
-        for m, (prev, j) in seen.items()
-    }
-    return parents, exhausted
-
-
-def firing_path(parents: dict, m) -> list:
-    """The transitions from the root of a BFS's parent map to m."""
-    path = []
-    while parents[m][0] is not None:
-        prev, t = parents[m]
-        path.append(t)
-        m = prev
-    path.reverse()
-    return path
+    return {vector[m]: vector.get(prev) for m, prev in seen.items()}, exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +772,14 @@ def _pump_walk(roots, edges, cap: int) -> tuple:
     return tree, None, True
 
 
+def _step_key(t) -> tuple:
+    """A sort key for the steps of one vector on one letter, which share
+    their source and letter: the target's text, kept on the vector, then
+    the kind.  It orders them as `ShuffleEngine.ordered_core` orders
+    steps, and reads only their values."""
+    return (str(t.target), t.kind)
+
+
 def decide_alf_pre_finite(
     P: Dfa,
     V: Dfa,
@@ -738,14 +793,16 @@ def decide_alf_pre_finite(
     V is, and is then the set of steps on the product's edges.  One
     `_pump_walk` forward from (0, V.initial), with the steps of the
     engine's step table, answers.  The pump is (prefix, cycle) in
-    `build_npv`'s transition names, which `replay_pump` fires; which pump
-    the walk meets first may follow the order of a step set.
+    `build_npv`'s transition names, which `replay_pump` fires.  The walk
+    takes each vector's steps on a letter in `_step_key` order, so the
+    pump it meets first, and the states it has kept by then, depend only
+    on the pair.
 
     The walk keeps at most node_cap states and at most forward_cap states.
     When it would keep more, the answer is Unknown and the stats name the
     cap, km_node_cap when both are passed.
     """
-    steps = engine_for(P).step_table()
+    steps = engine_for(P).step_table(_step_key)
     fragment = set()
 
     def forward(state):
@@ -1064,9 +1121,14 @@ def decide_sp_via_net(
         )
     net, iota = build_np_v_full(P, V, controls)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
-    nonfinals = sorted(set(V.states) - set(V.finals))
+    # the counterexample markings, packed: V1 on a final state, V2 on a
+    # nonfinal one and the tracked token on CHECK_PLACE, each a group
+    # field, and every counter 0
+    token, index = net.token, net.index
+    check = token[index[CHECK_PLACE]]
+    nonfinals = [token[index[_v2(q)]] for q in sorted(set(V.states) - set(V.finals))]
     targets = [
-        net.marking(iota((qf, qn, (ZERO, "check"))))
+        token[index[_v1(qf)]] + check + qn
         for qf in sorted(V.finals)
         for qn in nonfinals
     ]
@@ -1078,12 +1140,11 @@ def decide_sp_via_net(
         # coverability is decided exactly, so no counterexample marking
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
-    packed = [net.pack(t) for t in targets]
-    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, frozenset(packed))
+    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, frozenset(targets))
     stats["markings"] = len(seen)
-    hit = next((t for t in packed if t in seen), None)
+    hit = next((t for t in targets if t in seen), None)
     if hit is not None:
-        path = [net.order[j] for j in firing_path(seen, hit)]
+        path = [net.order[j] for j in firing_path(net, seen, hit)]
         return NetVerdict(
             "fails", "net-reachability", witness=decode_firing(net, path),
             stats=stats,
@@ -1122,13 +1183,20 @@ def to_pnml(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
 
+def _dot_escaped(name: str) -> str:
+    """name for a DOT quoted string: each backslash and double quote is
+    escaped, so the id or label reads back as name."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(net: PetriNet, m0: Optional[CounterVector] = None) -> str:
     lines = ["digraph net {", "  rankdir=LR;"]
-    places = net.places
-    for p in places:
+    places = [_dot_escaped(p) for p in net.places]
+    for p, name in zip(net.places, places):
         tokens = f"\\n{m0.get(p)}" if m0 is not None and m0.get(p) else ""
-        lines.append(f'  "{p}" [shape=circle, label="{p}{tokens}"];')
+        lines.append(f'  "{name}" [shape=circle, label="{name}{tokens}"];')
     for j, t in enumerate(net.order):
+        t = _dot_escaped(t)
         lines.append(f'  "{t}" [shape=box];')
         for i in net.pre[j]:
             lines.append(f'  "{places[i]}" -> "{t}";')

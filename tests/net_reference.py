@@ -13,6 +13,11 @@ to agree on every transition the smaller one keeps, up to the arcs on
 Q1:: places, and every search to see the same markings in both once the
 reference's are projected onto the smaller net's places.
 
+`marking_bfs` is the marking BFS that records each marking's parent
+together with the transition fired there, the reference for
+`petri.marking_bfs`, which keeps the parent only and recovers the
+transition when a path is read.
+
 `one_token_groups` and `check_one_token` state the invariant both nets
 keep: the V1 places, the V2 places and the tracked places each hold one
 token in every reachable marking.  `petri.build_np_v_full` packs each of
@@ -28,6 +33,8 @@ forward walk inside the backward trees' markings.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from shufflecheck.automata import Dfa, complete
 from shufflecheck.engine import ZERO, CounterVector, elementary_vector_states, engine_for
@@ -123,6 +130,48 @@ def ungrouped(net: PetriNet) -> PetriNet:
         net.places, _named_arcs(net, net.pre), _named_arcs(net, net.post),
         net.meta, net.order,
     )
+
+
+def marking_bfs(net: PetriNet, m0: tuple, cap: int, stop_at: frozenset) -> tuple:
+    """(packed marking -> (packed parent, transition position), exhausted):
+    the search `petri.marking_bfs` documents, with the firing recorded for
+    every marking and the root's entry (None, None)."""
+    effect, top = net.packed_effect, net.top
+    start = net.pack(m0)
+    if start & top:
+        return {}, False
+    seen = {start: (None, None)}
+    if start in stop_at:
+        return seen, False
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        key = net.key(m)
+        enabled = net.ready.get(key)
+        if enabled is None:
+            enabled = net.ready_at(key)
+        for j in enabled:
+            m2 = m + effect[j]
+            if m2 in seen:
+                continue
+            if m2 & top:
+                return seen, False
+            seen[m2] = (m, j)
+            if m2 in stop_at or len(seen) > cap:
+                return seen, False
+            queue.append(m2)
+    return seen, True
+
+
+def recorded_path(seen: dict, m: int) -> list:
+    """The transition positions from the root of `marking_bfs`'s map seen
+    to m, as the map records them."""
+    path = []
+    while seen[m][0] is not None:
+        m, j = seen[m]
+        path.append(j)
+    path.reverse()
+    return path
 
 
 def one_token_groups(P: Dfa, V: Dfa) -> tuple:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from shufflecheck import decision
@@ -123,6 +125,44 @@ def test_petri_km_and_emit(files, capsys):
         ["petri", files["two_start"], files["tracker4"], "--emit", "pnml"]
     ) == 0
     assert "<pnml>" in capsys.readouterr().out
+
+
+# a DOT quoted string: anything but a double quote or a backslash, or a
+# backslash and the character it escapes
+_DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_DOT_NODE = re.compile(rf"  {_DOT_QUOTED} \[shape=(?:circle|box)(?:, label={_DOT_QUOTED})?\];")
+_DOT_ARC = re.compile(rf"  {_DOT_QUOTED} -> {_DOT_QUOTED};")
+
+
+def _dot_unescaped(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def test_petri_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    # P-states named p"0 and q\1 give places P::p"0 and P::q\1; every id
+    # and label of the DOT output must stay one quoted string
+    comp = mk_dfa("ab", [('p"0', "a", "q\\1"), ("q\\1", "b", 'p"0')], 'p"0', ['p"0'])
+    tracker = mk_dfa("ab", [("1", "a", "1"), ("1", "b", "1")], "1", ["1"])
+    P, V = tmp_path / "P.aut", tmp_path / "V.aut"
+    P.write_text(serialize_automaton(comp))
+    V.write_text(serialize_automaton(tracker))
+    assert main(["petri", str(P), str(V), "--which", "npv", "--emit", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    body = lines[lines.index("digraph net {") + 2 : lines.index("}")]
+    nodes, arcs = set(), []
+    for line in body:
+        node, arc = _DOT_NODE.fullmatch(line), _DOT_ARC.fullmatch(line)
+        assert node or arc, line
+        if node:
+            name, label = _dot_unescaped(node[1]), node[2]
+            nodes.add(name)
+            if label is not None:
+                # the place's name, then its initial tokens after a DOT \n
+                assert _dot_unescaped(re.sub(r"\\n\d+$", "", label)) == name
+        else:
+            arcs += [_dot_unescaped(arc[1]), _dot_unescaped(arc[2])]
+    assert {'P::p"0', "P::q\\1", "V::1"} <= nodes
+    assert set(arcs) <= nodes and 'P::p"0' in arcs
 
 
 def test_petri_km_unbounded(files, capsys, single_ab):

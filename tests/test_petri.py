@@ -28,6 +28,8 @@ from shufflecheck.petri import (
     decide_alf_zero_finite,
     decide_sp_via_net,
     enabled_step,
+    fired,
+    firing_path,
     karp_miller,
     marking_bfs,
     reachable_markings,
@@ -256,6 +258,28 @@ def test_fragment_routes_match_the_net_reference():
     }
 
 
+def test_prefix_route_pump_follows_the_pair_alone():
+    # the walk meets each step set sorted by value (`petri._step_key`), not
+    # in the memory order of the steps and vectors it builds: a second run
+    # over the same pairs, with thousands of other vectors alive so that
+    # its objects sit at other addresses, meets the same pumps and keeps
+    # the same states
+    from shufflecheck.engine import CounterVector
+
+    cases = list(_route_cases())
+
+    def answers():
+        return [
+            (res.status, res.pump, res.stats)
+            for res in (decide_alf_pre_finite(comp, V) for comp, V in cases)
+        ]
+
+    first = answers()
+    churn = [CounterVector(((f"churn{i}", 1),)) for i in range(5000)]
+    assert answers() == first
+    assert churn and sum(status == "infinite" for status, *_ in first) > 1000
+
+
 def test_fragment_routes_build_no_net(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a fragment route built a net or a tree")
@@ -408,6 +432,11 @@ def _counterexample_targets(net, iota, Vc, counters=(ZERO, "check")):
     ]
 
 
+def _packed(net, markings):
+    # dense markings packed, as karp_miller and marking_bfs take stop_at
+    return [net.pack(m) for m in markings]
+
+
 def _criterion_10_full_nets(count):
     # the full deletion nets of the first `count` criterion-10 pairs, with
     # the counterexample markings that decide_sp_via_net looks for
@@ -421,7 +450,7 @@ def test_km_stops_at_the_first_covering_node():
     stops = 0
     for net, m0, targets in _criterion_10_full_nets(100):
         full = karp_miller(net, m0, node_cap=20_000)
-        early = karp_miller(net, m0, node_cap=20_000, stop_at=targets)
+        early = karp_miller(net, m0, node_cap=20_000, stop_at=_packed(net, targets))
         first = next(
             (
                 k for k, n in enumerate(full.nodes)
@@ -444,14 +473,21 @@ def test_km_stops_at_the_first_covering_node():
     assert 0 < stops < 100
     # a root that covers a target is the whole tree
     from shufflecheck.engine import CounterVector
-    from shufflecheck.petri import PetriNet
+    from shufflecheck.petri import OMEGA, PetriNet
 
     vec = CounterVector.make
     net = PetriNet(
         frozenset({"p", "q"}), {"t": {"p": 1}}, {"t": {"p": 1, "q": 1}}, {}, ("t",),
     )
-    km = karp_miller(net, vec({"p": 1}), stop_at=[(1, 0)])
+    km = karp_miller(net, vec({"p": 1}), stop_at=[net.pack((1, 0))])
     assert km.stopped and [n.marking for n in km.nodes] == [(1, 0)]
+    # a packed count of TOP, where any larger count packs, is covered by ω
+    # alone, as the dense reference covers it
+    huge = (0, 2**40)
+    km = karp_miller(net, vec({"p": 1}), stop_at=[net.pack(huge)])
+    assert km.stopped and [n.marking for n in km.nodes] == [(1, 0), (1, OMEGA)]
+    _assert_km_matches_reference(net, vec({"p": 1}), [huge])
+    _assert_km_matches_reference(net, vec({"p": 1}), [(2, 0)])
 
 
 def _km_tree(km):
@@ -467,10 +503,12 @@ def _km_tree(km):
     return nodes, km.pump, km.bounded, km.capped, km.stopped
 
 
-def _assert_km_matches_reference(net, m0, stop_at=()):
-    packed = karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
-    dense = km_reference.karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
+def _assert_km_matches_reference(net, m0, stop_at=(), node_cap=20_000):
+    # stop_at holds dense markings, which the reference takes as they are
+    packed = karp_miller(net, m0, node_cap, stop_at=_packed(net, stop_at))
+    dense = km_reference.karp_miller(net, m0, node_cap, stop_at=stop_at)
     assert _km_tree(packed) == _km_tree(dense)
+    return packed
 
 
 def test_km_matches_the_dense_reference():
@@ -493,15 +531,15 @@ def test_km_matches_the_dense_reference():
 
 def _named_bfs(net, m0, project=lambda m: m):
     # marking_bfs's parent map, with each marking unpacked and projected
-    # and each transition by name
+    # and the transition fired to keep it (`petri.fired`) by name
     seen, exhausted = marking_bfs(net, net.marking(m0), 2000)
     named = [
         (
             project(net.unpack(m)),
             None if prev is None else project(net.unpack(prev)),
-            None if j is None else net.order[j],
+            None if prev is None else net.order[fired(net, prev, m)],
         )
-        for m, (prev, j) in seen.items()
+        for m, prev in seen.items()
     ]
     return named, exhausted
 
@@ -525,8 +563,17 @@ def _grouped_cases():
 
 
 def _bfs_form(net, seen, exhausted):
-    # a marking_bfs result with each marking unpacked, each transition by
-    # position and by name
+    # a marking_bfs result with each marking unpacked, and the transition
+    # fired to keep it (`petri.fired`) by position and by name
+    return _recorded_bfs_form(net, {
+        m: (prev, None if prev is None else fired(net, prev, m))
+        for m, prev in seen.items()
+    }, exhausted)
+
+
+def _recorded_bfs_form(net, seen, exhausted):
+    # the same of net_reference.marking_bfs's map, which records each
+    # marking's (parent, transition position)
     return [
         (
             net.unpack(m),
@@ -538,13 +585,39 @@ def _bfs_form(net, seen, exhausted):
     ], exhausted
 
 
+def _km_walks(net, km):
+    # (children that skipped the ancestor walk, children that walked,
+    # accelerated children), over the children the tree kept: a child
+    # that skipped added its group value's bit to its parent's path mask
+    skipped = walked = accelerated = 0
+    for node in km.nodes[1:]:
+        # the parent's mask, and at most one bit more
+        extra = node.path_mask ^ node.parent.path_mask
+        assert not extra & node.parent.path_mask and not extra & (extra - 1)
+        if node.path_mask == node.parent.path_mask:
+            walked += 1
+            accelerated += node.accelerated
+            continue
+        skipped += 1
+        assert not node.accelerated
+        # no ancestor has the child's group value, so none could be
+        # dominated by it
+        value, anc = node.key & net.group_mask, node.parent
+        while anc is not None:
+            assert anc.key & net.group_mask != value
+            anc = anc.parent
+    return skipped, walked, accelerated
+
+
 def test_grouped_net_searches_as_one_field_per_place():
     # the deletion net packs its V1, V2 and tracked groups as one small
     # field each; rebuilt with one field per place it must give the same
     # Karp–Miller trees node for node, with and without the
-    # counterexample markings as stop_at, and the same marking BFS towards
-    # them
+    # counterexample markings as stop_at (with them, also the dense
+    # reference's tree), and the same marking BFS towards them, with each
+    # marking's transition recovered as the reference BFS records it
     stopped = reached = exhausted = 0
+    walks = [0, 0, 0]
     for comp, Vc, cap in _grouped_cases():
         net, iota = build_np_v_full(comp, Vc)
         flat = net_reference.ungrouped(net)
@@ -555,28 +628,62 @@ def test_grouped_net_searches_as_one_field_per_place():
         m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
         targets = _counterexample_targets(net, iota, Vc)
         for stop_at in ((), targets):
-            km = karp_miller(net, m0, node_cap=3000, stop_at=stop_at)
+            km = karp_miller(net, m0, node_cap=3000, stop_at=_packed(net, stop_at))
             assert _km_tree(km) == _km_tree(
-                karp_miller(flat, m0, node_cap=3000, stop_at=stop_at)
+                karp_miller(flat, m0, node_cap=3000, stop_at=_packed(flat, stop_at))
             )
             stopped += km.stopped
-        found = [
-            _bfs_form(n, *marking_bfs(
-                n, n.marking(m0), cap, frozenset(n.pack(t) for t in targets)
-            ))
-            for n in (net, flat)
-        ]
+            walks = [n + k for n, k in zip(walks, _km_walks(net, km))]
+        # the tree the net route builds, against the dense reference too
+        _assert_km_matches_reference(net, m0, targets, node_cap=3000)
+        found = []
+        for n in (net, flat):
+            start, goals = n.marking(m0), frozenset(_packed(n, targets))
+            seen, done = marking_bfs(n, start, cap, goals)
+            recorded, ref_done = net_reference.marking_bfs(n, start, cap, goals)
+            found.append(_bfs_form(n, seen, done))
+            assert found[-1] == _recorded_bfs_form(n, recorded, ref_done)
+            for hit in goals & seen.keys():
+                assert firing_path(n, seen, hit) == net_reference.recorded_path(
+                    recorded, hit
+                )
         assert found[0] == found[1]
         goals = {tuple(t) for t in targets}
         reached += any(m in goals for m, *_ in found[0][0])
         exhausted += found[0][1]
     assert stopped and reached and exhausted
+    # children that skip the walk and children that walk both occur, and
+    # some of the walkers accelerate
+    skipped, walked, accelerated = walks
+    assert skipped and walked and accelerated
     # the decision on the largest of them, pinned
     from shufflecheck.decision import decide_sp
 
     v = decide_sp(_word("abb"), _modular(14, 1, 0), "general")
     assert (v.outcome, v.route) == ("fails", "net-reachability")
     assert v.stats == {"km_nodes": 567, "km_capped": False, "markings": 8835}
+
+
+def test_km_path_mask_bits_may_stand_for_several_values(monkeypatch):
+    # with two bits in a path mask, most group values share one; a child
+    # whose bit an ancestor of another value set only walks the tree for
+    # nothing, and the trees stay the reference's node for node
+    monkeypatch.setattr(petri, "PATH_BITS", 2)
+    shared = 0
+    for w in ("ab", "abb"):
+        Vc = complete(_modular(9, 1, 0))
+        net, iota = build_np_v_full(_word(w), Vc)
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        targets = _counterexample_targets(net, iota, Vc)
+        for stop_at in ((), targets):
+            km = _assert_km_matches_reference(net, m0, stop_at, node_cap=3000)
+            _km_walks(net, km)  # its checks of the masks hold with shared bits
+            for node in km.nodes[1:]:
+                value, anc = node.key & net.group_mask, node.parent
+                while anc is not None and anc.key & net.group_mask != value:
+                    anc = anc.parent
+                shared += anc is None and node.path_mask == node.parent.path_mask
+    assert shared
 
 
 def test_petri_net_checks_its_groups():
@@ -678,8 +785,10 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
         targets = _counterexample_targets(net, iota, Vc)
         ref_targets = _counterexample_targets(ref, ref_iota, Vc, (ZERO, ZERO, "check"))
         for stop_at, ref_stop_at in (((), ()), (targets, ref_targets)):
-            km = karp_miller(net, m0, node_cap=20_000, stop_at=stop_at)
-            ref_km = karp_miller(ref, r0, node_cap=20_000, stop_at=ref_stop_at)
+            km = karp_miller(net, m0, node_cap=20_000, stop_at=_packed(net, stop_at))
+            ref_km = karp_miller(
+                ref, r0, node_cap=20_000, stop_at=_packed(ref, ref_stop_at)
+            )
             assert _km_nodes(km) == _km_nodes(ref_km, project)
         # a net whose control search finds no counterexample's control
         # covers no counterexample marking
@@ -870,7 +979,7 @@ def test_net_route_on_one_letter_words_is_exact_without_exhausting():
         net, iota = build_np_v_full(P, Vc)
         targets = _counterexample_targets(net, iota, Vc)
         m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
-        km = karp_miller(net, m0, stop_at=targets)
+        km = karp_miller(net, m0, stop_at=_packed(net, targets))
         assert km.stopped == (route == "net-reachability"), V
         if km.stopped:
             assert km.nodes[-1].marking in targets
