@@ -164,9 +164,9 @@ class Dfa:
     broken by that order.  delta is a partial function given as a dict keyed
     by (state, letter).
 
-    A Dfa is never changed after it is built, delta included.  Its hash and
-    its normal, complete and grave forms are therefore each computed at most
-    once and kept on the object.
+    A Dfa is never changed after it is built, delta included.  Its hash,
+    its normal, complete and grave forms and its live states are therefore
+    each computed at most once and kept on the object.
     """
 
     alphabet: tuple
@@ -227,6 +227,10 @@ class Dfa:
     @cached_property
     def _grave(self) -> Optional["Dfa"]:
         return _own_form(_graved(self), "_grave")
+
+    @cached_property
+    def _live(self) -> frozenset:
+        return frozenset(_coreachable(self, self.finals))
 
     @property
     def is_semiautomaton(self) -> bool:
@@ -355,6 +359,11 @@ def _coreachable(a: Dfa, targets: Iterable) -> set:
                 seen.add(q)
                 queue.append(q)
     return seen
+
+
+def live_states(a: Dfa) -> frozenset:
+    """The states of a from which some word reaches a final state."""
+    return a._live
 
 
 def normalize(a: Dfa) -> Dfa:

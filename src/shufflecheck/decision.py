@@ -22,7 +22,7 @@ from .automata import (
 )
 from .engine import (
     BudgetExceeded,
-    parse_transition,
+    parse_transitions,
     shuffle_member,
     sp_falsify,
 )
@@ -302,7 +302,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
             if verdict.route not in FRAGMENT_ROUTES.get(verdict.mode, ()):
                 return False
             try:
-                delta = frozenset(map(parse_transition, verdict.certificate["delta"]))
+                delta = parse_transitions(verdict.certificate["delta"])
             except ParseError as exc:
                 raise MalformedCertificate(str(exc)) from exc
             check_closure = check_closure_zero

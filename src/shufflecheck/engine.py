@@ -19,8 +19,9 @@ reads the engine's `ordered_core`.
 Word membership (`shuffle_member`, `pre_shuffle_member`) runs the counter
 system on packed vectors instead: one int with a field per component
 state, and per letter a tuple of (guard, effect) pairs, one per core
-step on it (`ShuffleEngine.packed_steps`), so a step is one test and one
-addition and the walk makes no `CounterVector`.
+step on it (`ShuffleEngine.packed_steps`), built when a word first
+reaches the letter, so a step is one test and one addition and the walk
+makes no `CounterVector`.
 
 Counter vectors and transitions are interned through `automata.intern`,
 as letters are, so each is built and rendered once, however many sets
@@ -247,12 +248,36 @@ _TRANSITION = re.compile(
 
 def parse_transition(text: str) -> ShuffleTransition:
     """Parse '(f) a (g)' with an optional trailing '[kind]' tag."""
+    return _read_transition(text, parse_vector, parse_letter)
+
+
+def parse_transitions(texts) -> frozenset:
+    """The steps of texts, each parsed as `parse_transition` parses it,
+    reading each distinct vector text and letter text once."""
+    vector, letter = _memo(parse_vector), _memo(parse_letter)
+    return frozenset(_read_transition(text, vector, letter) for text in texts)
+
+
+def _memo(parse):
+    """parse, reading each distinct text once."""
+    seen: dict = {}
+
+    def read(text: str):
+        out = seen.get(text)
+        if out is None:
+            out = seen[text] = parse(text)
+        return out
+
+    return read
+
+
+def _read_transition(text: str, vector, letter) -> ShuffleTransition:
     m = _TRANSITION.fullmatch(text)
     if m is None:
         raise ParseError(f"bad transition {text!r}")
-    src, tgt = parse_vector(m[1]), parse_vector(m[3])
-    letter = parse_letter(m[2])
-    return ShuffleTransition(src, letter, tgt, m[4] or infer_kind(src, letter, tgt))
+    src, tgt = vector(m[1]), vector(m[3])
+    a = letter(m[2])
+    return ShuffleTransition(src, a, tgt, m[4] or infer_kind(src, a, tgt))
 
 
 def infer_kind(src: CounterVector, letter: Letter, tgt: CounterVector) -> str:
@@ -371,6 +396,9 @@ class ShuffleEngine:
         self.core_on = {a: [] for a in P.alphabet}
         for t in self.core:
             self.core_on[t.letter].append(t)
+        # letter -> `packed_steps` for WORD_FIELD-bit fields, built when a
+        # word first reaches the letter (`member_frontier`)
+        self.word_steps: dict = {}
 
     @cached_property
     def ordered_core(self) -> tuple:
@@ -441,15 +469,9 @@ class ShuffleEngine:
                 out.add(rest.add(t.source))
         return frozenset(out)
 
-    @cached_property
-    def word_steps(self) -> dict:
-        """`packed_steps` for WORD_FIELD-bit fields, built once."""
-        return self.packed_steps(WORD_FIELD)
-
-    def packed_steps(self, width: int) -> dict:
-        """letter -> the core steps on it (`core_on`), on packed vectors:
-        ints holding one `width`-bit count per component state, in sorted
-        state order.
+    def packed_steps(self, a: Letter, width: int) -> tuple:
+        """The core steps on a (`core_on`), on packed vectors: ints holding
+        one `width`-bit count per component state, in sorted state order.
 
         A step is a pair (guard, effect), and it takes f to f + effect
         when the guard is 0 or f & guard is nonzero.  An opening step has
@@ -461,20 +483,17 @@ class ShuffleEngine:
         """
         shift = {q: width * i for i, q in enumerate(sorted(self.component_states))}
         field = (1 << width) - 1
-        table = {}
-        for a, core in self.core_on.items():
-            steps = []
-            for t in core:
-                target = t.target.entries
-                effect = 1 << shift[target[0][0]] if target else 0
-                source = t.source.entries
-                if source:
-                    k = shift[source[0][0]]
-                    steps.append((field << k, effect - (1 << k)))
-                else:
-                    steps.append((0, effect))
-            table[a] = tuple(steps)
-        return table
+        steps = []
+        for t in self.core_on[a]:
+            target = t.target.entries
+            effect = 1 << shift[target[0][0]] if target else 0
+            source = t.source.entries
+            if source:
+                k = shift[source[0][0]]
+                steps.append((field << k, effect - (1 << k)))
+            else:
+                steps.append((0, effect))
+        return tuple(steps)
 
     def member_frontier(self, w: Word) -> set:
         """All vectors reachable from 0 along paths labeled w, packed
@@ -484,14 +503,16 @@ class ShuffleEngine:
         reaches it, unless no vector is left by then.
         """
         if len(w) < 1 << WORD_FIELD:
-            table = self.word_steps
+            width, table = WORD_FIELD, self.word_steps
         else:
-            table = self.packed_steps(len(w).bit_length())
+            width, table = len(w).bit_length(), {}
         frontier = {0}
         for a in w:
             steps = table.get(a)
             if steps is None:
-                raise UnknownLetter(f"letter {a} not in the alphabet")
+                if a not in self.letters:
+                    raise UnknownLetter(f"letter {a} not in the alphabet")
+                steps = table[a] = self.packed_steps(a, width)
             frontier = {
                 f + effect
                 for f in frontier

@@ -11,9 +11,15 @@ Track 1 is the sum of the other two, so the deletion system's state is the
 remainder vector and the tracked component, and `_deletion_moves` is the
 one definition of a move, and so of a column: a move is a column's three
 tracks, and only W_delta and a closure search's witness make the column.
-The closure search runs on those states, numbered.  The recognizer W_delta
-adds the composite vector to each state; it, the track ranges S1/S2/S3 and
-the steps delta2'/delta3' serve the `wdelta` command and the tests.
+The moves run on packed states: the remainder is one int with a field per
+state that delta names, the tracked component 0, a packed unit or the
+sentinel, and delta is read once into a table keyed by the packed
+composite, each of its steps with the engine steps it shifts.  The closure
+search runs on those states, numbered, and leaves out every state whose
+composite V-state can reach no final state.  The recognizer W_delta adds
+the composite vector to each state and unpacks its moves; it, the track
+ranges S1/S2/S3 and the steps delta2'/delta3' serve the `wdelta` command
+and the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .automata import Dfa, Letter, ShufflecheckError, complete
+from .automata import Dfa, Letter, ShufflecheckError, complete, live_states
 from .engine import (
     Computation,
     CounterVector,
@@ -125,15 +131,12 @@ class TrackLetter:
         return f"[{self.x1} | {self.x2} | {self.x3}]"
 
 
-def _checked_step_table(eng, delta: frozenset):
-    """A fresh step table of eng (`ShuffleEngine.step_table`), once every
-    step of delta is found in it.  An invalid step raises
-    NotSubsetOfShuffle, as does a step on a letter P does not read."""
-    steps = eng.step_table()
-    for t in delta:
-        if t.letter not in eng.letters or t not in steps(t.source, t.letter):
-            raise NotSubsetOfShuffle(f"{t.tagged_str()} is not a valid step")
-    return steps
+def _checked_step_table(eng, delta: frozenset) -> "_PackedMoves":
+    """delta's packed table (`_packed_moves`), once every step of delta is
+    found to be a step of eng, one that `ShuffleEngine.successors` makes.
+    An invalid step raises NotSubsetOfShuffle, as does a step on a letter
+    P does not read."""
+    return _packed_moves(eng, delta, check=True)
 
 
 def compute_s_sets(P: Dfa, delta) -> tuple:
@@ -175,16 +178,80 @@ def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
 def _column_order(col: TrackLetter) -> tuple:
     """A column's place in W's alphabet: its text, then its kind, which
     the text leaves out."""
-    return str(col), col.x1.kind
+    return _track_order(col.x1, col.x2, col.x3)
 
 
-def _move_order(move: tuple) -> tuple:
-    """`_column_order` of a move's column, from its tracks' cached texts."""
-    x1, x2, x3, _next = move
+def _track_order(x1, x2, x3) -> tuple:
+    """`_column_order` of the column with tracks x1, x2, x3."""
     return f"[{x1} | {x2} | {x3}]", x1.kind
 
 
-def _deletion_moves(P: Dfa, delta, trusted: bool = False):
+class _PackedMoves:
+    """The move function `_deletion_moves` builds, with its packing.
+
+    A remainder s2 is packed as one int holding its count of each state q
+    in the bits field << shift[q], and a tracked component s3 as 0, its
+    packed unit vector or CHECK_ZERO.  table maps a packed composite
+    source s1 = s2 + s3 to its candidate moves, each a step x1 of delta
+    with a test: (x1, mask, effect) is x1's remainder move from s2 when
+    mask is 0 or s2 & mask is nonzero, to s2 + effect; (x1, by_s3, None)
+    is its component move, by_s3 mapping s3 to (x3, next s3) for the
+    core step x3 out of s3.  When ordered, the candidates come in column
+    order; otherwise each state's moves are sorted by their text.
+    """
+
+    def __init__(self, shift: dict, field: int):
+        self.shift = shift
+        self.field = field
+        self.table: dict = {}
+        self.ordered = True
+
+    def pack(self, f: CounterVector) -> Optional[int]:
+        """f packed, or None when a state of f has no field or a count
+        does not fit one."""
+        out = 0
+        for q, n in f.entries:
+            k = self.shift.get(q)
+            if k is None or n > self.field:
+                return None
+            out += n << k
+        return out
+
+    def unpack(self, f: int) -> CounterVector:
+        field = self.field
+        # shift lists the states in sorted order, as a vector's entries are
+        return CounterVector(
+            tuple((q, f >> k & field) for q, k in self.shift.items() if f >> k & field)
+        )
+
+    def moves(self, state) -> tuple:
+        """The moves (x1, x3, next state) of a packed state (s2, s3): x3
+        is the core step of a component move, None for a remainder move."""
+        s2, s3 = state
+        out = []
+        for x1, test, effect in self.table.get(s2 if s3 is CHECK_ZERO else s2 + s3, ()):
+            if effect is None:
+                hit = test.get(s3)
+                if hit is not None:
+                    out.append((x1, hit[0], (s2, hit[1])))
+            elif not test or s2 & test:
+                out.append((x1, None, (s2 + effect, s3)))
+        if not self.ordered:
+            out.sort(key=lambda move: _track_order(*self.tracks(state, move)))
+        return tuple(out)
+
+    def tracks(self, state, move) -> tuple:
+        """The three tracks (x1, x2, x3) of a move of a packed state."""
+        s2, s3 = state
+        x1, x3, _next = move
+        if x3 is not None:
+            return x1, self.unpack(s2), x3.checked()
+        rest = ZERO if s3 is CHECK_ZERO else self.unpack(s3)
+        x2 = ShuffleTransition(x1.source.sub(rest), x1.letter, x1.target.sub(rest), x1.kind)
+        return x1, x2, (s3 if s3 is CHECK_ZERO else rest)
+
+
+def _deletion_moves(P: Dfa, delta, trusted: bool = False) -> _PackedMoves:
     """The move function of the deletion system over the fragment delta.
 
     A state (s2, s3) is the remainder vector and the tracked component, or
@@ -192,11 +259,27 @@ def _deletion_moves(P: Dfa, delta, trusted: bool = False):
     step x2 of s2 whose shift by the resting component is in delta, a
     component move an elementary step x3 of s3 whose shift by s2 is; that
     shift is the column's composite step x1, so the column's counters,
-    letter and kind agree by construction.  The returned function maps a
-    state to its moves (x1, x2, x3, next state), a column's tracks each,
-    sorted in column order (`_move_order`).  An invalid step in delta
+    letter and kind agree by construction.  An invalid step in delta
     raises NotSubsetOfShuffle here, before any move is made, unless
     trusted says that delta holds only the engine's own steps.
+
+    The moves run on packed states (`_PackedMoves`): s2 one int with a
+    field per state that delta's vectors name, in sorted order, wide
+    enough for one more than delta's largest count, and s3 0, a packed
+    unit or CHECK_ZERO.  delta is read once into a table by packed source.
+    Each step x1 of delta carries the engine steps it shifts, read as
+    `ShuffleEngine.packed_steps` reads the core: those of x1's letter and
+    kind out of 0 or out of a state of x1's source, after which x1's
+    target follows.  x2 = x1 - s3 is a step of s2 exactly when one of them
+    leaves 0 or a state s2 counts, and x3 = x1 - s2 is the core step among
+    them out of s3, if any; delta's steps are checked the same way.  Moves
+    come in column order, x1's text first: delta's steps are sorted by
+    text and kind once, and among the steps of one text, which share
+    letter and target, every remainder column comes before every component
+    column or after it, as the letter's text decides.  Where that does not
+    hold (a text that prefixes another, or a letter such as "|"), each
+    state's moves are sorted by their text.  Only a witness's and
+    W_delta's columns make x2 and x3 (`_PackedMoves.tracks`).
 
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
@@ -205,54 +288,124 @@ def _deletion_moves(P: Dfa, delta, trusted: bool = False):
     """
     delta = frozenset(delta)
     eng = engine_for(P)
-    steps = eng.step_table() if trusted else _checked_step_table(eng, delta)
-    letters = {t.letter for t in delta}
-    elementary: dict = {}
-    for x3 in eng.core:
-        if x3.letter in letters:
-            elementary.setdefault(x3.source, []).append(x3)
-    checked: dict = {}  # elementary step -> its checked copy, made once
+    return _packed_moves(eng, delta, False) if trusted else _checked_step_table(eng, delta)
 
-    def moves(state) -> tuple:
-        s2, s3 = state
-        rest = ZERO if s3 is CHECK_ZERO else s3
+
+def _packed_moves(eng, delta: frozenset, check: bool) -> _PackedMoves:
+    """The packed moves of `_deletion_moves` over delta.  With check, a
+    step of delta that shifts no step of eng raises NotSubsetOfShuffle."""
+    if not delta:  # no state has a move
+        return _PackedMoves({}, 1)
+    vectors = {f for t in delta for f in (t.source, t.target)}
+    entries = {e for f in vectors for e in f.entries}
+    # with room for one more than the largest count, a step shifted to a
+    # source of delta never carries into a neighbouring field
+    width = (max((n for _q, n in entries), default=0) + 1).bit_length()
+    named = sorted({q for q, _n in entries})
+    system = _PackedMoves({q: width * i for i, q in enumerate(named)}, (1 << width) - 1)
+    packed = {f: system.pack(f) for f in vectors}
+    # packed source -> its steps in groups that print alike, by text, then
+    # kind: a text's steps share letter and target unless vectors or
+    # letters print ambiguously
+    by_source: dict = {}
+    for t in sorted(delta, key=lambda t: (str(t), t.kind)):
+        groups = by_source.setdefault(packed[t.source], [])
+        if groups and str(groups[-1][0]) == str(t):
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    shifted = _shifted_steps(eng, system.shift)
+    field, core = system.field, eng.core
+    firsts: dict = {}  # letter -> `_remainder_first` of its text
+    for s1, groups in by_source.items():
         out = []
-        for a in letters:
-            for x2 in steps(s2, a):
-                x1 = x2.shift(rest)
-                if x1 in delta:
-                    out.append((x1, x2, s3, (x2.target, s3)))
-        # no component step leaves the sentinel
-        for x3 in elementary.get(s3, ()):
-            x1 = x3.shift(s2)
-            if x1 in delta:
-                c3 = checked.get(x3)
-                if c3 is None:
-                    c3 = checked[x3] = x3.checked()
-                n3 = CHECK_ZERO if x3.target == ZERO else x3.target
-                out.append((x1, s2, c3, (s2, n3)))
-        out.sort(key=_move_order)
-        return tuple(out)
+        prev = None
+        for group in groups:
+            a = group[0].letter
+            if a not in firsts:
+                firsts[a] = _remainder_first(str(a))
+            first = firsts[a]
+            text = str(group[0])
+            if first is None or (prev is not None and text.startswith(prev)) or (
+                len(group) > 1
+                and any(t.letter is not a or t.target is not group[0].target for t in group)
+            ):
+                system.ordered = False
+            prev = text
+            remainder, component = [], []
+            for x1 in group:
+                s, t = packed[x1.source], packed[x1.target]
+                always, mask, by_s3 = False, 0, {}
+                for c, cs, ct in shifted.get((a, x1.kind, t - s), ()):
+                    if not cs:
+                        always = True
+                    elif s & field * cs:
+                        mask |= field * cs
+                    else:
+                        continue
+                    if c in core:
+                        by_s3[cs] = (c, ct or CHECK_ZERO)
+                if always or mask:
+                    remainder.append((x1, 0 if always else mask, t - s))
+                elif check:
+                    raise NotSubsetOfShuffle(f"{x1.tagged_str()} is not a valid step")
+                if by_s3:
+                    component.append((x1, by_s3, None))
+            out += remainder + component if first is not False else component + remainder
+        system.table[s1] = tuple(out)
+    return system
 
-    return moves
+
+def _shifted_steps(eng, shift: dict) -> dict:
+    """(letter, kind, packed effect) -> [(step, packed source, packed
+    target)] for each step of the engine out of 0, or out of a state with
+    a field in shift, whose target packs: the steps that
+    `ShuffleEngine.successors` shifts.  Their ends are 0 or unit vectors."""
+    unit = {q: 1 << k for q, k in shift.items()}
+    out: dict = {}
+    for steps in (*eng.opening.values(), *(
+        steps for (q, _a), steps in eng.moving.items() if q in unit
+    )):
+        for c in steps:
+            source, target = c.source.entries, c.target.entries
+            cs = unit[source[0][0]] if source else 0
+            ct = unit.get(target[0][0]) if target else 0
+            if ct is not None:
+                out.setdefault((c.letter, c.kind, ct - cs), []).append((c, cs, ct))
+    return out
+
+
+def _remainder_first(a: str) -> Optional[bool]:
+    """Whether the remainder column of a step on the letter printed a
+    comes before its component column in every state, or None if that is
+    not fixed.  Past their common "[x1 | (s2) ", the remainder column
+    reads a, a space and x2's target, and the component column "| (s3)",
+    so their first two characters decide unless they are alike."""
+    head = (a + " ")[:2]
+    return None if head == "| " else head < "| "
 
 
 def w_delta_moves(P: Dfa, delta):
     """The move function of W_delta: `_deletion_moves` on a W-state
-    (s1, s2, s3), each move made a column and its next state led by the
-    composite's target.  A state with s1 != s2 + s3 (the sentinel counting
-    as 0) raises ValueError."""
-    moves = _deletion_moves(P, delta)
+    (s1, s2, s3), packed and unpacked at the edge, each move made a column
+    and its next state led by the composite's target.  A state with
+    s1 != s2 + s3 (the sentinel counting as 0) raises ValueError."""
+    system = _deletion_moves(P, delta)
     column = TrackLetter._unchecked
 
     def w_moves(state) -> tuple:
         s1, s2, s3 = state
         if s2.add(ZERO if s3 is CHECK_ZERO else s3) != s1:
             raise ValueError("column counters do not add up")
-        return tuple(
-            (column(x1, x2, x3), (x1.target, *nxt))
-            for x1, x2, x3, nxt in moves((s2, s3))
-        )
+        packed = system.pack(s2), (s3 if s3 is CHECK_ZERO else system.pack(s3))
+        if None in packed:  # no step of delta leaves s1
+            return ()
+        out = []
+        for move in system.moves(packed):
+            x1, _x3, (n2, n3) = move
+            n3 = n3 if n3 is CHECK_ZERO else system.unpack(n3)
+            out.append((column(*system.tracks(packed, move)), (x1.target, system.unpack(n2), n3)))
+        return tuple(out)
 
     return w_moves
 
@@ -373,23 +526,34 @@ def _closure_search(
     and s3 in {0, CHECK_ZERO}, may witness.  It is searched as the number
     (d * n + v1) * n + v2: d the deletion-system state's id, given when a
     move first leads there, v1 and v2 places in V.states.  A deletion-system
-    state's moves are made by `_deletion_moves` when the search first
-    reaches it and kept by id, each with its target's id times n * n and
-    its step of the V-pair v1 * n + v2.  They come in column order, as
+    state is packed (`_deletion_moves`); its moves are made when the search
+    first reaches it and kept by id, each with its target's id times n * n
+    and its step of the V-pair v1 * n + v2.  They come in column order, as
     W_delta's alphabet lists them, so for any numbering the search visits
     states, and finds its witness, in the order of the same search over
     W_delta.  Only the witness's columns are made (`_witness`).
+
+    A state whose composite V-state reaches no final state of complete(V)
+    (`live_states`) is not searched: no witness lies below it, and every
+    state below it is one too.  So the other states are met in the same
+    order, from the same parents, as without that cut; states_explored
+    counts them alone.
     """
+    system = _deletion_moves(P, delta, trusted)
     V = complete(V)
+    live = live_states(V)
+    if V.initial not in live:
+        return ClosureOutcome(True, None, 0)
     index = {q: i for i, q in enumerate(V.states)}
     n = len(index)
     nn = n * n
+    alive = [q in live for q in index]
     final = [q in V.finals for q in index]
     witnessing = [f1 and not f2 for f1 in final for f2 in final]
-    pair_steps: dict = {}  # (letter, track 2 moves) -> V-pair -> V-pair
-    deletion_moves = _deletion_moves(P, delta, trusted)
-    ids = {(ZERO, ZERO): 0}
-    found = [(ZERO, ZERO)]  # id -> deletion-system state
+    # (letter, track 2 moves) -> V-pair -> V-pair, or None at a dead composite
+    pair_steps: dict = {}
+    ids = {(0, 0): 0}
+    found = [(0, 0)]  # id -> packed deletion-system state
     moves = [None]  # id -> [(next id * n * n, V-pair step, move)]
     start = index[V.initial] * (n + 1)  # (0, 0), V.initial twice
     parent = {start: None}  # state -> the state it was reached from
@@ -398,41 +562,48 @@ def _closure_search(
         d, v = divmod(state, nn)
         if witnessing[v]:
             s2, s3 = found[d]
-            if not require_zero or (s2 == ZERO and s3 in (ZERO, CHECK_ZERO)):
-                return ClosureOutcome(False, _witness(parent, state, nn, moves), len(parent))
+            if not require_zero or (s2 == 0 and s3 in (0, CHECK_ZERO)):
+                witness = _witness(parent, state, nn, moves, found, system)
+                return ClosureOutcome(False, witness, len(parent))
         out = moves[d]
         if out is None:
             out = moves[d] = []
-            for move in deletion_moves(found[d]):
-                x1, x2, _x3, nds = move
+            for move in system.moves(found[d]):
+                x1, x3, nds = move
                 nd = ids.setdefault(nds, len(found))
                 if nd == len(found):
                     found.append(nds)
                     moves.append(None)
-                key = (x1.letter, isinstance(x2, ShuffleTransition))
+                key = (x1.letter, x3 is None)
                 step = pair_steps.get(key)
                 if step is None:
                     to = [index[V.delta[(q, x1.letter)]] for q in index]
                     rest = to if key[1] else range(n)
-                    step = pair_steps[key] = [t1 * n + t2 for t1 in to for t2 in rest]
+                    step = pair_steps[key] = [
+                        t1 * n + t2 if alive[t1] else None for t1 in to for t2 in rest
+                    ]
                 out.append((nd * nn, step, move))
         for base, step, _move in out:
-            nxt = base + step[v]
-            if nxt not in parent:
-                parent[nxt] = state
-                queue.append(nxt)
+            pair = step[v]
+            if pair is not None:
+                nxt = base + pair
+                if nxt not in parent:
+                    parent[nxt] = state
+                    queue.append(nxt)
     return ClosureOutcome(True, None, len(parent))
 
 
-def _witness(parent: dict, state: int, nn: int, moves: list) -> tuple:
+def _witness(parent: dict, state: int, nn: int, moves: list, found: list, system) -> tuple:
     """The columns on the search tree's path from the start to state: into
     each state, the first of its parent's moves that leads there."""
     path = []
     while parent[state] is not None:
         prev = parent[state]
         d, v = divmod(prev, nn)
-        x1, x2, x3, _ = next(m for base, step, m in moves[d] if base + step[v] == state)
-        path.append(TrackLetter._unchecked(x1, x2, x3))
+        move = next(
+            m for base, step, m in moves[d] if step[v] is not None and base + step[v] == state
+        )
+        path.append(TrackLetter._unchecked(*system.tracks(found[d], move)))
         state = prev
     return tuple(reversed(path))
 

@@ -342,6 +342,19 @@ def test_fragment_with_a_foreign_letter_rejected(single_ab, mode):
     assert replay_certificate(single_ab, depth_chain(3), forged) is False
 
 
+@pytest.mark.parametrize("mode", ["prefix", "general"])
+def test_step_out_of_a_state_no_component_occupies_replays(single_ab, mode):
+    # a component at I, the initial state, would move on a, so the step is
+    # valid though no component occupies I; the prefix route's closedness
+    # check rejects it, and the zero route's closure search over it holds,
+    # which replay accepts until it checks a zero-fragment delta's
+    # coverage (B4)
+    delta = ("(I:1) a (II:1) [inner]",)
+    for route, replayed in (("prefix-fragment", False), ("zero-fragment", True)):
+        forged = Verdict("holds", mode, route, {"delta": delta})
+        assert replay_certificate(single_ab, depth_chain(3), forged) is replayed
+
+
 def _reference_delta_closed(comp, V, delta) -> bool:
     """_prefix_delta_closed without a step table: the engine builds a
     vector's steps again for every V-state the vector meets."""

@@ -24,17 +24,21 @@ from shufflecheck.automata import (
     parse_letter,
     word,
 )
+from shufflecheck import engine
 from shufflecheck.decision import parse_verdict
 from shufflecheck.engine import (
+    WORD_FIELD,
     Computation,
     CounterVector,
     NotAComputation,
+    ShuffleEngine,
     ShuffleTransition,
     ZERO,
     elementary_automaton,
     elementary_vector_states,
     engine_for,
     parse_transition,
+    parse_transitions,
     parse_vector,
     pre_shuffle_member,
     reached,
@@ -248,6 +252,34 @@ def test_numbers_int_refuses_are_parse_errors():
         parse_vector(f"(a:{digits})")
     with pytest.raises(ParseError):
         parse_letter(f"a@{digits}")
+
+
+def test_parse_transitions_reads_each_distinct_text_once(monkeypatch):
+    # replay reads a certificate's delta in one call: the steps that
+    # parse_transition reads line by line, with the vector texts 0, II:1
+    # and II:2 and the letter texts a and b each read once
+    lines = [
+        "(0) a (II:1) [start]",
+        "(II:1) a (II:2) [start]",
+        "(II:2) b (II:1) [end]",
+        "(II:1) b (0)",
+    ]
+    expected = frozenset(map(parse_transition, lines))
+    reads = Counter()
+    for name in ("parse_vector", "parse_letter"):
+        real = getattr(engine, name)
+
+        def counted(text, real=real, name=name):
+            reads[name, text] += 1
+            return real(text)
+
+        monkeypatch.setattr(engine, name, counted)
+    assert parse_transitions(lines) == expected
+    assert len(reads) == 5 and set(reads.values()) == {1}
+    # an unreadable line raises as it does alone
+    for bad in ("(0) a (1:\u00b2)", "(0) a (II:1) [bogus]"):
+        with pytest.raises(ParseError):
+            parse_transitions(lines + [bad])
 
 
 # --- core and shift law ------------------------------------------------
@@ -487,6 +519,19 @@ def test_packed_membership_on_a_letter_p_does_not_read(single_ab):
     for w in (word("b") + (z,), word("abb") + (z,)):
         assert not shuffle_member(single_ab, w)
         assert not pre_shuffle_member(single_ab, w)
+
+
+def test_word_table_holds_the_letters_that_words_reach(single_abc):
+    # a letter's packed steps are built when a word first reaches it: c's
+    # are not built by "bc", whose walk dies at b
+    eng = ShuffleEngine(single_abc)
+    a, b, c = word("abc")
+    assert not eng.member_frontier((b, c))
+    assert set(eng.word_steps) == {b}
+    assert 0 in eng.member_frontier((a, a, b, c, b, c))
+    assert set(eng.word_steps) == {a, b, c}
+    for x in (a, b, c):
+        assert eng.word_steps[x] == eng.packed_steps(x, WORD_FIELD)
 
 
 def test_packed_membership_of_the_empty_word(single_ab, single_letter):

@@ -32,7 +32,7 @@ from shufflecheck.representation import (
     mu_nu_project,
     w_delta_moves,
 )
-from conftest import depth_chain, mk_dfa, random_dfa
+from conftest import depth_chain, even_length, mk_dfa, random_dfa, sigma_star
 
 
 FRAGMENT = frozenset(
@@ -286,14 +286,16 @@ def test_grave_transfer_downward_closed(two_start):
 
 
 def test_closure_search_golden(single_ab, astar_b):
-    # the search's visiting order fixes the witness and the state count
+    # the search's visiting order fixes the witness and the state count:
+    # 10 of the 12 states the full search discovers, the other two having
+    # complete(V)'s sink as their composite V-state
     delta = steps_to_norm_2(single_ab)
     out = check_closure_zero(single_ab, astar_b, delta)
     assert tuple(str(c) for c in out.witness) == (
         "[(0) a (II:1) | (0) | (0) ^a (II:1)]",
         "[(II:1) b (0) | (0) | (II:1) ^b (0)]",
     )
-    assert out.states_explored == 12
+    assert out.states_explored == 10
 
 
 def test_closure_prefix_depth_chain_golden(single_ab):
@@ -305,7 +307,9 @@ def test_closure_prefix_depth_chain_golden(single_ab):
     assert len(w.automaton.delta) == 165
     out = check_closure_prefix(comp, V, alf.delta)
     assert out.holds
-    assert out.states_explored == 719
+    # of the 719 states the full search visits, 269 have the sink of
+    # complete(V) as their composite V-state
+    assert out.states_explored == 450
 
 
 def _column_key(col) -> tuple:
@@ -402,16 +406,16 @@ def _draws_with_fragments(n):
                 yield mode, comp, V, alf.delta
 
 
-def _arbitrary_fragments(n):
+def _arbitrary_fragments(n, alphabets=("abc", "ab")):
     """(composite, V, fragment) for n seeded random pairs: P and V over
-    {a, b} or {a, b, c}, each fragment a random set of the valid steps up
-    to norm 3, in P and in grave(P).  Most are not closed and many are not
-    reached from 0, as a forged certificate's need not be.  The steps are
-    sorted before sampling, since their sets' order follows the hash
-    seed."""
+    each of the alphabets in turn, each fragment a random set of the valid
+    steps up to norm 3, in P and in grave(P).  Most are not closed and
+    many are not reached from 0, as a forged certificate's need not be.
+    The steps are sorted before sampling, since their sets' order follows
+    the hash seed."""
     rng = random.Random(2121)
     for i in range(n):
-        alpha = "ab" if i % 2 else "abc"
+        alpha = alphabets[i % len(alphabets)]
         P, V = random_dfa(rng, 3, alpha), random_dfa(rng, 3, alpha)
         for comp in (P, grave(P)):
             eng = engine_for(comp)
@@ -541,12 +545,32 @@ def test_closure_checks_build_neither_columns_nor_recognizer(
     assert made == [(c.x1, c.x2, c.x3) for c in reversed(out.witness)]
 
 
+def _live_states(V) -> set:
+    """The states of V from which some word reaches a final state, as a
+    fixed point: a final state, or one with a letter into a live state."""
+    live = set(V.finals)
+    grown = True
+    while grown:
+        grown = False
+        for (q, _a), p in V.delta.items():
+            if p in live and q not in live:
+                live.add(q)
+                grown = True
+    return live
+
+
 def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
-    """(holds, witness, states explored) of the closure search by its
-    definition: breadth first over W_delta x V x V, each state's columns
-    tried in the order of W's alphabet."""
+    """(holds, witness, states discovered, those of them whose composite
+    V-state is live) of the closure search by its definition: breadth
+    first over W_delta x V x V, each state's columns tried in the order of
+    W's alphabet, with no state left out."""
     w = build_w_delta(P, delta)
     W, V = w.automaton, complete(V)
+    live = _live_states(V)
+
+    def explored(parent) -> tuple:
+        return len(parent), sum(vmu in live for _ws, vmu, _vnu in parent)
+
     start = (W.initial, V.initial, V.initial)
     parent = {start: None}
     queue = deque([start])
@@ -559,7 +583,7 @@ def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
                 while parent[state] is not None:
                     state, col = parent[state]
                     witness.append(col)
-                return False, tuple(reversed(witness)), len(parent)
+                return False, tuple(reversed(witness)), *explored(parent)
         for a in W.alphabet:
             nws = W.delta.get((ws, a))
             if nws is None:
@@ -573,7 +597,7 @@ def _reference_closure(P, V, delta, require_zero: bool) -> tuple:
             if nxt not in parent:
                 parent[nxt] = (state, col)
                 queue.append(nxt)
-    return True, None, len(parent)
+    return True, None, *explored(parent)
 
 
 def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments(
@@ -583,7 +607,9 @@ def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments(
     # over W_delta finds, in the same order, on fragments that are neither
     # closed nor reached from 0, as a forged certificate's need not be, and
     # on the large ones the routes find: the depth chains' prefix fragments
-    # and the draws' zero fragments, each with its own V
+    # and the draws' zero fragments, each with its own V.  It leaves out
+    # the states whose composite V-state is dead, and so counts exactly
+    # the live ones among those the full search has discovered by then
     comp = grave(normalize(single_ab))
     chains = [
         (comp, V, decide_alf_pre_finite(comp, V).delta)
@@ -594,20 +620,93 @@ def test_closure_search_matches_the_recognizer_search_on_arbitrary_fragments(
         for mode, P, V, delta in _draws_with_fragments(600)
         if mode == "general"
     ]
-    searches = fails = largest = 0
+    searches = fails = largest = pruned = 0
     for P, V, delta in [*_arbitrary_fragments(150), *chains, *zero]:
         for check, require_zero in (
             (check_closure_prefix, False),
             (check_closure_zero, True),
         ):
             out = check(P, V, delta)
-            got = (out.holds, out.witness, out.states_explored)
-            assert got == _reference_closure(P, V, delta, require_zero)
+            holds, witness, discovered, live = _reference_closure(P, V, delta, require_zero)
+            assert (out.holds, out.witness) == (holds, witness)
+            assert out.states_explored == live
             searches += 1
             fails += not out.holds
-            largest = max(largest, out.states_explored)
+            largest = max(largest, discovered)
+            pruned += live < discovered
     assert searches >= 200 and fails >= 20 and len(zero) > 10
-    assert largest > 1000
+    assert largest > 1000 and pruned > 100
+
+
+def _assert_closure_checks_match_the_reference(P, V, delta):
+    for check, require_zero in (
+        (check_closure_prefix, False),
+        (check_closure_zero, True),
+    ):
+        out = check(P, V, delta)
+        holds, witness, _discovered, live = _reference_closure(P, V, delta, require_zero)
+        assert (out.holds, out.witness, out.states_explored) == (holds, witness, live)
+
+
+def test_forged_step_out_of_a_state_no_component_occupies(single_ab, astar_b):
+    # a component at I would move on a, so (I:1) a (II:1) passes the step
+    # check, though no component occupies I, the initial state; packing
+    # gives I a field because delta names it
+    forged = parse_transition("(I:1) a (II:1) [inner]")
+    for delta in (frozenset([forged]), steps_to_norm_2(single_ab) | {forged}):
+        _assert_closure_checks_match_the_reference(single_ab, astar_b, delta)
+    at_i = vec(I=1)
+    ((col, nxt),) = w_delta_moves(single_ab, [forged])((at_i, at_i, ZERO))
+    assert (col.x1, col.x2, col.x3) == (forged, forged, ZERO)
+    assert nxt == (vec(II=1), vec(II=1), ZERO)
+
+
+def test_closure_checks_reject_an_invalid_step_where_v_accepts_nothing(single_ab):
+    # the search leaves out every state when V's initial state is dead,
+    # but it checks the fragment first
+    dead = mk_dfa("ab", [("1", "a", "1")], "1", ["2"])
+    valid = parse_transition("(0) a (II:1) [start]")
+    for check in (check_closure_prefix, check_closure_zero):
+        out = check(single_ab, dead, [valid])
+        assert (out.holds, out.witness, out.states_explored) == (True, None, 0)
+        with pytest.raises(NotSubsetOfShuffle):
+            check(single_ab, dead, [valid, parse_transition("(0) b (II:1) [start]")])
+
+
+def test_counts_past_16_bits_get_fields_wide_enough(single_abc):
+    # packed in 16-bit fields, (II:65536) would read as (III:1), which the
+    # genuine steps reach, and the step opening a component there would
+    # move from it
+    big = 1 << 16
+    far = parse_transition(f"(II:{big}) a (II:{big + 1}) [start]")
+    delta = steps_to_norm_2(single_abc) | {far}
+    for V in (sigma_star("abc"), even_length("abc")):
+        _assert_closure_checks_match_the_reference(single_abc, V, delta)
+    # from there, far is the remainder's step or opens the tracked one
+    at_far = vec(II=big)
+    opening = parse_transition("(0) a (II:1) [start]").checked()
+    moves = w_delta_moves(single_abc, delta)((at_far, at_far, ZERO))
+    assert [(col.x1, col.x2, col.x3, nxt) for col, nxt in moves] == [
+        (far, far, ZERO, (far.target, far.target, ZERO)),
+        (far, at_far, opening, (far.target, at_far, vec(II=1))),
+    ]
+
+
+def test_moves_keep_column_order_for_letters_from_a_bar_on():
+    # past the common "[x1 | (s2)", a remainder column reads " " and the
+    # letter, a component column " | (s3)": for "~" the component column
+    # comes first, and for "|" the state decides, so such moves are sorted
+    # by their text; the moves and the closure checks match their
+    # definitions
+    cases = list(_arbitrary_fragments(60, ("|b", "a|", "~b")))
+    for P, V, delta in cases:
+        w = build_w_delta(P, delta)
+        columns = _reference_columns(w.system)
+        moves = w_delta_moves(P, delta)
+        for state in w.decode.values():
+            assert list(moves(state)) == _reference_moves(columns, state)
+        _assert_closure_checks_match_the_reference(P, V, delta)
+    assert sum(1 for _P, _V, delta in cases if len(delta) > 10) > 30
 
 
 def _vectors_over(states, max_norm: int) -> set:
