@@ -164,12 +164,10 @@ def _falsifier(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
 
 
 def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
-    """Holds or Fails from a finite fragment and its exact closure check.
-    The route built the fragment from the engine's steps, so the check
-    trusts them; replay checks them."""
+    """Holds or Fails from a finite fragment and its exact closure check."""
     if alf.status != "finite":
         return None
-    out = check_closure(comp, V, alf.delta, trusted=True)
+    out = check_closure(comp, V, alf.delta)
     if out.holds:
         return HOLDS, route, _delta_cert(alf.delta), dict(alf.stats)
     return FAILS, route, _column_cert(out.witness), dict(alf.stats)

@@ -110,9 +110,6 @@ class CounterVector:
                 return n
         return 0
 
-    def support(self) -> tuple:
-        return tuple(q for q, _ in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

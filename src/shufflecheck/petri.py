@@ -25,10 +25,14 @@ IEEE 1989).  Neither looks at the kind of a step or at the component
 automaton's edges.  The deletion-net route first searches the net's
 control states, the V1-state, V2-state and tracked place that hold one
 token each, from its initial marking with every counter place unbounded
-(`_live_controls`).  When no control state it finds is a
-counterexample's, the pair holds by `net-uncoverable` and the net is
-never built; otherwise the net holds only the transitions whose control
-pre-set that search reaches, since the rest could never fire from it.
+(`_live_controls`).  A counterexample is defined once, by its control
+state (`_target_controls`): the composite's V-state final, the
+remainder's not, and the tracked component closed, with every counter 0.
+When no live control state is a counterexample's, the pair holds by
+`net-uncoverable` and the net is never built; otherwise the net holds
+only the transitions whose control pre-set that search reaches, since
+the rest could never fire from it, and both searches stop at the same
+packed targets, one per live counterexample control.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -50,7 +54,9 @@ Markings take two forms:
   `karp_miller` the counter field value OMEGA_FIELD stands for ω, a
   count found unbounded; a group field is never ω.
 
-A search converts its root on the way in and takes its targets packed;
+A search converts its root on the way in and takes its targets packed:
+`marking_bfs` stops at a marking in its set, and `karp_miller`, whose
+targets hold no counter token, at a node with a target's group value;
 `reachable_markings` unpacks and converts each marking it found once on
 the way out, and a `KMNode` decodes its marking to a tuple of counts by
 place position, with OMEGA for ω, only when it is read.  Either way the
@@ -296,11 +302,6 @@ class KMNode:
             self._marking = tuple([OMEGA if n == OMEGA_FIELD else n for n in counts])
         return self._marking
 
-    @property
-    def support(self) -> int:
-        """The bitmask of the nonzero places of the marking."""
-        return sum(1 << i for i, n in enumerate(self.marking) if n)
-
 
 # Distinct bits in a Karp–Miller path mask: the group values a tree meets
 # take them in turn, and past PATH_BITS values a bit stands for several.
@@ -313,14 +314,14 @@ class KMResult:
     nodes: list
     pump: Optional[tuple]  # (prefix transition ids, cycle transition ids)
     capped: bool = False
-    stopped: bool = False  # the last node covers a marking in stop_at
+    stopped: bool = False  # the last node's group value is in stop_at
 
 
 def karp_miller(
     net: PetriNet,
     m0: CounterVector,
     node_cap: int = DEFAULT_KM_NODE_CAP,
-    stop_at=(),
+    stop_at: frozenset = frozenset(),
 ) -> KMResult:
     """Karp–Miller coverability tree (Karp & Miller, 1969).
 
@@ -360,36 +361,32 @@ def karp_miller(
     level: from counts of at most 1, as in the builders' roots, no tree
     reaches it under a node_cap below 2**30.
 
-    stop_at holds packed markings (`PetriNet.pack`), a count packed as TOP
-    standing for one that only ω covers.  The tree stops, `stopped` set,
-    at the first node that covers one; that node is the last of `nodes`,
-    which are then the full tree's nodes up to it.  `bounded` says nothing
-    about a tree that stopped or was capped.  When no node covers one, the
+    stop_at holds packed markings (`PetriNet.pack`) with no counter token;
+    a target with one raises ValueError.  The tree stops, `stopped` set,
+    at the first node, the root included, whose group value
+    (`key & group_mask`) is in stop_at; that node is the last of `nodes`,
+    which are then the full tree's nodes up to it.  When the root and each
+    target mark one place of every group, every node does too, so a node
+    covers a target exactly when it has the target's group value: the
+    tree stops at its first node that covers one.  `bounded` says nothing
+    about a tree that stopped or was capped.  When no node stops it, the
     tree is the one built without stop_at.
     """
     order, effect, ready, ready_at = (
         net.order, net.packed_effect, net.ready, net.ready_at
     )
     top, ones, key_mask, group_mask = net.top, net.ones, net.key_mask, net.group_mask
+    if any(t & ~group_mask for t in stop_at):
+        raise ValueError("a Karp–Miller target must hold no counter token")
     start = net.marking(m0)
     if max(start, default=0) >= OMEGA_FIELD:
         root = KMNode(net.pack(start), None, None, net=net, _marking=start)
         return KMResult(False, [root], None, capped=True)
-    goals = [_goal(net, t) for t in stop_at]
-    # the key bits on which every goal asks the same of a node's key: a
-    # node whose key differs there covers none of them
-    shared, every, some = -1, -1, 0
-    for _, mask, want in goals:
-        shared &= mask
-        every &= want
-        some |= want
-    shared &= ~(every ^ some)
-    every &= shared
     packed = net.pack(start)
     bits = {packed & group_mask: 1}  # group value -> its path-mask bit
     root = KMNode(packed, None, None, key=net.key(packed), net=net, path_mask=1)
     nodes = [root]
-    if goals and _covers_any(root.packed, root.key, goals, top):
+    if packed & group_mask in stop_at:
         return KMResult(False, nodes, None, stopped=True)
     processed = {root.packed}
     queue = deque([root])
@@ -440,37 +437,12 @@ def karp_miller(
             processed.add(m)
             child = KMNode(m, node, order[j], accelerated, key, net, path | bit)
             nodes.append(child)
-            if goals and key & shared == every and _covers_any(m, key, goals, top):
+            if value in stop_at:
                 return KMResult(False, nodes, pump, stopped=True)
             if len(nodes) > node_cap:
                 return KMResult(False, nodes, pump, capped=True)
             queue.append(child)
     return KMResult(not unbounded, nodes, pump)
-
-
-def _goal(net: PetriNet, t: int) -> tuple:
-    """(counters, key mask, key) of the packed marking t as a Karp–Miller
-    goal: its counters, each at most OMEGA_FIELD so that ω covers it, and
-    the ready-key bits a node must share to cover it, the fields of the
-    groups t marks and the guard bits of its nonzero counters."""
-    t -= (t & net.top) >> (FIELD - 1)  # a count of TOP as OMEGA_FIELD
-    key = net.key(t)
-    mask = key & net.top
-    for _, field_mask, _ in net.groups:
-        if key & field_mask:
-            mask |= field_mask
-    return t & ~net.group_mask, mask, key & mask
-
-
-def _covers_any(m: int, key: int, goals: list, top: int) -> bool:
-    """Does the packed marking m, of ready key `key`, cover a goal of
-    goals (`_goal`)?  A goal whose group fields or nonzero counters the
-    key does not match is skipped without reading its counts; `top` holds
-    the guard bits."""
-    return any(
-        key & mask == need and ((m | top) - t) & top == top
-        for t, mask, need in goals
-    )
 
 
 def _path_to_root(node: KMNode) -> list:
@@ -507,7 +479,8 @@ def marking_bfs(
     """(packed marking -> packed parent, exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
-    markings (`PetriNet.pack`); stop_at holds packed markings.  The net is
+    markings (`PetriNet.pack`); stop_at holds packed markings, of any
+    counts (`decide_sp_via_net` passes `karp_miller`'s targets).  The net is
     ordinary, so a marking's ready key (`PetriNet.key`), its group fields
     and which counters are nonzero, decides which transitions fire; the
     key is taken from each marking as the search reaches it in its queue,
@@ -578,21 +551,11 @@ def firing_path(net: PetriNet, seen: dict, m: int) -> list:
 
 
 def reachable_markings(
-    net: PetriNet,
-    m0: CounterVector,
-    cap: int = DEFAULT_FORWARD_CAP,
-    stop_at=(),
+    net: PetriNet, m0: CounterVector, cap: int = DEFAULT_FORWARD_CAP
 ) -> tuple:
     """(marking -> parent marking, exhausted): `marking_bfs` with every
-    marking a CounterVector, the root's parent None.
-
-    Stops early when any marking in stop_at is reached; exhausted is then
-    False.
-    """
-    seen, exhausted = marking_bfs(
-        net, net.marking(m0), cap,
-        frozenset(net.pack(net.marking(t)) for t in stop_at),
-    )
+    marking a CounterVector, the root's parent None."""
+    seen, exhausted = marking_bfs(net, net.marking(m0), cap)
     vector = {m: net.vector(net.unpack(m)) for m in seen}
     return {vector[m]: vector.get(prev) for m, prev in seen.items()}, exhausted
 
@@ -938,17 +901,19 @@ def _live_controls(V: Dfa, core) -> set:
     return seen
 
 
-def _live_target(V: Dfa, controls) -> bool:
-    """Does some control state in controls belong to a counterexample
-    marking: the composite's V-state final, the remainder's not, and the
-    tracked component closed on CHECK_PLACE?  Every counterexample marking
-    marks its control places, so a net whose live controls hold none has
-    no counterexample marking, reachable or coverable."""
+def _target_controls(V: Dfa, controls) -> set:
+    """The (V1-state, V2-state) of each control state in controls that a
+    counterexample marks: the composite's V-state final, the remainder's
+    not, and the tracked component closed on CHECK_PLACE.  Every
+    counterexample marking marks its control places, so a net whose live
+    controls give none has no counterexample marking, reachable or
+    coverable."""
     finals = V.finals
-    return any(
-        e == CHECK_PLACE and r1 in finals and r2 not in finals
+    return {
+        (r1, r2)
         for r1, r2, e in controls
-    )
+        if e == CHECK_PLACE and r1 in finals and r2 not in finals
+    }
 
 
 def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
@@ -1103,35 +1068,34 @@ def decide_sp_via_net(
     one, which the BFS reaches, and no live target gives `net-uncoverable`.
 
     Every counterexample marking marks its control places, so the route
-    first searches the control states (`_live_controls`).  When none of
-    them is a counterexample's, the pair holds by `net-uncoverable`
-    before the net is built, and the stats give the number of control
-    states, `controls`, in place of `km_nodes`.  Otherwise the net is
-    built from those control states.  The Karp–Miller tree stops at its
-    first node that covers a counterexample marking, so `km_nodes` counts
-    the nodes built until then; a pair with none coverable builds the
-    whole tree.  A marking BFS on packed markings then looks for a
-    reachable one.
+    first searches the control states (`_live_controls`) and keeps those
+    of a counterexample (`_target_controls`).  When there are none, the
+    pair holds by `net-uncoverable` before the net is built, and the stats
+    give the number of control states, `controls`, in place of `km_nodes`.
+    Otherwise the net is built from the live control states, and each
+    target control packs as one counterexample marking: its V1, V2 and
+    CHECK_PLACE tokens, every counter 0.  Every marking either search
+    meets has a live control state, so these are all the counterexample
+    markings it could meet.  The Karp–Miller tree stops at its first node
+    that covers one, a node with a target's group value, so `km_nodes`
+    counts the nodes built until then; a pair with none coverable builds
+    the whole tree.  A marking BFS towards the same targets then looks for
+    a reachable one, and stops at the first it reaches.
     """
     V = complete(V)
     controls = _live_controls(V, engine_for(P).core)
-    if not _live_target(V, controls):
+    pairs = _target_controls(V, controls)
+    if not pairs:
         return NetVerdict(
             "holds", "net-uncoverable", stats={"controls": len(controls)}
         )
     net, iota = build_np_v_full(P, V, controls)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
-    # the counterexample markings, packed: V1 on a final state, V2 on a
-    # nonfinal one and the tracked token on CHECK_PLACE, each a group
-    # field, and every counter 0
     token, index = net.token, net.index
     check = token[index[CHECK_PLACE]]
-    nonfinals = [token[index[_v2(q)]] for q in sorted(set(V.states) - set(V.finals))]
-    targets = [
-        token[index[_v1(qf)]] + check + qn
-        for qf in sorted(V.finals)
-        for qn in nonfinals
-    ]
+    targets = frozenset(
+        token[index[_v1(r1)]] + token[index[_v2(r2)]] + check for r1, r2 in pairs
+    )
     km = karp_miller(net, m0, node_cap, stop_at=targets)
     stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
     uncoverable = not km.capped and not km.stopped
@@ -1140,7 +1104,7 @@ def decide_sp_via_net(
         # coverability is decided exactly, so no counterexample marking
         # is reachable at all
         return NetVerdict("holds", "net-uncoverable", stats=stats)
-    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, frozenset(targets))
+    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, targets)
     stats["markings"] = len(seen)
     hit = next((t for t in targets if t in seen), None)
     if hit is not None:

@@ -131,14 +131,6 @@ class TrackLetter:
         return f"[{self.x1} | {self.x2} | {self.x3}]"
 
 
-def _checked_step_table(eng, delta: frozenset) -> "_PackedMoves":
-    """delta's packed table (`_packed_moves`), once every step of delta is
-    found to be a step of eng, one that `ShuffleEngine.successors` makes.
-    An invalid step raises NotSubsetOfShuffle, as does a step on a letter
-    P does not read."""
-    return _packed_moves(eng, delta, check=True)
-
-
 def compute_s_sets(P: Dfa, delta) -> tuple:
     """Vector ranges of the three tracks over the fragment delta.
 
@@ -150,7 +142,7 @@ def compute_s_sets(P: Dfa, delta) -> tuple:
     raises NotSubsetOfShuffle.
     """
     delta = frozenset(delta)
-    _checked_step_table(engine_for(P), delta)
+    _deletion_moves(P, delta)
     s1 = reached(delta)
     s3 = {f for f in elementary_vector_states(P) if any(f.leq(g) for g in s1)}
     s2 = {g.sub(h) for g in s1 for h in s3} - {None}
@@ -251,7 +243,7 @@ class _PackedMoves:
         return x1, x2, (s3 if s3 is CHECK_ZERO else rest)
 
 
-def _deletion_moves(P: Dfa, delta, trusted: bool = False) -> _PackedMoves:
+def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     """The move function of the deletion system over the fragment delta.
 
     A state (s2, s3) is the remainder vector and the tracked component, or
@@ -259,9 +251,10 @@ def _deletion_moves(P: Dfa, delta, trusted: bool = False) -> _PackedMoves:
     step x2 of s2 whose shift by the resting component is in delta, a
     component move an elementary step x3 of s3 whose shift by s2 is; that
     shift is the column's composite step x1, so the column's counters,
-    letter and kind agree by construction.  An invalid step in delta
-    raises NotSubsetOfShuffle here, before any move is made, unless
-    trusted says that delta holds only the engine's own steps.
+    letter and kind agree by construction.  Every step of delta must be
+    one that `ShuffleEngine.successors` makes: an invalid step, or one on
+    a letter P does not read, raises NotSubsetOfShuffle here, before any
+    move is made.
 
     The moves run on packed states (`_PackedMoves`): s2 one int with a
     field per state that delta's vectors name, in sorted order, wide
@@ -287,13 +280,6 @@ def _deletion_moves(P: Dfa, delta, trusted: bool = False) -> _PackedMoves:
     x3's target, an elementary vector below x1.target, lies in S3.
     """
     delta = frozenset(delta)
-    eng = engine_for(P)
-    return _packed_moves(eng, delta, False) if trusted else _checked_step_table(eng, delta)
-
-
-def _packed_moves(eng, delta: frozenset, check: bool) -> _PackedMoves:
-    """The packed moves of `_deletion_moves` over delta.  With check, a
-    step of delta that shifts no step of eng raises NotSubsetOfShuffle."""
     if not delta:  # no state has a move
         return _PackedMoves({}, 1)
     vectors = {f for t in delta for f in (t.source, t.target)}
@@ -314,6 +300,7 @@ def _packed_moves(eng, delta: frozenset, check: bool) -> _PackedMoves:
             groups[-1].append(t)
         else:
             groups.append([t])
+    eng = engine_for(P)
     shifted = _shifted_steps(eng, system.shift)
     field, core = system.field, eng.core
     firsts: dict = {}  # letter -> `_remainder_first` of its text
@@ -347,7 +334,7 @@ def _packed_moves(eng, delta: frozenset, check: bool) -> _PackedMoves:
                         by_s3[cs] = (c, ct or CHECK_ZERO)
                 if always or mask:
                     remainder.append((x1, 0 if always else mask, t - s))
-                elif check:
+                else:
                     raise NotSubsetOfShuffle(f"{x1.tagged_str()} is not a valid step")
                 if by_s3:
                     component.append((x1, by_s3, None))
@@ -515,9 +502,7 @@ class ClosureOutcome:
     states_explored: int
 
 
-def _closure_search(
-    P: Dfa, V: Dfa, delta, require_zero: bool, trusted: bool
-) -> ClosureOutcome:
+def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome:
     """Breadth-first search of the deletion system x V x V for an accepted
     composite whose remainder V rejects.
 
@@ -539,7 +524,7 @@ def _closure_search(
     order, from the same parents, as without that cut; states_explored
     counts them alone.
     """
-    system = _deletion_moves(P, delta, trusted)
+    system = _deletion_moves(P, delta)
     V = complete(V)
     live = live_states(V)
     if V.initial not in live:
@@ -608,28 +593,22 @@ def _witness(parent: dict, state: int, nn: int, moves: list, found: list, system
     return tuple(reversed(path))
 
 
-def check_closure_prefix(
-    P: Dfa, V: Dfa, delta, trusted: bool = False
-) -> ClosureOutcome:
+def check_closure_prefix(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     """Exact closure check for the prefix form.
 
     Sound only when every computation labeling a word of V stays inside
     delta; the caller must have established that coverage.  An invalid
-    step in delta raises NotSubsetOfShuffle; a caller that built delta
-    from the engine's own steps passes trusted=True, which skips that
-    check.
+    step in delta raises NotSubsetOfShuffle.
     """
-    return _closure_search(P, V, delta, require_zero=False, trusted=trusted)
+    return _closure_search(P, V, delta, require_zero=False)
 
 
-def check_closure_zero(
-    P: Dfa, V: Dfa, delta, trusted: bool = False
-) -> ClosureOutcome:
+def check_closure_zero(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     """Exact closure check where the composite side must close all
     components and end accepted by V.
 
     Sound only when every closing computation labeling a word of V stays
-    inside delta; the caller must have established that coverage.  The
-    step check and trusted are `check_closure_prefix`'s.
+    inside delta; the caller must have established that coverage.  An
+    invalid step in delta raises NotSubsetOfShuffle.
     """
-    return _closure_search(P, V, delta, require_zero=True, trusted=trusted)
+    return _closure_search(P, V, delta, require_zero=True)

@@ -23,11 +23,6 @@ class DenseNode:
     parent: Optional["DenseNode"]
     via: Optional[str]
     accelerated: bool = False
-    support: int = 0  # bitmask of the nonzero places of marking
-
-
-def _support(m: tuple) -> int:
-    return sum(1 << i for i, n in enumerate(m) if n)
 
 
 def _path_to_root(node: DenseNode) -> list:
@@ -41,8 +36,11 @@ def _path_to_root(node: DenseNode) -> list:
 
 def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMResult:
     """The Karp–Miller tree of `net` from the CounterVector m0, with the
-    node order, acceleration rule, pump and stop_at rule that
-    `petri.karp_miller` documents."""
+    node order, acceleration rule and pump that `petri.karp_miller`
+    documents.  It stops at the first node that covers a dense marking of
+    stop_at, of any counts: on targets with no counter token, that mark
+    one place of each of the net's groups, this is `petri.karp_miller`'s
+    stop at a target's group value."""
     width = len(net.places)
     effect = []
     for inputs, outputs in zip(net.pre, net.post):
@@ -57,7 +55,7 @@ def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMR
         return any(all(map(ge, m, t)) for t in stop_at)
 
     start = net.marking(m0)
-    root = DenseNode(start, None, None, support=_support(start))
+    root = DenseNode(start, None, None)
     nodes = [root]
     if covers_any(start):
         return KMResult(False, nodes, None, stopped=True)
@@ -72,7 +70,6 @@ def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMR
             if not all(nm[i] >= 1 for i in net.pre[j]):
                 continue
             m = tuple(map(add, nm, effect[j]))
-            support = _support(m)
             accelerated = False
             anc = node
             while anc is not None:
@@ -88,7 +85,7 @@ def karp_miller(net, m0, node_cap: int = DEFAULT_KM_NODE_CAP, stop_at=()) -> KMR
             if m in processed:
                 continue
             processed.add(m)
-            child = DenseNode(m, node, t, accelerated, support)
+            child = DenseNode(m, node, t, accelerated)
             nodes.append(child)
             if covers_any(m):
                 return KMResult(False, nodes, pump, stopped=True)

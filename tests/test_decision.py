@@ -308,31 +308,6 @@ def test_fragment_with_an_invalid_step_rejected(single_ab, alt, mode, route):
     assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
 
 
-@pytest.mark.parametrize(
-    "mode, route", [("prefix", "prefix-fragment"), ("general", "zero-fragment")]
-)
-def test_only_replay_checks_the_fragment_steps(single_ab, alt, monkeypatch, mode, route):
-    # decide built the fragment from the engine's steps and does not check
-    # them again; replay checks them, and still rejects an invalid step
-    from shufflecheck import representation
-
-    real = representation._checked_step_table
-    checked = []
-
-    def spy(eng, delta):
-        checked.append(delta)
-        return real(eng, delta)
-
-    monkeypatch.setattr(representation, "_checked_step_table", spy)
-    v = decide_sp(single_ab, alt, mode, SMALL)
-    assert v.route == route and checked == []
-    assert replay_certificate(single_ab, alt, v)
-    assert len(checked) == 1
-    forged = v.certificate["delta"] + ("(0) b (II:1) [start]",)
-    assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
-    assert len(checked) == 2
-
-
 @pytest.mark.parametrize("mode", ["prefix", "general"])
 def test_fragment_with_a_foreign_letter_rejected(single_ab, mode):
     # {ab} never reads zz: the step is invalid, not an error

@@ -306,7 +306,7 @@ def test_core_ring3(ring3):
 def test_core_sources_are_occupiable(single_abc):
     eng = engine_for(single_abc)
     for t in eng.core:
-        assert set(t.source.support()) <= set(eng.component_states)
+        assert {q for q, _ in t.source.entries} <= set(eng.component_states)
 
 
 def test_shift_law_reconstructs_successors(rng):

@@ -20,7 +20,7 @@ from shufflecheck.petri import (
     CHECK_PLACE,
     _ep,
     _live_controls,
-    _live_target,
+    _target_controls,
     build_np_v_full,
     build_npv,
     build_product,
@@ -434,7 +434,30 @@ def _counterexample_targets(net, iota, Vc, counters=(ZERO, "check")):
 
 def _packed(net, markings):
     # dense markings packed, as karp_miller and marking_bfs take stop_at
-    return [net.pack(m) for m in markings]
+    return frozenset(net.pack(m) for m in markings)
+
+
+def _assert_stopped_at_first_cover(early, full, targets, project=lambda m: m):
+    # early, a tree stopped at its targets' group values, is full, a tree
+    # built without stop_at, cut after its first node that covers one of
+    # the dense markings targets, full's markings projected onto early's
+    # places; says whether full covers one
+    first = next(
+        (
+            k for k, n in enumerate(full.nodes)
+            if any(all(map(ge, n.marking, t)) for t in targets)
+        ),
+        None,
+    )
+    if first is None:
+        assert _km_tree(early) == _km_tree(full, project)
+        return False
+    nodes, pump, _, capped, stopped = _km_tree(early)
+    assert stopped and not capped
+    assert nodes == _km_tree(full, project)[0][: first + 1]
+    # the pump is kept once found, so the cut tree has full's or none yet
+    assert pump in (None, full.pump)
+    return True
 
 
 def _criterion_10_full_nets(count):
@@ -447,55 +470,56 @@ def _criterion_10_full_nets(count):
 
 
 def test_km_stops_at_the_first_covering_node():
+    # the deletion net's tree stopped at the counterexample markings is the
+    # tree of the same net with one field per place, built without
+    # stop_at, cut after its first node that covers one
     stops = 0
     for net, m0, targets in _criterion_10_full_nets(100):
-        full = karp_miller(net, m0, node_cap=20_000)
+        full = karp_miller(net_reference.ungrouped(net), m0, node_cap=20_000)
         early = karp_miller(net, m0, node_cap=20_000, stop_at=_packed(net, targets))
-        first = next(
-            (
-                k for k, n in enumerate(full.nodes)
-                if any(all(map(ge, n.marking, t)) for t in targets)
-            ),
-            None,
-        )
-        shape = [(n.marking, n.via) for n in early.nodes]
-        if first is None:
-            assert not early.stopped
-            assert shape == [(n.marking, n.via) for n in full.nodes]
-            assert (early.bounded, early.capped, early.pump) == (
-                full.bounded, full.capped, full.pump,
-            )
-        else:
+        if _assert_stopped_at_first_cover(early, full, targets):
             stops += 1
-            assert early.stopped and not early.capped
-            assert shape == [(n.marking, n.via) for n in full.nodes[: first + 1]]
             assert any(_covered(early, t) for t in targets)
     assert 0 < stops < 100
-    # a root that covers a target is the whole tree
+    # t moves the group's token from p to q and adds one to the counter c:
+    # a root that covers a target is the whole tree, and a target at q
+    # stops the tree at its second node
     from shufflecheck.engine import CounterVector
-    from shufflecheck.petri import OMEGA, PetriNet
+    from shufflecheck.petri import PetriNet
 
-    vec = CounterVector.make
     net = PetriNet(
-        frozenset({"p", "q"}), {"t": {"p": 1}}, {"t": {"p": 1, "q": 1}}, {}, ("t",),
+        {"c", "p", "q"}, {"t": {"p": 1}}, {"t": {"q": 1, "c": 1}}, {}, ("t",),
+        [("p", "q")],
     )
-    km = karp_miller(net, vec({"p": 1}), stop_at=[net.pack((1, 0))])
-    assert km.stopped and [n.marking for n in km.nodes] == [(1, 0)]
-    # a packed count of TOP, where any larger count packs, is covered by ω
-    # alone, as the dense reference covers it
-    huge = (0, 2**40)
-    km = karp_miller(net, vec({"p": 1}), stop_at=[net.pack(huge)])
-    assert km.stopped and [n.marking for n in km.nodes] == [(1, 0), (1, OMEGA)]
-    _assert_km_matches_reference(net, vec({"p": 1}), [huge])
-    _assert_km_matches_reference(net, vec({"p": 1}), [(2, 0)])
+    m0 = CounterVector.make({"p": 1})
+    for target, nodes in (((0, 1, 0), [(0, 1, 0)]), ((0, 0, 1), [(0, 1, 0), (1, 0, 1)])):
+        km = karp_miller(net, m0, stop_at=_packed(net, [target]))
+        assert km.stopped and [n.marking for n in km.nodes] == nodes
+        _assert_km_matches_reference(net, m0, [target])
 
 
-def _km_tree(km):
-    # everything a tree holds, each node's parent given by its index
+def test_km_targets_hold_no_counter_token():
+    # Karp–Miller stops at group values alone, so a target with a token on
+    # a counter place is refused, on a net with groups and on one without
+    from shufflecheck.engine import CounterVector
+    from shufflecheck.petri import PetriNet
+
+    pre, post = {"t": {"p": 1}}, {"t": {"q": 1, "c": 1}}
+    m0 = CounterVector.make({"p": 1})
+    grouped = PetriNet({"c", "p", "q"}, pre, post, {}, ("t",), [("p", "q")])
+    flat = PetriNet({"c", "p", "q"}, pre, post, {}, ("t",))
+    for net, target in ((grouped, (1, 0, 1)), (flat, (0, 1, 0))):
+        with pytest.raises(ValueError, match="counter token"):
+            karp_miller(net, m0, stop_at=_packed(net, [(0, 1, 0), target]))
+
+
+def _km_tree(km, project=lambda m: m):
+    # everything a tree holds, each node's marking projected and its
+    # parent given by its index
     index = {id(n): k for k, n in enumerate(km.nodes)}
     nodes = [
         (
-            n.marking, n.via, n.accelerated, n.support,
+            project(n.marking), n.via, n.accelerated,
             None if n.parent is None else index[id(n.parent)],
         )
         for n in km.nodes
@@ -612,10 +636,11 @@ def _km_walks(net, km):
 def test_grouped_net_searches_as_one_field_per_place():
     # the deletion net packs its V1, V2 and tracked groups as one small
     # field each; rebuilt with one field per place it must give the same
-    # Karp–Miller trees node for node, with and without the
-    # counterexample markings as stop_at (with them, also the dense
-    # reference's tree), and the same marking BFS towards them, with each
-    # marking's transition recovered as the reference BFS records it
+    # Karp–Miller tree node for node.  Stopped at the counterexample
+    # markings, the net's tree must be that tree cut after its first node
+    # that covers one, and the dense reference's tree too.  The marking BFS
+    # towards them must be the same, with each marking's transition
+    # recovered as the reference BFS records it
     stopped = reached = exhausted = 0
     walks = [0, 0, 0]
     for comp, Vc, cap in _grouped_cases():
@@ -627,18 +652,18 @@ def test_grouped_net_searches_as_one_field_per_place():
         )
         m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
         targets = _counterexample_targets(net, iota, Vc)
-        for stop_at in ((), targets):
-            km = karp_miller(net, m0, node_cap=3000, stop_at=_packed(net, stop_at))
-            assert _km_tree(km) == _km_tree(
-                karp_miller(flat, m0, node_cap=3000, stop_at=_packed(flat, stop_at))
-            )
-            stopped += km.stopped
-            walks = [n + k for n, k in zip(walks, _km_walks(net, km))]
+        full = karp_miller(net, m0, node_cap=3000)
+        flat_full = karp_miller(flat, m0, node_cap=3000)
+        assert _km_tree(full) == _km_tree(flat_full)
+        km = karp_miller(net, m0, node_cap=3000, stop_at=_packed(net, targets))
+        stopped += _assert_stopped_at_first_cover(km, flat_full, targets)
+        for tree in (full, km):
+            walks = [n + k for n, k in zip(walks, _km_walks(net, tree))]
         # the tree the net route builds, against the dense reference too
         _assert_km_matches_reference(net, m0, targets, node_cap=3000)
         found = []
         for n in (net, flat):
-            start, goals = n.marking(m0), frozenset(_packed(n, targets))
+            start, goals = n.marking(m0), _packed(n, targets)
             seen, done = marking_bfs(n, start, cap, goals)
             recorded, ref_done = net_reference.marking_bfs(n, start, cap, goals)
             found.append(_bfs_form(n, seen, done))
@@ -731,23 +756,10 @@ def _named_arcs(net, arcs):
     return {net.places[i] for i in arcs if not net.places[i].startswith("Q1::")}
 
 
-def _km_nodes(km, project=lambda m: m):
-    # each node's projected marking, transition, flag and parent index
-    index = {id(n): k for k, n in enumerate(km.nodes)}
-    nodes = [
-        (
-            project(n.marking), n.via, n.accelerated,
-            None if n.parent is None else index[id(n.parent)],
-        )
-        for n in km.nodes
-    ]
-    return nodes, km.pump, km.bounded, km.capped, km.stopped
-
-
 def _control_check_settles(comp, Vc):
     # does the deletion net's control search find no counterexample's
     # control, so that decide_sp_via_net answers before building the net?
-    return not _live_target(Vc, _live_controls(Vc, engine_for(comp).core))
+    return not _target_controls(Vc, _live_controls(Vc, engine_for(comp).core))
 
 
 def test_deletion_net_keeps_every_transition_a_run_can_fire():
@@ -784,17 +796,19 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
         r0 = ref_iota((Vc.initial, Vc.initial, (ZERO, ZERO, ZERO)))
         targets = _counterexample_targets(net, iota, Vc)
         ref_targets = _counterexample_targets(ref, ref_iota, Vc, (ZERO, ZERO, "check"))
-        for stop_at, ref_stop_at in (((), ()), (targets, ref_targets)):
-            km = karp_miller(net, m0, node_cap=20_000, stop_at=_packed(net, stop_at))
-            ref_km = karp_miller(
-                ref, r0, node_cap=20_000, stop_at=_packed(ref, ref_stop_at)
-            )
-            assert _km_nodes(km) == _km_nodes(ref_km, project)
+        ref_km = karp_miller(ref, r0, node_cap=20_000)
+        assert _km_tree(karp_miller(net, m0, node_cap=20_000)) == _km_tree(
+            ref_km, project
+        )
+        # stopped at the counterexample markings, the net's tree is the
+        # reference's cut after its first node that covers one
+        km = karp_miller(net, m0, node_cap=20_000, stop_at=_packed(net, targets))
+        covered = _assert_stopped_at_first_cover(km, ref_km, ref_targets, project)
         # a net whose control search finds no counterexample's control
         # covers no counterexample marking
         if _control_check_settles(comp, Vc):
             uncovered += 1
-            assert not ref_km.stopped
+            assert not covered
         assert _named_bfs(net, m0) == _named_bfs(ref, r0, project)
         # the composite's counters are the remainder's plus the tracked
         # component's vector in every marking the reference reaches
@@ -808,6 +822,54 @@ def test_deletion_net_keeps_every_transition_a_run_can_fire():
                 assert m[f"Q1::{q}"] == m[f"Q2::{q}"] + f.get(q)
     assert kept < total
     assert uncovered
+
+
+def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
+    # decide_sp_via_net's targets, one per live counterexample control,
+    # give the Karp–Miller tree and the marking BFS map that the full
+    # final x nonfinal list gives the dense reference and the reference
+    # BFS: the first 100 criterion-10 pairs, P and grave(P) against
+    # complete V, and ab, aab, abb against a count of a mod 5
+    passed = []
+
+    def spy(net, m0, node_cap, stop_at):
+        passed.append(stop_at)
+        return karp_miller(net, m0, node_cap, stop_at)
+
+    monkeypatch.setattr(petri, "karp_miller", spy)
+    cases = [
+        (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
+    ]
+    cases += [(_word(w), complete(_modular(5, 1, 0))) for w in ("ab", "aab", "abb")]
+    searched = 0
+    for comp, Vc in cases:
+        controls = _live_controls(Vc, engine_for(comp).core)
+        net, iota = build_np_v_full(comp, Vc)
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        every = _counterexample_targets(net, iota, Vc)
+        # the markings of that list whose control state is live
+        live = _packed(net, [
+            net.marking(iota((qf, qn, (ZERO, "check"))))
+            for qf in sorted(Vc.finals)
+            for qn in sorted(set(Vc.states) - set(Vc.finals))
+            if (qf, qn, CHECK_PLACE) in controls
+        ])
+        km = karp_miller(net, m0, node_cap=3000, stop_at=live)
+        assert _km_tree(km) == _km_tree(
+            km_reference.karp_miller(net, m0, 3000, stop_at=every)
+        )
+        start = net.marking(m0)
+        seen, done = marking_bfs(net, start, 2000, live)
+        recorded, ref_done = net_reference.marking_bfs(
+            net, start, 2000, _packed(net, every)
+        )
+        assert _bfs_form(net, seen, done) == _recorded_bfs_form(net, recorded, ref_done)
+        # the decision passes these targets, where it builds the net
+        passed.clear()
+        decide_sp_via_net(comp, Vc, node_cap=3000, forward_cap=2000)
+        assert passed == ([live] if live else [])
+        searched += bool(live)
+    assert 0 < searched < len(cases)
 
 
 def test_control_check_settles_only_pairs_without_a_violation():
