@@ -308,6 +308,33 @@ def test_fragment_with_an_invalid_step_rejected(single_ab, alt, mode, route):
     assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
 
 
+@pytest.mark.parametrize(
+    "mode, route", [("prefix", "prefix-fragment"), ("general", "zero-fragment")]
+)
+def test_decide_and_replay_check_the_fragment_steps(single_ab, alt, monkeypatch, mode, route):
+    # the closure search builds its move table through the checked step
+    # table, in decide and in replay alike; replay still rejects an invalid
+    # step
+    from shufflecheck import representation
+
+    real = representation._deletion_moves
+    built = []
+
+    def spy(P, delta):
+        built.append(sorted(t.tagged_str() for t in delta))
+        return real(P, delta)
+
+    monkeypatch.setattr(representation, "_deletion_moves", spy)
+    v = decide_sp(single_ab, alt, mode, SMALL)
+    lines = sorted(v.certificate["delta"])
+    assert v.route == route and built == [lines]
+    assert replay_certificate(single_ab, alt, v)
+    assert built == [lines, lines]
+    forged = v.certificate["delta"] + ("(0) b (II:1) [start]",)
+    assert not replay_certificate(single_ab, alt, replace(v, certificate={"delta": forged}))
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize("mode", ["prefix", "general"])
 def test_fragment_with_a_foreign_letter_rejected(single_ab, mode):
     # {ab} never reads zz: the step is invalid, not an error
