@@ -257,14 +257,17 @@ def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
 def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    A failing certificate is checked word by word.  A holding fragment
-    certificate must name a fragment route of its mode; a prefix-fragment
-    one must also be closed in the product with V (`_prefix_delta_closed`),
-    and then the exact closure search runs over the recorded fragment,
-    which rejects it unless every step is valid.  A zero-fragment one is not
-    yet checked for coverage.  Net-based holds re-run the net analysis,
-    which answers from the net's control states alone when none of them
-    is a counterexample's, as `decide_sp_via_net` does.
+    A failing certificate is checked word by word.  A holds that names a
+    fragment route of its mode is checked on its recorded fragment, which
+    is empty when the certificate has no delta (a report writes no line
+    for an empty one); a prefix-fragment one must also be closed in the
+    product with V (`_prefix_delta_closed`), and then the exact closure
+    search runs over the fragment, which rejects it unless every step is
+    valid.  A zero-fragment one is not yet checked for coverage.  Any other
+    holds must carry no delta: it re-runs the net analysis, which answers
+    from the net's control states alone when none of them is a
+    counterexample's, as `decide_sp_via_net` does, and must name the
+    route that proves them.
 
     A query that `decide_sp` would reject, such as a prefix-mode verdict
     on a V that is not prefix closed or a pair whose alphabets differ,
@@ -290,17 +293,17 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
             return False
         if _delete_positions(w, positions) != u:
             return False
+        if not set(w) <= set(comp.alphabet):  # e and u are letters of w
+            return False
         if not accepts(comp, e):
             return False
         if not shuffle_member(comp, w) or not shuffle_member(comp, u):
             return False
         return accepts(V, w) and not accepts(V, u)
     if verdict.outcome == HOLDS:
-        if "delta" in verdict.certificate:
-            if verdict.route not in FRAGMENT_ROUTES.get(verdict.mode, ()):
-                return False
+        if verdict.route in FRAGMENT_ROUTES.get(verdict.mode, ()):
             try:
-                delta = parse_transitions(verdict.certificate["delta"])
+                delta = parse_transitions(verdict.certificate.get("delta", ()))
             except ParseError as exc:
                 raise MalformedCertificate(str(exc)) from exc
             check_closure = check_closure_zero
@@ -312,10 +315,12 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
                 return check_closure(comp, V, delta).holds
             except NotSubsetOfShuffle:
                 return False
+        if "delta" in verdict.certificate:
+            return False
         rerun = decide_sp_via_net(
             comp, V, verdict.budgets.km_node_cap, verdict.budgets.forward_cap
         )
-        return rerun.status == HOLDS
+        return rerun.status == HOLDS and rerun.route == verdict.route
     return True  # unknown makes no claim
 
 

@@ -16,12 +16,13 @@ Petri nets of `petri` take their arcs from the core steps' source and
 target vectors, and every module that lists the core in a fixed order
 reads the engine's `ordered_core`.
 
-Word membership (`shuffle_member`, `pre_shuffle_member`) runs the counter
-system on packed vectors instead: one int with a field per component
-state, and per letter a tuple of (guard, effect) pairs, one per core
-step on it (`ShuffleEngine.packed_steps`), built when a word first
-reaches the letter, so a step is one test and one addition and the walk
-makes no `CounterVector`.
+Word membership (`shuffle_member`, `pre_shuffle_member`) and the
+falsifier (`sp_falsify`) run the counter system on packed vectors
+instead: one int with a field per component state, and per letter a
+tuple of (guard, effect) pairs, one per core step on it, in one table
+(`ShuffleEngine.word_steps_on`) built when a walk first reaches the
+letter, so a step is one test and one addition and no walk makes a
+`CounterVector`.
 
 Counter vectors and transitions are interned through `automata.intern`,
 as letters are, so each is built and rendered once, however many sets
@@ -394,7 +395,7 @@ class ShuffleEngine:
         for t in self.core:
             self.core_on[t.letter].append(t)
         # letter -> `packed_steps` for WORD_FIELD-bit fields, built when a
-        # word first reaches the letter (`member_frontier`)
+        # walk first reaches the letter (`word_steps_on`)
         self.word_steps: dict = {}
 
     @cached_property
@@ -440,23 +441,11 @@ class ShuffleEngine:
 
         return steps
 
-    def targets(self, f: CounterVector, a: Letter) -> frozenset:
-        """The target vectors of `successors(f, a)`, without building steps."""
-        # the loop is successors' own: one generator for both made the
-        # hotter successors about a fifth slower
-        if a not in self.letters:
-            raise UnknownLetter(f"letter {a} not in the alphabet")
-        out = {t.target.add(f) for t in self.opening[a]}
-        moving = self.moving
-        for q, _n in f.entries:
-            for t in moving.get((q, a), ()):
-                out.add(t.target.add(f.sub(t.source)))
-        return frozenset(out)
-
     def sources(self, g: CounterVector, a: Letter) -> frozenset:
-        """The vectors f with g in `targets(f, a)`, for g whose support lies
-        in `component_states`, as every reachable vector's does: for each
-        core step t on a whose target g covers, g - t.target + t.source."""
+        """The vectors f with a step to g in `successors(f, a)`, for g whose
+        support lies in `component_states`, as every reachable vector's
+        does: for each core step t on a whose target g covers,
+        g - t.target + t.source."""
         if a not in self.letters:
             raise UnknownLetter(f"letter {a} not in the alphabet")
         out = set()
@@ -478,6 +467,8 @@ class ShuffleEngine:
         step's basis: no reachable vector counts a state outside
         `component_states`, so a shifted core step is every step there is.
         """
+        if a not in self.letters:
+            raise UnknownLetter(f"letter {a} not in the alphabet")
         shift = {q: width * i for i, q in enumerate(sorted(self.component_states))}
         field = (1 << width) - 1
         steps = []
@@ -492,6 +483,18 @@ class ShuffleEngine:
                 steps.append((0, effect))
         return tuple(steps)
 
+    def word_steps_on(self, a: Letter) -> tuple:
+        """`packed_steps(a, WORD_FIELD)`, built when a walk first reaches a
+        and kept in `word_steps` for the engine's later walks."""
+        return self._steps_on(self.word_steps, a, WORD_FIELD)
+
+    def _steps_on(self, table: dict, a: Letter, width: int) -> tuple:
+        """`packed_steps(a, width)`, built once into table."""
+        steps = table.get(a)
+        if steps is None:
+            steps = table[a] = self.packed_steps(a, width)
+        return steps
+
     def member_frontier(self, w: Word) -> set:
         """All vectors reachable from 0 along paths labeled w, packed
         (`packed_steps`) in fields wide enough for any count w reaches.
@@ -501,15 +504,12 @@ class ShuffleEngine:
         """
         if len(w) < 1 << WORD_FIELD:
             width, table = WORD_FIELD, self.word_steps
-        else:
+        else:  # wider fields, in a table of the walk's own
             width, table = len(w).bit_length(), {}
         frontier = {0}
         for a in w:
-            steps = table.get(a)
-            if steps is None:
-                if a not in self.letters:
-                    raise UnknownLetter(f"letter {a} not in the alphabet")
-                steps = table[a] = self.packed_steps(a, width)
+            # `_steps_on` inline while a's entry is built and not empty
+            steps = table.get(a) or self._steps_on(table, a, width)
             frontier = {
                 f + effect
                 for f in frontier
@@ -554,6 +554,11 @@ def shuffle_member(P: Dfa, w: Word) -> bool:
 
 MAX_FALSIFIER_LEN = 32
 
+# A packed vector modulo this is its norm, the sum of its fields, while
+# the norm is smaller, as a falsifier's is (at most MAX_FALSIFIER_LEN + 1)
+_NORM_MOD = (1 << WORD_FIELD) - 1
+assert MAX_FALSIFIER_LEN + 1 < _NORM_MOD
+
 
 class BudgetExceeded(ShufflecheckError):
     pass
@@ -578,7 +583,8 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     of u; P-state of e; whether e is nonempty).  w violates when it is in V
     and reaches a configuration with u outside V, u's vector zero and e
     nonempty and accepted; w then interleaves u, a member of the iterated
-    shuffle, with a component word.
+    shuffle, with a component word.  u's vector is packed, and steps on
+    the table that word membership walks (`ShuffleEngine.word_steps_on`).
 
     A breadth-first search runs over the prefixes x in key order (length,
     then P's alphabet order) and steps each x on every letter in that
@@ -605,20 +611,11 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     if subword_closed(V):
         return None
     eng = engine_for(P)
-    moves: dict = {}
-
-    def targets(f: CounterVector, a: Letter) -> tuple:
-        """(target, norm) of every step of f on a."""
-        out = moves.get((f, a))
-        if out is None:
-            out = moves[(f, a)] = tuple((g, g.norm) for g in eng.targets(f, a))
-        return out
-
     p_delta = P.delta
     v_delta = V.delta
     p_finals = P.finals
     v_finals = V.finals
-    start = (V.initial, ZERO, P.initial, False)
+    start = (V.initial, 0, P.initial, False)
     seen = {V.initial: {start}}  # V-state of x -> configurations reached
     level = [((), V.initial, (start,))]
     for n in range(1, maxlen + 1):
@@ -629,6 +626,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                 qw2 = v_delta.get((qw, a))
                 if qw2 is None:
                     continue
+                steps = eng.word_steps_on(a)
                 old = seen.setdefault(qw2, set())
                 new = []
                 for qu, f, pe, nonempty in configs:
@@ -639,31 +637,34 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                             old.add(c)
                             new.append(c)
                     qu2 = None if qu is None else v_delta.get((qu, a))
-                    for g, norm in targets(f, a):
-                        if norm <= room:
-                            c = (qu2, g, pe, nonempty)
-                            if c not in old:
-                                old.add(c)
-                                new.append(c)
+                    for guard, effect in steps:
+                        if not guard or f & guard:
+                            g = f + effect
+                            if g % _NORM_MOD <= room:
+                                c = (qu2, g, pe, nonempty)
+                                if c not in old:
+                                    old.add(c)
+                                    new.append(c)
                 if not new:
                     continue
                 w = x + (a,)
                 if qw2 in v_finals and any(
-                    nonempty and pe in p_finals and f is ZERO and qu not in v_finals
+                    nonempty and pe in p_finals and not f and qu not in v_finals
                     for qu, f, pe, nonempty in new
                 ):
-                    return (w,) + _least_removal(P, V, w, targets)
+                    return (w,) + _least_removal(eng, V, w)
                 grown.append((w, qw2, new))
         level = grown
     return None
 
 
-def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
+def _least_removal(eng: ShuffleEngine, V: Dfa, w: Word) -> tuple:
     """The least (u, e, positions) splitting w into u, a member of the
-    iterated shuffle outside V, and a nonempty component word e at
-    positions, ordered by u, then e (length, then P's alphabet order),
-    then positions.  The search runs over the position subsets of w;
-    targets(f, a) gives the (target, norm) pairs of f's steps on a."""
+    iterated shuffle of eng.P outside V, and a nonempty component word e
+    at positions, ordered by u, then e (length, then P's alphabet order),
+    then positions.  The search runs over the position subsets of w,
+    stepping u's packed vectors as `sp_falsify` does."""
+    P = eng.P
     rank = {a: i for i, a in enumerate(P.alphabet)}
 
     def key(v: Word) -> tuple:
@@ -675,7 +676,7 @@ def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
 
     def split(i: int, upos: tuple, epos: tuple, pe, vectors: frozenset):
         if i == len(w):
-            if epos and pe in p_finals and ZERO in vectors:
+            if epos and pe in p_finals and 0 in vectors:
                 u = tuple(w[j] for j in upos)
                 if V.run(u) not in v_finals:
                     e = tuple(w[j] for j in epos)
@@ -686,13 +687,17 @@ def _least_removal(P: Dfa, V: Dfa, w: Word, targets) -> tuple:
         if pe2 is not None:
             split(i + 1, upos, epos + (i,), pe2, vectors)
         room = len(w) - i - 1
+        steps = eng.word_steps_on(a)
         moved = frozenset(
-            g for f in vectors for g, norm in targets(f, a) if norm <= room
+            f + effect
+            for f in vectors
+            for guard, effect in steps
+            if (not guard or f & guard) and (f + effect) % _NORM_MOD <= room
         )
         if moved:
             split(i + 1, upos + (i,), epos, pe, moved)
 
-    split(0, (), (), P.initial, frozenset({ZERO}))
+    split(0, (), (), P.initial, frozenset({0}))
     return min(found)[1]
 
 

@@ -10,7 +10,8 @@ deletion relation exactly on the covered fragment.
 Track 1 is the sum of the other two, so the deletion system's state is the
 remainder vector and the tracked component, and `_deletion_moves` is the
 one definition of a move, and so of a column: a move is a column's three
-tracks, and only W_delta and a closure search's witness make the column.
+tracks, and only W_delta and a closure search's witness make the column,
+each through `TrackLetter`'s checked constructor.
 The moves run on packed states: the remainder is one int with a field per
 state that delta names, the tracked component 0, a packed unit or the
 sentinel, and delta is read once into a table keyed by the packed
@@ -69,23 +70,13 @@ class TrackLetter:
 
     The constructor checks that exactly one of tracks 2/3 moves, that the
     active track carries the composite's letter and kind, and that the
-    counters add up, and raises ValueError otherwise.  Columns made from
-    `_deletion_moves` use `_unchecked`, which skips that check: a move's
-    composite step is its active step shifted by the resting track, so
-    they agree by construction.
+    counters add up, and raises ValueError otherwise.  Every column is
+    made through it, those of `_deletion_moves`' moves included.
     """
 
     x1: ShuffleTransition
     x2: Union[ShuffleTransition, CounterVector]
     x3: Union[ShuffleTransition, CounterVector, _CheckZero]
-
-    @classmethod
-    def _unchecked(cls, x1, x2, x3) -> "TrackLetter":
-        """The column (x1, x2, x3), built without `__post_init__`; the
-        caller vouches that it passes the constructor's check."""
-        col = object.__new__(cls)
-        col.__dict__.update(x1=x1, x2=x2, x3=x3, _hash=hash((x1, x2, x3)))
-        return col
 
     def __post_init__(self):
         active2 = isinstance(self.x2, ShuffleTransition)
@@ -107,13 +98,6 @@ class TrackLetter:
             or self.x3.kind != self.x1.kind
         ):
             raise ValueError("track-3 step disagrees with the composite")
-        object.__setattr__(self, "_hash", hash((self.x1, self.x2, self.x3)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (TrackLetter, (self.x1, self.x2, self.x3))
 
     @staticmethod
     def _vecs(x):
@@ -277,7 +261,9 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
     s1 = s2 + s3 ends in S1, so x2's target x1.target - s3 lies in S2, and
-    x3's target, an elementary vector below x1.target, lies in S3.
+    x3's target, an elementary vector below x1.target, lies in S3.  Their
+    columns agree by construction, and `TrackLetter` checks each one made
+    all the same.
     """
     delta = frozenset(delta)
     if not delta:  # no state has a move
@@ -378,7 +364,6 @@ def w_delta_moves(P: Dfa, delta):
     and its next state led by the composite's target.  A state with
     s1 != s2 + s3 (the sentinel counting as 0) raises ValueError."""
     system = _deletion_moves(P, delta)
-    column = TrackLetter._unchecked
 
     def w_moves(state) -> tuple:
         s1, s2, s3 = state
@@ -391,7 +376,7 @@ def w_delta_moves(P: Dfa, delta):
         for move in system.moves(packed):
             x1, _x3, (n2, n3) = move
             n3 = n3 if n3 is CHECK_ZERO else system.unpack(n3)
-            out.append((column(*system.tracks(packed, move)), (x1.target, system.unpack(n2), n3)))
+            out.append((TrackLetter(*system.tracks(packed, move)), (x1.target, system.unpack(n2), n3)))
         return tuple(out)
 
     return w_moves
@@ -588,7 +573,7 @@ def _witness(parent: dict, state: int, nn: int, moves: list, found: list, system
         move = next(
             m for base, step, m in moves[d] if step[v] is not None and base + step[v] == state
         )
-        path.append(TrackLetter._unchecked(*system.tracks(found[d], move)))
+        path.append(TrackLetter(*system.tracks(found[d], move)))
         state = prev
     return tuple(reversed(path))
 

@@ -305,6 +305,22 @@ def test_foreign_letter_step_is_not_a_valid_step(single_ab, capsys, tmp_path):
         assert (out, err) == ("replay: mismatch\n", "")
 
 
+def test_replay_of_a_fragment_holds_with_empty_delta(capsys, tmp_path):
+    # P reads only the empty word: each mode holds on its fragment route
+    # with an empty delta, which the report writes as no delta line
+    comp, lang = tmp_path / "eps.aut", tmp_path / "astar.aut"
+    comp.write_text(serialize_automaton(mk_dfa("ab", [], "I", ["I"])))
+    lang.write_text(serialize_automaton(mk_dfa("ab", [("1", "a", "1")], "1", ["1"])))
+    for mode, route in (("prefix", "prefix-fragment"), ("general", "zero-fragment")):
+        assert main(["decide", str(comp), str(lang), "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert f"ROUTE: {route}" in out and "delta:" not in out
+        report = tmp_path / f"{mode}.txt"
+        report.write_text(out)
+        assert main(["replay", str(comp), str(lang), str(report)]) == 0
+        assert capsys.readouterr().out == "replay: ok\n"
+
+
 def test_family_bad_base_exits_3(files, capsys, single_ab, tmp_path):
     # {ab} lacks the empty word
     base = tmp_path / "base.aut"

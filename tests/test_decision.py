@@ -275,6 +275,55 @@ def test_forged_zero_fragment_rejected(ring3, ring9, mode, delta):
     assert not replay_certificate(ring3, ring9, forged)
 
 
+def _balance_mod_4():
+    # #a - #b is 0 modulo 4
+    return mk_dfa(
+        "ab",
+        [(str(i), "a", str((i + 1) % 4)) for i in range(4)]
+        + [(str(i), "b", str((i - 1) % 4)) for i in range(4)],
+        "0",
+        ["0"],
+    )
+
+
+def test_replay_checks_the_route_of_a_holds_without_delta(single_ab):
+    # the net route proves the pair and names net-uncoverable; the same
+    # empty certificate under a route that is no fragment route of general
+    # mode is forged.  Under zero-fragment it reads as a zero-fragment
+    # holds with an empty delta, whose coverage replay does not yet check
+    # (B4, ROADMAP item 1)
+    V = _balance_mod_4()
+    v = decide_sp(single_ab, V, "general")
+    assert (v.outcome, v.route, v.certificate) == ("holds", "net-uncoverable", {})
+    assert replay_certificate(single_ab, V, v)
+    for route in ("falsifier", "prefix-fragment", "net-reachability", "made-up"):
+        assert replay_certificate(single_ab, V, replace(v, route=route)) is False, route
+
+
+@pytest.mark.parametrize(
+    "mode, route", [("prefix", "prefix-fragment"), ("general", "zero-fragment")]
+)
+def test_fragment_holds_with_empty_delta_replays_from_its_report(mode, route):
+    # P reads only the empty word, so the fragment is empty and the report
+    # writes no delta line; the parsed verdict still replays on its route
+    P = mk_dfa("ab", [], "I", ["I"])
+    V = mk_dfa("ab", [("1", "a", "1")], "1", ["1"])  # a*
+    v = decide_sp(P, V, mode)
+    assert (v.outcome, v.route, v.certificate) == ("holds", route, {"delta": ()})
+    parsed = parse_verdict(serialize_verdict(v))
+    assert parsed.route == route and parsed.certificate == {}
+    assert replay_certificate(P, V, parsed)
+
+
+def test_replay_rejects_a_fails_word_with_a_foreign_letter(single_ab):
+    c = word("c")
+    forged = Verdict(
+        "fails", "general", "falsifier",
+        {"word": c, "factor": (), "component": c, "positions": (0,)},
+    )
+    assert replay_certificate(single_ab, _balance_mod_4(), forged) is False
+
+
 @pytest.mark.parametrize(
     "line", ["(0) a (1:1) [bogus]", "(0) a (1:\u00b2)", "x (0) a (1:1)"]
 )
@@ -454,6 +503,16 @@ def test_replay_builds_no_automaton_after_decide(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Dfa, "__post_init__", spy)
+    # nor, after a falsifier Fails, a packed step table: the falsifier
+    # walks the word table that replay's membership checks read
+    tables = []
+    real_steps = engine.ShuffleEngine.packed_steps
+
+    def steps_spy(self, a, width):
+        tables.append(a)
+        return real_steps(self, a, width)
+
+    monkeypatch.setattr(engine.ShuffleEngine, "packed_steps", steps_spy)
     rng = random.Random(101010)
     modes = []
     for _ in range(100):
@@ -466,11 +525,14 @@ def test_replay_builds_no_automaton_after_decide(monkeypatch):
         for mode in ("prefix", "general") if is_prefix_closed(V) else ("general",):
             v = decide_sp(P, V, mode)
             built.clear()
+            tables.clear()
             assert replay_certificate(P, V, v)
             assert built == []
-            modes.append((mode, v.outcome))
+            if v.route == "falsifier":
+                assert tables == []
+            modes.append((mode, v.route))
     assert {"prefix", "general"} <= {mode for mode, _ in modes}
-    assert {"holds", "fails"} <= {outcome for _, outcome in modes}
+    assert {"falsifier", "net-uncoverable"} <= {route for _, route in modes}
 
 
 def test_control_check_holds_without_building_the_net(monkeypatch):

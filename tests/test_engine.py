@@ -435,7 +435,7 @@ def _vector_frontier(P, w) -> frozenset:
     eng = engine_for(P)
     frontier = {ZERO}
     for a in w:
-        frontier = {g for f in frontier for g in eng.targets(f, a)}
+        frontier = {t.target for f in frontier for t in eng.successors(f, a)}
         if not frontier:
             break
     return frozenset(frontier)

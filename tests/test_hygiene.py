@@ -426,6 +426,59 @@ def test_successors_check_sees_calls_only():
     assert _direct_successors_calls(source) == [2, 4]
 
 
+def _object_new_uses(sources: dict) -> list:
+    """(file name, innermost function or None) of each read of
+    `object.__new__`, which makes an object without its constructor.  A
+    comment, a string or `super().__new__` reads nothing.  sources maps
+    a file name to its text."""
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                found.append((Path(path).name, function))
+            visit(child, path, function)
+
+    for path, text in sources.items():
+        visit(ast.parse(text), path, None)
+    return found
+
+
+def test_only_intern_makes_objects_without_their_constructor():
+    # interned values are made once, by automata.intern; every other
+    # object, a column for one, goes through its constructor's checks
+    assert _object_new_uses(_sources("src")) == [("automata.py", "intern")]
+
+
+def test_object_new_check_sees_every_read():
+    sources = {
+        "pkg.py": "\n".join([
+            "def intern(cls):",
+            "    return object.__new__(cls)",
+            "class A:",
+            "    def make(cls):",
+            "        new = object.__new__",
+            "        return new(cls)",
+            "    def __new__(cls):",
+            "        return super().__new__(cls)",
+            "B = object.__new__(A)",
+            "# object.__new__(A) in a comment",
+            "text = 'object.__new__(A)'",
+        ]),
+    }
+    assert _object_new_uses(sources) == [
+        ("pkg.py", "intern"), ("pkg.py", "make"), ("pkg.py", None),
+    ]
+
+
 def _stray_exceptions(module, base) -> list:
     """Exception classes that module defines and that do not derive from
     base; classes it imports are its source module's business."""
