@@ -23,7 +23,7 @@ from .automata import (
 )
 from .engine import (
     ZERO,
-    parse_transition,
+    parse_transitions,
     parse_vector,
     pre_shuffle_member,
     shuffle_member,
@@ -62,20 +62,14 @@ def cmd_falsify(args) -> int:
     if found is None:
         print(f"no counterexample up to length {args.maxlen}")
         return EXIT_UNKNOWN
-    w, u, e, positions = found
-    cert = {"word": w, "factor": u, "component": e, "positions": positions}
-    print("\n".join(decision.certificate_lines(cert)))
+    print("\n".join(decision.certificate_lines(decision.fails_certificate(found))))
     return EXIT_FAILS
 
 
 def _load_delta(path: str) -> frozenset:
-    out = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                out.add(parse_transition(line))
-    return frozenset(out)
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    return parse_transitions(line for line in lines if line)
 
 
 def cmd_wdelta(args) -> int:

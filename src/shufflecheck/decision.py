@@ -8,7 +8,9 @@ produced it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 from .automata import (
@@ -29,10 +31,10 @@ from .engine import (
 from .petri import (
     DEFAULT_FORWARD_CAP,
     DEFAULT_KM_NODE_CAP,
-    build_product,
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     decide_sp_via_net,
+    prefix_delta_closed,
 )
 from .representation import (
     NotSubsetOfShuffle,
@@ -57,11 +59,10 @@ class MalformedCertificate(ShufflecheckError):
     pass
 
 
-# km_node_cap bounds, in states kept, the prefix route's walk and the zero
-# route's backward walk, and in nodes the net route's Karp–Miller tree.
-# forward_cap bounds the product walks (the prefix route's walk, which both
-# caps bound, and the zero route's forward walk) and the net route's
-# marking BFS.
+# km_node_cap bounds, in states kept, the fragment walks (the prefix
+# route's walk and the zero route's backward walk, whose set R then bounds
+# its forward walk), and in nodes the net route's Karp–Miller tree.
+# forward_cap bounds the net route's marking BFS.
 @dataclass(frozen=True)
 class Budgets:
     falsifier_maxlen: int = 6
@@ -101,17 +102,40 @@ def check_alphabets(P: Dfa, V: Dfa):
         raise InvalidQuery("component and constraint alphabets differ")
 
 
+# A report writes a word as letters between spaces and a step as
+# '(f) a (g) [kind]', so a letter or component state may hold none of these.
+_UNREADABLE = re.compile(r"[\s()]")
+
+
+# Kept per automaton, as `engine_for` keeps engines: decide and replay check
+# the same P, and unkept the check added ~15% to random-general's replay p50.
+@lru_cache(maxsize=64)
+def _unreadable_name(P: Dfa) -> Optional[str]:
+    """The first letter or state of P whose text holds whitespace or a
+    parenthesis, as "letter 'a('" or "state 'q('", or None."""
+    for what, names in (("letter", P.alphabet), ("state", P.states)):
+        for name in map(str, names):
+            if _UNREADABLE.search(name):
+                return f"{what} {name!r}"
+    return None
+
+
 def check_query(P: Dfa, V: Dfa, mode: str):
     """Raise InvalidQuery unless decide_sp answers this query.
 
     P and V must be normalized (`normalize`): a trimmed V recognizes a
-    prefix-closed language exactly when every state is final.
+    prefix-closed language exactly when every state is final.  No letter
+    or state of P may hold `_UNREADABLE` characters; V's states never
+    reach a certificate.
     """
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
     check_alphabets(P, V)
     if mode == PREFIX and V.finals != V.states:
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
+    unreadable = _unreadable_name(P)
+    if unreadable is not None:
+        raise InvalidQuery(f"component {unreadable} holds whitespace or a parenthesis")
 
 
 def prepare_query(P: Dfa, V: Dfa, mode: str) -> tuple:
@@ -125,18 +149,16 @@ def prepare_query(P: Dfa, V: Dfa, mode: str) -> tuple:
     return (grave(P) if mode == PREFIX else P), V
 
 
-def _word_cert(w, u, e, positions) -> dict:
+def fails_certificate(witness) -> dict:
+    """The certificate of a Fails verdict from its witness (word,
+    remainder, component, positions), the shape every route gives."""
+    w, u, e, positions = witness
     return {
         "word": tuple(w),
         "factor": tuple(u),
         "component": tuple(e),
         "positions": tuple(positions),
     }
-
-
-def _column_cert(columns) -> dict:
-    d = decode_witness(columns)
-    return _word_cert(d["word"], d["remainder"], d["component"], d["positions"])
 
 
 def _delta_cert(delta) -> dict:
@@ -160,7 +182,7 @@ def _falsifier(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     if cex is None:
         return None
     stats = {"falsifier_maxlen": budgets.falsifier_maxlen}
-    return FAILS, "falsifier", _word_cert(*cex), stats
+    return FAILS, "falsifier", fails_certificate(cex), stats
 
 
 def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
@@ -170,26 +192,24 @@ def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
     out = check_closure(comp, V, alf.delta)
     if out.holds:
         return HOLDS, route, _delta_cert(alf.delta), dict(alf.stats)
-    return FAILS, route, _column_cert(out.witness), dict(alf.stats)
+    witness = decode_witness(out.witness)
+    return FAILS, route, fails_certificate(witness), dict(alf.stats)
 
 
 def _prefix_fragment(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
-    alf = decide_alf_pre_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
+    alf = decide_alf_pre_finite(comp, V, budgets.km_node_cap)
     return _settle_fragment("prefix-fragment", comp, V, alf, check_closure_prefix)
 
 
 def _zero_fragment(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
-    alf = decide_alf_zero_finite(comp, V, budgets.km_node_cap, budgets.forward_cap)
+    alf = decide_alf_zero_finite(comp, V, budgets.km_node_cap)
     return _settle_fragment("zero-fragment", comp, V, alf, check_closure_zero)
 
 
 def _net(comp: Dfa, V: Dfa, budgets: Budgets, notes: dict):
     """The last stage: always settles, with Unknown when a cap stops it."""
     net = decide_sp_via_net(comp, V, budgets.km_node_cap, budgets.forward_cap)
-    cert = {}
-    if net.status == FAILS:
-        w = net.witness
-        cert = _word_cert(w["word"], w["remainder"], w["component"], w["positions"])
+    cert = fails_certificate(net.witness) if net.status == FAILS else {}
     return net.status, net.route, cert, dict(net.stats)
 
 
@@ -238,22 +258,6 @@ def _delete_positions(w: tuple, positions: tuple) -> tuple:
     return tuple(a for i, a in enumerate(w) if i not in taken)
 
 
-def _prefix_delta_closed(comp: Dfa, V: Dfa, delta: frozenset) -> bool:
-    """Is delta closed in the product of comp's counter system with V?
-
-    Closed means that at every product state (f, r) reached from
-    (0, V's initial state), each step of the counter system from f on a
-    letter that V reads at r is in delta: the coverage the prefix route's
-    closure search assumes.  A closed delta keeps the forward product
-    (`build_product`) to vectors that are 0 or a target of delta, so the
-    walk ends within (targets + 1) * |V| states with its fragment inside
-    delta; any other delta takes a step outside it or passes that cap.
-    """
-    cap = (len({t.target for t in delta}) + 1) * len(V.states)
-    _, fragment, exhausted = build_product(comp, V, cap)
-    return exhausted and fragment <= delta
-
-
 def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
@@ -261,7 +265,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     fragment route of its mode is checked on its recorded fragment, which
     is empty when the certificate has no delta (a report writes no line
     for an empty one); a prefix-fragment one must also be closed in the
-    product with V (`_prefix_delta_closed`), and then the exact closure
+    product with V (`petri.prefix_delta_closed`), and then the exact closure
     search runs over the fragment, which rejects it unless every step is
     valid.  A zero-fragment one is not yet checked for coverage.  Any other
     holds must carry no delta: it re-runs the net analysis, which answers
@@ -270,8 +274,9 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     route that proves them.
 
     A query that `decide_sp` would reject, such as a prefix-mode verdict
-    on a V that is not prefix closed or a pair whose alphabets differ,
-    raises InvalidQuery whatever its certificate.
+    on a V that is not prefix closed, a pair whose alphabets differ or a
+    P with a letter or state that a report cannot read back
+    (`check_query`), raises InvalidQuery whatever its certificate.
     """
     comp, V = prepare_query(P, V, verdict.mode)
     if verdict.outcome == FAILS:
@@ -308,7 +313,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
                 raise MalformedCertificate(str(exc)) from exc
             check_closure = check_closure_zero
             if verdict.route == "prefix-fragment":
-                if not _prefix_delta_closed(comp, V, delta):
+                if not prefix_delta_closed(comp, V, delta):
                     return False
                 check_closure = check_closure_prefix
             try:

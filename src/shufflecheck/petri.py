@@ -744,10 +744,7 @@ def _step_key(t) -> tuple:
 
 
 def decide_alf_pre_finite(
-    P: Dfa,
-    V: Dfa,
-    node_cap: int = DEFAULT_KM_NODE_CAP,
-    forward_cap: int = DEFAULT_FORWARD_CAP,
+    P: Dfa, V: Dfa, node_cap: int = DEFAULT_KM_NODE_CAP
 ) -> AlfResult:
     """Is the transition alphabet of all prefix-tracked interleavings finite?
 
@@ -761,9 +758,8 @@ def decide_alf_pre_finite(
     pump it meets first, and the states it has kept by then, depend only
     on the pair.
 
-    The walk keeps at most node_cap states and at most forward_cap states.
-    When it would keep more, the answer is Unknown and the stats name the
-    cap, km_node_cap when both are passed.
+    The walk keeps at most node_cap states; when it would keep more, the
+    answer is Unknown.
     """
     steps = engine_for(P).step_table(_step_key)
     fragment = set()
@@ -778,25 +774,35 @@ def decide_alf_pre_finite(
                 fragment.add(t)
                 yield t.target, s
 
-    tree, pump, exhausted = _pump_walk(
-        [(ZERO, V.initial)], forward, min(node_cap, forward_cap)
-    )
+    tree, pump, exhausted = _pump_walk([(ZERO, V.initial)], forward, node_cap)
     stats = {"product_states": len(tree)}
     if pump is not None:
         return AlfResult("infinite", pump=_pump(P, V, tree, *pump), stats=stats)
     if not exhausted:
-        stats["capped_by"] = "km_node_cap" if len(tree) > node_cap else "forward_cap"
         return AlfResult("unknown", stats=stats)
     return AlfResult(
         "finite", delta=frozenset(fragment), states=frozenset(tree), stats=stats
     )
 
 
+def prefix_delta_closed(P: Dfa, V: Dfa, delta: frozenset) -> bool:
+    """Is delta closed in the product of P's counter system with V?
+
+    Closed means that at every product state (f, r) reached from
+    (0, V's initial state), each step of the counter system from f on a
+    letter that V reads at r is in delta: the coverage the prefix route's
+    closure search assumes.  A closed delta keeps the forward product
+    (`build_product`) to vectors that are 0 or a target of delta, so the
+    walk ends within (targets + 1) * |V| states with its fragment inside
+    delta; any other delta takes a step outside it or passes that cap.
+    """
+    cap = (len({t.target for t in delta}) + 1) * len(V.states)
+    _, fragment, exhausted = build_product(P, V, cap)
+    return exhausted and fragment <= delta
+
+
 def decide_alf_zero_finite(
-    P: Dfa,
-    V: Dfa,
-    node_cap: int = DEFAULT_KM_NODE_CAP,
-    forward_cap: int = DEFAULT_FORWARD_CAP,
+    P: Dfa, V: Dfa, node_cap: int = DEFAULT_KM_NODE_CAP
 ) -> AlfResult:
     """Finiteness of the transition alphabet restricted to interleavings
     that can still close all components inside V.
@@ -809,10 +815,11 @@ def decide_alf_zero_finite(
     union of the markings reachable from each (0, q_f) in `build_npv`'s
     net with every pre- and post-set swapped, found without the net.  A
     `build_product` walk kept inside R gives the fragment; it has no pump
-    check, since a strict cover inside R does not make R infinite.
+    check, since a strict cover inside R does not make R infinite, and R
+    bounds it, so it always ends.
 
     node_cap bounds R as a whole, in states kept, not each (0, q_f)'s part
-    of it; forward_cap bounds the forward walk.  Either cap gives Unknown.
+    of it; a larger R gives Unknown.
 
     The forward product adds nothing once V is complete: a START step is
     then enabled from every V-state, so the forward product is finite only
@@ -838,9 +845,7 @@ def decide_alf_zero_finite(
     R, _, exhausted = _pump_walk([(ZERO, qf) for qf in V.finals], backward, node_cap)
     if not exhausted:
         return AlfResult("unknown")
-    states, delta, exhausted = build_product(P, V, forward_cap, keep=R.__contains__)
-    if not exhausted:
-        return AlfResult("unknown")
+    states, delta, _ = build_product(P, V, len(R), keep=R.__contains__)
     return AlfResult("finite", delta=delta, states=frozenset(states))
 
 
@@ -1022,12 +1027,14 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
 class NetVerdict:
     status: str  # holds | fails | unknown
     route: str
-    witness: Optional[dict] = None
+    witness: Optional[tuple] = None  # a fails' `decode_firing` tuple
     stats: dict = field(default_factory=dict)
 
 
-def decode_firing(net: PetriNet, path) -> dict:
-    """Word-level reading of a firing sequence of the deletion net."""
+def decode_firing(net: PetriNet, path) -> tuple:
+    """Word-level reading of a firing sequence of the deletion net, as
+    `sp_falsify` gives a counterexample: (word, remainder, component,
+    positions), where a paired transition reads into the remainder."""
     word, remainder, component, positions = [], [], [], []
     for i, tid in enumerate(path):
         info = net.meta[tid]
@@ -1038,13 +1045,7 @@ def decode_firing(net: PetriNet, path) -> dict:
         else:
             component.append(a)
             positions.append(i)
-    return {
-        "word": tuple(word),
-        "remainder": tuple(remainder),
-        "component": tuple(component),
-        "positions": tuple(positions),
-        "firing": tuple(path),
-    }
+    return tuple(word), tuple(remainder), tuple(component), tuple(positions)
 
 
 def decide_sp_via_net(

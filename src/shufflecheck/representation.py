@@ -30,7 +30,6 @@ from typing import Callable, Optional, Union
 
 from .automata import Dfa, Letter, ShufflecheckError, complete, live_states
 from .engine import (
-    Computation,
     CounterVector,
     ShuffleTransition,
     ZERO,
@@ -462,22 +461,17 @@ def mu_nu_project(columns) -> tuple:
     return mu, nu
 
 
-def decode_witness(columns) -> dict:
-    """Word-level reading of a column sequence: full word, remainder,
-    deleted component and its positions inside the full word."""
-    mu, nu = mu_nu_project(columns)
-    word = tuple(c.x1.letter for c in columns)
-    remainder = tuple(t.letter for t in nu)
+def decode_witness(columns) -> tuple:
+    """Word-level reading of a column sequence, as `sp_falsify` gives a
+    counterexample: (word, remainder, component, positions)."""
+    _, nu = mu_nu_project(columns)
     positions = tuple(i for i, c in enumerate(columns) if c.track3_active)
-    component = tuple(columns[i].x3.letter.unchecked() for i in positions)
-    return {
-        "word": word,
-        "remainder": remainder,
-        "component": component,
-        "positions": positions,
-        "mu": Computation(mu),
-        "nu": Computation(nu),
-    }
+    return (
+        tuple(c.x1.letter for c in columns),
+        tuple(t.letter for t in nu),
+        tuple(columns[i].x3.letter.unchecked() for i in positions),
+        positions,
+    )
 
 
 @dataclass(frozen=True)

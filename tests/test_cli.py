@@ -5,7 +5,7 @@ import pytest
 from shufflecheck import decision
 from shufflecheck.automata import serialize_automaton
 from shufflecheck.cli import main
-from conftest import depth_chain, mk_dfa
+from conftest import depth_chain, mk_dfa, sigma_star
 
 
 @pytest.fixture
@@ -387,6 +387,27 @@ def test_replay_rejects_a_query_decide_rejects(files, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert _one_error_line(err) and "prefix-closed" in err
+
+
+@pytest.mark.parametrize(
+    "start, second, name",
+    [("a(", "II", "letter 'a('"), ("a", "q(II", "state 'q(II'")],
+)
+def test_decide_rejects_unreadable_component_names(capsys, tmp_path, start, second, name):
+    # {ac, bc} with a letter or a state that a report could not read back
+    P = tmp_path / "p.aut"
+    P.write_text(serialize_automaton(mk_dfa(
+        [start, "b", "c"],
+        [("I", start, second), ("I", "b", second), (second, "c", "III")],
+        "I",
+        ["III"],
+    )))
+    V = tmp_path / "v.aut"
+    V.write_text(serialize_automaton(sigma_star([start, "b", "c"])))
+    assert main(["decide", str(P), str(V), "--mode", "prefix"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error_line(err) and name in err
 
 
 @pytest.mark.parametrize("text", ["(II:1)\n", ""], ids=["no-zero", "empty"])

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter, deque
@@ -13,6 +14,7 @@ from shufflecheck import engine
 from shufflecheck.automata import (
     Dfa,
     EmptyLanguage,
+    Letter,
     grave,
     is_prefix_closed,
     normalize,
@@ -23,13 +25,21 @@ from shufflecheck.decision import (
     InvalidQuery,
     MalformedCertificate,
     Verdict,
-    _prefix_delta_closed,
     decide_sp,
+    fails_certificate,
     parse_verdict,
+    prepare_query,
     replay_certificate,
     serialize_verdict,
 )
-from shufflecheck.petri import build_product, decide_alf_pre_finite
+from shufflecheck.petri import (
+    build_product,
+    decide_alf_pre_finite,
+    decide_alf_zero_finite,
+    decide_sp_via_net,
+    prefix_delta_closed,
+)
+from shufflecheck.representation import check_closure_zero, decode_witness
 from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
 
 
@@ -210,10 +220,10 @@ def test_random_pairs_consistent(rng):
         # three components of ab first close a violation, at length 6,
         # beyond the falsifier bound of SMALL
         ("single_ab", "mod3_a", "general", SMALL, "fails", "net-reachability"),
-        # forward_cap 3 bounds only the product walked inside the
-        # backward set (two states), not the backward search from F
-        # (five markings)
-        ("single_a", "b_chain", "general", replace(SMALL, forward_cap=3),
+        # forward_cap bounds only the net route's marking BFS, so a cap of
+        # one reaches neither the backward search from F (five states) nor
+        # the product walked inside the backward set (two states)
+        ("single_a", "b_chain", "general", replace(SMALL, forward_cap=1),
          "holds", "zero-fragment"),
     ],
     ids=lambda x: f"forward_cap={x.forward_cap}" if isinstance(x, Budgets) else None,
@@ -223,6 +233,75 @@ def test_route_table(request, p, v, mode, budgets, outcome, route):
     verdict = decide_sp(P, V, mode, budgets)
     assert (verdict.outcome, verdict.route) == (outcome, route)
     assert replay_certificate(P, V, verdict)
+
+
+def _witness_shape(witness) -> tuple:
+    word, remainder, component, positions = witness
+    return (
+        type(witness), [type(x) for x in witness],
+        {type(a) for a in word + remainder + component}, {type(i) for i in positions},
+    )
+
+
+@pytest.mark.parametrize(
+    "p, v, route",
+    [("single_abc", "ring9", "zero-fragment"), ("single_ab", "mod3_a", "net-reachability")],
+)
+def test_every_route_gives_the_falsifiers_witness_shape(
+    request, ring3, ring9, p, v, route
+):
+    # the closure search's columns (`decode_witness`) and the net's firing
+    # (`decode_firing`) read as the falsifier's (word, remainder, component,
+    # positions), and one builder makes the certificate of each
+    falsified = engine.sp_falsify(*prepare_query(ring3, ring9, "general"), 6)
+    assert _witness_shape(falsified) == (tuple, [tuple] * 4, {Letter}, {int})
+    P, V = request.getfixturevalue(p), request.getfixturevalue(v)
+    comp, Vn = prepare_query(P, V, "general")
+    if route == "zero-fragment":
+        delta = decide_alf_zero_finite(comp, Vn).delta
+        witness = decode_witness(check_closure_zero(comp, Vn, delta).witness)
+    else:
+        witness = decide_sp_via_net(comp, Vn).witness
+    assert _witness_shape(witness) == _witness_shape(falsified)
+    cert = fails_certificate(witness)
+    verdict = decide_sp(P, V, "general", SMALL)
+    assert (verdict.route, verdict.certificate) == (route, cert)
+    assert replay_certificate(P, V, Verdict("fails", "general", route, cert))
+
+
+def _renamed(A: Dfa, old: str, new: str) -> Dfa:
+    """A with its letter or state named old named new."""
+
+    def name(x):
+        if isinstance(x, Letter):
+            return Letter(new) if x.symbol == old else x
+        return new if x == old else x
+
+    return Dfa(
+        tuple(map(name, A.alphabet)),
+        frozenset(map(name, A.states)),
+        {(name(q), name(a)): name(p) for (q, a), p in A.delta.items()},
+        name(A.initial),
+        frozenset(map(name, A.finals)),
+        A.kind,
+    )
+
+
+@pytest.mark.parametrize(
+    "old, new, name", [("a", "a(", "letter 'a('"), ("II", "q(II", "state 'q(II'")]
+)
+def test_unreadable_component_names_rejected(two_start, tracker4, old, new, name):
+    # a report writes a step as '(f) a (g) [kind]', so a letter or a state
+    # of P with whitespace or a parenthesis gives a certificate that replay
+    # cannot read back; decide and replay both refuse the pair
+    verdict = decide_sp(two_start, tracker4, "prefix")
+    assert verdict.route == "prefix-fragment"
+    P, V = _renamed(two_start, old, new), _renamed(tracker4, old, new)
+    with pytest.raises(InvalidQuery, match=re.escape(name)):
+        decide_sp(P, V, "prefix")
+    for v in (verdict, parse_verdict(serialize_verdict(verdict))):
+        with pytest.raises(InvalidQuery, match=re.escape(name)):
+            replay_certificate(P, V, v)
 
 
 @pytest.mark.parametrize("maxlen, note", [(33, "overflow"), (6, None)])
@@ -407,7 +486,7 @@ def test_step_out_of_a_state_no_component_occupies_replays(single_ab, mode):
 
 
 def _reference_delta_closed(comp, V, delta) -> bool:
-    """_prefix_delta_closed without a step table: the engine builds a
+    """prefix_delta_closed without a step table: the engine builds a
     vector's steps again for every V-state the vector meets."""
     eng = engine.engine_for(comp)
     start = (engine.ZERO, V.initial)
@@ -441,7 +520,7 @@ def test_delta_closure_walk_builds_each_step_set_once(single_ab, successor_calls
     assert _reference_delta_closed(comp, V, delta)
     rebuilt = sum(successor_calls.values())
     successor_calls.clear()
-    assert _prefix_delta_closed(comp, V, delta)
+    assert prefix_delta_closed(comp, V, delta)
     assert max(successor_calls.values()) == 1
     assert 3 * sum(successor_calls.values()) < rebuilt
 
@@ -453,7 +532,7 @@ def test_delta_closure_walk_matches_the_table_free_walk():
     for comp, V in product_pairs(300):
         delta = build_product(comp, V, 60)[1]
         for fragment in (delta, _without_least_step(delta)):
-            closed = _prefix_delta_closed(comp, V, fragment)
+            closed = prefix_delta_closed(comp, V, fragment)
             assert closed is _reference_delta_closed(comp, V, fragment)
             outcomes.append(closed)
     assert len(outcomes) == 1200 and 100 < sum(outcomes) < 1100

@@ -16,6 +16,13 @@ from shufflecheck.engine import (
     sp_falsify,
 )
 from shufflecheck import petri
+from shufflecheck.decision import (
+    Budgets,
+    decide_sp,
+    parse_verdict,
+    replay_certificate,
+    serialize_verdict,
+)
 from shufflecheck.petri import (
     CHECK_PLACE,
     _ep,
@@ -87,12 +94,15 @@ def test_pre_route_finite_golden(two_start, tracker4):
     )
 
 
-def test_pre_route_forward_cap_gives_unknown(two_start, tracker4):
-    # the product has four states, so a cap of one stops the search
-    res = decide_alf_pre_finite(two_start, tracker4, forward_cap=1)
-    assert res.status == "unknown"
-    assert res.delta is None
-    assert res.stats["capped_by"] == "forward_cap"
+def test_forward_cap_does_not_reach_the_prefix_walk(two_start, tracker4):
+    # the product has four states; forward_cap bounds only the net route's
+    # marking BFS, so a cap of one leaves the walk to km_node_cap
+    v = decide_sp(two_start, tracker4, "prefix", Budgets(forward_cap=1))
+    assert (v.outcome, v.route) == ("holds", "prefix-fragment")
+    assert replay_certificate(two_start, tracker4, v)
+    assert replay_certificate(
+        two_start, tracker4, parse_verdict(serialize_verdict(v))
+    )
 
 
 def _reference_product(P, V, cap, keep=None):
@@ -183,33 +193,16 @@ def test_zero_route_finite_golden(single_ab, astar_b):
     )
 
 
-def test_zero_route_forward_cap_bounds_only_the_restricted_product(
-    single_a, b_chain
-):
-    # forward_cap bounds only the product walked inside the backward set
-    # (two states here), not the backward search from F (five markings)
-    uncapped = decide_alf_zero_finite(single_a, b_chain)
-    capped = decide_alf_zero_finite(single_a, b_chain, forward_cap=3)
-    assert uncapped.status == capped.status == "finite"
-    assert capped.delta == uncapped.delta == tset("(0) a (0) [start_end]")
-    assert capped.states == uncapped.states
-
-
 def test_zero_route_budgets(single_a, b_chain):
     # node_cap bounds the backward set as a whole, in states kept: the part
     # of it that reaches F alone has five states
     assert decide_alf_zero_finite(single_a, b_chain, node_cap=4).status == "unknown"
-    # the restricted product has two states, so a cap of two lets it finish
-    res = decide_alf_zero_finite(single_a, b_chain, forward_cap=2)
-    assert res.status == "finite"
-    assert res.delta == tset("(0) a (0) [start_end]")
 
 
 def test_pre_route_node_cap_bounds_the_walk(two_start, tracker4):
     # the walk keeps the product's four states, so a cap of two stops it
     res = decide_alf_pre_finite(two_start, tracker4, node_cap=2)
     assert res.status == "unknown"
-    assert res.stats["capped_by"] == "km_node_cap"
 
 
 def _route_cases():
@@ -682,8 +675,6 @@ def test_grouped_net_searches_as_one_field_per_place():
     skipped, walked, accelerated = walks
     assert skipped and walked and accelerated
     # the decision on the largest of them, pinned
-    from shufflecheck.decision import decide_sp
-
     v = decide_sp(_word("abb"), _modular(14, 1, 0), "general")
     assert (v.outcome, v.route) == ("fails", "net-reachability")
     assert v.stats == {"km_nodes": 567, "km_capped": False, "markings": 8835}
@@ -962,20 +953,17 @@ def test_marking_bfs_stops_before_a_count_overflows():
 
 
 def test_net_reachability_witness_golden():
-    # the witness pins the marking BFS's parent order
+    # the witness pins the marking BFS's parent order: for P = {ab} each
+    # letter has one core step and the V-states follow the word, so the
+    # word and the component's positions fix the firing
     res = decide_sp_via_net(_word("ab"), _modular(5, 1, 0))
     assert (res.status, res.route) == ("fails", "net-reachability")
     assert res.stats == {"km_nodes": 30, "km_capped": False, "markings": 76}
-    assert "".join(a.symbol for a in res.witness["word"]) == "ababababab"
-    assert res.witness["positions"] == (0, 1)
-    a, b = "start|(0) a (p1:1)", "end|(p1:1) b (0)"
-    assert res.witness["firing"] == (
-        f"E|{a}|r0", f"E|{b}|r1",
-        f"S|{a}|r1,r0", f"S|{b}|r2,r1",
-        f"S|{a}|r2,r1", f"S|{b}|r3,r2",
-        f"S|{a}|r3,r2", f"S|{b}|r4,r3",
-        f"S|{a}|r4,r3", f"S|{b}|r0,r4",
-    )
+    word, remainder, component, positions = res.witness
+    assert "".join(a.symbol for a in word) == "ababababab"
+    assert "".join(a.symbol for a in remainder) == "abababab"
+    assert "".join(a.symbol for a in component) == "ab"
+    assert positions == (0, 1)
 
 
 def test_petri_net_takes_unit_arcs_only():
@@ -1051,19 +1039,17 @@ def test_net_route_on_one_letter_words_is_exact_without_exhausting():
 def test_net_decision_finds_counterexample(ring3, ring9):
     res = decide_sp_via_net(ring3, ring9, forward_cap=100_000)
     assert res.status == "fails"
-    w = res.witness
+    word, remainder, component, positions = res.witness
     # the decoded firing interleaves the component into the word
-    assert tuple(w["word"][i] for i in w["positions"]) == w["component"]
-    rest = tuple(
-        a for i, a in enumerate(w["word"]) if i not in set(w["positions"])
-    )
-    assert rest == w["remainder"]
+    assert tuple(word[i] for i in positions) == component
+    rest = tuple(a for i, a in enumerate(word) if i not in set(positions))
+    assert rest == remainder
     from shufflecheck.automata import accepts
     from shufflecheck.engine import shuffle_member
 
-    assert shuffle_member(ring3, w["word"])
-    assert accepts(ring9, w["word"])
-    assert not accepts(ring9, w["remainder"])
+    assert shuffle_member(ring3, word)
+    assert accepts(ring9, word)
+    assert not accepts(ring9, remainder)
 
 
 def test_deletion_net_export_golden(two_start, tracker4):

@@ -162,12 +162,12 @@ def test_decode_witness_positions(two_start):
 
     cols = find(w.automaton.initial, (), 3)
     assert cols is not None
-    d = decode_witness(cols)
-    assert len(d["word"]) == len(cols)
-    assert len(d["component"]) == len(d["positions"])
-    assert tuple(d["word"][i] for i in d["positions"]) == d["component"]
-    rest = tuple(a for i, a in enumerate(d["word"]) if i not in set(d["positions"]))
-    assert rest == d["remainder"]
+    word, remainder, component, positions = decode_witness(cols)
+    assert len(word) == len(cols)
+    assert len(component) == len(positions)
+    assert tuple(word[i] for i in positions) == component
+    rest = tuple(a for i, a in enumerate(word) if i not in set(positions))
+    assert rest == remainder
 
 
 def test_one_deletion_equality_on_fragment(two_start):
@@ -245,8 +245,8 @@ def test_closure_detects_violation(single_ab, astar_b):
     delta = steps_to_norm_2(single_ab)
     out = check_closure_zero(single_ab, astar_b, delta)
     assert not out.holds
-    d = decode_witness(out.witness)
-    assert len(d["component"]) > 0
+    _, _, component, _ = decode_witness(out.witness)
+    assert len(component) > 0
 
 
 def grave_transfer(P, delta) -> frozenset:
