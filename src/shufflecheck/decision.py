@@ -111,12 +111,28 @@ _UNREADABLE = re.compile(r"[\s()]")
 # the same P, and unkept the check added ~15% to random-general's replay p50.
 @lru_cache(maxsize=64)
 def _unreadable_name(P: Dfa) -> Optional[str]:
-    """The first letter or state of P whose text holds whitespace or a
-    parenthesis, as "letter 'a('" or "state 'q('", or None."""
-    for what, names in (("letter", P.alphabet), ("state", P.states)):
-        for name in map(str, names):
-            if _UNREADABLE.search(name):
-                return f"{what} {name!r}"
+    """What keeps the first letter or state of P out of a query, as
+    "letter 'a(' cannot be read back from a report", or None.
+
+    A report must read each name back as itself: no letter or state may
+    hold whitespace or a parenthesis, `parse_letter` must read a letter's
+    text as that letter, and a state must be a string.  Distinct steps of
+    P's counter system then print distinctly.  No letter may be a checked
+    letter either: track 3 of a column writes P's letters as their checked
+    copies, which must lie outside P's alphabet."""
+    for a in P.alphabet:
+        text = str(a)
+        try:
+            unreadable = _UNREADABLE.search(text) or parse_letter(text) is not a
+        except ParseError:
+            unreadable = True
+        if unreadable:
+            return f"letter {text!r} cannot be read back from a report"
+        if a.mark is not None:
+            return f"letter {text!r} is a checked letter"
+    for q in P.states:
+        if not isinstance(q, str) or _UNREADABLE.search(q):
+            return f"state {q!r} cannot be read back from a report"
     return None
 
 
@@ -124,9 +140,10 @@ def check_query(P: Dfa, V: Dfa, mode: str):
     """Raise InvalidQuery unless decide_sp answers this query.
 
     P and V must be normalized (`normalize`): a trimmed V recognizes a
-    prefix-closed language exactly when every state is final.  No letter
-    or state of P may hold `_UNREADABLE` characters; V's states never
-    reach a certificate.
+    prefix-closed language exactly when every state is final.  P's
+    letters and states must be names a report reads back and no letter a
+    checked one (`_unreadable_name`); V's states never reach a
+    certificate.
     """
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
@@ -135,7 +152,7 @@ def check_query(P: Dfa, V: Dfa, mode: str):
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
     unreadable = _unreadable_name(P)
     if unreadable is not None:
-        raise InvalidQuery(f"component {unreadable} holds whitespace or a parenthesis")
+        raise InvalidQuery(f"component {unreadable}")
 
 
 def prepare_query(P: Dfa, V: Dfa, mode: str) -> tuple:

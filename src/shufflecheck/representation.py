@@ -15,12 +15,13 @@ each through `TrackLetter`'s checked constructor.
 The moves run on packed states: the remainder is one int with a field per
 state that delta names, the tracked component 0, a packed unit or the
 sentinel, and delta is read once into a table keyed by the packed
-composite, each of its steps with the engine steps it shifts.  The closure
-search runs on those states, numbered, and leaves out every state whose
-composite V-state can reach no final state.  The recognizer W_delta adds
-the composite vector to each state and unpacks its moves; it, the track
-ranges S1/S2/S3 and the steps delta2'/delta3' serve the `wdelta` command
-and the tests.
+composite, each of its steps with the engine steps it shifts, in the
+order of W_delta's alphabet, which is taken from a column's parts, not
+its text (`_column_order`).  The closure search runs on those states,
+numbered, and leaves out every state whose composite V-state can reach
+no final state.  The recognizer W_delta adds the composite vector to each
+state and unpacks its moves; it, the track ranges S1/S2/S3 and the steps
+delta2'/delta3' serve the `wdelta` command and the tests.
 """
 
 from __future__ import annotations
@@ -151,14 +152,15 @@ def _delta3_prime(P: Dfa, delta, s3) -> frozenset:
 
 
 def _column_order(col: TrackLetter) -> tuple:
-    """A column's place in W's alphabet: its text, then its kind, which
-    the text leaves out."""
-    return _track_order(col.x1, col.x2, col.x3)
-
-
-def _track_order(x1, x2, x3) -> tuple:
-    """`_column_order` of the column with tracks x1, x2, x3."""
-    return f"[{x1} | {x2} | {x3}]", x1.kind
+    """A column's place in W's alphabet, from its parts: the composite's
+    text, the remainder's text before the column, whether track 3 moves,
+    then the column's text and kind, which its text leaves out.  Among the
+    moves of one state the remainder is fixed and, with distinct steps
+    printing distinctly, the column's text follows from the rest, so there
+    the order is (x1's text, remainder before component, kind), which
+    `_deletion_moves` sorts each source's moves by once."""
+    s2 = col.x2 if col.track3_active else col.x2.source
+    return str(col.x1), str(s2), col.track3_active, str(col), col.x1.kind
 
 
 class _PackedMoves:
@@ -171,15 +173,14 @@ class _PackedMoves:
     with a test: (x1, mask, effect) is x1's remainder move from s2 when
     mask is 0 or s2 & mask is nonzero, to s2 + effect; (x1, by_s3, None)
     is its component move, by_s3 mapping s3 to (x3, next s3) for the
-    core step x3 out of s3.  When ordered, the candidates come in column
-    order; otherwise each state's moves are sorted by their text.
+    core step x3 out of s3.  The candidates come in column order
+    (`_column_order`), so every state's moves do.
     """
 
     def __init__(self, shift: dict, field: int):
         self.shift = shift
         self.field = field
         self.table: dict = {}
-        self.ordered = True
 
     def pack(self, f: CounterVector) -> Optional[int]:
         """f packed, or None when a state of f has no field or a count
@@ -211,8 +212,6 @@ class _PackedMoves:
                     out.append((x1, hit[0], (s2, hit[1])))
             elif not test or s2 & test:
                 out.append((x1, None, (s2 + effect, s3)))
-        if not self.ordered:
-            out.sort(key=lambda move: _track_order(*self.tracks(state, move)))
         return tuple(out)
 
     def tracks(self, state, move) -> tuple:
@@ -248,14 +247,11 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     kind out of 0 or out of a state of x1's source, after which x1's
     target follows.  x2 = x1 - s3 is a step of s2 exactly when one of them
     leaves 0 or a state s2 counts, and x3 = x1 - s2 is the core step among
-    them out of s3, if any; delta's steps are checked the same way.  Moves
-    come in column order, x1's text first: delta's steps are sorted by
-    text and kind once, and among the steps of one text, which share
-    letter and target, every remainder column comes before every component
-    column or after it, as the letter's text decides.  Where that does not
-    hold (a text that prefixes another, or a letter such as "|"), each
-    state's moves are sorted by their text.  Only a witness's and
-    W_delta's columns make x2 and x3 (`_PackedMoves.tracks`).
+    them out of s3, if any; delta's steps are checked the same way.  Each
+    source's candidates are sorted once by (x1's text, remainder before
+    component, kind), which is column order on every state
+    (`_column_order`).  Only a witness's and W_delta's columns make x2 and
+    x3 (`_PackedMoves.tracks`).
 
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
@@ -275,56 +271,35 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     named = sorted({q for q, _n in entries})
     system = _PackedMoves({q: width * i for i, q in enumerate(named)}, (1 << width) - 1)
     packed = {f: system.pack(f) for f in vectors}
-    # packed source -> its steps in groups that print alike, by text, then
-    # kind: a text's steps share letter and target unless vectors or
-    # letters print ambiguously
-    by_source: dict = {}
-    for t in sorted(delta, key=lambda t: (str(t), t.kind)):
-        groups = by_source.setdefault(packed[t.source], [])
-        if groups and str(groups[-1][0]) == str(t):
-            groups[-1].append(t)
-        else:
-            groups.append([t])
     eng = engine_for(P)
     shifted = _shifted_steps(eng, system.shift)
     field, core = system.field, eng.core
-    firsts: dict = {}  # letter -> `_remainder_first` of its text
-    for s1, groups in by_source.items():
-        out = []
-        prev = None
-        for group in groups:
-            a = group[0].letter
-            if a not in firsts:
-                firsts[a] = _remainder_first(str(a))
-            first = firsts[a]
-            text = str(group[0])
-            if first is None or (prev is not None and text.startswith(prev)) or (
-                len(group) > 1
-                and any(t.letter is not a or t.target is not group[0].target for t in group)
-            ):
-                system.ordered = False
-            prev = text
-            remainder, component = [], []
-            for x1 in group:
-                s, t = packed[x1.source], packed[x1.target]
-                always, mask, by_s3 = False, 0, {}
-                for c, cs, ct in shifted.get((a, x1.kind, t - s), ()):
-                    if not cs:
-                        always = True
-                    elif s & field * cs:
-                        mask |= field * cs
-                    else:
-                        continue
-                    if c in core:
-                        by_s3[cs] = (c, ct or CHECK_ZERO)
-                if always or mask:
-                    remainder.append((x1, 0 if always else mask, t - s))
-                else:
-                    raise NotSubsetOfShuffle(f"{x1.tagged_str()} is not a valid step")
-                if by_s3:
-                    component.append((x1, by_s3, None))
-            out += remainder + component if first is not False else component + remainder
-        system.table[s1] = tuple(out)
+    # packed source -> its candidates, each under its order among a state's
+    # moves; delta is read by text and kind, so the step it names when one
+    # is invalid does not follow the hash seed
+    by_source: dict = {}
+    for x1 in sorted(delta, key=lambda t: (str(t), t.kind)):
+        s, t = packed[x1.source], packed[x1.target]
+        always, mask, by_s3 = False, 0, {}
+        for c, cs, ct in shifted.get((x1.letter, x1.kind, t - s), ()):
+            if not cs:
+                always = True
+            elif s & field * cs:
+                mask |= field * cs
+            else:
+                continue
+            if c in core:
+                by_s3[cs] = (c, ct or CHECK_ZERO)
+        if not (always or mask):
+            raise NotSubsetOfShuffle(f"{x1.tagged_str()} is not a valid step")
+        text = str(x1)
+        out = by_source.setdefault(s, [])
+        out.append(((text, False, x1.kind), (x1, 0 if always else mask, t - s)))
+        if by_s3:
+            out.append(((text, True, x1.kind), (x1, by_s3, None)))
+    for s, out in by_source.items():
+        out.sort(key=lambda keyed: keyed[0])
+        system.table[s] = tuple(move for _key, move in out)
     return system
 
 
@@ -345,16 +320,6 @@ def _shifted_steps(eng, shift: dict) -> dict:
             if ct is not None:
                 out.setdefault((c.letter, c.kind, ct - cs), []).append((c, cs, ct))
     return out
-
-
-def _remainder_first(a: str) -> Optional[bool]:
-    """Whether the remainder column of a step on the letter printed a
-    comes before its component column in every state, or None if that is
-    not fixed.  Past their common "[x1 | (s2) ", the remainder column
-    reads a, a space and x2's target, and the component column "| (s3)",
-    so their first two characters decide unless they are alike."""
-    head = (a + " ")[:2]
-    return None if head == "| " else head < "| "
 
 
 def w_delta_moves(P: Dfa, delta):

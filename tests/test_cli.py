@@ -285,6 +285,21 @@ def test_wdelta_invalid_step_exits_3(files, capsys, tmp_path):
     assert _one_error_line(capsys.readouterr().err)
 
 
+def test_checked_component_letter_exits_3(single_abc, ring9, capsys, tmp_path):
+    # "^a" names the checked copy of a, which track 3 keeps apart from P's
+    # letters, so a pair over it is invalid input
+    paths = []
+    for name, A in (("abc", single_abc), ("ring9", ring9)):
+        path = tmp_path / f"{name}.aut"
+        path.write_text(re.sub(r"(?<= )a(?= |$)", "^a", serialize_automaton(A), flags=re.M))
+        paths.append(str(path))
+    assert "alphabet: ^a b c\n" in (tmp_path / "abc.aut").read_text()
+    assert main(["decide", *paths, "--mode", "general"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "Traceback" not in err
+    assert "checked letter" in err
+
+
 def test_foreign_letter_step_is_not_a_valid_step(single_ab, capsys, tmp_path):
     # ab never reads zz, so a fragment holding a zz step is no certificate
     comp, chain, delta = (tmp_path / n for n in ("ab.aut", "chain.aut", "delta.txt"))

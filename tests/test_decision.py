@@ -269,12 +269,15 @@ def test_every_route_gives_the_falsifiers_witness_shape(
     assert replay_certificate(P, V, Verdict("fails", "general", route, cert))
 
 
-def _renamed(A: Dfa, old: str, new: str) -> Dfa:
-    """A with its letter or state named old named new."""
+def _renamed(A: Dfa, old: str, new) -> Dfa:
+    """A with its letter or state named old named new: a letter of symbol
+    old becomes new if new is a Letter, else Letter(new)."""
 
     def name(x):
         if isinstance(x, Letter):
-            return Letter(new) if x.symbol == old else x
+            if x.symbol != old:
+                return x
+            return new if isinstance(new, Letter) else Letter(new)
         return new if x == old else x
 
     return Dfa(
@@ -302,6 +305,80 @@ def test_unreadable_component_names_rejected(two_start, tracker4, old, new, name
     for v in (verdict, parse_verdict(serialize_verdict(verdict))):
         with pytest.raises(InvalidQuery, match=re.escape(name)):
             replay_certificate(P, V, v)
+
+
+@pytest.mark.parametrize(
+    "old, new, name",
+    [
+        ("a", Letter("a", None, "checked"), "letter '^a' is a checked letter"),
+        ("a", 1, "letter '1' cannot be read back"),
+        ("a", "a@2", "letter 'a@2' cannot be read back"),
+        ("a", "^a", "letter '^a' cannot be read back"),
+        ("II", 2, "state 2 cannot be read back"),
+    ],
+)
+def test_component_names_that_do_not_read_back_rejected(
+    single_abc, ring9, old, new, name
+):
+    # a report reads "1" and "a@2" as other letters than Letter(1) and
+    # Letter("a@2"), and "^a" as the checked copy of a, which track 3 keeps
+    # apart from P's letters; a state must be a string.  Decide and replay
+    # both refuse the pair, at any budget
+    verdict = decide_sp(single_abc, ring9, "general")
+    P, V = _renamed(single_abc, old, new), _renamed(ring9, old, new)
+    for budgets in (Budgets(), Budgets(falsifier_maxlen=0)):
+        with pytest.raises(InvalidQuery, match=re.escape(name)):
+            decide_sp(P, V, "general", budgets)
+    for v in (verdict, parse_verdict(serialize_verdict(verdict))):
+        with pytest.raises(InvalidQuery, match=re.escape(name)):
+            replay_certificate(P, V, v)
+
+
+# Names a report may misread: whitespace and parentheses, texts that parse
+# as another letter, letters that sort at "| " or after, and non-strings.
+HOSTILE_LETTERS = (
+    Letter("("), Letter("a b"), Letter("^a"), Letter("a@2"), Letter("|"),
+    Letter("~"), Letter("é"), Letter(1), Letter("a", 2), Letter("a", None, "checked"),
+    Letter("a"), Letter("b"),
+)
+HOSTILE_STATES = ("(", "a b", "^a", "a@2", "|", "~", "é", 2, "q", "r", "s")
+
+
+def test_decide_and_the_report_agree_on_names():
+    # a pair with hostile names is refused, or its verdict replays from
+    # its own report as it does in memory
+    rng = random.Random(40)
+    refused = replayed = 0
+    for _ in range(400):
+        P, V = wide_draw(rng)
+        letters = dict(zip(P.alphabet, rng.sample(HOSTILE_LETTERS, len(P.alphabet))))
+        states = dict(zip(sorted(P.states), rng.sample(HOSTILE_STATES, len(P.states))))
+
+        def name(x):
+            return letters[x] if isinstance(x, Letter) else states.get(x, x)
+
+        P = Dfa(
+            tuple(map(name, P.alphabet)), frozenset(map(name, P.states)),
+            {(name(q), name(a)): name(p) for (q, a), p in P.delta.items()},
+            name(P.initial), frozenset(map(name, P.finals)), P.kind,
+        )
+        V = Dfa(
+            tuple(map(name, V.alphabet)), V.states,
+            {(q, name(a)): p for (q, a), p in V.delta.items()},
+            V.initial, V.finals, V.kind,
+        )
+        try:
+            verdict = decide_sp(P, V, "general", Budgets(falsifier_maxlen=0))
+        except EmptyLanguage:
+            continue
+        except InvalidQuery:
+            refused += 1
+            continue
+        assert replay_certificate(P, V, verdict), (P, V)
+        report = parse_verdict(serialize_verdict(verdict))
+        assert replay_certificate(P, V, report), (P, V)
+        replayed += 1
+    assert refused > 200 and replayed > 20
 
 
 @pytest.mark.parametrize("maxlen, note", [(33, "overflow"), (6, None)])

@@ -313,7 +313,11 @@ def test_closure_prefix_depth_chain_golden(single_ab):
 
 
 def _column_key(col) -> tuple:
-    return str(col), col.x1.kind
+    """W's alphabet order by its definition: the composite's text, the
+    remainder's text before the column, whether track 3 moves, then the
+    column's text and the composite's kind."""
+    before = col.x2.source if isinstance(col.x2, ShuffleTransition) else col.x2
+    return str(col.x1), str(before), col.track3_active, str(col), col.x1.kind
 
 
 def _reference_columns(system) -> frozenset:
@@ -350,7 +354,7 @@ def _reference_columns(system) -> frozenset:
 def _reference_moves(columns, state) -> list:
     """W's moves out of state by their definition: the columns of
     `_reference_columns` whose tracks start where the state stands, each
-    with the state it leads to, in column order (text, then kind)."""
+    with the state it leads to, in column order (`_column_key`)."""
     s1, s2, s3 = state
     out = []
     for col in sorted(columns, key=_column_key):
@@ -683,13 +687,11 @@ def test_counts_past_16_bits_get_fields_wide_enough(single_abc):
     ]
 
 
-def test_moves_keep_column_order_for_letters_from_a_bar_on():
-    # past the common "[x1 | (s2)", a remainder column reads " " and the
-    # letter, a component column " | (s3)": for "~" the component column
-    # comes first, and for "|" the state decides, so such moves are sorted
-    # by their text; the moves and the closure checks match their
-    # definitions
-    cases = list(_arbitrary_fragments(60, ("|b", "a|", "~b")))
+def test_moves_keep_column_order_for_any_letter():
+    # the order comes from a column's parts, not its text, so it holds for
+    # letters whose text sorts at "| " or after, and for letters outside
+    # ASCII; the moves and the closure checks match their definitions
+    cases = list(_arbitrary_fragments(100, ("|b", "a|", "~b", "éb", "}a")))
     for P, V, delta in cases:
         w = build_w_delta(P, delta)
         columns = _reference_columns(w.system)
@@ -697,7 +699,31 @@ def test_moves_keep_column_order_for_letters_from_a_bar_on():
         for state in w.decode.values():
             assert list(moves(state)) == _reference_moves(columns, state)
         _assert_closure_checks_match_the_reference(P, V, delta)
-    assert sum(1 for _P, _V, delta in cases if len(delta) > 10) > 30
+    assert sum(1 for _P, _V, delta in cases if len(delta) > 10) > 50
+
+
+def test_remainder_column_comes_first_for_a_tilde():
+    # "~" sorts after "| ", so by text a component column would come before
+    # the remainder column of the same step; by its parts it comes after,
+    # in W's alphabet and among a state's moves
+    P = mk_dfa("~", [("1", "~", "1")], "1", ["1"])
+    delta = steps_to_norm_2(P)
+    w = build_w_delta(P, delta)
+    alphabet = [a.symbol for a in w.automaton.alphabet]
+    assert alphabet == sorted(w.system.columns, key=_column_key)
+    # whether track 3 moves, in order, for the columns of each composite
+    # step from each remainder, and for the moves of each step of a state
+    tracks = defaultdict(list)
+    for col in alphabet:
+        tracks[col.x1, _column_key(col)[1]].append(col.track3_active)
+    moves = w_delta_moves(P, delta)
+    for state in w.decode.values():
+        for col, _nxt in moves(state):
+            tracks[col.x1, state].append(col.track3_active)
+    assert all(active == sorted(active) for active in tracks.values())
+    assert sum(len(set(active)) == 2 for active in tracks.values()) > 10
+    for V in (sigma_star("~"), even_length("~")):
+        _assert_closure_checks_match_the_reference(P, V, delta)
 
 
 def _vectors_over(states, max_norm: int) -> set:
@@ -759,5 +785,5 @@ def test_tied_columns_ordered_by_kind():
     for state in w.decode.values():
         keys = [_column_key(col) for col, _ in moves(state)]
         assert keys == sorted(keys)
-        tied += len({text for text, _ in keys}) < len(keys)
+        tied += len({key[3] for key in keys}) < len(keys)
     assert (len(w.decode), tied) == (8, 5)
