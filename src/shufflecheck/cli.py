@@ -74,6 +74,7 @@ def _load_delta(path: str) -> frozenset:
 
 def cmd_wdelta(args) -> int:
     P = _load(args.components)
+    decision.check_component(P)
     delta = _load_delta(args.delta)
     w = representation.build_w_delta(P, delta)
     s = w.system

@@ -136,23 +136,27 @@ def _unreadable_name(P: Dfa) -> Optional[str]:
     return None
 
 
+def check_component(P: Dfa):
+    """Raise InvalidQuery unless P's letters and states are names a report
+    reads back and no letter is a checked one (`_unreadable_name`)."""
+    unreadable = _unreadable_name(P)
+    if unreadable is not None:
+        raise InvalidQuery(f"component {unreadable}")
+
+
 def check_query(P: Dfa, V: Dfa, mode: str):
     """Raise InvalidQuery unless decide_sp answers this query.
 
     P and V must be normalized (`normalize`): a trimmed V recognizes a
-    prefix-closed language exactly when every state is final.  P's
-    letters and states must be names a report reads back and no letter a
-    checked one (`_unreadable_name`); V's states never reach a
-    certificate.
+    prefix-closed language exactly when every state is final.  P must pass
+    `check_component`; V's states never reach a certificate.
     """
     if mode not in (PREFIX, GENERAL):
         raise InvalidQuery(f"unknown mode {mode!r}")
     check_alphabets(P, V)
     if mode == PREFIX and V.finals != V.states:
         raise InvalidQuery("prefix mode needs a prefix-closed constraint language")
-    unreadable = _unreadable_name(P)
-    if unreadable is not None:
-        raise InvalidQuery(f"component {unreadable}")
+    check_component(P)
 
 
 def prepare_query(P: Dfa, V: Dfa, mode: str) -> tuple:

@@ -13,8 +13,8 @@ steps that move one component out of a state on a letter.  The core is
 the one step basis: every step is a core step shifted by a vector
 (`successors`), a single tracked component runs on core steps alone, the
 Petri nets of `petri` take their arcs from the core steps' source and
-target vectors, and every module that lists the core in a fixed order
-reads the engine's `ordered_core`.
+target vectors, and every walk meets steps in one order, `step_order`.
+The deletion system's walks share CHECK_ZERO, a closed tracked component.
 
 Word membership (`shuffle_member`, `pre_shuffle_member`) and the
 falsifier (`sp_falsify`) run the counter system on packed vectors
@@ -164,6 +164,22 @@ class CounterVector:
 ZERO = CounterVector()
 
 
+class _CheckZero:
+    """The type of CHECK_ZERO, the tracked component's closed state in the
+    deletion system: unlike ZERO, it opens no new component."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # pickle and copy hand back CHECK_ZERO itself
+        return "CHECK_ZERO"
+
+    def __repr__(self):
+        return "0#"
+
+
+CHECK_ZERO = _CheckZero()
+
+
 def parse_vector(text: str) -> CounterVector:
     """Parse '(0)', '(II:1)', '(II:1 III:2)' or the bare forms without parens."""
     body = text.strip()
@@ -235,6 +251,12 @@ class ShuffleTransition:
 
     def tagged_str(self) -> str:
         return f"{self} [{self.kind}]"
+
+
+def step_order(t: ShuffleTransition) -> tuple:
+    """The sort key of the one order in which walks meet steps: text, then
+    kind, which the text leaves out, so it follows the steps' values."""
+    return (str(t), t.kind)
 
 
 # '(f) a (g)' with an optional '[kind]' tag, and nothing around them
@@ -352,7 +374,7 @@ class ShuffleEngine:
     are 0 and the unit vectors of the component states, each reached from
     0 along core steps (a component state is entered by a nonempty word
     whose states can all continue), so a single tracked component takes
-    every core step.  `ordered_core` lists the core by text, then kind.
+    every core step.  `ordered_core` lists the core in `step_order`.
     """
 
     def __init__(self, P: Dfa):
@@ -400,8 +422,8 @@ class ShuffleEngine:
 
     @cached_property
     def ordered_core(self) -> tuple:
-        """The core sorted by text, then kind, which the text leaves out."""
-        return tuple(sorted(self.core, key=lambda t: (str(t), t.kind)))
+        """The core in `step_order`."""
+        return tuple(sorted(self.core, key=step_order))
 
     def successors(self, f: CounterVector, a: Letter) -> frozenset:
         """All transitions (f, a, g), tagged by kind: the core steps on a
@@ -415,12 +437,11 @@ class ShuffleEngine:
                 out.add(ShuffleTransition(f, a, t.target.add(f.sub(t.source)), t.kind))
         return frozenset(out)
 
-    def step_table(self, key=None):
+    def step_table(self):
         """A fresh memo of `successors` for one walk: steps(f, a) builds
-        the steps of f on a the first time the walk asks, and returns the
-        same set after that.  With a sort key it returns them as a list
-        sorted by that key, sorted once: a set of steps iterates in an
-        order that follows memory addresses.
+        the steps of f on a the first time the walk asks, as a list in
+        `step_order`, not a set, whose order follows memory addresses, and
+        returns the same list after that.
 
         The table is the walk's own and dies with it; the engine keeps no
         steps.  A walk over the vector x V-state product asks for f's steps
@@ -430,12 +451,10 @@ class ShuffleEngine:
         """
         table: dict = {}
 
-        def steps(f: CounterVector, a: Letter) -> frozenset:
+        def steps(f: CounterVector, a: Letter) -> list:
             out = table.get((f, a))
             if out is None:
-                out = self.successors(f, a)
-                if key is not None:
-                    out = sorted(out, key=key)
+                out = sorted(self.successors(f, a), key=step_order)
                 table[(f, a)] = out
             return out
 

@@ -72,7 +72,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import Dfa, complete
-from .engine import CounterVector, ZERO, elementary_vector_states, engine_for
+from .engine import (
+    CHECK_ZERO, CounterVector, ZERO, elementary_vector_states, engine_for,
+)
 
 DEFAULT_KM_NODE_CAP = 200_000
 DEFAULT_FORWARD_CAP = 500_000
@@ -124,8 +126,7 @@ class PetriNet:
     guard bits of its nonzero counters (`key`): the transitions enabled at
     a marking depend on that key alone.  `ready_at` lists them, per key,
     from the candidates of the key's group fields, which are listed once
-    per group value.  `token` gives each place's token as a packed
-    marking, so a marking of one-token places packs as their sum.
+    per group value.
     """
 
     def __init__(
@@ -156,7 +157,7 @@ class PetriNet:
         self.groups = []  # per group: (field shift, field mask, place positions)
         # per place position: its token as a packed marking, its ready-key
         # bit or bits, and its group's field mask (0 for a counter)
-        self.token = token = [0] * len(places)
+        token = [0] * len(places)
         flag, field_of = [0] * len(places), [0] * len(places)
         for i, s in self.counters:
             token[i], flag[i] = 1 << s, TOP << s
@@ -735,14 +736,6 @@ def _pump_walk(roots, edges, cap: int) -> tuple:
     return tree, None, True
 
 
-def _step_key(t) -> tuple:
-    """A sort key for the steps of one vector on one letter, which share
-    their source and letter: the target's text, kept on the vector, then
-    the kind.  It orders them as `ShuffleEngine.ordered_core` orders
-    steps, and reads only their values."""
-    return (str(t.target), t.kind)
-
-
 def decide_alf_pre_finite(
     P: Dfa, V: Dfa, node_cap: int = DEFAULT_KM_NODE_CAP
 ) -> AlfResult:
@@ -753,15 +746,15 @@ def decide_alf_pre_finite(
     V is, and is then the set of steps on the product's edges.  One
     `_pump_walk` forward from (0, V.initial), with the steps of the
     engine's step table, answers.  The pump is (prefix, cycle) in
-    `build_npv`'s transition names, which `replay_pump` fires.  The walk
-    takes each vector's steps on a letter in `_step_key` order, so the
-    pump it meets first, and the states it has kept by then, depend only
-    on the pair.
+    `build_npv`'s transition names, which `replay_pump` fires.  The step
+    table lists each vector's steps on a letter in the engine's
+    `step_order`, so the pump the walk meets first, and the states it has
+    kept by then, depend only on the pair.
 
     The walk keeps at most node_cap states; when it would keep more, the
     answer is Unknown.
     """
-    steps = engine_for(P).step_table(_step_key)
+    steps = engine_for(P).step_table()
     fragment = set()
 
     def forward(state):
@@ -852,9 +845,6 @@ def decide_alf_zero_finite(
 # ---------------------------------------------------------------------------
 # deletion net
 
-CHECK_PLACE = "E::0#"
-
-
 def _v1(q) -> str:
     return f"V1::{q}"
 
@@ -867,32 +857,36 @@ def _q2(q) -> str:
     return f"Q2::{q}"
 
 
-def _ep(vec: CounterVector) -> str:
+def _ep(vec) -> str:
+    """The tracked place of a vector or of CHECK_ZERO."""
     return f"E::{vec}"
+
+
+CHECK_PLACE = _ep(CHECK_ZERO)
 
 
 def _live_controls(V: Dfa, core) -> set:
     """The control states of the deletion net that a run from
-    (V.initial, V.initial, E::0) can reach, as a set of triples.
+    (V.initial, V.initial, 0) can reach, as a set of triples.
 
     A control state (r1, r2, e) holds the V1-state, the V2-state and the
-    tracked place, an E:: place or CHECK_PLACE, each group holding one
-    token in every reachable marking.  The search takes every counter place
-    as unbounded, so it reaches every control state the net can mark, and
-    maybe more.  A paired step on a letter a of the core maps (r1, r2, e)
+    tracked component, its vector or CHECK_ZERO once closed, whose places
+    (`_ep`) hold one token per group in every reachable marking.  The
+    search takes every counter place as unbounded, so it reaches every
+    control state the net can mark, and maybe more.  A paired step on a letter a of the core maps (r1, r2, e)
     to (δ(r1, a), δ(r2, a), e).  A component step on a core step t, with
-    letter a, maps (r1, r2, E::t.source) to (δ(r1, a), r2, e'), where e'
-    is CHECK_PLACE when t's target is 0 and E::t.target otherwise.  The
-    steps are indexed by letter and by tracked place, so the search costs
-    about |controls| × (letters + steps per place).  V must be complete.
+    letter a, maps (r1, r2, t.source) to (δ(r1, a), r2, e'), where e' is
+    CHECK_ZERO when t's target is 0 and t.target otherwise.  The steps are
+    indexed by letter and by tracked component, so the search costs about
+    |controls| × (letters + steps per component).  V must be complete.
     """
     delta = V.delta
     letters = {t.letter for t in core}
-    moves = {}  # tracked place -> {(letter, tracked place after the step)}
+    moves = {}  # tracked component -> {(letter, tracked component after)}
     for t in core:
-        tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
-        moves.setdefault(_ep(t.source), set()).add((t.letter, tracked))
-    start = (V.initial, V.initial, _ep(ZERO))
+        tracked = CHECK_ZERO if t.target.is_zero() else t.target
+        moves.setdefault(t.source, set()).add((t.letter, tracked))
+    start = (V.initial, V.initial, ZERO)
     seen = {start}
     stack = [start]
     while stack:
@@ -909,7 +903,7 @@ def _live_controls(V: Dfa, core) -> set:
 def _target_controls(V: Dfa, controls) -> set:
     """The (V1-state, V2-state) of each control state in controls that a
     counterexample marks: the composite's V-state final, the remainder's
-    not, and the tracked component closed on CHECK_PLACE.  Every
+    not, and the tracked component closed, CHECK_ZERO.  Every
     counterexample marking marks its control places, so a net whose live
     controls give none has no counterexample marking, reachable or
     coverable."""
@@ -917,7 +911,7 @@ def _target_controls(V: Dfa, controls) -> set:
     return {
         (r1, r2)
         for r1, r2, e in controls
-        if e == CHECK_PLACE and r1 in finals and r2 not in finals
+        if e is CHECK_ZERO and r1 in finals and r2 not in finals
     }
 
 
@@ -927,12 +921,13 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     A run reads a composite word and splits it into a remainder and one
     tracked component.  The V1 and V2 places hold the V-states of the
     composite and the remainder, the Q2 places the remainder's counters,
-    and the tracked place (an E:: place or CHECK_PLACE once the component
-    has closed) the component's vector.  A paired transition advances both
-    V-states and the remainder's counters; a component transition
-    advances the composite's V-state and the tracked place.  Returns
+    and the tracked place the component: E::e for its vector e, then
+    CHECK_PLACE, `_ep(CHECK_ZERO)`, once it has closed.  A paired
+    transition advances both V-states and the remainder's counters; a
+    component transition advances the composite's V-state and the
+    tracked place.  Returns
     (net, iota), where iota maps (V1-state, V2-state, (remainder vector,
-    tracked vector or "check")) to a marking.
+    tracked vector or CHECK_ZERO)) to a marking.
 
     The composite's counters need no places: in every marking reachable
     from the initial one they equal the remainder's plus the tracked
@@ -945,7 +940,7 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     pre-set a run from (V.initial, V.initial, E::0) can mark: a paired
     transition on V-states (r1, r2) needs some live control (r1, r2, e),
     and a component transition on r1 from E::f some live control
-    (r1, r2, E::f), live meaning found by `_live_controls`.  The search
+    (r1, r2, f), live meaning found by `_live_controls`.  The search
     over-approximates the net, so a dropped transition is never enabled
     in a marking reachable from there, and every search from that marking
     finds the markings and firings it would find in the net with all of
@@ -990,7 +985,6 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
         # place
         paired_pre = _arcs(_q2, t.source)
         paired_post = _arcs(_q2, t.target)
-        source = _ep(t.source)
         tracked = CHECK_PLACE if t.target.is_zero() else _ep(t.target)
         for r1 in vstates:
             s1 = V.delta[(r1, a)]
@@ -1000,10 +994,10 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
                 pre[tid] = {_v1(r1): 1, _v2(r2): 1, **paired_pre}
                 post[tid] = {_v1(s1): 1, _v2(s2): 1, **paired_post}
                 meta[tid] = {"group": "S", "core": t}
-            if (r1, source) not in tracked_pairs:
+            if (r1, t.source) not in tracked_pairs:
                 continue
             tid = f"E|{t.kind}|{t}|{r1}"
-            pre[tid] = {_v1(r1): 1, source: 1}
+            pre[tid] = {_v1(r1): 1, _ep(t.source): 1}
             post[tid] = {_v1(s1): 1, tracked: 1}
             meta[tid] = {"group": "E", "core": t}
     groups = (
@@ -1015,8 +1009,7 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
 
     def iota(state) -> CounterVector:
         q1, q2, (remainder, component) = state
-        check = CHECK_PLACE if component == "check" else _ep(component)
-        counts = {_v1(q1): 1, _v2(q2): 1, check: 1}
+        counts = {_v1(q1): 1, _v2(q2): 1, _ep(component): 1}
         counts.update(_arcs(_q2, remainder))
         return CounterVector.make(counts)
 
@@ -1074,13 +1067,13 @@ def decide_sp_via_net(
     pair holds by `net-uncoverable` before the net is built, and the stats
     give the number of control states, `controls`, in place of `km_nodes`.
     Otherwise the net is built from the live control states, and each
-    target control packs as one counterexample marking: its V1, V2 and
-    CHECK_PLACE tokens, every counter 0.  Every marking either search
-    meets has a live control state, so these are all the counterexample
-    markings it could meet.  The Karp–Miller tree stops at its first node
-    that covers one, a node with a target's group value, so `km_nodes`
-    counts the nodes built until then; a pair with none coverable builds
-    the whole tree.  A marking BFS towards the same targets then looks for
+    target control packs as one counterexample marking: iota's marking of
+    its V-states with every counter 0 and the tracked component CHECK_ZERO.
+    Every marking either search meets has a live control state, so these
+    are all the counterexample markings it could meet.  The Karp–Miller
+    tree stops at its first node that covers one, a node with a target's
+    group value, so `km_nodes` counts the nodes built until then; a pair
+    with none coverable builds the whole tree.  A marking BFS towards the same targets then looks for
     a reachable one, and stops at the first it reaches.
     """
     V = complete(V)
@@ -1092,10 +1085,9 @@ def decide_sp_via_net(
         )
     net, iota = build_np_v_full(P, V, controls)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
-    token, index = net.token, net.index
-    check = token[index[CHECK_PLACE]]
     targets = frozenset(
-        token[index[_v1(r1)]] + token[index[_v2(r2)]] + check for r1, r2 in pairs
+        net.pack(net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))))
+        for r1, r2 in pairs
     )
     km = karp_miller(net, m0, node_cap, stop_at=targets)
     stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}

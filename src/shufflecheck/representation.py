@@ -13,11 +13,12 @@ one definition of a move, and so of a column: a move is a column's three
 tracks, and only W_delta and a closure search's witness make the column,
 each through `TrackLetter`'s checked constructor.
 The moves run on packed states: the remainder is one int with a field per
-state that delta names, the tracked component 0, a packed unit or the
-sentinel, and delta is read once into a table keyed by the packed
-composite, each of its steps with the engine steps it shifts, in the
-order of W_delta's alphabet, which is taken from a column's parts, not
-its text (`_column_order`).  The closure search runs on those states,
+state that delta names, the tracked component 0, a packed unit or
+CHECK_ZERO, the closed state the engine defines, and delta is read once,
+in the engine's `step_order`, into a table keyed by the packed composite,
+each of its steps with the engine steps it shifts, in the order of
+W_delta's alphabet, which is taken from a column's parts, not its text
+(`_column_order`).  The closure search runs on those states,
 numbered, and leaves out every state whose composite V-state can reach
 no final state.  The recognizer W_delta adds the composite vector to each
 state and unpacks its moves; it, the track ranges S1/S2/S3 and the steps
@@ -31,37 +32,19 @@ from typing import Callable, Optional, Union
 
 from .automata import Dfa, Letter, ShufflecheckError, complete, live_states
 from .engine import (
+    CHECK_ZERO,
     CounterVector,
     ShuffleTransition,
     ZERO,
     elementary_vector_states,
     engine_for,
     reached,
+    step_order,
 )
 
 
 class NotSubsetOfShuffle(ShufflecheckError):
     pass
-
-
-class _CheckZero:
-    """Sentinel: the tracked component has been deleted completely."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "0#"
-
-    def __str__(self):
-        return "0#"
-
-
-CHECK_ZERO = _CheckZero()
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ class TrackLetter:
 
     x1: ShuffleTransition
     x2: Union[ShuffleTransition, CounterVector]
-    x3: Union[ShuffleTransition, CounterVector, _CheckZero]
+    x3: object  # a ShuffleTransition, a CounterVector or CHECK_ZERO
 
     def __post_init__(self):
         active2 = isinstance(self.x2, ShuffleTransition)
@@ -105,7 +88,7 @@ class TrackLetter:
             return x.source, x.target
         if isinstance(x, CounterVector):
             return x, x
-        return ZERO, ZERO  # deleted-component sentinel
+        return ZERO, ZERO  # CHECK_ZERO
 
     @property
     def track3_active(self) -> bool:
@@ -275,10 +258,10 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     shifted = _shifted_steps(eng, system.shift)
     field, core = system.field, eng.core
     # packed source -> its candidates, each under its order among a state's
-    # moves; delta is read by text and kind, so the step it names when one
+    # moves; delta is read in `step_order`, so the step it names when one
     # is invalid does not follow the hash seed
     by_source: dict = {}
-    for x1 in sorted(delta, key=lambda t: (str(t), t.kind)):
+    for x1 in sorted(delta, key=step_order):
         s, t = packed[x1.source], packed[x1.target]
         always, mask, by_s3 = False, 0, {}
         for c, cs, ct in shifted.get((x1.letter, x1.kind, t - s), ()):
@@ -326,7 +309,7 @@ def w_delta_moves(P: Dfa, delta):
     """The move function of W_delta: `_deletion_moves` on a W-state
     (s1, s2, s3), packed and unpacked at the edge, each move made a column
     and its next state led by the composite's target.  A state with
-    s1 != s2 + s3 (the sentinel counting as 0) raises ValueError."""
+    s1 != s2 + s3 (CHECK_ZERO counting as 0) raises ValueError."""
     system = _deletion_moves(P, delta)
 
     def w_moves(state) -> tuple:
@@ -361,9 +344,9 @@ class DeltaSystem:
 def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
     """All consistent columns over delta, with the ranges, steps and W's
     moves they come from.  A column is a move of a state that could read
-    one (s1 the source of a step in delta, s3 in S3 or the sentinel,
+    one (s1 the source of a step in delta, s3 in S3 or CHECK_ZERO,
     counting as 0, and s2 = s1 - s3 in S2) that ends in S2 and in S3 or at
-    the sentinel, as the steps delta2'/delta3' do.  From a state reached
+    CHECK_ZERO, as the steps delta2'/delta3' do.  From a state reached
     from 0 every move does (`_deletion_moves`)."""
     delta = frozenset(delta)
     s1, s2, s3 = compute_s_sets(P, delta)
@@ -386,7 +369,7 @@ def build_delta_paren(P: Dfa, delta) -> DeltaSystem:
 class WDelta:
     automaton: Dfa  # semiautomaton over Letter(TrackLetter)
     system: DeltaSystem
-    decode: dict  # state name -> (s1, s2, s3-or-sentinel)
+    decode: dict  # state name -> (s1, s2, s3 or CHECK_ZERO)
 
 
 def build_w_delta(P: Dfa, delta) -> WDelta:

@@ -86,7 +86,6 @@ class PowersetResult:
     automaton: Dfa
     compatible: bool
     witness: Optional[tuple]  # (vector-set state, letter) on failure
-    state_sets: dict  # state name -> frozenset of CounterVector
 
 
 def partial_powerset(P: Dfa, I: InitialSegment) -> PowersetResult:
@@ -126,16 +125,15 @@ def partial_powerset(P: Dfa, I: InitialSegment) -> PowersetResult:
                         f"more than {FRONTIER_CAP} reachable vector sets"
                     )
                 queue.append(inside)
-    state_sets = {_set_name(M): M for M in seen}
     automaton = Dfa(
         alphabet=P.alphabet,
-        states=frozenset(state_sets),
+        states=frozenset(map(_set_name, seen)),
         delta=delta,
         initial=_set_name(start),
         finals=frozenset(),
         kind="semiautomaton",
     )
-    return PowersetResult(automaton, witness is None, witness, state_sets)
+    return PowersetResult(automaton, witness is None, witness)
 
 
 def check_phi_gamma_omega(P: Dfa) -> Optional[dict]:

@@ -300,6 +300,21 @@ def test_checked_component_letter_exits_3(single_abc, ring9, capsys, tmp_path):
     assert "checked letter" in err
 
 
+def test_wdelta_refuses_a_checked_component_letter(capsys, tmp_path):
+    # wdelta applies decide's rule for component names: a checked letter
+    # in P is refused with one error line, before any column is made
+    comp, delta = tmp_path / "checked.aut", tmp_path / "delta.txt"
+    comp.write_text(
+        "kind: dfa\nalphabet: ^a b\nstates: 0 1\ninitial: 0\nfinals: 0\n"
+        "trans: 0 ^a 1\ntrans: 1 b 0\n"
+    )
+    delta.write_text("(0) ^a (1:1) [start]\n(1:1) b (0) [end]\n")
+    assert main(["wdelta", str(comp), "--delta", str(delta)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err) and "Traceback" not in err
+    assert "letter '^a' is a checked letter" in err
+
+
 def test_foreign_letter_step_is_not_a_valid_step(single_ab, capsys, tmp_path):
     # ab never reads zz, so a fragment holding a zz step is no certificate
     comp, chain, delta = (tmp_path / n for n in ("ab.aut", "chain.aut", "delta.txt"))

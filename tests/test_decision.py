@@ -185,6 +185,46 @@ def test_tampered_certificate_fails_replay(ring3, ring9):
     assert not replay_certificate(ring3, ring9, replace(v, certificate=tampered))
 
 
+def _ab(edges: str, finals: str):
+    # an automaton over {a, b} from edges written "1a2 2b3", initial 1
+    return mk_dfa("ab", [(e[0], e[1], e[2]) for e in edges.split()], "1", list(finals))
+
+
+def _forged_fails(w: str, u: str, e: str, positions: tuple) -> Verdict:
+    cert = {
+        "word": word(w), "factor": word(u), "component": word(e),
+        "positions": positions,
+    }
+    return Verdict("fails", "general", "falsifier", cert)
+
+
+def test_replay_rejects_a_fails_word_outside_the_constraint():
+    # a a is two components of P, and deleting one leaves a, outside V; but
+    # V = b* rejects a a itself, so the word is no counterexample
+    P, V = _ab("1a2 2b3 3a1", "2"), _ab("1b1", "1")
+    assert decide_sp(P, V, "general").outcome == "holds"
+    assert not replay_certificate(P, V, _forged_fails("aa", "a", "a", (0,)))
+
+
+def test_replay_rejects_a_fails_remainder_inside_the_constraint():
+    # b is one component of P, in V = b*, and deleting it leaves the empty
+    # word, which V accepts, so nothing was lost
+    P, V = _ab("1a1 1b2 2a2 2b1", "2"), _ab("1b1 2a2 2b2", "1")
+    assert decide_sp(P, V, "general").outcome == "holds"
+    assert not replay_certificate(P, V, _forged_fails("b", "", "b", (0,)))
+
+
+def test_replay_rejects_a_holds_on_a_route_that_proves_fails():
+    # the net route answers this failing pair with net-reachability, so a
+    # holds naming that route must rerun as a holds, not just on that route
+    P, V = _ab("1a1 1b1", "1"), _ab("1a2 1b1 2b3 3b1", "23")
+    assert decide_sp(P, V, "general").outcome == "fails"
+    rerun = decide_sp_via_net(P, V)
+    assert (rerun.status, rerun.route) == ("fails", "net-reachability")
+    forged = Verdict("holds", "general", "net-reachability", {})
+    assert not replay_certificate(P, V, forged)
+
+
 def test_random_pairs_consistent(rng):
     from shufflecheck.automata import EmptyLanguage
     from shufflecheck.oracle import sp_falsify

@@ -122,6 +122,19 @@ def test_interned_values_survive_copy_and_pickle(single_ab):
     assert f.entries == (("q", 2),)
 
 
+def test_check_zero_is_one_value_through_copy_and_pickle():
+    # the closed state is compared by identity wherever the deletion
+    # system runs, so every copy of it must be the engine's one value
+    from shufflecheck import representation
+
+    assert representation.CHECK_ZERO is engine.CHECK_ZERO
+    x = engine.CHECK_ZERO
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) is x
+    assert str(x) == repr(x) == "0#"
+
+
 def test_equal_steps_are_one_object():
     t = parse_transition("(II:1) c (0) [end]")
     assert parse_transition("(II:1) c (0) [end]") is t

@@ -260,12 +260,22 @@ def test_unread_method_check_sees_only_reads():
     ]
 
 
+def _is_dataclass(decorator) -> bool:
+    """Is the decorator `dataclass`, `dataclasses.dataclass`, or a call of
+    either?"""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "id", None) or getattr(decorator, "attr", None)
+    return name == "dataclass"
+
+
 def _unread_attributes(sources: dict, checked) -> list:
-    """Attributes that a method of the checked files sets on `self` and
-    that no node of sources reads: every `self.<name> = ...` needs an
-    attribute load of `<name>` somewhere, on any object.  A store, such
-    as the assignment itself, reads nothing.  sources maps a file name to
-    its text."""
+    """Attributes that the checked files set and that no node of sources
+    reads: every `self.<name> = ...` in a method, and every annotated
+    field `<name>: ...` of a `@dataclass` class, needs an attribute load
+    of `<name>` somewhere, on any object.  A store, such as the assignment
+    itself or a keyword argument of the constructor, reads nothing.
+    sources maps a file name to its text."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = {
         node.attr
@@ -284,6 +294,16 @@ def _unread_attributes(sources: dict, checked) -> list:
                 and node.attr not in reads
             ):
                 found.add(f"{name}:{node.attr}")
+            if isinstance(node, ast.ClassDef) and any(
+                map(_is_dataclass, node.decorator_list)
+            ):
+                found.update(
+                    f"{name}:{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in reads
+                )
     return sorted(found)
 
 
@@ -319,6 +339,34 @@ def test_unread_attribute_check_sees_only_loads():
     ]
     sources["use.py"] += "\nprint(a.total, a.left)"
     assert _unread_attributes(sources, ["pkg.py"]) == ["pkg.py:spare"]
+
+
+def test_unread_attribute_check_sees_dataclass_fields():
+    sources = {
+        "pkg.py": "\n".join([
+            "import dataclasses",
+            "from dataclasses import dataclass",
+            "@dataclass(frozen=True)",
+            "class A:",
+            "    used: int",
+            "    size: int = 0",
+            "    spare: dict = None",
+            "    def total(self):",
+            "        return self.used",
+            "@dataclasses.dataclass",
+            "class B:",
+            "    stray: int",
+            "class C:",
+            "    plain: int = 0",
+        ]),
+        "use.py": "\n".join([
+            "# a.spare in a comment",
+            "text = 'b.stray'",
+            "a = A(1, spare={})",
+            "n = a.size",
+        ]),
+    }
+    assert _unread_attributes(sources, ["pkg.py"]) == ["pkg.py:spare", "pkg.py:stray"]
 
 
 def _local_relative_imports(source: str) -> list:

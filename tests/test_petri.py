@@ -8,6 +8,7 @@ import pytest
 
 from shufflecheck.automata import EmptyLanguage, complete, grave, normalize
 from shufflecheck.engine import (
+    CHECK_ZERO,
     START,
     ZERO,
     elementary_vector_states,
@@ -252,7 +253,7 @@ def test_fragment_routes_match_the_net_reference():
 
 
 def test_prefix_route_pump_follows_the_pair_alone():
-    # the walk meets each step set sorted by value (`petri._step_key`), not
+    # the walk meets each step set sorted by value (`engine.step_order`), not
     # in the memory order of the steps and vectors it builds: a second run
     # over the same pairs, with thousands of other vectors alive so that
     # its objects sit at other addresses, meets the same pumps and keeps
@@ -415,7 +416,7 @@ def _criterion_10_pairs(count):
         count -= 1
 
 
-def _counterexample_targets(net, iota, Vc, counters=(ZERO, "check")):
+def _counterexample_targets(net, iota, Vc, counters=(ZERO, CHECK_ZERO)):
     # the markings that decide_sp_via_net looks for; counters gives the
     # counter part of iota's state
     return [
@@ -840,10 +841,10 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
         every = _counterexample_targets(net, iota, Vc)
         # the markings of that list whose control state is live
         live = _packed(net, [
-            net.marking(iota((qf, qn, (ZERO, "check"))))
+            net.marking(iota((qf, qn, (ZERO, CHECK_ZERO))))
             for qf in sorted(Vc.finals)
             for qn in sorted(set(Vc.states) - set(Vc.finals))
-            if (qf, qn, CHECK_PLACE) in controls
+            if (qf, qn, CHECK_ZERO) in controls
         ])
         km = karp_miller(net, m0, node_cap=3000, stop_at=live)
         assert _km_tree(km) == _km_tree(
