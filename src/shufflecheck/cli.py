@@ -17,6 +17,7 @@ from .automata import (
     ParseError,
     ShufflecheckError,
     complete,
+    letters,
     parse_automaton,
     serialize_automaton,
     word,
@@ -185,7 +186,10 @@ def cmd_family(args) -> int:
 
 def cmd_shuffle(args) -> int:
     P = _load(args.components)
-    w = word(args.word)
+    # a report writes a word as letters between spaces ('req ack'); no
+    # letter holds whitespace, so any other text is one letter per character
+    text = args.word
+    w = letters(text) if any(ch.isspace() for ch in text) else word(text)
     member = pre_shuffle_member(P, w) if args.prefix else shuffle_member(P, w)
     print("member" if member else "non-member")
     return EXIT_HOLDS if member else EXIT_FAILS
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shuffle", help="interleaving membership of a word")
     p.add_argument("components")
-    p.add_argument("word")
+    p.add_argument("word", help="letters between spaces, or one per character")
     p.add_argument("--prefix", action="store_true", help="allow open components")
     p.set_defaults(func=cmd_shuffle)
 

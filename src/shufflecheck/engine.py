@@ -590,8 +590,9 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     deleting one whole component of w leaves a word outside V.  Returns the
     shortest (w, u, e, positions) with ties broken by the alphabet
     declaration order of P, or None when the bounded search is clean: the
-    result of the brute-force oracle.sp_falsify.  Raises BudgetExceeded
-    for a bound over MAX_FALSIFIER_LEN; no word count caps it.
+    result of the brute-force word-by-word reference, sp_falsify in
+    tests/oracle_reference.py.  Raises BudgetExceeded for a bound over
+    MAX_FALSIFIER_LEN; no word count caps it.
 
     When V is closed under taking scattered subwords (`subword_closed`),
     the answer is None without a search, once the arguments are checked:

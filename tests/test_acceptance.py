@@ -25,7 +25,7 @@ from shufflecheck.engine import (
     pre_shuffle_member,
     shuffle_member,
 )
-from shufflecheck.oracle import iterated_shuffle_upto, sp_falsify, srf1
+from shufflecheck.oracle import iterated_shuffle_upto
 from shufflecheck.petri import (
     build_np_v_full,
     build_npv,
@@ -41,6 +41,7 @@ from shufflecheck.scalable import build_family_member, check_self_similarity
 from shufflecheck.segments import InitialSegment, l_of_segment, partial_powerset
 from conftest import mk_dfa, random_dfa
 from net_reference import check_one_token, one_token_groups
+from oracle_reference import sp_falsify, srf1
 
 
 def tset(*texts):

@@ -200,6 +200,32 @@ def test_shuffle_membership(files, capsys):
     assert main(["shuffle", files["two_start"], "ab", "--prefix"]) == 0
 
 
+def test_shuffle_reads_a_word_as_a_report_writes_it(capsys, tmp_path):
+    # a report writes a word as letters between spaces, which is the only
+    # way to name a letter longer than one character
+    paths = {}
+    for name, text in (("ab", "a b"), ("handshake", "req ack")):
+        first, second = text.split()
+        paths[name] = tmp_path / f"{name}.aut"
+        paths[name].write_text(
+            f"kind: dfa\nalphabet: {text}\nstates: 0 1 2\ninitial: 0\nfinals: 2\n"
+            f"trans: 0 {first} 1\ntrans: 1 {second} 2\n"
+        )
+    ab, handshake = str(paths["ab"]), str(paths["handshake"])
+    assert main(["shuffle", ab, "a a b b"]) == 0
+    assert main(["shuffle", ab, "aabb"]) == 0
+    assert main(["shuffle", ab, "a b b a"]) == 1
+    assert main(["shuffle", handshake, "req req ack ack"]) == 0
+    assert main(["shuffle", handshake, "req ack ack"]) == 1
+    assert main(["shuffle", handshake, "req req ack"]) == 1
+    assert main(["shuffle", handshake, "req req ack", "--prefix"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == [
+        "member", "member", "non-member", "member", "non-member", "non-member", "member"
+    ]
+    assert err == ""
+
+
 def test_error_exit_code(files, capsys):
     assert main(["decide", files["alt"], "/nonexistent.aut"]) == 3
     # alphabet mismatch
@@ -313,6 +339,40 @@ def test_wdelta_refuses_a_checked_component_letter(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and _one_error_line(err) and "Traceback" not in err
     assert "letter '^a' is a checked letter" in err
+
+
+def test_petri_and_segments_read_a_checked_component_letter_as_any_letter(
+    capsys, tmp_path
+):
+    # neither command builds a column, so the rule that keeps checked
+    # letters out of decide's components does not apply: renaming ^a to a
+    # renames it in the output and changes nothing else
+    texts = {
+        "P": "kind: dfa\nalphabet: ^a b\nstates: 0 1\ninitial: 0\nfinals: 0\n"
+             "trans: 0 ^a 1\ntrans: 1 b 0\n",
+        "V": "kind: dfa\nalphabet: ^a b\nstates: 0\ninitial: 0\nfinals: 0\n"
+             "trans: 0 ^a 0\ntrans: 0 b 0\n",
+    }
+    paths = {}
+    for name, text in texts.items():
+        for form, letter in (("checked", "^a"), ("plain", "a")):
+            paths[name, form] = tmp_path / f"{name}-{form}.aut"
+            paths[name, form].write_text(text.replace("^a", letter))
+    commands = [
+        ["petri", "P", "V", "--which", "npvfull", "--analyze", "km", "--emit", "dot"],
+        ["petri", "P", "V", "--analyze", "km", "--emit", "pnml"],
+        ["segments", "P", "--ball", "2", "--roles"],
+        ["segments", "P", "--ball", "1", "--emit"],
+    ]
+    for command in commands:
+        runs = {}
+        for form in ("checked", "plain"):
+            argv = [str(paths.get((arg, form), arg)) for arg in command]
+            code = main(argv)
+            runs[form] = (code, *capsys.readouterr())
+        code, out, err = runs["checked"]
+        assert "^a" in out, command
+        assert (code, out.replace("^a", "a"), err) == runs["plain"], command
 
 
 def test_foreign_letter_step_is_not_a_valid_step(single_ab, capsys, tmp_path):

@@ -227,7 +227,7 @@ def test_replay_rejects_a_holds_on_a_route_that_proves_fails():
 
 def test_random_pairs_consistent(rng):
     from shufflecheck.automata import EmptyLanguage
-    from shufflecheck.oracle import sp_falsify
+    from oracle_reference import sp_falsify
 
     checked = 0
     while checked < 15:

@@ -126,11 +126,9 @@ def test_every_definition_is_referenced():
 
 
 def test_no_definition_is_read_only_by_tests():
-    # code that only tests read belongs with them; oracle.py, the
-    # brute-force reference, stays in the package while the benchmark
-    # wraps it
+    # code that only tests read belongs with them
     sources = _sources("src", "perfbench")
-    checked = _package_files("oracle.py")
+    checked = _package_files()
     assert _unreferenced_definitions(sources, checked) == []
 
 
@@ -418,11 +416,11 @@ def _step_kind_imports(source: str) -> list:
 
 def test_only_the_engine_makes_steps():
     # the engine turns P's edges into steps; the other modules read the
-    # steps' vectors, and oracle.py is the brute-force reference
+    # steps' vectors
     found = {
         path.name: _step_kind_imports(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in ("engine.py", "oracle.py")
+        if path.name != "engine.py"
     }
     assert {name: kinds for name, kinds in found.items() if kinds} == {}
 
@@ -450,12 +448,11 @@ def _direct_successors_calls(source: str) -> list:
 def test_walks_build_steps_through_the_step_table():
     # a walk over the vector x V-state product asks for a vector's steps
     # once per V-state; the engine's step table builds them once per walk,
-    # so no other module calls successors directly (oracle.py, the
-    # brute-force reference, checks steps one at a time)
+    # so no other module calls successors directly
     found = {
         path.name: _direct_successors_calls(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in ("engine.py", "oracle.py")
+        if path.name != "engine.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
 

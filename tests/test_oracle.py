@@ -4,17 +4,19 @@ from hypothesis import strategies as st
 from shufflecheck.automata import grave, word
 from shufflecheck.engine import Computation, ZERO, parse_transition
 from shufflecheck.oracle import (
-    computation_of_structured,
-    encode_bracketed,
     iterated_shuffle_upto,
     one_factor_removals,
     shuffle_pair,
+)
+from conftest import mk_dfa
+from oracle_reference import (
+    computation_of_structured,
+    encode_bracketed,
     shuffled_runs,
     sp_falsify,
     srf1,
     swf1,
 )
-from conftest import mk_dfa
 
 
 words = st.lists(st.sampled_from("ab"), max_size=5).map(

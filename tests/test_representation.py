@@ -17,7 +17,6 @@ from shufflecheck.engine import (
 )
 from shufflecheck import representation
 from shufflecheck.decision import InvalidQuery, check_query
-from shufflecheck.oracle import srf1
 from shufflecheck.petri import decide_alf_pre_finite, decide_alf_zero_finite
 from shufflecheck.representation import (
     CHECK_ZERO,
@@ -33,6 +32,7 @@ from shufflecheck.representation import (
     w_delta_moves,
 )
 from conftest import depth_chain, even_length, mk_dfa, random_dfa, sigma_star
+from oracle_reference import srf1
 
 
 FRAGMENT = frozenset(
