@@ -62,7 +62,8 @@ class MalformedCertificate(ShufflecheckError):
 # km_node_cap bounds, in states kept, the fragment walks (the prefix
 # route's walk and the zero route's backward walk, whose set R then bounds
 # its forward walk), and in nodes the net route's Karp–Miller tree.
-# forward_cap bounds the net route's marking BFS.
+# forward_cap bounds the net route's marking BFS, and each level of its
+# norm search in states kept.
 @dataclass(frozen=True)
 class Budgets:
     falsifier_maxlen: int = 6

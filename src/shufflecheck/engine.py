@@ -575,8 +575,9 @@ MAX_FALSIFIER_LEN = 32
 
 # A packed vector modulo this is its norm, the sum of its fields, while
 # the norm is smaller, as a falsifier's is (at most MAX_FALSIFIER_LEN + 1)
-_NORM_MOD = (1 << WORD_FIELD) - 1
-assert MAX_FALSIFIER_LEN + 1 < _NORM_MOD
+# and the net route's norm search's (at most petri.NORM_DEPTH)
+NORM_MOD = (1 << WORD_FIELD) - 1
+assert MAX_FALSIFIER_LEN + 1 < NORM_MOD
 
 
 class BudgetExceeded(ShufflecheckError):
@@ -660,7 +661,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                     for guard, effect in steps:
                         if not guard or f & guard:
                             g = f + effect
-                            if g % _NORM_MOD <= room:
+                            if g % NORM_MOD <= room:
                                 c = (qu2, g, pe, nonempty)
                                 if c not in old:
                                     old.add(c)
@@ -712,7 +713,7 @@ def _least_removal(eng: ShuffleEngine, V: Dfa, w: Word) -> tuple:
             f + effect
             for f in vectors
             for guard, effect in steps
-            if (not guard or f & guard) and (f + effect) % _NORM_MOD <= room
+            if (not guard or f & guard) and (f + effect) % NORM_MOD <= room
         )
         if moved:
             split(i + 1, upos + (i,), epos, pe, moved)

@@ -32,7 +32,13 @@ When no live control state is a counterexample's, the pair holds by
 `net-uncoverable` and the net is never built; otherwise the net holds
 only the transitions whose control pre-set that search reaches, since
 the rest could never fire from it, and both searches stop at the same
-packed targets, one per live counterexample control.
+packed targets, one per live counterexample control.  Before either
+search, a norm search (`_norm_search`) looks for a counterexample run
+whose composite never has more than a few components open.  When it
+finds one, of D letters, the pair fails: Karp–Miller is skipped, and the
+marking BFS keeps only markings that can still close within D firings
+(`_closing_bound`), which leaves its witness as it is without the bound
+(`marking_bfs`).
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -71,9 +77,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .automata import Dfa, complete
+from .automata import Dfa, complete, live_states
 from .engine import (
-    CHECK_ZERO, CounterVector, ZERO, elementary_vector_states, engine_for,
+    CHECK_ZERO, NORM_MOD, WORD_FIELD, CounterVector, ZERO,
+    elementary_vector_states, engine_for,
 )
 
 DEFAULT_KM_NODE_CAP = 200_000
@@ -476,24 +483,53 @@ def marking_bfs(
     m0: tuple,
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
+    bound: Optional[tuple] = None,
 ) -> tuple:
     """(packed marking -> packed parent, exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
     markings (`PetriNet.pack`); stop_at holds packed markings, of any
-    counts (`decide_sp_via_net` passes `karp_miller`'s targets).  The net is
-    ordinary, so a marking's ready key (`PetriNet.key`), its group fields
-    and which counters are nonzero, decides which transitions fire; the
-    key is taken from each marking as the search reaches it in its queue,
-    a list read while it grows.  The search stops early, with exhausted
-    False, when it reaches a marking in stop_at, when it holds more than
-    cap markings, or when a count reaches TOP; that last marking is not
-    kept, so every kept marking unpacks to its true counts.  The root's
-    parent is None; a root with a count of TOP or more gives an empty map.
+    counts (`decide_sp_via_net` passes the counterexample markings).  The
+    net is ordinary, so a marking's ready key (`PetriNet.key`), its group
+    fields and which counters are nonzero, decides which transitions fire;
+    the key is taken from each marking as the search reaches it in its
+    queue, a list read while it grows.  The search stops early, with
+    exhausted False, when it reaches a marking in stop_at, when it holds
+    more than cap markings, or when a count reaches TOP; that last marking
+    is not kept, so every kept marking unpacks to its true counts.  The
+    root's parent is None; a root with a count of TOP or more gives an
+    empty map.
 
     The map keeps each marking's parent only, the marking it was first
     reached from.  `fired` and `firing_path` recover the transitions when
-    a path is read.
+    a path is read.  The search meets the markings of each depth in the
+    order of their least firing sequences of that length, compared first
+    firing first in net order, and the parents spell that sequence.  So
+    the path to the first marking of stop_at it meets is the least of the
+    shortest firing sequences into stop_at.
+
+    bound, when given, is (room, cost), for a depth to search to and a
+    function closing(m), linear in the marking, that is at most the number
+    of firings from m into stop_at wherever such a sequence exists: an
+    admissible bound, as in A* (Hart, Nilsson & Raphael, IEEE Trans. SSC
+    1968).  room is depth - closing(m0), and cost[j] is 1 plus the
+    constant by which firing transition j shifts closing.  The search
+    carries each queued marking's room, depth - g - closing(m) for a
+    marking first reached at depth g, and keeps the marking only when its
+    room is nonnegative, that is when g + closing(m) <= depth.  A marking
+    left out at one depth would be left out at every later one.  Without
+    a bound every room and cost is 0, and the search keeps every marking.
+
+    When a firing sequence of length d <= depth leads into stop_at, the
+    bounded search returns the same path as the search without the bound.
+    Every marking m at depth g on a shortest such sequence has
+    g + closing(m) <= d <= depth, and so has every marking on every
+    shortest sequence to m.  So the bounded search reaches m at depth g
+    along the same sequences, keeps the same least one, and meets the same
+    marking of stop_at first.  Every marking it keeps before it stops, the
+    other search keeps before it stops, at no greater depth and with no
+    greater least sequence; so it reaches the cap only where the search
+    without the bound would.
     """
     effect, top, ones, key_mask = net.packed_effect, net.top, net.ones, net.key_mask
     ready, ready_at = net.ready, net.ready_at
@@ -503,10 +539,13 @@ def marking_bfs(
     seen = {start: None}
     if start in stop_at:
         return seen, False
-    queue = [start]
-    append = queue.append
+    room, cost = (0, [0] * len(effect)) if bound is None else bound
+    if room < 0:
+        return seen, True
+    queue, rooms = [start], [room]
+    append, append_room = queue.append, rooms.append
     left = max(cap, 1)  # markings past the root the search may still keep
-    for m in queue:
+    for m, room in zip(queue, rooms):
         key = ((m | top) - ones) & key_mask
         enabled = ready.get(key)
         if enabled is None:
@@ -515,6 +554,9 @@ def marking_bfs(
             m2 = m + effect[j]
             if m2 in seen:
                 continue
+            room2 = room - cost[j]
+            if room2 < 0:
+                continue
             if m2 & top:
                 return seen, False
             seen[m2] = m
@@ -522,6 +564,7 @@ def marking_bfs(
             if not left or m2 in stop_at:
                 return seen, False
             append(m2)
+            append_room(room2)
     return seen, True
 
 
@@ -915,6 +958,141 @@ def _target_controls(V: Dfa, controls) -> set:
     }
 
 
+# The deepest level of the norm search: it searches inside composite norm
+# 1, then 2, and so on up to NORM_DEPTH.
+NORM_DEPTH = 3
+
+# The tracked component in the norm search once it has closed; 0 stands
+# for "not yet opened" and a packed unit vector for an open component.
+_CLOSED = -1
+
+
+def _norm_search(P: Dfa, V: Dfa, cap: int) -> Optional[tuple]:
+    """(level, length): the first norm level n = 1, ..., NORM_DEPTH inside
+    which the deletion system has a counterexample, and the length of the
+    shortest one there; None when no level has one, or when a level keeps
+    more than cap states.  V must be complete.
+
+    A state is (V1-state, V2-state, remainder vector, tracked component),
+    as in a marking of `build_np_v_full`'s net: the vector packed as word
+    membership packs it, and the component 0 before it opens, its packed
+    unit vector while open and _CLOSED once closed.  A letter a moves both
+    V-states and the remainder along a core step on a, a paired
+    transition, or V1 and the component along one, a component
+    transition, with the steps of `ShuffleEngine.word_steps_on`.  Level n
+    keeps only states whose composite, the remainder plus the open
+    component, has norm at most n; a breadth-first search from
+    (V.initial, V.initial, 0, 0) stops at the first depth that holds a
+    counterexample state: V1 final, V2 not, the remainder 0 and the
+    component closed.  It leaves out states that lead to none: those whose
+    V1-state no word takes to a final state, and those with a component,
+    of the remainder or tracked, that no word closes (`_closing_letters`).
+    Each state it keeps is a marking the net reaches by as many firings,
+    so the length is that of a firing sequence into a counterexample
+    marking: a bound on the shortest one (`marking_bfs`'s bound).
+    """
+    eng = engine_for(P)
+    states = sorted(V.states)
+    rank = {r: i for i, r in enumerate(states)}
+    steps = [eng.word_steps_on(a) for a in P.alphabet]
+    after = [[rank[V.delta[(r, a)]] for a in P.alphabet] for r in states]
+    finals = {rank[r] for r in V.finals}
+    accepting = {rank[r] for r in live_states(V)}  # V1 can still accept
+    closing = _closing_letters(P)
+    if ZERO not in closing:  # the tracked component can never close
+        return None
+    # the fields, in `ShuffleEngine.packed_steps`' layout, of the component
+    # states from which no component closes
+    dead = sum(
+        NORM_MOD << WORD_FIELD * i
+        for i, q in enumerate(sorted(eng.component_states))
+        if CounterVector.unit(q) not in closing
+    )
+    start = (rank[V.initial], rank[V.initial], 0, 0)
+    for level in range(1, NORM_DEPTH + 1):
+        seen = {start}
+        frontier = [start]
+        length = 0
+        while frontier:
+            length += 1
+            grown = []
+            for r1, r2, f, e in frontier:
+                norm = f % NORM_MOD
+                new = []
+                for on, s1, s2 in zip(steps, after[r1], after[r2]):
+                    if s1 not in accepting:
+                        continue
+                    for guard, effect in on:
+                        if not guard or f & guard:  # a paired transition
+                            g = f + effect
+                            if g % NORM_MOD + (e > 0) <= level and not g & dead:
+                                new.append((s1, s2, g, e))
+                        if e < 0 or (not e & guard if e else guard):
+                            continue
+                        e2 = e + effect or _CLOSED  # a component transition
+                        if e2 < 0 or (norm < level and not e2 & dead):
+                            new.append((s1, r2, f, e2))
+                for state in new:
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                    s1, s2, g, e2 = state
+                    if e2 < 0 and not g and s1 in finals and s2 not in finals:
+                        return level, length
+                    if len(seen) > cap:
+                        return None
+                    grown.append(state)
+            frontier = grown
+    return None
+
+
+def _closing_letters(P: Dfa) -> dict:
+    """The fewest letters a component of P needs to close, by its vector:
+    0 before it opens, its unit vector while open.  A core step from x
+    that closes counts 1, and one that leads on to y counts 1 plus y's
+    count.  A vector that the map lacks never closes."""
+    h: dict = {}
+    core = engine_for(P).ordered_core
+    changed = True
+    while changed:
+        changed = False
+        for t in core:
+            after = 0 if t.target.is_zero() else h.get(t.target)
+            if after is not None and after + 1 < h.get(t.source, after + 2):
+                h[t.source] = after + 1
+                changed = True
+    return h
+
+
+def _closing_bound(P: Dfa, net: PetriNet, depth: int) -> tuple:
+    """`marking_bfs`'s bound (room, cost) on `build_np_v_full`'s net for
+    P, to search to depth.
+
+    closing(m) sums, over the remainder's open components and the tracked
+    component, the fewest letters each needs to close
+    (`_closing_letters`).  The tracked component counts from 0 until it
+    opens and counts 0 once closed; a component that can never close
+    counts depth + 1, so that no marking holding one is kept.  So closing
+    is linear in the marking, 0 at a counterexample marking, and each
+    firing, which moves one component one core step, lowers it by at most
+    1: it is at most the number of firings from m to a counterexample
+    marking.  A transition's shift depends only on its core step and on
+    whether it moves the remainder or the tracked component.
+    """
+    h = _closing_letters(P)
+    far = depth + 1
+    shift = {}  # (transition group, core step) -> 1 + its shift of closing
+    for t in engine_for(P).ordered_core:
+        after = 0 if t.target.is_zero() else h.get(t.target, far)
+        before = h.get(t.source, far)
+        # a remainder component at 0 is none, a tracked one is yet to open
+        shift["S", t] = 1 + after - (0 if t.source.is_zero() else before)
+        shift["E", t] = 1 + after - before
+    meta = net.meta
+    cost = [shift[meta[t]["group"], meta[t]["core"]] for t in net.order]
+    return depth - h.get(ZERO, far), cost
+
+
 def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     """Net executing the deletion system with free counters.
 
@@ -1070,11 +1248,20 @@ def decide_sp_via_net(
     target control packs as one counterexample marking: iota's marking of
     its V-states with every counter 0 and the tracked component CHECK_ZERO.
     Every marking either search meets has a live control state, so these
-    are all the counterexample markings it could meet.  The Karp–Miller
-    tree stops at its first node that covers one, a node with a target's
-    group value, so `km_nodes` counts the nodes built until then; a pair
-    with none coverable builds the whole tree.  A marking BFS towards the same targets then looks for
-    a reachable one, and stops at the first it reaches.
+    are all the counterexample markings it could meet.
+
+    The norm search (`_norm_search`) runs first, capped by forward_cap
+    states per level.  When it finds a counterexample, of length D, a
+    counterexample marking is reachable, so no Karp–Miller tree is built:
+    the marking BFS runs bounded by D (`_closing_bound`) and returns the
+    witness that it returns without the bound, or finds one where that
+    search passes the cap (`marking_bfs`); the stats give `norm_level` and
+    `norm_length` (D).  Otherwise the Karp–Miller tree stops at its first
+    node that covers a counterexample marking, a node with a target's group
+    value, so `km_nodes` counts the nodes built until then; a pair with
+    none coverable builds the whole tree and holds.  A marking BFS without
+    the bound then looks for a reachable one, and stops at the first it
+    reaches.
     """
     V = complete(V)
     controls = _live_controls(V, engine_for(P).core)
@@ -1083,21 +1270,30 @@ def decide_sp_via_net(
         return NetVerdict(
             "holds", "net-uncoverable", stats={"controls": len(controls)}
         )
+    found = _norm_search(P, V, forward_cap)
     net, iota = build_np_v_full(P, V, controls)
     m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
     targets = frozenset(
         net.pack(net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))))
         for r1, r2 in pairs
     )
-    km = karp_miller(net, m0, node_cap, stop_at=targets)
-    stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
-    uncoverable = not km.capped and not km.stopped
-    del km  # the tree is not needed past this point; free it before the BFS
-    if uncoverable:
-        # coverability is decided exactly, so no counterexample marking
-        # is reachable at all
-        return NetVerdict("holds", "net-uncoverable", stats=stats)
-    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, targets)
+    if found is None:
+        km = karp_miller(net, m0, node_cap, stop_at=targets)
+        stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
+        uncoverable = not km.capped and not km.stopped
+        del km  # the tree is not needed past this point; free it before the BFS
+        if uncoverable:
+            # coverability is decided exactly, so no counterexample marking
+            # is reachable at all
+            return NetVerdict("holds", "net-uncoverable", stats=stats)
+        bound = None
+    else:
+        # a counterexample marking is reachable, so the tree could only
+        # stop at one
+        level, length = found
+        stats = {"norm_level": level, "norm_length": length}
+        bound = _closing_bound(P, net, length)
+    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, targets, bound)
     stats["markings"] = len(seen)
     hit = next((t for t in targets if t in seen), None)
     if hit is not None:

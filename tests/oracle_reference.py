@@ -123,7 +123,6 @@ def computation_of_structured(P: Dfa, x: Iterable) -> Computation:
     open_at: dict = {}  # component index -> current P-state
     counts: dict = {}  # P-state -> open-component count
     steps = []
-    eng = engine_for(P)
     for sl in x:
         a = sl.letter
         idx = a.index

@@ -1,6 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
-from collections import deque
+from collections import Counter, deque
 from operator import ge
 from pathlib import Path
 
@@ -20,7 +20,9 @@ from shufflecheck import petri
 from shufflecheck.decision import (
     Budgets,
     decide_sp,
+    fails_certificate,
     parse_verdict,
+    prepare_query,
     replay_certificate,
     serialize_verdict,
 )
@@ -35,6 +37,7 @@ from shufflecheck.petri import (
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     decide_sp_via_net,
+    decode_firing,
     enabled_step,
     fired,
     firing_path,
@@ -678,7 +681,7 @@ def test_grouped_net_searches_as_one_field_per_place():
     # the decision on the largest of them, pinned
     v = decide_sp(_word("abb"), _modular(14, 1, 0), "general")
     assert (v.outcome, v.route) == ("fails", "net-reachability")
-    assert v.stats == {"km_nodes": 567, "km_capped": False, "markings": 8835}
+    assert v.stats == {"norm_level": 1, "norm_length": 42, "markings": 2240}
 
 
 def test_km_path_mask_bits_may_stand_for_several_values(monkeypatch):
@@ -821,14 +824,21 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
     # give the Karp–Miller tree and the marking BFS map that the full
     # final x nonfinal list gives the dense reference and the reference
     # BFS: the first 100 criterion-10 pairs, P and grave(P) against
-    # complete V, and ab, aab, abb against a count of a mod 5
+    # complete V, and ab, aab, abb against a count of a mod 5.  Where the
+    # norm search finds a counterexample only the marking BFS runs, so
+    # both searches are watched
     passed = []
 
-    def spy(net, m0, node_cap, stop_at):
+    def km_spy(net, m0, node_cap, stop_at):
         passed.append(stop_at)
         return karp_miller(net, m0, node_cap, stop_at)
 
-    monkeypatch.setattr(petri, "karp_miller", spy)
+    def bfs_spy(net, m0, cap, stop_at, bound=None):
+        passed.append(stop_at)
+        return marking_bfs(net, m0, cap, stop_at, bound)
+
+    monkeypatch.setattr(petri, "karp_miller", km_spy)
+    monkeypatch.setattr(petri, "marking_bfs", bfs_spy)
     cases = [
         (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
     ]
@@ -859,9 +869,85 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
         # the decision passes these targets, where it builds the net
         passed.clear()
         decide_sp_via_net(comp, Vc, node_cap=3000, forward_cap=2000)
-        assert passed == ([live] if live else [])
+        assert bool(passed) == bool(live)
+        assert all(targets == live for targets in passed)
         searched += bool(live)
     assert 0 < searched < len(cases)
+
+
+def test_bounded_bfs_returns_the_unbounded_witness_on_wide_draws():
+    # the norm search's length bounds the marking BFS, which must still
+    # return the firing path that the BFS without the bound finds on the
+    # same net: every net-reachability Fails of the first 300 wide draws of
+    # seeds 7, 11 and 13, at falsifier_maxlen=0, in both modes where V is
+    # prefix closed
+    budgets = Budgets(falsifier_maxlen=0)
+    levels = Counter()
+    for seed, n, alpha in ((7, 3, "abc"), (11, 4, "abc"), (13, 4, "ab")):
+        rng = random.Random(seed)
+        for _ in range(300):
+            P, V = wide_draw(rng, n, alpha)
+            try:
+                P, V = normalize(P), normalize(V)
+            except EmptyLanguage:
+                continue
+            for mode in ("prefix", "general") if V.finals == V.states else ("general",):
+                v = decide_sp(P, V, mode, budgets)
+                if v.route != "net-reachability":
+                    continue
+                comp, Vn = prepare_query(P, V, mode)
+                Vc = complete(Vn)
+                net, iota = build_np_v_full(comp, Vc)
+                m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+                goals = _packed(net, _counterexample_targets(net, iota, Vc))
+                seen, _ = marking_bfs(net, net.marking(m0), budgets.forward_cap, goals)
+                (hit,) = goals & seen.keys()
+                path = [net.order[j] for j in firing_path(net, seen, hit)]
+                assert fails_certificate(decode_firing(net, path)) == v.certificate
+                assert len(path) <= v.stats["norm_length"]
+                levels[v.stats["norm_level"]] += 1
+    # the search finds witnesses beyond norm 1 too
+    assert levels[1] > 100 and levels[2]
+
+
+def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
+    # deciding and replaying a pair whose counterexample the norm search
+    # finds calls karp_miller zero times; with the search switched off the
+    # tree is built once per pair and every certificate is the same
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return karp_miller(*args, **kwargs)
+
+    monkeypatch.setattr(petri, "karp_miller", spy)
+    pairs = [
+        (_word(w), _modular(9, step_a, 1 - step_a))
+        for w in ("ab", "aab", "abb")
+        for step_a in (1, 0)
+    ]
+    certificates = []
+    for P, V in pairs:
+        v = decide_sp(P, V, "general")
+        assert (v.outcome, v.route) == ("fails", "net-reachability")
+        assert replay_certificate(P, V, v)
+        certificates.append(v.certificate)
+    assert calls == []
+    monkeypatch.setattr(petri, "NORM_DEPTH", 0)
+    assert [decide_sp(P, V, "general").certificate for P, V in pairs] == certificates
+    assert len(calls) == len(pairs)
+
+
+def test_abb_against_a_count_mod_56_fails_by_net_reachability():
+    # ROADMAP's B6: without a bound the marking BFS passes its 500,000
+    # markings before it reaches a counterexample marking, and the pair
+    # was Unknown (net-budget); bounded by the norm search's 168 letters it
+    # keeps 123,424 markings and finds one
+    P, V = _word("abb"), _modular(56, 1, 0)
+    v = decide_sp(P, V, "general")
+    assert (v.outcome, v.route) == ("fails", "net-reachability")
+    assert v.stats == {"norm_level": 1, "norm_length": 168, "markings": 123424}
+    assert replay_certificate(P, V, v)
 
 
 def test_control_check_settles_only_pairs_without_a_violation():
@@ -959,7 +1045,7 @@ def test_net_reachability_witness_golden():
     # word and the component's positions fix the firing
     res = decide_sp_via_net(_word("ab"), _modular(5, 1, 0))
     assert (res.status, res.route) == ("fails", "net-reachability")
-    assert res.stats == {"km_nodes": 30, "km_capped": False, "markings": 76}
+    assert res.stats == {"norm_level": 1, "norm_length": 10, "markings": 45}
     word, remainder, component, positions = res.witness
     assert "".join(a.symbol for a in word) == "ababababab"
     assert "".join(a.symbol for a in remainder) == "abababab"
