@@ -29,16 +29,19 @@ token each, from its initial marking with every counter place unbounded
 state (`_target_controls`): the composite's V-state final, the
 remainder's not, and the tracked component closed, with every counter 0.
 When no live control state is a counterexample's, the pair holds by
-`net-uncoverable` and the net is never built; otherwise the net holds
-only the transitions whose control pre-set that search reaches, since
-the rest could never fire from it, and both searches stop at the same
-packed targets, one per live counterexample control.  Before either
-search, a norm search (`_norm_search`) looks for a counterexample run
-whose composite never has more than a few components open.  When it
-finds one, of D letters, the pair fails: Karp–Miller is skipped, and the
-marking BFS keeps only markings that can still close within D firings
-(`_closing_bound`), which leaves its witness as it is without the bound
-(`marking_bfs`).
+`net-uncoverable` and the net is never built.  Otherwise a norm search
+(`_norm_search`) looks for a counterexample run whose composite never
+has more than a few components open.  When it finds one, of D letters,
+the pair fails: no net is built, and the witness search
+(`_witness_search`) keeps only markings that can still close within D
+firings, which leaves its witness as it is without the bound.  When it
+finds none, the net is built for Karp–Miller alone, with only the
+transitions whose control pre-set the control search reaches, since the
+rest could never fire from it; the tree stops at packed targets, one
+per live counterexample control, and the witness search then runs
+without a bound.  The witness search walks the deletion system itself,
+in the net's firing order, and keeps exactly the markings that
+`marking_bfs` keeps on the net.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -49,8 +52,9 @@ Markings take two forms:
 * at the API boundary (the `iota` encodings, `enabled_step`,
   `replay_pump`, `reachable_markings` and the exports) a marking is a
   CounterVector keyed by place name;
-* both searches, `karp_miller` and `marking_bfs`, use packed markings,
-  one int (`PetriNet.pack`), so firing a transition is one addition.
+* the net's searches, `karp_miller` and `marking_bfs`, use packed
+  markings, one int (`PetriNet.pack`), so firing a transition is one
+  addition.
   Each counter place has a FIELD-bit count.  A net may also name
   one-token groups, sets of places that hold one token between them in
   every reachable marking, as the deletion net's V1, V2 and tracked
@@ -67,8 +71,9 @@ targets hold no counter token, at a node with a target's group value;
 the way out, and a `KMNode` decodes its marking to a tuple of counts by
 place position, with OMEGA for ω, only when it is read.  Either way the
 dense marking is the same as on a net without groups.  The marking BFS
-keeps one parent per marking and no transition: `fired` finds it again
-in the parent's ready list when a path is read.
+and the witness search keep one parent per marking and no transition;
+the witness search finds each move again in the parent's list when it
+reads its witness.
 """
 
 from __future__ import annotations
@@ -483,53 +488,30 @@ def marking_bfs(
     m0: tuple,
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
-    bound: Optional[tuple] = None,
 ) -> tuple:
     """(packed marking -> packed parent, exhausted).
 
     Breadth-first in net order from the dense marking m0, on packed
     markings (`PetriNet.pack`); stop_at holds packed markings, of any
-    counts (`decide_sp_via_net` passes the counterexample markings).  The
-    net is ordinary, so a marking's ready key (`PetriNet.key`), its group
-    fields and which counters are nonzero, decides which transitions fire;
-    the key is taken from each marking as the search reaches it in its
-    queue, a list read while it grows.  The search stops early, with
-    exhausted False, when it reaches a marking in stop_at, when it holds
-    more than cap markings, or when a count reaches TOP; that last marking
-    is not kept, so every kept marking unpacks to its true counts.  The
-    root's parent is None; a root with a count of TOP or more gives an
-    empty map.
+    counts.  The net is ordinary, so a marking's ready key
+    (`PetriNet.key`), its group fields and which counters are nonzero,
+    decides which transitions fire; the key is taken from each marking as
+    the search reaches it in its queue, a list read while it grows.  The
+    search stops early, with exhausted False, when it reaches a marking in
+    stop_at, when it holds more than cap markings, or when a count reaches
+    TOP; that last marking is not kept, so every kept marking unpacks to
+    its true counts.  The root's parent is None; a root with a count of
+    TOP or more gives an empty map.
 
     The map keeps each marking's parent only, the marking it was first
-    reached from.  `fired` and `firing_path` recover the transitions when
-    a path is read.  The search meets the markings of each depth in the
-    order of their least firing sequences of that length, compared first
-    firing first in net order, and the parents spell that sequence.  So
-    the path to the first marking of stop_at it meets is the least of the
-    shortest firing sequences into stop_at.
-
-    bound, when given, is (room, cost), for a depth to search to and a
-    function closing(m), linear in the marking, that is at most the number
-    of firings from m into stop_at wherever such a sequence exists: an
-    admissible bound, as in A* (Hart, Nilsson & Raphael, IEEE Trans. SSC
-    1968).  room is depth - closing(m0), and cost[j] is 1 plus the
-    constant by which firing transition j shifts closing.  The search
-    carries each queued marking's room, depth - g - closing(m) for a
-    marking first reached at depth g, and keeps the marking only when its
-    room is nonnegative, that is when g + closing(m) <= depth.  A marking
-    left out at one depth would be left out at every later one.  Without
-    a bound every room and cost is 0, and the search keeps every marking.
-
-    When a firing sequence of length d <= depth leads into stop_at, the
-    bounded search returns the same path as the search without the bound.
-    Every marking m at depth g on a shortest such sequence has
-    g + closing(m) <= d <= depth, and so has every marking on every
-    shortest sequence to m.  So the bounded search reaches m at depth g
-    along the same sequences, keeps the same least one, and meets the same
-    marking of stop_at first.  Every marking it keeps before it stops, the
-    other search keeps before it stops, at no greater depth and with no
-    greater least sequence; so it reaches the cap only where the search
-    without the bound would.
+    reached from; the transition fired there is the first of the parent's
+    ready list that leads to it.  The search meets the markings of each
+    depth in the order of their least firing sequences of that length,
+    compared first firing first in net order, and the parents spell that
+    sequence.  So the path to the first marking of stop_at it meets is the
+    least of the shortest firing sequences into stop_at.
+    `_witness_search` keeps the same markings on the deletion system
+    without its net.
     """
     effect, top, ones, key_mask = net.packed_effect, net.top, net.ones, net.key_mask
     ready, ready_at = net.ready, net.ready_at
@@ -539,13 +521,10 @@ def marking_bfs(
     seen = {start: None}
     if start in stop_at:
         return seen, False
-    room, cost = (0, [0] * len(effect)) if bound is None else bound
-    if room < 0:
-        return seen, True
-    queue, rooms = [start], [room]
-    append, append_room = queue.append, rooms.append
+    queue = [start]
+    append = queue.append
     left = max(cap, 1)  # markings past the root the search may still keep
-    for m, room in zip(queue, rooms):
+    for m in queue:
         key = ((m | top) - ones) & key_mask
         enabled = ready.get(key)
         if enabled is None:
@@ -554,9 +533,6 @@ def marking_bfs(
             m2 = m + effect[j]
             if m2 in seen:
                 continue
-            room2 = room - cost[j]
-            if room2 < 0:
-                continue
             if m2 & top:
                 return seen, False
             seen[m2] = m
@@ -564,34 +540,7 @@ def marking_bfs(
             if not left or m2 in stop_at:
                 return seen, False
             append(m2)
-            append_room(room2)
     return seen, True
-
-
-def fired(net: PetriNet, prev: int, m: int) -> int:
-    """The position of the transition that `marking_bfs` fired at the
-    packed marking prev to keep m, m's parent being prev.  The search fires
-    prev's ready list in net order and keeps m at the first firing that
-    reaches it, so that is the first transition of the list whose effect
-    is m - prev."""
-    key = net.key(prev)
-    enabled = net.ready.get(key)
-    if enabled is None:
-        enabled = net.ready_at(key)
-    step, effect = m - prev, net.packed_effect
-    return next(j for j in enabled if effect[j] == step)
-
-
-def firing_path(net: PetriNet, seen: dict, m: int) -> list:
-    """The positions of the transitions from the root of `marking_bfs`'s
-    map seen to its packed marking m, each recovered by `fired`."""
-    path = []
-    prev = seen[m]
-    while prev is not None:
-        path.append(fired(net, prev, m))
-        m, prev = prev, seen[prev]
-    path.reverse()
-    return path
 
 
 def reachable_markings(
@@ -1064,33 +1013,194 @@ def _closing_letters(P: Dfa) -> dict:
     return h
 
 
-def _closing_bound(P: Dfa, net: PetriNet, depth: int) -> tuple:
-    """`marking_bfs`'s bound (room, cost) on `build_np_v_full`'s net for
-    P, to search to depth.
+def _witness_search(
+    P: Dfa, V: Dfa, targets, cap: int, depth: Optional[int] = None
+) -> tuple:
+    """(markings, witness): `marking_bfs` from the initial marking of
+    `build_np_v_full`'s net for (P, V), stopped at the counterexample
+    markings of targets, without the net.  markings is the number of
+    markings the BFS keeps, and witness the first counterexample run it
+    reaches, read as `sp_falsify` reads one: (word, remainder, component,
+    positions), where a paired step reads into the remainder; None when
+    the search ends without one.  targets holds the (V1-state, V2-state)
+    of each counterexample control (`_target_controls`).  V must be
+    complete.
 
-    closing(m) sums, over the remainder's open components and the tracked
-    component, the fewest letters each needs to close
-    (`_closing_letters`).  The tracked component counts from 0 until it
-    opens and counts 0 once closed; a component that can never close
-    counts depth + 1, so that no marking holding one is kept.  So closing
-    is linear in the marking, 0 at a counterexample marking, and each
-    firing, which moves one component one core step, lowers it by at most
-    1: it is at most the number of firings from m to a counterexample
-    marking.  A transition's shift depends only on its core step and on
-    whether it moves the remainder or the tracked component.
+    The search walks the deletion system itself.  A state is one int, the
+    net's marking in another layout: the remainder's count of each
+    component state in a FIELD-bit field, in sorted state order, with TOP
+    as its overflow stop, and above them the index of the control state
+    (V1-state, V2-state, tracked component or CHECK_ZERO), numbered as the
+    search meets it.  A component move (the net's E group) fires a core
+    step from the tracked component, a paired move (S) one from 0 or from
+    a nonzero counter, and a move's effect is the change of control index
+    and counters as one int.  The moves of a state depend on its control
+    and on which counters are nonzero, its ready key as `PetriNet.key`
+    forms it; each control's moves are listed the first time the search
+    reaches it, and each key's the first time it reaches the key.
+
+    The moves follow the net's order.  The net sorts its transitions by
+    name, `E|{kind}|{t}|{r1}` and `S|{kind}|{t}|{r1},{r2}`, so at a
+    control every E move comes before every S move.  Within a group the
+    names at a control share their V-state suffix and differ in the key
+    `f"{t.kind}|{t}|"`, and these keys are prefix-free: a kind holds no
+    `|`, and in the text `(source) letter (target)` of a step the source
+    ends at its first `)`, the letter at the next space and the target at
+    the next `)`, since `check_query` refuses whitespace and parentheses
+    in P's letters and states.  So two names at a control first differ
+    inside their keys and compare as the keys do, and one sort of the core
+    by key gives each group's order at every control.
+
+    The search keeps exactly the markings that `marking_bfs` keeps on the
+    net, with the same parents, since it reaches them in the same order:
+    the net holds a transition for every move from a live control
+    (`build_np_v_full`), and every control the search meets is live.  It
+    keeps each state's parent only, and the witness is read back from
+    the parents: a state was kept at the first move of its parent's list
+    whose effect leads to it.  Past cap kept states, or at a count of
+    TOP, it stops without a witness.
+
+    depth, when given, bounds the search, by the length of a known
+    counterexample run (`_norm_search`).  closing(m) sums, over the
+    remainder's open components and the tracked component, the fewest
+    letters each needs to close (`_closing_letters`); the tracked
+    component counts from 0 until it opens and counts 0 once closed, and a
+    component that can never close counts depth + 1.  closing is linear in
+    the marking, 0 at a counterexample marking, and each move lowers it by
+    at most 1, so it is at most the number of moves from m into targets
+    wherever such a sequence exists: an admissible bound, as in A* (Hart,
+    Nilsson & Raphael, IEEE Trans. SSC 1968).  The search carries each
+    queued state's room, depth - g - closing(m) for a state first reached
+    at depth g, and keeps a state only when its room is nonnegative; a
+    move's cost is 1 plus its shift of closing, which depends on its core
+    step and group alone.  A state left out at one depth would be left
+    out at every later one.
+
+    When a counterexample run of length d <= depth exists, the bounded
+    search returns the same witness as the unbounded one.  Every marking m
+    at depth g on a shortest such run has g + closing(m) <= d <= depth,
+    and so has every marking on every shortest run to m.  So the bounded
+    search reaches m at depth g along the same runs, keeps the same least
+    one, and meets the same counterexample marking first.  Every marking
+    it keeps before it stops, the unbounded search keeps before it stops,
+    at no greater depth and with no greater least run; so it reaches the
+    cap only where the unbounded search would.
     """
-    h = _closing_letters(P)
-    far = depth + 1
-    shift = {}  # (transition group, core step) -> 1 + its shift of closing
-    for t in engine_for(P).ordered_core:
-        after = 0 if t.target.is_zero() else h.get(t.target, far)
-        before = h.get(t.source, far)
-        # a remainder component at 0 is none, a tracked one is yet to open
-        shift["S", t] = 1 + after - (0 if t.source.is_zero() else before)
-        shift["E", t] = 1 + after - before
-    meta = net.meta
-    cost = [shift[meta[t]["group"], meta[t]["core"]] for t in net.order]
-    return depth - h.get(ZERO, far), cost
+    eng = engine_for(P)
+    delta = V.delta
+    order = sorted(eng.core, key=lambda t: f"{t.kind}|{t}|")
+    shift = {q: FIELD * i for i, q in enumerate(sorted(eng.component_states))}
+    width = FIELD * len(shift)
+    top = TOP * ((1 << width) - 1) // FIELD_MASK
+    ones = top >> (FIELD - 1)
+    key_mask = top | -(1 << width)
+    room, h = 0, None
+    if depth is not None:
+        h = _closing_letters(P)
+        far = depth + 1
+        room = depth - h.get(ZERO, far)
+    tracked_steps = {}  # tracked component -> its (core step, tracked after, cost)
+    paired = []  # (guard, counter effect, core step, cost)
+    for t in order:
+        tracked = CHECK_ZERO if t.target.is_zero() else t.target
+        tracked_cost = paired_cost = 0
+        if h is not None:
+            after = 0 if t.target.is_zero() else h.get(t.target, far)
+            before = h.get(t.source, far)
+            tracked_cost = 1 + after - before
+            # a remainder component at 0 is none, a tracked one is yet to open
+            paired_cost = 1 + after - (0 if t.source.is_zero() else before)
+        tracked_steps.setdefault(t.source, []).append((t, tracked, tracked_cost))
+        guard = effect = 0
+        for q, _ in t.target.entries:
+            effect += 1 << shift[q]
+        for q, _ in t.source.entries:
+            guard, effect = TOP << shift[q], effect - (1 << shift[q])
+        paired.append((guard, effect, t, paired_cost))
+    index, controls = {}, []  # control <-> its index
+
+    def code(control) -> int:
+        i = index.get(control)
+        if i is None:
+            i = index[control] = len(controls)
+            controls.append(control)
+        return i << width
+
+    at_control = {}  # control index -> (guard, move) of each move from it
+
+    def moves_at(key: int) -> list:
+        """(effect, cost, core step, group) of each move at ready key: of
+        its control's moves, those whose guard is 0 or a nonzero counter."""
+        i = key >> width
+        moves = at_control.get(i)
+        if moves is None:
+            r1, r2, e = controls[i]
+            here = i << width
+            moves = at_control[i] = [
+                (0, (code((delta[(r1, t.letter)], r2, tracked)) - here, c, t, "E"))
+                for t, tracked, c in tracked_steps.get(e, ())
+            ] + [
+                (guard, (
+                    code((delta[(r1, t.letter)], delta[(r2, t.letter)], e))
+                    - here + effect, c, t, "S",
+                ))
+                for guard, effect, t, c in paired
+            ]
+        return [move for guard, move in moves if not guard or key & guard]
+
+    def witness(m: int) -> tuple:
+        """The run from the root to m, each move the first of its
+        parent's list that leads on to the next state."""
+        steps = []
+        prev = seen[m]
+        while prev is not None:
+            key = ((prev | top) - ones) & key_mask
+            steps.append(next(
+                (t, g) for d, _, t, g in listed[key] if d == m - prev
+            ))
+            m, prev = prev, seen[prev]
+        steps.reverse()
+        return (
+            tuple(t.letter for t, _ in steps),
+            tuple(t.letter for t, g in steps if g == "S"),
+            tuple(t.letter for t, g in steps if g == "E"),
+            tuple(i for i, (_, g) in enumerate(steps) if g == "E"),
+        )
+
+    goals = {code((r1, r2, CHECK_ZERO)) for r1, r2 in targets}
+    start = code((V.initial, V.initial, ZERO))
+    if room < 0:
+        return 1, None
+    seen = {start: None}
+    listed = {}  # ready key -> `moves_at` of it
+    ready = {}  # ready key -> its (effect, cost) list
+    queue, rooms = [start], [room]
+    append, append_room = queue.append, rooms.append
+    left = max(cap, 1)  # states past the root the search may still keep
+    for m, room in zip(queue, rooms):
+        key = ((m | top) - ones) & key_mask
+        moves = ready.get(key)
+        if moves is None:
+            listed[key] = out = moves_at(key)
+            moves = ready[key] = [(d, c) for d, c, _, _ in out]
+        for d, c in moves:
+            m2 = m + d
+            if m2 in seen:
+                continue
+            room2 = room - c
+            if room2 < 0:
+                continue
+            if m2 & top:
+                return len(seen), None
+            seen[m2] = m
+            if m2 in goals:
+                return len(seen), witness(m2)
+            left -= 1
+            if not left:
+                return len(seen), None
+            append(m2)
+            append_room(room2)
+    return len(seen), None
 
 
 def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
@@ -1198,25 +1308,8 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
 class NetVerdict:
     status: str  # holds | fails | unknown
     route: str
-    witness: Optional[tuple] = None  # a fails' `decode_firing` tuple
+    witness: Optional[tuple] = None  # a fails' `_witness_search` witness
     stats: dict = field(default_factory=dict)
-
-
-def decode_firing(net: PetriNet, path) -> tuple:
-    """Word-level reading of a firing sequence of the deletion net, as
-    `sp_falsify` gives a counterexample: (word, remainder, component,
-    positions), where a paired transition reads into the remainder."""
-    word, remainder, component, positions = [], [], [], []
-    for i, tid in enumerate(path):
-        info = net.meta[tid]
-        a = info["core"].letter
-        word.append(a)
-        if info["group"] == "S":
-            remainder.append(a)
-        else:
-            component.append(a)
-            positions.append(i)
-    return tuple(word), tuple(remainder), tuple(component), tuple(positions)
 
 
 def decide_sp_via_net(
@@ -1231,37 +1324,39 @@ def decide_sp_via_net(
     the remainder's counters are all closed, the deleted component is
     complete (so the composite's counters are closed too), and the
     remainder's V-state rejects.  Holds is sound when no such marking is
-    even coverable.  Otherwise the marking BFS looks for a reachable one, a
-    Fails witness; it cannot exhaust the markings without one.  The net
-    runs on `complete(V)`, so if P has a word of two or more letters, a
-    paired START step fires again and again and the reachable markings are
-    infinite.  If every word of P has one letter, no counter ever holds a
-    token, so the control search is exact: a live target is a reachable
-    one, which the BFS reaches, and no live target gives `net-uncoverable`.
+    even coverable.  Otherwise the witness search (`_witness_search`), the
+    net's marking BFS run on the deletion system itself, looks for a
+    reachable one, a Fails witness; it cannot exhaust the markings without
+    one.  The net runs on `complete(V)`, so if P has a word of two or more
+    letters, a paired START step fires again and again and the reachable
+    markings are infinite.  If every word of P has one letter, no counter
+    ever holds a token, so the control search is exact: a live target is a
+    reachable one, which the search reaches, and no live target gives
+    `net-uncoverable`.
 
     Every counterexample marking marks its control places, so the route
     first searches the control states (`_live_controls`) and keeps those
     of a counterexample (`_target_controls`).  When there are none, the
     pair holds by `net-uncoverable` before the net is built, and the stats
     give the number of control states, `controls`, in place of `km_nodes`.
+    Every marking a search meets has a live control state, so the target
+    controls give all the counterexample markings it could meet.
+
+    The norm search (`_norm_search`) runs next, capped by forward_cap
+    states per level.  When it finds a counterexample, of length D, a
+    counterexample marking is reachable, so no net and no Karp–Miller tree
+    is built: the witness search runs bounded by D and returns the witness
+    that it returns without the bound, or finds one where that search
+    passes the cap; the stats give `norm_level` and `norm_length` (D).
     Otherwise the net is built from the live control states, and each
     target control packs as one counterexample marking: iota's marking of
-    its V-states with every counter 0 and the tracked component CHECK_ZERO.
-    Every marking either search meets has a live control state, so these
-    are all the counterexample markings it could meet.
-
-    The norm search (`_norm_search`) runs first, capped by forward_cap
-    states per level.  When it finds a counterexample, of length D, a
-    counterexample marking is reachable, so no Karp–Miller tree is built:
-    the marking BFS runs bounded by D (`_closing_bound`) and returns the
-    witness that it returns without the bound, or finds one where that
-    search passes the cap (`marking_bfs`); the stats give `norm_level` and
-    `norm_length` (D).  Otherwise the Karp–Miller tree stops at its first
-    node that covers a counterexample marking, a node with a target's group
-    value, so `km_nodes` counts the nodes built until then; a pair with
-    none coverable builds the whole tree and holds.  A marking BFS without
-    the bound then looks for a reachable one, and stops at the first it
-    reaches.
+    its V-states with every counter 0 and the tracked component
+    CHECK_ZERO.  The Karp–Miller tree stops at its first node that covers
+    one, a node with a target's group value, so `km_nodes` counts the
+    nodes built until then; a pair with none coverable builds the whole
+    tree and holds.  The witness search without the bound then looks for
+    a reachable one, and stops at the first it reaches.  Either way the
+    stats give `markings`, the number of markings the search kept.
     """
     V = complete(V)
     controls = _live_controls(V, engine_for(P).core)
@@ -1271,37 +1366,30 @@ def decide_sp_via_net(
             "holds", "net-uncoverable", stats={"controls": len(controls)}
         )
     found = _norm_search(P, V, forward_cap)
-    net, iota = build_np_v_full(P, V, controls)
-    m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
-    targets = frozenset(
-        net.pack(net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))))
-        for r1, r2 in pairs
-    )
     if found is None:
+        net, iota = build_np_v_full(P, V, controls)
+        targets = frozenset(
+            net.pack(net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))))
+            for r1, r2 in pairs
+        )
+        m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
         km = karp_miller(net, m0, node_cap, stop_at=targets)
         stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
         uncoverable = not km.capped and not km.stopped
-        del km  # the tree is not needed past this point; free it before the BFS
+        del net, km  # neither is needed past this point; free them first
         if uncoverable:
             # coverability is decided exactly, so no counterexample marking
             # is reachable at all
             return NetVerdict("holds", "net-uncoverable", stats=stats)
-        bound = None
+        depth = None
     else:
         # a counterexample marking is reachable, so the tree could only
         # stop at one
-        level, length = found
-        stats = {"norm_level": level, "norm_length": length}
-        bound = _closing_bound(P, net, length)
-    seen, _ = marking_bfs(net, net.marking(m0), forward_cap, targets, bound)
-    stats["markings"] = len(seen)
-    hit = next((t for t in targets if t in seen), None)
-    if hit is not None:
-        path = [net.order[j] for j in firing_path(net, seen, hit)]
-        return NetVerdict(
-            "fails", "net-reachability", witness=decode_firing(net, path),
-            stats=stats,
-        )
+        level, depth = found
+        stats = {"norm_level": level, "norm_length": depth}
+    stats["markings"], witness = _witness_search(P, V, pairs, forward_cap, depth)
+    if witness is not None:
+        return NetVerdict("fails", "net-reachability", witness=witness, stats=stats)
     return NetVerdict("unknown", "net-budget", stats=stats)
 
 

@@ -15,8 +15,11 @@ reference's are projected onto the smaller net's places.
 
 `marking_bfs` is the marking BFS that records each marking's parent
 together with the transition fired there, the reference for
-`petri.marking_bfs`, which keeps the parent only and recovers the
-transition when a path is read.
+`petri.marking_bfs`, which keeps the parent only; `fired` and
+`firing_path` recover the transitions from that map, and `decode_firing`
+reads a firing sequence of the deletion net as the falsifier's
+counterexample, so a test can hold `petri._witness_search`'s witness to
+the one the net's own BFS gives.
 
 `one_token_groups` and `check_one_token` state the invariant both nets
 keep: the V1 places, the V2 places and the tracked places each hold one
@@ -172,6 +175,50 @@ def recorded_path(seen: dict, m: int) -> list:
         path.append(j)
     path.reverse()
     return path
+
+
+def fired(net: PetriNet, prev: int, m: int) -> int:
+    """The position of the transition that `petri.marking_bfs` fired at
+    the packed marking prev to keep m, m's parent being prev.  The search
+    fires prev's ready list in net order and keeps m at the first firing
+    that reaches it, so that is the first transition of the list whose
+    effect is m - prev."""
+    key = net.key(prev)
+    enabled = net.ready.get(key)
+    if enabled is None:
+        enabled = net.ready_at(key)
+    step, effect = m - prev, net.packed_effect
+    return next(j for j in enabled if effect[j] == step)
+
+
+def firing_path(net: PetriNet, seen: dict, m: int) -> list:
+    """The positions of the transitions from the root of
+    `petri.marking_bfs`'s map seen to its packed marking m, each recovered
+    by `fired`."""
+    path = []
+    prev = seen[m]
+    while prev is not None:
+        path.append(fired(net, prev, m))
+        m, prev = prev, seen[prev]
+    path.reverse()
+    return path
+
+
+def decode_firing(net: PetriNet, path) -> tuple:
+    """Word-level reading of a firing sequence of the deletion net, as
+    `sp_falsify` gives a counterexample: (word, remainder, component,
+    positions), where a paired transition reads into the remainder."""
+    word, remainder, component, positions = [], [], [], []
+    for i, tid in enumerate(path):
+        info = net.meta[tid]
+        a = info["core"].letter
+        word.append(a)
+        if info["group"] == "S":
+            remainder.append(a)
+        else:
+            component.append(a)
+            positions.append(i)
+    return tuple(word), tuple(remainder), tuple(component), tuple(positions)
 
 
 def one_token_groups(P: Dfa, V: Dfa) -> tuple:

@@ -290,9 +290,10 @@ def _witness_shape(witness) -> tuple:
 def test_every_route_gives_the_falsifiers_witness_shape(
     request, ring3, ring9, p, v, route
 ):
-    # the closure search's columns (`decode_witness`) and the net's firing
-    # (`decode_firing`) read as the falsifier's (word, remainder, component,
-    # positions), and one builder makes the certificate of each
+    # the closure search's columns (`decode_witness`) and the net route's
+    # run (`petri._witness_search`) read as the falsifier's (word,
+    # remainder, component, positions), and one builder makes the
+    # certificate of each
     falsified = engine.sp_falsify(*prepare_query(ring3, ring9, "general"), 6)
     assert _witness_shape(falsified) == (tuple, [tuple] * 4, {Letter}, {int})
     P, V = request.getfixturevalue(p), request.getfixturevalue(v)
@@ -776,7 +777,7 @@ def test_control_check_holds_without_building_the_net(monkeypatch):
 
         monkeypatch.setattr(petri, name, call)
 
-    for name in ("build_np_v_full", "karp_miller", "marking_bfs"):
+    for name in ("build_np_v_full", "karp_miller", "marking_bfs", "_witness_search"):
         spy(name)
     monkeypatch.setattr(decision, "decide_sp_via_net", net_stage)
     v = decide_sp(P, V, "general")

@@ -1,12 +1,13 @@
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter, deque
+from dataclasses import replace
 from operator import ge
 from pathlib import Path
 
 import pytest
 
-from shufflecheck.automata import EmptyLanguage, complete, grave, normalize
+from shufflecheck.automata import Dfa, EmptyLanguage, Letter, complete, grave, normalize
 from shufflecheck.engine import (
     CHECK_ZERO,
     START,
@@ -15,6 +16,7 @@ from shufflecheck.engine import (
     engine_for,
     parse_transition,
     sp_falsify,
+    step_order,
 )
 from shufflecheck import petri
 from shufflecheck.decision import (
@@ -37,10 +39,7 @@ from shufflecheck.petri import (
     decide_alf_pre_finite,
     decide_alf_zero_finite,
     decide_sp_via_net,
-    decode_firing,
     enabled_step,
-    fired,
-    firing_path,
     karp_miller,
     marking_bfs,
     reachable_markings,
@@ -51,7 +50,14 @@ from shufflecheck.petri import (
 from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
 import km_reference
 import net_reference
-from net_reference import check_one_token, one_token_groups, reversed_net
+from net_reference import (
+    check_one_token,
+    decode_firing,
+    fired,
+    firing_path,
+    one_token_groups,
+    reversed_net,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -824,8 +830,10 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
     # give the Karp–Miller tree and the marking BFS map that the full
     # final x nonfinal list gives the dense reference and the reference
     # BFS: the first 100 criterion-10 pairs, P and grave(P) against
-    # complete V, and ab, aab, abb against a count of a mod 5.  Where the
-    # norm search finds a counterexample only the marking BFS runs, so
+    # complete V, and ab, aab, abb against a count of a mod 5.  The
+    # decision's Karp–Miller tree takes packed targets, and its witness
+    # search, which runs without the net, the (V1-state, V2-state) of each;
+    # the spies pack the latter as iota packs a counterexample marking, so
     # both searches are watched
     passed = []
 
@@ -833,12 +841,15 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
         passed.append(stop_at)
         return karp_miller(net, m0, node_cap, stop_at)
 
-    def bfs_spy(net, m0, cap, stop_at, bound=None):
-        passed.append(stop_at)
-        return marking_bfs(net, m0, cap, stop_at, bound)
+    def search_spy(P, V, targets, cap, depth=None):
+        passed.append(_packed(net, [
+            net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))) for r1, r2 in targets
+        ]))
+        return witness_search(P, V, targets, cap, depth)
 
+    witness_search = petri._witness_search
     monkeypatch.setattr(petri, "karp_miller", km_spy)
-    monkeypatch.setattr(petri, "marking_bfs", bfs_spy)
+    monkeypatch.setattr(petri, "_witness_search", search_spy)
     cases = [
         (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
     ]
@@ -876,9 +887,9 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
 
 
 def test_bounded_bfs_returns_the_unbounded_witness_on_wide_draws():
-    # the norm search's length bounds the marking BFS, which must still
-    # return the firing path that the BFS without the bound finds on the
-    # same net: every net-reachability Fails of the first 300 wide draws of
+    # the norm search's length bounds the witness search, which must still
+    # return the firing path that the marking BFS without the bound finds
+    # on the net: every net-reachability Fails of the first 300 wide draws of
     # seeds 7, 11 and 13, at falsifier_maxlen=0, in both modes where V is
     # prefix closed
     budgets = Budgets(falsifier_maxlen=0)
@@ -904,23 +915,32 @@ def test_bounded_bfs_returns_the_unbounded_witness_on_wide_draws():
                 (hit,) = goals & seen.keys()
                 path = [net.order[j] for j in firing_path(net, seen, hit)]
                 assert fails_certificate(decode_firing(net, path)) == v.certificate
-                assert len(path) <= v.stats["norm_length"]
-                levels[v.stats["norm_level"]] += 1
+                if "norm_length" in v.stats:
+                    assert len(path) <= v.stats["norm_length"]
+                # a Fails after a Karp–Miller tree, its search unbounded
+                levels[v.stats.get("norm_level", "km")] += 1
     # the search finds witnesses beyond norm 1 too
     assert levels[1] > 100 and levels[2]
 
 
 def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
     # deciding and replaying a pair whose counterexample the norm search
-    # finds calls karp_miller zero times; with the search switched off the
-    # tree is built once per pair and every certificate is the same
-    calls = []
+    # finds calls karp_miller zero times and constructs no net; with the
+    # search switched off the tree is built once per pair, on one net, and
+    # every certificate is the same
+    calls, nets = [], []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return karp_miller(*args, **kwargs)
 
+    def net_spy(self, *args, **kwargs):
+        nets.append(args)
+        net_init(self, *args, **kwargs)
+
+    net_init = petri.PetriNet.__init__
     monkeypatch.setattr(petri, "karp_miller", spy)
+    monkeypatch.setattr(petri.PetriNet, "__init__", net_spy)
     pairs = [
         (_word(w), _modular(9, step_a, 1 - step_a))
         for w in ("ab", "aab", "abb")
@@ -932,10 +952,76 @@ def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
         assert (v.outcome, v.route) == ("fails", "net-reachability")
         assert replay_certificate(P, V, v)
         certificates.append(v.certificate)
-    assert calls == []
+    assert calls == [] and nets == []
     monkeypatch.setattr(petri, "NORM_DEPTH", 0)
     assert [decide_sp(P, V, "general").certificate for P, V in pairs] == certificates
-    assert len(calls) == len(pairs)
+    assert len(calls) == len(nets) == len(pairs)
+
+
+def _odd_names(dfa, letters):
+    # dfa with its letters renamed by `letters` and each state q renamed
+    # to "q|:,"
+    rename = {a: Letter(letters[str(a)]) for a in dfa.alphabet}
+    return Dfa(
+        tuple(rename[a] for a in dfa.alphabet),
+        frozenset(f"{q}|:," for q in dfa.states),
+        {(f"{q}|:,", rename[a]): f"{p}|:," for (q, a), p in dfa.delta.items()},
+        f"{dfa.initial}|:,", frozenset(f"{q}|:," for q in dfa.finals), dfa.kind,
+    )
+
+
+def test_witness_search_orders_moves_as_the_net_on_odd_names(monkeypatch):
+    # the witness search orders its moves by the keys `kind|step|` that
+    # the net's transition names begin with, and relies on those keys
+    # being prefix-free; here P's letters and states hold |, : and , and
+    # the net's order is far from `step_order`.  Every net-reachability
+    # Fails of decide_sp_via_net, in both modes and with the norm search
+    # on (bounded) and off (after Karp–Miller, unbounded), must give the
+    # certificate decoded from the net's own marking BFS without a bound;
+    # unbounded, the search keeps the BFS's markings too
+    letters = {"a": "a|", "b": "b:,"}
+    P = normalize(_odd_names(
+        mk_dfa("ab", [("0", "a", "1"), ("1", "b", "2"), ("1", "a", "0")], "0",
+               ["1", "2"]),
+        letters,
+    ))
+    core = engine_for(P).core
+    assert sorted(core, key=step_order) != sorted(core, key=lambda t: f"{t.kind}|{t}|")
+    rng = random.Random(44)
+    checked = Counter()
+    depths = (petri.NORM_DEPTH, 0)
+    for _ in range(60):
+        drawn = _odd_names(random_dfa(rng, 3), letters)
+        # each draw, and the prefix-closed language of its states all final
+        for V, modes in (
+            (drawn, ("general",)),
+            (replace(drawn, finals=drawn.states), ("prefix", "general")),
+        ):
+            try:
+                V = normalize(V)
+            except EmptyLanguage:
+                continue
+            for mode in modes:
+                comp, Vn = prepare_query(P, V, mode)
+                Vc = complete(Vn)
+                net, iota = build_np_v_full(comp, Vc)
+                m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+                goals = _packed(net, _counterexample_targets(net, iota, Vc))
+                seen, _ = marking_bfs(net, net.marking(m0), 2000, goals)
+                hits = goals & seen.keys()
+                for depth in depths:
+                    monkeypatch.setattr(petri, "NORM_DEPTH", depth)
+                    v = decide_sp_via_net(comp, Vn, node_cap=3000, forward_cap=2000)
+                    assert (v.status == "fails") == bool(hits)
+                    if not hits:
+                        continue
+                    (hit,) = hits
+                    path = [net.order[j] for j in firing_path(net, seen, hit)]
+                    assert v.witness == decode_firing(net, path)
+                    if depth == 0:
+                        assert v.stats["markings"] == len(seen)
+                    checked[mode, depth > 0] += 1
+    assert len(checked) == 4 and min(checked.values()) >= 3
 
 
 def test_abb_against_a_count_mod_56_fails_by_net_reachability():
