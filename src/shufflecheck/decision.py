@@ -24,7 +24,7 @@ from .automata import (
 )
 from .engine import (
     BudgetExceeded,
-    parse_transitions,
+    parse_fragment,
     shuffle_member,
     sp_falsify,
 )
@@ -183,8 +183,10 @@ def fails_certificate(witness) -> dict:
     }
 
 
-def _delta_cert(delta) -> dict:
-    return {"delta": tuple(sorted(t.tagged_str() for t in delta))}
+def _delta_cert(fragment) -> dict:
+    """The certificate of a fragment route's Holds: its packed fragment's
+    lines (`Fragment.lines`), as the steps' `tagged_str` prints them."""
+    return {"delta": fragment.lines()}
 
 
 # Each stage maps (component language, V, budgets, notes) to None when it
@@ -211,9 +213,9 @@ def _settle_fragment(route: str, comp: Dfa, V: Dfa, alf, check_closure):
     """Holds or Fails from a finite fragment and its exact closure check."""
     if alf.status != "finite":
         return None
-    out = check_closure(comp, V, alf.delta)
+    out = check_closure(comp, V, alf.fragment)
     if out.holds:
-        return HOLDS, route, _delta_cert(alf.delta), dict(alf.stats)
+        return HOLDS, route, _delta_cert(alf.fragment), dict(alf.stats)
     witness = decode_witness(out.witness)
     return FAILS, route, fails_certificate(witness), dict(alf.stats)
 
@@ -330,7 +332,7 @@ def replay_certificate(P: Dfa, V: Dfa, verdict: Verdict) -> bool:
     if verdict.outcome == HOLDS:
         if verdict.route in FRAGMENT_ROUTES.get(verdict.mode, ()):
             try:
-                delta = parse_transitions(verdict.certificate.get("delta", ()))
+                delta = parse_fragment(verdict.certificate.get("delta", ()))
             except ParseError as exc:
                 raise MalformedCertificate(str(exc)) from exc
             check_closure = check_closure_zero

@@ -13,7 +13,8 @@ steps that move one component out of a state on a letter.  The core is
 the one step basis: every step is a core step shifted by a vector
 (`successors`), a single tracked component runs on core steps alone, the
 Petri nets of `petri` take their arcs from the core steps' source and
-target vectors, and every walk meets steps in one order, `step_order`.
+target vectors, and every walk whose result follows its order meets
+steps in one order, `step_order`.
 The deletion system's walks share CHECK_ZERO, a closed tracked component.
 
 Word membership (`shuffle_member`, `pre_shuffle_member`) and the
@@ -22,7 +23,13 @@ instead: one int with a field per component state, and per letter a
 tuple of (guard, effect) pairs, one per core step on it, in one table
 (`ShuffleEngine.word_steps_on`) built when a walk first reaches the
 letter, so a step is one test and one addition and no walk makes a
-`CounterVector`.
+`CounterVector`.  The product walks of `petri` step the same way, on
+fields as wide as their cap needs (`walk_table`).  A
+`Layout` says how vectors are packed, and a `Fragment` is a finite step
+set on packed vectors: the fragment Δ as the walks find it, the closure
+search reads it and a certificate prints it, with the text a step
+object prints (`step_text`), and as replay reads it back
+(`parse_fragment`).
 
 Counter vectors and transitions are interned through `automata.intern`,
 as letters are, so each is built and rendered once, however many sets
@@ -153,12 +160,28 @@ class CounterVector:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            if not self.entries:
-                text = "(0)"
-            else:
-                text = "(" + " ".join(f"{q}:{n}" for q, n in self.entries) + ")"
+            text = vector_text(self.entries)
             object.__setattr__(self, "_text", text)
         return text
+
+
+def vector_text(entries: tuple) -> str:
+    """The text of the vector with these sorted entries: '(0)' or
+    '(II:1 III:2)'."""
+    if not entries:
+        return "(0)"
+    return "(" + " ".join(f"{q}:{n}" for q, n in entries) + ")"
+
+
+def step_text(source: str, letter: Letter, target: str) -> str:
+    """The text '(f) a (g)' of a step from its vectors' texts, the one
+    text of a step, packed (`Fragment.text`) or not."""
+    return f"{source} {letter} {target}"
+
+
+def tagged_text(text: str, kind: str) -> str:
+    """A step's text '(f) a (g)' with its kind: '(f) a (g) [kind]'."""
+    return f"{text} [{kind}]"
 
 
 ZERO = CounterVector()
@@ -182,11 +205,16 @@ CHECK_ZERO = _CheckZero()
 
 def parse_vector(text: str) -> CounterVector:
     """Parse '(0)', '(II:1)', '(II:1 III:2)' or the bare forms without parens."""
+    return CounterVector(_vector_entries(text))
+
+
+def _vector_entries(text: str) -> tuple:
+    """The sorted positive entries of the vector `parse_vector` reads."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1].strip()
     if body in ("0", ""):
-        return ZERO
+        return ()
     counts: dict = {}
     for tok in body.split():
         if ":" not in tok:
@@ -198,7 +226,7 @@ def parse_vector(text: str) -> CounterVector:
             counts[q] = counts.get(q, 0) + int(n)
         except ValueError:  # more digits than int converts
             raise ParseError(f"count of {len(n)} digits is too long") from None
-    return CounterVector.make(counts)
+    return tuple(sorted((q, n) for q, n in counts.items() if n))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -245,12 +273,12 @@ class ShuffleTransition:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            text = f"{self.source} {self.letter} {self.target}"
+            text = step_text(str(self.source), self.letter, str(self.target))
             object.__setattr__(self, "_text", text)
         return text
 
     def tagged_str(self) -> str:
-        return f"{self} [{self.kind}]"
+        return tagged_text(str(self), self.kind)
 
 
 def step_order(t: ShuffleTransition) -> tuple:
@@ -292,18 +320,25 @@ def _memo(parse):
 
 
 def _read_transition(text: str, vector, letter) -> ShuffleTransition:
+    src, a, tgt, kind = _read_step(text, vector, letter)
+    return ShuffleTransition(src, a, tgt, kind or infer_kind(src.entries, tgt.entries))
+
+
+def _read_step(text: str, vector, letter) -> tuple:
+    """(source, letter, target, kind or None) of a step's text, each
+    vector read by `vector` and the letter by `letter`."""
     m = _TRANSITION.fullmatch(text)
     if m is None:
         raise ParseError(f"bad transition {text!r}")
     src, tgt = vector(m[1]), vector(m[3])
-    a = letter(m[2])
-    return ShuffleTransition(src, a, tgt, m[4] or infer_kind(src, a, tgt))
+    return src, letter(m[2]), tgt, m[4]
 
 
-def infer_kind(src: CounterVector, letter: Letter, tgt: CounterVector) -> str:
+def infer_kind(src: tuple, tgt: tuple) -> str:
+    """The kind of an untagged step between vectors with these entries."""
     # untagged text can only distinguish kinds by the norm change; a
     # norm-preserving step with equal endpoints is read as start_end
-    d = tgt.norm - src.norm
+    d = sum(n for _q, n in tgt) - sum(n for _q, n in src)
     if d == 1:
         return START
     if d == -1:
@@ -311,6 +346,158 @@ def infer_kind(src: CounterVector, letter: Letter, tgt: CounterVector) -> str:
     if src == tgt:
         return START_END
     return INNER
+
+
+def parse_fragment(texts) -> "Fragment":
+    """The steps of texts, read as `parse_transitions` reads them, packed
+    (`Fragment.of_entries`) without making a vector or step object."""
+    vector, letter = _memo(_vector_entries), _memo(parse_letter)
+    steps = set()
+    for text in texts:
+        src, a, tgt, kind = _read_step(text, vector, letter)
+        steps.add((src, a, tgt, kind or infer_kind(src, tgt)))
+    return Fragment.of_entries(steps)
+
+
+def count_width(largest: int) -> int:
+    """Bits per field of a `Layout` whose counts reach at most largest."""
+    return largest.bit_length() + 1
+
+
+class Layout:
+    """One packing of counter vectors as ints: a `width`-bit field per
+    state of `names`, which are sorted, the first state's field lowest.
+
+    Every count a packed vector holds stays below 1 << (width - 1), so the
+    top bit of each field is spare: adding one to a count never carries
+    into the next field, and with `high`, the spare bits of every field,
+    g >= f field by field exactly when ((g | high) - f) & high == high.
+    """
+
+    __slots__ = ("width", "shift", "field", "high")
+
+    def __init__(self, names: tuple, width: int):
+        self.width = width
+        self.shift = dict(zip(names, range(0, width * len(names), width)))
+        self.field = field = (1 << width) - 1
+        # the top bit of a field times 1 + 2**width + 2**(2 * width) + ...
+        self.high = (1 << (width - 1)) * ((1 << width * len(names)) - 1) // field
+
+    def pack(self, entries: tuple) -> Optional[int]:
+        """The vector with these entries packed, or None when a state of
+        it has no field or a count reaches its field's spare bit."""
+        out = 0
+        top = 1 << (self.width - 1)
+        for q, n in entries:
+            k = self.shift.get(q)
+            if k is None or n >= top:
+                return None
+            out += n << k
+        return out
+
+    def entries(self, v: int) -> tuple:
+        field = self.field
+        return tuple((q, v >> k & field) for q, k in self.shift.items() if v >> k & field)
+
+    def vector(self, v: int) -> CounterVector:
+        return CounterVector(self.entries(v))
+
+    def text(self, v: int) -> str:
+        """The text of the packed vector v, as `CounterVector` prints it."""
+        return vector_text(self.entries(v))
+
+
+# the layout of a fragment without steps
+_NO_FIELDS = Layout((), 1)
+
+
+class Fragment:
+    """A finite set of steps on packed vectors, all in one `Layout`: each
+    step is (f, a, g, kind), its packed source, letter, packed target and
+    kind.  This is how the fragment routes, the closure search and a
+    Holds certificate pass a transition fragment Δ; step objects are made
+    from it only on request (`transitions`).
+
+    A fragment keeps the text of each vector and step it has printed;
+    texts, if given, holds vector texts printed already, as the walk that
+    made the fragment passes its own.
+    """
+
+    __slots__ = ("layout", "steps", "_vector_texts", "_step_texts")
+
+    def __init__(self, layout: Layout, steps: frozenset, texts: Optional[dict] = None):
+        self.layout = layout
+        self.steps = steps
+        self._vector_texts = {} if texts is None else texts
+        self._step_texts: dict = {}
+
+    @staticmethod
+    def of(delta) -> "Fragment":
+        """The steps of delta, a set of `ShuffleTransition`s, packed."""
+        return Fragment.of_entries(
+            (t.source.entries, t.letter, t.target.entries, t.kind) for t in delta
+        )
+
+    @staticmethod
+    def of_entries(steps) -> "Fragment":
+        """steps, each (source entries, letter, target entries, kind),
+        packed in the layout of the states they name, wide enough for
+        their largest count."""
+        steps = list(steps)
+        if not steps:  # as most zero-fragment certificates are
+            return Fragment(_NO_FIELDS, frozenset())
+        vectors = {v for s, _a, t, _k in steps for v in (s, t)}
+        named = {e for v in vectors for e in v}
+        layout = Layout(
+            tuple(sorted({q for q, _n in named})),
+            count_width(max((n for _q, n in named), default=0)),
+        )
+        packed = {v: layout.pack(v) for v in vectors}
+        return Fragment(layout, frozenset(
+            (packed[s], a, packed[t], kind) for s, a, t, kind in steps
+        ))
+
+    def relaid(self, layout: Layout) -> "Fragment":
+        """These steps in another layout, less those it cannot hold."""
+        moved = {}
+        for f, _a, g, _k in self.steps:
+            for v in (f, g):
+                if v not in moved:
+                    moved[v] = layout.pack(self.layout.entries(v))
+        return Fragment(layout, frozenset(
+            (moved[f], a, moved[g], kind)
+            for f, a, g, kind in self.steps
+            if moved[f] is not None and moved[g] is not None
+        ))
+
+    def vector_text(self, v: int) -> str:
+        """`Layout.text` of v, kept for the fragment's later reads."""
+        text = self._vector_texts.get(v)
+        if text is None:
+            text = self._vector_texts[v] = self.layout.text(v)
+        return text
+
+    def text(self, step: tuple) -> str:
+        """The step's text, as its `ShuffleTransition` prints it, kept for
+        the fragment's later reads."""
+        text = self._step_texts.get(step)
+        if text is None:
+            f, a, g, _kind = step
+            vector = self.vector_text
+            text = self._step_texts[step] = step_text(vector(f), a, vector(g))
+        return text
+
+    def lines(self) -> tuple:
+        """The steps' texts with their kinds, as `tagged_str` prints them,
+        sorted: a certificate's delta lines."""
+        return tuple(sorted(tagged_text(self.text(step), step[3]) for step in self.steps))
+
+    def transitions(self) -> frozenset:
+        """The steps as `ShuffleTransition`s."""
+        vector = self.layout.vector
+        return frozenset(
+            ShuffleTransition(vector(f), a, vector(g), kind) for f, a, g, kind in self.steps
+        )
 
 
 class Computation(tuple):
@@ -411,8 +598,7 @@ class ShuffleEngine:
             *self.opening.values(),
             *(out for (q, _a), out in self.moving.items() if q in self.component_states),
         )
-        # letter -> the core steps on it, which `sources` runs backward
-        # and `packed_steps` packs
+        # letter -> the core steps on it, which `packed_steps` packs
         self.core_on = {a: [] for a in P.alphabet}
         for t in self.core:
             self.core_on[t.letter].append(t)
@@ -459,20 +645,6 @@ class ShuffleEngine:
             return out
 
         return steps
-
-    def sources(self, g: CounterVector, a: Letter) -> frozenset:
-        """The vectors f with a step to g in `successors(f, a)`, for g whose
-        support lies in `component_states`, as every reachable vector's
-        does: for each core step t on a whose target g covers,
-        g - t.target + t.source."""
-        if a not in self.letters:
-            raise UnknownLetter(f"letter {a} not in the alphabet")
-        out = set()
-        for t in self.core_on[a]:
-            rest = g.sub(t.target)
-            if rest is not None:
-                out.add(rest.add(t.source))
-        return frozenset(out)
 
     def packed_steps(self, a: Letter, width: int) -> tuple:
         """The core steps on a (`core_on`), on packed vectors: ints holding
@@ -538,6 +710,45 @@ class ShuffleEngine:
             if not frontier:
                 break
         return frontier
+
+
+# Kept apart from the engines, and more of them: a table is a few ints per
+# core step, much smaller than an engine, and without it a caller whose
+# components outnumber the kept engines would build a table with each
+# engine it builds again.
+@lru_cache(maxsize=1024)
+def walk_table(P: Dfa, width: int) -> tuple:
+    """(layout, steps) of the product walks over P's counter system on
+    `width`-bit fields, built once.  layout is the `Layout` of
+    `ShuffleEngine.packed_steps(a, width)`, a field per component state,
+    as the vectors a walk reaches name no other state.  steps maps a
+    letter to its core steps, each (guard, effect, kind, back): guard and
+    effect as `packed_steps` gives them, and back the guard of the step
+    run backward, from f + effect to f, 0 for a step that closes its
+    component and else the field of the state it leads into.  They are
+    sorted, so their order follows P alone.  The cache keeps both, so
+    neither is to be changed."""
+    eng = engine_for(P)
+    layout = Layout(tuple(sorted(eng.component_states)), width)
+    field, shift = layout.field, layout.shift
+    steps = {a: [] for a in eng.core_on}
+    for t in eng.core:
+        # packed as `packed_steps` packs t, in one pass over the core
+        target = t.target.entries
+        if target:
+            k = shift[target[0][0]]
+            effect, back = 1 << k, field << k
+        else:
+            effect = back = 0
+        source = t.source.entries
+        if source:
+            k = shift[source[0][0]]
+            steps[t.letter].append((field << k, effect - (1 << k), t.kind, back))
+        else:
+            steps[t.letter].append((0, effect, t.kind, back))
+    for out in steps.values():
+        out.sort()
+    return layout, steps
 
 
 # Bounded so that a long-lived caller deciding many component languages

@@ -7,12 +7,22 @@ with V is finite: forward from (0, V.initial) on the prefix route, and
 backward from the accepting closures (0, q_f) on the zero route.  They
 walk the product states themselves; a walk ends unless it meets a state
 that strictly covers a tree ancestor with the same V-state, a pump
-(`_pump_walk` gives the argument).  The product net, `build_npv`,
-has one reachable marking per product state, so Karp–Miller on it gives
-the same answer; it serves the `petri` command and the tests.  The
-deletion net runs a composite word as a remainder and one tracked
-component with unbounded counters; its reachability questions answer the
-closure decision where the fragment routes do not.  The composite keeps
+(`_pump_walk` gives the argument).  A product state is a packed vector,
+one int in the engine's layout (`engine.walk_table`) with fields
+wide enough for the walk's cap, and a V-state; a step is one test and
+one addition, and the cover test is word-parallel (`engine.Layout`).
+The prefix route's walk and `build_product` are one breadth-first walk
+(`_forward`); the zero route walks backward depth first, then forward
+inside what it found.  The fragment Δ a walk finds is an
+`engine.Fragment` of packed steps, which the closure search and a Holds
+certificate read as it is: step and vector objects are made only for a
+pump and on request (`AlfResult.delta`, `AlfResult.states`).  The
+product net, `build_npv`, has one reachable marking per product state,
+so Karp–Miller on it gives the same answer; it serves the `petri`
+command and the tests.  The deletion net runs a composite word as a
+remainder and one tracked component with unbounded counters; its
+reachability questions answer the closure decision where the fragment
+routes do not.  The composite keeps
 only its V-state: its counters are always the remainder's plus the
 tracked component's vector, so they never decide whether a step can fire.
 
@@ -80,12 +90,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .automata import Dfa, complete, live_states
 from .engine import (
-    CHECK_ZERO, NORM_MOD, WORD_FIELD, CounterVector, ZERO,
-    elementary_vector_states, engine_for,
+    CHECK_ZERO, NORM_MOD, WORD_FIELD, CounterVector, Fragment, ZERO,
+    count_width, elementary_vector_states, engine_for, walk_table,
 )
 
 DEFAULT_KM_NODE_CAP = 200_000
@@ -609,74 +619,157 @@ def build_npv(P: Dfa, V: Dfa) -> tuple:
 def build_product(
     P: Dfa, V: Dfa, cap: int = DEFAULT_FORWARD_CAP, keep=None
 ) -> tuple:
-    """(states, fragment, exhausted): BFS of the vector/V-state product
-    and the set of steps on the edges it follows.
+    """(states, fragment, exhausted): breadth-first walk of the vector x
+    V-state product from (0, V.initial), on packed vectors, and the steps
+    on the edges it follows.
 
-    With a predicate `keep`, the search stays inside the states it
-    accepts: it starts only if the start state is kept, and it follows
-    only edges into kept states.  The steps of a vector on a letter come
-    from the walk's step table (`ShuffleEngine.step_table`), so they are
-    built once however many V-states the vector meets.
+    A product state is (packed vector, V-state), in the layout of
+    `engine.walk_table` with fields wide enough for any count a
+    walk of cap states reaches, and states holds each one kept (a dict of
+    each to the state it was reached from).  fragment is a `Fragment` in
+    the same layout, made of no step object.  With a predicate `keep` on
+    packed states, the walk stays inside the states it accepts: it starts
+    only if the start state is kept, and it follows only edges into kept
+    states.  exhausted is False when the walk stopped past cap states.
+    `_forward` walks it.
     """
-    steps = engine_for(P).step_table()
-    start = (ZERO, V.initial)
+    tree, fragment, _pump, exhausted = _forward(P, V, cap, keep)
+    return tree, fragment, exhausted
+
+
+def _forward(P: Dfa, V: Dfa, cap: int, keep=None, pumps: bool = False) -> tuple:
+    """(tree, fragment, pump, exhausted): the walk of `build_product`,
+    and with pumps, the pump check of the prefix route: before the walk
+    keeps a new state it looks for an ancestor that the state strictly
+    covers with the same V-state (`_covered_ancestor`), and stops at the
+    first, with pump = (state, new, base) and exhausted False.  A walk
+    stopped early gives the fragment it has met so far.
+
+    The steps of a vector f on a letter are listed once per walk, when it
+    first reaches f with a V-state that reads the letter: the core steps
+    of the engine's `walk_table` that f enables, each with its step
+    (f, a, f + effect, kind).  With pumps they are ordered by target text,
+    then kind, the engine's `step_order` among the steps of f on a
+    letter, so the order in which the walk meets new states, its first
+    pump, and the states it has kept by then depend only on the pair.
+    Without pumps they keep the table's order, which follows P alone: a
+    walk that ends returns the same states and fragment in any order, and
+    a cut one cap + 1 states.  Without keep every step of such an (f, a)
+    fires, so the fragment is the union of those lists; with keep, it is
+    the steps on the edges into kept states.
+    """
+    # a kept state's vector has norm at most its depth, so below cap + 1
+    layout, core = walk_table(P, count_width(cap + 1))
+    high = layout.high
+    start = (0, V.initial)
     if keep is not None and not keep(start):
-        return set(), frozenset(), True
-    seen = {start}
-    queue = deque([start])
-    fragment = set()
-    while queue:
-        f, r = queue.popleft()
+        return {}, Fragment(layout, frozenset()), None, True
+    table: dict = {}  # (f, a) -> [(g, step)], in step order
+    fired = set()
+    texts: dict = {}  # packed vector -> its text
+
+    def text(v: int) -> str:
+        out = texts.get(v)
+        if out is None:
+            out = texts[v] = layout.text(v)
+        return out
+
+    def fragment() -> Fragment:
+        if keep is None:
+            steps = {step for listed in table.values() for _g, step in listed}
+        else:
+            steps = fired
+        return Fragment(layout, frozenset(steps), texts)
+
+    tree = {start: None}
+    queue = [start]  # in visiting order; the loop reads what it appends
+    for state in queue:
+        f, r = state
         for a in P.alphabet:
             s = V.delta.get((r, a))
             if s is None:
                 continue
-            for t in steps(f, a):
-                nxt = (t.target, s)
-                if keep is not None and not keep(nxt):
+            steps = table.get((f, a))
+            if steps is None:
+                out = [
+                    (f + effect, kind)
+                    for guard, effect, kind, _back in core[a]
+                    if not guard or f & guard
+                ]
+                if pumps and len(out) > 1:
+                    out.sort(key=lambda gk: (text(gk[0]), gk[1]))
+                steps = table[(f, a)] = [(g, (f, a, g, kind)) for g, kind in out]
+            for g, step in steps:
+                new = (g, s)
+                if keep is not None:
+                    if not keep(new):
+                        continue
+                    fired.add(step)
+                if new in tree:
                     continue
-                fragment.add(t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > cap:
-                        return seen, frozenset(fragment), False
-                    queue.append(nxt)
-    return seen, frozenset(fragment), True
+                if pumps:
+                    base = _covered_ancestor(tree, state, new, high)
+                    if base is not None:
+                        return tree, fragment(), (state, new, base), False
+                tree[new] = state
+                if len(tree) > cap:
+                    return tree, fragment(), None, False
+                queue.append(new)
+    return tree, fragment(), None, True
 
 
 @dataclass(frozen=True)
 class AlfResult:
+    """A fragment route's answer.  A finite answer holds the fragment and
+    the product states its walk kept, packed in the fragment's layout;
+    `delta` and `states` make their objects on request."""
+
     status: str  # finite | infinite | unknown
-    delta: Optional[frozenset] = None
+    fragment: Optional[Fragment] = None
     pump: Optional[tuple] = None
-    states: Optional[frozenset] = None
+    product: Optional[Iterable] = None
     stats: dict = field(default_factory=dict)
 
+    @property
+    def delta(self) -> Optional[frozenset]:
+        return None if self.fragment is None else self.fragment.transitions()
 
-def _covered_ancestor(tree: dict, state, new):
+    @property
+    def states(self) -> Optional[frozenset]:
+        if self.product is None:
+            return None
+        vector = self.fragment.layout.vector
+        return frozenset((vector(f), r) for f, r in self.product)
+
+
+def _covered_ancestor(tree: dict, state, new, high: int):
     """The first of `state` and its ancestors in tree (state -> parent)
-    that the product state new strictly covers with the same V-state, or
-    None.  A strict cover has the larger norm, so `geq` runs only then."""
+    that the product state new, not in tree, strictly covers with the same
+    V-state, or None.  The vectors are packed, with high their layout's
+    spare bits (`Layout`), and new differs from every state in tree."""
     g, s = new
-    norm = g.norm
+    g |= high
     while state is not None:
         f, r = state
-        if r == s and f.norm < norm and g.geq(f):
+        if r == s and (g - f) & high == high:
             return state
         state = tree[state]
     return None
 
 
-def _pump(P: Dfa, V: Dfa, tree: dict, state, new, base) -> tuple:
+def _pump(P: Dfa, V: Dfa, layout, tree: dict, state, new, base) -> tuple:
     """(prefix, cycle): the tree path from the walk's start to base, then
     on through state to new, as `build_npv` transition names.  Each step
     is named by the first core step, in the order `build_npv` takes them,
-    whose firing gives the next state."""
+    whose firing gives the next state.  The path's packed vectors are
+    unpacked from layout."""
     path = [new]
     while state is not None:
         path.append(state)
         state = tree[state]
     path.reverse()
+    k = path.index(base)
+    path = [(layout.vector(f), r) for f, r in path]
     core = engine_for(P).ordered_core
     names = [
         next(
@@ -686,13 +779,13 @@ def _pump(P: Dfa, V: Dfa, tree: dict, state, new, base) -> tuple:
         )
         for (f, r), (g, s) in zip(path, path[1:])
     ]
-    k = path.index(base)
     return tuple(names[:k]), tuple(names[k:])
 
 
-def _pump_walk(roots, edges, cap: int) -> tuple:
-    """(tree, pump, exhausted): breadth-first walk of product states
-    (vector, V-state) from roots; edges(state) gives the states one step on.
+def _pump_walk(roots, edges, cap: int, high: int) -> tuple:
+    """(tree, pump, exhausted): depth-first walk of packed product states
+    (vector, V-state) from roots; edges(state) gives the states one step
+    on, and high is the spare bits of the vectors' layout.
 
     tree maps each kept state to its parent, None for a root.  Before the
     walk keeps a new state it looks for a pump, an ancestor that the state
@@ -707,24 +800,28 @@ def _pump_walk(roots, edges, cap: int) -> tuple:
     branch (König); on it some state covers an earlier one with the same
     V-state (Dickson's lemma), strictly, since the tree holds no state
     twice, and the walk checks that pair when it keeps the later one.  A
-    state already held needs no check: the argument reads only the tree.
-    This is Karp–Miller's answer on `build_npv`'s net, whose markings are
-    the product states (Karp & Miller, 1969), without building the net.
+    state already held needs no check: the argument reads only the tree,
+    and holds for any order of visiting.  So the walk takes the states on
+    a stack, last kept first, and follows one branch down before it
+    widens: on modular-net's pairs it keeps 723 states before its pumps
+    where a walk in rounds keeps 1,805.  This is Karp–Miller's answer on
+    `build_npv`'s net, whose markings are the product states (Karp &
+    Miller, 1969), without building the net.
     """
     tree = dict.fromkeys(roots)
-    queue = deque(tree)
-    while queue:
-        state = queue.popleft()
+    stack = list(tree)
+    while stack:
+        state = stack.pop()
         for new in edges(state):
             if new in tree:
                 continue
-            base = _covered_ancestor(tree, state, new)
+            base = _covered_ancestor(tree, state, new, high)
             if base is not None:
                 return tree, (state, new, base), False
             tree[new] = state
             if len(tree) > cap:
                 return tree, None, False
-            queue.append(new)
+            stack.append(new)
     return tree, None, True
 
 
@@ -736,42 +833,30 @@ def decide_alf_pre_finite(
     V must recognize a prefix-closed language (every state accepting).  The
     alphabet is finite exactly when the product of the counter system with
     V is, and is then the set of steps on the product's edges.  One
-    `_pump_walk` forward from (0, V.initial), with the steps of the
-    engine's step table, answers.  The pump is (prefix, cycle) in
-    `build_npv`'s transition names, which `replay_pump` fires.  The step
-    table lists each vector's steps on a letter in the engine's
-    `step_order`, so the pump the walk meets first, and the states it has
-    kept by then, depend only on the pair.
+    `_forward` walk from (0, V.initial), with the pump check, answers; the
+    argument is `_pump_walk`'s, whose order of visiting the walk does not
+    share: it walks in rounds, so that the pump it meets first, and the
+    states it has kept by then, stay those of the engine's `step_order`.
+    The pump is (prefix, cycle) in `build_npv`'s transition names, which
+    `replay_pump` fires.  A finite answer holds the walk's packed fragment
+    and states.
 
     The walk keeps at most node_cap states; when it would keep more, the
     answer is Unknown.
     """
-    steps = engine_for(P).step_table()
-    fragment = set()
-
-    def forward(state):
-        f, r = state
-        for a in P.alphabet:
-            s = V.delta.get((r, a))
-            if s is None:
-                continue
-            for t in steps(f, a):
-                fragment.add(t)
-                yield t.target, s
-
-    tree, pump, exhausted = _pump_walk([(ZERO, V.initial)], forward, node_cap)
+    tree, fragment, pump, exhausted = _forward(P, V, node_cap, pumps=True)
     stats = {"product_states": len(tree)}
     if pump is not None:
-        return AlfResult("infinite", pump=_pump(P, V, tree, *pump), stats=stats)
+        pump = _pump(P, V, fragment.layout, tree, *pump)
+        return AlfResult("infinite", pump=pump, stats=stats)
     if not exhausted:
         return AlfResult("unknown", stats=stats)
-    return AlfResult(
-        "finite", delta=frozenset(fragment), states=frozenset(tree), stats=stats
-    )
+    return AlfResult("finite", fragment=fragment, product=tree.keys(), stats=stats)
 
 
-def prefix_delta_closed(P: Dfa, V: Dfa, delta: frozenset) -> bool:
-    """Is delta closed in the product of P's counter system with V?
+def prefix_delta_closed(P: Dfa, V: Dfa, delta) -> bool:
+    """Is delta, a `Fragment` or a set of steps, closed in the product of
+    P's counter system with V?
 
     Closed means that at every product state (f, r) reached from
     (0, V's initial state), each step of the counter system from f on a
@@ -780,10 +865,14 @@ def prefix_delta_closed(P: Dfa, V: Dfa, delta: frozenset) -> bool:
     (`build_product`) to vectors that are 0 or a target of delta, so the
     walk ends within (targets + 1) * |V| states with its fragment inside
     delta; any other delta takes a step outside it or passes that cap.
+    The walk's fragment is compared with delta in the walk's layout, which
+    cannot hold a step the walk does not take.
     """
-    cap = (len({t.target for t in delta}) + 1) * len(V.states)
+    if not isinstance(delta, Fragment):
+        delta = Fragment.of(delta)
+    cap = (len({g for _f, _a, g, _k in delta.steps}) + 1) * len(V.states)
     _, fragment, exhausted = build_product(P, V, cap)
-    return exhausted and fragment <= delta
+    return exhausted and fragment.steps <= delta.relaid(fragment.layout).steps
 
 
 def decide_alf_zero_finite(
@@ -795,13 +884,14 @@ def decide_alf_zero_finite(
     V must be a complete automaton with finals.  R is the set of product
     states that reach an accepting closure (0, q_f), and the forward
     product is walked inside R.  One `_pump_walk` backward from every
-    (0, q_f), with the predecessors of `ShuffleEngine.sources`, gives R,
-    or a pump, which makes R infinite and the answer Unknown.  R is the
-    union of the markings reachable from each (0, q_f) in `build_npv`'s
-    net with every pre- and post-set swapped, found without the net.  A
-    `build_product` walk kept inside R gives the fragment; it has no pump
-    check, since a strict cover inside R does not make R infinite, and R
-    bounds it, so it always ends.
+    (0, q_f), on packed vectors, with each core step run backward
+    (`ShuffleEngine.walk_steps`), gives R, or a pump, which makes R
+    infinite and the answer Unknown.  R is the union of the markings
+    reachable from each (0, q_f) in `build_npv`'s net with every pre- and
+    post-set swapped, found without the net.  A `build_product` walk kept
+    inside R, in R's layout, gives the fragment; it has no pump check,
+    since a strict cover inside R does not make R infinite, and R bounds
+    it, so it always ends.
 
     node_cap bounds R as a whole, in states kept, not each (0, q_f)'s part
     of it; a larger R gives Unknown.
@@ -812,7 +902,7 @@ def decide_alf_zero_finite(
     and R, of at most |V| states, is finite too.
     """
     V = complete(V)
-    eng = engine_for(P)
+    layout, core = walk_table(P, count_width(node_cap + 1))
     into: dict = {}  # (V-state, letter) -> the V-states the letter leads into it
     for (r, a), s in V.delta.items():
         into.setdefault((s, a), []).append(r)
@@ -823,15 +913,20 @@ def decide_alf_zero_finite(
             before = into.get((s, a))
             if before is None:
                 continue
-            for f in eng.sources(g, a):
-                for r in before:
-                    yield f, r
+            for _guard, effect, _kind, back in core[a]:
+                if not back or g & back:
+                    f = g - effect
+                    for r in before:
+                        yield f, r
 
-    R, _, exhausted = _pump_walk([(ZERO, qf) for qf in V.finals], backward, node_cap)
+    roots = [(0, qf) for qf in V.finals]
+    R, _, exhausted = _pump_walk(roots, backward, node_cap, layout.high)
     if not exhausted:
         return AlfResult("unknown")
-    states, delta, _ = build_product(P, V, len(R), keep=R.__contains__)
-    return AlfResult("finite", delta=delta, states=frozenset(states))
+    # R's states are packed for a walk of node_cap states, as this walk's
+    # are, and it keeps no more than R holds
+    states, fragment, _ = build_product(P, V, node_cap, keep=R.__contains__)
+    return AlfResult("finite", fragment=fragment, product=states.keys())
 
 
 # ---------------------------------------------------------------------------

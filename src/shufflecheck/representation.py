@@ -12,17 +12,19 @@ remainder vector and the tracked component, and `_deletion_moves` is the
 one definition of a move, and so of a column: a move is a column's three
 tracks, and only W_delta and a closure search's witness make the column,
 each through `TrackLetter`'s checked constructor.
-The moves run on packed states: the remainder is one int with a field per
-state that delta names, the tracked component 0, a packed unit or
-CHECK_ZERO, the closed state the engine defines, and delta is read once,
-in the engine's `step_order`, into a table keyed by the packed composite,
-each of its steps with the engine steps it shifts, in the order of
-W_delta's alphabet, which is taken from a column's parts, not its text
-(`_column_order`).  The closure search runs on those states,
-numbered, and leaves out every state whose composite V-state can reach
-no final state.  The recognizer W_delta adds the composite vector to each
-state and unpacks its moves; it, the track ranges S1/S2/S3 and the steps
-delta2'/delta3' serve the `wdelta` command and the tests.
+delta comes packed, an `engine.Fragment` as the fragment routes and
+replay give it, or as steps, which are packed once.  The moves run on
+packed states in delta's layout: the remainder is one int, the tracked
+component 0, a packed unit or CHECK_ZERO, the closed state the engine
+defines, and delta is read once, in the engine's `step_order`, into a
+table keyed by the packed composite, each of its steps with the engine
+steps it shifts, in the order of W_delta's alphabet, which is taken from
+a column's parts, not its text (`_column_order`).  The closure search
+runs on those states, numbered, and leaves out every state whose
+composite V-state can reach no final state.  The recognizer W_delta adds
+the composite vector to each state and unpacks its moves; it, the track
+ranges S1/S2/S3 and the steps delta2'/delta3' serve the `wdelta` command
+and the tests.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .automata import Dfa, Letter, ShufflecheckError, complete, live_states
 from .engine import (
     CHECK_ZERO,
     CounterVector,
+    Fragment,
+    Layout,
     ShuffleTransition,
     ZERO,
     elementary_vector_states,
     engine_for,
     reached,
-    step_order,
+    tagged_text,
 )
 
 
@@ -147,41 +151,29 @@ def _column_order(col: TrackLetter) -> tuple:
 
 
 class _PackedMoves:
-    """The move function `_deletion_moves` builds, with its packing.
+    """The move function `_deletion_moves` builds, on the packed vectors
+    of delta's `Layout`.
 
-    A remainder s2 is packed as one int holding its count of each state q
-    in the bits field << shift[q], and a tracked component s3 as 0, its
-    packed unit vector or CHECK_ZERO.  table maps a packed composite
-    source s1 = s2 + s3 to its candidate moves, each a step x1 of delta
-    with a test: (x1, mask, effect) is x1's remainder move from s2 when
-    mask is 0 or s2 & mask is nonzero, to s2 + effect; (x1, by_s3, None)
-    is its component move, by_s3 mapping s3 to (x3, next s3) for the
-    core step x3 out of s3.  The candidates come in column order
-    (`_column_order`), so every state's moves do.
+    A remainder s2 is a packed vector, and a tracked component s3 is 0,
+    its packed unit vector or CHECK_ZERO.  table maps a packed composite
+    source s1 = s2 + s3 to its candidate moves, each a packed step x1 of
+    delta (`Fragment`) with a test: (x1, mask, effect) is x1's remainder
+    move from s2 when mask is 0 or s2 & mask is nonzero, to s2 + effect;
+    (x1, by_s3, None) is its component move, by_s3 mapping s3 to (x3,
+    next s3) for the core step x3 out of s3.  The candidates come in
+    column order (`_column_order`), so every state's moves do.
     """
 
-    def __init__(self, shift: dict, field: int):
-        self.shift = shift
-        self.field = field
+    def __init__(self, layout: Layout):
+        self.layout = layout
         self.table: dict = {}
 
     def pack(self, f: CounterVector) -> Optional[int]:
-        """f packed, or None when a state of f has no field or a count
-        does not fit one."""
-        out = 0
-        for q, n in f.entries:
-            k = self.shift.get(q)
-            if k is None or n > self.field:
-                return None
-            out += n << k
-        return out
+        """f packed, or None when the layout cannot hold it."""
+        return self.layout.pack(f.entries)
 
     def unpack(self, f: int) -> CounterVector:
-        field = self.field
-        # shift lists the states in sorted order, as a vector's entries are
-        return CounterVector(
-            tuple((q, f >> k & field) for q, k in self.shift.items() if f >> k & field)
-        )
+        return self.layout.vector(f)
 
     def moves(self, state) -> tuple:
         """The moves (x1, x3, next state) of a packed state (s2, s3): x3
@@ -198,9 +190,11 @@ class _PackedMoves:
         return tuple(out)
 
     def tracks(self, state, move) -> tuple:
-        """The three tracks (x1, x2, x3) of a move of a packed state."""
+        """The three tracks (x1, x2, x3) of a move of a packed state, as
+        step objects."""
         s2, s3 = state
-        x1, x3, _next = move
+        (f, a, g, kind), x3, _next = move
+        x1 = ShuffleTransition(self.unpack(f), a, self.unpack(g), kind)
         if x3 is not None:
             return x1, self.unpack(s2), x3.checked()
         rest = ZERO if s3 is CHECK_ZERO else self.unpack(s3)
@@ -209,7 +203,8 @@ class _PackedMoves:
 
 
 def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
-    """The move function of the deletion system over the fragment delta.
+    """The move function of the deletion system over the fragment delta, a
+    `Fragment` or a set of steps, which it packs once (`Fragment.of`).
 
     A state (s2, s3) is the remainder vector and the tracked component, or
     CHECK_ZERO once that component has closed.  A remainder move takes a
@@ -221,11 +216,11 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     a letter P does not read, raises NotSubsetOfShuffle here, before any
     move is made.
 
-    The moves run on packed states (`_PackedMoves`): s2 one int with a
-    field per state that delta's vectors name, in sorted order, wide
-    enough for one more than delta's largest count, and s3 0, a packed
-    unit or CHECK_ZERO.  delta is read once into a table by packed source.
-    Each step x1 of delta carries the engine steps it shifts, read as
+    The moves run on delta's packed vectors (`_PackedMoves`), whose
+    layout leaves a spare bit in every field, so a shifted step never
+    carries into a neighbouring field, and s3 is 0, a packed unit or
+    CHECK_ZERO.  delta is read once into a table by packed source.  Each
+    step x1 of delta carries the engine steps it shifts, read as
     `ShuffleEngine.packed_steps` reads the core: those of x1's letter and
     kind out of 0 or out of a state of x1's source, after which x1's
     target follows.  x2 = x1 - s3 is a step of s2 exactly when one of them
@@ -233,8 +228,9 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     them out of s3, if any; delta's steps are checked the same way.  Each
     source's candidates are sorted once by (x1's text, remainder before
     component, kind), which is column order on every state
-    (`_column_order`).  Only a witness's and W_delta's columns make x2 and
-    x3 (`_PackedMoves.tracks`).
+    (`_column_order`); x1's text comes from the packed step
+    (`Fragment.text`).  Only a witness's and W_delta's columns make x1, x2
+    and x3 as step objects (`_PackedMoves.tracks`).
 
     On every state reached from (0, 0) these are W_delta's moves, for any
     delta, a forged certificate's included: x1 in delta from a reached
@@ -243,28 +239,24 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     columns agree by construction, and `TrackLetter` checks each one made
     all the same.
     """
-    delta = frozenset(delta)
-    if not delta:  # no state has a move
-        return _PackedMoves({}, 1)
-    vectors = {f for t in delta for f in (t.source, t.target)}
-    entries = {e for f in vectors for e in f.entries}
-    # with room for one more than the largest count, a step shifted to a
-    # source of delta never carries into a neighbouring field
-    width = (max((n for _q, n in entries), default=0) + 1).bit_length()
-    named = sorted({q for q, _n in entries})
-    system = _PackedMoves({q: width * i for i, q in enumerate(named)}, (1 << width) - 1)
-    packed = {f: system.pack(f) for f in vectors}
+    if not isinstance(delta, Fragment):
+        delta = Fragment.of(delta)
+    layout = delta.layout
+    system = _PackedMoves(layout)
+    if not delta.steps:  # no state has a move
+        return system
     eng = engine_for(P)
-    shifted = _shifted_steps(eng, system.shift)
-    field, core = system.field, eng.core
+    shifted = _shifted_steps(eng, layout.shift)
+    field, core = layout.field, eng.core
     # packed source -> its candidates, each under its order among a state's
     # moves; delta is read in `step_order`, so the step it names when one
     # is invalid does not follow the hash seed
+    text = delta.text
     by_source: dict = {}
-    for x1 in sorted(delta, key=step_order):
-        s, t = packed[x1.source], packed[x1.target]
+    for x1 in sorted(delta.steps, key=lambda x1: (text(x1), x1[3])):
+        s, a, t, kind = x1
         always, mask, by_s3 = False, 0, {}
-        for c, cs, ct in shifted.get((x1.letter, x1.kind, t - s), ()):
+        for c, cs, ct in shifted.get((a, kind, t - s), ()):
             if not cs:
                 always = True
             elif s & field * cs:
@@ -274,12 +266,11 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
             if c in core:
                 by_s3[cs] = (c, ct or CHECK_ZERO)
         if not (always or mask):
-            raise NotSubsetOfShuffle(f"{x1.tagged_str()} is not a valid step")
-        text = str(x1)
+            raise NotSubsetOfShuffle(f"{tagged_text(text(x1), kind)} is not a valid step")
         out = by_source.setdefault(s, [])
-        out.append(((text, False, x1.kind), (x1, 0 if always else mask, t - s)))
+        out.append(((text(x1), False, kind), (x1, 0 if always else mask, t - s)))
         if by_s3:
-            out.append(((text, True, x1.kind), (x1, by_s3, None)))
+            out.append(((text(x1), True, kind), (x1, by_s3, None)))
     for s, out in by_source.items():
         out.sort(key=lambda keyed: keyed[0])
         system.table[s] = tuple(move for _key, move in out)
@@ -321,9 +312,10 @@ def w_delta_moves(P: Dfa, delta):
             return ()
         out = []
         for move in system.moves(packed):
-            x1, _x3, (n2, n3) = move
+            _x1, _x3, (n2, n3) = move
             n3 = n3 if n3 is CHECK_ZERO else system.unpack(n3)
-            out.append((TrackLetter(*system.tracks(packed, move)), (x1.target, system.unpack(n2), n3)))
+            col = TrackLetter(*system.tracks(packed, move))
+            out.append((col, (col.x1.target, system.unpack(n2), n3)))
         return tuple(out)
 
     return w_moves
@@ -438,12 +430,14 @@ def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome
     and s3 in {0, CHECK_ZERO}, may witness.  It is searched as the number
     (d * n + v1) * n + v2: d the deletion-system state's id, given when a
     move first leads there, v1 and v2 places in V.states.  A deletion-system
-    state is packed (`_deletion_moves`); its moves are made when the search
-    first reaches it and kept by id, each with its target's id times n * n
-    and its step of the V-pair v1 * n + v2.  They come in column order, as
-    W_delta's alphabet lists them, so for any numbering the search visits
-    states, and finds its witness, in the order of the same search over
-    W_delta.  Only the witness's columns are made (`_witness`).
+    state is packed in the layout of delta, a `Fragment` or a set of steps
+    (`_deletion_moves`); its moves are made when the search first reaches
+    it and kept by id, each with its target's id times n * n and its step
+    of the V-pair v1 * n + v2.  They come in column order, as W_delta's
+    alphabet lists them, so for any numbering the search visits states,
+    and finds its witness, in the order of the same search over W_delta.
+    Only the witness's columns are made, with their step objects
+    (`_witness`).
 
     A state whose composite V-state reaches no final state of complete(V)
     (`live_states`) is not searched: no witness lies below it, and every
@@ -486,10 +480,10 @@ def _closure_search(P: Dfa, V: Dfa, delta, require_zero: bool) -> ClosureOutcome
                 if nd == len(found):
                     found.append(nds)
                     moves.append(None)
-                key = (x1.letter, x3 is None)
+                key = (x1[1], x3 is None)
                 step = pair_steps.get(key)
                 if step is None:
-                    to = [index[V.delta[(q, x1.letter)]] for q in index]
+                    to = [index[V.delta[(q, key[0])]] for q in index]
                     rest = to if key[1] else range(n)
                     step = pair_steps[key] = [
                         t1 * n + t2 if alive[t1] else None for t1 in to for t2 in rest
@@ -524,8 +518,9 @@ def check_closure_prefix(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     """Exact closure check for the prefix form.
 
     Sound only when every computation labeling a word of V stays inside
-    delta; the caller must have established that coverage.  An invalid
-    step in delta raises NotSubsetOfShuffle.
+    delta, a `Fragment` or a set of steps; the caller must have
+    established that coverage.  An invalid step in delta raises
+    NotSubsetOfShuffle.
     """
     return _closure_search(P, V, delta, require_zero=False)
 
@@ -535,7 +530,8 @@ def check_closure_zero(P: Dfa, V: Dfa, delta) -> ClosureOutcome:
     components and end accepted by V.
 
     Sound only when every closing computation labeling a word of V stays
-    inside delta; the caller must have established that coverage.  An
-    invalid step in delta raises NotSubsetOfShuffle.
+    inside delta, a `Fragment` or a set of steps; the caller must have
+    established that coverage.  An invalid step in delta raises
+    NotSubsetOfShuffle.
     """
     return _closure_search(P, V, delta, require_zero=True)

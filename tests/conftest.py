@@ -93,6 +93,14 @@ def product_pairs(count):
         count -= 1
 
 
+def unpacked(product) -> tuple:
+    """`petri.build_product`'s (states, fragment, exhausted) with its
+    packed vectors and steps made objects."""
+    states, fragment, exhausted = product
+    vector = fragment.layout.vector
+    return {(vector(f), r) for f, r in states}, fragment.transitions(), exhausted
+
+
 @pytest.fixture
 def successor_calls(monkeypatch):
     """Counts the calls of ShuffleEngine.successors by (vector, letter)."""

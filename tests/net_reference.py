@@ -30,14 +30,19 @@ field per place, so a test can require both layouts to search alike.
 The two routes here answer each finiteness question with Karp–Miller on
 `petri.build_npv`'s net, forward from (0, V.initial), and on its
 `reversed_net` from each accepting closure (0, q_f); the package's
-routes walk the product states instead.  The prefix route then walks the
-product a second time with `build_product`, and the zero route keeps its
-forward walk inside the backward trees' markings.
+routes walk the packed product states instead.  The prefix route then
+walks the product a second time with `product_walk`, and the zero route
+keeps its forward walk inside the backward trees' markings.
+`product_walk` is `petri.build_product` on vector and step objects,
+with the engine's `successors` built again at every product state; it
+is the reference for that walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
 
 from shufflecheck.automata import Dfa, complete
 from shufflecheck.engine import ZERO, CounterVector, elementary_vector_states, engine_for
@@ -45,7 +50,6 @@ from shufflecheck.petri import (
     CHECK_PLACE,
     DEFAULT_FORWARD_CAP,
     DEFAULT_KM_NODE_CAP,
-    AlfResult,
     PetriNet,
     _arcs,
     _ep,
@@ -53,7 +57,6 @@ from shufflecheck.petri import (
     _v1,
     _v2,
     build_npv,
-    build_product,
     karp_miller,
 )
 
@@ -241,30 +244,72 @@ def check_one_token(groups, M: CounterVector) -> bool:
     )
 
 
+def product_walk(P: Dfa, V: Dfa, cap: int, keep=None) -> tuple:
+    """(states, fragment, exhausted): `petri.build_product`'s walk on
+    vector and step objects, with the engine's `successors` built again
+    for every product state; keep, if given, takes (vector, V-state)."""
+    eng = engine_for(P)
+    start = (ZERO, V.initial)
+    if keep is not None and not keep(start):
+        return set(), frozenset(), True
+    seen = {start}
+    queue = deque([start])
+    fragment = set()
+    while queue:
+        f, r = queue.popleft()
+        for a in P.alphabet:
+            s = V.delta.get((r, a))
+            if s is None:
+                continue
+            for t in eng.successors(f, a):
+                nxt = (t.target, s)
+                if keep is not None and not keep(nxt):
+                    continue
+                fragment.add(t)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if len(seen) > cap:
+                        return seen, frozenset(fragment), False
+                    queue.append(nxt)
+    return seen, frozenset(fragment), True
+
+
+@dataclass(frozen=True)
+class RouteAnswer:
+    """A reference route's answer, with the fragment and product states
+    as step and vector objects."""
+
+    status: str  # finite | infinite | unknown
+    delta: Optional[frozenset] = None
+    pump: Optional[tuple] = None
+    states: Optional[frozenset] = None
+    stats: dict = field(default_factory=dict)
+
+
 def decide_alf_pre_finite(
     P: Dfa,
     V: Dfa,
     node_cap: int = DEFAULT_KM_NODE_CAP,
     forward_cap: int = DEFAULT_FORWARD_CAP,
-) -> AlfResult:
+) -> RouteAnswer:
     """The prefix route on the product net: the net is bounded exactly
-    when the product is finite, and then `build_product` walks it."""
+    when the product is finite, and then `product_walk` walks it."""
     net, iota = build_npv(P, V)
     m0 = iota((ZERO, V.initial))
     km = karp_miller(net, m0, node_cap)
     if km.capped:
-        return AlfResult(
+        return RouteAnswer(
             "unknown", stats={"km_nodes": len(km.nodes), "capped_by": "km_node_cap"}
         )
     if not km.bounded:
-        return AlfResult(
+        return RouteAnswer(
             "infinite", pump=km.pump, stats={"km_nodes": len(km.nodes)}
         )
-    states, delta, exhausted = build_product(P, V, forward_cap)
+    states, delta, exhausted = product_walk(P, V, forward_cap)
     stats = {"km_nodes": len(km.nodes), "product_states": len(states)}
     if not exhausted:
-        return AlfResult("unknown", stats={**stats, "capped_by": "forward_cap"})
-    return AlfResult("finite", delta=delta, states=frozenset(states), stats=stats)
+        return RouteAnswer("unknown", stats={**stats, "capped_by": "forward_cap"})
+    return RouteAnswer("finite", delta=delta, states=frozenset(states), stats=stats)
 
 
 def decide_alf_zero_finite(
@@ -272,7 +317,7 @@ def decide_alf_zero_finite(
     V: Dfa,
     node_cap: int = DEFAULT_KM_NODE_CAP,
     forward_cap: int = DEFAULT_FORWARD_CAP,
-) -> AlfResult:
+) -> RouteAnswer:
     """The zero route on the backward product net: R is the set of packed
     markings of the Karp–Miller trees from each (0, q_f), each tree bounded
     by node_cap, and the forward product is walked inside R."""
@@ -283,13 +328,13 @@ def decide_alf_zero_finite(
     for qf in sorted(V.finals):
         km = karp_miller(rev, iota((ZERO, qf)), node_cap)
         if km.capped or not km.bounded:
-            return AlfResult("unknown", stats={"km_nodes": len(km.nodes)})
+            return RouteAnswer("unknown", stats={"km_nodes": len(km.nodes)})
         # with no node accelerated, the tree holds every reachable marking
         R.update(node.packed for node in km.nodes)
-    states, delta, exhausted = build_product(
+    states, delta, exhausted = product_walk(
         P, V, forward_cap,
         keep=lambda state: rev.pack(rev.marking(iota(state))) in R,
     )
     if not exhausted:
-        return AlfResult("unknown", stats={"states": len(states)})
-    return AlfResult("finite", delta=delta, states=frozenset(states))
+        return RouteAnswer("unknown", stats={"states": len(states)})
+    return RouteAnswer("finite", delta=delta, states=frozenset(states))

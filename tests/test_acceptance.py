@@ -39,7 +39,7 @@ from shufflecheck.petri import (
 from shufflecheck.representation import build_w_delta, check_closure_prefix, mu_nu_project
 from shufflecheck.scalable import build_family_member, check_self_similarity
 from shufflecheck.segments import InitialSegment, l_of_segment, partial_powerset
-from conftest import mk_dfa, random_dfa
+from conftest import mk_dfa, random_dfa, unpacked
 from net_reference import check_one_token, one_token_groups
 from oracle_reference import sp_falsify, srf1
 
@@ -243,7 +243,7 @@ def test_criterion_09_net_simulation(two_start, tracker4, single_ab):
         (single_ab, l_of_segment(single_ab, InitialSegment.norm_ball(2))),
     ]:
         net, iota = build_npv(P, V)
-        states, _fragment, exhausted = build_product(P, V)
+        states, _fragment, exhausted = unpacked(build_product(P, V))
         assert exhausted
         seen, ex2 = reachable_markings(net, iota((ZERO, V.initial)))
         assert ex2

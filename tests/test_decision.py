@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import re
@@ -21,6 +23,7 @@ from shufflecheck.automata import (
     word,
 )
 from shufflecheck.decision import (
+    STAGES,
     Budgets,
     InvalidQuery,
     MalformedCertificate,
@@ -567,7 +570,7 @@ def test_decide_and_replay_check_the_fragment_steps(single_ab, alt, monkeypatch,
     built = []
 
     def spy(P, delta):
-        built.append(sorted(t.tagged_str() for t in delta))
+        built.append(list(delta.lines()))
         return real(P, delta)
 
     monkeypatch.setattr(representation, "_deletion_moves", spy)
@@ -631,16 +634,19 @@ def _without_least_step(delta) -> frozenset:
 
 
 def test_delta_closure_walk_builds_each_step_set_once(single_ab, successor_calls):
-    # ab's vectors on the depth-14 chain meet up to 15 V-states each
+    # ab's vectors on the depth-14 chain meet up to 15 V-states each; the
+    # reference builds their steps again at each, the packed walk makes
+    # no step object, whether delta comes packed or as steps
     comp, V = grave(normalize(single_ab)), normalize(depth_chain(14))
-    delta = decide_alf_pre_finite(comp, V).delta
+    alf = decide_alf_pre_finite(comp, V)
+    delta = alf.delta
     successor_calls.clear()
     assert _reference_delta_closed(comp, V, delta)
-    rebuilt = sum(successor_calls.values())
+    assert sum(successor_calls.values()) > 100
     successor_calls.clear()
     assert prefix_delta_closed(comp, V, delta)
-    assert max(successor_calls.values()) == 1
-    assert 3 * sum(successor_calls.values()) < rebuilt
+    assert prefix_delta_closed(comp, V, alf.fragment)
+    assert not successor_calls
 
 
 def test_delta_closure_walk_matches_the_table_free_walk():
@@ -648,12 +654,88 @@ def test_delta_closure_walk_matches_the_table_free_walk():
     # each product walk cut at 60 states, and that fragment less a step
     outcomes = []
     for comp, V in product_pairs(300):
-        delta = build_product(comp, V, 60)[1]
+        delta = build_product(comp, V, 60)[1].transitions()
         for fragment in (delta, _without_least_step(delta)):
             closed = prefix_delta_closed(comp, V, fragment)
             assert closed is _reference_delta_closed(comp, V, fragment)
             outcomes.append(closed)
     assert len(outcomes) == 1200 and 100 < sum(outcomes) < 1100
+
+
+def test_fragment_route_decide_makes_no_step_object(single_ab, monkeypatch):
+    # the prefix route walks, searches and certifies on packed steps: once
+    # a decide with the same P has built its engine, deciding a depth
+    # chain interns no step of the counter system
+    decide_sp(single_ab, depth_chain(2), "prefix")
+    made = []
+    real = engine.intern
+
+    def spy(table, key, cls, **fields):
+        if cls is engine.ShuffleTransition:
+            made.append(key)
+        return real(table, key, cls, **fields)
+
+    monkeypatch.setattr(engine, "intern", spy)
+    v = decide_sp(single_ab, depth_chain(14), "prefix")
+    assert (v.outcome, v.route, made) == ("holds", "prefix-fragment", [])
+    assert len(v.certificate["delta"]) == 42
+    assert replay_certificate(single_ab, depth_chain(14), v)
+
+
+def test_fragment_route_fails_witnesses_are_pinned():
+    # every Fails that a fragment route settles on the first 1,500 wide
+    # draws of seeds 7, 11 and 13, without the falsifier, in both modes
+    # where V is prefix closed: the stages run in pipeline order up to the
+    # net route, and their witnesses are those the step-object walks found
+    budgets = Budgets(falsifier_maxlen=0)
+    settled, fails = 0, []
+    for seed, n, alpha in ((7, 3, "abc"), (11, 4, "abc"), (13, 4, "ab")):
+        rng = random.Random(seed)
+        for i in range(1500):
+            P, V = wide_draw(rng, n, alpha)
+            try:
+                P, V = normalize(P), normalize(V)
+            except EmptyLanguage:
+                continue
+            for mode in ("prefix", "general") if V.finals == V.states else ("general",):
+                comp, Vn = prepare_query(P, V, mode)
+                for stage in STAGES[mode][1:-1]:
+                    found = stage(comp, Vn, budgets, {})
+                    if found is not None:
+                        break
+                if found is None:
+                    continue
+                settled += 1
+                outcome, route, cert, _stats = found
+                if outcome == "fails":
+                    fields = {k: [str(x) for x in v] for k, v in sorted(cert.items())}
+                    fails.append(f"{seed} {i} {mode} {route} {json.dumps(fields)}")
+    digest = hashlib.sha256("\n".join(fails).encode()).hexdigest()
+    assert (settled, len(fails), digest) == (
+        2262, 88, "7c04e9135f2ec8c32ec6987b48a9b6151d5eebb8b61f4308e03dcab55eec1a21"
+    )
+
+
+@pytest.mark.parametrize("k", (16, 17, 31, 32, 64))
+def test_replay_rejects_a_step_with_counts_raised_by_a_power_of_two(single_ab, k):
+    # (II:n) a (II:n+1) raised to (II:n+2**k) a (II:n+1+2**k) is a valid
+    # step, but not one the prefix walk takes, so the fragment without
+    # the step it replaces is not closed; no count of the raised step may
+    # alias a count of a smaller one
+    V = depth_chain(14)
+    v = decide_sp(single_ab, V, "prefix")
+    lines = v.certificate["delta"]
+    forged = 0
+    for j, line in enumerate(lines):
+        src, a, tgt, kind = re.fullmatch(r"\((.*)\) (\S+) \((.*)\) (\[\w+\])", line).groups()
+        if src == "0" or tgt == "0":
+            continue
+        raised = [f"{q}:{int(n) + 2 ** k}" for q, n in (e.split(":") for e in (src, tgt))]
+        line = f"({raised[0]}) {a} ({raised[1]}) {kind}"
+        delta = lines[:j] + (line,) + lines[j + 1:]
+        assert not replay_certificate(single_ab, V, replace(v, certificate={"delta": delta}))
+        forged += 1
+    assert forged == 39
 
 
 def _criterion_10_draw(n):

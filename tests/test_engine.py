@@ -30,6 +30,7 @@ from shufflecheck.engine import (
     WORD_FIELD,
     Computation,
     CounterVector,
+    Layout,
     NotAComputation,
     ShuffleEngine,
     ShuffleTransition,
@@ -44,6 +45,7 @@ from shufflecheck.engine import (
     reached,
     shuffle_member,
     sigma_core,
+    walk_table,
 )
 from shufflecheck.oracle import iterated_shuffle_upto
 from conftest import mk_dfa, random_dfa, wide_draw
@@ -545,6 +547,54 @@ def test_word_table_holds_the_letters_that_words_reach(single_abc):
     assert set(eng.word_steps) == {a, b, c}
     for x in (a, b, c):
         assert eng.word_steps[x] == eng.packed_steps(x, WORD_FIELD)
+
+
+def test_layout_packs_below_the_spare_bit_and_covers_field_by_field():
+    # a count reaching a field's top bit does not pack; below it a packed
+    # vector unpacks as itself, and the word-parallel test reads g >= f
+    # exactly when every count of g is at least f's
+    rng = random.Random(5)
+    for width in (1, 2, 3, 8):
+        layout = Layout(("p", "q", "r"), width)
+        top = 1 << (width - 1)
+        assert layout.pack((("q", top),)) is None
+        assert layout.pack((("s", 1),)) is None
+        for _ in range(300):
+            f, g = (
+                tuple((q, n) for q in "pqr" if (n := rng.randrange(top)))
+                for _ in range(2)
+            )
+            pf, pg = layout.pack(f), layout.pack(g)
+            assert (layout.entries(pf), layout.entries(pg)) == (f, g)
+            covers = ((pg | layout.high) - pf) & layout.high == layout.high
+            assert covers == all(dict(g).get(q, 0) >= n for q, n in f)
+
+
+def test_walk_table_packs_each_core_step_both_ways():
+    # the product walks' table holds each core step once, packed as
+    # packed_steps packs it, with its kind and the guard of its backward
+    # run, the field of the state it leads into; on random components and
+    # their prefix recognizers, at several widths
+    rng = random.Random(23)
+    for _ in range(200):
+        P = random_dfa(rng, 3, "ab")
+        for comp in (P, grave(P)):
+            eng = engine_for(comp)
+            for width in (2, 5, 19):
+                layout, steps = walk_table(comp, width)
+                field = layout.field
+                for a in comp.alphabet:
+                    expected = sorted(
+                        (
+                            field << layout.shift[t.source.entries[0][0]] if t.source.entries else 0,
+                            layout.pack(t.target.entries) - layout.pack(t.source.entries),
+                            t.kind,
+                            field << layout.shift[t.target.entries[0][0]] if t.target.entries else 0,
+                        )
+                        for t in eng.core_on[a]
+                    )
+                    assert steps[a] == expected
+                    assert sorted(s[:2] for s in steps[a]) == sorted(eng.packed_steps(a, width))
 
 
 def test_packed_membership_of_the_empty_word(single_ab, single_letter):

@@ -1,6 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from operator import ge
 from pathlib import Path
@@ -12,11 +12,13 @@ from shufflecheck.engine import (
     CHECK_ZERO,
     START,
     ZERO,
+    count_width,
     elementary_vector_states,
     engine_for,
     parse_transition,
     sp_falsify,
     step_order,
+    walk_table,
 )
 from shufflecheck import petri
 from shufflecheck.decision import (
@@ -47,7 +49,7 @@ from shufflecheck.petri import (
     to_dot,
     to_pnml,
 )
-from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, wide_draw
+from conftest import depth_chain, mk_dfa, product_pairs, random_dfa, unpacked, wide_draw
 import km_reference
 import net_reference
 from net_reference import (
@@ -84,7 +86,7 @@ def test_npv_structure(two_start, tracker4):
 def test_npv_simulation_equality(two_start, tracker4):
     # markings reachable in the net are exactly the encoded product states
     net, iota = build_npv(two_start, tracker4)
-    states, _fragment, exhausted = build_product(two_start, tracker4)
+    states, _fragment, exhausted = unpacked(build_product(two_start, tracker4))
     assert exhausted
     seen, ex2 = reachable_markings(net, iota((ZERO, "1")))
     assert ex2
@@ -115,62 +117,43 @@ def test_forward_cap_does_not_reach_the_prefix_walk(two_start, tracker4):
     )
 
 
-def _reference_product(P, V, cap, keep=None):
-    """build_product without a step table: the engine builds a vector's
-    steps again for every V-state the vector meets."""
-    eng = engine_for(P)
-    start = (ZERO, V.initial)
-    if keep is not None and not keep(start):
-        return set(), frozenset(), True
-    seen = {start}
-    queue = deque([start])
-    fragment = set()
-    while queue:
-        f, r = queue.popleft()
-        for a in P.alphabet:
-            s = V.delta.get((r, a))
-            if s is None:
-                continue
-            for t in eng.successors(f, a):
-                nxt = (t.target, s)
-                if keep is not None and not keep(nxt):
-                    continue
-                fragment.add(t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > cap:
-                        return seen, frozenset(fragment), False
-                    queue.append(nxt)
-    return seen, frozenset(fragment), True
-
-
 def test_build_product_builds_each_step_set_once(single_ab, successor_calls):
-    # ab's vectors on the depth-14 chain meet up to 15 V-states each
+    # ab's vectors on the depth-14 chain meet up to 15 V-states each; the
+    # reference builds their steps again at each, the packed walk makes
+    # no step object at all
     comp, V = grave(normalize(single_ab)), normalize(depth_chain(14))
-    expected = _reference_product(comp, V, 500_000)
-    rebuilt = sum(successor_calls.values())
+    expected = net_reference.product_walk(comp, V, 500_000)
+    assert sum(successor_calls.values()) > 100
     successor_calls.clear()
-    assert build_product(comp, V) == expected
-    assert max(successor_calls.values()) == 1
-    assert 3 * sum(successor_calls.values()) < rebuilt
+    got = build_product(comp, V)
+    assert not successor_calls
+    assert unpacked(got) == expected
 
 
-def _small(state) -> bool:
+def _small(comp):
+    """keep for packed walks of 60 states on comp: the vector's norm is
+    at most 2."""
+    layout, _steps = walk_table(comp, count_width(61))
+    return lambda state: sum(n for _q, n in layout.entries(state[0])) <= 2
+
+
+def _small_vector(state) -> bool:
     return state[0].norm <= 2
 
 
 def test_build_product_matches_the_table_free_walk():
     # kept to norm 2, every walk ends; unkept, a cap of 60 states cuts the
-    # infinite products.  A cut walk stops inside a step set, whose order
-    # follows the addresses of the steps it has just made, so only its size
-    # is fixed.
+    # infinite products.  A cut walk stops inside a step set, so only its
+    # size is fixed.
     exhausted = 0
     for comp, V in product_pairs(300):
-        got = build_product(comp, V, 60, _small)
-        assert got[2] and got == _reference_product(comp, V, 60, _small)
-        got, expected = build_product(comp, V, 60), _reference_product(comp, V, 60)
+        got = build_product(comp, V, 60, _small(comp))
+        expected = net_reference.product_walk(comp, V, 60, _small_vector)
+        assert got[2] and unpacked(got) == expected
+        got = build_product(comp, V, 60)
+        expected = net_reference.product_walk(comp, V, 60)
         if got[2]:
-            assert got == expected
+            assert unpacked(got) == expected
             exhausted += 1
         else:
             assert (len(got[0]), expected[2]) == (61, False)
