@@ -17,19 +17,18 @@ target vectors, and every walk whose result follows its order meets
 steps in one order, `step_order`.
 The deletion system's walks share CHECK_ZERO, a closed tracked component.
 
-Word membership (`shuffle_member`, `pre_shuffle_member`) and the
-falsifier (`sp_falsify`) run the counter system on packed vectors
-instead: one int with a field per component state, and per letter a
-tuple of (guard, effect) pairs, one per core step on it, in one table
-(`ShuffleEngine.word_steps_on`) built when a walk first reaches the
-letter, so a step is one test and one addition and no walk makes a
-`CounterVector`.  The product walks of `petri` step the same way, on
-fields as wide as their cap needs (`walk_table`).  A
-`Layout` says how vectors are packed, and a `Fragment` is a finite step
-set on packed vectors: the fragment Δ as the walks find it, the closure
-search reads it and a certificate prints it, with the text a step
-object prints (`step_text`), and as replay reads it back
-(`parse_fragment`).
+Word membership (`shuffle_member`, `pre_shuffle_member`), the falsifier
+(`sp_falsify`) and the product walks of `petri` run the counter system
+on packed vectors instead: one int with a field per component state, and
+per letter the core steps on it, each packed once as a guard and an
+effect in one table (`walk_table`), so a step is one test and one
+addition and no walk makes a `CounterVector`.  Word membership and the
+falsifier read the table of WORD_FIELD-bit fields, and the product walks
+one with fields as wide as their cap needs.  A `Layout` says how vectors
+are packed, and a `Fragment` is a finite step set on packed vectors: the
+fragment Δ as the walks find it, the closure search reads it and a
+certificate prints it, with the text a step object prints (`step_text`),
+and as replay reads it back (`parse_fragment`).
 
 Counter vectors and transitions are interned through `automata.intern`,
 as letters are, so each is built and rendered once, however many sets
@@ -65,10 +64,10 @@ START_END = "start_end"
 KINDS = (START, INNER, END, START_END)
 
 
-# Bits per component state in a packed vector of the word walk
-# (`ShuffleEngine.member_frontier`).  A word of n letters opens at most n
-# components, so its counts fit in n.bit_length() bits, and one table of
-# this width serves every word under 2**16 letters.
+# Bits per component state in a packed vector of the word walks
+# (`ShuffleEngine.member_frontier`, `sp_falsify`).  A word of n letters
+# opens at most n components, so its counts fit in n.bit_length() bits,
+# and one table of this width serves every word under 2**16 letters.
 WORD_FIELD = 16
 
 
@@ -598,13 +597,6 @@ class ShuffleEngine:
             *self.opening.values(),
             *(out for (q, _a), out in self.moving.items() if q in self.component_states),
         )
-        # letter -> the core steps on it, which `packed_steps` packs
-        self.core_on = {a: [] for a in P.alphabet}
-        for t in self.core:
-            self.core_on[t.letter].append(t)
-        # letter -> `packed_steps` for WORD_FIELD-bit fields, built when a
-        # walk first reaches the letter (`word_steps_on`)
-        self.word_steps: dict = {}
 
     @cached_property
     def ordered_core(self) -> tuple:
@@ -646,65 +638,36 @@ class ShuffleEngine:
 
         return steps
 
-    def packed_steps(self, a: Letter, width: int) -> tuple:
-        """The core steps on a (`core_on`), on packed vectors: ints holding
-        one `width`-bit count per component state, in sorted state order.
-
-        A step is a pair (guard, effect), and it takes f to f + effect
-        when the guard is 0 or f & guard is nonzero.  An opening step has
-        guard 0; a step moving a component out of q has q's field as its
-        guard.  A core step's source and target are 0 or unit vectors, so
-        its effect, target less source, is two shifts.  The core is every
-        step's basis: no reachable vector counts a state outside
-        `component_states`, so a shifted core step is every step there is.
-        """
-        if a not in self.letters:
-            raise UnknownLetter(f"letter {a} not in the alphabet")
-        shift = {q: width * i for i, q in enumerate(sorted(self.component_states))}
-        field = (1 << width) - 1
-        steps = []
-        for t in self.core_on[a]:
-            target = t.target.entries
-            effect = 1 << shift[target[0][0]] if target else 0
-            source = t.source.entries
-            if source:
-                k = shift[source[0][0]]
-                steps.append((field << k, effect - (1 << k)))
-            else:
-                steps.append((0, effect))
-        return tuple(steps)
-
-    def word_steps_on(self, a: Letter) -> tuple:
-        """`packed_steps(a, WORD_FIELD)`, built when a walk first reaches a
-        and kept in `word_steps` for the engine's later walks."""
-        return self._steps_on(self.word_steps, a, WORD_FIELD)
-
-    def _steps_on(self, table: dict, a: Letter, width: int) -> tuple:
-        """`packed_steps(a, width)`, built once into table."""
-        steps = table.get(a)
-        if steps is None:
-            steps = table[a] = self.packed_steps(a, width)
-        return steps
+    @cached_property
+    def word_table(self) -> dict:
+        """The steps of `walk_table(P, WORD_FIELD)`, kept for the word walks
+        of membership and the falsifier: the engine cache may hand back an
+        engine built on an equal P held by another object, which the
+        table's cache would compare field by field on every walk."""
+        return walk_table(self.P, WORD_FIELD)[1]
 
     def member_frontier(self, w: Word) -> set:
-        """All vectors reachable from 0 along paths labeled w, packed
-        (`packed_steps`) in fields wide enough for any count w reaches.
+        """All vectors reachable from 0 along paths labeled w, packed as
+        `walk_table` packs them, in fields wide enough for any count w
+        reaches: `word_table` for a word of fewer than 2**WORD_FIELD
+        letters.
 
         A letter P does not read raises UnknownLetter once the walk
         reaches it, unless no vector is left by then.
         """
         if len(w) < 1 << WORD_FIELD:
-            width, table = WORD_FIELD, self.word_steps
-        else:  # wider fields, in a table of the walk's own
-            width, table = len(w).bit_length(), {}
+            table = self.word_table
+        else:
+            table = walk_table(self.P, len(w).bit_length())[1]
         frontier = {0}
         for a in w:
-            # `_steps_on` inline while a's entry is built and not empty
-            steps = table.get(a) or self._steps_on(table, a, width)
+            steps = table.get(a)
+            if steps is None:
+                raise UnknownLetter(f"letter {a} not in the alphabet")
             frontier = {
                 f + effect
                 for f in frontier
-                for guard, effect in steps
+                for guard, effect, _kind, _back in steps
                 if not guard or f & guard
             }
             if not frontier:
@@ -718,22 +681,26 @@ class ShuffleEngine:
 # engine it builds again.
 @lru_cache(maxsize=1024)
 def walk_table(P: Dfa, width: int) -> tuple:
-    """(layout, steps) of the product walks over P's counter system on
-    `width`-bit fields, built once.  layout is the `Layout` of
-    `ShuffleEngine.packed_steps(a, width)`, a field per component state,
-    as the vectors a walk reaches name no other state.  steps maps a
-    letter to its core steps, each (guard, effect, kind, back): guard and
-    effect as `packed_steps` gives them, and back the guard of the step
-    run backward, from f + effect to f, 0 for a step that closes its
-    component and else the field of the state it leads into.  They are
-    sorted, so their order follows P alone.  The cache keeps both, so
-    neither is to be changed."""
+    """(layout, steps) of the walks over P's counter system on
+    `width`-bit fields, built once: the one packing of the core steps.
+    layout has a field per component state, as the vectors a walk reaches
+    name no other state.  steps maps each letter of P to its core steps,
+    each (guard, effect, kind, back).  The step takes the packed vector f
+    to f + effect when its guard is 0 or f & guard is nonzero: an opening
+    step has guard 0, and a step moving a component out of q has q's
+    field as its guard.  A core step's source and target are 0 or unit
+    vectors, so its effect, target less source, is two shifts.  back is
+    the guard of the step run backward, from f + effect to f: 0 for a
+    step that closes its component, else the field of the state it leads
+    into.  The core is every step's basis: no reachable vector counts a
+    state outside `component_states`, so a shifted core step is every
+    step there is.  The steps are sorted, so their order follows P alone.
+    The cache keeps both, so neither is to be changed."""
     eng = engine_for(P)
     layout = Layout(tuple(sorted(eng.component_states)), width)
     field, shift = layout.field, layout.shift
-    steps = {a: [] for a in eng.core_on}
+    steps = {a: [] for a in P.alphabet}
     for t in eng.core:
-        # packed as `packed_steps` packs t, in one pass over the core
         target = t.target.entries
         if target:
             k = shift[target[0][0]]
@@ -786,7 +753,6 @@ MAX_FALSIFIER_LEN = 32
 
 # A packed vector modulo this is its norm, the sum of its fields, while
 # the norm is smaller, as a falsifier's is (at most MAX_FALSIFIER_LEN + 1)
-# and the net route's norm search's (at most petri.NORM_DEPTH)
 NORM_MOD = (1 << WORD_FIELD) - 1
 assert MAX_FALSIFIER_LEN + 1 < NORM_MOD
 
@@ -816,7 +782,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
     and reaches a configuration with u outside V, u's vector zero and e
     nonempty and accepted; w then interleaves u, a member of the iterated
     shuffle, with a component word.  u's vector is packed, and steps on
-    the table that word membership walks (`ShuffleEngine.word_steps_on`).
+    the table that word membership walks (`ShuffleEngine.word_table`).
 
     A breadth-first search runs over the prefixes x in key order (length,
     then P's alphabet order) and steps each x on every letter in that
@@ -842,7 +808,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
             raise UnknownLetter(f"letter {a} not in the constraint alphabet")
     if subword_closed(V):
         return None
-    eng = engine_for(P)
+    table = engine_for(P).word_table
     p_delta = P.delta
     v_delta = V.delta
     p_finals = P.finals
@@ -858,7 +824,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                 qw2 = v_delta.get((qw, a))
                 if qw2 is None:
                     continue
-                steps = eng.word_steps_on(a)
+                steps = table[a]
                 old = seen.setdefault(qw2, set())
                 new = []
                 for qu, f, pe, nonempty in configs:
@@ -869,7 +835,7 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                             old.add(c)
                             new.append(c)
                     qu2 = None if qu is None else v_delta.get((qu, a))
-                    for guard, effect in steps:
+                    for guard, effect, _kind, _back in steps:
                         if not guard or f & guard:
                             g = f + effect
                             if g % NORM_MOD <= room:
@@ -884,19 +850,18 @@ def sp_falsify(P: Dfa, V: Dfa, maxlen: int = 6) -> Optional[tuple]:
                     nonempty and pe in p_finals and not f and qu not in v_finals
                     for qu, f, pe, nonempty in new
                 ):
-                    return (w,) + _least_removal(eng, V, w)
+                    return (w,) + _least_removal(P, V, w, table)
                 grown.append((w, qw2, new))
         level = grown
     return None
 
 
-def _least_removal(eng: ShuffleEngine, V: Dfa, w: Word) -> tuple:
+def _least_removal(P: Dfa, V: Dfa, w: Word, table: dict) -> tuple:
     """The least (u, e, positions) splitting w into u, a member of the
-    iterated shuffle of eng.P outside V, and a nonempty component word e
-    at positions, ordered by u, then e (length, then P's alphabet order),
+    iterated shuffle of P outside V, and a nonempty component word e at
+    positions, ordered by u, then e (length, then P's alphabet order),
     then positions.  The search runs over the position subsets of w,
-    stepping u's packed vectors as `sp_falsify` does."""
-    P = eng.P
+    stepping u's packed vectors on `sp_falsify`'s table of P's steps."""
     rank = {a: i for i, a in enumerate(P.alphabet)}
 
     def key(v: Word) -> tuple:
@@ -919,11 +884,10 @@ def _least_removal(eng: ShuffleEngine, V: Dfa, w: Word) -> tuple:
         if pe2 is not None:
             split(i + 1, upos, epos + (i,), pe2, vectors)
         room = len(w) - i - 1
-        steps = eng.word_steps_on(a)
         moved = frozenset(
             f + effect
             for f in vectors
-            for guard, effect in steps
+            for guard, effect, _kind, _back in table[a]
             if (not guard or f & guard) and (f + effect) % NORM_MOD <= room
         )
         if moved:

@@ -39,19 +39,20 @@ token each, from its initial marking with every counter place unbounded
 state (`_target_controls`): the composite's V-state final, the
 remainder's not, and the tracked component closed, with every counter 0.
 When no live control state is a counterexample's, the pair holds by
-`net-uncoverable` and the net is never built.  Otherwise a norm search
-(`_norm_search`) looks for a counterexample run whose composite never
-has more than a few components open.  When it finds one, of D letters,
-the pair fails: no net is built, and the witness search
-(`_witness_search`) keeps only markings that can still close within D
-firings, which leaves its witness as it is without the bound.  When it
-finds none, the net is built for Karp–Miller alone, with only the
-transitions whose control pre-set the control search reaches, since the
-rest could never fire from it; the tree stops at packed targets, one
-per live counterexample control, and the witness search then runs
-without a bound.  The witness search walks the deletion system itself,
-in the net's firing order, and keeps exactly the markings that
-`marking_bfs` keeps on the net.
+`net-uncoverable` and the net is never built.  Otherwise the route
+searches the deletion system itself, in the net's firing order, with
+one witness search (`_witness_search`) that keeps exactly the markings
+`marking_bfs` keeps on the net, on move lists built once per pair
+(`_DeletionMoves`).  First it runs the search at norm levels
+(`_norm_bound`), keeping only markings whose composite has at most a few
+components open.  When a level finds a counterexample, of D letters,
+the pair fails: no net is built, and the search runs again keeping only
+markings that can still close within D firings, which leaves its
+witness as it is without the bound.  When no level finds one, the net
+is built for Karp–Miller alone, with only the transitions whose control
+pre-set the control search reaches, since the rest could never fire
+from it; the tree stops at packed targets, one per live counterexample
+control, and the search then runs without a bound.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
@@ -92,10 +93,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .automata import Dfa, complete, live_states
+from .automata import Dfa, complete
 from .engine import (
-    CHECK_ZERO, NORM_MOD, WORD_FIELD, CounterVector, Fragment, ZERO,
-    count_width, elementary_vector_states, engine_for, walk_table,
+    CHECK_ZERO, CounterVector, Fragment, ZERO, count_width,
+    elementary_vector_states, engine_for, walk_table,
 )
 
 DEFAULT_KM_NODE_CAP = 200_000
@@ -884,8 +885,8 @@ def decide_alf_zero_finite(
     V must be a complete automaton with finals.  R is the set of product
     states that reach an accepting closure (0, q_f), and the forward
     product is walked inside R.  One `_pump_walk` backward from every
-    (0, q_f), on packed vectors, with each core step run backward
-    (`ShuffleEngine.walk_steps`), gives R, or a pump, which makes R
+    (0, q_f), on packed vectors, with each core step run backward on its
+    back guard (`engine.walk_table`), gives R, or a pump, which makes R
     infinite and the answer Unknown.  R is the union of the markings
     reachable from each (0, q_f) in `build_npv`'s net with every pre- and
     post-set swapped, found without the net.  A `build_product` walk kept
@@ -1002,92 +1003,9 @@ def _target_controls(V: Dfa, controls) -> set:
     }
 
 
-# The deepest level of the norm search: it searches inside composite norm
-# 1, then 2, and so on up to NORM_DEPTH.
+# The deepest norm level: the net route searches inside composite norm 1,
+# then 2, and so on up to NORM_DEPTH (`_norm_bound`).
 NORM_DEPTH = 3
-
-# The tracked component in the norm search once it has closed; 0 stands
-# for "not yet opened" and a packed unit vector for an open component.
-_CLOSED = -1
-
-
-def _norm_search(P: Dfa, V: Dfa, cap: int) -> Optional[tuple]:
-    """(level, length): the first norm level n = 1, ..., NORM_DEPTH inside
-    which the deletion system has a counterexample, and the length of the
-    shortest one there; None when no level has one, or when a level keeps
-    more than cap states.  V must be complete.
-
-    A state is (V1-state, V2-state, remainder vector, tracked component),
-    as in a marking of `build_np_v_full`'s net: the vector packed as word
-    membership packs it, and the component 0 before it opens, its packed
-    unit vector while open and _CLOSED once closed.  A letter a moves both
-    V-states and the remainder along a core step on a, a paired
-    transition, or V1 and the component along one, a component
-    transition, with the steps of `ShuffleEngine.word_steps_on`.  Level n
-    keeps only states whose composite, the remainder plus the open
-    component, has norm at most n; a breadth-first search from
-    (V.initial, V.initial, 0, 0) stops at the first depth that holds a
-    counterexample state: V1 final, V2 not, the remainder 0 and the
-    component closed.  It leaves out states that lead to none: those whose
-    V1-state no word takes to a final state, and those with a component,
-    of the remainder or tracked, that no word closes (`_closing_letters`).
-    Each state it keeps is a marking the net reaches by as many firings,
-    so the length is that of a firing sequence into a counterexample
-    marking: a bound on the shortest one (`marking_bfs`'s bound).
-    """
-    eng = engine_for(P)
-    states = sorted(V.states)
-    rank = {r: i for i, r in enumerate(states)}
-    steps = [eng.word_steps_on(a) for a in P.alphabet]
-    after = [[rank[V.delta[(r, a)]] for a in P.alphabet] for r in states]
-    finals = {rank[r] for r in V.finals}
-    accepting = {rank[r] for r in live_states(V)}  # V1 can still accept
-    closing = _closing_letters(P)
-    if ZERO not in closing:  # the tracked component can never close
-        return None
-    # the fields, in `ShuffleEngine.packed_steps`' layout, of the component
-    # states from which no component closes
-    dead = sum(
-        NORM_MOD << WORD_FIELD * i
-        for i, q in enumerate(sorted(eng.component_states))
-        if CounterVector.unit(q) not in closing
-    )
-    start = (rank[V.initial], rank[V.initial], 0, 0)
-    for level in range(1, NORM_DEPTH + 1):
-        seen = {start}
-        frontier = [start]
-        length = 0
-        while frontier:
-            length += 1
-            grown = []
-            for r1, r2, f, e in frontier:
-                norm = f % NORM_MOD
-                new = []
-                for on, s1, s2 in zip(steps, after[r1], after[r2]):
-                    if s1 not in accepting:
-                        continue
-                    for guard, effect in on:
-                        if not guard or f & guard:  # a paired transition
-                            g = f + effect
-                            if g % NORM_MOD + (e > 0) <= level and not g & dead:
-                                new.append((s1, s2, g, e))
-                        if e < 0 or (not e & guard if e else guard):
-                            continue
-                        e2 = e + effect or _CLOSED  # a component transition
-                        if e2 < 0 or (norm < level and not e2 & dead):
-                            new.append((s1, r2, f, e2))
-                for state in new:
-                    if state in seen:
-                        continue
-                    seen.add(state)
-                    s1, s2, g, e2 = state
-                    if e2 < 0 and not g and s1 in finals and s2 not in finals:
-                        return level, length
-                    if len(seen) > cap:
-                        return None
-                    grown.append(state)
-            frontier = grown
-    return None
 
 
 def _closing_letters(P: Dfa) -> dict:
@@ -1108,31 +1026,23 @@ def _closing_letters(P: Dfa) -> dict:
     return h
 
 
-def _witness_search(
-    P: Dfa, V: Dfa, targets, cap: int, depth: Optional[int] = None
-) -> tuple:
-    """(markings, witness): `marking_bfs` from the initial marking of
-    `build_np_v_full`'s net for (P, V), stopped at the counterexample
-    markings of targets, without the net.  markings is the number of
-    markings the BFS keeps, and witness the first counterexample run it
-    reaches, read as `sp_falsify` reads one: (word, remainder, component,
-    positions), where a paired step reads into the remainder; None when
-    the search ends without one.  targets holds the (V1-state, V2-state)
-    of each counterexample control (`_target_controls`).  V must be
+class _DeletionMoves:
+    """The moves of the deletion system of (P, V), listed once for every
+    search that the net route runs on it (`_witness_search`).  V must be
     complete.
 
-    The search walks the deletion system itself.  A state is one int, the
-    net's marking in another layout: the remainder's count of each
-    component state in a FIELD-bit field, in sorted state order, with TOP
-    as its overflow stop, and above them the index of the control state
-    (V1-state, V2-state, tracked component or CHECK_ZERO), numbered as the
-    search meets it.  A component move (the net's E group) fires a core
-    step from the tracked component, a paired move (S) one from 0 or from
-    a nonzero counter, and a move's effect is the change of control index
-    and counters as one int.  The moves of a state depend on its control
-    and on which counters are nonzero, its ready key as `PetriNet.key`
-    forms it; each control's moves are listed the first time the search
-    reaches it, and each key's the first time it reaches the key.
+    A state is one int, the marking of `build_np_v_full`'s net in another
+    layout: the remainder's count of each component state in a FIELD-bit
+    field, in sorted state order, with TOP as its overflow stop, and above
+    them the index of the control state (V1-state, V2-state, tracked
+    component or CHECK_ZERO), numbered as the searches meet it (`code`).
+    A component move (the net's E group) fires a core step from the
+    tracked component, a paired move (S) one from 0 or from a nonzero
+    counter, and a move's effect is the change of control index and
+    counters as one int.  The moves of a state depend on its control and
+    on which counters are nonzero, its ready key as `PetriNet.key` forms
+    it; each control's moves are listed the first time a search reaches
+    it, and each key's the first time a search reaches the key (`at`).
 
     The moves follow the net's order.  The net sorts its transitions by
     name, `E|{kind}|{t}|{r1}` and `S|{kind}|{t}|{r1},{r2}`, so at a
@@ -1145,6 +1055,83 @@ def _witness_search(
     in P's letters and states.  So two names at a control first differ
     inside their keys and compare as the keys do, and one sort of the core
     by key gives each group's order at every control.
+    """
+
+    def __init__(self, P: Dfa, V: Dfa):
+        eng = engine_for(P)
+        self.P, self.delta = P, V.delta
+        self.order = sorted(eng.core, key=lambda t: f"{t.kind}|{t}|")
+        shift = {q: FIELD * i for i, q in enumerate(sorted(eng.component_states))}
+        self.width = width = FIELD * len(shift)
+        self.top = top = TOP * ((1 << width) - 1) // FIELD_MASK
+        self.ones = top >> (FIELD - 1)
+        self.key_mask = top | -(1 << width)
+        self.tracked = {}  # tracked component -> its (core step, tracked after)
+        self.paired = []  # (guard, counter effect, core step)
+        for t in self.order:
+            tracked = CHECK_ZERO if t.target.is_zero() else t.target
+            self.tracked.setdefault(t.source, []).append((t, tracked))
+            guard = effect = 0
+            for q, _ in t.target.entries:
+                effect += 1 << shift[q]
+            for q, _ in t.source.entries:
+                guard, effect = TOP << shift[q], effect - (1 << shift[q])
+            self.paired.append((guard, effect, t))
+        self.index, self.controls = {}, []  # control <-> its index
+        self.at_control = {}  # control index -> (guard, move) of each move from it
+        self.listed = {}  # ready key -> `at` of it
+        self.start = self.code((V.initial, V.initial, ZERO))
+
+    def code(self, control) -> int:
+        """The control state's index, in its place above the counters."""
+        i = self.index.get(control)
+        if i is None:
+            i = self.index[control] = len(self.controls)
+            self.controls.append(control)
+        return i << self.width
+
+    def at(self, key: int) -> list:
+        """(effect, core step, group) of each move at ready key: of its
+        control's moves, those whose guard is 0 or a nonzero counter; kept
+        in `listed`, where callers look first."""
+        i = key >> self.width
+        moves = self.at_control.get(i)
+        if moves is None:
+            r1, r2, e = self.controls[i]
+            delta, code, here = self.delta, self.code, i << self.width
+            moves = self.at_control[i] = [
+                (0, (code((delta[(r1, t.letter)], r2, tracked)) - here, t, "E"))
+                for t, tracked in self.tracked.get(e, ())
+            ] + [
+                (guard, (
+                    code((delta[(r1, t.letter)], delta[(r2, t.letter)], e))
+                    - here + effect, t, "S",
+                ))
+                for guard, effect, t in self.paired
+            ]
+        out = self.listed[key] = [
+            move for guard, move in moves if not guard or key & guard
+        ]
+        return out
+
+
+def _witness_search(
+    moves: _DeletionMoves,
+    targets,
+    cap: int,
+    level: Optional[int] = None,
+    depth: Optional[int] = None,
+) -> tuple:
+    """(markings, witness, exhausted): `marking_bfs` from the initial
+    marking of `build_np_v_full`'s net, stopped at the counterexample
+    markings of targets, run on the deletion system's moves without the
+    net.  markings is the number of markings the BFS keeps, and witness
+    the first counterexample run it reaches, read as `sp_falsify` reads
+    one: (word, remainder, component, positions), where a paired step
+    reads into the remainder; None when the search ends without one.
+    exhausted is True when it ends with no marking left to expand.
+    targets holds the (V1-state, V2-state) of each counterexample control
+    (`_target_controls`).
 
     The search keeps exactly the markings that `marking_bfs` keeps on the
     net, with the same parents, since it reaches them in the same order:
@@ -1155,21 +1142,32 @@ def _witness_search(
     whose effect leads to it.  Past cap kept states, or at a count of
     TOP, it stops without a witness.
 
-    depth, when given, bounds the search, by the length of a known
-    counterexample run (`_norm_search`).  closing(m) sums, over the
-    remainder's open components and the tracked component, the fewest
-    letters each needs to close (`_closing_letters`); the tracked
-    component counts from 0 until it opens and counts 0 once closed, and a
-    component that can never close counts depth + 1.  closing is linear in
-    the marking, 0 at a counterexample marking, and each move lowers it by
-    at most 1, so it is at most the number of moves from m into targets
-    wherever such a sequence exists: an admissible bound, as in A* (Hart,
-    Nilsson & Raphael, IEEE Trans. SSC 1968).  The search carries each
-    queued state's room, depth - g - closing(m) for a state first reached
-    at depth g, and keeps a state only when its room is nonnegative; a
-    move's cost is 1 plus its shift of closing, which depends on its core
-    step and group alone.  A state left out at one depth would be left
-    out at every later one.
+    A level or a depth, when given, prunes the search.  It carries each
+    queued state's room and keeps a state only when its room is
+    nonnegative; a move's cost, what it takes from the room, depends on
+    its core step and group alone.
+
+    With level n, the room is n less the composite's norm, the
+    remainder's plus the tracked component's while it is open.  A move
+    changes that norm by len(target) - len(source) of its core step,
+    paired and component moves alike, since CHECK_ZERO and 0 both count
+    0.  The room follows the state alone, so the search is the BFS of the
+    markings whose composite has norm at most n, and its witness is the
+    least of the shortest counterexample runs among them (`_norm_bound`).
+
+    depth bounds the search by the length of a known counterexample run.
+    closing(m) sums, over the remainder's open components and the tracked
+    component, the fewest letters each needs to close
+    (`_closing_letters`); the tracked component counts from 0 until it
+    opens and counts 0 once closed, and a component that can never close
+    counts depth + 1.  closing is linear in the marking, 0 at a
+    counterexample marking, and each move lowers it by at most 1, so it
+    is at most the number of moves from m into targets wherever such a
+    sequence exists: an admissible bound, as in A* (Hart, Nilsson &
+    Raphael, IEEE Trans. SSC 1968).  The room of a state first reached at
+    depth g is depth - g - closing(m), and a move's cost is 1 plus its
+    shift of closing.  A state left out at one depth would be left out at
+    every later one.
 
     When a counterexample run of length d <= depth exists, the bounded
     search returns the same witness as the unbounded one.  Every marking m
@@ -1181,67 +1179,26 @@ def _witness_search(
     at no greater depth and with no greater least run; so it reaches the
     cap only where the unbounded search would.
     """
-    eng = engine_for(P)
-    delta = V.delta
-    order = sorted(eng.core, key=lambda t: f"{t.kind}|{t}|")
-    shift = {q: FIELD * i for i, q in enumerate(sorted(eng.component_states))}
-    width = FIELD * len(shift)
-    top = TOP * ((1 << width) - 1) // FIELD_MASK
-    ones = top >> (FIELD - 1)
-    key_mask = top | -(1 << width)
-    room, h = 0, None
-    if depth is not None:
-        h = _closing_letters(P)
+    cost = {}  # (core step, group) -> the move's cost, 0 where missing
+    room = 0
+    if level is not None:
+        room = level
+        for t in moves.order:
+            cost[t, "E"] = cost[t, "S"] = t.target.norm - t.source.norm
+    elif depth is not None:
+        h = _closing_letters(moves.P)
         far = depth + 1
         room = depth - h.get(ZERO, far)
-    tracked_steps = {}  # tracked component -> its (core step, tracked after, cost)
-    paired = []  # (guard, counter effect, core step, cost)
-    for t in order:
-        tracked = CHECK_ZERO if t.target.is_zero() else t.target
-        tracked_cost = paired_cost = 0
-        if h is not None:
+        for t in moves.order:
             after = 0 if t.target.is_zero() else h.get(t.target, far)
             before = h.get(t.source, far)
-            tracked_cost = 1 + after - before
+            cost[t, "E"] = 1 + after - before
             # a remainder component at 0 is none, a tracked one is yet to open
-            paired_cost = 1 + after - (0 if t.source.is_zero() else before)
-        tracked_steps.setdefault(t.source, []).append((t, tracked, tracked_cost))
-        guard = effect = 0
-        for q, _ in t.target.entries:
-            effect += 1 << shift[q]
-        for q, _ in t.source.entries:
-            guard, effect = TOP << shift[q], effect - (1 << shift[q])
-        paired.append((guard, effect, t, paired_cost))
-    index, controls = {}, []  # control <-> its index
-
-    def code(control) -> int:
-        i = index.get(control)
-        if i is None:
-            i = index[control] = len(controls)
-            controls.append(control)
-        return i << width
-
-    at_control = {}  # control index -> (guard, move) of each move from it
-
-    def moves_at(key: int) -> list:
-        """(effect, cost, core step, group) of each move at ready key: of
-        its control's moves, those whose guard is 0 or a nonzero counter."""
-        i = key >> width
-        moves = at_control.get(i)
-        if moves is None:
-            r1, r2, e = controls[i]
-            here = i << width
-            moves = at_control[i] = [
-                (0, (code((delta[(r1, t.letter)], r2, tracked)) - here, c, t, "E"))
-                for t, tracked, c in tracked_steps.get(e, ())
-            ] + [
-                (guard, (
-                    code((delta[(r1, t.letter)], delta[(r2, t.letter)], e))
-                    - here + effect, c, t, "S",
-                ))
-                for guard, effect, t, c in paired
-            ]
-        return [move for guard, move in moves if not guard or key & guard]
+            cost[t, "S"] = 1 + after - (0 if t.source.is_zero() else before)
+    if room < 0:
+        return 1, None, True
+    top, ones, key_mask = moves.top, moves.ones, moves.key_mask
+    listed = moves.listed
 
     def witness(m: int) -> tuple:
         """The run from the root to m, each move the first of its
@@ -1250,9 +1207,8 @@ def _witness_search(
         prev = seen[m]
         while prev is not None:
             key = ((prev | top) - ones) & key_mask
-            steps.append(next(
-                (t, g) for d, _, t, g in listed[key] if d == m - prev
-            ))
+            step = m - prev
+            steps.append(next((t, g) for d, t, g in listed[key] if d == step))
             m, prev = prev, seen[prev]
         steps.reverse()
         return (
@@ -1262,40 +1218,57 @@ def _witness_search(
             tuple(i for i, (_, g) in enumerate(steps) if g == "E"),
         )
 
-    goals = {code((r1, r2, CHECK_ZERO)) for r1, r2 in targets}
-    start = code((V.initial, V.initial, ZERO))
-    if room < 0:
-        return 1, None
+    goals = {moves.code((r1, r2, CHECK_ZERO)) for r1, r2 in targets}
+    start = moves.start
     seen = {start: None}
-    listed = {}  # ready key -> `moves_at` of it
     ready = {}  # ready key -> its (effect, cost) list
     queue, rooms = [start], [room]
     append, append_room = queue.append, rooms.append
     left = max(cap, 1)  # states past the root the search may still keep
     for m, room in zip(queue, rooms):
         key = ((m | top) - ones) & key_mask
-        moves = ready.get(key)
-        if moves is None:
-            listed[key] = out = moves_at(key)
-            moves = ready[key] = [(d, c) for d, c, _, _ in out]
-        for d, c in moves:
-            m2 = m + d
-            if m2 in seen:
-                continue
+        out = ready.get(key)
+        if out is None:
+            found = listed.get(key)
+            if found is None:
+                found = moves.at(key)
+            out = ready[key] = [(d, cost.get((t, g), 0)) for d, t, g in found]
+        for d, c in out:
             room2 = room - c
             if room2 < 0:
                 continue
+            m2 = m + d
+            if m2 in seen:
+                continue
             if m2 & top:
-                return len(seen), None
+                return len(seen), None, False
             seen[m2] = m
             if m2 in goals:
-                return len(seen), witness(m2)
+                return len(seen), witness(m2), False
             left -= 1
             if not left:
-                return len(seen), None
+                return len(seen), None, False
             append(m2)
             append_room(room2)
-    return len(seen), None
+    return len(seen), None, True
+
+
+def _norm_bound(moves: _DeletionMoves, targets, cap: int) -> Optional[tuple]:
+    """(level, length): the first norm level n = 1, ..., NORM_DEPTH inside
+    which the deletion system has a counterexample run, and the length of
+    the shortest one there; None when no level has one, or when a level
+    keeps more than cap states.  Level n is the witness search kept to
+    composite norm n (`_witness_search`).  Each state it keeps is a
+    marking the net reaches by as many firings, so the length is that of
+    a firing sequence into a counterexample marking: a bound on the
+    shortest one (`marking_bfs`'s bound)."""
+    for level in range(1, NORM_DEPTH + 1):
+        _, witness, exhausted = _witness_search(moves, targets, cap, level=level)
+        if witness is not None:
+            return level, len(witness[0])
+        if not exhausted:
+            return None
+    return None
 
 
 def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
@@ -1437,10 +1410,12 @@ def decide_sp_via_net(
     Every marking a search meets has a live control state, so the target
     controls give all the counterexample markings it could meet.
 
-    The norm search (`_norm_search`) runs next, capped by forward_cap
-    states per level.  When it finds a counterexample, of length D, a
-    counterexample marking is reachable, so no net and no Karp–Miller tree
-    is built: the witness search runs bounded by D and returns the witness
+    The witness search runs next at each norm level (`_norm_bound`),
+    capped by forward_cap states per level, on the move lists that every
+    later search reads too (`_DeletionMoves`).  When a level finds a
+    counterexample, of length D, a counterexample marking is reachable,
+    so no net and no Karp–Miller tree is built: the witness search runs
+    bounded by D and returns the witness
     that it returns without the bound, or finds one where that search
     passes the cap; the stats give `norm_level` and `norm_length` (D).
     Otherwise the net is built from the live control states, and each
@@ -1460,7 +1435,8 @@ def decide_sp_via_net(
         return NetVerdict(
             "holds", "net-uncoverable", stats={"controls": len(controls)}
         )
-    found = _norm_search(P, V, forward_cap)
+    moves = _DeletionMoves(P, V)
+    found = _norm_bound(moves, pairs, forward_cap)
     if found is None:
         net, iota = build_np_v_full(P, V, controls)
         targets = frozenset(
@@ -1482,7 +1458,9 @@ def decide_sp_via_net(
         # stop at one
         level, depth = found
         stats = {"norm_level": level, "norm_length": depth}
-    stats["markings"], witness = _witness_search(P, V, pairs, forward_cap, depth)
+    stats["markings"], witness, _ = _witness_search(
+        moves, pairs, forward_cap, depth=depth
+    )
     if witness is not None:
         return NetVerdict("fails", "net-reachability", witness=witness, stats=stats)
     return NetVerdict("unknown", "net-budget", stats=stats)

@@ -220,9 +220,9 @@ def _deletion_moves(P: Dfa, delta) -> _PackedMoves:
     layout leaves a spare bit in every field, so a shifted step never
     carries into a neighbouring field, and s3 is 0, a packed unit or
     CHECK_ZERO.  delta is read once into a table by packed source.  Each
-    step x1 of delta carries the engine steps it shifts, read as
-    `ShuffleEngine.packed_steps` reads the core: those of x1's letter and
-    kind out of 0 or out of a state of x1's source, after which x1's
+    step x1 of delta carries the engine steps it shifts
+    (`_shifted_steps`): those of x1's letter and kind out of 0 or out of
+    a state of x1's source, after which x1's
     target follows.  x2 = x1 - s3 is a step of s2 exactly when one of them
     leaves 0 or a state s2 counts, and x3 = x1 - s2 is the core step among
     them out of s3, if any; delta's steps are checked the same way.  Each

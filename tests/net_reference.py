@@ -21,6 +21,12 @@ reads a firing sequence of the deletion net as the falsifier's
 counterexample, so a test can hold `petri._witness_search`'s witness to
 the one the net's own BFS gives.
 
+`norm_search` is the net route's norm search as its own breadth-first
+walk of the deletion system, on (V1 rank, V2 rank, packed remainder,
+tracked component) tuples over the falsifier's word table, pruning the
+states that lead to no counterexample: the reference for
+`petri._norm_bound`, which runs the witness search at each norm level.
+
 `one_token_groups` and `check_one_token` state the invariant both nets
 keep: the V1 places, the V2 places and the tracked places each hold one
 token in every reachable marking.  `petri.build_np_v_full` packs each of
@@ -44,14 +50,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from shufflecheck.automata import Dfa, complete
-from shufflecheck.engine import ZERO, CounterVector, elementary_vector_states, engine_for
+from shufflecheck.automata import Dfa, complete, live_states
+from shufflecheck.engine import (
+    NORM_MOD,
+    WORD_FIELD,
+    ZERO,
+    CounterVector,
+    elementary_vector_states,
+    engine_for,
+    walk_table,
+)
 from shufflecheck.petri import (
     CHECK_PLACE,
     DEFAULT_FORWARD_CAP,
     DEFAULT_KM_NODE_CAP,
+    NORM_DEPTH,
     PetriNet,
     _arcs,
+    _closing_letters,
     _ep,
     _q2,
     _v1,
@@ -222,6 +238,88 @@ def decode_firing(net: PetriNet, path) -> tuple:
             component.append(a)
             positions.append(i)
     return tuple(word), tuple(remainder), tuple(component), tuple(positions)
+
+
+# The tracked component in the norm search once it has closed; 0 stands
+# for "not yet opened" and a packed unit vector for an open component.
+_CLOSED = -1
+
+
+def norm_search(P: Dfa, V: Dfa, cap: int) -> Optional[tuple]:
+    """(level, length): the first norm level n = 1, ..., NORM_DEPTH inside
+    which the deletion system has a counterexample, and the length of the
+    shortest one there; None when no level has one, or when a level keeps
+    more than cap states.  V must be complete.
+
+    A state is (V1-state, V2-state, remainder vector, tracked component),
+    as in a marking of `build_np_v_full`'s net: the vector packed as word
+    membership packs it, and the component 0 before it opens, its packed
+    unit vector while open and _CLOSED once closed.  A letter a moves both
+    V-states and the remainder along a core step on a, a paired
+    transition, or V1 and the component along one, a component
+    transition, with the steps of `walk_table(P, WORD_FIELD)`.  Level n
+    keeps only states whose composite, the remainder plus the open
+    component, has norm at most n; a breadth-first search from
+    (V.initial, V.initial, 0, 0) stops at the first depth that holds a
+    counterexample state: V1 final, V2 not, the remainder 0 and the
+    component closed.  It leaves out states that lead to none: those whose
+    V1-state no word takes to a final state, and those with a component,
+    of the remainder or tracked, that no word closes (`_closing_letters`).
+    """
+    eng = engine_for(P)
+    states = sorted(V.states)
+    rank = {r: i for i, r in enumerate(states)}
+    _layout, table = walk_table(P, WORD_FIELD)
+    steps = [[(guard, effect) for guard, effect, _k, _b in table[a]] for a in P.alphabet]
+    after = [[rank[V.delta[(r, a)]] for a in P.alphabet] for r in states]
+    finals = {rank[r] for r in V.finals}
+    accepting = {rank[r] for r in live_states(V)}  # V1 can still accept
+    closing = _closing_letters(P)
+    if ZERO not in closing:  # the tracked component can never close
+        return None
+    # the fields, in `walk_table`'s layout, of the component states from
+    # which no component closes
+    dead = sum(
+        NORM_MOD << WORD_FIELD * i
+        for i, q in enumerate(sorted(eng.component_states))
+        if CounterVector.unit(q) not in closing
+    )
+    start = (rank[V.initial], rank[V.initial], 0, 0)
+    for level in range(1, NORM_DEPTH + 1):
+        seen = {start}
+        frontier = [start]
+        length = 0
+        while frontier:
+            length += 1
+            grown = []
+            for r1, r2, f, e in frontier:
+                norm = f % NORM_MOD
+                new = []
+                for on, s1, s2 in zip(steps, after[r1], after[r2]):
+                    if s1 not in accepting:
+                        continue
+                    for guard, effect in on:
+                        if not guard or f & guard:  # a paired transition
+                            g = f + effect
+                            if g % NORM_MOD + (e > 0) <= level and not g & dead:
+                                new.append((s1, s2, g, e))
+                        if e < 0 or (not e & guard if e else guard):
+                            continue
+                        e2 = e + effect or _CLOSED  # a component transition
+                        if e2 < 0 or (norm < level and not e2 & dead):
+                            new.append((s1, r2, f, e2))
+                for state in new:
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                    s1, s2, g, e2 = state
+                    if e2 < 0 and not g and s1 in finals and s2 not in finals:
+                        return level, length
+                    if len(seen) > cap:
+                        return None
+                    grown.append(state)
+            frontier = grown
+    return None
 
 
 def one_token_groups(P: Dfa, V: Dfa) -> tuple:

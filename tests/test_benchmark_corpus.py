@@ -4,9 +4,10 @@ Every pair of the three workloads keeps the outcome, route and certificate
 digest recorded in `perfbench/expected/`, and its certificate replays.
 The corpus, the recorded results and the digest come from
 `perfbench/worker.py`, imported and only read.  The net route's work on
-modular-net, its Karp–Miller nodes and marking BFS markings, is pinned
-too, under two hash seeds: the norm search finds a counterexample on
-every pair, so no Karp–Miller tree is built and the BFS is bounded.  So
+modular-net, its Karp–Miller nodes, witness search markings and norm
+bounds, is pinned too, under two hash seeds: the norm levels find a
+counterexample on every pair, so no Karp–Miller tree is built and the
+search is bounded.  So
 is the prefix route's work on deep-fragment, its product states and
 closure search states, since its walks iterate sets of packed product
 states, whose order follows the string hash seed.
@@ -53,9 +54,10 @@ def decided(workload: str) -> dict:
 
 
 def net_work() -> tuple:
-    """(pairs, Karp–Miller nodes, markings) over modular-net's pairs that
-    fail by `net-reachability`; a pair whose tree was not built counts 0
-    nodes."""
+    """(pairs, Karp–Miller nodes, markings, norm levels, norm lengths)
+    over modular-net's pairs that fail by `net-reachability`; a pair whose
+    tree was not built counts 0 nodes, and one without a norm bound 0 for
+    its level and length."""
     verdicts = [
         v for _, v, _ in decided("modular-net").values()
         if v.route == "net-reachability"
@@ -64,6 +66,8 @@ def net_work() -> tuple:
         len(verdicts),
         sum(v.stats.get("km_nodes", 0) for v in verdicts),
         sum(v.stats["markings"] for v in verdicts),
+        sum(v.stats.get("norm_level", 0) for v in verdicts),
+        sum(v.stats.get("norm_length", 0) for v in verdicts),
     )
 
 
@@ -130,9 +134,10 @@ def test_benchmark_pairs_keep_outcome_route_and_certificate(workload):
 
 @pytest.mark.parametrize("hash_seed", ("0", "123"))
 def test_modular_net_route_work_is_pinned(hash_seed):
-    # the norm search bounds every witness's length, so the marking BFS
-    # keeps only markings that can still close in time and no tree is built
-    assert _pinned("net_work", hash_seed) == [64, 0, 32060]
+    # the norm levels bound every witness's length, each at the first level
+    # with a counterexample, so the witness search keeps only markings that
+    # can still close in time and no tree is built
+    assert _pinned("net_work", hash_seed) == [64, 0, 32060, 64, 1410]
 
 
 @pytest.mark.parametrize("hash_seed", ("0", "123"))

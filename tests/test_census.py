@@ -14,15 +14,25 @@ match `tests/golden/census.json`.  That file records the count of each
 (mode, outcome, route), a sha256 of the sorted ids of each (mode,
 outcome), and the ids of the Unknowns in full.
 
+At CENSUS_BUDGETS the falsifier settles almost every Fails, so the census
+is decided a second time with the falsifier off (NO_FALSIFIER), where the
+net route settles thousands of pairs.  `tests/golden/census_f0.json`
+records those decisions in the same form, with a sha256 of the sorted
+`serialize_verdict` texts of the net-route decisions, so every net-route
+certificate and stat is held to its record.
+
 The census is exhaustive by definition, so it is never shrunk, sampled or
 re-seeded.  A change may move an outcome only from Unknown to Holds or
 Fails, and it lists each move in CHANGES.md.  To print the record of the
-current code, run `PYTHONPATH=src python tests/test_census.py`.
+current code, run `PYTHONPATH=src python tests/test_census.py`, and for
+census_f0.json add the argument `f0`.
 """
 
 import hashlib
 import itertools
 import json
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,11 +45,19 @@ from shufflecheck.automata import (
     normalize,
     serialize_automaton,
 )
-from shufflecheck.decision import Budgets, decide_sp, prepare_query, replay_certificate
+from shufflecheck.decision import (
+    Budgets,
+    decide_sp,
+    prepare_query,
+    replay_certificate,
+    serialize_verdict,
+)
 from shufflecheck.engine import sp_falsify
 
 RECORD = Path(__file__).parent / "golden" / "census.json"
+NET_RECORD = Path(__file__).parent / "golden" / "census_f0.json"
 CENSUS_BUDGETS = Budgets(km_node_cap=20_000, forward_cap=20_000)
+NO_FALSIFIER = replace(CENSUS_BUDGETS, falsifier_maxlen=0)
 CONTRADICTION_LEN = 9
 
 
@@ -102,11 +120,24 @@ def census_record(verdicts: dict) -> dict:
     }
 
 
-def decide_census() -> tuple:
+def net_record(verdicts: dict) -> dict:
+    """The record of id -> verdict that census_f0.json holds: the
+    `census_record`, and a sha256 of the sorted report texts of the
+    net-route verdicts."""
+    texts = sorted(
+        serialize_verdict(v) for v in verdicts.values() if v.route.startswith("net-")
+    )
+    return {
+        **census_record(verdicts),
+        "net_reports_sha256": hashlib.sha256("".join(texts).encode()).hexdigest(),
+    }
+
+
+def decide_census(budgets: Budgets = CENSUS_BUDGETS) -> tuple:
     """(automata, [(id, P, V, verdict)]) for the whole census."""
     automata = census_automata()
     decided = [
-        (pid, P, V, decide_sp(P, V, mode, CENSUS_BUDGETS))
+        (pid, P, V, decide_sp(P, V, mode, budgets))
         for pid, P, V, mode in census_queries(automata)
     ]
     return automata, decided
@@ -123,6 +154,14 @@ def test_census_matches_its_record(census):
     assert len(automata) == record["automata"]
     got = census_record({pid: v for pid, _P, _V, v in decided})
     assert got["unknown"] == record["unknown"]
+    assert got == {k: v for k, v in record.items() if k != "automata"}
+
+
+def test_census_without_the_falsifier_matches_its_record():
+    automata, decided = decide_census(NO_FALSIFIER)
+    record = json.loads(NET_RECORD.read_text())
+    assert len(automata) == record["automata"]
+    got = net_record({pid: v for pid, _P, _V, v in decided})
     assert got == {k: v for k, v in record.items() if k != "automata"}
 
 
@@ -147,6 +186,9 @@ def test_census_holds_survive_a_longer_falsifier(census):
 
 
 if __name__ == "__main__":
-    automata, decided = decide_census()
-    record = census_record({pid: v for pid, _P, _V, v in decided})
+    net = sys.argv[1:] == ["f0"]
+    automata, decided = decide_census(NO_FALSIFIER if net else CENSUS_BUDGETS)
+    record = (net_record if net else census_record)(
+        {pid: v for pid, _P, _V, v in decided}
+    )
     print(json.dumps({"automata": len(automata), **record}, indent=1, sort_keys=True))

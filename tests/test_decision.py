@@ -784,15 +784,19 @@ def test_replay_builds_no_automaton_after_decide(monkeypatch):
 
     monkeypatch.setattr(Dfa, "__post_init__", spy)
     # nor, after a falsifier Fails, a packed step table: the falsifier
-    # walks the word table that replay's membership checks read
+    # walks the `walk_table` that replay's membership checks read, and a
+    # build is a miss of its cache
     tables = []
-    real_steps = engine.ShuffleEngine.packed_steps
+    real_table = engine.walk_table
 
-    def steps_spy(self, a, width):
-        tables.append(a)
-        return real_steps(self, a, width)
+    def table_spy(P, width):
+        misses = real_table.cache_info().misses
+        out = real_table(P, width)
+        if real_table.cache_info().misses > misses:
+            tables.append(width)
+        return out
 
-    monkeypatch.setattr(engine.ShuffleEngine, "packed_steps", steps_spy)
+    monkeypatch.setattr(engine, "walk_table", table_spy)
     rng = random.Random(101010)
     modes = []
     for _ in range(100):

@@ -536,17 +536,35 @@ def test_packed_membership_on_a_letter_p_does_not_read(single_ab):
         assert not pre_shuffle_member(single_ab, w)
 
 
-def test_word_table_holds_the_letters_that_words_reach(single_abc):
-    # a letter's packed steps are built when a word first reaches it: c's
-    # are not built by "bc", whose walk dies at b
-    eng = ShuffleEngine(single_abc)
-    a, b, c = word("abc")
-    assert not eng.member_frontier((b, c))
-    assert set(eng.word_steps) == {b}
-    assert 0 in eng.member_frontier((a, a, b, c, b, c))
-    assert set(eng.word_steps) == {a, b, c}
-    for x in (a, b, c):
-        assert eng.word_steps[x] == eng.packed_steps(x, WORD_FIELD)
+def test_word_walks_read_the_walk_table(monkeypatch, single_ab):
+    # membership and the falsifier step on `walk_table`'s packing of the
+    # core at WORD_FIELD bits, which an engine keeps for its word walks,
+    # and a word of 2**WORD_FIELD letters or more on fields wide enough
+    # for its counts: a**n b**n opens n components of {ab} at once, and
+    # n = 2**WORD_FIELD does not fit WORD_FIELD bits
+    read = []
+    real = engine.walk_table
+
+    def spy(P, width):
+        read.append(width)
+        return real(P, width)
+
+    monkeypatch.setattr(engine, "walk_table", spy)
+    engine._engine.cache_clear()  # the falsifier's engine builds its table
+    a, b = word("ab")
+    eng = ShuffleEngine(single_ab)
+    assert 0 in eng.member_frontier((a, a, b, b))
+    assert not eng.member_frontier((b,))
+    assert eng.word_table is real(single_ab, WORD_FIELD)[1]
+    aabb = mk_dfa(
+        "ab", [("0", "a", "1"), ("1", "a", "2"), ("2", "b", "3"), ("3", "b", "4")],
+        "0", ["4"],
+    )
+    assert engine.sp_falsify(single_ab, aabb, 4)[0] == (a, a, b, b)
+    assert read == [WORD_FIELD] * 2
+    n = 1 << WORD_FIELD
+    assert 0 in eng.member_frontier((a,) * n + (b,) * n)
+    assert read[2:] == [(2 * n).bit_length()]
 
 
 def test_layout_packs_below_the_spare_bit_and_covers_field_by_field():
@@ -571,10 +589,10 @@ def test_layout_packs_below_the_spare_bit_and_covers_field_by_field():
 
 
 def test_walk_table_packs_each_core_step_both_ways():
-    # the product walks' table holds each core step once, packed as
-    # packed_steps packs it, with its kind and the guard of its backward
-    # run, the field of the state it leads into; on random components and
-    # their prefix recognizers, at several widths
+    # the walks' table holds each core step once, packed as its guard and
+    # effect, with its kind and the guard of its backward run, the field
+    # of the state it leads into; on random components and their prefix
+    # recognizers, at several widths
     rng = random.Random(23)
     for _ in range(200):
         P = random_dfa(rng, 3, "ab")
@@ -591,10 +609,10 @@ def test_walk_table_packs_each_core_step_both_ways():
                             t.kind,
                             field << layout.shift[t.target.entries[0][0]] if t.target.entries else 0,
                         )
-                        for t in eng.core_on[a]
+                        for t in eng.core
+                        if t.letter == a
                     )
                     assert steps[a] == expected
-                    assert sorted(s[:2] for s in steps[a]) == sorted(eng.packed_steps(a, width))
 
 
 def test_packed_membership_of_the_empty_word(single_ab, single_letter):

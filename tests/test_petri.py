@@ -824,11 +824,11 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
         passed.append(stop_at)
         return karp_miller(net, m0, node_cap, stop_at)
 
-    def search_spy(P, V, targets, cap, depth=None):
+    def search_spy(moves, targets, cap, **bound):
         passed.append(_packed(net, [
             net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))) for r1, r2 in targets
         ]))
-        return witness_search(P, V, targets, cap, depth)
+        return witness_search(moves, targets, cap, **bound)
 
     witness_search = petri._witness_search
     monkeypatch.setattr(petri, "karp_miller", km_spy)
@@ -904,6 +904,38 @@ def test_bounded_bfs_returns_the_unbounded_witness_on_wide_draws():
                 levels[v.stats.get("norm_level", "km")] += 1
     # the search finds witnesses beyond norm 1 too
     assert levels[1] > 100 and levels[2]
+
+
+def test_norm_levels_match_the_reference_norm_search():
+    # each norm level is the witness search kept to composite norm n, on
+    # the move lists every search of the pair shares; the first level
+    # with a counterexample and the length of the shortest one there, or
+    # None, must be those of the reference's own walk of the deletion
+    # system: every net-stage pair of the first 300 wide draws of seeds 7,
+    # 11 and 13, at falsifier_maxlen=0, in both modes where V is prefix
+    # closed, with the default cap and the census cap
+    budgets = Budgets(falsifier_maxlen=0)
+    found = Counter()
+    for seed, n, alpha in ((7, 3, "abc"), (11, 4, "abc"), (13, 4, "ab")):
+        rng = random.Random(seed)
+        for _ in range(300):
+            P, V = wide_draw(rng, n, alpha)
+            try:
+                P, V = normalize(P), normalize(V)
+            except EmptyLanguage:
+                continue
+            for mode in ("prefix", "general") if V.finals == V.states else ("general",):
+                if not decide_sp(P, V, mode, budgets).route.startswith("net-"):
+                    continue
+                comp, Vn = prepare_query(P, V, mode)
+                Vc = complete(Vn)
+                targets = _target_controls(Vc, _live_controls(Vc, engine_for(comp).core))
+                moves = petri._DeletionMoves(comp, Vc)
+                for cap in (500_000, 20_000):
+                    got = petri._norm_bound(moves, targets, cap)
+                    assert got == net_reference.norm_search(comp, Vc, cap)
+                    found[got and got[0]] += 1
+    assert found[None] and found[1] > 100 and found[2]
 
 
 def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
