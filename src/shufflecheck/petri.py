@@ -1,6 +1,6 @@
 """Place/transition nets, coverability analysis, the fragment routes'
-finiteness walks, and the deletion net that decides closure where no
-fragment route does.
+finiteness walks, and the deletion-net route that decides closure where
+no fragment route does.
 
 The fragment routes ask whether the product of the counter semiautomaton
 with V is finite: forward from (0, V.initial) on the prefix route, and
@@ -22,9 +22,11 @@ so Karp–Miller on it gives the same answer; it serves the `petri`
 command and the tests.  The deletion net runs a composite word as a
 remainder and one tracked component with unbounded counters; its
 reachability questions answer the closure decision where the fragment
-routes do not.  The composite keeps
-only its V-state: its counters are always the remainder's plus the
-tracked component's vector, so they never decide whether a step can fire.
+routes do not.  The route asks them of the deletion system itself, one
+int per state, and builds no net: the net serves the `petri` command
+and the tests.  The composite keeps only its V-state: its counters are
+always the remainder's plus the tracked component's vector, so they
+never decide whether a step can fire.
 
 Both nets take their transitions from the engine's core steps, one
 per core step and control state, and their counter arcs from each core
@@ -39,52 +41,54 @@ token each, from its initial marking with every counter place unbounded
 state (`_target_controls`): the composite's V-state final, the
 remainder's not, and the tracked component closed, with every counter 0.
 When no live control state is a counterexample's, the pair holds by
-`net-uncoverable` and the net is never built.  Otherwise the route
-searches the deletion system itself, in the net's firing order, with
-one witness search (`_witness_search`) that keeps exactly the markings
-`marking_bfs` keeps on the net, on move lists built once per pair
-(`_DeletionMoves`).  First it runs the search at norm levels
-(`_norm_bound`), keeping only markings whose composite has at most a few
-components open.  When a level finds a counterexample, of D letters,
-the pair fails: no net is built, and the search runs again keeping only
-markings that can still close within D firings, which leaves its
-witness as it is without the bound.  When no level finds one, the net
-is built for Karp–Miller alone, with only the transitions whose control
-pre-set the control search reaches, since the rest could never fire
-from it; the tree stops at packed targets, one per live counterexample
-control, and the search then runs without a bound.
+`net-uncoverable`.  Otherwise the route searches the deletion system
+itself, in the net's firing order, on move lists built once per pair
+(`_DeletionMoves`).  First the witness search (`_witness_search`),
+which keeps exactly the markings `marking_bfs` keeps on the net, runs
+at norm levels (`_norm_bound`), keeping only markings whose composite
+has at most a few components open.  When a
+level finds a counterexample, of D letters, the pair fails, and the
+search runs again keeping only markings that can still close within D
+firings, which leaves its witness as it is without the bound.  When no
+level finds one, Karp–Miller runs on the same moves and builds the
+net's tree, stopped at the codes of the live counterexample controls,
+and the search then runs without a bound.
 
 A net is one `PetriNet`: its constructor takes the pre- and post-sets by
 place name and keeps them by position (place i is the i-th place in sorted
-order), together with what both searches read per transition.
+order).  The searches, `karp_miller` and the breadth-first `_bfs`
+(`marking_bfs` on a net), read a PetriNet and a pair's `_DeletionMoves`
+alike: the packed layout's `top`, `ones`, `key_mask` and `group_mask`,
+and the moves enabled at a ready key in firing order as (packed effect,
+label) (`ready`, `ready_at`), a label being a transition name or a
+deletion move's (core step, group).
 
 Markings take two forms:
 
 * at the API boundary (the `iota` encodings, `enabled_step`,
   `replay_pump`, `reachable_markings` and the exports) a marking is a
   CounterVector keyed by place name;
-* the net's searches, `karp_miller` and `marking_bfs`, use packed
-  markings, one int (`PetriNet.pack`), so firing a transition is one
-  addition.
+* the searches use packed markings, one int (`PetriNet.pack`), so firing
+  a move is one addition.
   Each counter place has a FIELD-bit count.  A net may also name
   one-token groups, sets of places that hold one token between them in
   every reachable marking, as the deletion net's V1, V2 and tracked
   places do; each group is one field of a few bits holding the index of
   its marked place.  The constructor checks that every transition keeps
-  a group's token count, so the invariant holds by construction.  In
+  a group's token count, so the invariant holds by construction.  The
+  deletion moves keep one such field, the control state's index.  In
   `karp_miller` the counter field value OMEGA_FIELD stands for ω, a
   count found unbounded; a group field is never ω.
 
 A search converts its root on the way in and takes its targets packed:
-`marking_bfs` stops at a marking in its set, and `karp_miller`, whose
-targets hold no counter token, at a node with a target's group value;
+`_bfs` stops at a marking in its set, and `karp_miller`, whose targets
+hold no counter token, at a node with a target's group value;
 `reachable_markings` unpacks and converts each marking it found once on
-the way out, and a `KMNode` decodes its marking to a tuple of counts by
-place position, with OMEGA for ω, only when it is read.  Either way the
-dense marking is the same as on a net without groups.  The marking BFS
-and the witness search keep one parent per marking and no transition;
-the witness search finds each move again in the parent's list when it
-reads its witness.
+the way out, and a `KMNode` on a net decodes its marking to a tuple of
+counts by place position, with OMEGA for ω, only when it is read.
+Either way the dense marking is the same as on a net without groups.
+The BFS keeps one parent per marking and no label; the witness search
+finds each move again in the parent's list when it reads its witness.
 """
 
 from __future__ import annotations
@@ -148,8 +152,8 @@ class PetriNet:
     A packed marking's ready key is its group fields together with the
     guard bits of its nonzero counters (`key`): the transitions enabled at
     a marking depend on that key alone.  `ready_at` lists them, per key,
-    from the candidates of the key's group fields, which are listed once
-    per group value.
+    as (packed effect, transition name) in net order, from the candidates
+    of the key's group fields, which are listed once per group value.
     """
 
     def __init__(
@@ -225,7 +229,8 @@ class PetriNet:
             ).append((j, need | taken, need))
         # group value -> the by_touch entries it enables, in net order
         self.candidates = {}
-        # ready key -> the transitions enabled there, in net order
+        # ready key -> (packed effect, name) of each transition enabled
+        # there, in net order
         self.ready = {}
 
     def marking(self, v: CounterVector) -> tuple:
@@ -273,9 +278,10 @@ class PetriNet:
         the count is nonzero, and borrows from no other field."""
         return ((x | self.top) - self.ones) & self.key_mask
 
-    def ready_at(self, key: int) -> tuple:
-        """The transitions enabled at a marking of ready key `key`, in net
-        order, computed and kept in `ready`; callers look there first."""
+    def ready_at(self, key: int) -> list:
+        """(packed effect, name) of each transition enabled at a marking of
+        ready key `key`, in net order, computed and kept in `ready`;
+        callers look there first."""
         value = key & self.group_mask
         candidates = self.candidates.get(value)
         if candidates is None:
@@ -284,8 +290,10 @@ class PetriNet:
                 for touched, by_value in self.by_touch.items()
                 for entry in by_value.get(value & touched, ())
             )
-        ready = tuple([j for j, mask, need in candidates if key & mask == need])
-        self.ready[key] = ready
+        effect, order = self.packed_effect, self.order
+        ready = self.ready[key] = [
+            (effect[j], order[j]) for j, mask, need in candidates if key & mask == need
+        ]
         return ready
 
 
@@ -307,10 +315,11 @@ def enabled_step(net: PetriNet, M: CounterVector, t) -> Optional[CounterVector]:
 class KMNode:
     packed: int  # the marking, packed; a counter field holding OMEGA_FIELD is ω
     parent: Optional["KMNode"]
-    via: Optional[str]
+    via: object  # the label of the move fired from parent, None at the root
     accelerated: bool = False
     key: int = 0  # the ready key of the marking (`PetriNet.key`)
-    net: Optional[PetriNet] = None  # the net whose layout packed follows
+    # the PetriNet or `_DeletionMoves` whose layout packed follows
+    net: object = None
     # the bits of the group values of the node and its ancestors, one bit
     # per value, shared past PATH_BITS values
     path_mask: int = 0
@@ -320,7 +329,8 @@ class KMNode:
 
     @property
     def marking(self) -> tuple:
-        """The counts by place position, with OMEGA where unbounded."""
+        """The counts by place position, with OMEGA where unbounded.  Only
+        a tree on a PetriNet decodes: the deletion moves have no places."""
         if self._marking is None:
             counts = self.net.unpack(self.packed)
             self._marking = tuple([OMEGA if n == OMEGA_FIELD else n for n in counts])
@@ -336,27 +346,33 @@ PATH_BITS = 64
 class KMResult:
     bounded: bool  # read it only when the tree is neither capped nor stopped
     nodes: list
-    pump: Optional[tuple]  # (prefix transition ids, cycle transition ids)
+    pump: Optional[tuple]  # (prefix labels, cycle labels)
     capped: bool = False
     stopped: bool = False  # the last node's group value is in stop_at
 
 
 def karp_miller(
-    net: PetriNet,
-    m0: CounterVector,
+    net,
+    m0,
     node_cap: int = DEFAULT_KM_NODE_CAP,
     stop_at: frozenset = frozenset(),
 ) -> KMResult:
     """Karp–Miller coverability tree (Karp & Miller, 1969).
 
-    Deterministic: children expand in the net's transition order; nodes
-    whose marking repeats an already-processed one become leaves.  A child
-    m accelerates against every ancestor am it strictly dominates (m >= am
-    and m != am): each place where m > am becomes ω.  The pump is the
-    first acceleration whose parent marking has no ω.
+    net is a PetriNet, and m0 a CounterVector of its places; or net is a
+    pair's `_DeletionMoves`, and m0 a packed state of them (`start`).
+    Either offers the moves enabled at a ready key in firing order, each
+    as (packed effect, label), and a node's `via` is that label: a
+    transition name on a net, (core step, group) on the moves.
+
+    Deterministic: children expand in firing order; nodes whose marking
+    repeats an already-processed one become leaves.  A child m accelerates
+    against every ancestor am it strictly dominates (m >= am and m != am):
+    each place where m > am becomes ω.  The pump is the first acceleration
+    whose parent marking has no ω, as (prefix labels, cycle labels).
 
     Markings are packed (`PetriNet.pack`) with OMEGA_FIELD in every ω
-    field, so a firing adds the transition's packed effect and writes
+    field, so a firing adds the move's packed effect and writes
     OMEGA_FIELD back into the parent's ω fields.  Every counter field stays
     below TOP, whose bits serve as guard bits (Lamport, CACM 1975):
     (m | top) - am keeps every guard bit exactly when m >= am on the
@@ -367,7 +383,8 @@ def karp_miller(
     equality, then the subtraction, the same relation as on one field per
     place, and ω only ever stands in a counter field.  An ancestor whose
     ready key (`PetriNet.key`) has other group fields, or a nonzero
-    counter that m lacks, is passed over without the subtraction.
+    counter that m lacks, is passed over without the subtraction.  On the
+    deletion moves the one group field is the control index.
 
     So only an ancestor with m's group fields, its group value, can be
     dominated.  Each node keeps a path mask (`KMNode.path_mask`): one bit
@@ -380,14 +397,14 @@ def karp_miller(
 
     A finite count that would reach OMEGA_FIELD stops the tree, `capped`
     set, before that node is kept, as a count reaching TOP stops
-    `marking_bfs`; a root with such a count gives a capped tree of the
-    root alone.  The net is ordinary, so a count grows by at most one per
-    level: from counts of at most 1, as in the builders' roots, no tree
-    reaches it under a node_cap below 2**30.
+    `_bfs`; a root with such a count gives a capped tree of the
+    root alone.  Every arc has weight 1, so a count grows by at most one
+    per level: from counts of at most 1, as in the builders' roots, no
+    tree reaches it under a node_cap below 2**30.
 
-    stop_at holds packed markings (`PetriNet.pack`) with no counter token;
-    a target with one raises ValueError.  The tree stops, `stopped` set,
-    at the first node, the root included, whose group value
+    stop_at holds packed markings with no counter token, group values; a
+    target with one raises ValueError.  The tree stops, `stopped` set, at
+    the first node, the root included, whose group value
     (`key & group_mask`) is in stop_at; that node is the last of `nodes`,
     which are then the full tree's nodes up to it.  When the root and each
     target mark one place of every group, every node does too, so a node
@@ -396,23 +413,23 @@ def karp_miller(
     about a tree that stopped or was capped.  When no node stops it, the
     tree is the one built without stop_at.
     """
-    order, effect, ready, ready_at = (
-        net.order, net.packed_effect, net.ready, net.ready_at
-    )
+    ready, ready_at = net.ready, net.ready_at
     top, ones, key_mask, group_mask = net.top, net.ones, net.key_mask, net.group_mask
     if any(t & ~group_mask for t in stop_at):
         raise ValueError("a Karp–Miller target must hold no counter token")
-    start = net.marking(m0)
-    if max(start, default=0) >= OMEGA_FIELD:
-        root = KMNode(net.pack(start), None, None, net=net, _marking=start)
-        return KMResult(False, [root], None, capped=True)
-    packed = net.pack(start)
-    bits = {packed & group_mask: 1}  # group value -> its path-mask bit
-    root = KMNode(packed, None, None, key=net.key(packed), net=net, path_mask=1)
+    if isinstance(m0, CounterVector):
+        start = net.marking(m0)
+        if max(start, default=0) >= OMEGA_FIELD:
+            root = KMNode(net.pack(start), None, None, net=net, _marking=start)
+            return KMResult(False, [root], None, capped=True)
+        m0 = net.pack(start)
+    bits = {m0 & group_mask: 1}  # group value -> its path-mask bit
+    key = ((m0 | top) - ones) & key_mask
+    root = KMNode(m0, None, None, key=key, net=net, path_mask=1)
     nodes = [root]
-    if packed & group_mask in stop_at:
+    if m0 & group_mask in stop_at:
         return KMResult(False, nodes, None, stopped=True)
-    processed = {root.packed}
+    processed = {m0}
     queue = deque([root])
     pump = None
     unbounded = False
@@ -425,8 +442,8 @@ def karp_miller(
         enabled = ready.get(node.key)
         if enabled is None:
             enabled = ready_at(node.key)
-        for j in enabled:
-            m = nm + effect[j]
+        for d, label in enabled:
+            m = nm + d
             if omega:
                 m = m & keep | omega
             if (m + ones) & top != guards:  # a finite count reached OMEGA_FIELD
@@ -451,7 +468,7 @@ def karp_miller(
                         if grew:
                             if pump is None and not omega:
                                 prefix = _path_to_root(anc)
-                                full = _path_to_root(node) + [order[j]]
+                                full = _path_to_root(node) + [label]
                                 pump = (tuple(prefix), tuple(full[len(prefix):]))
                             m |= grew - (grew >> (FIELD - 1))
                             accelerated = unbounded = True
@@ -459,7 +476,7 @@ def karp_miller(
             if m in processed:
                 continue
             processed.add(m)
-            child = KMNode(m, node, order[j], accelerated, key, net, path | bit)
+            child = KMNode(m, node, label, accelerated, key, net, path | bit)
             nodes.append(child)
             if value in stop_at:
                 return KMResult(False, nodes, pump, stopped=True)
@@ -500,48 +517,58 @@ def marking_bfs(
     cap: int = DEFAULT_FORWARD_CAP,
     stop_at: frozenset = frozenset(),
 ) -> tuple:
-    """(packed marking -> packed parent, exhausted).
+    """(packed marking -> packed parent, exhausted): `_bfs` on the net
+    from the dense marking m0, packed (`PetriNet.pack`), with no room; a
+    root with a count of TOP or more packs as TOP and gives an empty map."""
+    return _bfs(net, net.pack(m0), cap, stop_at, 0, {})
 
-    Breadth-first in net order from the dense marking m0, on packed
-    markings (`PetriNet.pack`); stop_at holds packed markings, of any
-    counts.  The net is ordinary, so a marking's ready key
-    (`PetriNet.key`), its group fields and which counters are nonzero,
-    decides which transitions fire; the key is taken from each marking as
-    the search reaches it in its queue, a list read while it grows.  The
-    search stops early, with exhausted False, when it reaches a marking in
-    stop_at, when it holds more than cap markings, or when a count reaches
-    TOP; that last marking is not kept, so every kept marking unpacks to
-    its true counts.  The root's parent is None; a root with a count of
-    TOP or more gives an empty map.
 
-    The map keeps each marking's parent only, the marking it was first
-    reached from; the transition fired there is the first of the parent's
-    ready list that leads to it.  The search meets the markings of each
-    depth in the order of their least firing sequences of that length,
-    compared first firing first in net order, and the parents spell that
-    sequence.  So the path to the first marking of stop_at it meets is the
-    least of the shortest firing sequences into stop_at.
-    `_witness_search` keeps the same markings on the deletion system
-    without its net.
+def _bfs(search, start: int, cap: int, stop_at, room: int, cost: dict) -> tuple:
+    """(packed marking -> packed parent, exhausted): breadth-first search
+    in firing order from start, on a PetriNet or a pair's `_DeletionMoves`.
+
+    Which moves fire depends on a marking's ready key (`PetriNet.key`)
+    alone.  The search stops early, exhausted False, at a marking in
+    stop_at (packed, of any counts), past cap markings, or where a count
+    reaches TOP, which it does not keep, so every kept marking unpacks to
+    its true counts.  A root with its TOP bit set gives an empty map.
+
+    Each queued marking carries a room, start's being room, and a marking
+    is kept only with a nonnegative room: a move takes cost[label] from
+    it, 0 for a label cost lacks; a root with a negative room is kept and
+    not expanded.
+
+    The map keeps each marking's first parent; the move fired there is
+    the first of the parent's list whose effect leads to it.  The markings
+    of each depth are met in the order of their least firing sequences of
+    that length, first firing first, and the parents spell that sequence:
+    the path to the first marking of stop_at is the least of the shortest
+    firing sequences into stop_at.
     """
-    effect, top, ones, key_mask = net.packed_effect, net.top, net.ones, net.key_mask
-    ready, ready_at = net.ready, net.ready_at
-    start = net.pack(m0)
+    top, ones, key_mask = search.top, search.ones, search.key_mask
+    ready, ready_at = search.ready, search.ready_at
     if start & top:
         return {}, False
     seen = {start: None}
     if start in stop_at:
         return seen, False
-    queue = [start]
-    append = queue.append
+    costed = {}  # ready key -> (effect, cost) of each move there
+    queue, rooms = ([start], [room]) if room >= 0 else ([], [])
+    append, append_room = queue.append, rooms.append
     left = max(cap, 1)  # markings past the root the search may still keep
-    for m in queue:
+    for m, room in zip(queue, rooms):
         key = ((m | top) - ones) & key_mask
-        enabled = ready.get(key)
-        if enabled is None:
-            enabled = ready_at(key)
-        for j in enabled:
-            m2 = m + effect[j]
+        out = costed.get(key)
+        if out is None:
+            moves = ready.get(key)
+            if moves is None:
+                moves = ready_at(key)
+            out = costed[key] = [(d, cost.get(label, 0)) for d, label in moves]
+        for d, c in out:
+            room2 = room - c
+            if room2 < 0:
+                continue
+            m2 = m + d
             if m2 in seen:
                 continue
             if m2 & top:
@@ -551,6 +578,7 @@ def marking_bfs(
             if not left or m2 in stop_at:
                 return seen, False
             append(m2)
+            append_room(room2)
     return seen, True
 
 
@@ -1028,21 +1056,23 @@ def _closing_letters(P: Dfa) -> dict:
 
 class _DeletionMoves:
     """The moves of the deletion system of (P, V), listed once for every
-    search that the net route runs on it (`_witness_search`).  V must be
-    complete.
+    search that the net route runs on it (`_witness_search`,
+    `karp_miller`).  V must be complete.
 
     A state is one int, the marking of `build_np_v_full`'s net in another
     layout: the remainder's count of each component state in a FIELD-bit
     field, in sorted state order, with TOP as its overflow stop, and above
     them the index of the control state (V1-state, V2-state, tracked
-    component or CHECK_ZERO), numbered as the searches meet it (`code`).
-    A component move (the net's E group) fires a core step from the
-    tracked component, a paired move (S) one from 0 or from a nonzero
-    counter, and a move's effect is the change of control index and
-    counters as one int.  The moves of a state depend on its control and
+    component or CHECK_ZERO), numbered as the searches meet it (`code`),
+    in the one group field (`group_mask`), wide enough for |V|² times the
+    tracked values.  A component move (the net's E group) fires a core
+    step from the tracked component, a paired move (S) one from 0 or from
+    a nonzero counter, and a move's effect is the change of control index
+    and counters as one int.  The moves of a state depend on its control and
     on which counters are nonzero, its ready key as `PetriNet.key` forms
     it; each control's moves are listed the first time a search reaches
-    it, and each key's the first time a search reaches the key (`at`).
+    it, and each key's the first time a search reaches the key
+    (`ready_at`), labelled (core step, group).
 
     The moves follow the net's order.  The net sorts its transitions by
     name, `E|{kind}|{t}|{r1}` and `S|{kind}|{t}|{r1},{r2}`, so at a
@@ -1065,7 +1095,9 @@ class _DeletionMoves:
         self.width = width = FIELD * len(shift)
         self.top = top = TOP * ((1 << width) - 1) // FIELD_MASK
         self.ones = top >> (FIELD - 1)
-        self.key_mask = top | -(1 << width)
+        controls = len(V.states) ** 2 * (len(elementary_vector_states(P)) + 1)
+        self.group_mask = ((1 << controls.bit_length()) - 1) << width
+        self.key_mask = top | self.group_mask
         self.tracked = {}  # tracked component -> its (core step, tracked after)
         self.paired = []  # (guard, counter effect, core step)
         for t in self.order:
@@ -1079,7 +1111,7 @@ class _DeletionMoves:
             self.paired.append((guard, effect, t))
         self.index, self.controls = {}, []  # control <-> its index
         self.at_control = {}  # control index -> (guard, move) of each move from it
-        self.listed = {}  # ready key -> `at` of it
+        self.ready = {}  # ready key -> `ready_at` of it
         self.start = self.code((V.initial, V.initial, ZERO))
 
     def code(self, control) -> int:
@@ -1090,26 +1122,26 @@ class _DeletionMoves:
             self.controls.append(control)
         return i << self.width
 
-    def at(self, key: int) -> list:
-        """(effect, core step, group) of each move at ready key: of its
+    def ready_at(self, key: int) -> list:
+        """(effect, (core step, group)) of each move at ready key: of its
         control's moves, those whose guard is 0 or a nonzero counter; kept
-        in `listed`, where callers look first."""
+        in `ready`, where callers look first."""
         i = key >> self.width
         moves = self.at_control.get(i)
         if moves is None:
             r1, r2, e = self.controls[i]
             delta, code, here = self.delta, self.code, i << self.width
             moves = self.at_control[i] = [
-                (0, (code((delta[(r1, t.letter)], r2, tracked)) - here, t, "E"))
+                (0, (code((delta[(r1, t.letter)], r2, tracked)) - here, (t, "E")))
                 for t, tracked in self.tracked.get(e, ())
             ] + [
                 (guard, (
                     code((delta[(r1, t.letter)], delta[(r2, t.letter)], e))
-                    - here + effect, t, "S",
+                    - here + effect, (t, "S"),
                 ))
                 for guard, effect, t in self.paired
             ]
-        out = self.listed[key] = [
+        out = self.ready[key] = [
             move for guard, move in moves if not guard or key & guard
         ]
         return out
@@ -1122,30 +1154,28 @@ def _witness_search(
     level: Optional[int] = None,
     depth: Optional[int] = None,
 ) -> tuple:
-    """(markings, witness, exhausted): `marking_bfs` from the initial
-    marking of `build_np_v_full`'s net, stopped at the counterexample
-    markings of targets, run on the deletion system's moves without the
-    net.  markings is the number of markings the BFS keeps, and witness
-    the first counterexample run it reaches, read as `sp_falsify` reads
-    one: (word, remainder, component, positions), where a paired step
-    reads into the remainder; None when the search ends without one.
-    exhausted is True when it ends with no marking left to expand.
-    targets holds the (V1-state, V2-state) of each counterexample control
+    """(markings, witness, exhausted): `_bfs` on the deletion system's
+    moves from their start, the initial marking of `build_np_v_full`'s
+    net, stopped at the counterexample markings of targets.  markings is
+    the number of markings the BFS keeps, and witness the first
+    counterexample run it reaches, read as `sp_falsify` reads one: (word,
+    remainder, component, positions), where a paired step reads into the
+    remainder; None when the search ends without one.  exhausted is True
+    when it ends with no marking left to expand.  targets holds the
+    (V1-state, V2-state) of each counterexample control
     (`_target_controls`).
 
-    The search keeps exactly the markings that `marking_bfs` keeps on the
-    net, with the same parents, since it reaches them in the same order:
-    the net holds a transition for every move from a live control
-    (`build_np_v_full`), and every control the search meets is live.  It
-    keeps each state's parent only, and the witness is read back from
-    the parents: a state was kept at the first move of its parent's list
-    whose effect leads to it.  Past cap kept states, or at a count of
-    TOP, it stops without a witness.
+    Unpruned, the search keeps exactly the markings that `marking_bfs`
+    keeps on the net, with the same parents, since it reaches them in the
+    same order: the net holds a transition for every move from a live
+    control (`build_np_v_full`), and every control the search meets is
+    live.  The witness is read back from the parents: a state was kept at
+    the first move of its parent's list whose effect leads to it.  Past
+    cap kept states, or at a count of TOP, it stops without a witness.
 
-    A level or a depth, when given, prunes the search.  It carries each
-    queued state's room and keeps a state only when its room is
-    nonnegative; a move's cost, what it takes from the room, depends on
-    its core step and group alone.
+    A level or a depth, when given, prunes the search by `_bfs`'s room; a
+    move's cost, what it takes from the room, depends on its label, core
+    step and group, alone.
 
     With level n, the room is n less the composite's norm, the
     remainder's plus the tracked component's while it is open.  A move
@@ -1195,62 +1225,29 @@ def _witness_search(
             cost[t, "E"] = 1 + after - before
             # a remainder component at 0 is none, a tracked one is yet to open
             cost[t, "S"] = 1 + after - (0 if t.source.is_zero() else before)
-    if room < 0:
-        return 1, None, True
-    top, ones, key_mask = moves.top, moves.ones, moves.key_mask
-    listed = moves.listed
-
-    def witness(m: int) -> tuple:
-        """The run from the root to m, each move the first of its
-        parent's list that leads on to the next state."""
-        steps = []
-        prev = seen[m]
-        while prev is not None:
-            key = ((prev | top) - ones) & key_mask
-            step = m - prev
-            steps.append(next((t, g) for d, t, g in listed[key] if d == step))
-            m, prev = prev, seen[prev]
-        steps.reverse()
-        return (
-            tuple(t.letter for t, _ in steps),
-            tuple(t.letter for t, g in steps if g == "S"),
-            tuple(t.letter for t, g in steps if g == "E"),
-            tuple(i for i, (_, g) in enumerate(steps) if g == "E"),
-        )
-
     goals = {moves.code((r1, r2, CHECK_ZERO)) for r1, r2 in targets}
-    start = moves.start
-    seen = {start: None}
-    ready = {}  # ready key -> its (effect, cost) list
-    queue, rooms = [start], [room]
-    append, append_room = queue.append, rooms.append
-    left = max(cap, 1)  # states past the root the search may still keep
-    for m, room in zip(queue, rooms):
-        key = ((m | top) - ones) & key_mask
-        out = ready.get(key)
-        if out is None:
-            found = listed.get(key)
-            if found is None:
-                found = moves.at(key)
-            out = ready[key] = [(d, cost.get((t, g), 0)) for d, t, g in found]
-        for d, c in out:
-            room2 = room - c
-            if room2 < 0:
-                continue
-            m2 = m + d
-            if m2 in seen:
-                continue
-            if m2 & top:
-                return len(seen), None, False
-            seen[m2] = m
-            if m2 in goals:
-                return len(seen), witness(m2), False
-            left -= 1
-            if not left:
-                return len(seen), None, False
-            append(m2)
-            append_room(room2)
-    return len(seen), None, True
+    seen, exhausted = _bfs(moves, moves.start, cap, goals, room, cost)
+    m = next(reversed(seen))
+    if m not in goals:
+        return len(seen), None, exhausted
+    # the run from the root to m, each move the first of its parent's
+    # list that leads on to the next state
+    top, ones, key_mask = moves.top, moves.ones, moves.key_mask
+    steps = []
+    prev = seen[m]
+    while prev is not None:
+        step = m - prev
+        listed = moves.ready[((prev | top) - ones) & key_mask]
+        steps.append(next(label for d, label in listed if d == step))
+        m, prev = prev, seen[prev]
+    steps.reverse()
+    witness = (
+        tuple(t.letter for t, _ in steps),
+        tuple(t.letter for t, g in steps if g == "S"),
+        tuple(t.letter for t, g in steps if g == "E"),
+        tuple(i for i, (_, g) in enumerate(steps) if g == "E"),
+    )
+    return len(seen), witness, exhausted
 
 
 def _norm_bound(moves: _DeletionMoves, targets, cap: int) -> Optional[tuple]:
@@ -1261,7 +1258,7 @@ def _norm_bound(moves: _DeletionMoves, targets, cap: int) -> Optional[tuple]:
     composite norm n (`_witness_search`).  Each state it keeps is a
     marking the net reaches by as many firings, so the length is that of
     a firing sequence into a counterexample marking: a bound on the
-    shortest one (`marking_bfs`'s bound)."""
+    shortest one (`_bfs`'s bound)."""
     for level in range(1, NORM_DEPTH + 1):
         _, witness, exhausted = _witness_search(moves, targets, cap, level=level)
         if witness is not None:
@@ -1271,8 +1268,10 @@ def _norm_bound(moves: _DeletionMoves, targets, cap: int) -> Optional[tuple]:
     return None
 
 
-def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
-    """Net executing the deletion system with free counters.
+def build_np_v_full(P: Dfa, V: Dfa) -> tuple:
+    """Net executing the deletion system with free counters: the net
+    that the net route's searches run as `_DeletionMoves` without
+    building it, built for the `petri` command and the tests.
 
     A run reads a composite word and splits it into a remainder and one
     tracked component.  The V1 and V2 places hold the V-states of the
@@ -1301,8 +1300,7 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     in a marking reachable from there, and every search from that marking
     finds the markings and firings it would find in the net with all of
     them.  The transitions kept have the same names, arcs, meta and
-    relative order.  A caller that has already run the search passes its
-    result as controls, so it runs once.
+    relative order.
 
     The net has three one-token groups (`PetriNet`): the V1 places, the
     V2 places, and the tracked places with CHECK_PLACE.  iota marks one
@@ -1327,8 +1325,7 @@ def build_np_v_full(P: Dfa, V: Dfa, controls=None) -> tuple:
     )
     pre, post, meta = {}, {}, {}
     core = eng.ordered_core
-    if controls is None:
-        controls = _live_controls(V, core)
+    controls = _live_controls(V, core)
     tracked_pairs = {(r1, e) for r1, _, e in controls}
     partners = {}  # r1 -> the r2 of its live pairs, in sorted order
     for r1, r2 in sorted({(r1, r2) for r1, r2, _ in controls}):
@@ -1386,7 +1383,8 @@ def decide_sp_via_net(
     node_cap: int = DEFAULT_KM_NODE_CAP,
     forward_cap: int = DEFAULT_FORWARD_CAP,
 ) -> NetVerdict:
-    """Closure decision through the deletion net.
+    """Closure decision through the deletion net, searched on the deletion
+    system's moves (`_DeletionMoves`) without building it.
 
     A counterexample is a marking where the composite's V-state accepts,
     the remainder's counters are all closed, the deleted component is
@@ -1405,8 +1403,9 @@ def decide_sp_via_net(
     Every counterexample marking marks its control places, so the route
     first searches the control states (`_live_controls`) and keeps those
     of a counterexample (`_target_controls`).  When there are none, the
-    pair holds by `net-uncoverable` before the net is built, and the stats
-    give the number of control states, `controls`, in place of `km_nodes`.
+    pair holds by `net-uncoverable` before any move is listed, and the
+    stats give the number of control states, `controls`, in place of
+    `km_nodes`.
     Every marking a search meets has a live control state, so the target
     controls give all the counterexample markings it could meet.
 
@@ -1414,19 +1413,20 @@ def decide_sp_via_net(
     capped by forward_cap states per level, on the move lists that every
     later search reads too (`_DeletionMoves`).  When a level finds a
     counterexample, of length D, a counterexample marking is reachable,
-    so no net and no Karp–Miller tree is built: the witness search runs
-    bounded by D and returns the witness
-    that it returns without the bound, or finds one where that search
-    passes the cap; the stats give `norm_level` and `norm_length` (D).
-    Otherwise the net is built from the live control states, and each
-    target control packs as one counterexample marking: iota's marking of
-    its V-states with every counter 0 and the tracked component
-    CHECK_ZERO.  The Karp–Miller tree stops at its first node that covers
-    one, a node with a target's group value, so `km_nodes` counts the
-    nodes built until then; a pair with none coverable builds the whole
-    tree and holds.  The witness search without the bound then looks for
-    a reachable one, and stops at the first it reaches.  Either way the
-    stats give `markings`, the number of markings the search kept.
+    so no Karp–Miller tree is built: the witness search runs bounded by D
+    and returns the witness that it returns without the bound, or finds
+    one where that search passes the cap; the stats give `norm_level` and
+    `norm_length` (D).  Otherwise `karp_miller` runs on the same moves,
+    from their start, and builds the tree it builds on
+    `build_np_v_full`'s net node for node.  Its targets are the codes of
+    the target controls (`_DeletionMoves.code`), each the group value of
+    one counterexample marking: every counter 0 and the tracked component
+    CHECK_ZERO.  The tree stops at its first node that covers one, a node
+    with a target's control, so `km_nodes` counts the nodes built until
+    then; a pair with none coverable builds the whole tree and holds.
+    The witness search without the bound then looks for a reachable one,
+    and stops at the first it reaches.  Either way the stats give
+    `markings`, the number of markings the search kept.
     """
     V = complete(V)
     controls = _live_controls(V, engine_for(P).core)
@@ -1438,16 +1438,11 @@ def decide_sp_via_net(
     moves = _DeletionMoves(P, V)
     found = _norm_bound(moves, pairs, forward_cap)
     if found is None:
-        net, iota = build_np_v_full(P, V, controls)
-        targets = frozenset(
-            net.pack(net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))))
-            for r1, r2 in pairs
-        )
-        m0 = iota((V.initial, V.initial, (ZERO, ZERO)))
-        km = karp_miller(net, m0, node_cap, stop_at=targets)
+        targets = frozenset(moves.code((r1, r2, CHECK_ZERO)) for r1, r2 in pairs)
+        km = karp_miller(moves, moves.start, node_cap, stop_at=targets)
         stats = {"km_nodes": len(km.nodes), "km_capped": km.capped}
         uncoverable = not km.capped and not km.stopped
-        del net, km  # neither is needed past this point; free them first
+        del km  # free the tree first: kept, it adds to the search's peak memory
         if uncoverable:
             # coverability is decided exactly, so no counterexample marking
             # is reachable at all

@@ -158,7 +158,8 @@ def marking_bfs(net: PetriNet, m0: tuple, cap: int, stop_at: frozenset) -> tuple
     """(packed marking -> (packed parent, transition position), exhausted):
     the search `petri.marking_bfs` documents, with the firing recorded for
     every marking and the root's entry (None, None)."""
-    effect, top = net.packed_effect, net.top
+    top = net.top
+    position = {t: j for j, t in enumerate(net.order)}
     start = net.pack(m0)
     if start & top:
         return {}, False
@@ -172,8 +173,9 @@ def marking_bfs(net: PetriNet, m0: tuple, cap: int, stop_at: frozenset) -> tuple
         enabled = net.ready.get(key)
         if enabled is None:
             enabled = net.ready_at(key)
-        for j in enabled:
-            m2 = m + effect[j]
+        for effect, t in enabled:
+            j = position[t]
+            m2 = m + effect
             if m2 in seen:
                 continue
             if m2 & top:
@@ -206,8 +208,8 @@ def fired(net: PetriNet, prev: int, m: int) -> int:
     enabled = net.ready.get(key)
     if enabled is None:
         enabled = net.ready_at(key)
-    step, effect = m - prev, net.packed_effect
-    return next(j for j in enabled if effect[j] == step)
+    step = m - prev
+    return net.order.index(next(t for effect, t in enabled if effect == step))
 
 
 def firing_path(net: PetriNet, seen: dict, m: int) -> list:

@@ -814,15 +814,11 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
     # final x nonfinal list gives the dense reference and the reference
     # BFS: the first 100 criterion-10 pairs, P and grave(P) against
     # complete V, and ab, aab, abb against a count of a mod 5.  The
-    # decision's Karp–Miller tree takes packed targets, and its witness
-    # search, which runs without the net, the (V1-state, V2-state) of each;
-    # the spies pack the latter as iota packs a counterexample marking, so
-    # both searches are watched
+    # decision's witness search takes the (V1-state, V2-state) of each;
+    # the spy packs them as iota packs a counterexample marking.  Its
+    # Karp–Miller tree is held to the net's by
+    # test_karp_miller_on_the_deletion_moves_builds_the_nets_tree
     passed = []
-
-    def km_spy(net, m0, node_cap, stop_at):
-        passed.append(stop_at)
-        return karp_miller(net, m0, node_cap, stop_at)
 
     def search_spy(moves, targets, cap, **bound):
         passed.append(_packed(net, [
@@ -831,7 +827,6 @@ def test_live_targets_search_as_every_counterexample_marking(monkeypatch):
         return witness_search(moves, targets, cap, **bound)
 
     witness_search = petri._witness_search
-    monkeypatch.setattr(petri, "karp_miller", km_spy)
     monkeypatch.setattr(petri, "_witness_search", search_spy)
     cases = [
         (comp, Vc) for P, Vc in _criterion_10_pairs(100) for comp in (P, grave(P))
@@ -941,8 +936,8 @@ def test_norm_levels_match_the_reference_norm_search():
 def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
     # deciding and replaying a pair whose counterexample the norm search
     # finds calls karp_miller zero times and constructs no net; with the
-    # search switched off the tree is built once per pair, on one net, and
-    # every certificate is the same
+    # search switched off the tree is built once per pair, on the deletion
+    # moves and still on no net, and every certificate is the same
     calls, nets = [], []
 
     def spy(*args, **kwargs):
@@ -970,7 +965,162 @@ def test_net_fails_within_the_norm_build_no_tree(monkeypatch):
     assert calls == [] and nets == []
     monkeypatch.setattr(petri, "NORM_DEPTH", 0)
     assert [decide_sp(P, V, "general").certificate for P, V in pairs] == certificates
-    assert len(calls) == len(nets) == len(pairs)
+    assert len(calls) == len(pairs) and nets == []
+
+
+def _moves_marking(net, moves, x):
+    # the dense marking of the deletion net that the deletion moves'
+    # packed state x stands for, OMEGA where a field holds OMEGA_FIELD
+    from shufflecheck.petri import FIELD, FIELD_MASK, OMEGA, OMEGA_FIELD
+
+    counts = [0] * len(net.places)
+    states = sorted(engine_for(moves.P).component_states)
+    for k, q in enumerate(states):
+        n = (x >> (FIELD * k)) & FIELD_MASK
+        counts[net.index[petri._q2(q)]] = OMEGA if n == OMEGA_FIELD else n
+    r1, r2, e = moves.controls[x >> moves.width]
+    for place in (petri._v1(r1), petri._v2(r2), _ep(e)):
+        counts[net.index[place]] = 1
+    return tuple(counts)
+
+
+def _deletion_tree(km, read=lambda n: n.via):
+    # a tree's nodes as (read(node), accelerated, parent index), and its
+    # flags
+    index = {id(n): k for k, n in enumerate(km.nodes)}
+    nodes = [
+        (
+            read(n), n.accelerated,
+            None if n.parent is None else index[id(n.parent)],
+        )
+        for n in km.nodes
+    ]
+    return nodes, km.bounded, km.capped, km.stopped
+
+
+def _protocol_queries():
+    # (comp, V) of every protocol pair that reaches the net stage, in
+    # each mode its V allows
+    from protocols import pend, proc, sem, serve
+
+    out = []
+    for V in (sem(1), sem(2), sem(3), serve(), pend(1), pend(2), pend(3)):
+        for mode in ("prefix", "general"):
+            out.append(prepare_query(proc(), V, mode))
+    return out
+
+
+def test_karp_miller_on_the_deletion_moves_builds_the_nets_tree(monkeypatch):
+    # decide's Karp–Miller tree runs on the deletion moves, stopped at the
+    # codes of the live counterexample controls; it must be the tree of
+    # build_np_v_full's net stopped at the iota-packed counterexample
+    # markings, node for node, each moves state decoded to the net's
+    # places and each net transition read as its (core step, group): the
+    # first 100 criterion-10 pairs, P and grave(P) against complete V, ab,
+    # aab and abb against a count of a mod 5, and the protocol pairs, one
+    # of them under a node cap that caps it
+    trees = []
+
+    def spy(*args, **kwargs):
+        km = karp_miller(*args, **kwargs)
+        trees.append(km)
+        return km
+
+    cases = [
+        (comp, Vc, 3000)
+        for P, Vc in _criterion_10_pairs(100)
+        for comp in (P, grave(P))
+    ]
+    cases += [
+        (_word(w), complete(_modular(5, 1, 0)), 3000) for w in ("ab", "aab", "abb")
+    ]
+    cases += [(comp, complete(V), 20_000) for comp, V in _protocol_queries()]
+    cases.append((*cases[-1][:2], 300))  # proc against pend(3), general mode
+    monkeypatch.setattr(petri, "karp_miller", spy)
+    compared = Counter()
+    for comp, Vc, node_cap in cases:
+        trees.clear()
+        decide_sp_via_net(comp, Vc, node_cap=node_cap, forward_cap=2000)
+        (decided,) = trees or [None]
+        moves = petri._DeletionMoves(comp, Vc)
+        live = _target_controls(Vc, _live_controls(Vc, engine_for(comp).core))
+        codes = frozenset(moves.code((r1, r2, CHECK_ZERO)) for r1, r2 in live)
+        on_moves = karp_miller(moves, moves.start, node_cap, stop_at=codes)
+        net, iota = build_np_v_full(comp, Vc)
+        targets = _packed(net, [
+            net.marking(iota((r1, r2, (ZERO, CHECK_ZERO)))) for r1, r2 in live
+        ])
+        m0 = iota((Vc.initial, Vc.initial, (ZERO, ZERO)))
+        on_net = karp_miller(net, m0, node_cap, stop_at=targets)
+
+        def on_moves_read(n):
+            return _moves_marking(net, moves, n.packed), n.via
+
+        def on_net_read(n):
+            meta = net.meta.get(n.via, {})
+            return n.marking, n.via and (meta["core"], meta["group"])
+
+        assert _deletion_tree(on_moves, on_moves_read) == _deletion_tree(
+            on_net, on_net_read
+        )
+        if decided is not None:
+            compared["decided"] += 1
+            assert _deletion_tree(decided) == _deletion_tree(on_moves)
+        compared["capped"] += on_net.capped
+        compared["stopped"] += on_net.stopped
+        compared["whole"] += not (on_net.capped or on_net.stopped)
+    assert compared["decided"] >= 14 and compared["capped"] == 1
+    assert compared["stopped"] and compared["whole"]
+
+
+# The random-general pool pairs, by criterion-10 draw, whose net stage
+# runs Karp–Miller: each holds by net-uncoverable after a whole tree
+KARP_MILLER_POOL_DRAWS = (169, 1038, 1093, 1254, 1365, 1577, 1831, 2163, 2489)
+
+
+def test_decide_and_replay_build_no_petri_net(monkeypatch):
+    # with PetriNet's constructor refusing, decide and replay still answer
+    # every pair whose net stage runs Karp–Miller: the pool pairs above, a
+    # Fails found after the tree (norm levels off) and an Unknown whose
+    # tree is capped.  The tree is built through petri's karp_miller,
+    # the name the benchmark's tracer wraps
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PetriNet was constructed")
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return karp_miller(*args, **kwargs)
+
+    rng = random.Random(101010)
+    draws = []
+    for i in range(KARP_MILLER_POOL_DRAWS[-1] + 1):
+        P = random_dfa(rng, max_states=3, alpha="ab")
+        V = random_dfa(rng, max_states=3, alpha="ab")
+        if i in KARP_MILLER_POOL_DRAWS:
+            draws.append((P, V))
+    monkeypatch.setattr(petri.PetriNet, "__init__", refuse)
+    monkeypatch.setattr(petri, "karp_miller", spy)
+    for P, V in draws:
+        v = decide_sp(P, V, "general")
+        assert (v.outcome, v.route) == ("holds", "net-uncoverable")
+        assert "km_nodes" in v.stats
+        assert replay_certificate(P, V, v)
+    assert len(calls) == 2 * len(draws)
+    monkeypatch.setattr(petri, "NORM_DEPTH", 0)
+    P, V = _word("ab"), _modular(9, 1, 0)
+    v = decide_sp(P, V, "general")
+    assert (v.outcome, v.route) == ("fails", "net-reachability")
+    assert "km_nodes" in v.stats and replay_certificate(P, V, v)
+    from protocols import pend, proc
+
+    P, V = proc(), pend(3)
+    v = decide_sp(P, V, "prefix", Budgets(km_node_cap=300, forward_cap=2000))
+    assert (v.outcome, v.route) == ("unknown", "net-budget")
+    assert v.stats["km_capped"] and replay_certificate(P, V, v)
+    assert len(calls) == 2 * len(draws) + 2
+    assert all(isinstance(moves, petri._DeletionMoves) for moves in calls)
 
 
 def _odd_names(dfa, letters):
